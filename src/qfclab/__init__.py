@@ -2,19 +2,14 @@
 
 from .qcore import (
     DimensionError,
-    SpectralDecomposition,
     StateValidityError,
     ValidationReport,
     basis_state,
-    fidelity,
     fidelity_pure_target,
-    matrix_exponential,
     maximally_mixed,
-    spectral_decomposition,
     validate_density,
 )
 from .channels import (
-    ControlFamily,
     MeasurementModel,
     ParameterError,
     QuantumChannel,
@@ -23,7 +18,6 @@ from .channels import (
     choi_matrix,
     condition_on_outcome,
     control_unitary,
-    default_control_family,
     depolarizing,
     imprecise_measurement,
     is_cptp,
@@ -39,7 +33,6 @@ from .controllers import (
     Observation,
     OutcomePair,
     Policy,
-    Stochastic,
     basic_policy,
     derive_basic_gains,
     policy_act,

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .qcore import DEFAULT_TOL, DimensionError, _as_complex_matrix
+from .qcore import DEFAULT_TOL, DimensionError
 
 DIM = 3
 
@@ -84,22 +84,6 @@ class MeasurementModel:
     def _povm_stack(self) -> np.ndarray:
         # effect operators M_l^dag M_l, used for outcome probabilities
         return np.stack([op.conj().T @ op for op in self.ops])
-
-
-@dataclass(frozen=True)
-class ControlFamily:
-    """Anti-Hermitian generator and admissible control range for U_beta = exp(beta*G)."""
-
-    generator: np.ndarray
-    beta_min: float = -1.0
-    beta_max: float = 1.0
-
-
-_DEFAULT_FAMILY = ControlFamily(generator=CONTROL_GENERATOR)
-
-
-def default_control_family() -> ControlFamily:
-    return _DEFAULT_FAMILY
 
 
 def _check_alpha(alpha: float) -> float:
@@ -188,18 +172,16 @@ def make_channel(kind: str, alpha: float) -> QuantumChannel:
 EPSILON_MAX = 0.3
 
 
-def imprecise_measurement(epsilon: float, allow_wide_range: bool = False) -> MeasurementModel:
+def imprecise_measurement(epsilon: float) -> MeasurementModel:
     """Imprecise basis measurement: outcome k flags basis state k with probability 1 - 2*epsilon.
 
     The three operators are diagonal with sqrt(1 - 2*epsilon) at the flagged
     level and sqrt(epsilon) elsewhere, so every basis state is invariant
-    under conditioning on any outcome.  epsilon is capped at 0.3 unless
-    ``allow_wide_range`` is set (matrices stay real up to 0.5).
+    under conditioning on any outcome.  epsilon is capped at 0.3.
     """
     epsilon = float(epsilon)
-    cap = 0.5 if allow_wide_range else EPSILON_MAX
-    if not 0.0 <= epsilon <= cap:
-        raise ParameterError(f"epsilon must lie in [0, {cap}], got {epsilon}")
+    if not 0.0 <= epsilon <= EPSILON_MAX:
+        raise ParameterError(f"epsilon must lie in [0, {EPSILON_MAX}], got {epsilon}")
     hi = np.sqrt(1.0 - 2.0 * epsilon)
     lo = np.sqrt(epsilon)
     ops = tuple(
@@ -215,29 +197,21 @@ def terminal_measurement() -> MeasurementModel:
     return MeasurementModel(ops=ops, epsilon=0.0, kind="terminal_projective")
 
 
-def control_unitary(family: ControlFamily, beta: float) -> np.ndarray:
+def control_unitary(beta: float) -> np.ndarray:
     """U_beta = exp(beta * (a - a^dag)): a real orthogonal rotation in the 0-2 ladder.
 
     Uses the closed form exp(beta*A) = I + (sin(s)/sqrt(2))*A + ((1-cos(s))/2)*A^2
-    with s = sqrt(2)*beta, exact because A^3 = -2A for the default generator;
-    other generators take the generic exponential path.
+    with s = sqrt(2)*beta, exact because A^3 = -2A.
     """
     beta = float(beta)
-    if not family.beta_min <= beta <= family.beta_max:
-        raise ParameterError(
-            f"beta must lie in [{family.beta_min}, {family.beta_max}], got {beta}"
-        )
-    gen = family.generator
-    if gen is CONTROL_GENERATOR or np.array_equal(gen, CONTROL_GENERATOR):
-        s = np.sqrt(2.0) * beta
-        return (
-            _IDENTITY3
-            + (np.sin(s) / np.sqrt(2.0)) * CONTROL_GENERATOR
-            + ((1.0 - np.cos(s)) / 2.0) * _CONTROL_GENERATOR_SQ
-        )
-    from .qcore import matrix_exponential
-
-    return matrix_exponential(beta * gen)
+    if not -1.0 <= beta <= 1.0:
+        raise ParameterError(f"beta must lie in [-1.0, 1.0], got {beta}")
+    s = np.sqrt(2.0) * beta
+    return (
+        _IDENTITY3
+        + (np.sin(s) / np.sqrt(2.0)) * CONTROL_GENERATOR
+        + ((1.0 - np.cos(s)) / 2.0) * _CONTROL_GENERATOR_SQ
+    )
 
 
 def apply_channel(ch: QuantumChannel, rho: np.ndarray) -> np.ndarray:
@@ -245,15 +219,6 @@ def apply_channel(ch: QuantumChannel, rho: np.ndarray) -> np.ndarray:
     if rho.shape != (ch.dim, ch.dim):
         raise DimensionError(f"state shape {rho.shape} != channel dim {ch.dim}")
     return (ch._stack @ rho @ ch._stack_dag).sum(axis=0)
-
-
-def apply_measurement_average(m: MeasurementModel, rho: np.ndarray) -> np.ndarray:
-    """Outcome-averaged (non-selective) measurement map: sum_l M_l rho M_l^dag."""
-    rho = _as_complex_matrix(rho, "rho")
-    out = np.zeros_like(rho)
-    for op in m.ops:
-        out += op @ rho @ op.conj().T
-    return out
 
 
 def outcome_probabilities(m: MeasurementModel, rho: np.ndarray) -> np.ndarray:
@@ -331,17 +296,14 @@ __all__ = [
     "CHANNEL_KINDS",
     "CONTROL_GENERATOR",
     "ConditioningError",
-    "ControlFamily",
     "MeasurementModel",
     "ParameterError",
     "QuantumChannel",
     "amplitude_damping",
     "apply_channel",
-    "apply_measurement_average",
     "choi_matrix",
     "condition_on_outcome",
     "control_unitary",
-    "default_control_family",
     "depolarizing",
     "imprecise_measurement",
     "is_cptp",

@@ -1,22 +1,25 @@
 """Controller policies: the common action interface and the analytic baseline.
 
 A policy maps an observation (a full density operator, or the pair of last
-outcome and last control) to a control action.  Three variants live behind
+outcome and last control) to a control action.  Four variants live behind
 one dispatch point: the analytic outcome table, open-loop control sequences,
-and learned stochastic policies (which keep their parameters in the rl
-package and plug in through :class:`StochasticHandle`).
+and the two actor-critic networks of the rl package, which are policies
+themselves.  Every policy names its ``kind``: ``"mlp"`` networks observe the
+full state, ``"lstm"`` networks the outcome pair plus a beta=0 reset step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, Union, runtime_checkable
+from typing import TYPE_CHECKING, ClassVar, Union
 
 import numpy as np
 
-from .channels import control_unitary, default_control_family
+from .channels import control_unitary
 from .qcore import _as_complex_matrix
-from .rngstream import RngStream
+
+if TYPE_CHECKING:  # the rl package imports this module, so only type checkers look back
+    from .rl.nets import MlpActorCritic, RecurrentActorCritic
 
 
 class ObservationKindError(TypeError):
@@ -53,28 +56,12 @@ class ControlAction:
             raise ValueError(f"beta must lie in [-1, 1], got {self.beta}")
 
 
-@runtime_checkable
-class StochasticHandle(Protocol):
-    """What a learned policy must expose to run inside an episode."""
-
-    observation_kind: str  # "full_state" or "outcome_pair"
-    uses_reset_measurement: bool  # qomdp-style first observation from a beta=0 step
-    can_stop: bool
-
-    def initial_state(self):
-        """Fresh recurrent state for a new episode (None for feed-forward policies)."""
-        ...
-
-    def act(self, obs_vector: np.ndarray, rng: np.random.Generator, state, deterministic: bool):
-        """Return (ControlAction, next recurrent state)."""
-        ...
-
-
 @dataclass(frozen=True)
 class BasicTable:
     """Deterministic controller: one beta per most-recent outcome."""
 
     beta_by_outcome: tuple[float, float, float]
+    kind: ClassVar[str] = "table"
 
     def __post_init__(self):
         for b in self.beta_by_outcome:
@@ -87,6 +74,7 @@ class OpenLoop:
     """Outcome-independent control sequence, held at its last value past the end."""
 
     betas: tuple[float, ...]
+    kind: ClassVar[str] = "open_loop"
 
     def beta_at(self, step: int) -> float:
         if not self.betas:
@@ -94,14 +82,7 @@ class OpenLoop:
         return self.betas[min(step, len(self.betas) - 1)]
 
 
-@dataclass(frozen=True)
-class Stochastic:
-    """Learned policy; parameters and evaluation live behind the handle."""
-
-    handle: StochasticHandle
-
-
-Policy = Union[BasicTable, OpenLoop, Stochastic]
+Policy = Union[BasicTable, OpenLoop, "MlpActorCritic", "RecurrentActorCritic"]
 
 
 def basic_policy() -> BasicTable:
@@ -114,8 +95,8 @@ def basic_policy() -> BasicTable:
 
 
 def transfer_probability(beta: float, source_level: int, target_level: int = 2) -> float:
-    """|<target| U_beta |source>|^2 for the default control family."""
-    u = control_unitary(default_control_family(), beta)
+    """|<target| U_beta |source>|^2 for the control unitary."""
+    u = control_unitary(beta)
     return float(np.abs(u[target_level, source_level]) ** 2)
 
 
@@ -149,7 +130,7 @@ def believed_outcome(rho0: np.ndarray) -> int:
 def policy_act(
     policy: Policy,
     obs: Observation,
-    rng: RngStream | np.random.Generator | None = None,
+    rng: np.random.Generator | None = None,
     step: int = 0,
     state=None,
     deterministic: bool = False,
@@ -172,35 +153,31 @@ def policy_act(
     if isinstance(policy, OpenLoop):
         return ControlAction(beta=policy.beta_at(step)), None
 
-    if isinstance(policy, Stochastic):
-        handle = policy.handle
-        expected = handle.observation_kind
-        if expected == "full_state":
-            if not isinstance(obs, FullState):
-                raise ObservationKindError(
-                    f"policy consumes FullState observations, got {type(obs).__name__}"
-                )
-            from .rl.encoding import encode_state_observation
+    kind = getattr(policy, "kind", None)
+    if kind == "mlp":
+        if not isinstance(obs, FullState):
+            raise ObservationKindError(
+                f"policy consumes FullState observations, got {type(obs).__name__}"
+            )
+        from .rl.encoding import encode_state_observation
 
-            vec = encode_state_observation(obs.state)
-        elif expected == "outcome_pair":
-            if not isinstance(obs, OutcomePair):
-                raise ObservationKindError(
-                    f"policy consumes OutcomePair observations, got {type(obs).__name__}"
-                )
-            vec = np.array([float(obs.last_outcome), float(obs.last_beta)])
-        else:
-            raise ObservationKindError(f"unknown observation kind {expected!r}")
-        gen = rng.generator() if isinstance(rng, RngStream) else rng
-        if gen is None and not deterministic:
-            raise ValueError("stochastic policy needs an rng unless deterministic")
-        return handle.act(vec, gen, state, deterministic)
+        vec = encode_state_observation(obs.state)
+    elif kind == "lstm":
+        if not isinstance(obs, OutcomePair):
+            raise ObservationKindError(
+                f"policy consumes OutcomePair observations, got {type(obs).__name__}"
+            )
+        vec = np.array([float(obs.last_outcome), float(obs.last_beta)])
+    else:
+        raise TypeError(f"unknown policy type {type(policy).__name__}")
+    if rng is None and not deterministic:
+        raise ValueError("stochastic policy needs an rng unless deterministic")
+    from .rl.ppo import sample_action
 
-    raise TypeError(f"unknown policy type {type(policy).__name__}")
-
-
-def observation_kind_of(policy: Policy) -> str:
-    """The observation kind a policy consumes ('full_state' or 'outcome_pair')."""
-    if isinstance(policy, (BasicTable, OpenLoop)):
-        return "outcome_pair"
-    return policy.handle.observation_kind
+    if state is None:
+        state = policy.initial_state()
+    heads, _, state = policy.step(vec, state)
+    action, _, _, _ = sample_action(
+        heads, policy.log_std, rng, deterministic, policy.n_action_outputs == 2
+    )
+    return action, state

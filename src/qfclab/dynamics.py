@@ -20,14 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import channels as ch
-from .controllers import (
-    FullState,
-    OutcomePair,
-    Policy,
-    Stochastic,
-    believed_outcome,
-    policy_act,
-)
+from .controllers import FullState, OutcomePair, Policy, believed_outcome, policy_act
 from .qcore import basis_state, fidelity_pure_target, require_density
 from .rngstream import RngStream
 
@@ -38,9 +31,13 @@ class FilterDivergenceError(RuntimeError):
     """The filtered state assigns (numerically) zero probability to a real outcome."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnvConfig:
-    """Everything one episode needs: noise, measurement, start, target, and length."""
+    """Everything one episode needs: noise, measurement, start, target, and length.
+
+    The initial state is held as a read-only copy, so configs compare and
+    hash by value.
+    """
 
     noise_kind: str = "depolarizing"
     alpha: float = 0.0
@@ -48,14 +45,27 @@ class EnvConfig:
     initial_state: np.ndarray = field(default_factory=lambda: basis_state(0))
     target_index: int = 2
     horizon: int = 20
-    random_initial: bool = False
 
     def __post_init__(self):
-        require_density(self.initial_state, name="initial_state")
+        state = require_density(self.initial_state, name="initial_state").copy()
+        state.flags.writeable = False
+        object.__setattr__(self, "initial_state", state)
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
         if not 0 <= self.target_index < 3:
             raise ValueError(f"target index {self.target_index} out of range")
+
+    def _key(self) -> tuple:
+        return (self.noise_kind, self.alpha, self.epsilon,
+                tuple(self.initial_state.ravel().tolist()), self.target_index, self.horizon)
+
+    def __eq__(self, other):
+        if not isinstance(other, EnvConfig):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def with_alpha(self, alpha: float) -> "EnvConfig":
         return replace(self, alpha=alpha)
@@ -79,7 +89,7 @@ def measurement_model(cfg: EnvConfig) -> ch.MeasurementModel:
 
 
 def _controlled(rho: np.ndarray, beta: float) -> np.ndarray:
-    u = ch.control_unitary(ch.default_control_family(), beta)
+    u = ch.control_unitary(beta)
     return u @ rho @ u.conj().T
 
 
@@ -180,15 +190,6 @@ class EpisodeTrace:
         return np.array([self.initial_fidelity] + [r.fidelity_true for r in self.records])
 
 
-def _initial_true_state(cfg: EnvConfig, gen: np.random.Generator) -> np.ndarray:
-    if not cfg.random_initial:
-        return cfg.initial_state
-    # Haar-random pure state
-    amp = gen.standard_normal(3) + 1j * gen.standard_normal(3)
-    amp /= np.linalg.norm(amp)
-    return np.outer(amp, amp.conj())
-
-
 def run_episode(
     policy: Policy,
     cfg: EnvConfig,
@@ -209,7 +210,7 @@ def run_episode(
     if observation_mode not in OBSERVATION_MODES:
         raise ValueError(f"unknown observation mode {observation_mode!r}")
     gen = rng.generator()
-    rho = _initial_true_state(cfg, gen)
+    rho = cfg.initial_state
     aux = rho if observation_mode != "outcome_history" else None
     target = cfg.target_index
 
@@ -217,16 +218,12 @@ def run_episode(
     initial_fidelity = fidelity_pure_target(rho, target)
     stop_step: int | None = None
     terminal_outcome: int | None = None
-    policy_state = policy.handle.initial_state() if isinstance(policy, Stochastic) else None
+    policy_state = None
 
     t = 0
     last_outcome = believed_outcome(rho)
     last_beta = 0.0
-    if (
-        isinstance(policy, Stochastic)
-        and observation_mode == "outcome_history"
-        and policy.handle.uses_reset_measurement
-    ):
+    if observation_mode == "outcome_history" and policy.kind == "lstm":
         # forced beta=0 first step: the agent's first observation is a real outcome
         t = 1
         rho, last_outcome = step_true(rho, 0.0, cfg, gen)
@@ -279,10 +276,8 @@ def estimate_average_state(
     total = np.zeros((3, 3), dtype=complex)
     for i in range(n):
         gen = rng.substream("avg", i).generator()
-        rho = _initial_true_state(cfg, gen)
-        policy_state = (
-            policy.handle.initial_state() if isinstance(policy, Stochastic) else None
-        )
+        rho = cfg.initial_state
+        policy_state = None
         last_outcome = believed_outcome(rho)
         last_beta = 0.0
         for t in range(cfg.horizon):

@@ -10,8 +10,10 @@ import argparse
 import sys
 from pathlib import Path
 
-from ..controllers import Stochastic, basic_policy
+from ..channels import ConditioningError
+from ..controllers import basic_policy
 from ..dynamics import EnvConfig
+from ..qcore import DimensionError, StateValidityError
 from ..rl.checkpoint import load_policy, save_policy
 from ..rl.ppo import default_ppo_config, train
 from .config import ConfigError, desk_scale, parse_config_file
@@ -22,6 +24,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_MISSING_CHECKPOINT = 2
 EXIT_RUNTIME = 3
+
+NUMERICAL_ERRORS = (StateValidityError, ConditioningError, DimensionError)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -72,7 +76,7 @@ def _cmd_train(args) -> int:
         noise_kind=args.noise, alpha=args.alpha, epsilon=args.epsilon, horizon=args.horizon
     )
     ppo_cfg = default_ppo_config(args.scenario, total_timesteps=args.timesteps)
-    net, _, curve = train(args.scenario, env_cfg, ppo_cfg, args.seed)
+    net, curve = train(args.scenario, env_cfg, ppo_cfg, args.seed)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_policy(
@@ -99,8 +103,7 @@ def _cmd_eval(args) -> int:
     else:
         if not Path(args.policy).exists():
             raise MissingCheckpointError(f"checkpoint {args.policy} not found")
-        _, handle, meta = load_policy(args.policy)
-        policy = Stochastic(handle=handle)
+        policy, meta = load_policy(args.policy)
         scenario = meta.get("scenario", "rl")
     env_cfg = EnvConfig(
         noise_kind=args.noise, alpha=args.alpha, epsilon=args.epsilon, horizon=args.horizon
@@ -164,6 +167,9 @@ def main(argv=None) -> int:
     except MissingCheckpointError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING_CHECKPOINT
+    except NUMERICAL_ERRORS as exc:  # ValueError subclasses, yet failures of a running job
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..controllers import Policy, Stochastic, basic_policy, observation_kind_of
+from ..controllers import Policy, basic_policy
 from ..dynamics import EnvConfig, FilterDivergenceError, run_episode
 from ..rngstream import RngStream, hash_label, mix64
 from ..rl.checkpoint import load_policy, save_policy
@@ -56,9 +56,9 @@ def cell_seed(master_seed: int, scenario: str, noise: str, alpha: float, epsilon
 
 
 def observation_mode_for(policy: Policy) -> str:
-    """Validation observations per scenario: filtered state for state policies,
-    raw outcomes for table and outcome-history policies."""
-    return "filtered_state" if observation_kind_of(policy) == "full_state" else "outcome_history"
+    """Validation observations per scenario: filtered state for feed-forward
+    networks, raw outcomes for table, open-loop and recurrent policies."""
+    return "filtered_state" if policy.kind == "mlp" else "outcome_history"
 
 
 def _first_crossing(curve: np.ndarray, f_star: float) -> int | None:
@@ -145,7 +145,7 @@ def _train_agent(scenario, noise, alpha, epsilon, cfg: SweepConfig, path: Path) 
         noise_kind=noise, alpha=alpha, epsilon=epsilon, horizon=cfg.horizon
     )
     ppo_cfg = default_ppo_config(scenario, total_timesteps=cfg.train_timesteps)
-    net, _, _ = train(scenario, env_cfg, ppo_cfg, train_seed)
+    net, _ = train(scenario, env_cfg, ppo_cfg, train_seed)
     path.parent.mkdir(parents=True, exist_ok=True)
     save_policy(
         path, net, scenario,
@@ -170,16 +170,9 @@ def resolve_policy(scenario, noise, alpha, epsilon, cfg: SweepConfig) -> Policy 
     return str(path)
 
 
-def _policy_from_source(source: Policy | str) -> Policy:
-    if isinstance(source, str):
-        _, handle, _ = load_policy(source)
-        return Stochastic(handle=handle)
-    return source
-
-
 def _evaluate_cell(args) -> CellResult:
     scenario, noise, alpha, epsilon, policy_source, episodes, horizon, f_star, seed = args
-    policy = _policy_from_source(policy_source)
+    policy = load_policy(policy_source)[0] if isinstance(policy_source, str) else policy_source
     env_cfg = EnvConfig(noise_kind=noise, alpha=alpha, epsilon=epsilon, horizon=horizon)
     return evaluate(policy, env_cfg, episodes, seed, scenario=scenario, f_star=f_star)
 

@@ -1,9 +1,10 @@
 """Dense complex-matrix kernel for 3-level (and general small) quantum states.
 
 Everything downstream builds on the handful of operations here: density
-operator validation, Uhlmann fidelity, spectral decompositions and matrix
-exponentials.  Matrices are plain ``numpy`` arrays of ``complex128``; a
-density operator is any square array passing :func:`validate_density`.
+operator validation and fidelity against a basis-state target (every target
+here is a basis state).  Matrices are plain ``numpy`` arrays of
+``complex128``; a density operator is any square array passing
+:func:`validate_density`.
 
 All operations are pure functions on immutable values and thread-safe.
 """
@@ -94,58 +95,6 @@ def require_density(m: np.ndarray, tol: float = DEFAULT_TOL, name: str = "state"
     return np.asarray(m, dtype=complex)
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Eigenvalues (ascending) and orthonormal eigenvector columns of a Hermitian matrix."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
-
-
-def spectral_decomposition(m: np.ndarray, tol: float = DEFAULT_TOL) -> SpectralDecomposition:
-    """Eigendecomposition of a Hermitian matrix, m = sum_i lambda_i v_i v_i^dag."""
-    m = _as_complex_matrix(m)
-    herm_dev = float(np.max(np.abs(m - m.conj().T)))
-    if herm_dev > max(tol, 1e-9):
-        raise StateValidityError(f"matrix is not Hermitian (deviation {herm_dev:.3e})")
-    w, v = np.linalg.eigh(m)
-    return SpectralDecomposition(eigenvalues=w, eigenvectors=v)
-
-
-def _psd_sqrt(m: np.ndarray, tol: float) -> np.ndarray:
-    """Square root of a PSD Hermitian matrix, clamping roundoff negatives to zero."""
-    dec = spectral_decomposition(m)
-    w = dec.eigenvalues.copy()
-    if w[0] < -tol:
-        raise StateValidityError(f"matrix has negative eigenvalue {w[0]:.3e} beyond tolerance")
-    w[w < 0.0] = 0.0
-    v = dec.eigenvectors
-    return (v * np.sqrt(w)) @ v.conj().T
-
-
-def fidelity(rho: np.ndarray, sigma: np.ndarray, tol: float = DEFAULT_TOL) -> float:
-    """Uhlmann fidelity F(rho, sigma) = tr[sqrt(sqrt(rho) sigma sqrt(rho))]^2.
-
-    Symmetric in its arguments and clamped to [0, 1] after roundoff.
-    """
-    rho = require_density(rho, tol=max(tol, 1e-9), name="rho")
-    sigma = require_density(sigma, tol=max(tol, 1e-9), name="sigma")
-    if rho.shape != sigma.shape:
-        raise DimensionError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
-    # tr sqrt(sqrt(rho) sigma sqrt(rho)) equals the trace norm of
-    # sqrt(sigma) sqrt(rho); summing singular values directly avoids taking
-    # square roots of eigenvalue roundoff junk.
-    sqrt_rho = _psd_sqrt(rho, tol)
-    sqrt_sigma = _psd_sqrt(sigma, tol)
-    singulars = np.linalg.svd(sqrt_sigma @ sqrt_rho, compute_uv=False)
-    value = float(np.sum(singulars) ** 2)
-    return min(max(value, 0.0), 1.0)
-
-
 def fidelity_pure_target(rho: np.ndarray, basis_index: int) -> float:
     """Fidelity against the pure basis state |k><k|: the diagonal entry rho[k, k]."""
     rho = _as_complex_matrix(rho, "rho")
@@ -155,38 +104,3 @@ def fidelity_pure_target(rho: np.ndarray, basis_index: int) -> float:
         )
     value = float(rho[basis_index, basis_index].real)
     return min(max(value, 0.0), 1.0)
-
-
-def matrix_exponential(h: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """exp(h) for small dense matrices.
-
-    Hermitian and skew-Hermitian generators go through the exact
-    eigendecomposition path (so exp(-iH) of Hermitian H is unitary to
-    machine precision); anything else falls back to scaling-and-squaring
-    with a Taylor series.
-    """
-    h = _as_complex_matrix(h, "generator")
-    if float(np.max(np.abs(h - h.conj().T))) <= tol:
-        w, v = np.linalg.eigh(h)
-        return (v * np.exp(w)) @ v.conj().T
-    if float(np.max(np.abs(h + h.conj().T))) <= tol:
-        # h = -iH with H = i h Hermitian; exp(h) = V exp(-i lambda) V^dag
-        w, v = np.linalg.eigh(1j * h)
-        return (v * np.exp(-1j * w)) @ v.conj().T
-    return _expm_taylor_squared(h)
-
-
-def _expm_taylor_squared(h: np.ndarray) -> np.ndarray:
-    norm = float(np.linalg.norm(h, ord=np.inf))
-    squarings = max(0, int(np.ceil(np.log2(max(norm, 1e-300) / 0.5))))
-    scaled = h / (2.0**squarings)
-    result = np.eye(h.shape[0], dtype=complex)
-    term = np.eye(h.shape[0], dtype=complex)
-    for k in range(1, 40):
-        term = term @ scaled / k
-        result = result + term
-        if float(np.max(np.abs(term))) < 1e-18:
-            break
-    for _ in range(squarings):
-        result = result @ result
-    return result

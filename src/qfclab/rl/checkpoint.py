@@ -24,7 +24,6 @@ from pathlib import Path
 import numpy as np
 
 from .nets import MlpActorCritic, RecurrentActorCritic, validate_params
-from .ppo import policy_handle_for
 
 FORMAT_VERSION = "qfc-ckpt-1"
 
@@ -63,7 +62,7 @@ def save_policy(path, net, scenario: str, metadata: dict | None = None) -> None:
 
 
 def load_policy(path):
-    """Read a checkpoint; returns (net, policy handle, metadata dict)."""
+    """Read a checkpoint; returns (net, metadata dict)."""
     raw = Path(path).read_bytes()
     marker = b"\nblob\n"
     cut = raw.find(marker)
@@ -89,16 +88,21 @@ def load_policy(path):
         else:
             fields[key] = rest
 
+    def required(name: str) -> str:
+        if name not in fields:
+            raise CheckpointError(f"{path}: header lacks the {name!r} field")
+        return fields[name]
+
     kind = fields.get("kind")
-    obs_dim = int(fields["obs_dim"])
-    n_out = int(fields["n_action_outputs"])
-    hidden = tuple(int(h) for h in fields["hidden"].split(","))
+    obs_dim = int(required("obs_dim"))
+    n_out = int(required("n_action_outputs"))
+    hidden = tuple(int(h) for h in required("hidden").split(","))
     if kind == "mlp":
         net = MlpActorCritic(obs_dim=obs_dim, n_action_outputs=n_out, hidden=hidden)
     elif kind == "lstm":
         net = RecurrentActorCritic(
             obs_dim=obs_dim, n_action_outputs=n_out, hidden=hidden,
-            lstm_hidden=int(fields["lstm_hidden"]),
+            lstm_hidden=int(required("lstm_hidden")),
         )
     else:
         raise CheckpointError(f"{path}: unknown network kind {kind!r}")
@@ -123,4 +127,4 @@ def load_policy(path):
         raise CheckpointError(f"{path}: {len(payload) - offset} trailing bytes in blob")
     validate_params(net.params)
     metadata["scenario"] = fields.get("scenario", "")
-    return net, policy_handle_for(net), metadata
+    return net, metadata

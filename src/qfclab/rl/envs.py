@@ -17,7 +17,7 @@ import numpy as np
 
 from ..channels import outcome_probabilities, terminal_measurement
 from ..controllers import ControlAction
-from ..dynamics import EnvConfig, filter_update, step_nominal, step_true
+from ..dynamics import EnvConfig, _sample_outcome, filter_update, step_nominal, step_true
 from ..qcore import fidelity_pure_target
 from ..rngstream import RngStream
 from .encoding import encode_state_observation
@@ -42,22 +42,13 @@ def qomdp_reward(stop: bool, l_last: int | None, done: bool, target: int) -> flo
 class ScenarioEnv:
     """Step/reset interface over one scenario's dynamics and observation encoding."""
 
-    def __init__(
-        self,
-        kind: str,
-        cfg: EnvConfig,
-        stream: RngStream,
-        reward_mode: str = "per_step",
-    ):
+    def __init__(self, kind: str, cfg: EnvConfig, stream: RngStream):
         if kind not in SCENARIO_KINDS:
             raise ValueError(f"unknown scenario kind {kind!r}")
-        if reward_mode not in ("per_step", "terminal"):
-            raise ValueError(f"unknown reward mode {reward_mode!r}")
         self.kind = kind
         # model-based and measurement-only training exclude the noise map
         self.cfg = cfg.with_alpha(0.0) if kind in ("mbs_train", "qomdp_train") else cfg
         self.stream = stream
-        self.reward_mode = reward_mode
         self.obs_dim = 2 if kind == "qomdp_train" else 9
         self.episode_index = -1
         self._gen: np.random.Generator | None = None
@@ -113,8 +104,6 @@ class ScenarioEnv:
         else:
             reward_state = observed
         reward = mb_db_reward(reward_state, self.cfg)
-        if self.reward_mode == "terminal" and not done:
-            reward = 0.0
         self._done = done
         info["outcome"] = outcome
         info["true_fidelity"] = fidelity_pure_target(self._true, self.cfg.target_index)
@@ -123,10 +112,7 @@ class ScenarioEnv:
     def _step_qomdp(self, action: ControlAction, info: dict):
         if action.stop:
             terminal = terminal_measurement()
-            probs = outcome_probabilities(terminal, self._true)
-            r = self._gen.random()
-            l_last = int(np.searchsorted(np.cumsum(probs), r, side="right"))
-            l_last = min(l_last, 2)
+            l_last = _sample_outcome(outcome_probabilities(terminal, self._true), self._gen)
             reward = qomdp_reward(True, l_last, True, self.cfg.target_index)
             self._done = True
             info["l_last"] = l_last
@@ -142,7 +128,3 @@ class ScenarioEnv:
         info["outcome"] = outcome
         info["true_fidelity"] = fidelity_pure_target(self._true, self.cfg.target_index)
         return self._observe(), reward, done, info
-
-
-def env_step(env: ScenarioEnv, action: ControlAction):
-    return env.step(action)

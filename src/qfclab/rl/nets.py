@@ -133,6 +133,10 @@ class MlpActorCritic:
     def initial_state(self):
         return None
 
+    def step(self, obs: np.ndarray, state):
+        """Same surface as the recurrent step: (head outputs (k,), value, None)."""
+        return self.policy_head(obs), self.value(obs), None
+
 
 def _init_lstm(prefix: str, in_dim: int, hidden: int, gen: np.random.Generator) -> dict[str, np.ndarray]:
     # gate order i, f, g, o; each (in_dim, hidden) block orthogonal on its own

@@ -55,78 +55,15 @@ def sample_action(
     return ControlAction(beta=beta, stop=stop), log_prob, pre, stop
 
 
-class MlpPolicyHandle:
-    """Feed-forward stochastic policy over full-state observations."""
-
-    observation_kind = "full_state"
-    uses_reset_measurement = False
-
-    def __init__(self, net: MlpActorCritic):
-        self.net = net
-
-    @property
-    def can_stop(self) -> bool:
-        return False
-
-    def initial_state(self):
-        return None
-
-    def act(self, obs_vector, gen, state, deterministic):
-        heads = self.net.policy_head(obs_vector)
-        action, _, _, _ = sample_action(heads, self.net.log_std, gen, deterministic, False)
-        return action, None
-
-
-class RecurrentPolicyHandle:
-    """Recurrent stochastic policy over (last outcome, last control) observations."""
-
-    observation_kind = "outcome_pair"
-    uses_reset_measurement = True
-
-    def __init__(self, net: RecurrentActorCritic):
-        self.net = net
-
-    @property
-    def can_stop(self) -> bool:
-        return self.net.n_action_outputs == 2
-
-    def initial_state(self):
-        return self.net.initial_state()
-
-    def act(self, obs_vector, gen, state, deterministic):
-        if state is None:
-            state = self.net.initial_state()
-        heads, _, new_state = self.net.step(obs_vector, state)
-        action, _, _, _ = sample_action(
-            heads, self.net.log_std, gen, deterministic, self.can_stop
-        )
-        return action, new_state
-
-
 class _EnvRunner:
     """Persistent rollout state of one environment across window boundaries."""
 
     def __init__(self, env, net):
         self.env = env
-        self.net = net
         self.obs = env.reset()
         self.state = net.initial_state()
         self.episode_reward = 0.0
         self.finished_rewards: list[float] = []
-
-    def policy_outputs(self, obs):
-        if isinstance(self.net, RecurrentActorCritic):
-            heads, value, new_state = self.net.step(obs, self.state)
-            return heads, value, new_state
-        heads = self.net.policy_head(obs)
-        return heads, self.net.value(obs), None
-
-    def peek_value(self, obs) -> float:
-        """Value of ``obs`` without advancing the recurrent state."""
-        if isinstance(self.net, RecurrentActorCritic):
-            _, value, _ = self.net.step(obs, self.state)
-            return value
-        return self.net.value(obs)
 
 
 def collect_rollout(
@@ -143,9 +80,9 @@ def collect_rollout(
     per_env = cfg.n_steps // len(runners)
     for runner in runners:
         seg_start = buffer.size
-        seg_state = _clone_state(runner.state) if recurrent else None
+        seg_state = _clone_state(runner.state)
         for _ in range(per_env):
-            heads, value, new_state = runner.policy_outputs(runner.obs)
+            heads, value, new_state = net.step(runner.obs, runner.state)
             action, log_prob, pre, stop = sample_action(
                 heads, net.log_std, sample_gen, False, with_stop
             )
@@ -153,8 +90,7 @@ def collect_rollout(
             next_obs, reward, done, _ = runner.env.step(action)
             runner.episode_reward += reward
             buffer.add(obs_before, pre, 1.0 if stop else 0.0, log_prob, reward, value, done)
-            if recurrent:
-                runner.state = new_state
+            runner.state = new_state
             if done:
                 if recurrent:
                     buffer.segments.append(
@@ -172,7 +108,7 @@ def collect_rollout(
             buffer.segments.append(
                 Segment(start=seg_start, end=buffer.size, init_state=seg_state)
             )
-        buffer.close_chunk(runner.peek_value(runner.obs))
+        buffer.close_chunk(net.step(runner.obs, runner.state)[1])
     return buffer
 
 
@@ -358,12 +294,6 @@ def default_ppo_config(scenario: str, **overrides) -> PpoConfig:
 SCENARIO_TO_ENV_KIND = {"mbs": "mbs_train", "dbs": "dbs_train", "qomdp": "qomdp_train"}
 
 
-def policy_handle_for(net):
-    if isinstance(net, RecurrentActorCritic):
-        return RecurrentPolicyHandle(net)
-    return MlpPolicyHandle(net)
-
-
 def train(
     scenario: str,
     env_cfg: EnvConfig,
@@ -372,7 +302,7 @@ def train(
     env_factory=None,
     net=None,
 ):
-    """Train one agent; returns (net, policy handle, training curve rows).
+    """Train one agent; returns (net, training curve rows).
 
     ``scenario`` is one of mbs/dbs/qomdp.  A custom ``env_factory(stream)``
     (returning objects with the ScenarioEnv surface) replaces the scenario
@@ -432,4 +362,4 @@ def train(
                 "entropy": diag["entropy"],
             }
         )
-    return net, policy_handle_for(net), curve
+    return net, curve

@@ -44,6 +44,14 @@ def fidelity_by_spectral(rho: np.ndarray, sigma: np.ndarray) -> float:
     return float(np.sum(np.sqrt(mu)) ** 2)
 
 
+def measurement_average(measurement_ops, rho: np.ndarray) -> np.ndarray:
+    """Outcome-averaged (non-selective) measurement map: sum_l M_l rho M_l^dag."""
+    out = np.zeros_like(rho)
+    for m in measurement_ops:
+        out += m @ rho @ m.conj().T
+    return out
+
+
 def random_density(gen: np.random.Generator, dim: int = 3) -> np.ndarray:
     """Random full-rank density operator via a Ginibre matrix."""
     g = gen.standard_normal((dim, dim)) + 1j * gen.standard_normal((dim, dim))
@@ -95,11 +103,7 @@ def averaged_map_iteration(
         for k in kraus_noise:
             noisy += k @ rho @ k.conj().T
         u = control_unitary_closed_form(beta)
-        controlled = u @ noisy @ u.conj().T
-        averaged = np.zeros_like(rho)
-        for m in measurement_ops:
-            averaged += m @ controlled @ m.conj().T
-        rho = averaged
+        rho = measurement_average(measurement_ops, u @ noisy @ u.conj().T)
     return rho
 
 

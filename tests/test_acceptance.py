@@ -11,27 +11,27 @@ import pytest
 from qfclab.channels import (
     CONTROL_GENERATOR,
     choi_matrix,
+    control_unitary,
     imprecise_measurement,
     kraus_completeness_defect,
     make_channel,
     terminal_measurement,
 )
-from qfclab.controllers import Stochastic, basic_policy, derive_basic_gains, transfer_probability
+from qfclab.controllers import basic_policy, derive_basic_gains, transfer_probability
 from qfclab.dynamics import EnvConfig, estimate_average_state, run_episode
 from qfclab.harness.config import SweepConfig, TABLE_ALPHAS, TABLE_EPSILONS
 from qfclab.harness.evaluate import evaluate, sweep
 from qfclab.harness.report import parse_results_csv, render_results_csv
-from qfclab.qcore import basis_state, matrix_exponential
+from qfclab.qcore import basis_state
 from qfclab.rl import distributions as dist
 from qfclab.rl.buffer import RolloutBuffer, compute_gae
 from qfclab.rl.config import PpoConfig
 from qfclab.rl.nets import MlpActorCritic, zero_grads_like
-from qfclab.rl.ppo import MlpPolicyHandle, train
+from qfclab.rl.ppo import sample_action, train
 from qfclab.rngstream import RngStream
 
 from oracles import (
     basic_controller_chain,
-    control_unitary_closed_form,
     expm_taylor,
     averaged_map_iteration,
     gae_brute_force,
@@ -50,8 +50,8 @@ def mbs_agent():
     """The shared model-based agent: documented hyperparameters, fixed seed."""
     env_cfg = EnvConfig(noise_kind="depolarizing", alpha=0.0, epsilon=0.1, horizon=20)
     ppo_cfg = PpoConfig(total_timesteps=200_000)  # lr 1e-4, 512-step updates, batch 512
-    _, handle, _ = train("mbs", env_cfg, ppo_cfg, seed=777)
-    return Stochastic(handle=handle)
+    net, _ = train("mbs", env_cfg, ppo_cfg, seed=777)
+    return net
 
 
 def test_criterion_01_cptp_certification():
@@ -80,8 +80,8 @@ def test_criterion_02_control_unitary_closed_form():
     worst_match = 0.0
     worst_orth = 0.0
     for beta in np.linspace(-1.0, 1.0, 101):
-        u = matrix_exponential(beta * CONTROL_GENERATOR)
-        closed = control_unitary_closed_form(beta)
+        u = control_unitary(beta)
+        closed = expm_taylor(beta * CONTROL_GENERATOR)
         worst_match = max(worst_match, float(np.max(np.abs(u - closed))))
         worst_orth = max(
             worst_orth, float(np.max(np.abs(u @ u.conj().T - np.eye(3))))
@@ -134,10 +134,9 @@ def test_criterion_05_filter_truth_coincidence():
     worst = 0.0
     for net_seed in range(10):
         net = MlpActorCritic(obs_dim=9, gen=RngStream(9000 + net_seed).generator())
-        policy = Stochastic(handle=MlpPolicyHandle(net))
         for episode in range(10):
             trace = run_episode(
-                policy, cfg, RngStream(9100 + net_seed, episode), "filtered_state"
+                net, cfg, RngStream(9100 + net_seed, episode), "filtered_state"
             )
             for record in trace.records:
                 worst = max(worst, float(np.max(np.abs(record.aux_state - record.true_state))))
@@ -231,11 +230,13 @@ def test_criterion_07_ppo_machinery():
                         total_timesteps=4864)
         net3 = MlpActorCritic(obs_dim=1, hidden=(16, 16),
                               gen=RngStream(seed).substream("init").generator())
-        _, handle, _ = train("bandit", EnvConfig(), cfg, seed,
-                             env_factory=lambda s: BanditEnv(s), net=net3)
+        net3, _ = train("bandit", EnvConfig(), cfg, seed,
+                        env_factory=lambda s: BanditEnv(s), net=net3)
         gen = np.random.default_rng(99)
+        heads = net3.step(np.ones(1), None)[0]
         rate = np.mean([
-            handle.act(np.ones(1), gen, None, False)[0].beta > 0 for _ in range(2000)
+            sample_action(heads, net3.log_std, gen, False, False)[0].beta > 0
+            for _ in range(2000)
         ])
         details.append(f"{rate:.3f}")
         bandit_ok = bandit_ok and rate >= 0.95

@@ -9,11 +9,9 @@ from qfclab.channels import (
     ParameterError,
     amplitude_damping,
     apply_channel,
-    apply_measurement_average,
     choi_matrix,
     condition_on_outcome,
     control_unitary,
-    default_control_family,
     depolarizing,
     imprecise_measurement,
     is_cptp,
@@ -26,7 +24,7 @@ from qfclab.channels import (
 )
 from qfclab.qcore import basis_state, maximally_mixed
 
-from oracles import expm_taylor, random_density, random_diagonal_density
+from oracles import expm_taylor, measurement_average, random_density, random_diagonal_density
 
 TABLE_ALPHAS = [round(0.1 * k, 1) for k in range(11)]
 TABLE_EPSILONS = [0.1, 0.15, 0.175, 0.2, 0.25, 0.3]
@@ -177,8 +175,7 @@ class TestImpreciseMeasurement:
     def test_epsilon_cap_and_override(self):
         with pytest.raises(ParameterError, match="epsilon"):
             imprecise_measurement(0.35)
-        m = imprecise_measurement(0.35, allow_wide_range=True)
-        validate_measurement(m)
+        validate_measurement(imprecise_measurement(0.3))
 
     def test_zero_probability_conditioning_raises(self):
         with pytest.raises(ConditioningError, match="probability"):
@@ -205,40 +202,37 @@ class TestTerminalMeasurement:
 class TestControlUnitary:
     def test_beta_zero_is_identity(self):
         np.testing.assert_allclose(
-            control_unitary(default_control_family(), 0.0), np.eye(3), atol=1e-15
+            control_unitary(0.0), np.eye(3), atol=1e-15
         )
 
     def test_beta_one_entries_match_taylor_oracle(self):
-        u = control_unitary(default_control_family(), 1.0)
+        u = control_unitary(1.0)
         oracle = expm_taylor(CONTROL_GENERATOR)
         np.testing.assert_allclose(u, oracle, atol=1e-12)
         assert u[2, 0].real == pytest.approx(0.42203, abs=1e-5)
         assert u[1, 0].real == pytest.approx(-0.69845, abs=1e-5)
 
     def test_orthogonal_and_inverse_on_grid(self):
-        family = default_control_family()
         for beta in np.linspace(-1.0, 1.0, 101):
-            u = control_unitary(family, beta)
+            u = control_unitary(beta)
             assert np.max(np.abs(u.imag)) == 0.0
             np.testing.assert_allclose(u @ u.conj().T, np.eye(3), atol=1e-10)
             np.testing.assert_allclose(
-                u @ control_unitary(family, -beta), np.eye(3), atol=1e-10
+                u @ control_unitary(-beta), np.eye(3), atol=1e-10
             )
-            np.testing.assert_allclose(control_unitary(family, -beta), u.T, atol=1e-12)
+            np.testing.assert_allclose(control_unitary(-beta), u.T, atol=1e-12)
 
     def test_closed_form_matches_generic_exponential_path(self):
-        from qfclab.qcore import matrix_exponential
-
         for beta in np.linspace(-1.0, 1.0, 41):
             np.testing.assert_allclose(
-                control_unitary(default_control_family(), beta),
-                matrix_exponential(beta * CONTROL_GENERATOR),
+                control_unitary(beta),
+                expm_taylor(beta * CONTROL_GENERATOR),
                 atol=1e-10,
             )
 
     def test_out_of_range_beta_raises(self):
         with pytest.raises(ParameterError, match="beta"):
-            control_unitary(default_control_family(), 1.5)
+            control_unitary(1.5)
 
 
 class TestApplyChannel:
@@ -264,7 +258,7 @@ class TestApplyChannel:
                 probs_raw[l] * condition_on_outcome(m, rho, l) for l in range(3)
             )
             np.testing.assert_allclose(
-                recombined, apply_measurement_average(m, rho), atol=1e-10
+                recombined, measurement_average(m.ops, rho), atol=1e-10
             )
 
     def test_unknown_kind_raises(self):

@@ -2,12 +2,20 @@
 
 from pathlib import Path
 
+import pytest
+
+from qfclab.channels import ConditioningError
+from qfclab.harness import cli
 from qfclab.harness.cli import (
     EXIT_CONFIG,
     EXIT_MISSING_CHECKPOINT,
     EXIT_OK,
+    EXIT_RUNTIME,
     main,
 )
+from qfclab.qcore import DimensionError, StateValidityError
+from qfclab.rl.checkpoint import save_policy
+from qfclab.rl.nets import MlpActorCritic
 
 
 def write_sweep_config(path: Path, out_dir: Path, ckpt_dir: Path, **extra) -> Path:
@@ -52,6 +60,25 @@ class TestEvalCommand:
             "eval", "--policy", "basic", "--alpha", "2.0", "--episodes", "1",
         ])
         assert code == EXIT_CONFIG
+
+
+    @pytest.mark.parametrize("error", [StateValidityError, ConditioningError, DimensionError])
+    def test_numerical_failure_is_a_runtime_error(self, monkeypatch, capsys, error):
+        def fail(*args, **kwargs):
+            raise error("state went bad mid-run")
+
+        monkeypatch.setattr(cli, "evaluate", fail)
+        code = main(["eval", "--policy", "basic", "--episodes", "1"])
+        assert code == EXIT_RUNTIME
+        assert error.__name__ in capsys.readouterr().err
+
+    def test_checkpoint_missing_header_field_is_config_error(self, tmp_path, capsys):
+        ckpt = tmp_path / "p.ckpt"
+        save_policy(ckpt, MlpActorCritic(obs_dim=9), "mbs", {})
+        ckpt.write_bytes(ckpt.read_bytes().replace(b"\nobs_dim 9\n", b"\n", 1))
+        code = main(["eval", "--policy", str(ckpt), "--episodes", "1"])
+        assert code == EXIT_CONFIG
+        assert "obs_dim" in capsys.readouterr().err
 
 
 class TestTrainEvalRoundTrip:

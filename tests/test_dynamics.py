@@ -26,6 +26,30 @@ def make_cfg(**kw):
     return EnvConfig(**defaults)
 
 
+class TestEnvConfig:
+    def test_equal_configs_compare_equal_and_hash(self):
+        a, b = EnvConfig(), EnvConfig()
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b, a.with_alpha(0.0)}) == 1
+
+    def test_differing_initial_state_compares_unequal(self):
+        assert EnvConfig() != EnvConfig(initial_state=basis_state(1))
+        assert EnvConfig() != EnvConfig(initial_state=maximally_mixed())
+
+    def test_differing_scalar_field_compares_unequal(self):
+        assert EnvConfig() != EnvConfig().with_alpha(0.2)
+        assert EnvConfig() != EnvConfig(horizon=5)
+
+    def test_initial_state_is_a_read_only_copy(self):
+        rho = basis_state(0)
+        cfg = EnvConfig(initial_state=rho)
+        rho[0, 0] = 0.0
+        assert cfg == EnvConfig()
+        with pytest.raises(ValueError):
+            cfg.initial_state[0, 0] = 0.5
+
+
 class TestStepTrue:
     def test_target_is_fixed_point_without_noise_or_control(self):
         cfg = make_cfg(initial_state=basis_state(2))
@@ -179,44 +203,25 @@ class TestRunEpisode:
         with pytest.raises(ValueError, match="observation mode"):
             run_episode(basic_policy(), make_cfg(), RngStream(59, 0), "psychic")
 
-    def test_random_initial_state_draws_valid_pure_states(self):
-        from qfclab.qcore import validate_density
-
-        cfg = make_cfg(epsilon=0.1, horizon=3, random_initial=True)
-        initials = []
-        for i in range(10):
-            trace = run_episode(basic_policy(), cfg, RngStream(61, i))
-            assert 0.0 <= trace.initial_fidelity <= 1.0
-            initials.append(trace.initial_fidelity)
-            for r in trace.records:
-                assert validate_density(r.true_state, tol=1e-9).ok
-        assert len(set(initials)) > 1  # actually random, episode-keyed
-
 
 class TestFilteredEpisodes:
     def test_filtered_observation_tracks_truth_at_alpha_zero(self):
         # full-episode filter-truth coincidence for a state-observing policy
-        from qfclab.controllers import Stochastic
         from qfclab.rl.nets import MlpActorCritic
-        from qfclab.rl.ppo import MlpPolicyHandle
 
         net = MlpActorCritic(obs_dim=9, gen=RngStream(404).generator())
-        policy = Stochastic(handle=MlpPolicyHandle(net))
         cfg = make_cfg(alpha=0.0, epsilon=0.1, horizon=20)
         for i in range(10):
-            trace = run_episode(policy, cfg, RngStream(405, i), "filtered_state")
+            trace = run_episode(net, cfg, RngStream(405, i), "filtered_state")
             for record in trace.records:
                 assert np.max(np.abs(record.aux_state - record.true_state)) <= 1e-12
 
     def test_nominal_mode_keeps_independent_model_state(self):
-        from qfclab.controllers import Stochastic
         from qfclab.rl.nets import MlpActorCritic
-        from qfclab.rl.ppo import MlpPolicyHandle
 
         net = MlpActorCritic(obs_dim=9, gen=RngStream(406).generator())
-        policy = Stochastic(handle=MlpPolicyHandle(net))
         cfg = make_cfg(alpha=0.6, epsilon=0.1, horizon=10, noise_kind="random_permutation")
-        trace = run_episode(policy, cfg, RngStream(407, 0), "nominal_state")
+        trace = run_episode(net, cfg, RngStream(407, 0), "nominal_state")
         assert all(r.aux_state is not None for r in trace.records)
 
 

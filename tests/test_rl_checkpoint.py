@@ -16,10 +16,11 @@ class TestCheckpointRoundTrip:
         net.params["log_std"] = np.array(-0.7)
         path = tmp_path / "mbs.ckpt"
         save_policy(path, net, "mbs", {"epsilon": 0.1, "alpha": 0.0})
-        loaded, handle, meta = load_policy(path)
+        loaded, meta = load_policy(path)
         assert meta["scenario"] == "mbs"
         assert meta["epsilon"] == "0.1"
-        assert handle.observation_kind == "full_state"
+        assert loaded.kind == "mlp"
+        assert loaded.n_action_outputs == 1
         for name in net.params:
             np.testing.assert_array_equal(loaded.params[name], net.params[name])
 
@@ -27,9 +28,9 @@ class TestCheckpointRoundTrip:
         net = RecurrentActorCritic(obs_dim=2, gen=RngStream(4).generator())
         path = tmp_path / "qomdp.ckpt"
         save_policy(path, net, "qomdp", {})
-        loaded, handle, meta = load_policy(path)
-        assert handle.observation_kind == "outcome_pair"
-        assert handle.can_stop
+        loaded, meta = load_policy(path)
+        assert loaded.kind == "lstm"
+        assert loaded.n_action_outputs == 2
         for name in net.params:
             np.testing.assert_array_equal(loaded.params[name], net.params[name])
 
@@ -61,6 +62,18 @@ class TestCheckpointRoundTrip:
         raw = Path(path).read_bytes()
         (tmp_path / "bad.ckpt").write_bytes(raw[:-16])
         with pytest.raises(CheckpointError, match="truncated"):
+            load_policy(tmp_path / "bad.ckpt")
+
+    @pytest.mark.parametrize("field", ["obs_dim", "hidden", "n_action_outputs"])
+    def test_missing_header_field_rejected(self, tmp_path, field):
+        net = MlpActorCritic(obs_dim=9, gen=RngStream(8).generator())
+        path = tmp_path / "p.ckpt"
+        save_policy(path, net, "mbs", {})
+        raw = Path(path).read_bytes()
+        header, _, payload = raw.partition(b"\nblob\n")
+        kept = [line for line in header.split(b"\n") if not line.startswith(field.encode() + b" ")]
+        (tmp_path / "bad.ckpt").write_bytes(b"\n".join(kept) + b"\nblob\n" + payload)
+        with pytest.raises(CheckpointError, match=field):
             load_policy(tmp_path / "bad.ckpt")
 
     def test_wrong_version_rejected(self, tmp_path):

@@ -77,17 +77,6 @@ class TestMbsTrainEnv:
         obs, reward, _, _ = env.step(ControlAction(beta=1.0))
         assert reward == pytest.approx(obs[2])
 
-    def test_terminal_reward_mode(self):
-        env = ScenarioEnv("mbs_train", make_cfg(horizon=4), RngStream(11), reward_mode="terminal")
-        env.reset()
-        rewards = []
-        done = False
-        while not done:
-            _, r, done, _ = env.step(ControlAction(beta=0.5))
-            rewards.append(r)
-        assert rewards[:-1] == [0.0, 0.0, 0.0]
-        assert rewards[-1] >= 0.0
-
     def test_episode_length_is_horizon(self):
         env = ScenarioEnv("mbs_train", make_cfg(horizon=7), RngStream(12))
         env.reset()

@@ -204,14 +204,16 @@ class TestBanditConvergence:
             n_steps=256, batch_size=256, learning_rate=0.01, total_timesteps=5000 // 256 * 256,
         )
         net = small_mlp(seed=seed)
-        _, handle, curve = train(
+        net, curve = train(
             "bandit", EnvConfig(), cfg, seed,
             env_factory=lambda stream: BanditEnv(stream), net=net,
         )
         assert cfg.total_timesteps <= 5000
         gen = np.random.default_rng(99)
+        heads = net.step(np.ones(1), None)[0]
         wins = sum(
-            handle.act(np.ones(1), gen, None, False)[0].beta > 0 for _ in range(2000)
+            sample_action(heads, net.log_std, gen, False, False)[0].beta > 0
+            for _ in range(2000)
         )
         assert wins / 2000 >= 0.95
 
@@ -219,7 +221,7 @@ class TestBanditConvergence:
 class TestTrainMechanics:
     def test_zero_timesteps_returns_initial_policy(self):
         cfg = PpoConfig(total_timesteps=0)
-        net, _, curve = train("mbs", EnvConfig(epsilon=0.1), cfg, seed=4)
+        net, curve = train("mbs", EnvConfig(epsilon=0.1), cfg, seed=4)
         reference = MlpActorCritic(
             obs_dim=9, hidden=cfg.hidden,
             gen=RngStream(4).substream("init").generator(),
@@ -232,7 +234,7 @@ class TestTrainMechanics:
         cfg = PpoConfig(n_steps=128, batch_size=128, total_timesteps=512)
         sums = []
         for _ in range(2):
-            net, _, _ = train("mbs", EnvConfig(epsilon=0.1, horizon=8), cfg, seed=21)
+            net, _ = train("mbs", EnvConfig(epsilon=0.1, horizon=8), cfg, seed=21)
             sums.append(
                 {k: float(np.sum(v)) for k, v in sorted(net.params.items())}
             )
@@ -240,8 +242,8 @@ class TestTrainMechanics:
 
     def test_different_seeds_differ(self):
         cfg = PpoConfig(n_steps=128, batch_size=128, total_timesteps=512)
-        a, _, _ = train("mbs", EnvConfig(epsilon=0.1, horizon=8), cfg, seed=1)
-        b, _, _ = train("mbs", EnvConfig(epsilon=0.1, horizon=8), cfg, seed=2)
+        a, _ = train("mbs", EnvConfig(epsilon=0.1, horizon=8), cfg, seed=1)
+        b, _ = train("mbs", EnvConfig(epsilon=0.1, horizon=8), cfg, seed=2)
         assert any(
             not np.array_equal(a.params[k], b.params[k]) for k in a.params
         )
@@ -280,7 +282,7 @@ class TestRecurrentMemory:
             obs_dim=1, n_action_outputs=1, hidden=(16,), lstm_hidden=8,
             gen=RngStream(31).substream("init").generator(),
         )
-        net, handle, curve = train(
+        net, curve = train(
             "parity", EnvConfig(), cfg, 31,
             env_factory=lambda stream: ParityEnv(stream), net=net,
         )
@@ -289,10 +291,11 @@ class TestRecurrentMemory:
         n = 1000
         for _ in range(n):
             obs = env.reset()
-            state = handle.initial_state()
+            state = net.initial_state()
             done = False
             while not done:
-                action, state = handle.act(obs, None, state, True)
+                heads, _, state = net.step(obs, state)
+                action = sample_action(heads, net.log_std, None, True, False)[0]
                 obs, reward, done, _ = env.step(action)
             total += reward
         assert total / n >= best_memoryless * 1.2

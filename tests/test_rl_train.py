@@ -6,7 +6,6 @@ that each scenario's training loop actually learns on its own environment.
 
 import numpy as np
 
-from qfclab.controllers import Stochastic
 from qfclab.dynamics import EnvConfig, run_episode
 from qfclab.rl.ppo import default_ppo_config, train
 from qfclab.rngstream import RngStream
@@ -21,7 +20,7 @@ def reward_trend(curve):
 class TestMbsTraining:
     def test_reward_improves(self):
         cfg = default_ppo_config("mbs", total_timesteps=30 * 512)
-        _, _, curve = train(
+        _, curve = train(
             "mbs", EnvConfig(noise_kind="depolarizing", alpha=0.0, epsilon=0.1), cfg, seed=3,
         )
         early, late = reward_trend(curve)
@@ -36,15 +35,15 @@ class TestDbsTraining:
     def test_reward_improves_under_noise(self):
         cfg = default_ppo_config("dbs", total_timesteps=60 * 512)
         env_cfg = EnvConfig(noise_kind="depolarizing", alpha=0.2, epsilon=0.1)
-        _, handle, curve = train("dbs", env_cfg, cfg, seed=5)
+        _, curve = train("dbs", env_cfg, cfg, seed=5)
         early, late = reward_trend(curve)
         assert late > early + 1.0
 
     def test_validation_episodes_run_on_true_dynamics(self):
         cfg = default_ppo_config("dbs", total_timesteps=10 * 512)
         env_cfg = EnvConfig(noise_kind="random_permutation", alpha=0.3, epsilon=0.1)
-        _, handle, _ = train("dbs", env_cfg, cfg, seed=6)
-        trace = run_episode(Stochastic(handle=handle), env_cfg, RngStream(1, 0), "filtered_state")
+        net, _ = train("dbs", env_cfg, cfg, seed=6)
+        trace = run_episode(net, env_cfg, RngStream(1, 0), "filtered_state")
         assert len(trace.records) == env_cfg.horizon
 
 
@@ -54,8 +53,7 @@ class TestQomdpTraining:
         # measurement reading the target level in at least 80% of episodes
         env_cfg = EnvConfig(noise_kind="depolarizing", alpha=0.0, epsilon=0.1, horizon=20)
         cfg = default_ppo_config("qomdp", total_timesteps=120 * 512)
-        _, handle, curve = train("qomdp", env_cfg, cfg, seed=777)
-        policy = Stochastic(handle=handle)
+        policy, curve = train("qomdp", env_cfg, cfg, seed=777)
         on_target = 0
         stopped = 0
         for i in range(200):
