@@ -39,12 +39,14 @@ from .controllers import (
 )
 from .dynamics import (
     EnvConfig,
+    EpisodeBatch,
     EpisodeTrace,
     FilterDivergenceError,
     StepRecord,
     estimate_average_state,
     filter_update,
     run_episode,
+    run_episodes,
     step_nominal,
     step_true,
 )

@@ -5,6 +5,9 @@ an imprecision-parameterized family of generalized measurements plus its
 projective limit, and the ladder-operator control unitary exp(beta(a - a^dag)).
 Every constructor returns an explicit Kraus set so a single application path
 serves all channels, and every set is CPTP-certifiable via its Choi matrix.
+The applications take one 3x3 state or a stack ``(..., 3, 3)`` of them (with
+a matching array of betas or outcomes), and treat each state of a stack
+exactly as they treat it alone.
 
 Constructors and applications are pure; values are immutable after
 construction and safe to share across threads.
@@ -17,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .qcore import DEFAULT_TOL, DimensionError
+from .qcore import DEFAULT_TOL, DimensionError, every
 
 DIM = 3
 
@@ -34,6 +37,7 @@ CYCLE = np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]], dtype=complex)
 
 _CONTROL_GENERATOR_SQ = CONTROL_GENERATOR @ CONTROL_GENERATOR
 _IDENTITY3 = np.eye(3, dtype=complex)
+_SQRT2 = np.sqrt(2.0)
 
 
 class ParameterError(ValueError):
@@ -41,7 +45,14 @@ class ParameterError(ValueError):
 
 
 class ConditioningError(ValueError):
-    """Attempt to condition on an outcome of (numerically) zero probability."""
+    """Attempt to condition on an outcome of (numerically) zero probability.
+
+    ``rows`` holds the flat indices of the offending states of a stack.
+    """
+
+    def __init__(self, message: str, rows: np.ndarray | None = None):
+        super().__init__(message)
+        self.rows = rows
 
 
 ZERO_PROBABILITY_THRESHOLD = 1e-12
@@ -79,6 +90,10 @@ class MeasurementModel:
     @property
     def n_outcomes(self) -> int:
         return len(self.ops)
+
+    @cached_property
+    def _op_stack(self) -> np.ndarray:
+        return np.stack(self.ops)
 
     @cached_property
     def _povm_stack(self) -> np.ndarray:
@@ -197,55 +212,65 @@ def terminal_measurement() -> MeasurementModel:
     return MeasurementModel(ops=ops, epsilon=0.0, kind="terminal_projective")
 
 
-def control_unitary(beta: float) -> np.ndarray:
+def control_unitary(beta: float | np.ndarray) -> np.ndarray:
     """U_beta = exp(beta * (a - a^dag)): a real orthogonal rotation in the 0-2 ladder.
 
     Uses the closed form exp(beta*A) = I + (sin(s)/sqrt(2))*A + ((1-cos(s))/2)*A^2
-    with s = sqrt(2)*beta, exact because A^3 = -2A.
+    with s = sqrt(2)*beta, exact because A^3 = -2A.  An array of betas gives
+    the stack of their unitaries.
     """
-    beta = float(beta)
-    if not -1.0 <= beta <= 1.0:
-        raise ParameterError(f"beta must lie in [-1.0, 1.0], got {beta}")
-    s = np.sqrt(2.0) * beta
+    beta = np.asarray(beta, dtype=float)
+    in_range = np.abs(beta) <= 1.0
+    if not every(in_range):
+        raise ParameterError(f"beta must lie in [-1.0, 1.0], got {beta[~in_range]}")
+    s = _SQRT2 * beta
     return (
         _IDENTITY3
-        + (np.sin(s) / np.sqrt(2.0)) * CONTROL_GENERATOR
-        + ((1.0 - np.cos(s)) / 2.0) * _CONTROL_GENERATOR_SQ
+        + (np.sin(s) / _SQRT2)[..., None, None] * CONTROL_GENERATOR
+        + ((1.0 - np.cos(s)) / 2.0)[..., None, None] * _CONTROL_GENERATOR_SQ
     )
 
 
 def apply_channel(ch: QuantumChannel, rho: np.ndarray) -> np.ndarray:
     """Apply the Kraus map rho -> sum_k K_k rho K_k^dag."""
-    if rho.shape != (ch.dim, ch.dim):
+    if rho.shape[-2:] != (ch.dim, ch.dim):
         raise DimensionError(f"state shape {rho.shape} != channel dim {ch.dim}")
-    return (ch._stack @ rho @ ch._stack_dag).sum(axis=0)
+    return (ch._stack @ rho[..., None, :, :] @ ch._stack_dag).sum(axis=-3)
 
 
 def outcome_probabilities(m: MeasurementModel, rho: np.ndarray) -> np.ndarray:
     """Born probabilities p(l) = tr(M_l^dag M_l rho), renormalized against roundoff."""
     d = m.ops[0].shape[0]
-    if rho.shape != (d, d):
+    if rho.shape[-2:] != (d, d):
         raise DimensionError(f"state shape {rho.shape} != measurement dim {d}")
-    probs = np.einsum("kij,ji->k", m._povm_stack, rho).real
-    probs = np.clip(probs, 0.0, None)
-    total = probs.sum()
-    if not np.isfinite(total) or total <= 0.0:
+    probs = np.einsum("kij,...ji->...k", m._povm_stack, rho).real
+    probs = np.maximum(probs, 0.0)
+    total = probs.sum(axis=-1, keepdims=True)
+    if not every(np.isfinite(total) & (total > 0.0)):
         raise ConditioningError("outcome probabilities do not sum to a positive value")
     return probs / total
 
 
-def condition_on_outcome(m: MeasurementModel, rho: np.ndarray, outcome: int) -> np.ndarray:
-    """Post-measurement state M_l rho M_l^dag / p(l) for the given outcome."""
-    if not 0 <= outcome < m.n_outcomes:
+def condition_on_outcome(
+    m: MeasurementModel, rho: np.ndarray, outcome: int | np.ndarray
+) -> np.ndarray:
+    """Post-measurement state M_l rho M_l^dag / p(l) for the given outcome
+    (one outcome per state of a stack)."""
+    outcome = np.asarray(outcome)
+    if not every((outcome >= 0) & (outcome < m.n_outcomes)):
         raise DimensionError(f"outcome {outcome} out of range")
-    op = m.ops[outcome]
-    post = op @ rho @ op.conj().T
-    p = float(np.trace(post).real)
-    if p <= ZERO_PROBABILITY_THRESHOLD:
+    op = m._op_stack[outcome]
+    post = op @ rho @ op.conj().swapaxes(-1, -2)
+    p = np.trace(post, axis1=-2, axis2=-1).real
+    vanishing = p <= ZERO_PROBABILITY_THRESHOLD
+    if not every(~vanishing):
+        rows = np.flatnonzero(vanishing)
         raise ConditioningError(
-            f"outcome {outcome} has probability {p:.3e} <= {ZERO_PROBABILITY_THRESHOLD}"
+            f"outcome {outcome.flat[rows[0]]} has probability {p.flat[rows[0]]:.3e} "
+            f"<= {ZERO_PROBABILITY_THRESHOLD}",
+            rows=rows,
         )
-    return post / p
+    return post / p[..., None, None]
 
 
 def choi_matrix(kraus_ops) -> np.ndarray:

@@ -6,6 +6,8 @@ one dispatch point: the analytic outcome table, open-loop control sequences,
 and the two actor-critic networks of the rl package, which are policies
 themselves.  Every policy names its ``kind``: ``"mlp"`` networks observe the
 full state, ``"lstm"`` networks the outcome pair plus a beta=0 reset step.
+Observations and actions may carry a leading batch axis, one row per
+episode, and each row is acted on exactly as it would be alone.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import TYPE_CHECKING, ClassVar, Union
 import numpy as np
 
 from .channels import control_unitary
-from .qcore import _as_complex_matrix
+from .qcore import _as_complex_matrix, every
 
 if TYPE_CHECKING:  # the rl package imports this module, so only type checkers look back
     from .rl.nets import MlpActorCritic, RecurrentActorCritic
@@ -28,17 +30,18 @@ class ObservationKindError(TypeError):
 
 @dataclass(frozen=True)
 class FullState:
-    """Observation carrying a density operator (estimated or nominal state)."""
+    """Observation carrying a density operator (estimated or nominal state), or a stack."""
 
     state: np.ndarray
 
 
 @dataclass(frozen=True)
 class OutcomePair:
-    """Observation carrying only the last measurement outcome and last control."""
+    """Observation carrying only the last measurement outcome and last control
+    (or arrays of them)."""
 
-    last_outcome: int
-    last_beta: float
+    last_outcome: int | np.ndarray
+    last_beta: float | np.ndarray
 
 
 Observation = Union[FullState, OutcomePair]
@@ -46,13 +49,14 @@ Observation = Union[FullState, OutcomePair]
 
 @dataclass(frozen=True)
 class ControlAction:
-    """Control pulse amplitude in [-1, 1] plus the episode-ending stop flag."""
+    """Control pulse amplitude in [-1, 1] plus the episode-ending stop flag
+    (arrays of them for a batch; a scalar flag holds for every row)."""
 
-    beta: float
-    stop: bool = False
+    beta: float | np.ndarray
+    stop: bool | np.ndarray = False
 
     def __post_init__(self):
-        if not -1.0 <= self.beta <= 1.0:
+        if not every(np.abs(self.beta) <= 1.0):
             raise ValueError(f"beta must lie in [-1, 1], got {self.beta}")
 
 
@@ -130,25 +134,24 @@ def believed_outcome(rho0: np.ndarray) -> int:
 def policy_act(
     policy: Policy,
     obs: Observation,
-    rng: np.random.Generator | None = None,
     step: int = 0,
     state=None,
-    deterministic: bool = False,
 ) -> tuple[ControlAction, object]:
-    """Evaluate a policy on one observation.
+    """Evaluate a policy deterministically on one observation or a batch of them.
 
     Returns the action together with the policy's recurrent state (None for
-    stateless policies).  Table and open-loop policies are deterministic;
-    stochastic policies consume generator draws unless ``deterministic``.
+    stateless policies; ``state=None`` starts a fresh one).  Networks act on
+    the mean of their control head and stop when the stop logit is positive.
     """
     if isinstance(policy, BasicTable):
         if not isinstance(obs, OutcomePair):
             raise ObservationKindError(
                 f"BasicTable consumes OutcomePair observations, got {type(obs).__name__}"
             )
-        if not 0 <= obs.last_outcome < 3:
+        outcome = np.asarray(obs.last_outcome)
+        if not every((outcome >= 0) & (outcome < 3)):
             raise ValueError(f"outcome {obs.last_outcome} out of range")
-        return ControlAction(beta=policy.beta_by_outcome[obs.last_outcome]), None
+        return ControlAction(beta=np.asarray(policy.beta_by_outcome)[outcome]), None
 
     if isinstance(policy, OpenLoop):
         return ControlAction(beta=policy.beta_at(step)), None
@@ -167,17 +170,12 @@ def policy_act(
             raise ObservationKindError(
                 f"policy consumes OutcomePair observations, got {type(obs).__name__}"
             )
-        vec = np.array([float(obs.last_outcome), float(obs.last_beta)])
+        vec = np.stack(
+            [np.asarray(obs.last_outcome, dtype=float), np.asarray(obs.last_beta, dtype=float)],
+            axis=-1,
+        )
     else:
         raise TypeError(f"unknown policy type {type(policy).__name__}")
-    if rng is None and not deterministic:
-        raise ValueError("stochastic policy needs an rng unless deterministic")
-    from .rl.ppo import sample_action
-
-    if state is None:
-        state = policy.initial_state()
-    heads, _, state = policy.step(vec, state)
-    action, _, _, _ = sample_action(
-        heads, policy.log_std, rng, deterministic, policy.n_action_outputs == 2
-    )
-    return action, state
+    heads, state = policy.policy_step(vec, state)
+    stop = heads[..., 1] > 0.0 if policy.n_action_outputs == 2 else False
+    return ControlAction(beta=np.tanh(heads[..., 0]), stop=stop), state

@@ -1,4 +1,4 @@
-"""True, nominal, and filtering dynamics of the feedback loop, plus episode execution.
+"""True, nominal, and filtering dynamics of the feedback loop, plus the episode kernel.
 
 One step of the true system is noise, then the control unitary, then a
 sampled generalized measurement with conditioning:
@@ -8,27 +8,43 @@ sampled generalized measurement with conditioning:
 The nominal law drops the noise map and samples outcomes from its own
 statistics; the filtering law drops the noise map but conditions on the real
 system's outcomes (control first, then conditioning, matching the true
-dynamics' operator ordering).  Episodes with identical (config, policy,
-seed, stream) are bit-identical regardless of thread scheduling, because
-every draw comes from one per-episode generator.
+dynamics' operator ordering).  Each step law takes one state or a stack of
+states, and the outcome sampler takes one uniform draw per state.
+
+:func:`run_episodes` advances all episodes of a batch together on stacks of
+states.  Every episode draws from its own generator, one uniform per step in
+the order a lone run draws them, so an episode with identical (config,
+policy, seed, stream) is bit-identical whatever batch or thread runs it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import channels as ch
 from .controllers import FullState, OutcomePair, Policy, believed_outcome, policy_act
-from .qcore import basis_state, fidelity_pure_target, require_density
+from .qcore import basis_state, every, fidelity_pure_target, require_density
 from .rngstream import RngStream
 
-OBSERVATION_MODES = ("nominal_state", "filtered_state", "outcome_history")
+OBSERVATION_MODES = ("filtered_state", "outcome_history")
+
+#: most episodes :func:`run_episodes` steps together; bounds the n x 9 x 3 x 3
+#: Kraus temporary of the depolarizing channel and the per-step records
+BATCH_EPISODES = 1024
 
 
 class FilterDivergenceError(RuntimeError):
-    """The filtered state assigns (numerically) zero probability to a real outcome."""
+    """The filtered state assigns (numerically) zero probability to a real outcome.
+
+    ``rows`` holds the flat indices of the diverged states of a stack.
+    """
+
+    def __init__(self, message: str, rows: np.ndarray | None = None):
+        super().__init__(message)
+        self.rows = rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,47 +104,42 @@ def measurement_model(cfg: EnvConfig) -> ch.MeasurementModel:
     return _measurement_cache[cfg.epsilon]
 
 
-def _controlled(rho: np.ndarray, beta: float) -> np.ndarray:
+def _controlled(rho: np.ndarray, beta: float | np.ndarray) -> np.ndarray:
     u = ch.control_unitary(beta)
-    return u @ rho @ u.conj().T
+    return u @ rho @ u.conj().swapaxes(-1, -2)
 
 
-def _sample_outcome(probs: np.ndarray, gen: np.random.Generator) -> int:
-    if float(probs.max()) < ch.ZERO_PROBABILITY_THRESHOLD:
+def _sample_outcome(probs: np.ndarray, u: float | np.ndarray):
+    """Inverse-CDF draw: the first outcome whose cumulative probability exceeds u."""
+    if not every(probs.max(axis=-1) >= ch.ZERO_PROBABILITY_THRESHOLD):
         raise RuntimeError("degenerate outcome distribution")
-    r = gen.random()
-    acc = 0.0
-    for l in range(len(probs) - 1):
-        acc += probs[l]
-        if r < acc:
-            return l
-    return len(probs) - 1
+    cumulative = probs[..., :-1].cumsum(axis=-1)
+    return np.add.reduce(cumulative <= np.asarray(u)[..., None], axis=-1)
 
 
 def step_true(
-    rho: np.ndarray, beta: float, cfg: EnvConfig, gen: np.random.Generator
-) -> tuple[np.ndarray, int]:
-    """One step of the noisy closed loop; returns the conditioned state and the outcome."""
-    post_control = _controlled(ch.apply_channel(noise_channel(cfg), rho), beta)
-    m = measurement_model(cfg)
-    probs = ch.outcome_probabilities(m, post_control)
-    outcome = _sample_outcome(probs, gen)
-    return ch.condition_on_outcome(m, post_control, outcome), outcome
+    rho: np.ndarray, beta: float | np.ndarray, cfg: EnvConfig, u: float | np.ndarray
+) -> tuple[np.ndarray, int | np.ndarray]:
+    """One step of the noisy closed loop; returns the conditioned state and the outcome.
+
+    ``u`` is the step's uniform draw in [0, 1), one per state of a stack.
+    """
+    return step_nominal(ch.apply_channel(noise_channel(cfg), rho), beta, cfg, u)
 
 
 def step_nominal(
-    rho_bar: np.ndarray, beta: float, cfg: EnvConfig, gen: np.random.Generator
-) -> tuple[np.ndarray, int]:
+    rho_bar: np.ndarray, beta: float | np.ndarray, cfg: EnvConfig, u: float | np.ndarray
+) -> tuple[np.ndarray, int | np.ndarray]:
     """One noiseless model step, outcomes sampled from the nominal state's own statistics."""
     post_control = _controlled(rho_bar, beta)
     m = measurement_model(cfg)
     probs = ch.outcome_probabilities(m, post_control)
-    outcome = _sample_outcome(probs, gen)
+    outcome = _sample_outcome(probs, u)
     return ch.condition_on_outcome(m, post_control, outcome), outcome
 
 
 def filter_update(
-    rho_hat: np.ndarray, beta: float, outcome: int, cfg: EnvConfig
+    rho_hat: np.ndarray, beta: float | np.ndarray, outcome: int | np.ndarray, cfg: EnvConfig
 ) -> np.ndarray:
     """Deterministic filter step: noiseless control, then conditioning on the real outcome.
 
@@ -142,13 +153,13 @@ def filter_update(
         return ch.condition_on_outcome(m, post_control, outcome)
     except ch.ConditioningError as exc:
         raise FilterDivergenceError(
-            f"filter assigns zero probability to outcome {outcome}: {exc}"
+            f"filter assigns zero probability to a real outcome: {exc}", rows=exc.rows
         ) from exc
 
 
 @dataclass(frozen=True)
 class StepRecord:
-    """Per-step snapshot of one episode; built through :func:`_make_record`."""
+    """Per-step snapshot of one episode."""
 
     t: int
     beta: float
@@ -156,22 +167,6 @@ class StepRecord:
     true_state: np.ndarray
     aux_state: np.ndarray | None
     fidelity_true: float
-
-
-def _make_record(
-    t: int, beta: float, outcome: int, true_state, aux_state, target: int
-) -> StepRecord:
-    # every recorded state must still be a physical density operator
-    require_density(true_state, tol=1e-9, name=f"true state at step {t}")
-    fid = fidelity_pure_target(true_state, target)
-    return StepRecord(
-        t=t,
-        beta=beta,
-        outcome=outcome,
-        true_state=true_state,
-        aux_state=aux_state,
-        fidelity_true=fid,
-    )
 
 
 @dataclass(frozen=True)
@@ -190,76 +185,175 @@ class EpisodeTrace:
         return np.array([self.initial_fidelity] + [r.fidelity_true for r in self.records])
 
 
+@dataclass(frozen=True)
+class EpisodeBatch:
+    """Results of consecutive episodes, one row each.
+
+    ``fidelity[:, t]`` is the true-state fidelity after step t (column 0 is
+    the initial state), held at its last value after a stop.  ``stop_step``
+    and ``terminal_outcome`` read -1 for an episode that never stopped.  Step
+    t is recorded in column t - 1 of ``betas``, ``outcomes``, ``true_states``
+    and ``aux_states`` (the filtered state; None without one): a stopped
+    episode has ``stop_step`` records, any other ``horizon``.  An aborted
+    episode (filter divergence) is frozen where it diverged, and its other
+    entries mean nothing.
+    """
+
+    fidelity: np.ndarray  # (n, horizon + 1)
+    stop_step: np.ndarray  # (n,)
+    terminal_outcome: np.ndarray  # (n,)
+    aborted: np.ndarray  # (n,) bool
+    final_states: np.ndarray  # (n, 3, 3)
+    betas: np.ndarray  # (n, horizon)
+    outcomes: np.ndarray  # (n, horizon)
+    true_states: np.ndarray  # (n, horizon, 3, 3)
+    aux_states: np.ndarray | None
+
+
+def _rows(policy_state, keep: np.ndarray):
+    """The recurrent state of the kept rows (None stays None)."""
+    return None if policy_state is None else tuple(part[keep] for part in policy_state)
+
+
+def run_episodes(
+    policy: Policy,
+    cfg: EnvConfig,
+    streams: Sequence[RngStream],
+    observation_mode: str = "outcome_history",
+) -> Iterator[EpisodeBatch]:
+    """Validate a policy on one episode of the true noisy dynamics per stream.
+
+    Yields one :class:`EpisodeBatch` per run of at most ``BATCH_EPISODES``
+    consecutive streams, in stream order.  ``observation_mode`` picks what
+    the policy sees: a filtered state conditioned on the real outcomes, or the
+    last outcome and control (recurrent policies then start with a forced
+    beta=0 step, so their first observation is a real outcome).  Fidelity is
+    always that of the TRUE state, and every true state is checked to be a
+    density operator.  A stop action ends its episode and triggers the
+    terminal projective measurement, recorded apart from the fidelity.
+    """
+    if observation_mode not in OBSERVATION_MODES:
+        raise ValueError(f"unknown observation mode {observation_mode!r}")
+    for start in range(0, len(streams), BATCH_EPISODES):
+        yield _run_batch(policy, cfg, streams[start:start + BATCH_EPISODES], observation_mode)
+
+
+def _run_batch(policy, cfg: EnvConfig, streams, observation_mode: str) -> EpisodeBatch:
+    """One :class:`EpisodeBatch` of :func:`run_episodes`, all episodes in lockstep."""
+    n, horizon, target = len(streams), cfg.horizon, cfg.target_index
+    filtered = observation_mode == "filtered_state"
+    # a step, or a stop's terminal measurement, takes the episode's next uniform:
+    # the one at index t for a decision taken at step t
+    draws = np.array([stream.generator().random(horizon) for stream in streams])
+    rho = np.repeat(cfg.initial_state[None], n, axis=0)
+    aux = rho.copy() if filtered else None
+    fidelity = np.full((n, horizon + 1), np.nan)
+    fidelity[:, 0] = fidelity_pure_target(rho, target)
+    stop_step = np.full(n, -1)
+    terminal_outcome = np.full(n, -1)
+    aborted = np.zeros(n, dtype=bool)
+    betas = np.zeros((n, horizon))
+    outcomes = np.zeros((n, horizon), dtype=int)
+    true_states = np.zeros((n, horizon, 3, 3), dtype=complex)
+    aux_states = np.zeros_like(true_states) if filtered else None
+    last_outcome = np.full(n, believed_outcome(cfg.initial_state))
+    last_beta = np.zeros(n)
+
+    live = np.arange(n)
+    policy_state = None
+    forced_reset = observation_mode == "outcome_history" and policy.kind == "lstm"
+    t = 0
+    while t < horizon and live.size:
+        if forced_reset and t == 0:
+            # forced beta=0 first step: the agent's first observation is a real outcome
+            beta = np.zeros(live.size)
+        else:
+            obs = (
+                FullState(state=aux[live]) if filtered
+                else OutcomePair(last_outcome=last_outcome[live], last_beta=last_beta[live])
+            )
+            action, policy_state = policy_act(policy, obs, step=t, state=policy_state)
+            beta = np.broadcast_to(action.beta, live.shape)
+            stop = np.broadcast_to(action.stop, live.shape)
+            if stop.any():
+                ended = live[stop]
+                probs = ch.outcome_probabilities(ch.terminal_measurement(), rho[ended])
+                terminal_outcome[ended] = _sample_outcome(probs, draws[ended, t])
+                stop_step[ended] = t
+                fidelity[ended, t + 1:] = fidelity[ended, t, None]
+                live, beta, policy_state = live[~stop], beta[~stop], _rows(policy_state, ~stop)
+                if not live.size:
+                    break
+        t += 1
+        rho_t, outcome = step_true(rho[live], beta, cfg, draws[live, t - 1])
+        if filtered:
+            try:
+                aux_t = filter_update(aux[live], beta, outcome, cfg)
+            except FilterDivergenceError as exc:
+                keep = np.ones(live.size, dtype=bool)
+                keep[exc.rows] = False
+                aborted[live[~keep]] = True
+                live, beta, rho_t, outcome = live[keep], beta[keep], rho_t[keep], outcome[keep]
+                policy_state = _rows(policy_state, keep)
+                if not live.size:
+                    break
+                aux_t = filter_update(aux[live], beta, outcome, cfg)
+            aux[live] = aux_states[live, t - 1] = aux_t
+        # every recorded state must still be a physical density operator
+        require_density(rho_t, tol=1e-9, name=f"true state at step {t}")
+        rho[live] = true_states[live, t - 1] = rho_t
+        fidelity[live, t] = fidelity_pure_target(rho_t, target)
+        betas[live, t - 1] = last_beta[live] = beta
+        outcomes[live, t - 1] = last_outcome[live] = outcome
+    return EpisodeBatch(
+        fidelity=fidelity,
+        stop_step=stop_step,
+        terminal_outcome=terminal_outcome,
+        aborted=aborted,
+        final_states=rho,
+        betas=betas,
+        outcomes=outcomes,
+        true_states=true_states,
+        aux_states=aux_states,
+    )
+
+
 def run_episode(
     policy: Policy,
     cfg: EnvConfig,
     rng: RngStream,
     observation_mode: str = "outcome_history",
-    deterministic_policy: bool = True,
 ) -> EpisodeTrace:
-    """Validate a policy for one episode of the true noisy dynamics.
+    """One episode of :func:`run_episodes` as a trace of per-step records.
 
-    The auxiliary state demanded by ``observation_mode`` is maintained
-    alongside the true state: a nominal state evolved on its own sampled
-    outcomes (training-style observations), a filtered state conditioned on
-    the real outcomes, or no state at all for outcome-history policies.
-    Per-step fidelity is always that of the TRUE state.  A stop action ends
-    the episode early and triggers the terminal projective measurement,
-    recorded separately from the pre-measurement fidelity.
+    Raises :class:`FilterDivergenceError` when the filter diverged.
     """
-    if observation_mode not in OBSERVATION_MODES:
-        raise ValueError(f"unknown observation mode {observation_mode!r}")
-    gen = rng.generator()
-    rho = cfg.initial_state
-    aux = rho if observation_mode != "outcome_history" else None
-    target = cfg.target_index
-
-    records: list[StepRecord] = []
-    initial_fidelity = fidelity_pure_target(rho, target)
-    stop_step: int | None = None
-    terminal_outcome: int | None = None
-    policy_state = None
-
-    t = 0
-    last_outcome = believed_outcome(rho)
-    last_beta = 0.0
-    if observation_mode == "outcome_history" and policy.kind == "lstm":
-        # forced beta=0 first step: the agent's first observation is a real outcome
-        t = 1
-        rho, last_outcome = step_true(rho, 0.0, cfg, gen)
-        records.append(_make_record(t, 0.0, last_outcome, rho, None, target))
-
-    while t < cfg.horizon:
-        if observation_mode == "outcome_history":
-            obs = OutcomePair(last_outcome=last_outcome, last_beta=last_beta)
-        else:
-            obs = FullState(state=aux)
-        action, policy_state = policy_act(
-            policy, obs, gen, step=t, state=policy_state, deterministic=deterministic_policy
+    batch = next(run_episodes(policy, cfg, [rng], observation_mode))
+    if batch.aborted[0]:
+        raise FilterDivergenceError(
+            f"filter assigned zero probability to a real outcome in episode {rng}"
         )
-        if action.stop:
-            stop_step = t
-            terminal = ch.terminal_measurement()
-            probs = ch.outcome_probabilities(terminal, rho)
-            terminal_outcome = _sample_outcome(probs, gen)
-            break
-        t += 1
-        rho, outcome = step_true(rho, action.beta, cfg, gen)
-        if observation_mode == "nominal_state":
-            aux, _ = step_nominal(aux, action.beta, cfg, gen)
-        elif observation_mode == "filtered_state":
-            aux = filter_update(aux, action.beta, outcome, cfg)
-        records.append(_make_record(t, action.beta, outcome, rho, aux, target))
-        last_outcome, last_beta = outcome, action.beta
-
-    terminal_fidelity = records[-1].fidelity_true if records else initial_fidelity
+    stop_step = int(batch.stop_step[0])
+    n_records = stop_step if stop_step >= 0 else cfg.horizon
+    records = tuple(
+        StepRecord(
+            t=k + 1,
+            beta=float(batch.betas[0, k]),
+            outcome=int(batch.outcomes[0, k]),
+            true_state=batch.true_states[0, k],
+            aux_state=None if batch.aux_states is None else batch.aux_states[0, k],
+            fidelity_true=float(batch.fidelity[0, k + 1]),
+        )
+        for k in range(n_records)
+    )
+    terminal_outcome = int(batch.terminal_outcome[0])
     return EpisodeTrace(
         config=cfg,
-        records=tuple(records),
-        initial_fidelity=initial_fidelity,
-        terminal_fidelity=terminal_fidelity,
-        stop_step=stop_step,
-        terminal_outcome=terminal_outcome,
+        records=records,
+        initial_fidelity=float(batch.fidelity[0, 0]),
+        terminal_fidelity=float(batch.fidelity[0, n_records]),
+        stop_step=stop_step if stop_step >= 0 else None,
+        terminal_outcome=terminal_outcome if terminal_outcome >= 0 else None,
     )
 
 
@@ -268,26 +362,13 @@ def estimate_average_state(
 ) -> np.ndarray:
     """Monte-Carlo mean of the final true state over n independent episodes.
 
-    For outcome-independent control sequences this converges at O(1/sqrt(n))
-    to the deterministic outcome-averaged (CPTP) iteration of the dynamics.
+    The episodes observe outcome histories and draw from the substreams
+    ("avg", i) of ``rng``.  For outcome-independent control sequences this
+    converges at O(1/sqrt(n)) to the deterministic outcome-averaged (CPTP)
+    iteration of the dynamics.
     """
     if n < 1:
         raise ValueError(f"episode count must be >= 1, got {n}")
-    total = np.zeros((3, 3), dtype=complex)
-    for i in range(n):
-        gen = rng.substream("avg", i).generator()
-        rho = cfg.initial_state
-        policy_state = None
-        last_outcome = believed_outcome(rho)
-        last_beta = 0.0
-        for t in range(cfg.horizon):
-            obs = OutcomePair(last_outcome=last_outcome, last_beta=last_beta)
-            action, policy_state = policy_act(
-                policy, obs, gen, step=t, state=policy_state, deterministic=True
-            )
-            if action.stop:
-                break
-            rho, last_outcome = step_true(rho, action.beta, cfg, gen)
-            last_beta = action.beta
-        total += rho
-    return total / n
+    streams = [rng.substream("avg", i) for i in range(n)]
+    finals = np.concatenate([batch.final_states for batch in run_episodes(policy, cfg, streams)])
+    return finals.sum(axis=0) / n

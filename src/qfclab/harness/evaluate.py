@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from ..controllers import Policy, basic_policy
-from ..dynamics import EnvConfig, FilterDivergenceError, run_episode
+from ..dynamics import EnvConfig, run_episodes
 from ..rngstream import RngStream, hash_label, mix64
 from ..rl.checkpoint import load_policy, save_policy
 from ..rl.ppo import default_ppo_config, train
@@ -61,11 +61,6 @@ def observation_mode_for(policy: Policy) -> str:
     return "filtered_state" if policy.kind == "mlp" else "outcome_history"
 
 
-def _first_crossing(curve: np.ndarray, f_star: float) -> int | None:
-    hits = np.nonzero(curve >= f_star)[0]
-    return int(hits[0]) if hits.size else None
-
-
 def evaluate(
     policy: Policy,
     env_cfg: EnvConfig,
@@ -76,40 +71,37 @@ def evaluate(
 ) -> CellResult:
     """Run n seeded validation episodes of the true noisy dynamics and aggregate.
 
-    Steps-to-threshold statistics count the first step whose running true
-    fidelity reaches ``f_star``; episodes that never reach it are excluded
-    from the mean and surfaced in ``unreached_count``.  Filter-divergence
-    aborts are counted, never silently folded into the statistics.
+    Episode i draws from ``RngStream(seed, i)``.  Steps-to-threshold
+    statistics count the first step whose running true fidelity reaches
+    ``f_star``; episodes that never reach it are excluded from the mean and
+    surfaced in ``unreached_count``.  Filter-divergence aborts are counted,
+    never silently folded into the statistics.
     """
-    mode = observation_mode_for(policy)
-    terminal: list[float] = []
-    crossings: list[int] = []
+    if n < 1:
+        raise ValueError(f"episode count must be >= 1, got {n}")
+    streams = [RngStream(seed, i) for i in range(n)]
+    terminal: list[np.ndarray] = []
+    crossings: list[np.ndarray] = []
     unreached = 0
     aborted = 0
     curve_sum = np.zeros(env_cfg.horizon + 1)
-    for i in range(n):
-        try:
-            trace = run_episode(policy, env_cfg, RngStream(seed, i), mode)
-        except FilterDivergenceError:
-            aborted += 1
-            continue
-        terminal.append(trace.terminal_fidelity)
-        curve = trace.fidelity_curve()
-        if len(curve) < env_cfg.horizon + 1:  # early stop: hold the last value
-            curve = np.concatenate(
-                [curve, np.full(env_cfg.horizon + 1 - len(curve), curve[-1])]
-            )
-        curve_sum += curve
-        cross = _first_crossing(curve, f_star)
-        if cross is None:
-            unreached += 1
-        else:
-            crossings.append(cross)
-    completed = len(terminal)
-    mean_fid = float(np.mean(terminal)) if completed else np.nan
-    std_fid = float(np.std(terminal)) if completed else np.nan
-    mean_steps = float(np.mean(crossings)) if crossings else np.nan
-    std_steps = float(np.std(crossings)) if crossings else np.nan
+    for batch in run_episodes(policy, env_cfg, streams, observation_mode_for(policy)):
+        aborted += int(batch.aborted.sum())
+        curves = batch.fidelity[~batch.aborted]
+        terminal.append(curves[:, -1])
+        for curve in curves:  # in episode order, so the float sum ignores batch size
+            curve_sum += curve
+        reached = curves >= f_star
+        hit = reached.any(axis=1)
+        crossings.append(reached.argmax(axis=1)[hit])
+        unreached += int((~hit).sum())
+    terminal_all = np.concatenate(terminal)
+    crossings_all = np.concatenate(crossings)
+    completed = len(terminal_all)
+    mean_fid = float(np.mean(terminal_all)) if completed else np.nan
+    std_fid = float(np.std(terminal_all)) if completed else np.nan
+    mean_steps = float(np.mean(crossings_all)) if crossings_all.size else np.nan
+    std_steps = float(np.std(crossings_all)) if crossings_all.size else np.nan
     curve = tuple((curve_sum / completed).tolist()) if completed else ()
     return CellResult(
         scenario=scenario,

@@ -5,25 +5,20 @@ from __future__ import annotations
 import numpy as np
 
 
+# Positions of those entries in the float view of a C-ordered 3x3 complex
+# matrix, flattened: entry (i, j) has its real part at 6i + 2j, its imaginary
+# part right after.
+_ENCODED_POSITIONS = np.array([0, 8, 16, 2, 3, 4, 5, 10, 11])
+
+
 def encode_state_observation(rho: np.ndarray) -> np.ndarray:
-    """Flatten a 3x3 Hermitian state into 9 reals.
+    """Flatten a 3x3 Hermitian state into 9 reals (a stack (..., 3, 3) into (..., 9)).
 
     Ordering: the three populations, then (Re, Im) of the upper off-diagonal
     entries (0,1), (0,2), (1,2).
     """
-    return np.array(
-        [
-            rho[0, 0].real,
-            rho[1, 1].real,
-            rho[2, 2].real,
-            rho[0, 1].real,
-            rho[0, 1].imag,
-            rho[0, 2].real,
-            rho[0, 2].imag,
-            rho[1, 2].real,
-            rho[1, 2].imag,
-        ]
-    )
+    flat = np.ascontiguousarray(rho, dtype=complex).view(float)
+    return np.take(flat.reshape(rho.shape[:-2] + (18,)), _ENCODED_POSITIONS, axis=-1)
 
 
 def decode_state_observation(vec: np.ndarray) -> np.ndarray:

@@ -4,11 +4,12 @@ Model-based training rolls out the nominal (noiseless) dynamics and shows the
 agent that nominal state; data-based training runs the true noisy dynamics
 and shows the agent the filtered estimate; the measurement-only scenario
 (QOMDP) shows just the last outcome and last control, adds a stop action, and
-scores +-1 through a terminal projective measurement.  The validation kind
-runs true dynamics with filtered-state observations.
+scores +-1 through a terminal projective measurement.  Validation runs
+through :func:`qfclab.dynamics.run_episodes`, not through an environment.
 
-Each environment derives one generator per episode from its stream, so a
-fixed (config, seed) replays exactly, independent of anything else running.
+Each environment derives one generator per episode from its stream and takes
+one uniform from it per step, so a fixed (config, seed) replays exactly,
+independent of anything else running.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from ..qcore import fidelity_pure_target
 from ..rngstream import RngStream
 from .encoding import encode_state_observation
 
-SCENARIO_KINDS = ("mbs_train", "dbs_train", "qomdp_train", "validation")
+SCENARIO_KINDS = ("mbs_train", "dbs_train", "qomdp_train")
 
 
 def mb_db_reward(rho_obs: np.ndarray, cfg: EnvConfig) -> float:
@@ -59,8 +60,7 @@ class ScenarioEnv:
     def _observe(self) -> np.ndarray:
         if self.kind == "qomdp_train":
             return np.array([float(self._last_outcome), float(self._last_beta)])
-        state = self._model_state if self.kind != "validation" else self._filtered
-        return encode_state_observation(state)
+        return encode_state_observation(self._model_state)
 
     # -- gym-style surface --
 
@@ -71,11 +71,12 @@ class ScenarioEnv:
         self._done = False
         self._true = self.cfg.initial_state
         self._model_state = self.cfg.initial_state  # nominal or filtered, by kind
-        self._filtered = self.cfg.initial_state
         self._last_beta = 0.0
         if self.kind == "qomdp_train":
             # forced beta=0 first step: the very first observation is a real outcome
-            self._true, self._last_outcome = step_true(self._true, 0.0, self.cfg, self._gen)
+            self._true, self._last_outcome = step_true(
+                self._true, 0.0, self.cfg, self._gen.random()
+            )
             self._t = 1
         return self._observe()
 
@@ -92,18 +93,12 @@ class ScenarioEnv:
         done = self._t >= self.cfg.horizon
         if self.kind == "mbs_train":
             self._model_state, outcome = step_nominal(
-                self._model_state, beta, self.cfg, self._gen
+                self._model_state, beta, self.cfg, self._gen.random()
             )
-        else:  # dbs_train, validation: true dynamics plus a filter on real outcomes
-            self._true, outcome = step_true(self._true, beta, self.cfg, self._gen)
-            self._filtered = filter_update(self._filtered, beta, outcome, self.cfg)
-            self._model_state = self._filtered
-        observed = self._model_state
-        if self.kind == "validation":
-            reward_state = self._true
-        else:
-            reward_state = observed
-        reward = mb_db_reward(reward_state, self.cfg)
+        else:  # dbs_train: true dynamics plus a filter on real outcomes
+            self._true, outcome = step_true(self._true, beta, self.cfg, self._gen.random())
+            self._model_state = filter_update(self._model_state, beta, outcome, self.cfg)
+        reward = mb_db_reward(self._model_state, self.cfg)
         self._done = done
         info["outcome"] = outcome
         info["true_fidelity"] = fidelity_pure_target(self._true, self.cfg.target_index)
@@ -112,7 +107,9 @@ class ScenarioEnv:
     def _step_qomdp(self, action: ControlAction, info: dict):
         if action.stop:
             terminal = terminal_measurement()
-            l_last = _sample_outcome(outcome_probabilities(terminal, self._true), self._gen)
+            l_last = _sample_outcome(
+                outcome_probabilities(terminal, self._true), self._gen.random()
+            )
             reward = qomdp_reward(True, l_last, True, self.cfg.target_index)
             self._done = True
             info["l_last"] = l_last
@@ -120,7 +117,7 @@ class ScenarioEnv:
             return self._observe(), reward, True, info
         beta = action.beta
         self._t += 1
-        self._true, outcome = step_true(self._true, beta, self.cfg, self._gen)
+        self._true, outcome = step_true(self._true, beta, self.cfg, self._gen.random())
         self._last_outcome, self._last_beta = outcome, beta
         done = self._t >= self.cfg.horizon
         reward = qomdp_reward(False, None, done, self.cfg.target_index)

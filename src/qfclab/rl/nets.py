@@ -120,11 +120,13 @@ class MlpActorCritic:
         _mlp_backward(self.params, "pi", len(self.hidden), pi_acts, dheads, grads)
         _mlp_backward(self.params, "vf", len(self.hidden), vf_acts, dvalues[:, None], grads)
 
-    # -- single-sample paths (rollout) --
+    # -- single-sample paths (rollout); the policy ones also take a batch (n, obs_dim) --
 
     def policy_head(self, obs: np.ndarray) -> np.ndarray:
-        out, _ = _mlp_forward(self.params, "pi", len(self.hidden), obs[None, :])
-        return out[0]
+        # each row runs as its own (1, obs_dim) product: a flat (n, obs_dim)
+        # product rounds differently from the single-row one
+        out, _ = _mlp_forward(self.params, "pi", len(self.hidden), obs[..., None, :])
+        return out[..., 0, :]
 
     def value(self, obs: np.ndarray) -> float:
         out, _ = _mlp_forward(self.params, "vf", len(self.hidden), obs[None, :])
@@ -136,6 +138,10 @@ class MlpActorCritic:
     def step(self, obs: np.ndarray, state):
         """Same surface as the recurrent step: (head outputs (k,), value, None)."""
         return self.policy_head(obs), self.value(obs), None
+
+    def policy_step(self, obs: np.ndarray, state):
+        """Policy head alone, same surface as the recurrent one: (head outputs, None)."""
+        return self.policy_head(obs), None
 
 
 def _init_lstm(prefix: str, in_dim: int, hidden: int, gen: np.random.Generator) -> dict[str, np.ndarray]:
@@ -150,12 +156,12 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def _lstm_step(params, prefix: str, hidden: int, x, h, c):
-    """One LSTM step; x (n, in), h/c (n, hidden). Returns h', c', gate cache."""
+    """One LSTM step; x (..., n, in), h/c (..., n, hidden). Returns h', c', gate cache."""
     pre = x @ params[f"{prefix}.wx"] + h @ params[f"{prefix}.wh"] + params[f"{prefix}.b"]
-    i = _sigmoid(pre[:, :hidden])
-    f = _sigmoid(pre[:, hidden:2 * hidden])
-    g = np.tanh(pre[:, 2 * hidden:3 * hidden])
-    o = _sigmoid(pre[:, 3 * hidden:])
+    i = _sigmoid(pre[..., :hidden])
+    f = _sigmoid(pre[..., hidden:2 * hidden])
+    g = np.tanh(pre[..., 2 * hidden:3 * hidden])
+    o = _sigmoid(pre[..., 3 * hidden:])
     c_new = f * c + i * g
     tanh_c = np.tanh(c_new)
     h_new = o * tanh_c
@@ -222,17 +228,30 @@ class RecurrentActorCritic:
         z = np.zeros((1, self.lstm_hidden))
         return (z, z, z, z)  # h_pi, c_pi, h_vf, c_vf
 
-    # -- single-sample path (rollout) --
+    # -- single-sample paths (rollout); the policy one also takes a batch (n, obs_dim) --
 
     def step(self, obs: np.ndarray, state):
         """One recurrent step; returns (head outputs (k,), value, next state)."""
         h_pi, c_pi, h_vf, c_vf = state
-        x = obs[None, :]
-        h_pi2, c_pi2, _ = _lstm_step(self.params, "pi_lstm", self.lstm_hidden, x, h_pi, c_pi)
-        h_vf2, c_vf2, _ = _lstm_step(self.params, "vf_lstm", self.lstm_hidden, x, h_vf, c_vf)
-        heads, _ = _mlp_forward(self.params, "pi", len(self.hidden), h_pi2)
+        heads, (h_pi2, c_pi2) = self.policy_step(obs, (h_pi, c_pi))
+        h_vf2, c_vf2, _ = _lstm_step(
+            self.params, "vf_lstm", self.lstm_hidden, obs[None, :], h_vf, c_vf
+        )
         value, _ = _mlp_forward(self.params, "vf", len(self.hidden), h_vf2)
-        return heads[0], float(value[0, 0]), (h_pi2, c_pi2, h_vf2, c_vf2)
+        return heads, float(value[0, 0]), (h_pi2, c_pi2, h_vf2, c_vf2)
+
+    def policy_step(self, obs: np.ndarray, state):
+        """Policy trunk alone: (head outputs (..., k), next (h_pi, c_pi)).
+
+        Each row runs as its own (1, obs_dim) product, as in :meth:`step`;
+        ``state=None`` starts from zeros.
+        """
+        if state is None:
+            zeros = np.zeros(obs.shape[:-1] + (1, self.lstm_hidden))
+            state = (zeros, zeros)
+        h, c, _ = _lstm_step(self.params, "pi_lstm", self.lstm_hidden, obs[..., None, :], *state)
+        heads, _ = _mlp_forward(self.params, "pi", len(self.hidden), h)
+        return heads[..., 0, :], (h, c)
 
     # -- batched-sequence path (training) --
 

@@ -1,8 +1,14 @@
 import sys
 from pathlib import Path
 
+from hypothesis import settings
+
 # test-local helpers (oracles.py) live next to the tests
 sys.path.insert(0, str(Path(__file__).parent))
+
+# property tests draw the same examples on every run, with no time limit
+settings.register_profile("deterministic", derandomize=True, deadline=None, database=None)
+settings.load_profile("deterministic")
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -20,3 +26,4 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         if detail:
             line += f"   ({detail})"
         terminalreporter.write_line(line)
+

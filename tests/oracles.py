@@ -34,14 +34,21 @@ def control_unitary_closed_form(beta: float) -> np.ndarray:
     )
 
 
+def _psd_sqrt(m: np.ndarray) -> np.ndarray:
+    w, v = np.linalg.eigh(m)
+    return v @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+
+
 def fidelity_by_spectral(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Full Uhlmann fidelity evaluated through explicit eigendecompositions."""
-    w, v = np.linalg.eigh(rho)
-    w = np.clip(w, 0.0, None)
-    sqrt_rho = v @ np.diag(np.sqrt(w)) @ v.conj().T
-    inner = sqrt_rho @ sigma @ sqrt_rho
-    mu = np.clip(np.linalg.eigvalsh(0.5 * (inner + inner.conj().T)), 0.0, None)
-    return float(np.sum(np.sqrt(mu)) ** 2)
+    """Full Uhlmann fidelity (tr|sqrt(rho) sqrt(sigma)|)^2 through explicit
+    eigendecompositions and the singular values of sqrt(rho) sqrt(sigma).
+
+    Unlike the square roots of the eigenvalues of sqrt(rho) sigma sqrt(rho),
+    which turn roundoff eigenvalues of a rank-deficient product into errors
+    near 1e-8, this form stays near machine precision in either argument order.
+    """
+    singular = np.linalg.svd(_psd_sqrt(rho) @ _psd_sqrt(sigma), compute_uv=False)
+    return float(np.sum(singular) ** 2)
 
 
 def measurement_average(measurement_ops, rho: np.ndarray) -> np.ndarray:

@@ -61,8 +61,15 @@ class TestEvalCommand:
         ])
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("episodes", ["0", "-3"])
+    def test_episode_count_below_one_is_config_error(self, capsys, episodes):
+        code = main(["eval", "--policy", "basic", "--episodes", episodes])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert "episode count" in captured.err
+        assert captured.out == ""
 
-    @pytest.mark.parametrize("error", [StateValidityError, ConditioningError, DimensionError])
+    @pytest.mark.parametrize("error",[StateValidityError, ConditioningError, DimensionError])
     def test_numerical_failure_is_a_runtime_error(self, monkeypatch, capsys, error):
         def fail(*args, **kwargs):
             raise error("state went bad mid-run")

@@ -55,7 +55,7 @@ class TestStepTrue:
         cfg = make_cfg(initial_state=basis_state(2))
         gen = RngStream(1).generator()
         for _ in range(10):
-            rho, outcome = step_true(basis_state(2), 0.0, cfg, gen)
+            rho, outcome = step_true(basis_state(2), 0.0, cfg, gen.random())
             assert outcome == 2
             np.testing.assert_allclose(rho, basis_state(2), atol=1e-12)
 
@@ -67,7 +67,7 @@ class TestStepTrue:
         n = 100_000
         counts = np.zeros(3)
         for _ in range(n):
-            _, outcome = step_true(basis_state(0), 1.0, cfg, gen)
+            _, outcome = step_true(basis_state(0), 1.0, cfg, gen.random())
             counts[outcome] += 1
         freqs = counts / n
         sigma = np.sqrt(expected * (1 - expected) / n)
@@ -79,7 +79,7 @@ class TestStepTrue:
         n = 30_000
         counts = np.zeros(3)
         for _ in range(n):
-            _, outcome = step_true(basis_state(2), 0.0, cfg, gen)
+            _, outcome = step_true(basis_state(2), 0.0, cfg, gen.random())
             counts[outcome] += 1
         sigma = np.sqrt((1 / 3) * (2 / 3) / n)
         assert np.all(np.abs(counts / n - 1 / 3) <= 3 * sigma)
@@ -89,8 +89,8 @@ class TestStepNominal:
     def test_coincides_with_step_true_at_alpha_zero(self):
         cfg = make_cfg(epsilon=0.1)
         rho = maximally_mixed()
-        out_true = step_true(rho, 0.7, cfg, RngStream(4).generator())
-        out_nominal = step_nominal(rho, 0.7, cfg, RngStream(4).generator())
+        out_true = step_true(rho, 0.7, cfg, RngStream(4).generator().random())
+        out_nominal = step_nominal(rho, 0.7, cfg, RngStream(4).generator().random())
         np.testing.assert_allclose(out_true[0], out_nominal[0], atol=1e-14)
         assert out_true[1] == out_nominal[1]
 
@@ -100,7 +100,7 @@ class TestStepNominal:
         n = 50_000
         hits = 0
         for _ in range(n):
-            _, outcome = step_nominal(basis_state(1), 1.0, cfg, gen)
+            _, outcome = step_nominal(basis_state(1), 1.0, cfg, gen.random())
             hits += outcome == 2
         p = np.abs(control_unitary_closed_form(1.0)[2, 1]) ** 2
         assert hits / n == pytest.approx(p, abs=3 * np.sqrt(p * (1 - p) / n))
@@ -112,7 +112,7 @@ class TestStepNominal:
         n = 50_000
         hits = 0
         for _ in range(n):
-            _, outcome = step_nominal(basis_state(2), 0.0, cfg, gen)
+            _, outcome = step_nominal(basis_state(2), 0.0, cfg, gen.random())
             hits += outcome == 2
         expected = 1 - 2 * 0.25
         assert hits / n == pytest.approx(expected, abs=3 * np.sqrt(expected * 0.5 / n))
@@ -142,7 +142,7 @@ class TestFilterUpdate:
         rho_hat = cfg.initial_state
         betas = np.sin(np.arange(50))  # arbitrary in-range control sequence
         for beta in betas:
-            rho, outcome = step_true(rho, float(beta), cfg, gen)
+            rho, outcome = step_true(rho, float(beta), cfg, gen.random())
             rho_hat = filter_update(rho_hat, float(beta), outcome, cfg)
             assert np.max(np.abs(rho - rho_hat)) <= 1e-12
 
@@ -215,14 +215,6 @@ class TestFilteredEpisodes:
             trace = run_episode(net, cfg, RngStream(405, i), "filtered_state")
             for record in trace.records:
                 assert np.max(np.abs(record.aux_state - record.true_state)) <= 1e-12
-
-    def test_nominal_mode_keeps_independent_model_state(self):
-        from qfclab.rl.nets import MlpActorCritic
-
-        net = MlpActorCritic(obs_dim=9, gen=RngStream(406).generator())
-        cfg = make_cfg(alpha=0.6, epsilon=0.1, horizon=10, noise_kind="random_permutation")
-        trace = run_episode(net, cfg, RngStream(407, 0), "nominal_state")
-        assert all(r.aux_state is not None for r in trace.records)
 
 
 class TestEstimateAverageState:

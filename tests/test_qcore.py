@@ -84,10 +84,11 @@ class TestFidelityPureTarget:
         for _ in range(20):
             rho = random_density(gen)
             k = int(gen.integers(0, 3))
-            # pure state first: its square root is exact, so the oracle is too
-            assert fidelity_pure_target(rho, k) == pytest.approx(
-                fidelity_by_spectral(basis_state(k), rho), abs=1e-9
-            )
+            for oracle in (
+                fidelity_by_spectral(basis_state(k), rho),
+                fidelity_by_spectral(rho, basis_state(k)),
+            ):
+                assert fidelity_pure_target(rho, k) == pytest.approx(oracle, abs=1e-9)
 
     def test_index_out_of_range_raises(self):
         with pytest.raises(DimensionError, match="out of range"):

@@ -165,12 +165,6 @@ class TestQomdpTrainEnv:
 
 
 class TestValidationEnv:
-    def test_reward_tracks_true_state_not_filtered(self):
-        env = ScenarioEnv("validation", make_cfg(alpha=0.8, noise_kind="depolarizing"), RngStream(21))
-        env.reset()
-        _, reward, _, info = env.step(ControlAction(beta=1.0))
-        assert reward == pytest.approx(info["true_fidelity"])
-
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="scenario kind"):
             ScenarioEnv("q_learning", make_cfg(), RngStream(22))
