@@ -65,6 +65,8 @@ class SweepConfig:
             raise ConfigError("horizon must be >= 1")
         if not 0.0 < self.f_star <= 1.0:
             raise ConfigError("f_star must lie in (0, 1]")
+        if self.train_timesteps < 0:
+            raise ConfigError("train_timesteps must be >= 0")
 
 
 def table_defaults() -> SweepConfig:

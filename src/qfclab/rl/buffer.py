@@ -22,17 +22,16 @@ class Segment:
 
 @dataclass
 class RolloutBuffer:
-    """Per-step training tuples for one update, plus bootstrap metadata.
+    """Per-step training tuples for one update, plus the bootstrap value.
 
     ``pre_squash`` holds the raw Gaussian samples whose tanh became the
-    executed control; ``stops``/``stop_logits`` stay zero for policies
-    without a stop head.  Steps from different environment instances live in
-    contiguous chunks, each with its own bootstrap value at the cut point.
+    executed control; ``stops`` stays zero for policies without a stop head.
+    ``bootstrap`` is the value estimate of the observation after the last
+    step, standing in for V past the end of the window.
     """
 
     capacity: int
     obs_dim: int
-    has_stop: bool = False
     observations: np.ndarray = field(init=False)
     pre_squash: np.ndarray = field(init=False)
     stops: np.ndarray = field(init=False)
@@ -41,8 +40,7 @@ class RolloutBuffer:
     values: np.ndarray = field(init=False)
     dones: np.ndarray = field(init=False)
     size: int = 0
-    chunk_ends: list[int] = field(default_factory=list)
-    chunk_bootstraps: list[float] = field(default_factory=list)
+    bootstrap: float | None = None
     segments: list[Segment] = field(default_factory=list)
     advantages: np.ndarray | None = None
     returns: np.ndarray | None = None
@@ -73,43 +71,29 @@ class RolloutBuffer:
         self.dones[i] = done
         self.size += 1
 
-    def close_chunk(self, bootstrap_value: float) -> None:
-        """Mark the current fill level as an environment-chunk boundary."""
-        if self.chunk_ends and self.chunk_ends[-1] == self.size:
-            return
-        self.chunk_ends.append(self.size)
-        self.chunk_bootstraps.append(float(bootstrap_value))
-
-    def set_bootstrap(self, value: float) -> None:
-        """Single-environment convenience: one chunk covering the whole buffer."""
-        self.chunk_ends = [self.size]
-        self.chunk_bootstraps = [float(value)]
-
 
 def compute_gae(buffer: RolloutBuffer, gamma: float, lam: float):
     """Advantages by the standard backward recursion, returns = advantages + values.
 
     A_t = delta_t + gamma*lam*(1 - done_t)*A_{t+1},
     delta_t = r_t + gamma*(1 - done_t)*V_{t+1} - V_t,
-    with each chunk's stored bootstrap standing in for V at its cut point.
+    with the stored bootstrap standing in for V after the last step.
     """
     if buffer.size == 0:
         raise ValueError("cannot compute advantages on an empty buffer")
     if not buffer.full:
         raise ValueError("advantages are computed only on a full buffer")
-    if not buffer.chunk_ends:
-        raise ValueError("buffer has no bootstrap value; call set_bootstrap/close_chunk")
+    if buffer.bootstrap is None:
+        raise ValueError("buffer has no bootstrap value")
     advantages = np.zeros(buffer.size)
-    start = 0
-    for end, bootstrap in zip(buffer.chunk_ends, buffer.chunk_bootstraps):
-        last_adv = 0.0
-        for t in reversed(range(start, end)):
-            non_terminal = 1.0 - buffer.dones[t]
-            next_value = bootstrap if t == end - 1 else buffer.values[t + 1]
-            delta = buffer.rewards[t] + gamma * next_value * non_terminal - buffer.values[t]
-            last_adv = delta + gamma * lam * non_terminal * last_adv
-            advantages[t] = last_adv
-        start = end
+    next_value = buffer.bootstrap
+    last_adv = 0.0
+    for t in reversed(range(buffer.size)):
+        non_terminal = 1.0 - buffer.dones[t]
+        delta = buffer.rewards[t] + gamma * next_value * non_terminal - buffer.values[t]
+        last_adv = delta + gamma * lam * non_terminal * last_adv
+        advantages[t] = last_adv
+        next_value = buffer.values[t]
     returns = advantages + buffer.values[: buffer.size]
     buffer.advantages = advantages
     buffer.returns = returns

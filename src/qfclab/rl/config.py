@@ -18,24 +18,25 @@ class PpoConfig:
     value_coeff: float = 0.5
     max_grad_norm: float = 0.5
     total_timesteps: int = 200_000
-    n_envs: int = 1
     hidden: tuple[int, ...] = (64, 64, 64)
     lstm_hidden: int = 64
     log_std_init: float = 0.0
 
     def __post_init__(self):
-        if self.batch_size > self.n_steps * self.n_envs:
+        for name in ("n_steps", "batch_size", "n_epochs"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.total_timesteps < 0:
+            raise ValueError(f"total_timesteps must be non-negative, got {self.total_timesteps}")
+        if self.batch_size > self.n_steps:
             raise ValueError(
-                f"batch_size {self.batch_size} exceeds rollout size "
-                f"{self.n_steps} x {self.n_envs}"
+                f"batch_size {self.batch_size} exceeds rollout size {self.n_steps}"
             )
         for name in ("learning_rate", "clip_range"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
-        if self.n_steps % self.n_envs != 0:
-            raise ValueError("n_steps must divide evenly across environments")
 
 
 QOMDP_LEARNING_RATE = 3e-4

@@ -74,7 +74,7 @@ class ScenarioEnv:
         self._last_beta = 0.0
         if self.kind == "qomdp_train":
             # forced beta=0 first step: the very first observation is a real outcome
-            self._true, self._last_outcome = step_true(
+            self._true, self._last_outcome = step_nominal(
                 self._true, 0.0, self.cfg, self._gen.random()
             )
             self._t = 1
@@ -101,7 +101,8 @@ class ScenarioEnv:
         reward = mb_db_reward(self._model_state, self.cfg)
         self._done = done
         info["outcome"] = outcome
-        info["true_fidelity"] = fidelity_pure_target(self._true, self.cfg.target_index)
+        if self.kind == "dbs_train":  # model-based training simulates no true system
+            info["true_fidelity"] = fidelity_pure_target(self._true, self.cfg.target_index)
         return self._observe(), reward, done, info
 
     def _step_qomdp(self, action: ControlAction, info: dict):
@@ -117,7 +118,7 @@ class ScenarioEnv:
             return self._observe(), reward, True, info
         beta = action.beta
         self._t += 1
-        self._true, outcome = step_true(self._true, beta, self.cfg, self._gen.random())
+        self._true, outcome = step_nominal(self._true, beta, self.cfg, self._gen.random())
         self._last_outcome, self._last_beta = outcome, beta
         done = self._t >= self.cfg.horizon
         reward = qomdp_reward(False, None, done, self.cfg.target_index)

@@ -3,8 +3,8 @@
 The update maximizes E[min(r*A, clip(r, 1 +- c)*A)] - c_v*value_mse
 + c_e*entropy with advantages normalized per minibatch, exactly the reference
 formulation.  Collection, advantage estimation, and updates all run in
-float64 with every random draw tied to a named substream, so a (seed,
-environment count) pair reproduces training bit for bit.
+float64 with every random draw tied to a named substream, so a seed
+reproduces training bit for bit.
 """
 
 from __future__ import annotations
@@ -29,34 +29,21 @@ class TrainingDiverged(RuntimeError):
     """A loss went non-finite; training state at the failing update is reported."""
 
 
-def sample_action(
-    heads: np.ndarray,
-    log_std: float,
-    gen: np.random.Generator | None,
-    deterministic: bool,
-    with_stop: bool,
-):
+def sample_action(heads: np.ndarray, log_std: float, gen: np.random.Generator, with_stop: bool):
     """Draw (action, joint log-prob, pre-squash sample, stop flag) from head outputs."""
     mean = float(heads[0])
-    if deterministic:
-        pre = mean
-        beta = float(np.tanh(pre))
-    else:
-        beta, pre = dist.sample_squashed(mean, log_std, gen)
+    beta, pre = dist.sample_squashed(mean, log_std, gen)
     log_prob = float(dist.squashed_log_prob(pre, mean, log_std))
     stop = False
     if with_stop:
         logit = float(heads[1])
-        if deterministic:
-            stop = logit > 0.0
-        else:
-            stop = bool(gen.random() < dist.sigmoid(logit))
+        stop = bool(gen.random() < dist.sigmoid(logit))
         log_prob += float(dist.bernoulli_log_prob(1.0 if stop else 0.0, logit))
     return ControlAction(beta=beta, stop=stop), log_prob, pre, stop
 
 
 class _EnvRunner:
-    """Persistent rollout state of one environment across window boundaries."""
+    """Persistent rollout state of the environment across window boundaries."""
 
     def __init__(self, env, net):
         self.env = env
@@ -67,55 +54,35 @@ class _EnvRunner:
 
 
 def collect_rollout(
-    runners: list[_EnvRunner],
-    net,
-    cfg: PpoConfig,
-    sample_gen: np.random.Generator,
-    obs_dim: int,
+    runner: _EnvRunner, net, cfg: PpoConfig, sample_gen: np.random.Generator
 ) -> RolloutBuffer:
-    """Fill one buffer of cfg.n_steps transitions, chunked per environment."""
+    """Fill one buffer of cfg.n_steps transitions, cut into per-episode segments.
+
+    Each segment records the recurrent state it starts from (``None`` for the
+    feed-forward net); states are fresh arrays at every step, never mutated.
+    """
     with_stop = net.n_action_outputs == 2
-    recurrent = isinstance(net, RecurrentActorCritic)
-    buffer = RolloutBuffer(capacity=cfg.n_steps, obs_dim=obs_dim, has_stop=with_stop)
-    per_env = cfg.n_steps // len(runners)
-    for runner in runners:
-        seg_start = buffer.size
-        seg_state = _clone_state(runner.state)
-        for _ in range(per_env):
-            heads, value, new_state = net.step(runner.obs, runner.state)
-            action, log_prob, pre, stop = sample_action(
-                heads, net.log_std, sample_gen, False, with_stop
-            )
-            obs_before = runner.obs
-            next_obs, reward, done, _ = runner.env.step(action)
-            runner.episode_reward += reward
-            buffer.add(obs_before, pre, 1.0 if stop else 0.0, log_prob, reward, value, done)
-            runner.state = new_state
-            if done:
-                if recurrent:
-                    buffer.segments.append(
-                        Segment(start=seg_start, end=buffer.size, init_state=seg_state)
-                    )
-                    seg_start = buffer.size
-                    seg_state = None  # fresh episode starts from zeros
-                runner.finished_rewards.append(runner.episode_reward)
-                runner.episode_reward = 0.0
-                runner.obs = runner.env.reset()
-                runner.state = net.initial_state()
-            else:
-                runner.obs = next_obs
-        if recurrent and seg_start < buffer.size:
-            buffer.segments.append(
-                Segment(start=seg_start, end=buffer.size, init_state=seg_state)
-            )
-        buffer.close_chunk(net.step(runner.obs, runner.state)[1])
+    buffer = RolloutBuffer(capacity=cfg.n_steps, obs_dim=runner.env.obs_dim)
+    seg_start, seg_state = 0, runner.state
+    for _ in range(cfg.n_steps):
+        heads, value, new_state = net.step(runner.obs, runner.state)
+        action, log_prob, pre, stop = sample_action(heads, net.log_std, sample_gen, with_stop)
+        next_obs, reward, done, _ = runner.env.step(action)
+        runner.episode_reward += reward
+        buffer.add(runner.obs, pre, 1.0 if stop else 0.0, log_prob, reward, value, done)
+        if done:
+            buffer.segments.append(Segment(seg_start, buffer.size, seg_state))
+            runner.finished_rewards.append(runner.episode_reward)
+            runner.episode_reward = 0.0
+            runner.obs = runner.env.reset()
+            runner.state = net.initial_state()
+            seg_start, seg_state = buffer.size, runner.state
+        else:
+            runner.obs, runner.state = next_obs, new_state
+    if seg_start < buffer.size:
+        buffer.segments.append(Segment(seg_start, buffer.size, seg_state))
+    buffer.bootstrap = net.step(runner.obs, runner.state)[1]
     return buffer
-
-
-def _clone_state(state):
-    if state is None:
-        return None
-    return tuple(np.array(part) for part in state)
 
 
 def _segment_minibatches(segments, batch_size, shuffle_gen):
@@ -133,6 +100,23 @@ def _segment_minibatches(segments, batch_size, shuffle_gen):
     return groups
 
 
+def _pad_segments(buffer, segments):
+    """Zero-padded (n_seq, T, obs_dim) observations, start states, step mask and buffer rows."""
+    t_max = max(s.end - s.start for s in segments)
+    n_seq = len(segments)
+    obs_seq = np.zeros((n_seq, t_max, buffer.obs_dim))
+    mask = np.zeros((n_seq, t_max), dtype=bool)
+    flat_index = np.zeros((n_seq, t_max), dtype=int)
+    for s_i, seg in enumerate(segments):
+        length = seg.end - seg.start
+        obs_seq[s_i, :length] = buffer.observations[seg.start : seg.end]
+        mask[s_i, :length] = True
+        flat_index[s_i, :length] = np.arange(seg.start, seg.end)
+    # (h_pi, c_pi, h_vf, c_vf), each (n_seq, lstm_hidden)
+    init_state = tuple(np.concatenate(parts) for parts in zip(*(s.init_state for s in segments)))
+    return obs_seq, init_state, mask, flat_index[mask]
+
+
 def _normalized(advantages: np.ndarray) -> np.ndarray:
     return (advantages - advantages.mean()) / max(float(advantages.std()), 1e-8)
 
@@ -145,77 +129,29 @@ def _policy_grad_coeff(ratio, adv_norm, clip_range, n):
     return -(adv_norm * ratio * active) / n, surr1, surr2
 
 
-def _update_mlp_minibatch(net, buffer, idx, cfg, adam) -> dict:
-    params = net.params
-    obs = buffer.observations[idx]
+def _update_minibatch(net, buffer, batch, cfg, adam) -> dict:
+    """One clipped-surrogate step on a minibatch: buffer rows (mlp) or a segment group (lstm)."""
+    recurrent = net.kind == "lstm"
+    if recurrent:
+        obs_seq, init_state, mask, idx = _pad_segments(buffer, batch)
+        heads_seq, values_seq, cache = net.sequence_forward(obs_seq, init_state)
+        heads, values = heads_seq[mask], values_seq[mask]
+    else:
+        idx = batch
+        heads, values, cache = net.forward(buffer.observations[idx])
     pre = buffer.pre_squash[idx]
     lp_old = buffer.log_probs[idx]
     adv = _normalized(buffer.advantages[idx])
     returns = buffer.returns[idx]
     n = len(idx)
 
-    heads, values, cache = net.forward(obs)
     mean = heads[:, 0]
-    log_std = net.log_std
-    lp_new = dist.squashed_log_prob(pre, mean, log_std)
-    ratio = np.exp(lp_new - lp_old)
-    dlp, surr1, surr2 = _policy_grad_coeff(ratio, adv, cfg.clip_range, n)
-    policy_loss = -float(np.minimum(surr1, surr2).mean())
-    value_err = values - returns
-    value_loss = float(np.mean(value_err**2))
-    entropy = float(dist.gaussian_entropy(log_std))
-
-    loss = policy_loss + cfg.value_coeff * value_loss - cfg.entropy_coeff * entropy
-    if not np.isfinite(loss):
-        raise TrainingDiverged(f"non-finite loss {loss}")
-
-    dmean, dlogstd_per = dist.squashed_log_prob_grads(pre, mean, log_std)
-    dheads = (dlp * dmean)[:, None]
-    dvalues = cfg.value_coeff * 2.0 * value_err / n
-    grads = zero_grads_like(params)
-    net.backward(cache, dheads, dvalues, grads)
-    grads["log_std"] += np.sum(dlp * dlogstd_per) - cfg.entropy_coeff
-    adam.step(params, grads)
-    return {"policy_loss": policy_loss, "value_loss": value_loss, "entropy": entropy}
-
-
-def _update_recurrent_minibatch(net, buffer, segment_group, cfg, adam) -> dict:
-    params = net.params
-    t_max = max(s.end - s.start for s in segment_group)
-    n_seq = len(segment_group)
-    obs_seq = np.zeros((n_seq, t_max, buffer.obs_dim))
-    mask = np.zeros((n_seq, t_max), dtype=bool)
-    flat_index = np.zeros((n_seq, t_max), dtype=int)
-    h_pi = np.zeros((n_seq, net.lstm_hidden))
-    c_pi = np.zeros((n_seq, net.lstm_hidden))
-    h_vf = np.zeros((n_seq, net.lstm_hidden))
-    c_vf = np.zeros((n_seq, net.lstm_hidden))
-    for s_i, seg in enumerate(segment_group):
-        length = seg.end - seg.start
-        obs_seq[s_i, :length] = buffer.observations[seg.start : seg.end]
-        mask[s_i, :length] = True
-        flat_index[s_i, :length] = np.arange(seg.start, seg.end)
-        if seg.init_state is not None:
-            h_pi[s_i], c_pi[s_i], h_vf[s_i], c_vf[s_i] = (
-                part[0] for part in seg.init_state
-            )
-
-    idx = flat_index[mask]
-    pre = buffer.pre_squash[idx]
-    stops = buffer.stops[idx]
-    lp_old = buffer.log_probs[idx]
-    adv = _normalized(buffer.advantages[idx])
-    returns = buffer.returns[idx]
-    n = len(idx)
-
-    heads, values_seq, cache = net.sequence_forward(obs_seq, (h_pi, c_pi, h_vf, c_vf))
-    mean = heads[:, :, 0][mask]
-    values = values_seq[mask]
     log_std = net.log_std
     lp_new = dist.squashed_log_prob(pre, mean, log_std)
     with_stop = net.n_action_outputs == 2
     if with_stop:
-        logit = heads[:, :, 1][mask]
+        stops = buffer.stops[idx]
+        logit = heads[:, 1]
         lp_new = lp_new + dist.bernoulli_log_prob(stops, logit)
     ratio = np.exp(lp_new - lp_old)
     dlp, surr1, surr2 = _policy_grad_coeff(ratio, adv, cfg.clip_range, n)
@@ -230,19 +166,25 @@ def _update_recurrent_minibatch(net, buffer, segment_group, cfg, adam) -> dict:
     if not np.isfinite(loss):
         raise TrainingDiverged(f"non-finite loss {loss}")
 
-    dmean_flat, dlogstd_per = dist.squashed_log_prob_grads(pre, mean, log_std)
-    dheads = np.zeros((n_seq, t_max, net.n_action_outputs))
-    dheads[:, :, 0][mask] = dlp * dmean_flat
+    dmean, dlogstd_per = dist.squashed_log_prob_grads(pre, mean, log_std)
+    dheads = np.zeros_like(heads)
+    dheads[:, 0] = dlp * dmean
     if with_stop:
         dlogit = dlp * dist.bernoulli_log_prob_grad(stops, logit)
         dlogit -= cfg.entropy_coeff * dist.bernoulli_entropy_grad(logit) / n
-        dheads[:, :, 1][mask] = dlogit
-    dvalues = np.zeros((n_seq, t_max))
-    dvalues[mask] = cfg.value_coeff * 2.0 * value_err / n
-    grads = zero_grads_like(params)
-    net.sequence_backward(cache, dheads, dvalues, grads)
+        dheads[:, 1] = dlogit
+    dvalues = cfg.value_coeff * 2.0 * value_err / n
+    grads = zero_grads_like(net.params)
+    if recurrent:
+        dheads_seq = np.zeros_like(heads_seq)
+        dheads_seq[mask] = dheads
+        dvalues_seq = np.zeros_like(values_seq)
+        dvalues_seq[mask] = dvalues
+        net.sequence_backward(cache, dheads_seq, dvalues_seq, grads)
+    else:
+        net.backward(cache, dheads, dvalues, grads)
     grads["log_std"] += np.sum(dlp * dlogstd_per) - cfg.entropy_coeff
-    adam.step(params, grads)
+    adam.step(net.params, grads)
     return {"policy_loss": policy_loss, "value_loss": value_loss, "entropy": entropy}
 
 
@@ -251,19 +193,18 @@ def ppo_update(net, buffer: RolloutBuffer, cfg: PpoConfig, adam: Adam,
     """Run the configured epochs of minibatch updates over one full buffer."""
     if buffer.advantages is None:
         raise ValueError("advantages not computed; call compute_gae first")
-    recurrent = isinstance(net, RecurrentActorCritic)
     diags: list[dict] = []
     for _ in range(cfg.n_epochs):
-        if recurrent:
-            for group in _segment_minibatches(buffer.segments, cfg.batch_size, shuffle_gen):
-                diags.append(_update_recurrent_minibatch(net, buffer, group, cfg, adam))
+        if net.kind == "lstm":
+            batches = _segment_minibatches(buffer.segments, cfg.batch_size, shuffle_gen)
         else:
             order = shuffle_gen.permutation(buffer.size)
-            for start in range(0, buffer.size, cfg.batch_size):
-                idx = order[start : start + cfg.batch_size]
-                if len(idx) == 0:
-                    continue
-                diags.append(_update_mlp_minibatch(net, buffer, idx, cfg, adam))
+            batches = [
+                order[start : start + cfg.batch_size]
+                for start in range(0, buffer.size, cfg.batch_size)
+            ]
+        for batch in batches:
+            diags.append(_update_minibatch(net, buffer, batch, cfg, adam))
     validate_params(net.params)
     return {
         "policy_loss": float(np.mean([d["policy_loss"] for d in diags])),
@@ -318,22 +259,18 @@ def train(
     shuffle_gen = root.substream("shuffle").generator()
     adam = Adam(learning_rate=ppo_cfg.learning_rate, max_grad_norm=ppo_cfg.max_grad_norm)
 
+    env_stream = root.substream("env", 0)
     if env_factory is None:
-        kind = SCENARIO_TO_ENV_KIND[scenario]
-        envs = [
-            ScenarioEnv(kind, env_cfg, root.substream("env", i))
-            for i in range(ppo_cfg.n_envs)
-        ]
+        env = ScenarioEnv(SCENARIO_TO_ENV_KIND[scenario], env_cfg, env_stream)
     else:
-        envs = [env_factory(root.substream("env", i)) for i in range(ppo_cfg.n_envs)]
-    obs_dim = envs[0].obs_dim
-    runners = [_EnvRunner(env, net) for env in envs]
+        env = env_factory(env_stream)
+    runner = _EnvRunner(env, net)
 
     curve: list[dict] = []
     n_updates = ppo_cfg.total_timesteps // ppo_cfg.n_steps
     best_reward = -np.inf
     for update in range(n_updates):
-        buffer = collect_rollout(runners, net, ppo_cfg, sample_gen, obs_dim)
+        buffer = collect_rollout(runner, net, ppo_cfg, sample_gen)
         compute_gae(buffer, ppo_cfg.gamma, ppo_cfg.gae_lambda)
         try:
             diag = ppo_update(net, buffer, ppo_cfg, adam, shuffle_gen)
@@ -341,10 +278,9 @@ def train(
             raise TrainingDiverged(
                 f"update {update} (timestep {update * ppo_cfg.n_steps}): {exc}"
             ) from exc
-        finished = [r for runner in runners for r in runner.finished_rewards]
-        for runner in runners:
-            runner.finished_rewards.clear()
+        finished = runner.finished_rewards
         mean_reward = float(np.mean(finished)) if finished else np.nan
+        finished.clear()
         if np.isfinite(mean_reward):
             best_reward = max(best_reward, mean_reward)
             if mean_reward < best_reward - 0.5 * abs(best_reward):

@@ -202,7 +202,7 @@ def test_criterion_07_ppo_machinery():
         buf = RolloutBuffer(capacity=10, obs_dim=1)
         for r, v, d in zip(rewards, values, dones):
             buf.add(np.zeros(1), 0.0, 0.0, 0.0, r, v, d)
-        buf.set_bootstrap(bootstrap)
+        buf.bootstrap = bootstrap
         adv, _ = compute_gae(buf, 0.99, 0.95)
         oracle = gae_brute_force(rewards, values, bootstrap, dones, 0.99, 0.95)
         gae_ok = gae_ok and bool(np.max(np.abs(adv - oracle)) <= 1e-10)
@@ -235,7 +235,7 @@ def test_criterion_07_ppo_machinery():
         gen = np.random.default_rng(99)
         heads = net3.step(np.ones(1), None)[0]
         rate = np.mean([
-            sample_action(heads, net3.log_std, gen, False, False)[0].beta > 0
+            sample_action(heads, net3.log_std, gen, False)[0].beta > 0
             for _ in range(2000)
         ])
         details.append(f"{rate:.3f}")

@@ -109,6 +109,15 @@ class TestTrainEvalRoundTrip:
         assert code == EXIT_OK
         assert out.splitlines()[-1].startswith("mbs,")
 
+    def test_negative_timesteps_is_config_error(self, tmp_path, capsys):
+        ckpt = tmp_path / "mbs.ckpt"
+        code = main([
+            "train", "--scenario", "mbs", "--timesteps", "-5", "--out", str(ckpt),
+        ])
+        assert code == EXIT_CONFIG
+        assert "total_timesteps" in capsys.readouterr().err
+        assert not ckpt.exists()
+
 
 class TestSweepCommand:
     def test_sweep_writes_report_files(self, tmp_path, capsys):
@@ -147,6 +156,13 @@ class TestSweepCommand:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("[sweep]\nscenarios = q_learning\n")
         assert main(["sweep", "--config", str(cfg)]) == EXIT_CONFIG
+
+    def test_negative_training_budget_is_config_error(self, tmp_path, capsys):
+        cfg = write_sweep_config(tmp_path, tmp_path / "out", tmp_path / "ck")
+        text = cfg.read_text().replace("[output]", "train_timesteps = -5\n[output]")
+        cfg.write_text(text)
+        assert main(["sweep", "--config", str(cfg)]) == EXIT_CONFIG
+        assert "train_timesteps" in capsys.readouterr().err
 
     def test_desk_scale_flag_shrinks_grid(self, tmp_path, capsys):
         cfg = write_sweep_config(tmp_path, tmp_path / "out", tmp_path / "ck")

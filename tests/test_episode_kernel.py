@@ -26,7 +26,6 @@ from qfclab.harness.evaluate import observation_mode_for
 from qfclab.qcore import fidelity_pure_target
 from qfclab.rl.encoding import encode_state_observation
 from qfclab.rl.nets import MlpActorCritic, RecurrentActorCritic
-from qfclab.rl.ppo import sample_action
 from qfclab.rngstream import RngStream
 
 
@@ -48,8 +47,8 @@ def _reference_act(policy, rho_obs, last_outcome, last_beta, state):
     else:
         vec = np.array([float(last_outcome), float(last_beta)])
     heads, _, state = policy.step(vec, state)
-    action = sample_action(heads, policy.log_std, None, True, policy.n_action_outputs == 2)[0]
-    return action.beta, action.stop, state
+    stop = policy.n_action_outputs == 2 and bool(heads[1] > 0.0)
+    return float(np.tanh(heads[0])), stop, state
 
 
 def reference_episode(policy, cfg, stream, mode):

@@ -96,6 +96,10 @@ class TestSweepConfig:
         with pytest.raises(ConfigError, match="alpha"):
             SweepConfig(alphas=(1.5,))
 
+    def test_negative_training_budget_rejected(self):
+        with pytest.raises(ConfigError, match="train_timesteps"):
+            SweepConfig(train_timesteps=-5)
+
 
 class TestCellSeed:
     def test_distinct_cells_get_distinct_seeds(self):

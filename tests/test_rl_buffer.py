@@ -12,7 +12,7 @@ def fill_buffer(rewards, values, dones, bootstrap):
     buf = RolloutBuffer(capacity=len(rewards), obs_dim=1)
     for r, v, d in zip(rewards, values, dones):
         buf.add(np.zeros(1), 0.0, 0.0, 0.0, r, v, d)
-    buf.set_bootstrap(bootstrap)
+    buf.bootstrap = bootstrap
     return buf
 
 
@@ -69,19 +69,11 @@ class TestComputeGae:
         adv, _ = compute_gae(buf, gamma=0.9, lam=0.9)
         assert adv[0] == pytest.approx(1.0)
 
-    def test_chunked_buffers_isolate_environments(self):
-        # two chunks with different bootstraps must match two separate buffers
-        buf = RolloutBuffer(capacity=4, obs_dim=1)
-        for r, v in [(1.0, 0.2), (0.5, 0.1)]:
-            buf.add(np.zeros(1), 0.0, 0.0, 0.0, r, v, 0.0)
-        buf.close_chunk(0.8)
-        for r, v in [(2.0, 0.3), (0.0, 0.4)]:
-            buf.add(np.zeros(1), 0.0, 0.0, 0.0, r, v, 0.0)
-        buf.close_chunk(-0.5)
-        adv, _ = compute_gae(buf, gamma=0.9, lam=0.7)
-        a_first = gae_brute_force([1.0, 0.5], [0.2, 0.1], 0.8, [0.0, 0.0], 0.9, 0.7)
-        a_second = gae_brute_force([2.0, 0.0], [0.3, 0.4], -0.5, [0.0, 0.0], 0.9, 0.7)
-        np.testing.assert_allclose(adv, np.concatenate([a_first, a_second]), atol=1e-12)
+    def test_missing_bootstrap_rejected(self):
+        buf = RolloutBuffer(capacity=1, obs_dim=1)
+        buf.add(np.zeros(1), 0.0, 0.0, 0.0, 1.0, 0.0, 0.0)
+        with pytest.raises(ValueError, match="bootstrap"):
+            compute_gae(buf, 0.99, 0.95)
 
     def test_empty_buffer_rejected(self):
         buf = RolloutBuffer(capacity=0, obs_dim=1)

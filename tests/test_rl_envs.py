@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from qfclab import dynamics
 from qfclab.controllers import ControlAction
 from qfclab.dynamics import EnvConfig
 from qfclab.qcore import basis_state, maximally_mixed
@@ -56,6 +57,19 @@ class TestRewards:
             qomdp_reward(True, None, True, 2)
 
 
+@pytest.mark.parametrize("kind", ["mbs_train", "qomdp_train"])
+def test_noiseless_training_kinds_never_apply_a_channel(monkeypatch, kind):
+    def fail(*args, **kwargs):
+        raise AssertionError("noise map applied")
+
+    monkeypatch.setattr(dynamics.ch, "apply_channel", fail)
+    env = ScenarioEnv(kind, make_cfg(alpha=0.7), RngStream(8))
+    env.reset()
+    done = False
+    while not done:
+        _, _, done, _ = env.step(ControlAction(beta=0.4))
+
+
 class TestMbsTrainEnv:
     def test_noise_is_excluded_from_the_model(self):
         # identical trajectories regardless of the configured alpha
@@ -76,6 +90,16 @@ class TestMbsTrainEnv:
         env.reset()
         obs, reward, _, _ = env.step(ControlAction(beta=1.0))
         assert reward == pytest.approx(obs[2])
+
+    def test_info_reports_no_true_fidelity(self):
+        # the nominal model is all there is: no true system to report on
+        env = ScenarioEnv("mbs_train", make_cfg(), RngStream(11))
+        env.reset()
+        done = False
+        while not done:
+            _, _, done, info = env.step(ControlAction(beta=1.0))
+            assert "outcome" in info
+            assert "true_fidelity" not in info
 
     def test_episode_length_is_horizon(self):
         env = ScenarioEnv("mbs_train", make_cfg(horizon=7), RngStream(12))

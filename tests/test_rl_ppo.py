@@ -1,4 +1,4 @@
-"""PPO machinery: ratio identity, surrogate-gradient equivalence, toy convergence."""
+"""PPO machinery: ratio identity, surrogate and update gradients, toy convergence."""
 
 import numpy as np
 import pytest
@@ -8,12 +8,13 @@ from qfclab.dynamics import EnvConfig
 from qfclab.rl import distributions as dist
 from qfclab.rl.buffer import compute_gae
 from qfclab.rl.config import PpoConfig
+from qfclab.rl.envs import ScenarioEnv
 from qfclab.rl.nets import Adam, MlpActorCritic, RecurrentActorCritic, zero_grads_like
 from qfclab.rl.ppo import (
     TrainingDiverged,
     _EnvRunner,
     _policy_grad_coeff,
-    _update_mlp_minibatch,
+    _update_minibatch,
     collect_rollout,
     ppo_update,
     sample_action,
@@ -66,12 +67,12 @@ def small_mlp(seed=0, obs_dim=1):
                           gen=RngStream(seed).substream("init").generator())
 
 
-def collect_one(net, env_stream_seed, n_steps=64, obs_dim=1, env_cls=BanditEnv):
+def collect_one(net, env_stream_seed, n_steps=64, env_cls=BanditEnv):
     cfg = PpoConfig(n_steps=n_steps, batch_size=n_steps, total_timesteps=n_steps)
     env = env_cls(RngStream(env_stream_seed).substream("env", 0))
     runner = _EnvRunner(env, net)
     gen = RngStream(env_stream_seed).substream("actions").generator()
-    buffer = collect_rollout([runner], net, cfg, gen, obs_dim)
+    buffer = collect_rollout(runner, net, cfg, gen)
     compute_gae(buffer, cfg.gamma, cfg.gae_lambda)
     return buffer, cfg
 
@@ -91,12 +92,7 @@ class TestRatioIdentity:
         buffer, _ = collect_one(net, 4, env_cls=ParityEnv)
         for seg in buffer.segments:
             obs = buffer.observations[seg.start:seg.end][None, :, :]
-            init = (
-                tuple(part for part in seg.init_state)
-                if seg.init_state is not None
-                else tuple(np.zeros((1, 8)) for _ in range(4))
-            )
-            heads, _, _ = net.sequence_forward(obs, init)
+            heads, _, _ = net.sequence_forward(obs, seg.init_state)
             pre = buffer.pre_squash[seg.start:seg.end]
             stops = buffer.stops[seg.start:seg.end]
             lp = dist.squashed_log_prob(pre, heads[0, :, 0], net.log_std)
@@ -157,7 +153,7 @@ class TestSurrogateGradient:
         buffer.advantages = np.zeros(buffer.size)
         before = {k: v.copy() for k, v in net.params.items()}
         adam = Adam(learning_rate=0.05)
-        _update_mlp_minibatch(net, buffer, np.arange(buffer.size), cfg, adam)
+        _update_minibatch(net, buffer, np.arange(buffer.size), cfg, adam)
         for name in net.params:
             if name.startswith("pi.") or name == "log_std":
                 np.testing.assert_array_equal(net.params[name], before[name])
@@ -173,23 +169,130 @@ class TestSurrogateGradient:
         assert dlp[0] != 0.0  # ratio below 1-c with positive advantage still active
 
 
-class TestSampleAction:
-    def test_deterministic_uses_tanh_mean(self):
-        action, _, pre, stop = sample_action(np.array([0.7]), 0.0, None, True, False)
-        assert action.beta == pytest.approx(np.tanh(0.7))
-        assert pre == 0.7 and stop is False
+class RecordingOptimizer:
+    """Stands in for Adam: records the gradients and leaves the parameters alone."""
 
+    def __init__(self):
+        self.grads = None
+
+    def step(self, params, grads):
+        self.grads = {name: g.copy() for name, g in grads.items()}
+        return 0.0
+
+
+def reference_update_loss(net, buffer, batch, cfg):
+    """policy_loss + c_v*value_loss - c_e*entropy, with the net stepped one row at a time.
+
+    ``batch`` is buffer rows for an MLP and a segment group for an LSTM; each
+    segment replays from its recorded start state, so no padding is involved.
+    """
+    heads, values, rows = [], [], []
+    if net.kind == "lstm":
+        for seg in batch:
+            state = seg.init_state
+            for t in range(seg.start, seg.end):
+                h, v, state = net.step(buffer.observations[t], state)
+                heads.append(h)
+                values.append(v)
+                rows.append(t)
+    else:
+        for t in batch:
+            h, v, _ = net.step(buffer.observations[t], None)
+            heads.append(h)
+            values.append(v)
+            rows.append(t)
+    heads, values, rows = np.array(heads), np.array(values), np.array(rows)
+    log_std = float(net.params["log_std"])
+    lp = dist.squashed_log_prob(buffer.pre_squash[rows], heads[:, 0], log_std)
+    entropy = log_std + 0.5 * (1.0 + np.log(2.0 * np.pi))
+    if net.n_action_outputs == 2:
+        p_stop = 1.0 / (1.0 + np.exp(-heads[:, 1]))
+        stops = buffer.stops[rows]
+        lp = lp + stops * np.log(p_stop) + (1.0 - stops) * np.log(1.0 - p_stop)
+        entropy += np.mean(-p_stop * np.log(p_stop) - (1.0 - p_stop) * np.log(1.0 - p_stop))
+    adv = buffer.advantages[rows]
+    adv = (adv - adv.mean()) / max(float(adv.std()), 1e-8)
+    ratio = np.exp(lp - buffer.log_probs[rows])
+    clipped = np.clip(ratio, 1.0 - cfg.clip_range, 1.0 + cfg.clip_range)
+    policy_loss = -np.mean(np.minimum(ratio * adv, clipped * adv))
+    value_loss = np.mean((values - buffer.returns[rows]) ** 2)
+    return float(policy_loss + cfg.value_coeff * value_loss - cfg.entropy_coeff * entropy)
+
+
+class TestUpdateGradient:
+    """The gradients the real minibatch update hands its optimizer, at ratio one."""
+
+    @staticmethod
+    def second_window(net, kind, seed):
+        # the second rollout window of one runner: its first segment starts
+        # from a carried recurrent state, not from zeros
+        cfg = PpoConfig(n_steps=32, batch_size=32, total_timesteps=64, entropy_coeff=0.05)
+        env = ScenarioEnv(kind, EnvConfig(epsilon=0.1, horizon=6), RngStream(seed))
+        runner = _EnvRunner(env, net)
+        gen = RngStream(seed).substream("actions").generator()
+        collect_rollout(runner, net, cfg, gen)
+        buffer = collect_rollout(runner, net, cfg, gen)
+        compute_gae(buffer, cfg.gamma, cfg.gae_lambda)
+        return buffer, cfg
+
+    @pytest.mark.parametrize("case", ["mlp", "mlp_stop", "lstm_stop"])
+    def test_matches_central_differences_of_the_loss(self, case):
+        gen = RngStream(50).substream(case).generator()
+        if case == "lstm_stop":
+            net = RecurrentActorCritic(obs_dim=2, n_action_outputs=2, hidden=(4,),
+                                       lstm_hidden=3, gen=gen)
+            kind = "qomdp_train"
+        else:
+            net = MlpActorCritic(obs_dim=9, n_action_outputs=1 if case == "mlp" else 2,
+                                 hidden=(4, 4), gen=gen)
+            kind = "mbs_train"
+        net.params["pi.wh"] *= 30.0  # heads away from zero: stops of both kinds
+        buffer, cfg = self.second_window(net, kind, 51)
+        if net.kind == "lstm":
+            batch = buffer.segments
+            assert np.any(batch[0].init_state[0] != 0.0)
+        else:
+            batch = np.random.default_rng(52).permutation(buffer.size)[:24]
+        if net.n_action_outputs == 2:
+            assert 0.0 < buffer.stops.mean() < 1.0
+
+        before = {name: v.copy() for name, v in net.params.items()}
+        optimizer = RecordingOptimizer()
+        _update_minibatch(net, buffer, batch, cfg, optimizer)
+        for name in net.params:
+            np.testing.assert_array_equal(net.params[name], before[name])
+
+        step = 1e-6
+        worst = 0.0
+        for name, value in net.params.items():
+            it = np.nditer(value, flags=["multi_index"])
+            while not it.finished:
+                idx = it.multi_index
+                orig = float(value[idx])
+                value[idx] = orig + step
+                up = reference_update_loss(net, buffer, batch, cfg)
+                value[idx] = orig - step
+                down = reference_update_loss(net, buffer, batch, cfg)
+                value[idx] = orig
+                fd = (up - down) / (2 * step)
+                grad = float(optimizer.grads[name][idx])
+                worst = max(worst, abs(grad - fd) / (1e-6 + abs(fd)))
+                it.iternext()
+        assert worst <= 1e-4
+
+
+class TestSampleAction:
     def test_stop_sampling_rate(self):
         gen = np.random.default_rng(0)
         stops = [
-            sample_action(np.array([0.0, 0.0]), 0.0, gen, False, True)[3]
+            sample_action(np.array([0.0, 0.0]), 0.0, gen, True)[3]
             for _ in range(10_000)
         ]
         assert abs(np.mean(stops) - 0.5) <= 3 * 0.5 / 100
 
     def test_log_prob_is_joint(self):
         action, lp, pre, stop = sample_action(
-            np.array([0.2, 1.5]), -0.3, np.random.default_rng(1), False, True
+            np.array([0.2, 1.5]), -0.3, np.random.default_rng(1), True
         )
         expected = dist.squashed_log_prob(pre, 0.2, -0.3) + dist.bernoulli_log_prob(
             1.0 if stop else 0.0, 1.5
@@ -212,7 +315,7 @@ class TestBanditConvergence:
         gen = np.random.default_rng(99)
         heads = net.step(np.ones(1), None)[0]
         wins = sum(
-            sample_action(heads, net.log_std, gen, False, False)[0].beta > 0
+            sample_action(heads, net.log_std, gen, False)[0].beta > 0
             for _ in range(2000)
         )
         assert wins / 2000 >= 0.95
@@ -264,6 +367,14 @@ class TestTrainMechanics:
         with pytest.raises(ValueError, match="batch_size"):
             PpoConfig(n_steps=256, batch_size=512)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("total_timesteps", -5), ("n_steps", 0), ("batch_size", 0), ("n_epochs", 0)],
+    )
+    def test_out_of_range_counts_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            PpoConfig(**{field: value})
+
     def test_rates_must_be_positive(self):
         with pytest.raises(ValueError, match="positive"):
             PpoConfig(learning_rate=0.0)
@@ -295,7 +406,7 @@ class TestRecurrentMemory:
             done = False
             while not done:
                 heads, _, state = net.step(obs, state)
-                action = sample_action(heads, net.log_std, None, True, False)[0]
+                action = ControlAction(beta=float(np.tanh(heads[0])))
                 obs, reward, done, _ = env.step(action)
             total += reward
         assert total / n >= best_memoryless * 1.2
