@@ -28,10 +28,7 @@ from .channels import (
 from .controllers import (
     BasicTable,
     ControlAction,
-    FullState,
     OpenLoop,
-    Observation,
-    OutcomePair,
     Policy,
     basic_policy,
     derive_basic_gains,
@@ -40,12 +37,9 @@ from .controllers import (
 from .dynamics import (
     EnvConfig,
     EpisodeBatch,
-    EpisodeTrace,
     FilterDivergenceError,
-    StepRecord,
     estimate_average_state,
     filter_update,
-    run_episode,
     run_episodes,
     step_nominal,
     step_true,

@@ -1,13 +1,13 @@
 """Controller policies: the common action interface and the analytic baseline.
 
-A policy maps an observation (a full density operator, or the pair of last
-outcome and last control) to a control action.  Four variants live behind
-one dispatch point: the analytic outcome table, open-loop control sequences,
-and the two actor-critic networks of the rl package, which are policies
-themselves.  Every policy names its ``kind``: ``"mlp"`` networks observe the
-full state, ``"lstm"`` networks the outcome pair plus a beta=0 reset step.
-Observations and actions may carry a leading batch axis, one row per
-episode, and each row is acted on exactly as it would be alone.
+A policy maps what it observes to a control action, and its kind fixes what
+that is: the analytic outcome table reads the last outcome, an open-loop
+sequence the step index, an ``"lstm"`` network the pair of last outcome and
+last control (after a beta=0 reset step), an ``"mlp"`` network the filtered
+state.  The two actor-critic networks of the rl package are policies
+themselves, and :func:`policy_act` is the one dispatch point.  Inputs and
+actions may carry a leading batch axis, one row per episode, and each row is
+acted on exactly as it would be alone.
 """
 
 from __future__ import annotations
@@ -22,29 +22,6 @@ from .qcore import _as_complex_matrix, every
 
 if TYPE_CHECKING:  # the rl package imports this module, so only type checkers look back
     from .rl.nets import MlpActorCritic, RecurrentActorCritic
-
-
-class ObservationKindError(TypeError):
-    """Policy received an observation kind it does not consume."""
-
-
-@dataclass(frozen=True)
-class FullState:
-    """Observation carrying a density operator (estimated or nominal state), or a stack."""
-
-    state: np.ndarray
-
-
-@dataclass(frozen=True)
-class OutcomePair:
-    """Observation carrying only the last measurement outcome and last control
-    (or arrays of them)."""
-
-    last_outcome: int | np.ndarray
-    last_beta: float | np.ndarray
-
-
-Observation = Union[FullState, OutcomePair]
 
 
 @dataclass(frozen=True)
@@ -133,47 +110,38 @@ def believed_outcome(rho0: np.ndarray) -> int:
 
 def policy_act(
     policy: Policy,
-    obs: Observation,
+    last_outcome: int | np.ndarray,
+    last_beta: float | np.ndarray,
+    filtered: np.ndarray | None = None,
     step: int = 0,
     state=None,
 ) -> tuple[ControlAction, object]:
-    """Evaluate a policy deterministically on one observation or a batch of them.
+    """Evaluate a policy deterministically on one episode's inputs or a batch of them.
 
-    Returns the action together with the policy's recurrent state (None for
-    stateless policies; ``state=None`` starts a fresh one).  Networks act on
-    the mean of their control head and stop when the stop logit is positive.
+    Each policy reads the inputs its kind observes (see the module
+    docstring); an MLP needs ``filtered``.  Returns the action together with
+    the policy's recurrent state (None for stateless policies; ``state=None``
+    starts a fresh one).  Networks act on the mean of their control head and
+    stop when the stop logit is positive.
     """
     if isinstance(policy, BasicTable):
-        if not isinstance(obs, OutcomePair):
-            raise ObservationKindError(
-                f"BasicTable consumes OutcomePair observations, got {type(obs).__name__}"
-            )
-        outcome = np.asarray(obs.last_outcome)
+        outcome = np.asarray(last_outcome)
         if not every((outcome >= 0) & (outcome < 3)):
-            raise ValueError(f"outcome {obs.last_outcome} out of range")
+            raise ValueError(f"outcome {last_outcome} out of range")
         return ControlAction(beta=np.asarray(policy.beta_by_outcome)[outcome]), None
 
     if isinstance(policy, OpenLoop):
         return ControlAction(beta=policy.beta_at(step)), None
 
+    from .rl.encoding import encode_outcome_observation, encode_state_observation
+
     kind = getattr(policy, "kind", None)
     if kind == "mlp":
-        if not isinstance(obs, FullState):
-            raise ObservationKindError(
-                f"policy consumes FullState observations, got {type(obs).__name__}"
-            )
-        from .rl.encoding import encode_state_observation
-
-        vec = encode_state_observation(obs.state)
+        if filtered is None:
+            raise ValueError("an mlp policy observes the filtered state; none was given")
+        vec = encode_state_observation(filtered)
     elif kind == "lstm":
-        if not isinstance(obs, OutcomePair):
-            raise ObservationKindError(
-                f"policy consumes OutcomePair observations, got {type(obs).__name__}"
-            )
-        vec = np.stack(
-            [np.asarray(obs.last_outcome, dtype=float), np.asarray(obs.last_beta, dtype=float)],
-            axis=-1,
-        )
+        vec = encode_outcome_observation(last_outcome, last_beta)
     else:
         raise TypeError(f"unknown policy type {type(policy).__name__}")
     heads, state = policy.policy_step(vec, state)

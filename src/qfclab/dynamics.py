@@ -11,10 +11,12 @@ system's outcomes (control first, then conditioning, matching the true
 dynamics' operator ordering).  Each step law takes one state or a stack of
 states, and the outcome sampler takes one uniform draw per state.
 
-:func:`run_episodes` advances all episodes of a batch together on stacks of
-states.  Every episode draws from its own generator, one uniform per step in
-the order a lone run draws them, so an episode with identical (config,
-policy, seed, stream) is bit-identical whatever batch or thread runs it.
+:func:`run_episodes` validates a policy, advancing all episodes of a batch
+together on stacks of states; the policy's kind decides what it observes
+(see :mod:`qfclab.controllers`).  Every episode draws from its own
+generator, one uniform per step in the order a lone run draws them, so an
+episode with identical (config, policy, seed, stream) is bit-identical
+whatever batch or thread runs it.
 """
 
 from __future__ import annotations
@@ -25,11 +27,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import channels as ch
-from .controllers import FullState, OutcomePair, Policy, believed_outcome, policy_act
+from .controllers import Policy, believed_outcome, policy_act
 from .qcore import basis_state, every, fidelity_pure_target, require_density
 from .rngstream import RngStream
-
-OBSERVATION_MODES = ("filtered_state", "outcome_history")
 
 #: most episodes :func:`run_episodes` steps together; bounds the n x 9 x 3 x 3
 #: Kraus temporary of the depolarizing channel and the per-step records
@@ -158,34 +158,6 @@ def filter_update(
 
 
 @dataclass(frozen=True)
-class StepRecord:
-    """Per-step snapshot of one episode."""
-
-    t: int
-    beta: float
-    outcome: int
-    true_state: np.ndarray
-    aux_state: np.ndarray | None
-    fidelity_true: float
-
-
-@dataclass(frozen=True)
-class EpisodeTrace:
-    """Ordered per-step records plus episode-level outcomes."""
-
-    config: EnvConfig
-    records: tuple[StepRecord, ...]
-    initial_fidelity: float
-    terminal_fidelity: float
-    stop_step: int | None = None
-    terminal_outcome: int | None = None
-
-    def fidelity_curve(self) -> np.ndarray:
-        """Running true-state fidelity, index 0 = initial state."""
-        return np.array([self.initial_fidelity] + [r.fidelity_true for r in self.records])
-
-
-@dataclass(frozen=True)
 class EpisodeBatch:
     """Results of consecutive episodes, one row each.
 
@@ -193,10 +165,10 @@ class EpisodeBatch:
     the initial state), held at its last value after a stop.  ``stop_step``
     and ``terminal_outcome`` read -1 for an episode that never stopped.  Step
     t is recorded in column t - 1 of ``betas``, ``outcomes``, ``true_states``
-    and ``aux_states`` (the filtered state; None without one): a stopped
-    episode has ``stop_step`` records, any other ``horizon``.  An aborted
-    episode (filter divergence) is frozen where it diverged, and its other
-    entries mean nothing.
+    and ``aux_states`` (the filtered state of an MLP policy, None for the
+    others): a stopped episode has ``stop_step`` records, any other
+    ``horizon``.  An aborted episode (filter divergence) is frozen where it
+    diverged, and its other entries mean nothing.
     """
 
     fidelity: np.ndarray  # (n, horizon + 1)
@@ -216,32 +188,28 @@ def _rows(policy_state, keep: np.ndarray):
 
 
 def run_episodes(
-    policy: Policy,
-    cfg: EnvConfig,
-    streams: Sequence[RngStream],
-    observation_mode: str = "outcome_history",
+    policy: Policy, cfg: EnvConfig, streams: Sequence[RngStream]
 ) -> Iterator[EpisodeBatch]:
     """Validate a policy on one episode of the true noisy dynamics per stream.
 
     Yields one :class:`EpisodeBatch` per run of at most ``BATCH_EPISODES``
-    consecutive streams, in stream order.  ``observation_mode`` picks what
-    the policy sees: a filtered state conditioned on the real outcomes, or the
-    last outcome and control (recurrent policies then start with a forced
-    beta=0 step, so their first observation is a real outcome).  Fidelity is
-    always that of the TRUE state, and every true state is checked to be a
-    density operator.  A stop action ends its episode and triggers the
-    terminal projective measurement, recorded apart from the fidelity.
+    consecutive streams, in stream order.  An MLP policy sees a filtered
+    state conditioned on the real outcomes; the others see the last outcome
+    and control, and an LSTM starts with a forced beta=0 step, so its first
+    observation is a real outcome.  Fidelity is always that of the TRUE state,
+    and every true state is checked to be a density operator.  A stop action
+    ends its episode and triggers the terminal projective measurement,
+    recorded apart from the fidelity.
     """
-    if observation_mode not in OBSERVATION_MODES:
-        raise ValueError(f"unknown observation mode {observation_mode!r}")
     for start in range(0, len(streams), BATCH_EPISODES):
-        yield _run_batch(policy, cfg, streams[start:start + BATCH_EPISODES], observation_mode)
+        yield _run_batch(policy, cfg, streams[start:start + BATCH_EPISODES])
 
 
-def _run_batch(policy, cfg: EnvConfig, streams, observation_mode: str) -> EpisodeBatch:
+def _run_batch(policy, cfg: EnvConfig, streams) -> EpisodeBatch:
     """One :class:`EpisodeBatch` of :func:`run_episodes`, all episodes in lockstep."""
     n, horizon, target = len(streams), cfg.horizon, cfg.target_index
-    filtered = observation_mode == "filtered_state"
+    filtered = policy.kind == "mlp"
+    forced_reset = policy.kind == "lstm"
     # a step, or a stop's terminal measurement, takes the episode's next uniform:
     # the one at index t for a decision taken at step t
     draws = np.array([stream.generator().random(horizon) for stream in streams])
@@ -261,18 +229,16 @@ def _run_batch(policy, cfg: EnvConfig, streams, observation_mode: str) -> Episod
 
     live = np.arange(n)
     policy_state = None
-    forced_reset = observation_mode == "outcome_history" and policy.kind == "lstm"
     t = 0
     while t < horizon and live.size:
         if forced_reset and t == 0:
             # forced beta=0 first step: the agent's first observation is a real outcome
             beta = np.zeros(live.size)
         else:
-            obs = (
-                FullState(state=aux[live]) if filtered
-                else OutcomePair(last_outcome=last_outcome[live], last_beta=last_beta[live])
+            action, policy_state = policy_act(
+                policy, last_outcome[live], last_beta[live],
+                filtered=aux[live] if filtered else None, step=t, state=policy_state,
             )
-            action, policy_state = policy_act(policy, obs, step=t, state=policy_state)
             beta = np.broadcast_to(action.beta, live.shape)
             stop = np.broadcast_to(action.stop, live.shape)
             if stop.any():
@@ -318,54 +284,15 @@ def _run_batch(policy, cfg: EnvConfig, streams, observation_mode: str) -> Episod
     )
 
 
-def run_episode(
-    policy: Policy,
-    cfg: EnvConfig,
-    rng: RngStream,
-    observation_mode: str = "outcome_history",
-) -> EpisodeTrace:
-    """One episode of :func:`run_episodes` as a trace of per-step records.
-
-    Raises :class:`FilterDivergenceError` when the filter diverged.
-    """
-    batch = next(run_episodes(policy, cfg, [rng], observation_mode))
-    if batch.aborted[0]:
-        raise FilterDivergenceError(
-            f"filter assigned zero probability to a real outcome in episode {rng}"
-        )
-    stop_step = int(batch.stop_step[0])
-    n_records = stop_step if stop_step >= 0 else cfg.horizon
-    records = tuple(
-        StepRecord(
-            t=k + 1,
-            beta=float(batch.betas[0, k]),
-            outcome=int(batch.outcomes[0, k]),
-            true_state=batch.true_states[0, k],
-            aux_state=None if batch.aux_states is None else batch.aux_states[0, k],
-            fidelity_true=float(batch.fidelity[0, k + 1]),
-        )
-        for k in range(n_records)
-    )
-    terminal_outcome = int(batch.terminal_outcome[0])
-    return EpisodeTrace(
-        config=cfg,
-        records=records,
-        initial_fidelity=float(batch.fidelity[0, 0]),
-        terminal_fidelity=float(batch.fidelity[0, n_records]),
-        stop_step=stop_step if stop_step >= 0 else None,
-        terminal_outcome=terminal_outcome if terminal_outcome >= 0 else None,
-    )
-
-
 def estimate_average_state(
     policy: Policy, cfg: EnvConfig, n: int, rng: RngStream
 ) -> np.ndarray:
     """Monte-Carlo mean of the final true state over n independent episodes.
 
-    The episodes observe outcome histories and draw from the substreams
-    ("avg", i) of ``rng``.  For outcome-independent control sequences this
-    converges at O(1/sqrt(n)) to the deterministic outcome-averaged (CPTP)
-    iteration of the dynamics.
+    The episodes run through :func:`run_episodes` and draw from the
+    substreams ("avg", i) of ``rng``.  For outcome-independent control
+    sequences this converges at O(1/sqrt(n)) to the deterministic
+    outcome-averaged (CPTP) iteration of the dynamics.
     """
     if n < 1:
         raise ValueError(f"episode count must be >= 1, got {n}")

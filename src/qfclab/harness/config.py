@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+from ..rl.config import PpoConfig
+
 VALID_SCENARIOS = ("basic", "mbs", "dbs", "qomdp")
 VALID_NOISES = ("depolarizing", "amplitude_damping", "random_permutation")
 
@@ -65,8 +67,11 @@ class SweepConfig:
             raise ConfigError("horizon must be >= 1")
         if not 0.0 < self.f_star <= 1.0:
             raise ConfigError("f_star must lie in (0, 1]")
-        if self.train_timesteps < 0:
-            raise ConfigError("train_timesteps must be >= 0")
+        if self.train_timesteps < PpoConfig.n_steps:
+            raise ConfigError(
+                f"train_timesteps must cover one {PpoConfig.n_steps}-step rollout, "
+                f"got {self.train_timesteps}"
+            )
 
 
 def table_defaults() -> SweepConfig:

@@ -20,7 +20,7 @@ from ..dynamics import EnvConfig, run_episodes
 from ..rngstream import RngStream, hash_label, mix64
 from ..rl.checkpoint import load_policy, save_policy
 from ..rl.ppo import default_ppo_config, train
-from .config import SweepConfig
+from .config import ConfigError, SweepConfig
 
 
 class MissingCheckpointError(FileNotFoundError):
@@ -55,12 +55,6 @@ def cell_seed(master_seed: int, scenario: str, noise: str, alpha: float, epsilon
     return mix64(master_seed, hash_label(label))
 
 
-def observation_mode_for(policy: Policy) -> str:
-    """Validation observations per scenario: filtered state for feed-forward
-    networks, raw outcomes for table, open-loop and recurrent policies."""
-    return "filtered_state" if policy.kind == "mlp" else "outcome_history"
-
-
 def evaluate(
     policy: Policy,
     env_cfg: EnvConfig,
@@ -85,7 +79,7 @@ def evaluate(
     unreached = 0
     aborted = 0
     curve_sum = np.zeros(env_cfg.horizon + 1)
-    for batch in run_episodes(policy, env_cfg, streams, observation_mode_for(policy)):
+    for batch in run_episodes(policy, env_cfg, streams):
         aborted += int(batch.aborted.sum())
         curves = batch.fidelity[~batch.aborted]
         terminal.append(curves[:, -1])
@@ -170,12 +164,18 @@ def _evaluate_cell(args) -> CellResult:
 
 
 def worker_count() -> int:
-    """Parallelism cap from QFC_THREADS (default 1 = run inline)."""
+    """Parallelism cap from QFC_THREADS (unset: 1, run inline).
+
+    Raises :class:`ConfigError` for anything but an integer >= 1.
+    """
     raw = os.environ.get("QFC_THREADS", "1")
     try:
-        return max(1, int(raw))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ConfigError(f"QFC_THREADS must be an integer >= 1, got {raw!r}")
+    return workers
 
 
 def sweep(cfg: SweepConfig, resume_results: dict[tuple, CellResult] | None = None):
@@ -187,6 +187,7 @@ def sweep(cfg: SweepConfig, resume_results: dict[tuple, CellResult] | None = Non
     front, then cells evaluate independently, in parallel when QFC_THREADS
     allows.
     """
+    workers = worker_count()  # a bad QFC_THREADS fails before any training
     resume_results = resume_results or {}
     jobs = []
     results: dict[tuple, CellResult] = {}
@@ -204,7 +205,6 @@ def sweep(cfg: SweepConfig, resume_results: dict[tuple, CellResult] | None = Non
                         (scenario, noise, alpha, epsilon, source,
                          cfg.episodes, cfg.horizon, cfg.f_star, seed)
                     )
-    workers = worker_count()
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for cell in pool.map(_evaluate_cell, jobs):

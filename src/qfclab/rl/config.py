@@ -28,6 +28,11 @@ class PpoConfig:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.total_timesteps < 0:
             raise ValueError(f"total_timesteps must be non-negative, got {self.total_timesteps}")
+        if 0 < self.total_timesteps < self.n_steps:
+            raise ValueError(
+                f"total_timesteps {self.total_timesteps} is below one {self.n_steps}-step "
+                "rollout, so nothing would train"
+            )
         if self.batch_size > self.n_steps:
             raise ValueError(
                 f"batch_size {self.batch_size} exceeds rollout size {self.n_steps}"

@@ -1,4 +1,4 @@
-"""Lossless real-vector encoding of a Hermitian state for network input."""
+"""Real-vector network inputs: a Hermitian state, or the last outcome and control."""
 
 from __future__ import annotations
 
@@ -19,6 +19,15 @@ def encode_state_observation(rho: np.ndarray) -> np.ndarray:
     """
     flat = np.ascontiguousarray(rho, dtype=complex).view(float)
     return np.take(flat.reshape(rho.shape[:-2] + (18,)), _ENCODED_POSITIONS, axis=-1)
+
+
+def encode_outcome_observation(
+    last_outcome: int | np.ndarray, last_beta: float | np.ndarray
+) -> np.ndarray:
+    """The pair (last outcome, last control) as 2 floats (arrays (n,) into (n, 2))."""
+    return np.stack(
+        [np.asarray(last_outcome, dtype=float), np.asarray(last_beta, dtype=float)], axis=-1
+    )
 
 
 def decode_state_observation(vec: np.ndarray) -> np.ndarray:

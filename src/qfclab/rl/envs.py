@@ -21,9 +21,9 @@ from ..controllers import ControlAction
 from ..dynamics import EnvConfig, _sample_outcome, filter_update, step_nominal, step_true
 from ..qcore import fidelity_pure_target
 from ..rngstream import RngStream
-from .encoding import encode_state_observation
+from .encoding import encode_outcome_observation, encode_state_observation
 
-SCENARIO_KINDS = ("mbs_train", "dbs_train", "qomdp_train")
+SCENARIO_KINDS = ("mbs", "dbs", "qomdp")
 
 
 def mb_db_reward(rho_obs: np.ndarray, cfg: EnvConfig) -> float:
@@ -48,9 +48,9 @@ class ScenarioEnv:
             raise ValueError(f"unknown scenario kind {kind!r}")
         self.kind = kind
         # model-based and measurement-only training exclude the noise map
-        self.cfg = cfg.with_alpha(0.0) if kind in ("mbs_train", "qomdp_train") else cfg
+        self.cfg = cfg.with_alpha(0.0) if kind in ("mbs", "qomdp") else cfg
         self.stream = stream
-        self.obs_dim = 2 if kind == "qomdp_train" else 9
+        self.obs_dim = 2 if kind == "qomdp" else 9
         self.episode_index = -1
         self._gen: np.random.Generator | None = None
         self._done = True
@@ -58,8 +58,8 @@ class ScenarioEnv:
     # -- helpers --
 
     def _observe(self) -> np.ndarray:
-        if self.kind == "qomdp_train":
-            return np.array([float(self._last_outcome), float(self._last_beta)])
+        if self.kind == "qomdp":
+            return encode_outcome_observation(self._last_outcome, self._last_beta)
         return encode_state_observation(self._model_state)
 
     # -- gym-style surface --
@@ -72,7 +72,7 @@ class ScenarioEnv:
         self._true = self.cfg.initial_state
         self._model_state = self.cfg.initial_state  # nominal or filtered, by kind
         self._last_beta = 0.0
-        if self.kind == "qomdp_train":
+        if self.kind == "qomdp":
             # forced beta=0 first step: the very first observation is a real outcome
             self._true, self._last_outcome = step_nominal(
                 self._true, 0.0, self.cfg, self._gen.random()
@@ -85,23 +85,23 @@ class ScenarioEnv:
         if self._done:
             raise RuntimeError("step() called on a finished episode; reset() first")
         info: dict = {}
-        if self.kind == "qomdp_train":
+        if self.kind == "qomdp":
             return self._step_qomdp(action, info)
 
         beta = action.beta
         self._t += 1
         done = self._t >= self.cfg.horizon
-        if self.kind == "mbs_train":
+        if self.kind == "mbs":
             self._model_state, outcome = step_nominal(
                 self._model_state, beta, self.cfg, self._gen.random()
             )
-        else:  # dbs_train: true dynamics plus a filter on real outcomes
+        else:  # dbs: true dynamics plus a filter on real outcomes
             self._true, outcome = step_true(self._true, beta, self.cfg, self._gen.random())
             self._model_state = filter_update(self._model_state, beta, outcome, self.cfg)
         reward = mb_db_reward(self._model_state, self.cfg)
         self._done = done
         info["outcome"] = outcome
-        if self.kind == "dbs_train":  # model-based training simulates no true system
+        if self.kind == "dbs":  # model-based training simulates no true system
             info["true_fidelity"] = fidelity_pure_target(self._true, self.cfg.target_index)
         return self._observe(), reward, done, info
 

@@ -299,9 +299,6 @@ class RecurrentActorCritic:
         _lstm_backward(self.params, "vf_lstm", self.lstm_hidden, vf_caches, dh_vf_seq, grads)
 
 
-ActorCritic = MlpActorCritic | RecurrentActorCritic
-
-
 @dataclass
 class Adam:
     """Adam with global gradient-norm clipping (the cited implementation's defaults)."""

@@ -19,7 +19,7 @@ from ..rngstream import RngStream
 from . import distributions as dist
 from .buffer import RolloutBuffer, Segment, compute_gae
 from .config import QOMDP_LEARNING_RATE, PpoConfig
-from .envs import ScenarioEnv
+from .envs import SCENARIO_KINDS, ScenarioEnv
 from .nets import Adam, MlpActorCritic, RecurrentActorCritic, validate_params, zero_grads_like
 
 log = logging.getLogger(__name__)
@@ -232,9 +232,6 @@ def default_ppo_config(scenario: str, **overrides) -> PpoConfig:
     return PpoConfig(**base)
 
 
-SCENARIO_TO_ENV_KIND = {"mbs": "mbs_train", "dbs": "dbs_train", "qomdp": "qomdp_train"}
-
-
 def train(
     scenario: str,
     env_cfg: EnvConfig,
@@ -250,7 +247,7 @@ def train(
     environment, optionally with a matching ``net``; that is how the toy-task
     tests drive the same loop.
     """
-    if scenario not in SCENARIO_TO_ENV_KIND and env_factory is None:
+    if scenario not in SCENARIO_KINDS and env_factory is None:
         raise ValueError(f"unknown scenario {scenario!r}")
     root = RngStream(seed)
     if net is None:
@@ -261,7 +258,7 @@ def train(
 
     env_stream = root.substream("env", 0)
     if env_factory is None:
-        env = ScenarioEnv(SCENARIO_TO_ENV_KIND[scenario], env_cfg, env_stream)
+        env = ScenarioEnv(scenario, env_cfg, env_stream)
     else:
         env = env_factory(env_stream)
     runner = _EnvRunner(env, net)

@@ -18,7 +18,7 @@ from qfclab.channels import (
     terminal_measurement,
 )
 from qfclab.controllers import basic_policy, derive_basic_gains, transfer_probability
-from qfclab.dynamics import EnvConfig, estimate_average_state, run_episode
+from qfclab.dynamics import EnvConfig, estimate_average_state, run_episodes
 from qfclab.harness.config import SweepConfig, TABLE_ALPHAS, TABLE_EPSILONS
 from qfclab.harness.evaluate import evaluate, sweep
 from qfclab.harness.report import parse_results_csv, render_results_csv
@@ -134,12 +134,11 @@ def test_criterion_05_filter_truth_coincidence():
     worst = 0.0
     for net_seed in range(10):
         net = MlpActorCritic(obs_dim=9, gen=RngStream(9000 + net_seed).generator())
-        for episode in range(10):
-            trace = run_episode(
-                net, cfg, RngStream(9100 + net_seed, episode), "filtered_state"
-            )
-            for record in trace.records:
-                worst = max(worst, float(np.max(np.abs(record.aux_state - record.true_state))))
+        (batch,) = run_episodes(
+            net, cfg, [RngStream(9100 + net_seed, episode) for episode in range(10)]
+        )
+        assert not batch.aborted.any()
+        worst = max(worst, float(np.max(np.abs(batch.aux_states - batch.true_states))))
     check(5, "filter-truth coincidence", worst <= 1e-12, f"max deviation {worst:.2e}")
 
 
@@ -247,26 +246,24 @@ def test_criterion_07_ppo_machinery():
     )
 
 
+def terminal_fidelities(policy, cfg, seed, n=200):
+    """Terminal true fidelity of the episodes RngStream(seed, i), i < n."""
+    (batch,) = run_episodes(policy, cfg, [RngStream(seed, i) for i in range(n)])
+    assert not batch.aborted.any()
+    return batch.fidelity[:, -1]
+
+
 def test_criterion_08_mbs_end_to_end(mbs_agent):
     cfg = EnvConfig(noise_kind="depolarizing", alpha=0.0, epsilon=0.1, horizon=20)
-    fids = [
-        run_episode(mbs_agent, cfg, RngStream(777, i), "filtered_state").terminal_fidelity
-        for i in range(200)
-    ]
+    fids = terminal_fidelities(mbs_agent, cfg, 777)
     mean_fid = float(np.mean(fids))
     check(8, "model-based agent end-to-end", mean_fid >= 0.85, f"mean fidelity {mean_fid:.4f}")
 
 
 def test_criterion_09_robustness_ordering_soft(mbs_agent):
     cfg = EnvConfig(noise_kind="random_permutation", alpha=0.3, epsilon=0.1, horizon=20)
-    f_mbs = float(np.mean([
-        run_episode(mbs_agent, cfg, RngStream(42, i), "filtered_state").terminal_fidelity
-        for i in range(200)
-    ]))
-    f_basic = float(np.mean([
-        run_episode(basic_policy(), cfg, RngStream(42, i), "outcome_history").terminal_fidelity
-        for i in range(200)
-    ]))
+    f_mbs = float(np.mean(terminal_fidelities(mbs_agent, cfg, 42)))
+    f_basic = float(np.mean(terminal_fidelities(basic_policy(), cfg, 42)))
     check(
         9, "robustness ordering (soft)",
         f_mbs >= f_basic - 0.05,

@@ -118,6 +118,15 @@ class TestTrainEvalRoundTrip:
         assert "total_timesteps" in capsys.readouterr().err
         assert not ckpt.exists()
 
+    def test_budget_below_one_rollout_is_config_error(self, tmp_path, capsys):
+        ckpt = tmp_path / "mbs.ckpt"
+        code = main([
+            "train", "--scenario", "mbs", "--timesteps", "100", "--out", str(ckpt),
+        ])
+        assert code == EXIT_CONFIG
+        assert "total_timesteps" in capsys.readouterr().err
+        assert not ckpt.exists()
+
 
 class TestSweepCommand:
     def test_sweep_writes_report_files(self, tmp_path, capsys):
@@ -163,6 +172,20 @@ class TestSweepCommand:
         cfg.write_text(text)
         assert main(["sweep", "--config", str(cfg)]) == EXIT_CONFIG
         assert "train_timesteps" in capsys.readouterr().err
+
+    def test_training_budget_below_one_rollout_is_config_error(self, tmp_path, capsys):
+        cfg = write_sweep_config(tmp_path, tmp_path / "out", tmp_path / "ck")
+        text = cfg.read_text().replace("[output]", "train_timesteps = 100\n[output]")
+        cfg.write_text(text)
+        assert main(["sweep", "--config", str(cfg)]) == EXIT_CONFIG
+        assert "train_timesteps" in capsys.readouterr().err
+
+    def test_malformed_thread_count_is_config_error(self, tmp_path, capsys, monkeypatch):
+        cfg = write_sweep_config(tmp_path, tmp_path / "out", tmp_path / "ck")
+        monkeypatch.setenv("QFC_THREADS", "abc")
+        assert main(["sweep", "--config", str(cfg)]) == EXIT_CONFIG
+        assert "QFC_THREADS" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_desk_scale_flag_shrinks_grid(self, tmp_path, capsys):
         cfg = write_sweep_config(tmp_path, tmp_path / "out", tmp_path / "ck")

@@ -5,10 +5,7 @@ import pytest
 
 from qfclab.controllers import (
     ControlAction,
-    FullState,
-    ObservationKindError,
     OpenLoop,
-    OutcomePair,
     basic_policy,
     believed_outcome,
     derive_basic_gains,
@@ -16,20 +13,21 @@ from qfclab.controllers import (
     transfer_probability,
 )
 from qfclab.qcore import basis_state, maximally_mixed
+from qfclab.rl.nets import MlpActorCritic
 
 
 class TestBasicPolicy:
     def test_outcome_two_holds_still(self):
-        action, _ = policy_act(basic_policy(), OutcomePair(2, 0.0))
+        action, _ = policy_act(basic_policy(), 2, 0.0)
         assert action.beta == 0.0
         assert action.stop is False
 
     def test_outcome_zero_drives_full_pulse(self):
-        action, _ = policy_act(basic_policy(), OutcomePair(0, 0.0))
+        action, _ = policy_act(basic_policy(), 0, 0.0)
         assert action.beta == 1.0
 
     def test_outcome_one_drives_full_pulse(self):
-        action, _ = policy_act(basic_policy(), OutcomePair(1, 0.0))
+        action, _ = policy_act(basic_policy(), 1, 0.0)
         assert action.beta == 1.0
 
     def test_memoryless_in_history(self):
@@ -37,12 +35,8 @@ class TestBasicPolicy:
         p = basic_policy()
         for last_beta in (-1.0, 0.0, 0.5):
             for outcome in range(3):
-                action, _ = policy_act(p, OutcomePair(outcome, last_beta))
+                action, _ = policy_act(p, outcome, last_beta)
                 assert action.beta == p.beta_by_outcome[outcome]
-
-    def test_full_state_observation_rejected(self):
-        with pytest.raises(ObservationKindError, match="OutcomePair"):
-            policy_act(basic_policy(), FullState(maximally_mixed()))
 
 
 class TestDeriveBasicGains:
@@ -78,10 +72,24 @@ class TestControlAction:
 class TestOpenLoop:
     def test_sequence_indexing_and_hold(self):
         p = OpenLoop(betas=(1.0, -0.5))
-        a0, _ = policy_act(p, OutcomePair(0, 0.0), step=0)
-        a1, _ = policy_act(p, OutcomePair(1, 0.0), step=1)
-        a5, _ = policy_act(p, OutcomePair(2, 0.0), step=5)
+        a0, _ = policy_act(p, 0, 0.0, step=0)
+        a1, _ = policy_act(p, 1, 0.0, step=1)
+        a5, _ = policy_act(p, 2, 0.0, step=5)
         assert (a0.beta, a1.beta, a5.beta) == (1.0, -0.5, -0.5)
+
+
+class TestNetworkPolicies:
+    def test_mlp_reads_the_filtered_state_not_the_outcome_pair(self):
+        net = MlpActorCritic(obs_dim=9, gen=np.random.default_rng(3))
+        rho = maximally_mixed()
+        a, _ = policy_act(net, 0, 0.0, filtered=rho)
+        b, _ = policy_act(net, 2, -1.0, filtered=rho)
+        assert a.beta == b.beta
+
+    def test_mlp_without_filtered_state_rejected(self):
+        net = MlpActorCritic(obs_dim=9, gen=np.random.default_rng(3))
+        with pytest.raises(ValueError, match="filtered state"):
+            policy_act(net, 0, 0.0)
 
 
 class TestBelievedOutcome:

@@ -10,7 +10,7 @@ from qfclab.dynamics import (
     FilterDivergenceError,
     estimate_average_state,
     filter_update,
-    run_episode,
+    run_episodes,
     step_nominal,
     step_true,
 )
@@ -147,15 +147,19 @@ class TestFilterUpdate:
             assert np.max(np.abs(rho - rho_hat)) <= 1e-12
 
 
+def run_batch(policy, cfg, seed, n=1):
+    """The episodes of RngStream(seed, i), i < n, as one batch."""
+    (batch,) = run_episodes(policy, cfg, [RngStream(seed, i) for i in range(n)])
+    return batch
+
+
 class TestRunEpisode:
     def test_basic_controller_reaches_target_noiselessly(self):
         expected_steps, absorbed = basic_controller_chain(20)
         cfg = make_cfg()
-        hits = 0
         n = 1000
-        for i in range(n):
-            trace = run_episode(basic_policy(), cfg, RngStream(100, i))
-            hits += trace.terminal_fidelity == pytest.approx(1.0, abs=1e-9)
+        terminal = run_batch(basic_policy(), cfg, 100, n).fidelity[:, -1]
+        hits = sum(f == pytest.approx(1.0, abs=1e-9) for f in terminal)
         p20 = absorbed[-1]
         assert hits / n >= 0.99
         assert hits / n == pytest.approx(p20, abs=3 * np.sqrt(p20 * (1 - p20) / n))
@@ -163,45 +167,41 @@ class TestRunEpisode:
     def test_zero_policy_goes_nowhere(self):
         cfg = make_cfg()
         zero = BasicTable(beta_by_outcome=(0.0, 0.0, 0.0))
-        for i in range(20):
-            trace = run_episode(zero, cfg, RngStream(101, i))
-            assert trace.terminal_fidelity == 0.0
+        assert np.all(run_batch(zero, cfg, 101, 20).fidelity[:, -1] == 0.0)
 
     def test_full_depolarization_pins_mean_fidelity_at_one_third(self):
         cfg = make_cfg(alpha=1.0, epsilon=0.1)
-        fids = [
-            run_episode(basic_policy(), cfg, RngStream(102, i)).terminal_fidelity
-            for i in range(1000)
-        ]
+        fids = run_batch(basic_policy(), cfg, 102, 1000).fidelity[:, -1]
         assert np.mean(fids) == pytest.approx(1 / 3, abs=0.02)
 
     def test_reproducibility_is_bit_identical(self):
         cfg = make_cfg(alpha=0.4, epsilon=0.2, noise_kind="random_permutation")
-        a = run_episode(basic_policy(), cfg, RngStream(55, 7))
-        b = run_episode(basic_policy(), cfg, RngStream(55, 7))
-        assert [r.outcome for r in a.records] == [r.outcome for r in b.records]
-        for ra, rb in zip(a.records, b.records):
-            assert np.array_equal(ra.true_state, rb.true_state)
-            assert ra.beta == rb.beta
+        (a,) = run_episodes(basic_policy(), cfg, [RngStream(55, 7)])
+        (b,) = run_episodes(basic_policy(), cfg, [RngStream(55, 7)])
+        assert np.array_equal(a.outcomes, b.outcomes)
+        assert np.array_equal(a.true_states, b.true_states)
+        assert np.array_equal(a.betas, b.betas)
 
     def test_records_are_contiguous_and_fidelity_consistent(self):
         cfg = make_cfg(alpha=0.3, epsilon=0.15, horizon=15)
-        trace = run_episode(basic_policy(), cfg, RngStream(56, 0))
-        assert [r.t for r in trace.records] == list(range(1, 16))
-        for r in trace.records:
-            assert r.fidelity_true == pytest.approx(r.true_state[2, 2].real, abs=1e-12)
-        assert len(trace.fidelity_curve()) == 16
+        batch = run_batch(basic_policy(), cfg, 56)
+        assert batch.fidelity.shape == (1, 16)
+        assert batch.stop_step[0] == -1 and not batch.aborted[0]
+        np.testing.assert_allclose(
+            batch.fidelity[0, 1:], batch.true_states[0, :, 2, 2].real, rtol=0, atol=1e-12
+        )
 
-    def test_mismatched_observation_mode_raises(self):
-        from qfclab.controllers import ObservationKindError
+    def test_only_an_mlp_policy_observes_a_filtered_state(self):
+        from qfclab.rl.nets import MlpActorCritic, RecurrentActorCritic
 
-        cfg = make_cfg(epsilon=0.1)
-        with pytest.raises(ObservationKindError):
-            run_episode(basic_policy(), cfg, RngStream(58, 0), "filtered_state")
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="observation mode"):
-            run_episode(basic_policy(), make_cfg(), RngStream(59, 0), "psychic")
+        cfg = make_cfg(epsilon=0.1, horizon=4)
+        gen = RngStream(57).generator()
+        mlp = MlpActorCritic(obs_dim=9, gen=gen)
+        lstm = RecurrentActorCritic(obs_dim=2, n_action_outputs=2, hidden=(8,),
+                                    lstm_hidden=4, gen=gen)
+        assert run_batch(mlp, cfg, 58, 3).aux_states.shape == (3, 4, 3, 3)
+        for policy in (basic_policy(), OpenLoop(betas=(1.0,)), lstm):
+            assert run_batch(policy, cfg, 58, 3).aux_states is None
 
 
 class TestFilteredEpisodes:
@@ -211,10 +211,9 @@ class TestFilteredEpisodes:
 
         net = MlpActorCritic(obs_dim=9, gen=RngStream(404).generator())
         cfg = make_cfg(alpha=0.0, epsilon=0.1, horizon=20)
-        for i in range(10):
-            trace = run_episode(net, cfg, RngStream(405, i), "filtered_state")
-            for record in trace.records:
-                assert np.max(np.abs(record.aux_state - record.true_state)) <= 1e-12
+        batch = run_batch(net, cfg, 405, 10)
+        assert not batch.aborted.any()
+        assert np.max(np.abs(batch.aux_states - batch.true_states)) <= 1e-12
 
 
 class TestEstimateAverageState:

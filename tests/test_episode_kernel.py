@@ -22,7 +22,6 @@ from qfclab.channels import (
 )
 from qfclab.controllers import BasicTable, basic_policy, believed_outcome
 from qfclab.dynamics import EnvConfig, run_episodes
-from qfclab.harness.evaluate import observation_mode_for
 from qfclab.qcore import fidelity_pure_target
 from qfclab.rl.encoding import encode_state_observation
 from qfclab.rl.nets import MlpActorCritic, RecurrentActorCritic
@@ -51,8 +50,14 @@ def _reference_act(policy, rho_obs, last_outcome, last_beta, state):
     return float(np.tanh(heads[0])), stop, state
 
 
-def reference_episode(policy, cfg, stream, mode):
-    """(curve held after a stop, outcomes, stop step, terminal outcome, aborted)."""
+def reference_episode(policy, cfg, stream):
+    """(curve held after a stop, outcomes, stop step, terminal outcome, aborted).
+
+    An MLP observes the filtered state, the other policies the last outcome
+    and control, an LSTM after a forced beta=0 first step.
+    """
+    filtered = policy.kind == "mlp"
+    forced_reset = policy.kind == "lstm"
     gen = stream.generator()
     channel = make_channel(cfg.noise_kind, cfg.alpha)
     m = imprecise_measurement(cfg.epsilon)
@@ -64,7 +69,6 @@ def reference_episode(policy, cfg, stream, mode):
     state = policy.initial_state() if hasattr(policy, "initial_state") else None
     last_outcome, last_beta = believed_outcome(rho), 0.0
     t = 0
-    forced_reset = mode == "outcome_history" and policy.kind == "lstm"
     while t < cfg.horizon:
         if forced_reset and t == 0:
             beta, stop = 0.0, False
@@ -81,7 +85,7 @@ def reference_episode(policy, cfg, stream, mode):
         post = u @ apply_channel(channel, rho) @ u.conj().T
         outcome = _scan_outcome(outcome_probabilities(m, post), gen)
         rho = condition_on_outcome(m, post, outcome)
-        if mode == "filtered_state":
+        if filtered:
             try:
                 aux = condition_on_outcome(m, u @ aux @ u.conj().T, outcome)
             except ConditioningError:
@@ -129,11 +133,10 @@ def test_each_batched_episode_equals_it_run_alone_and_the_reference_loop(kind, c
         noise_kind=case["noise"], alpha=case["alpha"], epsilon=case["epsilon"],
         horizon=case["horizon"],
     )
-    mode = observation_mode_for(policy)
     streams = [RngStream(case["seed"], i) for i in range(case["n"])]
-    (batch,) = run_episodes(policy, cfg, streams, mode)
+    (batch,) = run_episodes(policy, cfg, streams)
     for i, stream in enumerate(streams):
-        (alone,) = run_episodes(policy, cfg, [stream], mode)
+        (alone,) = run_episodes(policy, cfg, [stream])
         assert np.array_equal(batch.fidelity[i], alone.fidelity[0], equal_nan=True)
         assert np.array_equal(batch.outcomes[i], alone.outcomes[0])
         assert batch.stop_step[i] == alone.stop_step[0]
@@ -141,7 +144,7 @@ def test_each_batched_episode_equals_it_run_alone_and_the_reference_loop(kind, c
         assert batch.aborted[i] == alone.aborted[0]
 
         curve, outcomes, stop_step, terminal_outcome, aborted = reference_episode(
-            policy, cfg, stream, mode
+            policy, cfg, stream
         )
         assert batch.aborted[i] == aborted
         if aborted:

@@ -22,6 +22,7 @@ from qfclab.harness.evaluate import (
     steps_to_threshold,
     sweep,
     threshold_alpha,
+    worker_count,
 )
 from qfclab.harness.report import (
     emit_report,
@@ -99,6 +100,12 @@ class TestSweepConfig:
     def test_negative_training_budget_rejected(self):
         with pytest.raises(ConfigError, match="train_timesteps"):
             SweepConfig(train_timesteps=-5)
+
+    @pytest.mark.parametrize("budget", [0, 100, 511])
+    def test_training_budget_below_one_rollout_rejected(self, budget):
+        with pytest.raises(ConfigError, match="train_timesteps"):
+            SweepConfig(train_timesteps=budget)
+        assert SweepConfig(train_timesteps=512).train_timesteps == 512
 
 
 class TestCellSeed:
@@ -328,6 +335,19 @@ class TestSweep:
         assert path.endswith("mbs_eps0.1.ckpt")
         # second resolution reuses the trained file
         assert resolve_policy("mbs", "depolarizing", 0.2, 0.1, cfg) == path
+
+    @pytest.mark.parametrize("raw", ["abc", "0", "-4"])
+    def test_malformed_thread_count_fails_before_training(self, tmp_path, monkeypatch, raw):
+        cfg = self.small_cfg(tmp_path, scenarios=("mbs",), train_on_demand=True,
+                             train_timesteps=512)
+        monkeypatch.setenv("QFC_THREADS", raw)
+        with pytest.raises(ConfigError, match="QFC_THREADS"):
+            sweep(cfg)
+        assert not (tmp_path / "ckpts").exists()
+
+    def test_unset_thread_count_runs_inline(self, monkeypatch):
+        monkeypatch.delenv("QFC_THREADS", raising=False)
+        assert worker_count() == 1
 
     def test_parallel_workers_reproduce_serial_results(self, tmp_path, monkeypatch):
         cfg = self.small_cfg(tmp_path, alphas=(0.0, 0.4, 0.8))

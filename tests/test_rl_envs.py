@@ -57,7 +57,7 @@ class TestRewards:
             qomdp_reward(True, None, True, 2)
 
 
-@pytest.mark.parametrize("kind", ["mbs_train", "qomdp_train"])
+@pytest.mark.parametrize("kind", ["mbs", "qomdp"])
 def test_noiseless_training_kinds_never_apply_a_channel(monkeypatch, kind):
     def fail(*args, **kwargs):
         raise AssertionError("noise map applied")
@@ -75,7 +75,7 @@ class TestMbsTrainEnv:
         # identical trajectories regardless of the configured alpha
         runs = []
         for alpha in (0.0, 0.5):
-            env = ScenarioEnv("mbs_train", make_cfg(alpha=alpha), RngStream(9))
+            env = ScenarioEnv("mbs", make_cfg(alpha=alpha), RngStream(9))
             obs = env.reset()
             history = [obs.copy()]
             done = False
@@ -86,14 +86,14 @@ class TestMbsTrainEnv:
         np.testing.assert_array_equal(runs[0], runs[1])
 
     def test_reward_is_observed_state_fidelity(self):
-        env = ScenarioEnv("mbs_train", make_cfg(), RngStream(10))
+        env = ScenarioEnv("mbs", make_cfg(), RngStream(10))
         env.reset()
         obs, reward, _, _ = env.step(ControlAction(beta=1.0))
         assert reward == pytest.approx(obs[2])
 
     def test_info_reports_no_true_fidelity(self):
         # the nominal model is all there is: no true system to report on
-        env = ScenarioEnv("mbs_train", make_cfg(), RngStream(11))
+        env = ScenarioEnv("mbs", make_cfg(), RngStream(11))
         env.reset()
         done = False
         while not done:
@@ -102,7 +102,7 @@ class TestMbsTrainEnv:
             assert "true_fidelity" not in info
 
     def test_episode_length_is_horizon(self):
-        env = ScenarioEnv("mbs_train", make_cfg(horizon=7), RngStream(12))
+        env = ScenarioEnv("mbs", make_cfg(horizon=7), RngStream(12))
         env.reset()
         steps = 0
         done = False
@@ -116,7 +116,7 @@ class TestMbsTrainEnv:
 
 class TestDbsTrainEnv:
     def test_filtered_equals_true_without_noise(self):
-        env = ScenarioEnv("dbs_train", make_cfg(alpha=0.0), RngStream(13))
+        env = ScenarioEnv("dbs", make_cfg(alpha=0.0), RngStream(13))
         env.reset()
         done = False
         while not done:
@@ -127,8 +127,8 @@ class TestDbsTrainEnv:
     def test_noise_uses_configured_alpha(self):
         # with alpha=1 depolarizing, observed filtered state diverges from a
         # noiseless model run under the same seed
-        noiseless = ScenarioEnv("dbs_train", make_cfg(alpha=0.0), RngStream(14))
-        noisy = ScenarioEnv("dbs_train", make_cfg(alpha=1.0), RngStream(14))
+        noiseless = ScenarioEnv("dbs", make_cfg(alpha=0.0), RngStream(14))
+        noisy = ScenarioEnv("dbs", make_cfg(alpha=1.0), RngStream(14))
         obs0, obs1 = noiseless.reset(), noisy.reset()
         fid0, fid1 = [], []
         for _ in range(10):
@@ -141,18 +141,18 @@ class TestDbsTrainEnv:
 
 class TestQomdpTrainEnv:
     def test_reset_gives_outcome_and_zero_beta(self):
-        env = ScenarioEnv("qomdp_train", make_cfg(), RngStream(15))
+        env = ScenarioEnv("qomdp", make_cfg(), RngStream(15))
         obs = env.reset()
         assert obs.shape == (2,)
         assert obs[0] in (0.0, 1.0, 2.0)
         assert obs[1] == 0.0
 
     def test_noise_forced_off_in_training(self):
-        env = ScenarioEnv("qomdp_train", make_cfg(alpha=0.9), RngStream(16))
+        env = ScenarioEnv("qomdp", make_cfg(alpha=0.9), RngStream(16))
         assert env.cfg.alpha == 0.0
 
     def test_running_reward_is_zero_then_timeout_penalty(self):
-        env = ScenarioEnv("qomdp_train", make_cfg(horizon=5), RngStream(17))
+        env = ScenarioEnv("qomdp", make_cfg(horizon=5), RngStream(17))
         env.reset()
         rewards = []
         done = False
@@ -166,7 +166,7 @@ class TestQomdpTrainEnv:
         # drive deterministically: from |0>, outcome 2 given epsilon=0.1 is
         # reachable; instead start at the target to make the check exact
         env = ScenarioEnv(
-            "qomdp_train", make_cfg(initial_state=basis_state(2)), RngStream(18)
+            "qomdp", make_cfg(initial_state=basis_state(2)), RngStream(18)
         )
         env.reset()
         _, reward, done, info = env.step(ControlAction(beta=0.0, stop=True))
@@ -174,14 +174,14 @@ class TestQomdpTrainEnv:
 
     def test_stop_off_target_earns_minus_one(self):
         env = ScenarioEnv(
-            "qomdp_train", make_cfg(initial_state=basis_state(0)), RngStream(19)
+            "qomdp", make_cfg(initial_state=basis_state(0)), RngStream(19)
         )
         env.reset()
         _, reward, done, info = env.step(ControlAction(beta=0.0, stop=True))
         assert done and reward == -1.0 and info["l_last"] == 0
 
     def test_observation_carries_last_action(self):
-        env = ScenarioEnv("qomdp_train", make_cfg(), RngStream(20))
+        env = ScenarioEnv("qomdp", make_cfg(), RngStream(20))
         env.reset()
         obs, _, _, info = env.step(ControlAction(beta=0.625, stop=False))
         assert obs[1] == 0.625

@@ -241,11 +241,11 @@ class TestUpdateGradient:
         if case == "lstm_stop":
             net = RecurrentActorCritic(obs_dim=2, n_action_outputs=2, hidden=(4,),
                                        lstm_hidden=3, gen=gen)
-            kind = "qomdp_train"
+            kind = "qomdp"
         else:
             net = MlpActorCritic(obs_dim=9, n_action_outputs=1 if case == "mlp" else 2,
                                  hidden=(4, 4), gen=gen)
-            kind = "mbs_train"
+            kind = "mbs"
         net.params["pi.wh"] *= 30.0  # heads away from zero: stops of both kinds
         buffer, cfg = self.second_window(net, kind, 51)
         if net.kind == "lstm":
@@ -369,7 +369,8 @@ class TestTrainMechanics:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("total_timesteps", -5), ("n_steps", 0), ("batch_size", 0), ("n_epochs", 0)],
+        [("total_timesteps", -5), ("n_steps", 0), ("batch_size", 0), ("n_epochs", 0),
+         ("total_timesteps", 1), ("total_timesteps", 511)],
     )
     def test_out_of_range_counts_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):

@@ -6,7 +6,7 @@ that each scenario's training loop actually learns on its own environment.
 
 import numpy as np
 
-from qfclab.dynamics import EnvConfig, run_episode
+from qfclab.dynamics import EnvConfig, run_episodes
 from qfclab.rl.ppo import default_ppo_config, train
 from qfclab.rngstream import RngStream
 
@@ -43,8 +43,9 @@ class TestDbsTraining:
         cfg = default_ppo_config("dbs", total_timesteps=10 * 512)
         env_cfg = EnvConfig(noise_kind="random_permutation", alpha=0.3, epsilon=0.1)
         net, _ = train("dbs", env_cfg, cfg, seed=6)
-        trace = run_episode(net, env_cfg, RngStream(1, 0), "filtered_state")
-        assert len(trace.records) == env_cfg.horizon
+        (batch,) = run_episodes(net, env_cfg, [RngStream(1, 0)])
+        assert not batch.aborted[0] and batch.stop_step[0] == -1
+        assert np.isfinite(batch.fidelity[0]).all()
 
 
 class TestQomdpTraining:
@@ -54,13 +55,9 @@ class TestQomdpTraining:
         env_cfg = EnvConfig(noise_kind="depolarizing", alpha=0.0, epsilon=0.1, horizon=20)
         cfg = default_ppo_config("qomdp", total_timesteps=120 * 512)
         policy, curve = train("qomdp", env_cfg, cfg, seed=777)
-        on_target = 0
-        stopped = 0
-        for i in range(200):
-            trace = run_episode(policy, env_cfg, RngStream(555, i), "outcome_history")
-            if trace.stop_step is not None:
-                stopped += 1
-                on_target += trace.terminal_outcome == 2
+        (batch,) = run_episodes(policy, env_cfg, [RngStream(555, i) for i in range(200)])
+        stopped = int(np.sum(batch.stop_step >= 0))
+        on_target = int(np.sum(batch.terminal_outcome == 2))
         assert on_target / 200 >= 0.80
-        # the trace records where the stop happened and what the terminal read
+        # the batch records where the stop happened and what the terminal read
         assert stopped > 0
