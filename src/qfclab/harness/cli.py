@@ -14,10 +14,16 @@ from ..channels import ConditioningError
 from ..controllers import basic_policy
 from ..dynamics import EnvConfig
 from ..qcore import DimensionError, StateValidityError
-from ..rl.checkpoint import load_policy, save_policy
-from ..rl.ppo import default_ppo_config, train
+from ..rl.checkpoint import load_policy
 from .config import ConfigError, desk_scale, parse_config_file
-from .evaluate import CellResult, MissingCheckpointError, evaluate, sweep, threshold_alpha
+from .evaluate import (
+    CellResult,
+    MissingCheckpointError,
+    evaluate,
+    sweep,
+    threshold_alpha,
+    train_checkpoint,
+)
 from .report import emit_report, parse_results_csv, render_results_csv
 
 EXIT_OK = 0
@@ -75,15 +81,8 @@ def _cmd_train(args) -> int:
     env_cfg = EnvConfig(
         noise_kind=args.noise, alpha=args.alpha, epsilon=args.epsilon, horizon=args.horizon
     )
-    ppo_cfg = default_ppo_config(args.scenario, total_timesteps=args.timesteps)
-    net, curve = train(args.scenario, env_cfg, ppo_cfg, args.seed)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    save_policy(
-        out, net, args.scenario,
-        {"noise": args.noise, "alpha": args.alpha, "epsilon": args.epsilon,
-         "seed": args.seed, "timesteps": args.timesteps},
-    )
+    curve = train_checkpoint(args.scenario, env_cfg, args.timesteps, args.seed, out)
     curve_path = out.with_suffix(out.suffix + ".curve.csv")
     lines = ["update_index,timesteps,mean_episode_reward,policy_loss,value_loss,entropy"]
     for row in curve:

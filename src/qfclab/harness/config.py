@@ -118,6 +118,13 @@ def _str_list(value: str) -> tuple[str, ...]:
     return tuple(v.strip() for v in value.split(",") if v.strip())
 
 
+def _parse_value(key: str, value: str, parse):
+    try:
+        return parse(value)
+    except ValueError as exc:
+        raise ConfigError(f"bad value for {key!r}: {value!r} ({exc})") from None
+
+
 def parse_config_file(path) -> SweepConfig:
     """Load a sweep config, starting from the full-grid defaults."""
     text = Path(path).read_text()
@@ -142,10 +149,7 @@ def parse_config_file(path) -> SweepConfig:
         if key not in parsers:
             raise ConfigError(f"unknown key {key!r} in [sweep]")
         field_name, parse = parsers[key]
-        try:
-            kw[field_name] = parse(value)
-        except ValueError as exc:
-            raise ConfigError(f"bad value for {key!r}: {value!r} ({exc})") from None
+        kw[field_name] = _parse_value(key, value, parse)
     ckpt_section = sections.get("checkpoints", {})
     for key, value in ckpt_section.items():
         if key == "dir":
@@ -155,7 +159,7 @@ def parse_config_file(path) -> SweepConfig:
                 raise ConfigError(f"bad boolean {value!r} for train_on_demand")
             kw["train_on_demand"] = _BOOL[value.lower()]
         elif key == "train_timesteps":
-            kw["train_timesteps"] = int(value)
+            kw["train_timesteps"] = _parse_value(key, value, int)
         else:
             raise ConfigError(f"unknown key {key!r} in [checkpoints]")
     out_section = sections.get("output", {})

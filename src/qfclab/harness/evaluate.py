@@ -2,14 +2,21 @@
 
 Every cell's randomness is keyed by (master seed, scenario, noise, alpha,
 epsilon) through a documented splitmix64 mix, so cells are order-independent:
-any single deleted cell recomputes bit-identically, and worker parallelism
-(capped by the QFC_THREADS environment variable) cannot change results.
+any single deleted cell recomputes bit-identically.  Every agent trained on
+demand is seeded from the master seed and its checkpoint name.  The sweep
+trains the missing agents, then evaluates the cells, both in one pool of
+worker processes capped by the QFC_THREADS environment variable; neither the
+worker count nor the schedule can change a checkpoint or a result.
 """
 
 from __future__ import annotations
 
+import itertools
+import logging
 import os
+import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,6 +28,8 @@ from ..rngstream import RngStream, hash_label, mix64
 from ..rl.checkpoint import load_policy, save_policy
 from ..rl.ppo import default_ppo_config, train
 from .config import ConfigError, SweepConfig
+
+log = logging.getLogger(__name__)
 
 
 class MissingCheckpointError(FileNotFoundError):
@@ -125,35 +134,50 @@ def checkpoint_name(scenario: str, noise: str, alpha: float, epsilon: float) -> 
     return f"dbs_{noise}_alpha{alpha:g}_eps{epsilon:g}.ckpt"
 
 
-def _train_agent(scenario, noise, alpha, epsilon, cfg: SweepConfig, path: Path) -> None:
-    train_seed = mix64(cfg.master_seed, hash_label(f"train|{path.name}"))
-    env_cfg = EnvConfig(
-        noise_kind=noise, alpha=alpha, epsilon=epsilon, horizon=cfg.horizon
-    )
-    ppo_cfg = default_ppo_config(scenario, total_timesteps=cfg.train_timesteps)
-    net, _ = train(scenario, env_cfg, ppo_cfg, train_seed)
+def train_checkpoint(
+    scenario: str, env_cfg: EnvConfig, timesteps: int, seed: int, path
+) -> list[dict]:
+    """Train one agent at the appendix defaults and save it to ``path``.
+
+    The checkpoint records the noise, alpha, epsilon, seed and timesteps it was
+    trained with; returns the training curve rows.
+    """
+    ppo_cfg = default_ppo_config(scenario, total_timesteps=timesteps)
+    net, curve = train(scenario, env_cfg, ppo_cfg, seed)
+    path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     save_policy(
         path, net, scenario,
-        {"noise": noise, "alpha": alpha, "epsilon": epsilon,
-         "seed": train_seed, "timesteps": cfg.train_timesteps},
+        {"noise": env_cfg.noise_kind, "alpha": env_cfg.alpha, "epsilon": env_cfg.epsilon,
+         "seed": seed, "timesteps": timesteps},
     )
+    return curve
 
 
 def resolve_policy(scenario, noise, alpha, epsilon, cfg: SweepConfig) -> Policy | str:
-    """Return the basic policy, or the checkpoint path for an RL scenario
-    (training it first when allowed)."""
+    """Return the basic policy, or the checkpoint path for an RL scenario.
+
+    Raises :class:`MissingCheckpointError` when the checkpoint is absent and
+    training on demand is off; :func:`sweep` trains absent ones otherwise.
+    """
     if scenario == "basic":
         return basic_policy()
     path = Path(cfg.checkpoint_dir) / checkpoint_name(scenario, noise, alpha, epsilon)
-    if not path.exists():
-        if not cfg.train_on_demand:
-            raise MissingCheckpointError(
-                f"cell ({scenario}, {noise}, alpha={alpha:g}, epsilon={epsilon:g}) "
-                f"needs checkpoint {path}; enable train_on_demand or train it first"
-            )
-        _train_agent(scenario, noise, alpha, epsilon, cfg, path)
+    if not cfg.train_on_demand and not path.exists():
+        raise MissingCheckpointError(
+            f"cell ({scenario}, {noise}, alpha={alpha:g}, epsilon={epsilon:g}) "
+            f"needs checkpoint {path}; enable train_on_demand or train it first"
+        )
     return str(path)
+
+
+def _train_agent(args) -> tuple[str, int, float]:
+    """Pool job: train one missing agent; returns (checkpoint name, timesteps, wall s)."""
+    scenario, noise, alpha, epsilon, horizon, timesteps, seed, path = args
+    start = time.perf_counter()
+    env_cfg = EnvConfig(noise_kind=noise, alpha=alpha, epsilon=epsilon, horizon=horizon)
+    curve = train_checkpoint(scenario, env_cfg, timesteps, seed, path)
+    return Path(path).name, curve[-1]["timesteps"], time.perf_counter() - start
 
 
 def _evaluate_cell(args) -> CellResult:
@@ -178,40 +202,53 @@ def worker_count() -> int:
     return workers
 
 
+def _run_jobs(pool: ProcessPoolExecutor | None, job, args: list):
+    """Run one phase in the pool, or inline when there is no pool or one job;
+    yields the results in job order as they complete."""
+    if pool is None or len(args) < 2:
+        return map(job, args)
+    return pool.map(job, args)
+
+
 def sweep(cfg: SweepConfig, resume_results: dict[tuple, CellResult] | None = None):
     """Evaluate every (scenario, noise, alpha, epsilon) cell of the grid.
 
     ``resume_results`` maps cell keys to already-completed results, which are
     returned as-is (cells are seed-keyed by identity, so recomputing any one
-    reproduces it exactly).  RL checkpoints are resolved (or trained) up
-    front, then cells evaluate independently, in parallel when QFC_THREADS
-    allows.
+    reproduces it exactly).
+
+    The grid is planned first: a missing checkpoint with training on demand
+    off raises :class:`MissingCheckpointError` before anything runs.  Then
+    the missing agents train, each checkpoint once (an mbs or qomdp agent
+    serves every noise and alpha of its epsilon), and finally the cells
+    evaluate.  Both phases share one pool of up to QFC_THREADS worker
+    processes; a phase with a single job runs inline.
     """
     workers = worker_count()  # a bad QFC_THREADS fails before any training
     resume_results = resume_results or {}
-    jobs = []
     results: dict[tuple, CellResult] = {}
-    for scenario in cfg.scenarios:
-        for noise in cfg.noises:
-            for alpha in cfg.alphas:
-                for epsilon in cfg.epsilons:
-                    key = (scenario, noise, alpha, epsilon)
-                    if key in resume_results:
-                        results[key] = resume_results[key]
-                        continue
-                    source = resolve_policy(scenario, noise, alpha, epsilon, cfg)
-                    seed = cell_seed(cfg.master_seed, scenario, noise, alpha, epsilon)
-                    jobs.append(
-                        (scenario, noise, alpha, epsilon, source,
-                         cfg.episodes, cfg.horizon, cfg.f_star, seed)
-                    )
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for cell in pool.map(_evaluate_cell, jobs):
-                results[cell.key()] = cell
-    else:
-        for job in jobs:
-            cell = _evaluate_cell(job)
+    agents: dict[str, tuple] = {}  # missing checkpoint -> job of its first cell
+    cells = []
+    for key in itertools.product(cfg.scenarios, cfg.noises, cfg.alphas, cfg.epsilons):
+        if key in resume_results:
+            results[key] = resume_results[key]
+            continue
+        scenario, noise, alpha, epsilon = key
+        source = resolve_policy(scenario, noise, alpha, epsilon, cfg)
+        if isinstance(source, str) and source not in agents and not Path(source).exists():
+            train_seed = mix64(cfg.master_seed, hash_label(f"train|{Path(source).name}"))
+            agents[source] = (scenario, noise, alpha, epsilon, cfg.horizon,
+                              cfg.train_timesteps, train_seed, source)
+        seed = cell_seed(cfg.master_seed, scenario, noise, alpha, epsilon)
+        cells.append(
+            (scenario, noise, alpha, epsilon, source, cfg.episodes, cfg.horizon, cfg.f_star, seed)
+        )
+    size = min(workers, max(len(agents), len(cells)))
+    with ProcessPoolExecutor(max_workers=size) if size > 1 else nullcontext() as pool:
+        for name, timesteps, wall in _run_jobs(pool, _train_agent, list(agents.values())):
+            log.info("trained %s: %d timesteps in %.2f s (%.0f timesteps/s)",
+                     name, timesteps, wall, timesteps / wall)
+        for cell in _run_jobs(pool, _evaluate_cell, cells):
             results[cell.key()] = cell
     return [results[k] for k in sorted(results)]
 

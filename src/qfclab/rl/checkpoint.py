@@ -19,6 +19,7 @@ bytes of every tensor in manifest order.  Example::
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +42,12 @@ def _parse_shape(text: str) -> tuple[int, ...]:
 
 
 def save_policy(path, net, scenario: str, metadata: dict | None = None) -> None:
-    """Write the network parameters plus provenance metadata."""
+    """Write the network parameters plus provenance metadata.
+
+    The bytes go to a temporary file beside ``path``, named after this
+    process, that is then renamed over it: an interrupted write never leaves
+    a partial checkpoint where a later run would take it for a whole one.
+    """
     validate_params(net.params)
     lines = [FORMAT_VERSION, f"kind {net.kind}", f"scenario {scenario}"]
     lines.append(f"obs_dim {net.obs_dim}")
@@ -58,7 +64,16 @@ def save_policy(path, net, scenario: str, metadata: dict | None = None) -> None:
     payload = b"".join(
         np.ascontiguousarray(net.params[name], dtype="<f8").tobytes() for name in names
     )
-    Path(path).write_bytes("\n".join(lines).encode("ascii") + b"\n" + payload)
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as handle:
+            handle.write("\n".join(lines).encode("ascii") + b"\n")
+            handle.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_policy(path):

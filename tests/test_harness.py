@@ -1,5 +1,12 @@
 """Harness: config grammar, evaluation statistics, thresholds, report files."""
 
+import hashlib
+import importlib
+import logging
+import multiprocessing
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -32,8 +39,13 @@ from qfclab.harness.report import (
     render_thresholds_csv,
 )
 from qfclab.qcore import basis_state
+from qfclab.rl.checkpoint import save_policy
+from qfclab.rl.ppo import TrainingDiverged
 
 from oracles import basic_controller_chain
+
+# the module, which the package's ``evaluate`` function shadows as an attribute
+evaluate_module = importlib.import_module("qfclab.harness.evaluate")
 
 
 class TestSweepConfig:
@@ -85,6 +97,12 @@ class TestSweepConfig:
         path = tmp_path / "c.cfg"
         path.write_text("[sweep]\nwarp_factor = 9\n")
         with pytest.raises(ConfigError, match="warp_factor"):
+            parse_config_file(path)
+
+    def test_bad_training_budget_names_the_key(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_text("[checkpoints]\ntrain_timesteps = abc\n")
+        with pytest.raises(ConfigError, match="bad value for 'train_timesteps': 'abc'"):
             parse_config_file(path)
 
     def test_key_outside_section_rejected(self, tmp_path):
@@ -327,13 +345,18 @@ class TestSweep:
         with pytest.raises(MissingCheckpointError, match="mbs_eps0.1.ckpt"):
             sweep(cfg)
 
-    def test_resolve_policy_trains_on_demand(self, tmp_path):
+    def test_sweep_trains_on_demand_once_then_reuses(self, tmp_path, monkeypatch):
         cfg = self.small_cfg(
             tmp_path, scenarios=("mbs",), train_on_demand=True, train_timesteps=512,
         )
         path = resolve_policy("mbs", "depolarizing", 0.0, 0.1, cfg)
         assert path.endswith("mbs_eps0.1.ckpt")
-        # second resolution reuses the trained file
+        assert not Path(path).exists()  # resolving never trains
+        first = sweep(cfg)
+        assert sorted(p.name for p in (tmp_path / "ckpts").iterdir()) == ["mbs_eps0.1.ckpt"]
+        # the second sweep reuses the trained file
+        monkeypatch.setattr(evaluate_module, "train", None)
+        assert render_results_csv(sweep(cfg)) == render_results_csv(first)
         assert resolve_policy("mbs", "depolarizing", 0.2, 0.1, cfg) == path
 
     @pytest.mark.parametrize("raw", ["abc", "0", "-4"])
@@ -357,3 +380,82 @@ class TestSweep:
         # NaN-valued fields defeat dataclass equality; compare the rendering
         assert render_results_csv(parallel) == render_results_csv(serial)
         assert render_curves_csv(parallel) == render_curves_csv(serial)
+
+
+def _digests(directory: Path) -> dict[str, str]:
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in directory.iterdir()}
+
+
+class TestTrainOnDemand:
+    """Missing agents train in the QFC_THREADS pool before the cells evaluate."""
+
+    def cfg(self, tmp_path, label, **kw):
+        defaults = dict(
+            scenarios=("mbs", "dbs"),
+            noises=("depolarizing", "amplitude_damping"),
+            alphas=(0.0, 0.5),
+            epsilons=(0.1,),
+            episodes=10,
+            horizon=6,
+            master_seed=21,
+            checkpoint_dir=str(tmp_path / label),
+            train_on_demand=True,
+            train_timesteps=512,
+        )
+        defaults.update(kw)
+        return SweepConfig(**defaults)
+
+    @staticmethod
+    def count_saves(monkeypatch, log_path: Path):
+        """Record every checkpoint write in a file, which forked workers share."""
+        def save(path, *args, **kwargs):
+            with open(log_path, "a") as log:
+                log.write(Path(path).name + "\n")
+            return save_policy(path, *args, **kwargs)
+
+        monkeypatch.setattr(evaluate_module, "save_policy", save)
+
+    def test_each_agent_trains_once_and_identically_at_any_worker_count(
+        self, tmp_path, monkeypatch, caplog
+    ):
+        caplog.set_level(logging.INFO, logger="qfclab.harness.evaluate")
+        runs = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("QFC_THREADS", threads)
+            saves = tmp_path / f"saves{threads}.txt"
+            self.count_saves(monkeypatch, saves)
+            results = sweep(self.cfg(tmp_path, f"ckpts{threads}"))
+            digests = _digests(tmp_path / f"ckpts{threads}")
+            # one mbs agent for the epsilon, shared by all four of its cells;
+            # one dbs agent per (noise, alpha)
+            assert len(digests) == 5
+            assert sorted(saves.read_text().splitlines()) == sorted(digests)
+            runs[threads] = (digests, render_results_csv(results), render_curves_csv(results))
+        assert runs["2"] == runs["1"]
+        trained = [r.getMessage() for r in caplog.records]
+        trained = [m for m in trained if m.startswith("trained ")]
+        assert len(trained) == 10
+        assert all("512 timesteps in" in m and "timesteps/s" in m for m in trained)
+
+    def test_training_failure_in_a_worker_surfaces(self, tmp_path, monkeypatch):
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("the patched train() reaches workers only by fork")
+        parent = os.getpid()
+
+        def diverge(*args, **kwargs):
+            where = "parent" if os.getpid() == parent else "worker"
+            raise TrainingDiverged(f"update 0 (timestep 0): non-finite loss nan in {where}")
+
+        monkeypatch.setattr(evaluate_module, "train", diverge)
+        monkeypatch.setenv("QFC_THREADS", "2")
+        with pytest.raises(TrainingDiverged, match="non-finite loss nan in worker"):
+            sweep(self.cfg(tmp_path, "ckpts", scenarios=("dbs",)))
+        assert not (tmp_path / "ckpts").exists()
+
+    def test_missing_checkpoints_raise_before_any_write(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("QFC_THREADS", "2")
+        cfg = self.cfg(tmp_path, "ckpts", train_on_demand=False)
+        with pytest.raises(MissingCheckpointError,
+                           match=r"\(mbs, depolarizing, alpha=0, epsilon=0.1\).*mbs_eps0.1.ckpt"):
+            sweep(cfg)
+        assert not (tmp_path / "ckpts").exists()

@@ -1,10 +1,12 @@
 """Checkpoint round-trips for both network kinds."""
 
+import errno
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from qfclab.rl import checkpoint
 from qfclab.rl.checkpoint import CheckpointError, load_policy, save_policy
 from qfclab.rl.nets import MlpActorCritic, RecurrentActorCritic
 from qfclab.rngstream import RngStream
@@ -80,3 +82,48 @@ class TestCheckpointRoundTrip:
         (tmp_path / "bad.ckpt").write_bytes(b"qfc-ckpt-9\nblob\n")
         with pytest.raises(CheckpointError, match="version"):
             load_policy(tmp_path / "bad.ckpt")
+
+
+class _DiskFillsUp:
+    """A file whose second write stores a few bytes, then fails."""
+
+    def __init__(self, handle):
+        self.handle = handle
+        self.writes = 0
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes == 2:
+            self.handle.write(data[:16])
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self.handle.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.handle.close()
+
+
+class TestAtomicWrite:
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(
+            checkpoint, "open", lambda *a: _DiskFillsUp(open(*a)), raising=False
+        )
+        net = MlpActorCritic(obs_dim=9, gen=RngStream(9).generator())
+        with pytest.raises(OSError, match="No space"):
+            save_policy(tmp_path / "p.ckpt", net, "mbs", {})
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_write_keeps_the_previous_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "p.ckpt"
+        save_policy(path, MlpActorCritic(obs_dim=9, gen=RngStream(9).generator()), "mbs", {})
+        before = path.read_bytes()
+        monkeypatch.setattr(
+            checkpoint, "open", lambda *a: _DiskFillsUp(open(*a)), raising=False
+        )
+        net = MlpActorCritic(obs_dim=9, gen=RngStream(10).generator())
+        with pytest.raises(OSError, match="No space"):
+            save_policy(path, net, "mbs", {})
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_bytes() == before
