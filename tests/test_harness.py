@@ -345,7 +345,8 @@ class TestSweep:
         with pytest.raises(MissingCheckpointError, match="mbs_eps0.1.ckpt"):
             sweep(cfg)
 
-    def test_sweep_trains_on_demand_once_then_reuses(self, tmp_path, monkeypatch):
+    def test_resolve_policy_trains_on_demand(self, tmp_path, monkeypatch):
+        """A missing checkpoint is trained once by the sweep, then reused."""
         cfg = self.small_cfg(
             tmp_path, scenarios=("mbs",), train_on_demand=True, train_timesteps=512,
         )
