@@ -28,7 +28,6 @@ from .channels import (
 from .controllers import (
     BasicTable,
     ControlAction,
-    OpenLoop,
     Policy,
     basic_policy,
     derive_basic_gains,
@@ -41,7 +40,6 @@ from .dynamics import (
     estimate_average_state,
     filter_update,
     run_episodes,
-    step_nominal,
     step_true,
 )
 from .rngstream import RngStream

@@ -1,8 +1,8 @@
 """Controller policies: the common action interface and the analytic baseline.
 
 A policy maps what it observes to a control action, and its kind fixes what
-that is: the analytic outcome table reads the last outcome, an open-loop
-sequence the step index, an ``"lstm"`` network the pair of last outcome and
+that is: the analytic outcome table reads the last outcome (a constant table
+is an open-loop control), an ``"lstm"`` network the pair of last outcome and
 last control (after a beta=0 reset step), an ``"mlp"`` network the filtered
 state.  The two actor-critic networks of the rl package are policies
 themselves, and :func:`policy_act` is the one dispatch point.  Inputs and
@@ -50,20 +50,7 @@ class BasicTable:
                 raise ValueError(f"table beta {b} outside [-1, 1]")
 
 
-@dataclass(frozen=True)
-class OpenLoop:
-    """Outcome-independent control sequence, held at its last value past the end."""
-
-    betas: tuple[float, ...]
-    kind: ClassVar[str] = "open_loop"
-
-    def beta_at(self, step: int) -> float:
-        if not self.betas:
-            return 0.0
-        return self.betas[min(step, len(self.betas) - 1)]
-
-
-Policy = Union[BasicTable, OpenLoop, "MlpActorCritic", "RecurrentActorCritic"]
+Policy = Union[BasicTable, "MlpActorCritic", "RecurrentActorCritic"]
 
 
 def basic_policy() -> BasicTable:
@@ -113,7 +100,6 @@ def policy_act(
     last_outcome: int | np.ndarray,
     last_beta: float | np.ndarray,
     filtered: np.ndarray | None = None,
-    step: int = 0,
     state=None,
 ) -> tuple[ControlAction, object]:
     """Evaluate a policy deterministically on one episode's inputs or a batch of them.
@@ -129,9 +115,6 @@ def policy_act(
         if not every((outcome >= 0) & (outcome < 3)):
             raise ValueError(f"outcome {last_outcome} out of range")
         return ControlAction(beta=np.asarray(policy.beta_by_outcome)[outcome]), None
-
-    if isinstance(policy, OpenLoop):
-        return ControlAction(beta=policy.beta_at(step)), None
 
     from .rl.encoding import encode_outcome_observation, encode_state_observation
 

@@ -1,15 +1,17 @@
-"""True, nominal, and filtering dynamics of the feedback loop, plus the episode kernel.
+"""True and filtering dynamics of the feedback loop, plus the episode kernel.
 
 One step of the true system is noise, then the control unitary, then a
 sampled generalized measurement with conditioning:
 
     rho(t+1) = M_l  U_beta  N_alpha(rho(t)) U_beta^dag  M_l^dag / p(l)
 
-The nominal law drops the noise map and samples outcomes from its own
-statistics; the filtering law drops the noise map but conditions on the real
-system's outcomes (control first, then conditioning, matching the true
-dynamics' operator ordering).  Each step law takes one state or a stack of
-states, and the outcome sampler takes one uniform draw per state.
+At alpha = 0 every noise family is the identity and the map is skipped, so
+the noise-free (nominal) law that model-based and measurement-only training
+run is :func:`step_true` at alpha = 0.  The filtering law drops the noise map
+but conditions on the real system's outcomes (control first, then
+conditioning, matching the true dynamics' operator ordering).  Each step law
+takes one state or a stack of states, and the outcome samplers take one
+uniform draw per state.
 
 :func:`run_episodes` validates a policy, advancing all episodes of a batch
 together on stacks of states; the policy's kind decides what it observes
@@ -70,6 +72,7 @@ class EnvConfig:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
         if not 0 <= self.target_index < 3:
             raise ValueError(f"target index {self.target_index} out of range")
+        noise_channel(self)  # an unknown noise kind or alpha fails here, even at alpha = 0
 
     def _key(self) -> tuple:
         return (self.noise_kind, self.alpha, self.epsilon,
@@ -89,6 +92,9 @@ class EnvConfig:
 
 _channel_cache: dict[tuple[str, float], ch.QuantumChannel] = {}
 _measurement_cache: dict[float, ch.MeasurementModel] = {}
+
+#: the projective measurement that ends a stopped episode
+TERMINAL_MEASUREMENT = ch.terminal_measurement()
 
 
 def noise_channel(cfg: EnvConfig) -> ch.QuantumChannel:
@@ -124,18 +130,17 @@ def step_true(
 
     ``u`` is the step's uniform draw in [0, 1), one per state of a stack.
     """
-    return step_nominal(ch.apply_channel(noise_channel(cfg), rho), beta, cfg, u)
-
-
-def step_nominal(
-    rho_bar: np.ndarray, beta: float | np.ndarray, cfg: EnvConfig, u: float | np.ndarray
-) -> tuple[np.ndarray, int | np.ndarray]:
-    """One noiseless model step, outcomes sampled from the nominal state's own statistics."""
-    post_control = _controlled(rho_bar, beta)
+    if cfg.alpha > 0.0:  # at alpha = 0 every noise family is the identity
+        rho = ch.apply_channel(noise_channel(cfg), rho)
+    post_control = _controlled(rho, beta)
     m = measurement_model(cfg)
-    probs = ch.outcome_probabilities(m, post_control)
-    outcome = _sample_outcome(probs, u)
+    outcome = _sample_outcome(ch.outcome_probabilities(m, post_control), u)
     return ch.condition_on_outcome(m, post_control, outcome), outcome
+
+
+def stop_outcome(rho: np.ndarray, u: float | np.ndarray) -> int | np.ndarray:
+    """Outcome of a stop's terminal projective measurement of ``rho`` (one per state)."""
+    return _sample_outcome(ch.outcome_probabilities(TERMINAL_MEASUREMENT, rho), u)
 
 
 def filter_update(
@@ -237,14 +242,13 @@ def _run_batch(policy, cfg: EnvConfig, streams) -> EpisodeBatch:
         else:
             action, policy_state = policy_act(
                 policy, last_outcome[live], last_beta[live],
-                filtered=aux[live] if filtered else None, step=t, state=policy_state,
+                filtered=aux[live] if filtered else None, state=policy_state,
             )
             beta = np.broadcast_to(action.beta, live.shape)
             stop = np.broadcast_to(action.stop, live.shape)
             if stop.any():
                 ended = live[stop]
-                probs = ch.outcome_probabilities(ch.terminal_measurement(), rho[ended])
-                terminal_outcome[ended] = _sample_outcome(probs, draws[ended, t])
+                terminal_outcome[ended] = stop_outcome(rho[ended], draws[ended, t])
                 stop_step[ended] = t
                 fidelity[ended, t + 1:] = fidelity[ended, t, None]
                 live, beta, policy_state = live[~stop], beta[~stop], _rows(policy_state, ~stop)

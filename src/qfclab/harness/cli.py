@@ -1,12 +1,15 @@
 """Command-line interface: train, eval, sweep, report.
 
 Exit codes: 0 success, 1 configuration error, 2 missing checkpoint,
-3 runtime failure.  QFC_THREADS caps sweep worker parallelism.
+3 runtime failure.  QFC_THREADS caps sweep worker parallelism.  Progress
+records of the qfclab loggers at INFO and above (one line per agent a sweep
+trains) go to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import logging
 import sys
 from pathlib import Path
 
@@ -161,6 +164,12 @@ def main(argv=None) -> int:
         "sweep": _cmd_sweep,
         "report": _cmd_report,
     }
+    logger = logging.getLogger("qfclab")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter(logging.BASIC_FORMAT))
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
     try:
         return handlers[args.command](args)
     except MissingCheckpointError as exc:
@@ -175,6 +184,9 @@ def main(argv=None) -> int:
     except Exception as exc:  # runtime failures keep a distinct exit code
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
 
 
 if __name__ == "__main__":

@@ -122,6 +122,12 @@ def load_policy(path):
     else:
         raise CheckpointError(f"{path}: unknown network kind {kind!r}")
 
+    names = [name for name, _ in tensors]
+    for name in net.params:
+        if names.count(name) != 1:
+            raise CheckpointError(
+                f"{path}: tensor {name!r} listed {names.count(name)} times, expected once"
+            )
     offset = 0
     for name, shape in tensors:
         if name not in net.params:

@@ -1,14 +1,18 @@
-"""Training and validation environments for the three learning scenarios.
+"""Training environments for the three learning scenarios.
 
-Model-based training rolls out the nominal (noiseless) dynamics and shows the
-agent that nominal state; data-based training runs the true noisy dynamics
-and shows the agent the filtered estimate; the measurement-only scenario
-(QOMDP) shows just the last outcome and last control, adds a stop action, and
-scores +-1 through a terminal projective measurement.  Validation runs
-through :func:`qfclab.dynamics.run_episodes`, not through an environment.
+Every scenario steps one state through :func:`qfclab.dynamics.step_true`.
+Model-based training (mbs) runs it at alpha = 0, the nominal noise-free
+model, and shows the agent that state; data-based training (dbs) runs the
+configured noise and shows the agent a filtered estimate conditioned on the
+real outcomes; the measurement-only scenario (qomdp) runs at alpha = 0,
+shows just the last outcome and last control, adds a stop action, and scores
++-1 through the terminal projective measurement (-1 on timeout).
+Validation runs through :func:`qfclab.dynamics.run_episodes`, not through an
+environment.
 
-Each environment derives one generator per episode from its stream and takes
-one uniform from it per step, so a fixed (config, seed) replays exactly,
+Each episode derives one generator from the environment's stream and
+pre-draws its ``horizon`` uniforms, one per step (or stop), as the
+validation kernel does, so a fixed (config, seed) replays exactly,
 independent of anything else running.
 """
 
@@ -16,9 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..channels import outcome_probabilities, terminal_measurement
 from ..controllers import ControlAction
-from ..dynamics import EnvConfig, _sample_outcome, filter_update, step_nominal, step_true
+from ..dynamics import EnvConfig, filter_update, step_true, stop_outcome
 from ..qcore import fidelity_pure_target
 from ..rngstream import RngStream
 from .encoding import encode_outcome_observation, encode_state_observation
@@ -26,103 +29,60 @@ from .encoding import encode_outcome_observation, encode_state_observation
 SCENARIO_KINDS = ("mbs", "dbs", "qomdp")
 
 
-def mb_db_reward(rho_obs: np.ndarray, cfg: EnvConfig) -> float:
-    """Per-step reward for state-observing scenarios: fidelity against the target level."""
-    return fidelity_pure_target(rho_obs, cfg.target_index)
-
-
-def qomdp_reward(stop: bool, l_last: int | None, done: bool, target: int) -> float:
-    """Stop-gated reward: 0 while running, -1 on timeout, +-1 on a stop's terminal outcome."""
-    if not stop:
-        return -1.0 if done else 0.0
-    if l_last is None:
-        raise ValueError("stop=1 requires the terminal measurement outcome")
-    return 1.0 if l_last == target else -1.0
-
-
 class ScenarioEnv:
-    """Step/reset interface over one scenario's dynamics and observation encoding."""
+    """One scenario's episodes: ``reset() -> obs``, ``step(action) -> (obs, reward, done)``."""
 
     def __init__(self, kind: str, cfg: EnvConfig, stream: RngStream):
         if kind not in SCENARIO_KINDS:
             raise ValueError(f"unknown scenario kind {kind!r}")
         self.kind = kind
-        # model-based and measurement-only training exclude the noise map
+        # model-based and measurement-only training run the noise-free law
         self.cfg = cfg.with_alpha(0.0) if kind in ("mbs", "qomdp") else cfg
         self.stream = stream
         self.obs_dim = 2 if kind == "qomdp" else 9
         self.episode_index = -1
-        self._gen: np.random.Generator | None = None
         self._done = True
-
-    # -- helpers --
 
     def _observe(self) -> np.ndarray:
         if self.kind == "qomdp":
-            return encode_outcome_observation(self._last_outcome, self._last_beta)
-        return encode_state_observation(self._model_state)
+            return encode_outcome_observation(self._outcome, self._beta)
+        return encode_state_observation(self._seen)
 
-    # -- gym-style surface --
+    def _advance(self, beta) -> None:
+        """Step t: the state (and the dbs filter) under control beta, on uniform t."""
+        self._rho, self._outcome = step_true(self._rho, beta, self.cfg, self._draws[self._t])
+        # the agent sees the dbs filter, or else the noise-free state itself
+        if self.kind == "dbs":
+            self._seen = filter_update(self._seen, beta, self._outcome, self.cfg)
+        else:
+            self._seen = self._rho
+        self._beta = beta
+        self._t += 1
 
     def reset(self) -> np.ndarray:
         self.episode_index += 1
-        self._gen = self.stream.substream("episode", self.episode_index).generator()
+        gen = self.stream.substream("episode", self.episode_index).generator()
+        self._draws = gen.random(self.cfg.horizon)
         self._t = 0
         self._done = False
-        self._true = self.cfg.initial_state
-        self._model_state = self.cfg.initial_state  # nominal or filtered, by kind
-        self._last_beta = 0.0
+        self._rho = self._seen = self.cfg.initial_state
         if self.kind == "qomdp":
             # forced beta=0 first step: the very first observation is a real outcome
-            self._true, self._last_outcome = step_nominal(
-                self._true, 0.0, self.cfg, self._gen.random()
-            )
-            self._t = 1
+            self._advance(0.0)
         return self._observe()
 
-    def step(self, action: ControlAction):
-        """Returns (observation, reward, done, info)."""
+    def step(self, action: ControlAction) -> tuple[np.ndarray, float, bool]:
         if self._done:
             raise RuntimeError("step() called on a finished episode; reset() first")
-        info: dict = {}
-        if self.kind == "qomdp":
-            return self._step_qomdp(action, info)
-
-        beta = action.beta
-        self._t += 1
-        done = self._t >= self.cfg.horizon
-        if self.kind == "mbs":
-            self._model_state, outcome = step_nominal(
-                self._model_state, beta, self.cfg, self._gen.random()
-            )
-        else:  # dbs: true dynamics plus a filter on real outcomes
-            self._true, outcome = step_true(self._true, beta, self.cfg, self._gen.random())
-            self._model_state = filter_update(self._model_state, beta, outcome, self.cfg)
-        reward = mb_db_reward(self._model_state, self.cfg)
-        self._done = done
-        info["outcome"] = outcome
-        if self.kind == "dbs":  # model-based training simulates no true system
-            info["true_fidelity"] = fidelity_pure_target(self._true, self.cfg.target_index)
-        return self._observe(), reward, done, info
-
-    def _step_qomdp(self, action: ControlAction, info: dict):
-        if action.stop:
-            terminal = terminal_measurement()
-            l_last = _sample_outcome(
-                outcome_probabilities(terminal, self._true), self._gen.random()
-            )
-            reward = qomdp_reward(True, l_last, True, self.cfg.target_index)
+        target = self.cfg.target_index
+        if self.kind == "qomdp" and action.stop:
             self._done = True
-            info["l_last"] = l_last
-            info["stopped"] = True
-            return self._observe(), reward, True, info
-        beta = action.beta
-        self._t += 1
-        self._true, outcome = step_nominal(self._true, beta, self.cfg, self._gen.random())
-        self._last_outcome, self._last_beta = outcome, beta
-        done = self._t >= self.cfg.horizon
-        reward = qomdp_reward(False, None, done, self.cfg.target_index)
-        self._done = done
-        info["outcome"] = outcome
-        info["true_fidelity"] = fidelity_pure_target(self._true, self.cfg.target_index)
-        return self._observe(), reward, done, info
+            hit = stop_outcome(self._rho, self._draws[self._t]) == target
+            return self._observe(), 1.0 if hit else -1.0, True
+        self._advance(action.beta)
+        self._done = self._t >= self.cfg.horizon
+        if self.kind == "qomdp":
+            reward = -1.0 if self._done else 0.0
+        else:
+            reward = fidelity_pure_target(self._seen, target)
+        return self._observe(), reward, self._done

@@ -67,7 +67,7 @@ def collect_rollout(
     for _ in range(cfg.n_steps):
         heads, value, new_state = net.step(runner.obs, runner.state)
         action, log_prob, pre, stop = sample_action(heads, net.log_std, sample_gen, with_stop)
-        next_obs, reward, done, _ = runner.env.step(action)
+        next_obs, reward, done = runner.env.step(action)
         runner.episode_reward += reward
         buffer.add(runner.obs, pre, 1.0 if stop else 0.0, log_prob, reward, value, done)
         if done:
@@ -243,9 +243,10 @@ def train(
     """Train one agent; returns (net, training curve rows).
 
     ``scenario`` is one of mbs/dbs/qomdp.  A custom ``env_factory(stream)``
-    (returning objects with the ScenarioEnv surface) replaces the scenario
-    environment, optionally with a matching ``net``; that is how the toy-task
-    tests drive the same loop.
+    replaces the scenario environment, optionally with a matching ``net``;
+    that is how the toy-task tests drive the same loop.  Its objects need the
+    ScenarioEnv surface: an ``obs_dim``, ``reset() -> obs`` and
+    ``step(action) -> (obs, reward, done)``.
     """
     if scenario not in SCENARIO_KINDS and env_factory is None:
         raise ValueError(f"unknown scenario {scenario!r}")

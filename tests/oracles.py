@@ -131,3 +131,87 @@ def gae_brute_force(rewards, values, bootstrap, dones, gamma: float, lam: float)
                 break
             coeff *= gamma * lam
     return adv
+
+
+class TrainingEpisodeReplay:
+    """Scalar replay of one training scenario's episode laws, one state at a time.
+
+    The laws are those of the model-based (mbs), data-based (dbs) and
+    measurement-only (qomdp) training environments, written out step by step:
+
+    - mbs steps the nominal model: control, then an outcome sampled from the
+      nominal state's own statistics, then conditioning; it observes that state.
+    - dbs applies every Kraus operator of the noise (even an identity set),
+      then the same control and measurement to the true state, and observes a
+      filter that applies the control and conditions on the true outcome.
+    - qomdp starts with a forced beta = 0 nominal step and observes the pair
+      (last outcome, last beta).  A stop measures the state projectively and
+      earns +1 on the target, -1 elsewhere.  A timeout earns -1, any other
+      step 0.
+
+    Every step, and every stop, takes the next ``gen.random()``.  An outcome
+    is the first whose running probability sum exceeds the draw.
+    """
+
+    def __init__(self, kind, noise_kraus, measurement_ops, initial_state, target, horizon, gen):
+        self.kind = kind
+        self.noise = list(noise_kraus) if kind == "dbs" else []
+        self.ops = list(measurement_ops)
+        self.target, self.horizon, self.gen = target, horizon, gen
+        self.rho = self.seen = np.array(initial_state, dtype=complex)
+        self.t, self.outcome, self.beta = 0, None, 0.0
+        if kind == "qomdp":
+            self._step(0.0)
+
+    @staticmethod
+    def _first_above(probs, u):
+        running = 0.0
+        for outcome, p in enumerate(probs[:-1]):
+            running += p
+            if running > u:
+                return outcome
+        return len(probs) - 1
+
+    @staticmethod
+    def _condition(op, rho):
+        post = op @ rho @ op.conj().T
+        return post / np.trace(post).real
+
+    def _step(self, beta):
+        u = control_unitary_closed_form(beta)
+        rho = self.rho
+        if self.noise:
+            terms = [k @ rho @ k.conj().T for k in self.noise]
+            rho = terms[0]
+            for term in terms[1:]:
+                rho = rho + term
+        rho = u @ rho @ u.conj().T
+        probs = np.array([np.trace(m.conj().T @ m @ rho).real for m in self.ops])
+        self.outcome = self._first_above(probs / probs.sum(), self.gen.random())
+        self.rho = self._condition(self.ops[self.outcome], rho)
+        if self.kind == "dbs":
+            self.seen = self._condition(self.ops[self.outcome], u @ self.seen @ u.conj().T)
+        else:
+            self.seen = self.rho
+        self.beta = beta
+        self.t += 1
+
+    def observation(self) -> np.ndarray:
+        if self.kind == "qomdp":
+            return np.array([float(self.outcome), float(self.beta)])
+        s = self.seen
+        return np.array([s[0, 0].real, s[1, 1].real, s[2, 2].real,
+                         s[0, 1].real, s[0, 1].imag, s[0, 2].real, s[0, 2].imag,
+                         s[1, 2].real, s[1, 2].imag])
+
+    def step(self, beta: float, stop: bool = False):
+        """Returns (observation, reward, done)."""
+        if self.kind == "qomdp" and stop:
+            populations = np.diag(self.rho).real
+            hit = self._first_above(populations / populations.sum(), self.gen.random())
+            return self.observation(), 1.0 if hit == self.target else -1.0, True
+        self._step(beta)
+        done = self.t >= self.horizon
+        if self.kind == "qomdp":
+            return self.observation(), -1.0 if done else 0.0, done
+        return self.observation(), min(max(self.seen[self.target, self.target].real, 0.0), 1.0), done

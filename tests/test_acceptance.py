@@ -143,11 +143,12 @@ def test_criterion_05_filter_truth_coincidence():
 
 
 def test_criterion_06_averaged_dynamics_consistency():
-    from qfclab.controllers import OpenLoop
+    from qfclab.controllers import BasicTable
 
     cfg = EnvConfig(noise_kind="depolarizing", alpha=0.5, epsilon=0.1, horizon=2)
     n = 100_000
-    mc_mean = estimate_average_state(OpenLoop(betas=(1.0, 1.0)), cfg, n, RngStream(606))
+    # a constant table is the outcome-independent control beta = 1 at both steps
+    mc_mean = estimate_average_state(BasicTable((1.0, 1.0, 1.0)), cfg, n, RngStream(606))
     oracle = averaged_map_iteration(
         basis_state(0), [1.0, 1.0],
         make_channel("depolarizing", 0.5).kraus_ops,

@@ -187,6 +187,17 @@ class TestSweepCommand:
         assert "QFC_THREADS" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_sweep_logs_each_trained_agent_to_stderr(self, tmp_path, capfd, monkeypatch):
+        cfg = write_sweep_config(tmp_path, tmp_path / "out", tmp_path / "ck")
+        text = cfg.read_text().replace("scenarios = basic", "scenarios = mbs").replace(
+            "[output]", "train_on_demand = true\ntrain_timesteps = 512\n[output]"
+        )
+        cfg.write_text(text)
+        monkeypatch.setenv("QFC_THREADS", "1")
+        assert main(["sweep", "--config", str(cfg)]) == EXIT_OK
+        err = capfd.readouterr().err
+        assert "INFO:qfclab.harness.evaluate:trained mbs_eps0.1.ckpt: 512 timesteps" in err
+
     def test_desk_scale_flag_shrinks_grid(self, tmp_path, capsys):
         cfg = write_sweep_config(tmp_path, tmp_path / "out", tmp_path / "ck")
         # desk preset: 4 alphas x 2 epsilons x 1 noise x 1 scenario = 8 rows

@@ -5,7 +5,6 @@ import pytest
 
 from qfclab.controllers import (
     ControlAction,
-    OpenLoop,
     basic_policy,
     believed_outcome,
     derive_basic_gains,
@@ -67,15 +66,6 @@ class TestControlAction:
 
     def test_stop_defaults_false(self):
         assert ControlAction(beta=0.3).stop is False
-
-
-class TestOpenLoop:
-    def test_sequence_indexing_and_hold(self):
-        p = OpenLoop(betas=(1.0, -0.5))
-        a0, _ = policy_act(p, 0, 0.0, step=0)
-        a1, _ = policy_act(p, 1, 0.0, step=1)
-        a5, _ = policy_act(p, 2, 0.0, step=5)
-        assert (a0.beta, a1.beta, a5.beta) == (1.0, -0.5, -0.5)
 
 
 class TestNetworkPolicies:

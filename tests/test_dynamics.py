@@ -1,23 +1,28 @@
-"""Unit tests for the true/nominal/filtering dynamics and episode execution."""
+"""Unit tests for the true and filtering dynamics (the nominal law is alpha = 0) and episodes."""
 
 import numpy as np
 import pytest
 
-from qfclab.channels import depolarizing, imprecise_measurement
-from qfclab.controllers import BasicTable, OpenLoop, basic_policy
+from qfclab import dynamics
+from qfclab.channels import ParameterError, depolarizing, imprecise_measurement
+from qfclab.controllers import BasicTable, basic_policy
 from qfclab.dynamics import (
     EnvConfig,
     FilterDivergenceError,
     estimate_average_state,
     filter_update,
     run_episodes,
-    step_nominal,
     step_true,
 )
 from qfclab.qcore import basis_state, maximally_mixed
 from qfclab.rngstream import RngStream
 
-from oracles import averaged_map_iteration, basic_controller_chain, control_unitary_closed_form
+from oracles import (
+    TrainingEpisodeReplay,
+    averaged_map_iteration,
+    basic_controller_chain,
+    control_unitary_closed_form,
+)
 
 
 def make_cfg(**kw):
@@ -40,6 +45,13 @@ class TestEnvConfig:
     def test_differing_scalar_field_compares_unequal(self):
         assert EnvConfig() != EnvConfig().with_alpha(0.2)
         assert EnvConfig() != EnvConfig(horizon=5)
+
+    def test_unknown_noise_kind_rejected_even_at_alpha_zero(self):
+        # alpha = 0 skips the noise map, so the config itself must check the kind
+        with pytest.raises(ParameterError, match="unknown noise kind"):
+            EnvConfig(noise_kind="dephasing", alpha=0.0)
+        with pytest.raises(ParameterError, match="alpha"):
+            EnvConfig(alpha=-0.1)
 
     def test_initial_state_is_a_read_only_copy(self):
         rho = basis_state(0)
@@ -86,13 +98,23 @@ class TestStepTrue:
 
 
 class TestStepNominal:
-    def test_coincides_with_step_true_at_alpha_zero(self):
-        cfg = make_cfg(epsilon=0.1)
-        rho = maximally_mixed()
-        out_true = step_true(rho, 0.7, cfg, RngStream(4).generator().random())
-        out_nominal = step_nominal(rho, 0.7, cfg, RngStream(4).generator().random())
-        np.testing.assert_allclose(out_true[0], out_nominal[0], atol=1e-14)
-        assert out_true[1] == out_nominal[1]
+    """The nominal (noise-free) law is step_true at alpha = 0."""
+
+    def test_coincides_with_step_true_at_alpha_zero(self, monkeypatch):
+        # no noise map is applied, and the step is the scalar nominal step bit for bit
+        cfg = make_cfg(epsilon=0.1, initial_state=maximally_mixed(), horizon=30)
+        nominal = TrainingEpisodeReplay(
+            "mbs", (), imprecise_measurement(0.1).ops, cfg.initial_state, 2, 30,
+            RngStream(4).generator(),
+        )
+        monkeypatch.setattr(dynamics.ch, "apply_channel", None)
+        draws = RngStream(4).generator()
+        rho = cfg.initial_state
+        for beta in np.sin(np.arange(30)):
+            rho, outcome = step_true(rho, float(beta), cfg, draws.random())
+            nominal.step(float(beta))
+            assert outcome == nominal.outcome
+            assert rho.tobytes() == nominal.rho.tobytes()
 
     def test_transition_probability_into_target(self):
         cfg = make_cfg()
@@ -100,7 +122,7 @@ class TestStepNominal:
         n = 50_000
         hits = 0
         for _ in range(n):
-            _, outcome = step_nominal(basis_state(1), 1.0, cfg, gen.random())
+            _, outcome = step_true(basis_state(1), 1.0, cfg, gen.random())
             hits += outcome == 2
         p = np.abs(control_unitary_closed_form(1.0)[2, 1]) ** 2
         assert hits / n == pytest.approx(p, abs=3 * np.sqrt(p * (1 - p) / n))
@@ -112,7 +134,7 @@ class TestStepNominal:
         n = 50_000
         hits = 0
         for _ in range(n):
-            _, outcome = step_nominal(basis_state(2), 0.0, cfg, gen.random())
+            _, outcome = step_true(basis_state(2), 0.0, cfg, gen.random())
             hits += outcome == 2
         expected = 1 - 2 * 0.25
         assert hits / n == pytest.approx(expected, abs=3 * np.sqrt(expected * 0.5 / n))
@@ -200,7 +222,7 @@ class TestRunEpisode:
         lstm = RecurrentActorCritic(obs_dim=2, n_action_outputs=2, hidden=(8,),
                                     lstm_hidden=4, gen=gen)
         assert run_batch(mlp, cfg, 58, 3).aux_states.shape == (3, 4, 3, 3)
-        for policy in (basic_policy(), OpenLoop(betas=(1.0,)), lstm):
+        for policy in (basic_policy(), BasicTable((1.0, 1.0, 1.0)), lstm):
             assert run_batch(policy, cfg, 58, 3).aux_states is None
 
 
@@ -219,20 +241,20 @@ class TestFilteredEpisodes:
 class TestEstimateAverageState:
     def test_zero_control_keeps_basis_state(self):
         cfg = make_cfg(epsilon=0.2, horizon=3)
-        avg = estimate_average_state(OpenLoop(betas=(0.0,)), cfg, 200, RngStream(60))
+        avg = estimate_average_state(BasicTable((0.0, 0.0, 0.0)), cfg, 200, RngStream(60))
         np.testing.assert_allclose(avg, basis_state(0), atol=1e-12)
 
     def test_single_depolarizing_step_matches_affine_form(self):
         cfg = make_cfg(alpha=0.5, epsilon=0.1, horizon=1)
         n = 20_000
-        avg = estimate_average_state(OpenLoop(betas=(0.0,)), cfg, n, RngStream(61))
+        avg = estimate_average_state(BasicTable((0.0, 0.0, 0.0)), cfg, n, RngStream(61))
         expected = 0.5 * maximally_mixed() + 0.5 * basis_state(0)
         assert np.max(np.abs(avg - expected)) <= 4 / np.sqrt(n)
 
     def test_two_step_open_loop_matches_deterministic_iteration(self):
         cfg = make_cfg(alpha=0.0, epsilon=0.1, horizon=2)
         n = 20_000
-        avg = estimate_average_state(OpenLoop(betas=(1.0, 1.0)), cfg, n, RngStream(62))
+        avg = estimate_average_state(BasicTable((1.0, 1.0, 1.0)), cfg, n, RngStream(62))
         oracle = averaged_map_iteration(
             basis_state(0),
             [1.0, 1.0],
@@ -243,4 +265,4 @@ class TestEstimateAverageState:
 
     def test_invalid_count_rejected(self):
         with pytest.raises(ValueError, match="episode count"):
-            estimate_average_state(OpenLoop(betas=(0.0,)), make_cfg(), 0, RngStream(63))
+            estimate_average_state(BasicTable((0.0, 0.0, 0.0)), make_cfg(), 0, RngStream(63))

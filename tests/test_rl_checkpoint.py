@@ -78,6 +78,45 @@ class TestCheckpointRoundTrip:
         with pytest.raises(CheckpointError, match=field):
             load_policy(tmp_path / "bad.ckpt")
 
+    @staticmethod
+    def _rewrite_tensors(src, dst, edit):
+        """Copy a checkpoint with its (tensor line, bytes) pairs passed through ``edit``."""
+        header, _, payload = Path(src).read_bytes().partition(b"\nblob\n")
+        lines = header.split(b"\n")
+        fields = [line for line in lines if not line.startswith(b"tensor ")]
+        tensors, offset = [], 0
+        for line in lines:
+            if line.startswith(b"tensor "):
+                shape = line.split()[2]
+                size = 1 if shape == b"scalar" else int(np.prod([int(d) for d in shape.split(b",")]))
+                tensors.append((line, payload[offset : offset + 8 * size]))
+                offset += 8 * size
+        tensors = edit(tensors)
+        Path(dst).write_bytes(
+            b"\n".join(fields + [line for line, _ in tensors]) + b"\nblob\n"
+            + b"".join(block for _, block in tensors)
+        )
+
+    def test_missing_tensor_rejected(self, tmp_path):
+        # without the check, pi.w0 would silently keep its default (seed 0) initialisation
+        net = MlpActorCritic(obs_dim=9, gen=RngStream(9).generator())
+        save_policy(tmp_path / "p.ckpt", net, "dbs", {})
+        self._rewrite_tensors(
+            tmp_path / "p.ckpt", tmp_path / "bad.ckpt",
+            lambda tensors: [t for t in tensors if t[0].split()[1] != b"pi.w0"],
+        )
+        with pytest.raises(CheckpointError, match="'pi.w0' listed 0 times"):
+            load_policy(tmp_path / "bad.ckpt")
+
+    def test_duplicated_tensor_rejected(self, tmp_path):
+        net = RecurrentActorCritic(obs_dim=2, gen=RngStream(10).generator())
+        save_policy(tmp_path / "p.ckpt", net, "qomdp", {})
+        self._rewrite_tensors(
+            tmp_path / "p.ckpt", tmp_path / "bad.ckpt", lambda tensors: tensors + tensors[-1:]
+        )
+        with pytest.raises(CheckpointError, match="listed 2 times"):
+            load_policy(tmp_path / "bad.ckpt")
+
     def test_wrong_version_rejected(self, tmp_path):
         (tmp_path / "bad.ckpt").write_bytes(b"qfc-ckpt-9\nblob\n")
         with pytest.raises(CheckpointError, match="version"):

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from qfclab import dynamics
+from qfclab.channels import imprecise_measurement, make_channel
 from qfclab.controllers import ControlAction
-from qfclab.dynamics import EnvConfig
+from qfclab.dynamics import EnvConfig, step_true
 from qfclab.qcore import basis_state, maximally_mixed
 from qfclab.rl.encoding import decode_state_observation, encode_state_observation
-from qfclab.rl.envs import ScenarioEnv, mb_db_reward, qomdp_reward
+from qfclab.rl.envs import ScenarioEnv
 from qfclab.rngstream import RngStream
 
-from oracles import random_density
+from oracles import TrainingEpisodeReplay, random_density
 
 
 def make_cfg(**kw):
@@ -39,22 +40,53 @@ class TestEncoding:
             )
 
 
-class TestRewards:
-    def test_mb_db_reward_values(self):
-        cfg = make_cfg()
-        assert mb_db_reward(basis_state(2), cfg) == 1.0
-        assert mb_db_reward(basis_state(0), cfg) == 0.0
-        assert mb_db_reward(maximally_mixed(), cfg) == pytest.approx(1 / 3)
+def replay_against_oracle(kind, cfg, seed, episodes=4):
+    """Step ScenarioEnv and the scalar oracle side by side on random actions
+    (random stops for qomdp); every observation, reward and done must match bit for bit."""
+    stream = RngStream(seed)
+    env = ScenarioEnv(kind, cfg, stream)
+    actions = np.random.default_rng(seed)
+    noise = make_channel(cfg.noise_kind, cfg.alpha).kraus_ops
+    measurement = imprecise_measurement(cfg.epsilon).ops
+    steps = stops = 0
+    for episode in range(episodes):
+        oracle = TrainingEpisodeReplay(
+            kind, noise, measurement, cfg.initial_state, cfg.target_index, cfg.horizon,
+            stream.substream("episode", episode).generator(),
+        )
+        assert env.reset().tobytes() == oracle.observation().tobytes()
+        done = False
+        while not done:
+            beta = float(actions.uniform(-1.0, 1.0))
+            stop = kind == "qomdp" and bool(actions.random() < 0.15)
+            obs, reward, done = env.step(ControlAction(beta=beta, stop=stop))
+            want_obs, want_reward, want_done = oracle.step(beta, stop)
+            assert obs.tobytes() == want_obs.tobytes()
+            assert (reward, done) == (want_reward, want_done)
+            steps += 1
+            stops += stop
+    return steps, stops
 
-    def test_qomdp_reward_cases(self):
-        assert qomdp_reward(False, None, False, 2) == 0.0
-        assert qomdp_reward(False, None, True, 2) == -1.0
-        assert qomdp_reward(True, 2, True, 2) == 1.0
-        assert qomdp_reward(True, 0, True, 2) == -1.0
 
-    def test_qomdp_reward_requires_terminal_outcome(self):
-        with pytest.raises(ValueError, match="terminal"):
-            qomdp_reward(True, None, True, 2)
+class TestOracleReplay:
+    @pytest.mark.parametrize("seed", [30, 31, 32])
+    def test_mbs_steps_the_nominal_model(self, seed):
+        steps, _ = replay_against_oracle("mbs", make_cfg(alpha=0.5, epsilon=0.1), seed)
+        assert steps == 4 * 10
+
+    @pytest.mark.parametrize("seed", [33, 34])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    @pytest.mark.parametrize("noise", ["depolarizing", "amplitude_damping", "random_permutation"])
+    def test_dbs_steps_truth_and_filter(self, noise, alpha, seed):
+        cfg = make_cfg(noise_kind=noise, alpha=alpha, epsilon=0.15)
+        replay_against_oracle("dbs", cfg, seed)
+
+    @pytest.mark.parametrize("seed", [35, 36, 37])
+    def test_qomdp_steps_stops_and_timeouts(self, seed):
+        # a stop's outcome is nearly certain on a well-measured state, so it takes
+        # many stops to tell which uniform the terminal measurement drew
+        _, stops = replay_against_oracle("qomdp", make_cfg(alpha=0.5), seed, episodes=40)
+        assert 0 < stops < 40  # both stopped and timed-out episodes occur
 
 
 @pytest.mark.parametrize("kind", ["mbs", "qomdp"])
@@ -67,7 +99,7 @@ def test_noiseless_training_kinds_never_apply_a_channel(monkeypatch, kind):
     env.reset()
     done = False
     while not done:
-        _, _, done, _ = env.step(ControlAction(beta=0.4))
+        _, _, done = env.step(ControlAction(beta=0.4))
 
 
 class TestMbsTrainEnv:
@@ -80,7 +112,7 @@ class TestMbsTrainEnv:
             history = [obs.copy()]
             done = False
             while not done:
-                obs, reward, done, info = env.step(ControlAction(beta=0.9))
+                obs, reward, done = env.step(ControlAction(beta=0.9))
                 history.append(obs.copy())
             runs.append(np.concatenate(history))
         np.testing.assert_array_equal(runs[0], runs[1])
@@ -88,18 +120,8 @@ class TestMbsTrainEnv:
     def test_reward_is_observed_state_fidelity(self):
         env = ScenarioEnv("mbs", make_cfg(), RngStream(10))
         env.reset()
-        obs, reward, _, _ = env.step(ControlAction(beta=1.0))
+        obs, reward, _ = env.step(ControlAction(beta=1.0))
         assert reward == pytest.approx(obs[2])
-
-    def test_info_reports_no_true_fidelity(self):
-        # the nominal model is all there is: no true system to report on
-        env = ScenarioEnv("mbs", make_cfg(), RngStream(11))
-        env.reset()
-        done = False
-        while not done:
-            _, _, done, info = env.step(ControlAction(beta=1.0))
-            assert "outcome" in info
-            assert "true_fidelity" not in info
 
     def test_episode_length_is_horizon(self):
         env = ScenarioEnv("mbs", make_cfg(horizon=7), RngStream(12))
@@ -107,7 +129,7 @@ class TestMbsTrainEnv:
         steps = 0
         done = False
         while not done:
-            _, _, done, _ = env.step(ControlAction(beta=0.1))
+            _, _, done = env.step(ControlAction(beta=0.1))
             steps += 1
         assert steps == 7
         with pytest.raises(RuntimeError, match="reset"):
@@ -116,13 +138,18 @@ class TestMbsTrainEnv:
 
 class TestDbsTrainEnv:
     def test_filtered_equals_true_without_noise(self):
-        env = ScenarioEnv("dbs", make_cfg(alpha=0.0), RngStream(13))
+        # at alpha = 0 the filter follows the truth, which replays from the episode's draws
+        cfg = make_cfg(alpha=0.0)
+        env = ScenarioEnv("dbs", cfg, RngStream(13))
         env.reset()
+        draws = RngStream(13).substream("episode", 0).generator()
+        rho = cfg.initial_state
         done = False
         while not done:
-            obs, _, done, info = env.step(ControlAction(beta=0.7))
-            filtered = decode_state_observation(obs)
-            assert info["true_fidelity"] == pytest.approx(filtered[2, 2].real, abs=1e-10)
+            obs, reward, done = env.step(ControlAction(beta=0.7))
+            rho, _ = step_true(rho, 0.7, cfg, draws.random())
+            np.testing.assert_allclose(decode_state_observation(obs), rho, atol=1e-12)
+            assert reward == pytest.approx(rho[2, 2].real, abs=1e-12)
 
     def test_noise_uses_configured_alpha(self):
         # with alpha=1 depolarizing, observed filtered state diverges from a
@@ -132,8 +159,8 @@ class TestDbsTrainEnv:
         obs0, obs1 = noiseless.reset(), noisy.reset()
         fid0, fid1 = [], []
         for _ in range(10):
-            o0, r0, _, _ = noiseless.step(ControlAction(beta=1.0))
-            o1, r1, _, _ = noisy.step(ControlAction(beta=1.0))
+            o0, r0, _ = noiseless.step(ControlAction(beta=1.0))
+            o1, r1, _ = noisy.step(ControlAction(beta=1.0))
             fid0.append(r0)
             fid1.append(r1)
         assert fid0 != fid1
@@ -157,7 +184,7 @@ class TestQomdpTrainEnv:
         rewards = []
         done = False
         while not done:
-            _, r, done, _ = env.step(ControlAction(beta=0.3, stop=False))
+            _, r, done = env.step(ControlAction(beta=0.3, stop=False))
             rewards.append(r)
         assert rewards[:-1] == [0.0] * (len(rewards) - 1)
         assert rewards[-1] == -1.0
@@ -169,23 +196,32 @@ class TestQomdpTrainEnv:
             "qomdp", make_cfg(initial_state=basis_state(2)), RngStream(18)
         )
         env.reset()
-        _, reward, done, info = env.step(ControlAction(beta=0.0, stop=True))
-        assert done and reward == 1.0 and info["l_last"] == 2
+        _, reward, done = env.step(ControlAction(beta=0.0, stop=True))
+        # the target level measures as the target: +1 whatever the draw
+        assert done and reward == 1.0
+        with pytest.raises(RuntimeError, match="reset"):
+            env.step(ControlAction(beta=0.0))
 
     def test_stop_off_target_earns_minus_one(self):
         env = ScenarioEnv(
             "qomdp", make_cfg(initial_state=basis_state(0)), RngStream(19)
         )
         env.reset()
-        _, reward, done, info = env.step(ControlAction(beta=0.0, stop=True))
-        assert done and reward == -1.0 and info["l_last"] == 0
+        _, reward, done = env.step(ControlAction(beta=0.0, stop=True))
+        # level 0 never measures as the target: -1 whatever the draw
+        assert done and reward == -1.0
 
     def test_observation_carries_last_action(self):
         env = ScenarioEnv("qomdp", make_cfg(), RngStream(20))
         env.reset()
-        obs, _, _, info = env.step(ControlAction(beta=0.625, stop=False))
+        obs, _, _ = env.step(ControlAction(beta=0.625, stop=False))
         assert obs[1] == 0.625
-        assert obs[0] == float(info["outcome"])
+        # the outcome half is the second step's outcome, replayed from the episode's draws
+        cfg = env.cfg
+        draws = RngStream(20).substream("episode", 0).generator()
+        rho, _ = step_true(cfg.initial_state, 0.0, cfg, draws.random())
+        _, outcome = step_true(rho, 0.625, cfg, draws.random())
+        assert obs[0] == float(outcome)
 
 
 class TestValidationEnv:

@@ -36,7 +36,7 @@ class BanditEnv:
 
     def step(self, action: ControlAction):
         reward = 1.0 if action.beta > 0 else 0.0
-        return np.ones(1), reward, True, {}
+        return np.ones(1), reward, True
 
 
 class ParityEnv:
@@ -57,9 +57,9 @@ class ParityEnv:
     def step(self, action: ControlAction):
         self.t += 1
         if self.t == 1:
-            return np.zeros(1), 0.0, False, {}
+            return np.zeros(1), 0.0, False
         reward = 1.0 if action.beta * self.bit > 0 else 0.0
-        return np.zeros(1), reward, True, {}
+        return np.zeros(1), reward, True
 
 
 def small_mlp(seed=0, obs_dim=1):
@@ -408,6 +408,6 @@ class TestRecurrentMemory:
             while not done:
                 heads, _, state = net.step(obs, state)
                 action = ControlAction(beta=float(np.tanh(heads[0])))
-                obs, reward, done, _ = env.step(action)
+                obs, reward, done = env.step(action)
             total += reward
         assert total / n >= best_memoryless * 1.2
