@@ -6,7 +6,6 @@ from .evaluate import (
     MissingCheckpointError,
     cell_seed,
     evaluate,
-    steps_to_threshold,
     sweep,
     threshold_alpha,
 )

@@ -20,14 +20,13 @@ from ..qcore import DimensionError, StateValidityError
 from ..rl.checkpoint import load_policy
 from .config import ConfigError, desk_scale, parse_config_file
 from .evaluate import (
-    CellResult,
     MissingCheckpointError,
     evaluate,
     sweep,
     threshold_alpha,
     train_checkpoint,
 )
-from .report import emit_report, parse_results_csv, render_results_csv
+from .report import emit_report, read_results_dir, render_csv, render_results_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -80,6 +79,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+TRAIN_CURVE_COLUMNS = (
+    "update_index", "timesteps", "mean_episode_reward", "policy_loss", "value_loss", "entropy",
+)
+
+
 def _cmd_train(args) -> int:
     env_cfg = EnvConfig(
         noise_kind=args.noise, alpha=args.alpha, epsilon=args.epsilon, horizon=args.horizon
@@ -87,13 +91,8 @@ def _cmd_train(args) -> int:
     out = Path(args.out)
     curve = train_checkpoint(args.scenario, env_cfg, args.timesteps, args.seed, out)
     curve_path = out.with_suffix(out.suffix + ".curve.csv")
-    lines = ["update_index,timesteps,mean_episode_reward,policy_loss,value_loss,entropy"]
-    for row in curve:
-        lines.append(
-            f"{row['update_index']},{row['timesteps']},{row['mean_episode_reward']:.17g},"
-            f"{row['policy_loss']:.17g},{row['value_loss']:.17g},{row['entropy']:.17g}"
-        )
-    curve_path.write_text("\n".join(lines) + "\n")
+    rows = ([row[name] for name in TRAIN_CURVE_COLUMNS] for row in curve)
+    curve_path.write_text(render_csv(TRAIN_CURVE_COLUMNS, rows))
     print(f"wrote {out} and {curve_path}")
     return EXIT_OK
 
@@ -116,23 +115,13 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _load_resume(out_dir: Path) -> dict[tuple, CellResult]:
-    results_path = out_dir / "results.csv"
-    curves_path = out_dir / "curves.csv"
-    if not results_path.exists():
-        return {}
-    curves_text = curves_path.read_text() if curves_path.exists() else None
-    cells = parse_results_csv(results_path.read_text(), curves_text)
-    return {c.key(): c for c in cells}
-
-
 def _cmd_sweep(args) -> int:
     cfg = parse_config_file(args.config)
     if args.desk_scale:
         cfg = desk_scale(cfg)
     out_dir = Path(cfg.output_dir)
-    resume = _load_resume(out_dir) if args.resume else {}
-    results = sweep(cfg, resume_results=resume)
+    resume = (read_results_dir(out_dir) or []) if args.resume else []
+    results = sweep(cfg, resume_results={c.key(): c for c in resume})
     summary = threshold_alpha(results, cfg.f_star)
     written = emit_report(results, summary, out_dir)
     for path in written:
@@ -141,13 +130,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    results_dir = Path(args.results)
-    results_path = results_dir / "results.csv"
-    if not results_path.exists():
-        raise ConfigError(f"no results.csv under {results_dir}")
-    curves_path = results_dir / "curves.csv"
-    curves_text = curves_path.read_text() if curves_path.exists() else None
-    results = parse_results_csv(results_path.read_text(), curves_text)
+    results = read_results_dir(args.results)
+    if results is None:
+        raise ConfigError(f"no results.csv under {args.results}")
     summary = threshold_alpha(results, args.f_star)
     written = emit_report(results, summary, args.out)
     for path in written:

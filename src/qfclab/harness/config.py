@@ -5,11 +5,16 @@ Grammar (documented here and in the README): ``#`` starts a comment,
 ``key = value`` within the current section.  List values are comma-separated.
 Sections: ``[sweep]`` (grids and evaluation protocol), ``[checkpoints]``
 (where trained agents live, whether to train on demand), ``[output]``.
+A key may appear once per file.  One table, :data:`KEYS`, maps each
+(section, key) to its :class:`SweepConfig` field, parser and formatter, and
+drives both :func:`parse_config_file` and :func:`format_config`.  Text values
+cannot hold ``#`` or a newline, list items cannot hold ``,``, and leading or
+trailing whitespace is stripped.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from ..rl.config import PpoConfig
@@ -90,111 +95,82 @@ def desk_scale(cfg: SweepConfig | None = None) -> SweepConfig:
 _BOOL = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
 
 
-def _parse_lines(text: str) -> dict[str, dict[str, str]]:
-    sections: dict[str, dict[str, str]] = {}
-    current = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            current = line[1:-1].strip()
-            sections.setdefault(current, {})
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        if current is None:
-            raise ConfigError(f"line {lineno}: key outside any [section]")
-        key, _, value = line.partition("=")
-        sections[current][key.strip()] = value.strip()
-    return sections
+def _bool(value: str) -> bool:
+    if value.lower() not in _BOOL:
+        raise ValueError(f"expected one of {', '.join(_BOOL)}")
+    return _BOOL[value.lower()]
 
 
-def _float_list(value: str) -> tuple[float, ...]:
-    return tuple(float(v.strip()) for v in value.split(",") if v.strip())
+def _list(item):
+    return lambda value: tuple(item(v.strip()) for v in value.split(",") if v.strip())
 
 
-def _str_list(value: str) -> tuple[str, ...]:
-    return tuple(v.strip() for v in value.split(",") if v.strip())
+def _join(values) -> str:
+    return ", ".join(map(str, values))
 
 
-def _parse_value(key: str, value: str, parse):
-    try:
-        return parse(value)
-    except ValueError as exc:
-        raise ConfigError(f"bad value for {key!r}: {value!r} ({exc})") from None
+#: (section, key) -> (SweepConfig field, parser, formatter), in file order;
+#: ``str`` formats a float as its shortest exact repr, so values round-trip
+KEYS = {
+    ("sweep", "scenarios"): ("scenarios", _list(str), _join),
+    ("sweep", "noises"): ("noises", _list(str), _join),
+    ("sweep", "alphas"): ("alphas", _list(float), _join),
+    ("sweep", "epsilons"): ("epsilons", _list(float), _join),
+    ("sweep", "episodes"): ("episodes", int, str),
+    ("sweep", "horizon"): ("horizon", int, str),
+    ("sweep", "master_seed"): ("master_seed", int, str),
+    ("sweep", "f_star"): ("f_star", float, str),
+    ("checkpoints", "dir"): ("checkpoint_dir", str, str),
+    ("checkpoints", "train_on_demand"): ("train_on_demand", _bool, lambda b: str(b).lower()),
+    ("checkpoints", "train_timesteps"): ("train_timesteps", int, str),
+    ("output", "dir"): ("output_dir", str, str),
+}
+SECTIONS = tuple(dict.fromkeys(section for section, _ in KEYS))
 
 
 def parse_config_file(path) -> SweepConfig:
     """Load a sweep config, starting from the full-grid defaults."""
-    text = Path(path).read_text()
-    sections = _parse_lines(text)
-    known = {"sweep", "checkpoints", "output"}
-    unknown = set(sections) - known
-    if unknown:
-        raise ConfigError(f"unknown sections: {sorted(unknown)}")
     kw: dict = {}
-    sweep_section = sections.get("sweep", {})
-    parsers = {
-        "scenarios": ("scenarios", _str_list),
-        "noises": ("noises", _str_list),
-        "alphas": ("alphas", _float_list),
-        "epsilons": ("epsilons", _float_list),
-        "episodes": ("episodes", int),
-        "horizon": ("horizon", int),
-        "master_seed": ("master_seed", int),
-        "f_star": ("f_star", float),
-    }
-    for key, value in sweep_section.items():
-        if key not in parsers:
-            raise ConfigError(f"unknown key {key!r} in [sweep]")
-        field_name, parse = parsers[key]
-        kw[field_name] = _parse_value(key, value, parse)
-    ckpt_section = sections.get("checkpoints", {})
-    for key, value in ckpt_section.items():
-        if key == "dir":
-            kw["checkpoint_dir"] = value
-        elif key == "train_on_demand":
-            if value.lower() not in _BOOL:
-                raise ConfigError(f"bad boolean {value!r} for train_on_demand")
-            kw["train_on_demand"] = _BOOL[value.lower()]
-        elif key == "train_timesteps":
-            kw["train_timesteps"] = _parse_value(key, value, int)
-        else:
-            raise ConfigError(f"unknown key {key!r} in [checkpoints]")
-    out_section = sections.get("output", {})
-    for key, value in out_section.items():
-        if key == "dir":
-            kw["output_dir"] = value
-        else:
-            raise ConfigError(f"unknown key {key!r} in [output]")
+    seen: dict[tuple[str, str], int] = {}
+    section = None
+    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            section = line[1:-1].strip()
+            if section not in SECTIONS:
+                raise ConfigError(f"line {lineno}: unknown section [{section}]")
+            continue
+        if "=" not in line:
+            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
+        if section is None:
+            raise ConfigError(f"line {lineno}: key outside any [section]")
+        key, _, value = (part.strip() for part in line.partition("="))
+        if (section, key) not in KEYS:
+            raise ConfigError(f"line {lineno}: unknown key {key!r} in [{section}]")
+        if (section, key) in seen:
+            raise ConfigError(
+                f"line {lineno}: key {key!r} in [{section}] repeats line {seen[section, key]}"
+            )
+        seen[section, key] = lineno
+        name, parse, _ = KEYS[section, key]
+        try:
+            kw[name] = parse(value)
+        except ValueError as exc:
+            raise ConfigError(f"line {lineno}: bad value for {key!r}: {value!r} ({exc})") from None
     return SweepConfig(**kw)
 
 
 def format_config(cfg: SweepConfig) -> str:
-    """Serialize a config in the same grammar (round-trips through the parser)."""
-    def fmt_floats(values):
-        return ", ".join(f"{v:g}" for v in values)
-
-    return "\n".join(
-        [
-            "[sweep]",
-            f"scenarios = {', '.join(cfg.scenarios)}",
-            f"noises = {', '.join(cfg.noises)}",
-            f"alphas = {fmt_floats(cfg.alphas)}",
-            f"epsilons = {fmt_floats(cfg.epsilons)}",
-            f"episodes = {cfg.episodes}",
-            f"horizon = {cfg.horizon}",
-            f"master_seed = {cfg.master_seed}",
-            f"f_star = {cfg.f_star:g}",
-            "",
-            "[checkpoints]",
-            f"dir = {cfg.checkpoint_dir}",
-            f"train_on_demand = {'true' if cfg.train_on_demand else 'false'}",
-            f"train_timesteps = {cfg.train_timesteps}",
-            "",
-            "[output]",
-            f"dir = {cfg.output_dir}",
-            "",
+    """Serialize a config in the same grammar; :func:`parse_config_file` reads
+    it back equal (text values within the grammar's limits)."""
+    lines = []
+    for section in SECTIONS:
+        lines += ["", f"[{section}]"] if lines else [f"[{section}]"]
+        lines += [
+            f"{key} = {fmt(getattr(cfg, name))}"
+            for (sec, key), (name, _, fmt) in KEYS.items()
+            if sec == section
         ]
-    )
+    return "\n".join(lines) + "\n"

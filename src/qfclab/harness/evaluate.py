@@ -26,6 +26,7 @@ from ..controllers import Policy, basic_policy
 from ..dynamics import EnvConfig, run_episodes
 from ..rngstream import RngStream, hash_label, mix64
 from ..rl.checkpoint import load_policy, save_policy
+from ..rl.envs import NOISE_FREE_KINDS
 from ..rl.ppo import default_ppo_config, train
 from .config import ConfigError, SweepConfig
 
@@ -129,7 +130,7 @@ def evaluate(
 def checkpoint_name(scenario: str, noise: str, alpha: float, epsilon: float) -> str:
     """Model-based and measurement-only agents train noise-free (one per epsilon);
     data-based agents train per (noise, alpha, epsilon)."""
-    if scenario in ("mbs", "qomdp"):
+    if scenario in NOISE_FREE_KINDS:
         return f"{scenario}_eps{epsilon:g}.ckpt"
     return f"dbs_{noise}_alpha{alpha:g}_eps{epsilon:g}.ckpt"
 
@@ -140,8 +141,10 @@ def train_checkpoint(
     """Train one agent at the appendix defaults and save it to ``path``.
 
     The checkpoint records the noise, alpha, epsilon, seed and timesteps it was
-    trained with; returns the training curve rows.
+    trained with (alpha 0 for the noise-free kinds); returns the training curve rows.
     """
+    if scenario in NOISE_FREE_KINDS:
+        env_cfg = env_cfg.with_alpha(0.0)
     ppo_cfg = default_ppo_config(scenario, total_timesteps=timesteps)
     net, curve = train(scenario, env_cfg, ppo_cfg, seed)
     path = Path(path)
@@ -265,25 +268,3 @@ def threshold_alpha(results: list[CellResult], f_star: float) -> dict[tuple, flo
             if best is None or cell.alpha > best:
                 summary[key] = cell.alpha
     return summary
-
-
-def steps_to_threshold(results: list[CellResult], f_star: float) -> dict[tuple, tuple]:
-    """Tabulate per-cell steps-to-threshold statistics recorded at evaluation time.
-
-    Per-episode crossing steps are aggregated inside :func:`evaluate`, at the
-    f_star the sweep was run with; this surfaces (mean, std, unreached count)
-    per cell.  A different f_star needs a re-evaluation, not a reread of mean
-    curves, which would answer a different question.
-    """
-    table = {}
-    for cell in results:
-        if not cell.fidelity_curve:
-            raise ValueError(
-                f"cell {cell.key()} has no recorded fidelity curve; re-run evaluate"
-            )
-        table[cell.key()] = (
-            cell.mean_steps_to_threshold,
-            cell.std_steps_to_threshold,
-            cell.unreached_count,
-        )
-    return table

@@ -1,30 +1,64 @@
 """Byte-stable result files: results.csv, curves.csv, thresholds.csv, and SVG charts.
 
 results.csv is the normative output (every figure is derivable from it plus
-curves.csv); the SVGs are best-effort line charts with +-1 std bands.  All
-floats print with repr-exact precision so files round-trip losslessly and
-regenerate byte-identically from unchanged inputs.
+curves.csv); the SVGs are best-effort line charts with +-1 std bands.  Every
+CSV is written by :func:`render_csv` from one column declaration, and the
+files read back (results.csv, curves.csv) by :func:`parse_csv` from the same
+one: results.csv's columns are the :class:`CellResult` fields bar the curve,
+in declaration order.  Floats print ``.17g`` so files round-trip losslessly
+and regenerate byte-identically from unchanged inputs.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
+from typing import get_type_hints
 
 from .evaluate import CellResult
 
-RESULTS_HEADER = (
-    "scenario,noise,alpha,epsilon,seed,episodes,aborted,mean_fidelity,std_fidelity,"
-    "mean_steps_to_threshold,std_steps_to_threshold,unreached_count"
-)
-CURVES_HEADER = "scenario,noise,alpha,epsilon,t,mean_fidelity"
-THRESHOLDS_HEADER = "scenario,noise,epsilon,threshold_alpha"
+#: results.csv columns: the CellResult fields bar the curve, which curves.csv holds
+RESULT_COLUMNS = {
+    name: kind for name, kind in get_type_hints(CellResult).items() if name != "fidelity_curve"
+}
+CURVE_COLUMNS = {
+    "scenario": str, "noise": str, "alpha": float, "epsilon": float,
+    "t": int, "mean_fidelity": float,
+}
+THRESHOLD_COLUMNS = ("scenario", "noise", "epsilon", "threshold_alpha")
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _field(value) -> str:
+    if value is None:
+        return ""
+    return format(value, ".17g") if isinstance(value, float) else str(value)
+
+
+def render_csv(columns, rows) -> str:
+    """A header line of column names, then one line per row.
+
+    Floats print ``.17g`` (exact round trip, ``nan``/``inf`` included), ints
+    and strings as they are, and ``None`` as an empty field.
+    """
+    lines = [",".join(columns)]
+    lines.extend(",".join(_field(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def parse_csv(text: str, columns: dict[str, type]) -> list[tuple]:
+    """Inverse of :func:`render_csv` for non-empty fields of the given types."""
+    lines = text.strip().splitlines()
+    header = ",".join(columns)
+    if not lines or lines[0] != header:
+        raise ValueError(f"CSV header mismatch: expected {header!r}")
+    rows = []
+    for line in lines[1:]:
+        parts = line.split(",")
+        if len(parts) != len(columns):
+            raise ValueError(f"expected {len(columns)} columns, got {len(parts)}: {line!r}")
+        rows.append(tuple(kind(part) for kind, part in zip(columns.values(), parts)))
+    return rows
 
 
 def _sorted_cells(results: list[CellResult]) -> list[CellResult]:
@@ -32,87 +66,45 @@ def _sorted_cells(results: list[CellResult]) -> list[CellResult]:
 
 
 def render_results_csv(results: list[CellResult]) -> str:
-    lines = [RESULTS_HEADER]
-    for c in _sorted_cells(results):
-        lines.append(
-            ",".join(
-                [
-                    c.scenario,
-                    c.noise,
-                    _fmt(c.alpha),
-                    _fmt(c.epsilon),
-                    str(c.seed),
-                    str(c.episodes),
-                    str(c.aborted),
-                    _fmt(c.mean_fidelity),
-                    _fmt(c.std_fidelity),
-                    _fmt(c.mean_steps_to_threshold),
-                    _fmt(c.std_steps_to_threshold),
-                    str(c.unreached_count),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return render_csv(
+        RESULT_COLUMNS,
+        ([getattr(c, name) for name in RESULT_COLUMNS] for c in _sorted_cells(results)),
+    )
 
 
 def render_curves_csv(results: list[CellResult]) -> str:
-    lines = [CURVES_HEADER]
-    for c in _sorted_cells(results):
-        for t, value in enumerate(c.fidelity_curve):
-            lines.append(
-                f"{c.scenario},{c.noise},{_fmt(c.alpha)},{_fmt(c.epsilon)},{t},{_fmt(value)}"
-            )
-    return "\n".join(lines) + "\n"
+    return render_csv(
+        CURVE_COLUMNS,
+        (
+            (*c.key(), t, value)
+            for c in _sorted_cells(results)
+            for t, value in enumerate(c.fidelity_curve)
+        ),
+    )
 
 
 def render_thresholds_csv(summary: dict[tuple, float | None]) -> str:
-    lines = [THRESHOLDS_HEADER]
-    for (scenario, noise, epsilon), alpha in sorted(
-        summary.items(), key=lambda kv: kv[0]
-    ):
-        value = "" if alpha is None else _fmt(alpha)
-        lines.append(f"{scenario},{noise},{_fmt(epsilon)},{value}")
-    return "\n".join(lines) + "\n"
+    return render_csv(THRESHOLD_COLUMNS, ((*key, alpha) for key, alpha in sorted(summary.items())))
 
 
 def parse_results_csv(text: str, curves_text: str | None = None) -> list[CellResult]:
     """Inverse of render_results_csv (+ render_curves_csv when provided)."""
-    lines = text.strip().splitlines()
-    if not lines or lines[0] != RESULTS_HEADER:
-        raise ValueError("results.csv header mismatch")
     curves: dict[tuple, list[float]] = {}
-    if curves_text:
-        curve_lines = curves_text.strip().splitlines()
-        if curve_lines[0] != CURVES_HEADER:
-            raise ValueError("curves.csv header mismatch")
-        for line in curve_lines[1:]:
-            scenario, noise, alpha, epsilon, t, value = line.split(",")
-            key = (scenario, noise, float(alpha), float(epsilon))
-            curves.setdefault(key, []).append(float(value))
-    results = []
-    for line in lines[1:]:
-        parts = line.split(",")
-        if len(parts) != 12:
-            raise ValueError(f"expected 12 columns, got {len(parts)}: {line!r}")
-        key = (parts[0], parts[1], float(parts[2]), float(parts[3]))
-        results.append(
-            CellResult(
-                scenario=parts[0],
-                noise=parts[1],
-                alpha=float(parts[2]),
-                epsilon=float(parts[3]),
-                seed=int(parts[4]),
-                episodes=int(parts[5]),
-                aborted=int(parts[6]),
-                mean_fidelity=float(parts[7]),
-                std_fidelity=float(parts[8]),
-                mean_steps_to_threshold=float(parts[9]),
-                std_steps_to_threshold=float(parts[10]),
-                unreached_count=int(parts[11]),
-                fidelity_curve=tuple(curves.get(key, ())),
-            )
-        )
-    return results
+    for *key, _, value in parse_csv(curves_text, CURVE_COLUMNS) if curves_text else ():
+        curves.setdefault(tuple(key), []).append(value)
+    cells = (CellResult(**dict(zip(RESULT_COLUMNS, row))) for row in parse_csv(text, RESULT_COLUMNS))
+    return [replace(c, fidelity_curve=tuple(curves.get(c.key(), ()))) for c in cells]
+
+
+def read_results_dir(results_dir) -> list[CellResult] | None:
+    """The cells of a sweep output directory: results.csv, with curves.csv when
+    present; None when there is no results.csv."""
+    results_path = Path(results_dir) / "results.csv"
+    if not results_path.exists():
+        return None
+    curves_path = results_path.with_name("curves.csv")
+    curves_text = curves_path.read_text() if curves_path.exists() else None
+    return parse_results_csv(results_path.read_text(), curves_text)
 
 
 # -- minimal SVG line charts --

@@ -27,6 +27,8 @@ from ..rngstream import RngStream
 from .encoding import encode_outcome_observation, encode_state_observation
 
 SCENARIO_KINDS = ("mbs", "dbs", "qomdp")
+#: the kinds that train on the noise-free law (alpha = 0), one agent per epsilon
+NOISE_FREE_KINDS = ("mbs", "qomdp")
 
 
 class ScenarioEnv:
@@ -36,8 +38,7 @@ class ScenarioEnv:
         if kind not in SCENARIO_KINDS:
             raise ValueError(f"unknown scenario kind {kind!r}")
         self.kind = kind
-        # model-based and measurement-only training run the noise-free law
-        self.cfg = cfg.with_alpha(0.0) if kind in ("mbs", "qomdp") else cfg
+        self.cfg = cfg.with_alpha(0.0) if kind in NOISE_FREE_KINDS else cfg
         self.stream = stream
         self.obs_dim = 2 if kind == "qomdp" else 9
         self.episode_index = -1

@@ -14,7 +14,7 @@ from qfclab.harness.cli import (
     main,
 )
 from qfclab.qcore import DimensionError, StateValidityError
-from qfclab.rl.checkpoint import save_policy
+from qfclab.rl.checkpoint import load_policy, save_policy
 from qfclab.rl.nets import MlpActorCritic
 
 
@@ -108,6 +108,18 @@ class TestTrainEvalRoundTrip:
         out = capsys.readouterr().out
         assert code == EXIT_OK
         assert out.splitlines()[-1].startswith("mbs,")
+
+    def test_noise_free_agent_records_alpha_zero(self, tmp_path, capsys):
+        ckpt = tmp_path / "mbs.ckpt"
+        code = main([
+            "train", "--scenario", "mbs", "--alpha", "0.3", "--timesteps", "0",
+            "--out", str(ckpt),
+        ])
+        assert code == EXIT_OK
+        assert load_policy(ckpt)[1]["alpha"] == "0.0"
+        assert Path(str(ckpt) + ".curve.csv").read_text() == (
+            "update_index,timesteps,mean_episode_reward,policy_loss,value_loss,entropy\n"
+        )
 
     def test_negative_timesteps_is_config_error(self, tmp_path, capsys):
         ckpt = tmp_path / "mbs.ckpt"

@@ -9,10 +9,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qfclab.controllers import BasicTable, basic_policy
 from qfclab.dynamics import EnvConfig
 from qfclab.harness.config import (
+    KEYS,
+    VALID_NOISES,
+    VALID_SCENARIOS,
     ConfigError,
     SweepConfig,
     desk_scale,
@@ -26,9 +31,9 @@ from qfclab.harness.evaluate import (
     cell_seed,
     evaluate,
     resolve_policy,
-    steps_to_threshold,
     sweep,
     threshold_alpha,
+    train_checkpoint,
     worker_count,
 )
 from qfclab.harness.report import (
@@ -39,13 +44,38 @@ from qfclab.harness.report import (
     render_thresholds_csv,
 )
 from qfclab.qcore import basis_state
-from qfclab.rl.checkpoint import save_policy
+from qfclab.rl.checkpoint import load_policy, save_policy
 from qfclab.rl.ppo import TrainingDiverged
 
 from oracles import basic_controller_chain
 
 # the module, which the package's ``evaluate`` function shadows as an attribute
 evaluate_module = importlib.import_module("qfclab.harness.evaluate")
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# text the config grammar can carry: no '#', no line break, no outer whitespace
+config_text = st.text(
+    st.characters(whitelist_categories=("L", "N", "P", "S", "Zs"), blacklist_characters="#"),
+    max_size=12,
+).filter(lambda t: t == t.strip())
+
+
+sweep_configs = st.builds(
+    SweepConfig,
+    scenarios=st.lists(st.sampled_from(VALID_SCENARIOS), min_size=1, max_size=4).map(tuple),
+    noises=st.lists(st.sampled_from(VALID_NOISES), min_size=1, max_size=3).map(tuple),
+    alphas=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5).map(tuple),
+    epsilons=st.lists(st.floats(0.0, 0.3), min_size=1, max_size=5).map(tuple),
+    episodes=st.integers(1, 10**9),
+    horizon=st.integers(1, 10**4),
+    master_seed=st.integers(-(2**63), 2**64),
+    f_star=st.floats(0.0, 1.0, exclude_min=True),
+    checkpoint_dir=config_text,
+    train_on_demand=st.booleans(),
+    train_timesteps=st.integers(512, 10**12),
+    output_dir=config_text,
+)
 
 
 class TestSweepConfig:
@@ -61,21 +91,9 @@ class TestSweepConfig:
         assert cfg.epsilons == (0.1, 0.2)
         assert cfg.episodes == 200
 
-    def test_config_file_round_trip(self, tmp_path):
-        cfg = SweepConfig(
-            scenarios=("basic", "mbs"),
-            noises=("depolarizing",),
-            alphas=(0.0, 0.3),
-            epsilons=(0.1,),
-            episodes=50,
-            horizon=12,
-            master_seed=99,
-            f_star=0.8,
-            checkpoint_dir="ck",
-            train_on_demand=True,
-            train_timesteps=1024,
-            output_dir="out",
-        )
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(cfg=sweep_configs)
+    def test_config_file_round_trip(self, tmp_path, cfg):
         path = tmp_path / "sweep.cfg"
         path.write_text(format_config(cfg))
         assert parse_config_file(path) == cfg
@@ -104,6 +122,39 @@ class TestSweepConfig:
         path.write_text("[checkpoints]\ntrain_timesteps = abc\n")
         with pytest.raises(ConfigError, match="bad value for 'train_timesteps': 'abc'"):
             parse_config_file(path)
+
+    def test_bad_boolean_names_the_key(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_text("[checkpoints]\ntrain_on_demand = maybe\n")
+        with pytest.raises(ConfigError, match="bad value for 'train_on_demand': 'maybe'"):
+            parse_config_file(path)
+
+    @pytest.mark.parametrize("raw, value", [("TRUE", True), ("yes", True), ("0", False), ("No", False)])
+    def test_boolean_spellings(self, tmp_path, raw, value):
+        path = tmp_path / "c.cfg"
+        path.write_text(f"[checkpoints]\ntrain_on_demand = {raw}\n")
+        assert parse_config_file(path).train_on_demand is value
+
+    def test_repeated_key_rejected(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_text("[sweep]\nepisodes = 5\n[output]\ndir = o\n[sweep]\nepisodes = 6\n")
+        with pytest.raises(ConfigError, match=r"line 6: key 'episodes' in \[sweep\] repeats line 2"):
+            parse_config_file(path)
+
+    def test_readme_example_parses_and_names_every_key(self, tmp_path):
+        section = README.read_text().split("### Sweep config grammar", 1)[1]
+        example = section.split("```", 2)[1]
+        path = tmp_path / "readme.cfg"
+        path.write_text(example)
+        parse_config_file(path)
+        named, current = set(), None
+        for line in example.splitlines():
+            line = line.split("#", 1)[0].strip()
+            if line.startswith("["):
+                current = line.strip("[]")
+            elif "=" in line:
+                named.add((current, line.partition("=")[0].strip()))
+        assert named == set(KEYS)
 
     def test_key_outside_section_rejected(self, tmp_path):
         path = tmp_path / "c.cfg"
@@ -203,6 +254,29 @@ def make_cell(scenario="basic", noise="depolarizing", alpha=0.0, epsilon=0.1,
     )
 
 
+# text a CSV field can carry: no ',' and no line break
+csv_text = st.text(
+    st.characters(whitelist_categories=("L", "N", "P", "S", "Zs"), blacklist_characters=","),
+    max_size=8,
+)
+cell_results = st.builds(
+    CellResult,
+    scenario=csv_text,
+    noise=csv_text,
+    alpha=st.floats(allow_nan=False),
+    epsilon=st.floats(allow_nan=False),
+    seed=st.integers(0, 2**64),
+    episodes=st.integers(0, 10**6),
+    aborted=st.integers(0, 10**6),
+    mean_fidelity=st.floats(),
+    std_fidelity=st.floats(),
+    mean_steps_to_threshold=st.floats(),
+    std_steps_to_threshold=st.floats(),
+    unreached_count=st.integers(0, 10**6),
+    fidelity_curve=st.lists(st.floats(), max_size=4).map(tuple),
+)
+
+
 class TestThresholdAlpha:
     def test_definition_on_descending_curve(self):
         cells = [
@@ -232,34 +306,12 @@ class TestThresholdAlpha:
             last = numeric
 
 
-class TestStepsToThreshold:
-    def test_extracts_recorded_statistics(self):
-        cells = [make_cell(steps=4.5, unreached=3)]
-        table = steps_to_threshold(cells, 0.9)
-        assert table[cells[0].key()] == (4.5, 1.0, 3)
-
-    def test_requires_recorded_curves(self):
-        cells = [make_cell(curve=())]
-        with pytest.raises(ValueError, match="curve"):
-            steps_to_threshold(cells, 0.9)
-
-
 class TestCsvRoundTrip:
-    def test_every_field_reconstructs_exactly(self):
-        cells = [
-            make_cell(alpha=0.1, mean=0.123456789012345678, steps=np.nan, unreached=7),
-            make_cell(scenario="mbs", noise="random_permutation", alpha=0.30000000000000004),
-        ]
-        text = render_results_csv(cells)
-        curves = render_curves_csv(cells)
-        parsed = parse_results_csv(text, curves)
-        for orig, back in zip(sorted(cells, key=lambda c: c.key()), parsed):
-            for field in orig.__dataclass_fields__:
-                a, b = getattr(orig, field), getattr(back, field)
-                if isinstance(a, float) and np.isnan(a):
-                    assert np.isnan(b)
-                else:
-                    assert a == b, field
+    @given(cells=st.lists(cell_results, max_size=4, unique_by=lambda c: c.key()))
+    def test_every_field_reconstructs_exactly(self, cells):
+        parsed = parse_results_csv(render_results_csv(cells), render_curves_csv(cells))
+        # repr tells NaN, -0.0, ints and floats apart
+        assert repr(parsed) == repr(sorted(cells, key=lambda c: c.key()))
 
     def test_header_mandatory(self):
         with pytest.raises(ValueError, match="header"):
@@ -452,6 +504,23 @@ class TestTrainOnDemand:
         with pytest.raises(TrainingDiverged, match="non-finite loss nan in worker"):
             sweep(self.cfg(tmp_path, "ckpts", scenarios=("dbs",)))
         assert not (tmp_path / "ckpts").exists()
+
+    def test_noise_free_agents_record_alpha_zero(self, tmp_path):
+        cfg = self.cfg(tmp_path, "ckpts", scenarios=("mbs",),
+                       noises=("amplitude_damping", "depolarizing"), alphas=(0.4, 0.6))
+        sweep(cfg)
+        _, meta = load_policy(tmp_path / "ckpts" / "mbs_eps0.1.ckpt")
+        assert (meta["noise"], meta["alpha"]) == ("amplitude_damping", "0.0")
+
+    @pytest.mark.parametrize("scenario", ["mbs", "qomdp"])
+    def test_noise_free_checkpoint_ignores_the_cell_alpha(self, tmp_path, scenario):
+        blobs = []
+        for alpha in (0.0, 0.7):
+            env_cfg = EnvConfig(noise_kind="depolarizing", alpha=alpha, epsilon=0.1, horizon=6)
+            path = tmp_path / f"{alpha}.ckpt"
+            train_checkpoint(scenario, env_cfg, 512, 5, path)
+            blobs.append(path.read_bytes())
+        assert blobs[0] == blobs[1]
 
     def test_missing_checkpoints_raise_before_any_write(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QFC_THREADS", "2")
