@@ -1,13 +1,13 @@
 """Controller policies: the common action interface and the analytic baseline.
 
-A policy maps what it observes to a control action, and its kind fixes what
-that is: the analytic outcome table reads the last outcome (a constant table
-is an open-loop control), an ``"lstm"`` network the pair of last outcome and
-last control (after a beta=0 reset step), an ``"mlp"`` network the filtered
-state.  The two actor-critic networks of the rl package are policies
-themselves, and :func:`policy_act` is the one dispatch point.  Inputs and
-actions may carry a leading batch axis, one row per episode, and each row is
-acted on exactly as it would be alone.
+A policy maps what it observes to a control action.  Its kind (``"table"``
+for the analytic outcome table, where a constant table is an open-loop
+control, ``"mlp"`` or ``"lstm"`` for the two actor-critic networks of the rl
+package, which are policies themselves) fixes what that is, and
+:class:`qfclab.dynamics.ClosedLoop` encodes it.  :func:`policy_act` is the
+one dispatch point.  Observations and actions may carry a leading batch
+axis, one row per episode, and each row is acted on exactly as it would be
+alone.
 """
 
 from __future__ import annotations
@@ -96,37 +96,23 @@ def believed_outcome(rho0: np.ndarray) -> int:
 
 
 def policy_act(
-    policy: Policy,
-    last_outcome: int | np.ndarray,
-    last_beta: float | np.ndarray,
-    filtered: np.ndarray | None = None,
-    state=None,
+    policy: Policy, observation: int | np.ndarray, state=None
 ) -> tuple[ControlAction, object]:
-    """Evaluate a policy deterministically on one episode's inputs or a batch of them.
+    """Evaluate a policy deterministically on one episode's observation or a batch of them.
 
-    Each policy reads the inputs its kind observes (see the module
-    docstring); an MLP needs ``filtered``.  Returns the action together with
-    the policy's recurrent state (None for stateless policies; ``state=None``
+    ``observation`` is what :meth:`qfclab.dynamics.ClosedLoop.observation`
+    encodes for the policy's kind.  Returns the action together with the
+    policy's recurrent state (None for stateless policies; ``state=None``
     starts a fresh one).  Networks act on the mean of their control head and
     stop when the stop logit is positive.
     """
     if isinstance(policy, BasicTable):
-        outcome = np.asarray(last_outcome)
+        outcome = np.asarray(observation)
         if not every((outcome >= 0) & (outcome < 3)):
-            raise ValueError(f"outcome {last_outcome} out of range")
+            raise ValueError(f"outcome {observation} out of range")
         return ControlAction(beta=np.asarray(policy.beta_by_outcome)[outcome]), None
-
-    from .rl.encoding import encode_outcome_observation, encode_state_observation
-
-    kind = getattr(policy, "kind", None)
-    if kind == "mlp":
-        if filtered is None:
-            raise ValueError("an mlp policy observes the filtered state; none was given")
-        vec = encode_state_observation(filtered)
-    elif kind == "lstm":
-        vec = encode_outcome_observation(last_outcome, last_beta)
-    else:
+    if getattr(policy, "kind", None) not in ("mlp", "lstm"):
         raise TypeError(f"unknown policy type {type(policy).__name__}")
-    heads, state = policy.policy_step(vec, state)
+    heads, state = policy.policy_step(observation, state)
     stop = heads[..., 1] > 0.0 if policy.n_action_outputs == 2 else False
     return ControlAction(beta=np.tanh(heads[..., 0]), stop=stop), state

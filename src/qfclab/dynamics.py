@@ -1,4 +1,4 @@
-"""True and filtering dynamics of the feedback loop, plus the episode kernel.
+"""True and filtering dynamics of the feedback loop, its one stepper, and the episode kernel.
 
 One step of the true system is noise, then the control unitary, then a
 sampled generalized measurement with conditioning:
@@ -6,19 +6,18 @@ sampled generalized measurement with conditioning:
     rho(t+1) = M_l  U_beta  N_alpha(rho(t)) U_beta^dag  M_l^dag / p(l)
 
 At alpha = 0 every noise family is the identity and the map is skipped, so
-the noise-free (nominal) law that model-based and measurement-only training
-run is :func:`step_true` at alpha = 0.  The filtering law drops the noise map
-but conditions on the real system's outcomes (control first, then
-conditioning, matching the true dynamics' operator ordering).  Each step law
-takes one state or a stack of states, and the outcome samplers take one
-uniform draw per state.
+the noise-free (nominal) law is :func:`step_true` at alpha = 0.  The
+filtering law drops the noise map but conditions on the real system's
+outcomes (control first, then conditioning, matching the true dynamics'
+operator ordering).  Each step law takes one state or a stack of states, and
+the outcome samplers take one uniform draw per state.
 
-:func:`run_episodes` validates a policy, advancing all episodes of a batch
-together on stacks of states; the policy's kind decides what it observes
-(see :mod:`qfclab.controllers`).  Every episode draws from its own
-generator, one uniform per step in the order a lone run draws them, so an
-episode with identical (config, policy, seed, stream) is bit-identical
-whatever batch or thread runs it.
+:class:`ClosedLoop` is the one stepper of the closed loop: training drives it
+on one state (:mod:`qfclab.rl.envs`), and :func:`run_episodes` validates a
+policy by driving all episodes of a batch in one stack.  Every episode draws
+from its own generator, one uniform per step, so an episode with identical
+(config, policy, seed, stream) is bit-identical whatever batch or thread
+runs it.
 """
 
 from __future__ import annotations
@@ -31,6 +30,7 @@ import numpy as np
 from . import channels as ch
 from .controllers import Policy, believed_outcome, policy_act
 from .qcore import basis_state, every, fidelity_pure_target, require_density
+from .rl.encoding import encode_outcome_observation, encode_state_observation
 from .rngstream import RngStream
 
 #: most episodes :func:`run_episodes` steps together; bounds the n x 9 x 3 x 3
@@ -73,6 +73,7 @@ class EnvConfig:
         if not 0 <= self.target_index < 3:
             raise ValueError(f"target index {self.target_index} out of range")
         noise_channel(self)  # an unknown noise kind or alpha fails here, even at alpha = 0
+        measurement_model(self)  # and so does an epsilon outside [0, EPSILON_MAX]
 
     def _key(self) -> tuple:
         return (self.noise_kind, self.alpha, self.epsilon,
@@ -138,11 +139,6 @@ def step_true(
     return ch.condition_on_outcome(m, post_control, outcome), outcome
 
 
-def stop_outcome(rho: np.ndarray, u: float | np.ndarray) -> int | np.ndarray:
-    """Outcome of a stop's terminal projective measurement of ``rho`` (one per state)."""
-    return _sample_outcome(ch.outcome_probabilities(TERMINAL_MEASUREMENT, rho), u)
-
-
 def filter_update(
     rho_hat: np.ndarray, beta: float | np.ndarray, outcome: int | np.ndarray, cfg: EnvConfig
 ) -> np.ndarray:
@@ -192,19 +188,83 @@ def _rows(policy_state, keep: np.ndarray):
     return None if policy_state is None else tuple(part[keep] for part in policy_state)
 
 
+class ClosedLoop:
+    """The closed loop as one kind of policy drives it, on one state or a stack.
+
+    ``draws`` holds each episode's uniforms: ``(horizon,)`` steps one
+    ``(3, 3)`` state, ``(n, horizon)`` an ``(n, 3, 3)`` stack, and the true
+    state ``rho``, the state the policy sees (``seen``), the last ``outcome``
+    and control ``beta`` then carry that leading axis.  Step t, or a stop
+    decided at step t, takes uniform t.  The kind fixes what the policy
+    observes: a ``"table"`` the last outcome (at first, the believed outcome
+    of the initial state); an ``"lstm"`` the pair (last outcome, last
+    control), after a forced beta = 0 first step; an ``"mlp"`` the filtered
+    state; ``"nominal"`` the true state itself, which model-based training
+    shows on the noise-free law, where it equals the filter.
+    """
+
+    def __init__(self, kind: str, cfg: EnvConfig, draws: np.ndarray):
+        if kind not in ("table", "mlp", "lstm", "nominal"):
+            raise ValueError(f"unknown closed-loop kind {kind!r}")
+        self.kind, self.cfg, self.t = kind, cfg, 0
+        self._draws = draws.T  # row t holds every state's uniform for step t
+        rho, outcome = cfg.initial_state, believed_outcome(cfg.initial_state)
+        if draws.ndim == 1:
+            self.rho, self.outcome, self.beta = rho, outcome, 0.0
+        else:
+            self.rho = np.repeat(rho[None], len(draws), axis=0)
+            self.outcome, self.beta = np.full(len(draws), outcome), np.zeros(len(draws))
+        self.seen = self.rho
+
+    def observation(self):
+        """The policy's input, encoded as its kind reads it."""
+        if self.kind == "lstm":
+            return encode_outcome_observation(self.outcome, self.beta)
+        if self.kind == "table":
+            return self.outcome
+        return encode_state_observation(self.seen)
+
+    def forced_step(self) -> bool:
+        """Take the lstm's forced beta = 0 first step if it is due; returns whether it was."""
+        if self.kind != "lstm" or self.t:
+            return False
+        self.step(self.beta)  # still the initial beta, 0
+        return True
+
+    def step(self, beta: float | np.ndarray) -> None:
+        """Step t under control ``beta``: the true state, then what the policy sees.
+
+        A filter that assigns a real outcome zero probability raises
+        :class:`FilterDivergenceError` and leaves the loop as it was.
+        """
+        rho, outcome = step_true(self.rho, beta, self.cfg, self._draws[self.t])
+        seen = filter_update(self.seen, beta, outcome, self.cfg) if self.kind == "mlp" else rho
+        self.rho, self.seen, self.outcome, self.beta = rho, seen, outcome, beta
+        self.t += 1
+
+    def stop(self) -> int | np.ndarray:
+        """Outcome of the terminal projective measurement that ends a stop decided at step t."""
+        probs = ch.outcome_probabilities(TERMINAL_MEASUREMENT, self.rho)
+        return _sample_outcome(probs, self._draws[self.t])
+
+    def keep(self, rows: np.ndarray) -> None:
+        """Keep only the stack rows the boolean mask ``rows`` selects."""
+        self.rho, self.outcome, self.beta = self.rho[rows], self.outcome[rows], self.beta[rows]
+        self.seen = self.seen[rows] if self.kind == "mlp" else self.rho
+        self._draws = self._draws[:, rows]
+
+
 def run_episodes(
     policy: Policy, cfg: EnvConfig, streams: Sequence[RngStream]
 ) -> Iterator[EpisodeBatch]:
     """Validate a policy on one episode of the true noisy dynamics per stream.
 
     Yields one :class:`EpisodeBatch` per run of at most ``BATCH_EPISODES``
-    consecutive streams, in stream order.  An MLP policy sees a filtered
-    state conditioned on the real outcomes; the others see the last outcome
-    and control, and an LSTM starts with a forced beta=0 step, so its first
-    observation is a real outcome.  Fidelity is always that of the TRUE state,
-    and every true state is checked to be a density operator.  A stop action
-    ends its episode and triggers the terminal projective measurement,
-    recorded apart from the fidelity.
+    consecutive streams, in stream order, each stepped as one
+    :class:`ClosedLoop` of the policy's kind.  Fidelity is always that of the
+    TRUE state, and every true state is checked to be a density operator.  A
+    stop action ends its episode and triggers the terminal projective
+    measurement, recorded apart from the fidelity.
     """
     for start in range(0, len(streams), BATCH_EPISODES):
         yield _run_batch(policy, cfg, streams[start:start + BATCH_EPISODES])
@@ -213,79 +273,56 @@ def run_episodes(
 def _run_batch(policy, cfg: EnvConfig, streams) -> EpisodeBatch:
     """One :class:`EpisodeBatch` of :func:`run_episodes`, all episodes in lockstep."""
     n, horizon, target = len(streams), cfg.horizon, cfg.target_index
-    filtered = policy.kind == "mlp"
-    forced_reset = policy.kind == "lstm"
-    # a step, or a stop's terminal measurement, takes the episode's next uniform:
-    # the one at index t for a decision taken at step t
     draws = np.array([stream.generator().random(horizon) for stream in streams])
-    rho = np.repeat(cfg.initial_state[None], n, axis=0)
-    aux = rho.copy() if filtered else None
+    loop = ClosedLoop(policy.kind, cfg, draws)
+    final_states = loop.rho.copy()
     fidelity = np.full((n, horizon + 1), np.nan)
-    fidelity[:, 0] = fidelity_pure_target(rho, target)
-    stop_step = np.full(n, -1)
-    terminal_outcome = np.full(n, -1)
+    fidelity[:, 0] = fidelity_pure_target(final_states, target)
+    stop_step, terminal_outcome = np.full(n, -1), np.full(n, -1)
     aborted = np.zeros(n, dtype=bool)
     betas = np.zeros((n, horizon))
     outcomes = np.zeros((n, horizon), dtype=int)
     true_states = np.zeros((n, horizon, 3, 3), dtype=complex)
-    aux_states = np.zeros_like(true_states) if filtered else None
-    last_outcome = np.full(n, believed_outcome(cfg.initial_state))
-    last_beta = np.zeros(n)
+    aux_states = np.zeros_like(true_states) if policy.kind == "mlp" else None
 
-    live = np.arange(n)
+    live = np.arange(n)  # the episodes the loop still steps, in its row order
     policy_state = None
-    t = 0
-    while t < horizon and live.size:
-        if forced_reset and t == 0:
-            # forced beta=0 first step: the agent's first observation is a real outcome
-            beta = np.zeros(live.size)
-        else:
-            action, policy_state = policy_act(
-                policy, last_outcome[live], last_beta[live],
-                filtered=aux[live] if filtered else None, state=policy_state,
-            )
+    while loop.t < horizon and live.size:
+        if not loop.forced_step():
+            action, policy_state = policy_act(policy, loop.observation(), policy_state)
             beta = np.broadcast_to(action.beta, live.shape)
             stop = np.broadcast_to(action.stop, live.shape)
             if stop.any():
                 ended = live[stop]
-                terminal_outcome[ended] = stop_outcome(rho[ended], draws[ended, t])
-                stop_step[ended] = t
-                fidelity[ended, t + 1:] = fidelity[ended, t, None]
+                terminal_outcome[ended] = loop.stop()[stop]
+                stop_step[ended] = loop.t
+                fidelity[ended, loop.t + 1:] = fidelity[ended, loop.t, None]
                 live, beta, policy_state = live[~stop], beta[~stop], _rows(policy_state, ~stop)
+                loop.keep(~stop)
                 if not live.size:
                     break
-        t += 1
-        rho_t, outcome = step_true(rho[live], beta, cfg, draws[live, t - 1])
-        if filtered:
             try:
-                aux_t = filter_update(aux[live], beta, outcome, cfg)
+                loop.step(beta)
             except FilterDivergenceError as exc:
                 keep = np.ones(live.size, dtype=bool)
                 keep[exc.rows] = False
                 aborted[live[~keep]] = True
-                live, beta, rho_t, outcome = live[keep], beta[keep], rho_t[keep], outcome[keep]
-                policy_state = _rows(policy_state, keep)
+                live, beta, policy_state = live[keep], beta[keep], _rows(policy_state, keep)
+                loop.keep(keep)
                 if not live.size:
                     break
-                aux_t = filter_update(aux[live], beta, outcome, cfg)
-            aux[live] = aux_states[live, t - 1] = aux_t
+                loop.step(beta)
+        t = loop.t
         # every recorded state must still be a physical density operator
-        require_density(rho_t, tol=1e-9, name=f"true state at step {t}")
-        rho[live] = true_states[live, t - 1] = rho_t
-        fidelity[live, t] = fidelity_pure_target(rho_t, target)
-        betas[live, t - 1] = last_beta[live] = beta
-        outcomes[live, t - 1] = last_outcome[live] = outcome
-    return EpisodeBatch(
-        fidelity=fidelity,
-        stop_step=stop_step,
-        terminal_outcome=terminal_outcome,
-        aborted=aborted,
-        final_states=rho,
-        betas=betas,
-        outcomes=outcomes,
-        true_states=true_states,
-        aux_states=aux_states,
-    )
+        require_density(loop.rho, tol=1e-9, name=f"true state at step {t}")
+        final_states[live] = true_states[live, t - 1] = loop.rho
+        if aux_states is not None:
+            aux_states[live, t - 1] = loop.seen
+        fidelity[live, t] = fidelity_pure_target(loop.rho, target)
+        betas[live, t - 1] = loop.beta
+        outcomes[live, t - 1] = loop.outcome
+    return EpisodeBatch(fidelity, stop_step, terminal_outcome, aborted, final_states,
+                        betas, outcomes, true_states, aux_states)
 
 
 def estimate_average_state(

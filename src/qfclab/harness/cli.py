@@ -18,6 +18,7 @@ from ..controllers import basic_policy
 from ..dynamics import EnvConfig
 from ..qcore import DimensionError, StateValidityError
 from ..rl.checkpoint import load_policy
+from ..rl.envs import SCENARIO_KINDS
 from .config import ConfigError, desk_scale, parse_config_file
 from .evaluate import (
     MissingCheckpointError,
@@ -45,7 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_train = sub.add_parser("train", help="train one agent and write a checkpoint")
-    p_train.add_argument("--scenario", required=True, choices=["mbs", "dbs", "qomdp"])
+    p_train.add_argument("--scenario", required=True, choices=SCENARIO_KINDS)
     p_train.add_argument("--noise", default="depolarizing")
     p_train.add_argument("--alpha", type=float, default=0.0)
     p_train.add_argument("--epsilon", type=float, default=0.1)

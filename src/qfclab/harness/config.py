@@ -17,10 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+from ..channels import CHANNEL_KINDS, EPSILON_MAX
 from ..rl.config import PpoConfig
+from ..rl.envs import SCENARIO_KINDS
 
-VALID_SCENARIOS = ("basic", "mbs", "dbs", "qomdp")
-VALID_NOISES = ("depolarizing", "amplitude_damping", "random_permutation")
+VALID_SCENARIOS = ("basic",) + SCENARIO_KINDS
+VALID_NOISES = tuple(CHANNEL_KINDS)
 
 #: published test grids: alpha 0..1 step 0.1, six epsilon values
 TABLE_ALPHAS = tuple(round(0.1 * k, 10) for k in range(11))
@@ -64,8 +66,8 @@ class SweepConfig:
                 raise ConfigError(f"unknown noise {n!r}; choose from {VALID_NOISES}")
         if not self.alphas or not all(0.0 <= a <= 1.0 for a in self.alphas):
             raise ConfigError("alpha grid must be non-empty within [0, 1]")
-        if not self.epsilons or not all(0.0 <= e <= 0.3 for e in self.epsilons):
-            raise ConfigError("epsilon grid must be non-empty within [0, 0.3]")
+        if not self.epsilons or not all(0.0 <= e <= EPSILON_MAX for e in self.epsilons):
+            raise ConfigError(f"epsilon grid must be non-empty within [0, {EPSILON_MAX}]")
         if self.episodes < 1:
             raise ConfigError("episodes must be >= 1")
         if self.horizon < 1:

@@ -26,7 +26,7 @@ from ..controllers import Policy, basic_policy
 from ..dynamics import EnvConfig, run_episodes
 from ..rngstream import RngStream, hash_label, mix64
 from ..rl.checkpoint import load_policy, save_policy
-from ..rl.envs import NOISE_FREE_KINDS
+from ..rl.envs import NOISE_FREE_KINDS, training_config
 from ..rl.ppo import default_ppo_config, train
 from .config import ConfigError, SweepConfig
 
@@ -143,8 +143,7 @@ def train_checkpoint(
     The checkpoint records the noise, alpha, epsilon, seed and timesteps it was
     trained with (alpha 0 for the noise-free kinds); returns the training curve rows.
     """
-    if scenario in NOISE_FREE_KINDS:
-        env_cfg = env_cfg.with_alpha(0.0)
+    env_cfg = training_config(scenario, env_cfg)
     ppo_cfg = default_ppo_config(scenario, total_timesteps=timesteps)
     net, curve = train(scenario, env_cfg, ppo_cfg, seed)
     path = Path(path)
@@ -220,17 +219,18 @@ def sweep(cfg: SweepConfig, resume_results: dict[tuple, CellResult] | None = Non
     returned as-is (cells are seed-keyed by identity, so recomputing any one
     reproduces it exactly).
 
-    The grid is planned first: a missing checkpoint with training on demand
-    off raises :class:`MissingCheckpointError` before anything runs.  Then
-    the missing agents train, each checkpoint once (an mbs or qomdp agent
-    serves every noise and alpha of its epsilon), and finally the cells
-    evaluate.  Both phases share one pool of up to QFC_THREADS worker
-    processes; a phase with a single job runs inline.
+    The grid is planned first: before anything runs, a missing checkpoint
+    with training on demand off raises :class:`MissingCheckpointError`, and
+    one on disk that records another seed or budget than training on demand
+    would use raises :class:`ConfigError`.  Then the missing agents train,
+    each checkpoint once (an mbs or qomdp agent serves every noise and alpha
+    of its epsilon), and the cells evaluate, in one pool of up to
+    QFC_THREADS worker processes; a phase with a single job runs inline.
     """
     workers = worker_count()  # a bad QFC_THREADS fails before any training
     resume_results = resume_results or {}
     results: dict[tuple, CellResult] = {}
-    agents: dict[str, tuple] = {}  # missing checkpoint -> job of its first cell
+    agents: dict[str, tuple] = {}  # checkpoint to train on demand -> job of its first cell
     cells = []
     for key in itertools.product(cfg.scenarios, cfg.noises, cfg.alphas, cfg.epsilons):
         if key in resume_results:
@@ -238,7 +238,7 @@ def sweep(cfg: SweepConfig, resume_results: dict[tuple, CellResult] | None = Non
             continue
         scenario, noise, alpha, epsilon = key
         source = resolve_policy(scenario, noise, alpha, epsilon, cfg)
-        if isinstance(source, str) and source not in agents and not Path(source).exists():
+        if cfg.train_on_demand and isinstance(source, str) and source not in agents:
             train_seed = mix64(cfg.master_seed, hash_label(f"train|{Path(source).name}"))
             agents[source] = (scenario, noise, alpha, epsilon, cfg.horizon,
                               cfg.train_timesteps, train_seed, source)
@@ -246,6 +246,15 @@ def sweep(cfg: SweepConfig, resume_results: dict[tuple, CellResult] | None = Non
         cells.append(
             (scenario, noise, alpha, epsilon, source, cfg.episodes, cfg.horizon, cfg.f_star, seed)
         )
+    for path in [path for path in agents if Path(path).exists()]:
+        train_seed = agents.pop(path)[6]
+        meta = load_policy(path)[1]
+        for name, value in (("seed", train_seed), ("timesteps", cfg.train_timesteps)):
+            if meta.get(name) != str(value):
+                raise ConfigError(
+                    f"checkpoint {path} records meta {name} {meta.get(name)!r}, but this "
+                    f"sweep trains it with {name} {value}; move it away to retrain it"
+                )
     size = min(workers, max(len(agents), len(cells)))
     with ProcessPoolExecutor(max_workers=size) if size > 1 else nullcontext() as pool:
         for name, timesteps, wall in _run_jobs(pool, _train_agent, list(agents.values())):

@@ -19,7 +19,7 @@ from ..rngstream import RngStream
 from . import distributions as dist
 from .buffer import RolloutBuffer, Segment, compute_gae
 from .config import QOMDP_LEARNING_RATE, PpoConfig
-from .envs import SCENARIO_KINDS, ScenarioEnv
+from .envs import ScenarioEnv
 from .nets import Adam, MlpActorCritic, RecurrentActorCritic, validate_params, zero_grads_like
 
 log = logging.getLogger(__name__)
@@ -62,7 +62,7 @@ def collect_rollout(
     feed-forward net); states are fresh arrays at every step, never mutated.
     """
     with_stop = net.n_action_outputs == 2
-    buffer = RolloutBuffer(capacity=cfg.n_steps, obs_dim=runner.env.obs_dim)
+    buffer = RolloutBuffer(capacity=cfg.n_steps, obs_dim=net.obs_dim)
     seg_start, seg_state = 0, runner.state
     for _ in range(cfg.n_steps):
         heads, value, new_state = net.step(runner.obs, runner.state)
@@ -245,11 +245,9 @@ def train(
     ``scenario`` is one of mbs/dbs/qomdp.  A custom ``env_factory(stream)``
     replaces the scenario environment, optionally with a matching ``net``;
     that is how the toy-task tests drive the same loop.  Its objects need the
-    ScenarioEnv surface: an ``obs_dim``, ``reset() -> obs`` and
-    ``step(action) -> (obs, reward, done)``.
+    ScenarioEnv surface: ``reset() -> obs`` and ``step(action) -> (obs, reward,
+    done)``, with observations of the net's ``obs_dim`` entries.
     """
-    if scenario not in SCENARIO_KINDS and env_factory is None:
-        raise ValueError(f"unknown scenario {scenario!r}")
     root = RngStream(seed)
     if net is None:
         net = _make_net(scenario, ppo_cfg, root.substream("init").generator())

@@ -210,6 +210,17 @@ class TestSweepCommand:
         err = capfd.readouterr().err
         assert "INFO:qfclab.harness.evaluate:trained mbs_eps0.1.ckpt: 512 timesteps" in err
 
+    def test_stale_checkpoint_is_config_error(self, tmp_path, capsys):
+        cfg = write_sweep_config(tmp_path, tmp_path / "out", tmp_path / "ck")
+        text = cfg.read_text().replace("scenarios = basic", "scenarios = mbs").replace(
+            "[output]", "train_on_demand = true\ntrain_timesteps = 512\n[output]"
+        )
+        cfg.write_text(text)
+        assert main(["sweep", "--config", str(cfg)]) == EXIT_OK
+        cfg.write_text(text.replace("train_timesteps = 512", "train_timesteps = 1024"))
+        assert main(["sweep", "--config", str(cfg)]) == EXIT_CONFIG
+        assert "mbs_eps0.1.ckpt records meta timesteps '512'" in capsys.readouterr().err
+
     def test_desk_scale_flag_shrinks_grid(self, tmp_path, capsys):
         cfg = write_sweep_config(tmp_path, tmp_path / "out", tmp_path / "ck")
         # desk preset: 4 alphas x 2 epsilons x 1 noise x 1 scenario = 8 rows

@@ -11,31 +11,38 @@ from qfclab.controllers import (
     policy_act,
     transfer_probability,
 )
+from qfclab.dynamics import ClosedLoop, EnvConfig
 from qfclab.qcore import basis_state, maximally_mixed
+from qfclab.rl.encoding import encode_outcome_observation, encode_state_observation
 from qfclab.rl.nets import MlpActorCritic
+from qfclab.rngstream import RngStream
 
 
 class TestBasicPolicy:
     def test_outcome_two_holds_still(self):
-        action, _ = policy_act(basic_policy(), 2, 0.0)
+        action, _ = policy_act(basic_policy(), 2)
         assert action.beta == 0.0
         assert action.stop is False
 
     def test_outcome_zero_drives_full_pulse(self):
-        action, _ = policy_act(basic_policy(), 0, 0.0)
+        action, _ = policy_act(basic_policy(), 0)
         assert action.beta == 1.0
 
     def test_outcome_one_drives_full_pulse(self):
-        action, _ = policy_act(basic_policy(), 1, 0.0)
+        action, _ = policy_act(basic_policy(), 1)
         assert action.beta == 1.0
 
     def test_memoryless_in_history(self):
-        # only the most recent outcome matters; the carried beta is ignored
+        # a table observes the most recent outcome alone, whatever control preceded it
         p = basic_policy()
-        for last_beta in (-1.0, 0.0, 0.5):
-            for outcome in range(3):
-                action, _ = policy_act(p, outcome, last_beta)
-                assert action.beta == p.beta_by_outcome[outcome]
+        cfg = EnvConfig(epsilon=0.3, horizon=4)
+        for seed, last_beta in enumerate((-1.0, 0.0, 0.5)):
+            loop = ClosedLoop("table", cfg, RngStream(seed).generator().random(cfg.horizon))
+            assert loop.observation() == 0  # the believed outcome of |0> before any step
+            loop.step(last_beta)
+            assert loop.observation() == loop.outcome
+            action, _ = policy_act(p, loop.observation())
+            assert action.beta == p.beta_by_outcome[loop.outcome]
 
 
 class TestDeriveBasicGains:
@@ -71,15 +78,20 @@ class TestControlAction:
 class TestNetworkPolicies:
     def test_mlp_reads_the_filtered_state_not_the_outcome_pair(self):
         net = MlpActorCritic(obs_dim=9, gen=np.random.default_rng(3))
-        rho = maximally_mixed()
-        a, _ = policy_act(net, 0, 0.0, filtered=rho)
-        b, _ = policy_act(net, 2, -1.0, filtered=rho)
-        assert a.beta == b.beta
+        cfg = EnvConfig()
+        actions = []
+        for outcome, beta in ((0, 0.0), (2, -1.0)):
+            loop = ClosedLoop("mlp", cfg, np.zeros(cfg.horizon))
+            loop.seen, loop.outcome, loop.beta = maximally_mixed(), outcome, beta
+            obs = loop.observation()
+            assert obs.tobytes() == encode_state_observation(maximally_mixed()).tobytes()
+            actions.append(policy_act(net, obs)[0])
+        assert actions[0].beta == actions[1].beta
 
     def test_mlp_without_filtered_state_rejected(self):
         net = MlpActorCritic(obs_dim=9, gen=np.random.default_rng(3))
-        with pytest.raises(ValueError, match="filtered state"):
-            policy_act(net, 0, 0.0)
+        with pytest.raises(ValueError):  # the outcome pair is no 9-entry state
+            policy_act(net, encode_outcome_observation(0, 0.0))
 
 
 class TestBelievedOutcome:

@@ -52,6 +52,9 @@ class TestEnvConfig:
             EnvConfig(noise_kind="dephasing", alpha=0.0)
         with pytest.raises(ParameterError, match="alpha"):
             EnvConfig(alpha=-0.1)
+        for epsilon in (0.5, -0.1):
+            with pytest.raises(ParameterError, match="epsilon"):
+                EnvConfig(epsilon=epsilon)
 
     def test_initial_state_is_a_read_only_copy(self):
         rho = basis_state(0)

@@ -5,6 +5,7 @@ import importlib
 import logging
 import multiprocessing
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -332,10 +333,10 @@ class TestEmitReport:
         summary = threshold_alpha(cells, 0.5)
         written = emit_report(cells, summary, tmp_path / "r1")
         assert len(written) == 3 + 2  # three CSVs + (fidelity, steps) SVG per noise
-        first = {p: open(p, "rb").read() for p in written}
+        first = {p: Path(p).read_bytes() for p in written}
         emit_report(cells, summary, tmp_path / "r1")
         for path, blob in first.items():
-            assert open(path, "rb").read() == blob
+            assert Path(path).read_bytes() == blob
 
     def test_results_csv_row_count(self, tmp_path):
         cells = [make_cell(alpha=round(0.1 * k, 1)) for k in range(5)]
@@ -521,6 +522,27 @@ class TestTrainOnDemand:
             train_checkpoint(scenario, env_cfg, 512, 5, path)
             blobs.append(path.read_bytes())
         assert blobs[0] == blobs[1]
+
+    @pytest.mark.parametrize("field, change", [
+        ("timesteps", {"train_timesteps": 1024}),
+        ("seed", {"master_seed": 22}),
+    ])
+    def test_stale_checkpoint_fails_before_any_training(self, tmp_path, field, change):
+        cfg = self.cfg(tmp_path, "ckpts", scenarios=("mbs",), noises=("depolarizing",))
+        sweep(cfg)
+        trained = _digests(tmp_path / "ckpts")
+        # a re-run that would train the same file differently, and one more agent
+        rerun = replace(cfg, epsilons=(0.1, 0.2), **change)
+        with pytest.raises(ConfigError, match=rf"mbs_eps0\.1\.ckpt records meta {field} "):
+            sweep(rerun)
+        assert _digests(tmp_path / "ckpts") == trained  # nothing trained, nothing rewritten
+
+    def test_hand_trained_checkpoint_is_used_without_training_on_demand(self, tmp_path):
+        cfg = self.cfg(tmp_path, "ckpts", scenarios=("mbs",), noises=("depolarizing",),
+                       train_on_demand=False)
+        env_cfg = EnvConfig(epsilon=0.1, horizon=6)
+        train_checkpoint("mbs", env_cfg, 512, 99, tmp_path / "ckpts" / "mbs_eps0.1.ckpt")
+        assert len(sweep(cfg)) == 2
 
     def test_missing_checkpoints_raise_before_any_write(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QFC_THREADS", "2")
