@@ -82,6 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 TRAIN_CURVE_COLUMNS = (
     "update_index", "timesteps", "mean_episode_reward", "policy_loss", "value_loss", "entropy",
+    "grad_norm", "approx_kl", "clip_fraction",
 )
 
 

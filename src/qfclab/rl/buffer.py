@@ -9,10 +9,12 @@ import numpy as np
 
 @dataclass
 class Segment:
-    """A contiguous run of steps sharing one recurrent state lineage.
+    """A contiguous run of buffer rows ``[start, end)`` sharing one recurrent state lineage.
 
     Segments break at episode boundaries (hidden state reset) and at rollout
-    window boundaries (carried hidden state stored in ``init_state``).
+    window boundaries (carried hidden state stored in ``init_state``).  The
+    recurrent update packs a minibatch's segments back to back, each starting
+    from its ``init_state``, and steps only their rows: nothing is padded.
     """
 
     start: int

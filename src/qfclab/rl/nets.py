@@ -4,7 +4,9 @@ Two architectures: a feed-forward actor-critic (separate tanh trunks for
 policy and value, linear heads, one state-independent log-std) and a
 recurrent one that inserts an LSTM cell in front of each trunk.  Gradients
 are exact and verified against central finite differences in the test suite,
-which is also why everything stays in double precision.
+which is also why everything stays in double precision.  The recurrent net
+steps one observation at a time in rollouts and evaluation, and trains on
+packed sequences: episode segments back to back, with no padding.
 
 Parameters live in flat ``dict[str, ndarray]`` maps so the optimizer,
 checkpoint format, and gradient checks can treat them uniformly.
@@ -13,6 +15,7 @@ checkpoint format, and gradient checks can treat them uniformly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -156,46 +159,38 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def _lstm_step(params, prefix: str, hidden: int, x, h, c):
-    """One LSTM step; x (..., n, in), h/c (..., n, hidden). Returns h', c', gate cache."""
+    """One LSTM step; x (..., n, in), h/c (..., n, hidden). Returns h', c'."""
     pre = x @ params[f"{prefix}.wx"] + h @ params[f"{prefix}.wh"] + params[f"{prefix}.b"]
     i = _sigmoid(pre[..., :hidden])
     f = _sigmoid(pre[..., hidden:2 * hidden])
     g = np.tanh(pre[..., 2 * hidden:3 * hidden])
     o = _sigmoid(pre[..., 3 * hidden:])
     c_new = f * c + i * g
-    tanh_c = np.tanh(c_new)
-    h_new = o * tanh_c
-    return h_new, c_new, (x, h, c, i, f, g, o, tanh_c)
+    return o * np.tanh(c_new), c_new
 
 
-def _lstm_backward(params, prefix: str, hidden: int, caches, dh_seq,
-                   grads: dict[str, np.ndarray]):
-    """BPTT through a sequence of step caches; dh_seq (T, n, hidden)."""
-    t_len = len(caches)
-    dh_next = np.zeros_like(dh_seq[0])
-    dc_next = np.zeros_like(dh_seq[0])
-    for t in reversed(range(t_len)):
-        x, h_prev, c_prev, i, f, g, o, tanh_c = caches[t]
-        dh = dh_seq[t] + dh_next
-        do = dh * tanh_c
-        dc = dh * o * (1.0 - tanh_c**2) + dc_next
-        di = dc * g
-        df = dc * c_prev
-        dg = dc * i
-        dpre = np.concatenate(
-            [
-                di * i * (1.0 - i),
-                df * f * (1.0 - f),
-                dg * (1.0 - g**2),
-                do * o * (1.0 - o),
-            ],
-            axis=1,
-        )
-        grads[f"{prefix}.wx"] += x.T @ dpre
-        grads[f"{prefix}.wh"] += h_prev.T @ dpre
-        grads[f"{prefix}.b"] += dpre.sum(axis=0)
-        dh_next = dpre @ params[f"{prefix}.wh"].T
-        dc_next = dc * f
+def _stacked_lstm(params, name: str) -> np.ndarray:
+    """The policy and value LSTMs' ``name`` arrays, stacked on a leading axis of 2."""
+    return np.stack([params[f"pi_lstm.{name}"], params[f"vf_lstm.{name}"]])
+
+
+class _PackedCache(NamedTuple):
+    """What :meth:`RecurrentActorCritic.sequence_backward` needs of a forward pass.
+
+    Rows are packed (step-major, longest sequence first): ``perm`` maps each
+    packed row to its input row, ``alive`` holds the number of rows of each
+    step, and the per-row arrays carry both LSTMs on a leading axis of 2.
+    """
+
+    perm: np.ndarray
+    alive: np.ndarray
+    x: np.ndarray  # (n, obs_dim)
+    gates: np.ndarray  # (2, n, 4H) activations i, f, g, o
+    h_prev: np.ndarray  # (2, n, H)
+    c_prev: np.ndarray  # (2, n, H)
+    tanh_c: np.ndarray  # (2, n, H)
+    pi_acts: list
+    vf_acts: list
 
 
 class RecurrentActorCritic:
@@ -234,7 +229,7 @@ class RecurrentActorCritic:
         """One recurrent step; returns (head outputs (k,), value, next state)."""
         h_pi, c_pi, h_vf, c_vf = state
         heads, (h_pi2, c_pi2) = self.policy_step(obs, (h_pi, c_pi))
-        h_vf2, c_vf2, _ = _lstm_step(
+        h_vf2, c_vf2 = _lstm_step(
             self.params, "vf_lstm", self.lstm_hidden, obs[None, :], h_vf, c_vf
         )
         value, _ = _mlp_forward(self.params, "vf", len(self.hidden), h_vf2)
@@ -249,54 +244,95 @@ class RecurrentActorCritic:
         if state is None:
             zeros = np.zeros(obs.shape[:-1] + (1, self.lstm_hidden))
             state = (zeros, zeros)
-        h, c, _ = _lstm_step(self.params, "pi_lstm", self.lstm_hidden, obs[..., None, :], *state)
+        h, c = _lstm_step(self.params, "pi_lstm", self.lstm_hidden, obs[..., None, :], *state)
         heads, _ = _mlp_forward(self.params, "pi", len(self.hidden), h)
         return heads[..., 0, :], (h, c)
 
-    # -- batched-sequence path (training) --
+    # -- packed-sequence path (training) --
 
-    def sequence_forward(self, obs_seq: np.ndarray, init_state):
-        """obs_seq (n_seq, T, obs_dim) -> heads (n_seq, T, k), values (n_seq, T), cache.
+    def sequence_forward(self, obs: np.ndarray, lengths, init_state):
+        """Packed sequences -> heads (n, k), values (n,), cache.
 
-        ``init_state`` is the (h_pi, c_pi, h_vf, c_vf) tuple at sequence start,
-        each (n_seq, lstm_hidden).
+        ``obs`` (n, obs_dim) holds the sequences' rows back to back, ``lengths``
+        their lengths (summing to n), and ``init_state`` the (h_pi, c_pi, h_vf,
+        c_vf) tuple at each sequence's start, each (n_seq, lstm_hidden).  Heads
+        and values come back in the row order of ``obs``.
+
+        The sequences step longest first, so the ones alive at step t are a
+        prefix of that order and every step works on packed rows only.  Both
+        LSTMs run as one stacked (2, k_t, H) product per step; the input
+        projection is computed once for all rows before the loop.
         """
-        n_seq, t_len, _ = obs_seq.shape
-        h_pi, c_pi, h_vf, c_vf = init_state
-        pi_caches, vf_caches = [], []
-        pi_hs = np.empty((t_len, n_seq, self.lstm_hidden))
-        vf_hs = np.empty((t_len, n_seq, self.lstm_hidden))
-        for t in range(t_len):
-            x = obs_seq[:, t, :]
-            h_pi, c_pi, cache_pi = _lstm_step(self.params, "pi_lstm", self.lstm_hidden, x, h_pi, c_pi)
-            h_vf, c_vf, cache_vf = _lstm_step(self.params, "vf_lstm", self.lstm_hidden, x, h_vf, c_vf)
-            pi_caches.append(cache_pi)
-            vf_caches.append(cache_vf)
-            pi_hs[t] = h_pi
-            vf_hs[t] = h_vf
-        pi_flat = pi_hs.transpose(1, 0, 2).reshape(n_seq * t_len, self.lstm_hidden)
-        vf_flat = vf_hs.transpose(1, 0, 2).reshape(n_seq * t_len, self.lstm_hidden)
-        heads, pi_acts = _mlp_forward(self.params, "pi", len(self.hidden), pi_flat)
-        values, vf_acts = _mlp_forward(self.params, "vf", len(self.hidden), vf_flat)
-        cache = (pi_caches, vf_caches, pi_acts, vf_acts, n_seq, t_len)
-        return (
-            heads.reshape(n_seq, t_len, self.n_action_outputs),
-            values.reshape(n_seq, t_len),
-            cache,
-        )
+        lengths = np.asarray(lengths)
+        order = np.argsort(-lengths, kind="stable")
+        alive = (lengths[:, None] > np.arange(lengths.max())).sum(axis=0)  # k_t
+        starts = np.cumsum(lengths) - lengths
+        # packed row of (step t, j-th longest sequence) -> its row in obs
+        perm = np.concatenate([starts[order[:k]] + t for t, k in enumerate(alive)])
+        x = obs[perm]
+        wx, wh, b = (_stacked_lstm(self.params, name) for name in ("wx", "wh", "b"))
+        xw = x @ wx  # (2, n, 4H)
+        n, hid = len(perm), self.lstm_hidden
+        gates = np.empty((2, n, 4 * hid))
+        h_prev, c_prev, tanh_c, h_rows = (np.empty((2, n, hid)) for _ in range(4))
+        h = np.stack([init_state[0], init_state[2]])[:, order]
+        c = np.stack([init_state[1], init_state[3]])[:, order]
+        # sigmoid(x) = 0.5 + 0.5*tanh(0.5*x) on the i, f, o blocks, tanh on g
+        scale = np.repeat([0.5, 0.5, 1.0, 0.5], hid)
+        off = 0
+        for k in alive:
+            rows = slice(off, off + k)
+            h, c = h[:, :k], c[:, :k]
+            h_prev[:, rows], c_prev[:, rows] = h, c
+            pre = xw[:, rows] + h @ wh + b[:, None, :]
+            gates[:, rows] = scale * np.tanh(scale * pre) + (1.0 - scale)
+            i, f, g, o = np.split(gates[:, rows], 4, axis=2)
+            c = f * c + i * g
+            tanh_c[:, rows] = np.tanh(c)
+            h = o * tanh_c[:, rows]
+            h_rows[:, perm[rows]] = h  # back in the row order of obs, for the trunks
+            off += k
+        heads, pi_acts = _mlp_forward(self.params, "pi", len(self.hidden), h_rows[0])
+        values, vf_acts = _mlp_forward(self.params, "vf", len(self.hidden), h_rows[1])
+        cache = _PackedCache(perm, alive, x, gates, h_prev, c_prev, tanh_c, pi_acts, vf_acts)
+        return heads, values[:, 0], cache
 
     def sequence_backward(self, cache, dheads: np.ndarray, dvalues: np.ndarray,
                           grads: dict[str, np.ndarray]) -> None:
-        """dheads (n_seq, T, k), dvalues (n_seq, T); masked steps must carry zeros."""
-        pi_caches, vf_caches, pi_acts, vf_acts, n_seq, t_len = cache
-        dheads_flat = dheads.reshape(n_seq * t_len, self.n_action_outputs)
-        dvalues_flat = dvalues.reshape(n_seq * t_len, 1)
-        dh_pi = _mlp_backward(self.params, "pi", len(self.hidden), pi_acts, dheads_flat, grads)
-        dh_vf = _mlp_backward(self.params, "vf", len(self.hidden), vf_acts, dvalues_flat, grads)
-        dh_pi_seq = dh_pi.reshape(n_seq, t_len, self.lstm_hidden).transpose(1, 0, 2)
-        dh_vf_seq = dh_vf.reshape(n_seq, t_len, self.lstm_hidden).transpose(1, 0, 2)
-        _lstm_backward(self.params, "pi_lstm", self.lstm_hidden, pi_caches, dh_pi_seq, grads)
-        _lstm_backward(self.params, "vf_lstm", self.lstm_hidden, vf_caches, dh_vf_seq, grads)
+        """dheads (n, k), dvalues (n,), in the row order of :meth:`sequence_forward`.
+
+        Only the dh/dc recursion steps through time; the LSTM weight gradients
+        are one product each over all packed rows.
+        """
+        hid = self.lstm_hidden
+        dh_pi = _mlp_backward(self.params, "pi", len(self.hidden), cache.pi_acts, dheads, grads)
+        dh_vf = _mlp_backward(self.params, "vf", len(self.hidden), cache.vf_acts,
+                              dvalues[:, None], grads)
+        dh_out = np.stack([dh_pi, dh_vf])[:, cache.perm]
+        wh_t = _stacked_lstm(self.params, "wh").transpose(0, 2, 1)
+        dpre = np.empty_like(cache.gates)
+        dh_next = dc_next = np.zeros((2, 0, hid))
+        end = len(cache.perm)
+        for k in reversed(cache.alive):
+            rows = slice(end - k, end)
+            live = dh_next.shape[1]  # rows still alive one step later
+            i, f, g, o = np.split(cache.gates[:, rows], 4, axis=2)
+            tanh_c = cache.tanh_c[:, rows]
+            dh = dh_out[:, rows]
+            dh[:, :live] += dh_next
+            dc = dh * o * (1.0 - tanh_c**2)
+            dc[:, :live] += dc_next
+            dpre[:, rows, :hid] = dc * g * i * (1.0 - i)
+            dpre[:, rows, hid:2 * hid] = dc * cache.c_prev[:, rows] * f * (1.0 - f)
+            dpre[:, rows, 2 * hid:3 * hid] = dc * i * (1.0 - g**2)
+            dpre[:, rows, 3 * hid:] = dh * tanh_c * o * (1.0 - o)
+            dh_next = dpre[:, rows] @ wh_t
+            dc_next = dc * f
+            end -= k
+        for l, prefix in enumerate(("pi_lstm", "vf_lstm")):
+            grads[f"{prefix}.wx"] += cache.x.T @ dpre[l]
+            grads[f"{prefix}.wh"] += cache.h_prev[l].T @ dpre[l]
+            grads[f"{prefix}.b"] += dpre[l].sum(axis=0)
 
 
 @dataclass

@@ -100,23 +100,6 @@ def _segment_minibatches(segments, batch_size, shuffle_gen):
     return groups
 
 
-def _pad_segments(buffer, segments):
-    """Zero-padded (n_seq, T, obs_dim) observations, start states, step mask and buffer rows."""
-    t_max = max(s.end - s.start for s in segments)
-    n_seq = len(segments)
-    obs_seq = np.zeros((n_seq, t_max, buffer.obs_dim))
-    mask = np.zeros((n_seq, t_max), dtype=bool)
-    flat_index = np.zeros((n_seq, t_max), dtype=int)
-    for s_i, seg in enumerate(segments):
-        length = seg.end - seg.start
-        obs_seq[s_i, :length] = buffer.observations[seg.start : seg.end]
-        mask[s_i, :length] = True
-        flat_index[s_i, :length] = np.arange(seg.start, seg.end)
-    # (h_pi, c_pi, h_vf, c_vf), each (n_seq, lstm_hidden)
-    init_state = tuple(np.concatenate(parts) for parts in zip(*(s.init_state for s in segments)))
-    return obs_seq, init_state, mask, flat_index[mask]
-
-
 def _normalized(advantages: np.ndarray) -> np.ndarray:
     return (advantages - advantages.mean()) / max(float(advantages.std()), 1e-8)
 
@@ -133,9 +116,14 @@ def _update_minibatch(net, buffer, batch, cfg, adam) -> dict:
     """One clipped-surrogate step on a minibatch: buffer rows (mlp) or a segment group (lstm)."""
     recurrent = net.kind == "lstm"
     if recurrent:
-        obs_seq, init_state, mask, idx = _pad_segments(buffer, batch)
-        heads_seq, values_seq, cache = net.sequence_forward(obs_seq, init_state)
-        heads, values = heads_seq[mask], values_seq[mask]
+        # each segment's rows are contiguous in the buffer: pack them back to back
+        idx = np.concatenate([np.arange(seg.start, seg.end) for seg in batch])
+        lengths = [seg.end - seg.start for seg in batch]
+        # (h_pi, c_pi, h_vf, c_vf), each (n_seq, lstm_hidden)
+        init_state = tuple(
+            np.concatenate(parts) for parts in zip(*(seg.init_state for seg in batch))
+        )
+        heads, values, cache = net.sequence_forward(buffer.observations[idx], lengths, init_state)
     else:
         idx = batch
         heads, values, cache = net.forward(buffer.observations[idx])
@@ -153,7 +141,8 @@ def _update_minibatch(net, buffer, batch, cfg, adam) -> dict:
         stops = buffer.stops[idx]
         logit = heads[:, 1]
         lp_new = lp_new + dist.bernoulli_log_prob(stops, logit)
-    ratio = np.exp(lp_new - lp_old)
+    log_ratio = lp_new - lp_old
+    ratio = np.exp(log_ratio)
     dlp, surr1, surr2 = _policy_grad_coeff(ratio, adv, cfg.clip_range, n)
     policy_loss = -float(np.minimum(surr1, surr2).mean())
     value_err = values - returns
@@ -176,21 +165,29 @@ def _update_minibatch(net, buffer, batch, cfg, adam) -> dict:
     dvalues = cfg.value_coeff * 2.0 * value_err / n
     grads = zero_grads_like(net.params)
     if recurrent:
-        dheads_seq = np.zeros_like(heads_seq)
-        dheads_seq[mask] = dheads
-        dvalues_seq = np.zeros_like(values_seq)
-        dvalues_seq[mask] = dvalues
-        net.sequence_backward(cache, dheads_seq, dvalues_seq, grads)
+        net.sequence_backward(cache, dheads, dvalues, grads)
     else:
         net.backward(cache, dheads, dvalues, grads)
     grads["log_std"] += np.sum(dlp * dlogstd_per) - cfg.entropy_coeff
-    adam.step(net.params, grads)
-    return {"policy_loss": policy_loss, "value_loss": value_loss, "entropy": entropy}
+    grad_norm = adam.step(net.params, grads)
+    return {
+        "policy_loss": policy_loss,
+        "value_loss": value_loss,
+        "entropy": entropy,
+        "grad_norm": grad_norm,
+        "approx_kl": float(np.mean((ratio - 1.0) - log_ratio)),
+        "clip_fraction": float(np.mean(np.abs(ratio - 1.0) > cfg.clip_range)),
+    }
 
 
 def ppo_update(net, buffer: RolloutBuffer, cfg: PpoConfig, adam: Adam,
                shuffle_gen: np.random.Generator) -> dict:
-    """Run the configured epochs of minibatch updates over one full buffer."""
+    """Run the configured epochs of minibatch updates over one full buffer.
+
+    Returns the mean over minibatches of the losses, the entropy and three
+    health signals: the pre-clip gradient norm, the approximate KL divergence
+    mean((r - 1) - log r) and the share of rows with |r - 1| > clip_range.
+    """
     if buffer.advantages is None:
         raise ValueError("advantages not computed; call compute_gae first")
     diags: list[dict] = []
@@ -206,11 +203,7 @@ def ppo_update(net, buffer: RolloutBuffer, cfg: PpoConfig, adam: Adam,
         for batch in batches:
             diags.append(_update_minibatch(net, buffer, batch, cfg, adam))
     validate_params(net.params)
-    return {
-        "policy_loss": float(np.mean([d["policy_loss"] for d in diags])),
-        "value_loss": float(np.mean([d["value_loss"] for d in diags])),
-        "entropy": float(np.mean([d["entropy"] for d in diags])),
-    }
+    return {name: float(np.mean([d[name] for d in diags])) for name in diags[0]}
 
 
 def _make_net(scenario: str, cfg: PpoConfig, gen: np.random.Generator):
@@ -289,9 +282,7 @@ def train(
                 "update_index": update,
                 "timesteps": (update + 1) * ppo_cfg.n_steps,
                 "mean_episode_reward": mean_reward,
-                "policy_loss": diag["policy_loss"],
-                "value_loss": diag["value_loss"],
-                "entropy": diag["entropy"],
+                **diag,
             }
         )
     return net, curve

@@ -215,3 +215,98 @@ class TrainingEpisodeReplay:
         if self.kind == "qomdp":
             return self.observation(), -1.0 if done else 0.0, done
         return self.observation(), min(max(self.seen[self.target, self.target].real, 0.0), 1.0), done
+
+
+def _padded_mlp(params, prefix, n_hidden, x):
+    acts = [x]
+    for i in range(n_hidden):
+        acts.append(np.tanh(acts[-1] @ params[f"{prefix}.w{i}"] + params[f"{prefix}.b{i}"]))
+    return acts[-1] @ params[f"{prefix}.wh"] + params[f"{prefix}.bh"], acts
+
+
+def _padded_mlp_backward(params, prefix, n_hidden, acts, dout, grads):
+    grads[f"{prefix}.wh"] += acts[-1].T @ dout
+    grads[f"{prefix}.bh"] += dout.sum(axis=0)
+    dh = dout @ params[f"{prefix}.wh"].T
+    for i in reversed(range(n_hidden)):
+        dz = dh * (1.0 - acts[i + 1] ** 2)
+        grads[f"{prefix}.w{i}"] += acts[i].T @ dz
+        grads[f"{prefix}.b{i}"] += dz.sum(axis=0)
+        dh = dz @ params[f"{prefix}.w{i}"].T
+    return dh
+
+
+def _padded_lstm(params, prefix, hidden, x_seq, h, c):
+    """Forward over (T, n_seq, in); returns h (T, n_seq, hidden) and per-step caches."""
+    sig = lambda z: 1.0 / (1.0 + np.exp(-z))  # noqa: E731
+    hs, caches = [], []
+    for x in x_seq:
+        pre = x @ params[f"{prefix}.wx"] + h @ params[f"{prefix}.wh"] + params[f"{prefix}.b"]
+        i, f = sig(pre[:, :hidden]), sig(pre[:, hidden:2 * hidden])
+        g, o = np.tanh(pre[:, 2 * hidden:3 * hidden]), sig(pre[:, 3 * hidden:])
+        c_new = f * c + i * g
+        tanh_c = np.tanh(c_new)
+        caches.append((x, h, c, i, f, g, o, tanh_c))
+        h, c = o * tanh_c, c_new
+        hs.append(h)
+    return np.array(hs), caches
+
+
+def _padded_lstm_backward(params, prefix, caches, dh_seq, grads):
+    """BPTT through every padded step; dh_seq (T, n_seq, hidden)."""
+    dh_next = np.zeros_like(dh_seq[0])
+    dc_next = np.zeros_like(dh_seq[0])
+    for t in reversed(range(len(caches))):
+        x, h_prev, c_prev, i, f, g, o, tanh_c = caches[t]
+        dh = dh_seq[t] + dh_next
+        dc = dh * o * (1.0 - tanh_c**2) + dc_next
+        dpre = np.concatenate(
+            [dc * g * i * (1.0 - i), dc * c_prev * f * (1.0 - f),
+             dc * i * (1.0 - g**2), dh * tanh_c * o * (1.0 - o)],
+            axis=1,
+        )
+        grads[f"{prefix}.wx"] += x.T @ dpre
+        grads[f"{prefix}.wh"] += h_prev.T @ dpre
+        grads[f"{prefix}.b"] += dpre.sum(axis=0)
+        dh_next = dpre @ params[f"{prefix}.wh"].T
+        dc_next = dc * f
+
+
+def padded_recurrent_pass(net, obs, lengths, init_state, dheads, dvalues):
+    """Recurrent actor-critic forward and backward on the zero-padded (n_seq, T) grid.
+
+    ``obs`` holds the sequences' rows back to back, as the packed training
+    path takes them.  Every sequence runs all ``T = max(lengths)`` steps from
+    its start state, the trunks run on every grid row, and the gradients of
+    the padded rows are zero.  Returns heads (n, k), values (n,) and the
+    parameter gradients for the upstream ``dheads`` (n, k) and ``dvalues`` (n,).
+    """
+    params, hid, n_hidden = net.params, net.lstm_hidden, len(net.hidden)
+    n_seq, t_max = len(lengths), max(lengths)
+    obs_seq = np.zeros((n_seq, t_max, obs.shape[1]))
+    mask = np.zeros((n_seq, t_max), dtype=bool)
+    start = 0
+    for s, length in enumerate(lengths):
+        obs_seq[s, :length] = obs[start:start + length]
+        mask[s, :length] = True
+        start += length
+    x_seq = obs_seq.transpose(1, 0, 2)
+    h_pi, c_pi, h_vf, c_vf = init_state
+    pi_hs, pi_caches = _padded_lstm(params, "pi_lstm", hid, x_seq, h_pi, c_pi)
+    vf_hs, vf_caches = _padded_lstm(params, "vf_lstm", hid, x_seq, h_vf, c_vf)
+    flat = lambda a: a.transpose(1, 0, 2).reshape(n_seq * t_max, -1)  # noqa: E731
+    heads, pi_acts = _padded_mlp(params, "pi", n_hidden, flat(pi_hs))
+    values, vf_acts = _padded_mlp(params, "vf", n_hidden, flat(vf_hs))
+    rows = mask.reshape(-1)
+
+    grads = {name: np.zeros_like(v) for name, v in params.items()}
+    dheads_grid = np.zeros_like(heads)
+    dheads_grid[rows] = dheads
+    dvalues_grid = np.zeros((n_seq * t_max, 1))
+    dvalues_grid[rows, 0] = dvalues
+    unflat = lambda a: a.reshape(n_seq, t_max, hid).transpose(1, 0, 2)  # noqa: E731
+    dh_pi = _padded_mlp_backward(params, "pi", n_hidden, pi_acts, dheads_grid, grads)
+    dh_vf = _padded_mlp_backward(params, "vf", n_hidden, vf_acts, dvalues_grid, grads)
+    _padded_lstm_backward(params, "pi_lstm", pi_caches, unflat(dh_pi), grads)
+    _padded_lstm_backward(params, "vf_lstm", vf_caches, unflat(dh_vf), grads)
+    return heads[rows], values[rows, 0], grads

@@ -13,6 +13,7 @@ from qfclab.harness.cli import (
     EXIT_RUNTIME,
     main,
 )
+from qfclab.harness.report import parse_csv
 from qfclab.qcore import DimensionError, StateValidityError
 from qfclab.rl.checkpoint import load_policy, save_policy
 from qfclab.rl.nets import MlpActorCritic
@@ -99,7 +100,13 @@ class TestTrainEvalRoundTrip:
         assert ckpt.exists()
         curve = Path(str(ckpt) + ".curve.csv")
         assert curve.exists()
-        assert curve.read_text().splitlines()[0].startswith("update_index,timesteps")
+        rows = parse_csv(curve.read_text(), dict.fromkeys(cli.TRAIN_CURVE_COLUMNS, float))
+        assert len(rows) == 2
+        for row in rows:
+            health = dict(zip(cli.TRAIN_CURVE_COLUMNS, row))
+            assert health["grad_norm"] > 0.0
+            assert health["approx_kl"] >= 0.0
+            assert 0.0 <= health["clip_fraction"] <= 1.0
 
         code = main([
             "eval", "--policy", str(ckpt), "--alpha", "0", "--epsilon", "0.1",
@@ -118,7 +125,8 @@ class TestTrainEvalRoundTrip:
         assert code == EXIT_OK
         assert load_policy(ckpt)[1]["alpha"] == "0.0"
         assert Path(str(ckpt) + ".curve.csv").read_text() == (
-            "update_index,timesteps,mean_episode_reward,policy_loss,value_loss,entropy\n"
+            "update_index,timesteps,mean_episode_reward,policy_loss,value_loss,entropy,"
+            "grad_norm,approx_kl,clip_fraction\n"
         )
 
     def test_negative_timesteps_is_config_error(self, tmp_path, capsys):

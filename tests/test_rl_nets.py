@@ -1,7 +1,10 @@
-"""Gradient verification for the hand-written networks against central finite differences."""
+"""Gradient verification for the hand-written networks against central finite differences,
+and of the packed recurrent training path against the zero-padded one."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qfclab.rl import distributions as dist
 from qfclab.rl.nets import (
@@ -12,6 +15,8 @@ from qfclab.rl.nets import (
     validate_params,
     zero_grads_like,
 )
+
+from oracles import padded_recurrent_pass
 
 FD_STEP = 1e-5
 REL_TOL = 1e-4
@@ -112,40 +117,37 @@ class TestRecurrentGradients:
         self.net = RecurrentActorCritic(
             obs_dim=2, n_action_outputs=2, hidden=(3,), lstm_hidden=4, gen=gen
         )
-        self.obs_seq = gen.standard_normal((2, 5, 2))
-        self.mask = np.ones((2, 5), dtype=bool)
-        self.mask[1, 3:] = False  # one padded sequence
-        self.pre = gen.standard_normal(int(self.mask.sum()))
-        self.stops = (gen.random(int(self.mask.sum())) < 0.5).astype(float)
-        self.coeff = gen.standard_normal(int(self.mask.sum()))
-        self.returns = gen.standard_normal(int(self.mask.sum()))
+        self.lengths = (5, 3)  # sequences of unequal length
+        n = sum(self.lengths)
+        self.obs = gen.standard_normal((n, 2))
+        self.pre = gen.standard_normal(n)
+        self.stops = (gen.random(n) < 0.5).astype(float)
+        self.coeff = gen.standard_normal(n)
+        self.returns = gen.standard_normal(n)
         self.init = tuple(np.zeros((2, 4)) for _ in range(4))
 
     def joint_logp(self):
-        heads, _, _ = self.net.sequence_forward(self.obs_seq, self.init)
-        mean = heads[:, :, 0][self.mask]
-        logit = heads[:, :, 1][self.mask]
-        lp = dist.squashed_log_prob(self.pre, mean, self.net.log_std)
-        lp = lp + dist.bernoulli_log_prob(self.stops, logit)
+        heads, _, _ = self.net.sequence_forward(self.obs, self.lengths, self.init)
+        lp = dist.squashed_log_prob(self.pre, heads[:, 0], self.net.log_std)
+        lp = lp + dist.bernoulli_log_prob(self.stops, heads[:, 1])
         return float(np.mean(self.coeff * lp))
 
     def value_loss(self):
-        _, values, _ = self.net.sequence_forward(self.obs_seq, self.init)
-        return float(np.mean((values[self.mask] - self.returns) ** 2))
+        _, values, _ = self.net.sequence_forward(self.obs, self.lengths, self.init)
+        return float(np.mean((values - self.returns) ** 2))
 
     def test_joint_log_prob_gradient(self):
-        heads, _, cache = self.net.sequence_forward(self.obs_seq, self.init)
-        mean = heads[:, :, 0][self.mask]
-        logit = heads[:, :, 1][self.mask]
-        n = int(self.mask.sum())
+        heads, _, cache = self.net.sequence_forward(self.obs, self.lengths, self.init)
+        mean, logit = heads[:, 0], heads[:, 1]
+        n = len(self.obs)
         dmean, dlogstd_per = dist.squashed_log_prob_grads(self.pre, mean, self.net.log_std)
-        dheads = np.zeros_like(heads)
-        dheads[:, :, 0][self.mask] = self.coeff * dmean / n
-        dheads[:, :, 1][self.mask] = (
-            self.coeff * dist.bernoulli_log_prob_grad(self.stops, logit) / n
+        dheads = np.stack(
+            [self.coeff * dmean / n,
+             self.coeff * dist.bernoulli_log_prob_grad(self.stops, logit) / n],
+            axis=1,
         )
         grads = zero_grads_like(self.net.params)
-        self.net.sequence_backward(cache, dheads, np.zeros((2, 5)), grads)
+        self.net.sequence_backward(cache, dheads, np.zeros(n), grads)
         grads["log_std"] += np.sum(self.coeff * dlogstd_per) / n
         numeric = numerical_grads(self.net.params, self.joint_logp)
         keep = [k for k in numeric if k.startswith(("pi", "log_std"))]
@@ -154,13 +156,11 @@ class TestRecurrentGradients:
         )
 
     def test_value_loss_gradient(self):
-        _, values, cache = self.net.sequence_forward(self.obs_seq, self.init)
-        n = int(self.mask.sum())
-        dvalues = np.zeros((2, 5))
-        dvalues[self.mask] = 2.0 * (values[self.mask] - self.returns) / n
+        _, values, cache = self.net.sequence_forward(self.obs, self.lengths, self.init)
+        n = len(self.obs)
         grads = zero_grads_like(self.net.params)
         self.net.sequence_backward(
-            cache, np.zeros((2, 5, 2)), dvalues, grads
+            cache, np.zeros((n, 2)), 2.0 * (values - self.returns) / n, grads
         )
         numeric = numerical_grads(self.net.params, self.value_loss)
         keep = [k for k in numeric if k.startswith("vf")]
@@ -169,12 +169,51 @@ class TestRecurrentGradients:
     def test_single_step_matches_sequence_forward(self):
         state = self.net.initial_state()
         for t in range(3):
-            heads_step, value_step, state = self.net.step(self.obs_seq[0, t], state)
+            heads_step, value_step, state = self.net.step(self.obs[t], state)
             heads_seq, values_seq, _ = self.net.sequence_forward(
-                self.obs_seq[:1, : t + 1], tuple(np.zeros((1, 4)) for _ in range(4))
+                self.obs[: t + 1], (t + 1,), tuple(np.zeros((1, 4)) for _ in range(4))
             )
-            np.testing.assert_allclose(heads_step, heads_seq[0, t], atol=1e-12)
-            assert value_step == pytest.approx(values_seq[0, t], abs=1e-12)
+            np.testing.assert_allclose(heads_step, heads_seq[t], atol=1e-12)
+            assert value_step == pytest.approx(values_seq[t], abs=1e-12)
+
+
+def assert_rel_close(got, want, rel_tol, name):
+    scale = max(float(np.max(np.abs(want))), 1e-300)
+    worst = float(np.max(np.abs(got - want))) / scale
+    assert worst <= rel_tol, f"{name}: relative deviation {worst:.2e}"
+
+
+class TestPackedMatchesPadded:
+    """The packed sequence path against the zero-padded (n_seq, T) grid it replaced."""
+
+    @settings(max_examples=40)
+    @given(
+        lengths=st.lists(st.integers(1, 20), min_size=1, max_size=30),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(lengths=[1], seed=0)
+    @example(lengths=[4, 1, 4, 1, 1, 7, 7], seed=1)
+    def test_heads_values_and_grads_match_the_padded_oracle(self, lengths, seed):
+        gen = np.random.default_rng(seed)
+        net = RecurrentActorCritic(obs_dim=2, n_action_outputs=2, hidden=(8, 8),
+                                   lstm_hidden=5, gen=gen)
+        n, n_seq = sum(lengths), len(lengths)
+        obs = gen.standard_normal((n, 2))
+        init_state = tuple(gen.uniform(-1.0, 1.0, (n_seq, 5)) for _ in range(4))
+        dheads = gen.standard_normal((n, 2))
+        dvalues = gen.standard_normal(n)
+
+        heads, values, cache = net.sequence_forward(obs, lengths, init_state)
+        grads = zero_grads_like(net.params)
+        net.sequence_backward(cache, dheads, dvalues, grads)
+        ref_heads, ref_values, ref_grads = padded_recurrent_pass(
+            net, obs, lengths, init_state, dheads, dvalues
+        )
+        assert_rel_close(heads, ref_heads, 1e-12, "heads")
+        assert_rel_close(values, ref_values, 1e-12, "values")
+        for name in net.params:
+            if name != "log_std":  # the PPO loss adds its gradient, not the net
+                assert_rel_close(grads[name], ref_grads[name], 1e-12, name)
 
 
 class TestOrthogonalInit:

@@ -6,6 +6,7 @@ import pytest
 from qfclab.controllers import ControlAction
 from qfclab.dynamics import EnvConfig
 from qfclab.rl import distributions as dist
+from qfclab.rl import nets
 from qfclab.rl.buffer import compute_gae
 from qfclab.rl.config import PpoConfig
 from qfclab.rl.envs import ScenarioEnv
@@ -91,12 +92,12 @@ class TestRatioIdentity:
                                    lstm_hidden=8, gen=RngStream(1).generator())
         buffer, _ = collect_one(net, 4, env_cls=ParityEnv)
         for seg in buffer.segments:
-            obs = buffer.observations[seg.start:seg.end][None, :, :]
-            heads, _, _ = net.sequence_forward(obs, seg.init_state)
+            obs = buffer.observations[seg.start:seg.end]
+            heads, _, _ = net.sequence_forward(obs, (len(obs),), seg.init_state)
             pre = buffer.pre_squash[seg.start:seg.end]
             stops = buffer.stops[seg.start:seg.end]
-            lp = dist.squashed_log_prob(pre, heads[0, :, 0], net.log_std)
-            lp = lp + dist.bernoulli_log_prob(stops, heads[0, :, 1])
+            lp = dist.squashed_log_prob(pre, heads[:, 0], net.log_std)
+            lp = lp + dist.bernoulli_log_prob(stops, heads[:, 1])
             np.testing.assert_allclose(
                 np.exp(lp - buffer.log_probs[seg.start:seg.end]), 1.0, atol=1e-12
             )
@@ -279,6 +280,37 @@ class TestUpdateGradient:
                 worst = max(worst, abs(grad - fd) / (1e-6 + abs(fd)))
                 it.iternext()
         assert worst <= 1e-4
+
+
+class TestPackedWork:
+    def test_recurrent_update_computes_only_live_rows(self, monkeypatch):
+        # a padded (n_seq x max length) grid would step and run the trunks on
+        # more rows than the segments hold
+        net = RecurrentActorCritic(obs_dim=2, n_action_outputs=2, hidden=(4,), lstm_hidden=3,
+                                   gen=RngStream(60).generator())
+        buffer, cfg = TestUpdateGradient.second_window(net, "qomdp", 61)
+        lengths = [seg.end - seg.start for seg in buffer.segments]
+        assert len(set(lengths)) > 1
+
+        trunk_rows, caches = [], []
+        mlp_forward = nets._mlp_forward
+        sequence_forward = RecurrentActorCritic.sequence_forward
+
+        def counting_mlp_forward(params, prefix, n_hidden, x):
+            trunk_rows.append(len(x))
+            return mlp_forward(params, prefix, n_hidden, x)
+
+        def recording_sequence_forward(self, *args):
+            out = sequence_forward(self, *args)
+            caches.append(out[2])
+            return out
+
+        monkeypatch.setattr(nets, "_mlp_forward", counting_mlp_forward)
+        monkeypatch.setattr(RecurrentActorCritic, "sequence_forward", recording_sequence_forward)
+        _update_minibatch(net, buffer, buffer.segments, cfg, RecordingOptimizer())
+        assert trunk_rows == [sum(lengths), sum(lengths)]  # policy and value trunks
+        (cache,) = caches
+        assert sum(cache.alive) == cache.gates.shape[1] == sum(lengths)  # LSTM row-steps
 
 
 class TestSampleAction:
