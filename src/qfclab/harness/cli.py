@@ -107,7 +107,7 @@ def _cmd_eval(args) -> int:
         if not Path(args.policy).exists():
             raise MissingCheckpointError(f"checkpoint {args.policy} not found")
         policy, meta = load_policy(args.policy)
-        scenario = meta.get("scenario", "rl")
+        scenario = meta["scenario"]
     env_cfg = EnvConfig(
         noise_kind=args.noise, alpha=args.alpha, epsilon=args.epsilon, horizon=args.horizon
     )

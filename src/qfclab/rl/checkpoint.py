@@ -1,44 +1,41 @@
-"""Policy checkpoints: a text manifest followed by a float64 little-endian blob.
+"""Policy checkpoints: one numpy ``.npz`` archive, a zip of ``.npy`` members.
 
-Layout (single file): header lines up to and including ``blob``, then the raw
-bytes of every tensor in manifest order.  Example::
-
-    qfc-ckpt-1
-    kind mlp
-    scenario mbs
-    obs_dim 9
-    n_action_outputs 1
-    hidden 64,64,64
-    meta epsilon 0.1
-    tensor pi.w0 9,64
-    ...
-    tensor log_std scalar
-    blob
-    <binary>
+Members: every network parameter under its own name (float64), then
+``kind``, ``scenario``, ``obs_dim``, ``n_action_outputs``, ``hidden``,
+``lstm_hidden`` (LSTM only) and ``meta``, the metadata as one JSON object of
+strings.  The loader reads each member whole, so zip checks its CRC-32 before
+numpy parses it: a flipped or truncated byte fails as :class:`CheckpointError`.
 """
 
 from __future__ import annotations
 
+import io
+import json
 import os
+import zipfile
+import zlib
 from pathlib import Path
 
 import numpy as np
 
 from .nets import MlpActorCritic, RecurrentActorCritic, validate_params
 
-FORMAT_VERSION = "qfc-ckpt-1"
+# what a damaged archive raises as it is read, and a bad member as it is checked
+_READ_ERRORS = (zipfile.BadZipFile, zlib.error, NotImplementedError, RuntimeError,
+                EOFError, ValueError, TypeError, FloatingPointError)
 
 
 class CheckpointError(ValueError):
-    """Malformed or incompatible checkpoint file."""
+    """Malformed, corrupt or incompatible checkpoint file."""
 
 
-def _shape_str(shape: tuple[int, ...]) -> str:
-    return "scalar" if shape == () else ",".join(str(d) for d in shape)
-
-
-def _parse_shape(text: str) -> tuple[int, ...]:
-    return () if text == "scalar" else tuple(int(d) for d in text.split(","))
+def _fields(net, scenario: str, metadata: dict) -> dict:
+    fields = {"kind": net.kind, "scenario": scenario, "obs_dim": net.obs_dim,
+              "n_action_outputs": net.n_action_outputs, "hidden": net.hidden,
+              "meta": json.dumps({key: str(value) for key, value in metadata.items()})}
+    if isinstance(net, RecurrentActorCritic):
+        fields["lstm_hidden"] = net.lstm_hidden
+    return fields
 
 
 def save_policy(path, net, scenario: str, metadata: dict | None = None) -> None:
@@ -49,27 +46,11 @@ def save_policy(path, net, scenario: str, metadata: dict | None = None) -> None:
     a partial checkpoint where a later run would take it for a whole one.
     """
     validate_params(net.params)
-    lines = [FORMAT_VERSION, f"kind {net.kind}", f"scenario {scenario}"]
-    lines.append(f"obs_dim {net.obs_dim}")
-    lines.append(f"n_action_outputs {net.n_action_outputs}")
-    lines.append(f"hidden {','.join(str(h) for h in net.hidden)}")
-    if isinstance(net, RecurrentActorCritic):
-        lines.append(f"lstm_hidden {net.lstm_hidden}")
-    for key, value in (metadata or {}).items():
-        lines.append(f"meta {key} {value}")
-    names = sorted(net.params)
-    for name in names:
-        lines.append(f"tensor {name} {_shape_str(net.params[name].shape)}")
-    lines.append("blob")
-    payload = b"".join(
-        np.ascontiguousarray(net.params[name], dtype="<f8").tobytes() for name in names
-    )
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "wb") as handle:
-            handle.write("\n".join(lines).encode("ascii") + b"\n")
-            handle.write(payload)
+        with open(tmp, "wb") as handle:  # a handle: given a path, savez appends ".npz"
+            np.savez(handle, **net.params, **_fields(net, scenario, metadata or {}))
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -77,75 +58,43 @@ def save_policy(path, net, scenario: str, metadata: dict | None = None) -> None:
 
 
 def load_policy(path):
-    """Read a checkpoint; returns (net, metadata dict)."""
-    raw = Path(path).read_bytes()
-    marker = b"\nblob\n"
-    cut = raw.find(marker)
-    if cut < 0:
-        raise CheckpointError(f"{path}: no blob marker found")
-    header = raw[:cut].decode("ascii").splitlines()
-    payload = raw[cut + len(marker):]
-    if not header or header[0] != FORMAT_VERSION:
-        raise CheckpointError(
-            f"{path}: expected version {FORMAT_VERSION!r}, got {header[0] if header else 'nothing'!r}"
-        )
-    fields: dict[str, str] = {}
-    metadata: dict[str, str] = {}
-    tensors: list[tuple[str, tuple[int, ...]]] = []
-    for line in header[1:]:
-        key, _, rest = line.partition(" ")
-        if key == "meta":
-            mkey, _, mval = rest.partition(" ")
-            metadata[mkey] = mval
-        elif key == "tensor":
-            name, _, shape = rest.partition(" ")
-            tensors.append((name, _parse_shape(shape)))
-        else:
-            fields[key] = rest
+    """Read a checkpoint; returns (net, metadata dict of str).
 
-    def required(name: str) -> str:
-        if name not in fields:
-            raise CheckpointError(f"{path}: header lacks the {name!r} field")
-        return fields[name]
-
-    kind = fields.get("kind")
-    obs_dim = int(required("obs_dim"))
-    n_out = int(required("n_action_outputs"))
-    hidden = tuple(int(h) for h in required("hidden").split(","))
-    if kind == "mlp":
-        net = MlpActorCritic(obs_dim=obs_dim, n_action_outputs=n_out, hidden=hidden)
-    elif kind == "lstm":
-        net = RecurrentActorCritic(
-            obs_dim=obs_dim, n_action_outputs=n_out, hidden=hidden,
-            lstm_hidden=int(required("lstm_hidden")),
-        )
-    else:
-        raise CheckpointError(f"{path}: unknown network kind {kind!r}")
-
-    names = [name for name, _ in tensors]
-    for name in net.params:
-        if names.count(name) != 1:
-            raise CheckpointError(
-                f"{path}: tensor {name!r} listed {names.count(name)} times, expected once"
-            )
-    offset = 0
-    for name, shape in tensors:
-        if name not in net.params:
-            raise CheckpointError(f"{path}: unexpected tensor {name!r}")
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = count * 8
-        block = payload[offset : offset + nbytes]
-        if len(block) != nbytes:
-            raise CheckpointError(f"{path}: blob truncated at tensor {name!r}")
-        value = np.frombuffer(block, dtype="<f8").astype(np.float64).reshape(shape)
-        if value.shape != net.params[name].shape:
-            raise CheckpointError(
-                f"{path}: tensor {name!r} shape {value.shape} != expected {net.params[name].shape}"
-            )
-        net.params[name] = value.copy() if shape else np.array(float(value))
-        offset += nbytes
-    if offset != len(payload):
-        raise CheckpointError(f"{path}: {len(payload) - offset} trailing bytes in blob")
-    validate_params(net.params)
-    metadata["scenario"] = fields.get("scenario", "")
+    Any file that is not a whole, intact checkpoint of this format, or whose
+    parameters are non-finite, raises :class:`CheckpointError`.
+    """
+    try:
+        with zipfile.ZipFile(path) as archive:
+            names = archive.namelist()
+            # zipfile would keep the last of two members of one name
+            if len({name.removesuffix(".npy") for name in names}) != len(names):
+                raise CheckpointError(f"{path}: duplicated member names")
+            members = {name.removesuffix(".npy"): np.lib.format.read_array(
+                io.BytesIO(archive.read(name)), allow_pickle=False) for name in names}
+        shape = dict(obs_dim=int(members["obs_dim"]), hidden=tuple(members["hidden"].tolist()),
+                     n_action_outputs=int(members["n_action_outputs"]))
+        kind = str(members["kind"])
+        if kind not in ("mlp", "lstm"):
+            raise CheckpointError(f"{path}: unknown network kind {kind!r}")
+        net = (MlpActorCritic(**shape) if kind == "mlp"
+               else RecurrentActorCritic(**shape, lstm_hidden=int(members["lstm_hidden"])))
+        expected = set(net.params) | set(_fields(net, "", {}))
+        if set(members) != expected:
+            raise CheckpointError(f"{path}: missing members {sorted(expected - set(members))}, "
+                                  f"unexpected {sorted(set(members) - expected)}")
+        for name, value in net.params.items():
+            if members[name].dtype != np.float64 or members[name].shape != value.shape:
+                raise CheckpointError(f"{path}: {name!r} is not float64 of shape {value.shape}")
+            net.params[name] = members[name]
+        validate_params(net.params)
+        metadata = json.loads(str(members["meta"]))
+        if not isinstance(metadata, dict) or not all(isinstance(v, str) for v in metadata.values()):
+            raise CheckpointError(f"{path}: meta is not a JSON object of strings")
+    except KeyError as exc:
+        raise CheckpointError(f"{path}: lacks the {exc} member") from exc
+    except CheckpointError:
+        raise
+    except _READ_ERRORS as exc:
+        raise CheckpointError(f"{path}: {type(exc).__name__}: {exc}") from exc
+    metadata["scenario"] = str(members["scenario"])
     return net, metadata

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, file outputs."""
 
+import zipfile
 from pathlib import Path
 
 import pytest
@@ -83,7 +84,12 @@ class TestEvalCommand:
     def test_checkpoint_missing_header_field_is_config_error(self, tmp_path, capsys):
         ckpt = tmp_path / "p.ckpt"
         save_policy(ckpt, MlpActorCritic(obs_dim=9), "mbs", {})
-        ckpt.write_bytes(ckpt.read_bytes().replace(b"\nobs_dim 9\n", b"\n", 1))
+        with zipfile.ZipFile(ckpt) as archive:
+            kept = [(name, archive.read(name)) for name in archive.namelist()
+                    if name != "obs_dim.npy"]
+        with zipfile.ZipFile(ckpt, "w") as archive:
+            for name, data in kept:
+                archive.writestr(name, data)
         code = main(["eval", "--policy", str(ckpt), "--episodes", "1"])
         assert code == EXIT_CONFIG
         assert "obs_dim" in capsys.readouterr().err
@@ -228,6 +234,27 @@ class TestSweepCommand:
         cfg.write_text(text.replace("train_timesteps = 512", "train_timesteps = 1024"))
         assert main(["sweep", "--config", str(cfg)]) == EXIT_CONFIG
         assert "mbs_eps0.1.ckpt records meta timesteps '512'" in capsys.readouterr().err
+
+    def test_corrupt_checkpoint_fails_before_any_training(self, tmp_path, capsys):
+        cfg = write_sweep_config(tmp_path, tmp_path / "out", tmp_path / "ck")
+        text = cfg.read_text().replace("scenarios = basic", "scenarios = mbs").replace(
+            "[output]", "train_on_demand = true\ntrain_timesteps = 512\n[output]"
+        )
+        cfg.write_text(text)
+        assert main(["sweep", "--config", str(cfg)]) == EXIT_OK
+        # one flipped bit in the first weight of the agent now on disk, stored
+        # in the array's own memory order
+        ckpt = tmp_path / "ck" / "mbs_eps0.1.ckpt"
+        raw = bytearray(ckpt.read_bytes())
+        offset = raw.find(load_policy(ckpt)[0].params["pi.w0"].tobytes(order="A"))
+        assert offset > 0
+        raw[offset] ^= 0x01
+        ckpt.write_bytes(bytes(raw))
+        # a re-run that also needs one more agent
+        cfg.write_text(text.replace("epsilons = 0.1", "epsilons = 0.1, 0.2"))
+        assert main(["sweep", "--config", str(cfg)]) == EXIT_CONFIG
+        assert "mbs_eps0.1.ckpt: BadZipFile: Bad CRC-32" in capsys.readouterr().err
+        assert sorted(p.name for p in (tmp_path / "ck").iterdir()) == ["mbs_eps0.1.ckpt"]
 
     def test_desk_scale_flag_shrinks_grid(self, tmp_path, capsys):
         cfg = write_sweep_config(tmp_path, tmp_path / "out", tmp_path / "ck")

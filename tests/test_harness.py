@@ -5,7 +5,7 @@ import importlib
 import logging
 import multiprocessing
 import os
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +46,8 @@ from qfclab.harness.report import (
 )
 from qfclab.qcore import basis_state
 from qfclab.rl.checkpoint import load_policy, save_policy
-from qfclab.rl.ppo import TrainingDiverged
+from qfclab.rl.envs import training_config
+from qfclab.rl.ppo import TrainingDiverged, default_ppo_config, train
 
 from oracles import basic_controller_chain
 
@@ -238,6 +239,20 @@ class TestEvaluate:
         cell = evaluate(basic_policy(), cfg, 20, seed=9)
         assert cell.mean_steps_to_threshold == 0.0
         assert cell.unreached_count == 0
+
+    @pytest.mark.parametrize("scenario, timesteps", [("mbs", 512), ("qomdp", 0)])
+    def test_checkpoint_evaluates_like_the_net_it_holds(self, tmp_path, scenario, timesteps):
+        # the first layer's weights are Fortran-ordered: a C-ordered copy makes BLAS
+        # sum in another order and moves the results in the last digits
+        cfg = EnvConfig(noise_kind="depolarizing", alpha=0.3, epsilon=0.1, horizon=8)
+        net, _ = train(scenario, training_config(scenario, cfg),
+                       default_ppo_config(scenario, total_timesteps=timesteps), 5)
+        save_policy(tmp_path / "agent.ckpt", net, scenario, {})
+        loaded = load_policy(tmp_path / "agent.ckpt")[0]
+        direct, from_file = (evaluate(policy, cfg, 50, seed=12, scenario=scenario)
+                             for policy in (net, loaded))
+        # NaN-valued fields defeat dataclass equality; assert_equal takes NaN as equal
+        np.testing.assert_equal(astuple(from_file), astuple(direct))
 
     def test_curve_has_horizon_plus_one_points(self):
         cfg = EnvConfig(noise_kind="depolarizing", alpha=0.2, epsilon=0.1, horizon=15)
