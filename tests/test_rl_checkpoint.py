@@ -20,6 +20,7 @@ from qfclab.rl.nets import LOG_STD_MAX, LOG_STD_MIN, MlpActorCritic, RecurrentAc
 from qfclab.rngstream import RngStream
 
 FIELDS = ["hidden", "kind", "meta", "n_action_outputs", "obs_dim", "scenario"]
+FIELDS_IN_ORDER = ["kind", "scenario", "obs_dim", "n_action_outputs", "hidden", "meta"]
 
 
 def rewrite_members(src, dst, edit):
@@ -79,10 +80,37 @@ class TestCheckpointRoundTrip:
         assert sorted(names) == sorted(list(net.params) + FIELDS + lstm)
         with np.load(path, allow_pickle=False) as members:
             for name, value in net.params.items():
-                assert members[name].dtype.str == "<f8"  # little-endian float64
                 np.testing.assert_array_equal(members[name], value)
             assert str(members["meta"]) == '{"seed": "6"}'
             assert members["hidden"].tolist() == [2]
+
+    def test_file_starts_with_version_line(self, tmp_path):
+        # a zip local-file header, then members that each open with the .npy version 1.0 line
+        net = MlpActorCritic(obs_dim=9, gen=RngStream(5).generator())
+        path = tmp_path / "p.ckpt"
+        save_policy(path, net, "mbs", {})
+        assert Path(path).read_bytes().startswith(b"PK\x03\x04")
+        with zipfile.ZipFile(path) as archive:
+            for name in archive.namelist():
+                data = archive.read(name)
+                assert data.startswith(b"\x93NUMPY\x01\x00"), name
+                header_len = int.from_bytes(data[8:10], "little")
+                assert data[10 : 10 + header_len].endswith(b"\n"), name
+
+    def test_blob_is_little_endian_float64_in_manifest_order(self, tmp_path):
+        net = MlpActorCritic(obs_dim=3, hidden=(2,), gen=RngStream(6).generator())
+        path = tmp_path / "p.ckpt"
+        save_policy(path, net, "mbs", {})
+        with zipfile.ZipFile(path) as archive:
+            names = [name.removesuffix(".npy") for name in archive.namelist()]
+            assert names == list(net.params) + FIELDS_IN_ORDER
+            for name, value in net.params.items():
+                stream = io.BytesIO(archive.read(f"{name}.npy"))
+                assert np.lib.format.read_magic(stream) == (1, 0)
+                shape, fortran, dtype = np.lib.format.read_array_header_1_0(stream)
+                assert (shape, dtype.str) == (value.shape, "<f8"), name
+                payload = np.frombuffer(stream.read(), dtype="<f8")
+                np.testing.assert_array_equal(payload, value.ravel(order="F" if fortran else "C"))
 
     def test_truncated_blob_rejected(self, tmp_path):
         net = MlpActorCritic(obs_dim=9, gen=RngStream(7).generator())
