@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, ClassVar, Union
 import numpy as np
 
 from .channels import control_unitary
-from .qcore import _as_complex_matrix, every
+from .qcore import _as_square_matrix, every
 
 if TYPE_CHECKING:  # the rl package imports this module, so only type checkers look back
     from .rl.nets import MlpActorCritic, RecurrentActorCritic
@@ -91,7 +91,7 @@ def derive_basic_gains(grid_points: int = 201) -> tuple[float, float]:
 
 def believed_outcome(rho0: np.ndarray) -> int:
     """Surrogate outcome for the first step: the most populated level of the known initial state."""
-    rho0 = _as_complex_matrix(rho0, "rho0")
+    rho0 = _as_square_matrix(rho0, "rho0")
     return int(np.argmax(np.diag(rho0).real))
 
 

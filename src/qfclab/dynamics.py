@@ -10,7 +10,9 @@ the noise-free (nominal) law is :func:`step_true` at alpha = 0.  The
 filtering law drops the noise map but conditions on the real system's
 outcomes (control first, then conditioning, matching the true dynamics'
 operator ordering).  Each step law takes one state or a stack of states, and
-the outcome samplers take one uniform draw per state.
+the outcome samplers take one uniform draw per state.  Every operator of the
+loop is real, so the states are real symmetric ``float64`` arrays from the
+basis-state start on; a complex initial state runs the same code in complex.
 
 :class:`ClosedLoop` is the one stepper of the closed loop: training drives it
 on one state (:mod:`qfclab.rl.envs`), and :func:`run_episodes` validates a
@@ -33,8 +35,8 @@ from .qcore import basis_state, every, fidelity_pure_target, require_density
 from .rl.encoding import encode_outcome_observation, encode_state_observation
 from .rngstream import RngStream
 
-#: most episodes :func:`run_episodes` steps together; bounds the n x 9 x 3 x 3
-#: Kraus temporary of the depolarizing channel and the per-step records
+#: most episodes :func:`run_episodes` steps together; bounds the per-step
+#: records, (n, horizon, 3, 3) states each
 BATCH_EPISODES = 1024
 
 
@@ -112,8 +114,8 @@ def measurement_model(cfg: EnvConfig) -> ch.MeasurementModel:
 
 
 def _controlled(rho: np.ndarray, beta: float | np.ndarray) -> np.ndarray:
-    u = ch.control_unitary(beta)
-    return u @ rho @ u.conj().swapaxes(-1, -2)
+    u = ch.control_unitary(beta)  # real orthogonal
+    return u @ rho @ u.swapaxes(-1, -2)
 
 
 def _sample_outcome(probs: np.ndarray, u: float | np.ndarray):
@@ -179,7 +181,7 @@ class EpisodeBatch:
     final_states: np.ndarray  # (n, 3, 3)
     betas: np.ndarray  # (n, horizon)
     outcomes: np.ndarray  # (n, horizon)
-    true_states: np.ndarray  # (n, horizon, 3, 3)
+    true_states: np.ndarray  # (n, horizon, 3, 3), in the initial state's dtype
     aux_states: np.ndarray | None
 
 
@@ -282,7 +284,7 @@ def _run_batch(policy, cfg: EnvConfig, streams) -> EpisodeBatch:
     aborted = np.zeros(n, dtype=bool)
     betas = np.zeros((n, horizon))
     outcomes = np.zeros((n, horizon), dtype=int)
-    true_states = np.zeros((n, horizon, 3, 3), dtype=complex)
+    true_states = np.zeros((n, horizon, 3, 3), dtype=loop.rho.dtype)
     aux_states = np.zeros_like(true_states) if policy.kind == "mlp" else None
 
     live = np.arange(n)  # the episodes the loop still steps, in its row order

@@ -1,12 +1,14 @@
-"""Dense complex-matrix kernel for 3-level (and general small) quantum states.
+"""Dense-matrix kernel for 3-level (and general small) quantum states.
 
 Everything downstream builds on the handful of operations here: density
 operator validation and fidelity against a basis-state target (every target
-here is a basis state).  Matrices are plain ``numpy`` arrays of
-``complex128``; a density operator is any square array passing
-:func:`validate_density`.  Both operations also take a stack of states with
-leading batch axes, ``(..., d, d)``, and treat each state exactly as they
-treat it alone.
+here is a basis state).  Matrices are plain ``numpy`` arrays; every operator
+of the feedback loop is real, so its states are real symmetric ``float64``,
+and complex Hermitian input is taken as it is.  The operations keep their
+input's dtype (integer input becomes ``float64``).  A density operator is any
+square array passing :func:`validate_density`.  Both operations also take a
+stack of states with leading batch axes, ``(..., d, d)``, and treat each
+state exactly as they treat it alone.
 
 All operations are pure functions on immutable values and thread-safe.
 """
@@ -37,8 +39,11 @@ def every(mask: np.ndarray) -> bool:
     return bool(mask) if mask.ndim == 0 else bool(mask.all())
 
 
-def _as_complex_matrix(m: np.ndarray, name: str = "matrix") -> np.ndarray:
-    m = np.asarray(m, dtype=complex)
+def _as_square_matrix(m: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """``m`` as a real or complex array of square matrices, in its own dtype."""
+    m = np.asarray(m)
+    if m.dtype.kind not in "fc":
+        m = m.astype(float)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise DimensionError(f"{name} must be square, got shape {m.shape}")
     if not np.isfinite(m).all():
@@ -50,13 +55,13 @@ def basis_state(k: int, dim: int = 3) -> np.ndarray:
     """Pure basis-state projector |k><k| as a dim x dim density matrix."""
     if not 0 <= k < dim:
         raise DimensionError(f"basis index {k} out of range for dim {dim}")
-    rho = np.zeros((dim, dim), dtype=complex)
+    rho = np.zeros((dim, dim))
     rho[k, k] = 1.0
     return rho
 
 
 def maximally_mixed(dim: int = 3) -> np.ndarray:
-    return np.eye(dim, dtype=complex) / dim
+    return np.eye(dim) / dim
 
 
 @dataclass(frozen=True)
@@ -77,8 +82,11 @@ def validate_density(m: np.ndarray, tol: float = DEFAULT_TOL) -> ValidationRepor
     measured deviation (for a stack of states, the worst deviation over the
     stack); raises only for non-square input.
     """
-    m = _as_complex_matrix(m, "state")
-    m_dag = m.conj().swapaxes(-1, -2)
+    return _validate(_as_square_matrix(m, "state"), tol)
+
+
+def _validate(m: np.ndarray, tol: float) -> ValidationReport:
+    m_dag = m.swapaxes(-1, -2).conj() if np.iscomplexobj(m) else m.swapaxes(-1, -2)
     violations: dict[str, float] = {}
 
     herm_dev = float(np.max(np.abs(m - m_dag)))
@@ -89,29 +97,35 @@ def validate_density(m: np.ndarray, tol: float = DEFAULT_TOL) -> ValidationRepor
     if trace_dev > tol:
         violations["unit_trace"] = trace_dev
 
-    # Eigenvalues of the Hermitian part; for nearly-Hermitian input this is
-    # the meaningful positivity test even when the Hermiticity check failed.
+    # Positivity of the Hermitian part; for nearly-Hermitian input this is
+    # the meaningful test even when the Hermiticity check failed.  A Cholesky
+    # factor of herm_part + tol*I exists iff every eigenvalue exceeds -tol, so
+    # only a stack it refuses pays for the eigenvalues that give the deviation.
     herm_part = 0.5 * (m + m_dag)
-    min_eig = float(np.min(np.linalg.eigvalsh(herm_part)[..., 0]))
-    if min_eig < -tol:
-        violations["positive_semidefinite"] = -min_eig
+    try:
+        np.linalg.cholesky(herm_part + tol * np.eye(m.shape[-1]))
+    except np.linalg.LinAlgError:
+        min_eig = float(np.min(np.linalg.eigvalsh(herm_part)[..., 0]))
+        if min_eig < -tol:
+            violations["positive_semidefinite"] = -min_eig
 
     return ValidationReport(ok=not violations, violations=violations)
 
 
 def require_density(m: np.ndarray, tol: float = DEFAULT_TOL, name: str = "state") -> np.ndarray:
-    """Validate and return ``m``; raise :class:`StateValidityError` on failure."""
-    report = validate_density(m, tol=tol)
+    """Validate and return ``m`` in its own dtype; raise :class:`StateValidityError` on failure."""
+    m = _as_square_matrix(m, name)
+    report = _validate(m, tol)
     if not report.ok:
         detail = ", ".join(f"{k} (dev {v:.3e})" for k, v in report.violations.items())
         raise StateValidityError(f"{name} is not a valid density operator: {detail}")
-    return np.asarray(m, dtype=complex)
+    return m
 
 
 def fidelity_pure_target(rho: np.ndarray, basis_index: int) -> float | np.ndarray:
     """Fidelity against the pure basis state |k><k|: the diagonal entry rho[k, k],
     clipped to [0, 1]; an array of fidelities for a stack of states."""
-    rho = _as_complex_matrix(rho, "rho")
+    rho = _as_square_matrix(rho, "rho")
     if not 0 <= basis_index < rho.shape[-1]:
         raise DimensionError(
             f"basis index {basis_index} out of range for dim {rho.shape[-1]}"

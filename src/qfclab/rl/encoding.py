@@ -5,20 +5,27 @@ from __future__ import annotations
 import numpy as np
 
 
-# Positions of those entries in the float view of a C-ordered 3x3 complex
-# matrix, flattened: entry (i, j) has its real part at 6i + 2j, its imaginary
-# part right after.
-_ENCODED_POSITIONS = np.array([0, 8, 16, 2, 3, 4, 5, 10, 11])
+# The upper-triangle entries read, in encoding order (the populations, then
+# (0, 1), (0, 2), (1, 2)), and the slots of their real and imaginary parts.
+# Index arrays, not tuples: numpy converts a tuple on every call.
+_ROWS, _COLS = np.array([0, 1, 2, 0, 0, 1]), np.array([0, 1, 2, 1, 2, 2])
+_REAL_SLOTS, _IMAG_SLOTS = np.array([0, 1, 2, 3, 5, 7]), np.array([4, 6, 8])
 
 
 def encode_state_observation(rho: np.ndarray) -> np.ndarray:
     """Flatten a 3x3 Hermitian state into 9 reals (a stack (..., 3, 3) into (..., 9)).
 
     Ordering: the three populations, then (Re, Im) of the upper off-diagonal
-    entries (0,1), (0,2), (1,2).
+    entries (0,1), (0,2), (1,2).  A real state encodes its imaginary parts as
+    exact +0.0, the same bytes as the state cast to complex.
     """
-    flat = np.ascontiguousarray(rho, dtype=complex).view(float)
-    return np.take(flat.reshape(rho.shape[:-2] + (18,)), _ENCODED_POSITIONS, axis=-1)
+    rho = np.asarray(rho)
+    entries = rho[..., _ROWS, _COLS]
+    encoded = np.zeros(rho.shape[:-2] + (9,))
+    encoded[..., _REAL_SLOTS] = entries.real
+    if np.iscomplexobj(entries):
+        encoded[..., _IMAG_SLOTS] = entries[..., 3:].imag
+    return encoded
 
 
 def encode_outcome_observation(

@@ -15,6 +15,7 @@ checkpoint format, and gradient checks can treat them uniformly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -34,15 +35,28 @@ def orthogonal(shape: tuple[int, int], gain: float, gen: np.random.Generator) ->
     return gain * q[:rows, :cols]
 
 
+def _unset_weights(shape, gain):
+    """The weight maker ``(shape, gain) -> array`` of a net whose parameters a loader
+    overwrites: no draw, no QR.  A fresh net's is ``partial(orthogonal, gen=...)``."""
+    return np.empty(shape)
+
+
+def _unfilled(cls, **shape):
+    """A ``cls`` net of these shapes with unset weights, for a checkpoint loader to fill."""
+    net = cls.__new__(cls)
+    net._build(_unset_weights, **shape)
+    return net
+
+
 def _init_mlp(prefix: str, in_dim: int, hidden: tuple[int, ...], out_dim: int,
-              head_gain: float, gen: np.random.Generator) -> dict[str, np.ndarray]:
+              head_gain: float, weight) -> dict[str, np.ndarray]:
     params: dict[str, np.ndarray] = {}
     d = in_dim
     for i, h in enumerate(hidden):
-        params[f"{prefix}.w{i}"] = orthogonal((d, h), np.sqrt(2.0), gen)
+        params[f"{prefix}.w{i}"] = weight((d, h), np.sqrt(2.0))
         params[f"{prefix}.b{i}"] = np.zeros(h)
         d = h
-    params[f"{prefix}.wh"] = orthogonal((d, out_dim), head_gain, gen)
+    params[f"{prefix}.wh"] = weight((d, out_dim), head_gain)
     params[f"{prefix}.bh"] = np.zeros(out_dim)
     return params
 
@@ -96,13 +110,16 @@ class MlpActorCritic:
                  hidden: tuple[int, ...] = (64, 64, 64),
                  log_std_init: float = 0.0,
                  gen: np.random.Generator | None = None):
-        gen = gen or np.random.default_rng(0)
+        self._build(partial(orthogonal, gen=gen or np.random.default_rng(0)),
+                    obs_dim, n_action_outputs, hidden, log_std_init)
+
+    def _build(self, weight, obs_dim, n_action_outputs, hidden, log_std_init=0.0):
         self.obs_dim = obs_dim
         self.n_action_outputs = n_action_outputs
         self.hidden = tuple(hidden)
         self.params: dict[str, np.ndarray] = {}
-        self.params.update(_init_mlp("pi", obs_dim, self.hidden, n_action_outputs, 0.01, gen))
-        self.params.update(_init_mlp("vf", obs_dim, self.hidden, 1, 1.0, gen))
+        self.params.update(_init_mlp("pi", obs_dim, self.hidden, n_action_outputs, 0.01, weight))
+        self.params.update(_init_mlp("vf", obs_dim, self.hidden, 1, 1.0, weight))
         self.params["log_std"] = np.array(float(log_std_init))
 
     @property
@@ -147,10 +164,10 @@ class MlpActorCritic:
         return self.policy_head(obs), None
 
 
-def _init_lstm(prefix: str, in_dim: int, hidden: int, gen: np.random.Generator) -> dict[str, np.ndarray]:
+def _init_lstm(prefix: str, in_dim: int, hidden: int, weight) -> dict[str, np.ndarray]:
     # gate order i, f, g, o; each (in_dim, hidden) block orthogonal on its own
-    wx = np.concatenate([orthogonal((in_dim, hidden), 1.0, gen) for _ in range(4)], axis=1)
-    wh = np.concatenate([orthogonal((hidden, hidden), 1.0, gen) for _ in range(4)], axis=1)
+    wx = np.concatenate([weight((in_dim, hidden), 1.0) for _ in range(4)], axis=1)
+    wh = np.concatenate([weight((hidden, hidden), 1.0) for _ in range(4)], axis=1)
     return {f"{prefix}.wx": wx, f"{prefix}.wh": wh, f"{prefix}.b": np.zeros(4 * hidden)}
 
 
@@ -202,16 +219,19 @@ class RecurrentActorCritic:
                  hidden: tuple[int, ...] = (64, 64, 64), lstm_hidden: int = 64,
                  log_std_init: float = 0.0,
                  gen: np.random.Generator | None = None):
-        gen = gen or np.random.default_rng(0)
+        self._build(partial(orthogonal, gen=gen or np.random.default_rng(0)),
+                    obs_dim, n_action_outputs, hidden, lstm_hidden, log_std_init)
+
+    def _build(self, weight, obs_dim, n_action_outputs, hidden, lstm_hidden, log_std_init=0.0):
         self.obs_dim = obs_dim
         self.n_action_outputs = n_action_outputs
         self.hidden = tuple(hidden)
         self.lstm_hidden = lstm_hidden
         self.params: dict[str, np.ndarray] = {}
-        self.params.update(_init_lstm("pi_lstm", obs_dim, lstm_hidden, gen))
-        self.params.update(_init_mlp("pi", lstm_hidden, self.hidden, n_action_outputs, 0.01, gen))
-        self.params.update(_init_lstm("vf_lstm", obs_dim, lstm_hidden, gen))
-        self.params.update(_init_mlp("vf", lstm_hidden, self.hidden, 1, 1.0, gen))
+        self.params.update(_init_lstm("pi_lstm", obs_dim, lstm_hidden, weight))
+        self.params.update(_init_mlp("pi", lstm_hidden, self.hidden, n_action_outputs, 0.01, weight))
+        self.params.update(_init_lstm("vf_lstm", obs_dim, lstm_hidden, weight))
+        self.params.update(_init_mlp("vf", lstm_hidden, self.hidden, 1, 1.0, weight))
         self.params["log_std"] = np.array(float(log_std_init))
 
     @property

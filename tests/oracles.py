@@ -66,6 +66,41 @@ def random_density(gen: np.random.Generator, dim: int = 3) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
+def random_densities(seed: int, n: int | None, real: bool) -> np.ndarray:
+    """A random full-rank density operator (n None) or a stack of n, real
+    symmetric or complex Hermitian, via Ginibre matrices."""
+    gen = np.random.default_rng(seed)
+    shape = (3, 3) if n is None else (n, 3, 3)
+    g = gen.standard_normal(shape)
+    if not real:
+        g = g + 1j * gen.standard_normal(shape)
+    rho = g @ g.conj().swapaxes(-1, -2)
+    return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
+
+
+def kraus_sum(kraus_ops, rho: np.ndarray) -> np.ndarray:
+    """sum_k K_k rho K_k^dag, term by term, for one state or a stack."""
+    return sum(k @ rho @ k.conj().T for k in kraus_ops)
+
+
+def density_violations_by_eigenvalues(m: np.ndarray, tol: float) -> dict[str, float]:
+    """The density-operator check written out in complex arithmetic, with the
+    eigenvalues of every state's Hermitian part as the positivity test."""
+    m = np.asarray(m, dtype=complex)
+    m_dag = m.conj().swapaxes(-1, -2)
+    violations = {}
+    herm_dev = float(np.max(np.abs(m - m_dag)))
+    if herm_dev > tol:
+        violations["hermitian"] = herm_dev
+    trace_dev = float(np.max(np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0)))
+    if trace_dev > tol:
+        violations["unit_trace"] = trace_dev
+    min_eig = float(np.min(np.linalg.eigvalsh(0.5 * (m + m_dag))))
+    if min_eig < -tol:
+        violations["positive_semidefinite"] = -min_eig
+    return violations
+
+
 def random_diagonal_density(gen: np.random.Generator, dim: int = 3) -> np.ndarray:
     p = gen.random(dim)
     p /= p.sum()

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qfclab.channels import (
+    CHANNEL_KINDS,
     CONTROL_GENERATOR,
     ConditioningError,
     ParameterError,
@@ -24,7 +27,14 @@ from qfclab.channels import (
 )
 from qfclab.qcore import basis_state, maximally_mixed
 
-from oracles import expm_taylor, measurement_average, random_density, random_diagonal_density
+from oracles import (
+    expm_taylor,
+    kraus_sum,
+    measurement_average,
+    random_densities,
+    random_density,
+    random_diagonal_density,
+)
 
 TABLE_ALPHAS = [round(0.1 * k, 1) for k in range(11)]
 TABLE_EPSILONS = [0.1, 0.15, 0.175, 0.2, 0.25, 0.3]
@@ -264,3 +274,40 @@ class TestApplyChannel:
     def test_unknown_kind_raises(self):
         with pytest.raises(ParameterError, match="unknown noise kind"):
             make_channel("thermal", 0.5)
+
+
+# one state or a stack, real symmetric or complex Hermitian
+densities = st.builds(random_densities, seed=st.integers(0, 2**32 - 1),
+                      n=st.sampled_from([None, 1, 5]), real=st.booleans())
+
+
+class TestClosedFormsMatchOperators:
+    """Each closed-form application against its definition: the Kraus sum of
+    the noise, the full operators of the measurement."""
+
+    @pytest.mark.parametrize("kind", sorted(CHANNEL_KINDS))
+    @given(alpha=st.floats(0.0, 1.0), rho=densities)
+    def test_apply_channel_is_the_kraus_sum(self, kind, alpha, rho):
+        ch = make_channel(kind, alpha)
+        out = apply_channel(ch, rho)
+        assert out.shape == rho.shape
+        assert out.dtype == rho.dtype  # a real state stays real
+        np.testing.assert_allclose(out, kraus_sum(ch.kraus_ops, rho), rtol=0, atol=1e-12)
+
+    @given(epsilon=st.one_of(st.none(), st.floats(0.0, 0.3)), rho=densities,
+           seed=st.integers(0, 2**32 - 1))
+    def test_scalings_are_the_full_operator_formulas(self, epsilon, rho, seed):
+        m = terminal_measurement() if epsilon is None else imprecise_measurement(epsilon)
+        ops = np.stack(m.ops)
+        effects = ops.conj().swapaxes(-1, -2) @ ops
+        raw = np.trace(effects @ rho[..., None, :, :], axis1=-2, axis2=-1).real
+        probs = outcome_probabilities(m, rho)
+        np.testing.assert_allclose(probs, raw / raw.sum(axis=-1, keepdims=True), rtol=0, atol=1e-12)
+
+        outcome = np.random.default_rng(seed).integers(0, 3, size=rho.shape[:-2])
+        op = ops[outcome]
+        post = op @ rho @ op.conj().swapaxes(-1, -2)
+        expected = post / np.trace(post, axis1=-2, axis2=-1).real[..., None, None]
+        conditioned = condition_on_outcome(m, rho, outcome)
+        assert conditioned.dtype == rho.dtype
+        np.testing.assert_allclose(conditioned, expected, rtol=0, atol=1e-12)

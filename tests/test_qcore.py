@@ -1,17 +1,32 @@
-"""Unit tests for the dense complex-matrix kernel."""
+"""Unit tests for the dense-matrix state kernel."""
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qfclab.qcore import (
+    DEFAULT_TOL,
     DimensionError,
+    StateValidityError,
     basis_state,
     fidelity_pure_target,
     maximally_mixed,
+    require_density,
     validate_density,
 )
 
-from oracles import fidelity_by_spectral, random_density
+from oracles import density_violations_by_eigenvalues, fidelity_by_spectral, random_density
+
+
+def state_with_spectrum(seed: int, eigenvalues, real: bool) -> np.ndarray:
+    """Q diag(eigenvalues) Q^dag for a random orthogonal or unitary Q."""
+    gen = np.random.default_rng(seed)
+    g = gen.standard_normal((3, 3))
+    if not real:
+        g = g + 1j * gen.standard_normal((3, 3))
+    q, _ = np.linalg.qr(g)
+    return (q * np.asarray(eigenvalues)) @ q.conj().T
 
 
 class TestValidateDensity:
@@ -34,7 +49,7 @@ class TestValidateDensity:
         assert report.violations == {"unit_trace": pytest.approx(2.0)}
 
     def test_non_hermitian_reported_with_deviation(self):
-        m = basis_state(0)
+        m = basis_state(0).astype(complex)
         m[0, 1] = 0.5j
         report = validate_density(m)
         assert "hermitian" in report.violations
@@ -48,6 +63,56 @@ class TestValidateDensity:
         gen = np.random.default_rng(11)
         for _ in range(25):
             assert validate_density(random_density(gen)).ok
+
+
+class TestPositivityCheck:
+    """A Cholesky factor of rho + tol*I decides positivity; the eigenvalues
+    report the deviation of a state it refuses.  The verdict and the report
+    are those of the eigenvalue check, except within roundoff of tol itself."""
+
+    @pytest.mark.parametrize("tol", [DEFAULT_TOL, 1e-9])
+    @given(seed=st.integers(0, 2**32 - 1), real=st.booleans(), stacked=st.booleans(),
+           excess=st.floats(1.05, 1e3), weight=st.floats(0.0, 1.0),
+           defect=st.sampled_from([None, "unit_trace", "hermitian"]))
+    def test_state_slightly_outside_tolerance_refused(self, tol, seed, real, stacked,
+                                                      excess, weight, defect):
+        low = -excess * tol
+        m = state_with_spectrum(seed, [low, weight, 1.0 - weight - low], real)
+        if defect == "unit_trace":
+            m = m * (1.0 + 3 * tol)
+        elif defect == "hermitian":  # an antisymmetric part leaves the spectrum checked alone
+            m[0, 1] += 3 * tol
+            m[1, 0] -= 3 * tol
+        if stacked:
+            m = np.stack([basis_state(0).astype(m.dtype), m, maximally_mixed().astype(m.dtype)])
+        expected = density_violations_by_eigenvalues(m, tol)
+        assert "positive_semidefinite" in expected
+        report = validate_density(m, tol)
+        assert set(report.violations) == set(expected)
+        for name, deviation in expected.items():
+            assert report.violations[name] == pytest.approx(deviation, rel=1e-6)
+        with pytest.raises(StateValidityError, match="positive_semidefinite"):
+            require_density(m, tol=tol)
+
+    @pytest.mark.parametrize("tol", [DEFAULT_TOL, 1e-9])
+    @given(seed=st.integers(0, 2**32 - 1), real=st.booleans(), margin=st.floats(0.0, 0.95),
+           weight=st.floats(0.0, 1.0))
+    def test_state_slightly_inside_tolerance_accepted(self, tol, seed, real, margin, weight):
+        low = -margin * tol
+        m = state_with_spectrum(seed, [low, weight, 1.0 - weight - low], real)
+        assert density_violations_by_eigenvalues(m, tol) == {}
+        assert require_density(m, tol=tol) is m
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_basis_states_accepted_in_their_dtype(self, dtype):
+        states = np.stack([basis_state(k) for k in range(3)]).astype(dtype)
+        for m in (*states, states):
+            out = require_density(m)
+            assert out.dtype == dtype
+            assert out.tobytes() == m.tobytes()
+
+    def test_integer_input_becomes_float64(self):
+        assert require_density(np.diag([1, 0, 0])).dtype == np.float64
 
 
 class TestFidelity:

@@ -12,7 +12,7 @@ from qfclab.rl.encoding import decode_state_observation, encode_state_observatio
 from qfclab.rl.envs import ScenarioEnv
 from qfclab.rngstream import RngStream
 
-from oracles import TrainingEpisodeReplay, random_density
+from oracles import TrainingEpisodeReplay, random_densities, random_density
 
 
 def make_cfg(**kw):
@@ -31,6 +31,16 @@ class TestEncoding:
         vec = encode_state_observation(maximally_mixed())
         np.testing.assert_allclose(vec, [1 / 3, 1 / 3, 1 / 3, 0, 0, 0, 0, 0, 0])
 
+    @pytest.mark.parametrize("n", [None, 1, 6])
+    def test_real_state_encodes_as_its_complex_cast(self, n):
+        # the imaginary slots read exact +0.0, so networks and checkpoints see the same bytes
+        rho = random_densities(8, n, real=True)
+        rho[..., 0, 1] = rho[..., 1, 0] = -0.0
+        encoded = encode_state_observation(rho)
+        assert encoded.dtype == np.float64
+        assert encoded.tobytes() == encode_state_observation(rho.astype(complex)).tobytes()
+        assert not np.signbit(encoded[..., [4, 6, 8]]).any()
+
     def test_round_trip_on_random_states(self):
         gen = np.random.default_rng(5)
         for _ in range(20):
@@ -40,9 +50,21 @@ class TestEncoding:
             )
 
 
+def assert_matches_oracle(kind, got, want):
+    """A qomdp observation or reward bit for bit; a state observation, and the
+    fidelity reward read from it, to 1e-12 relative to its largest entry: the
+    oracle applies complex Kraus sums, the environment real closed forms."""
+    if kind == "qomdp":
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    else:
+        scale = np.abs(want).max() if np.ndim(want) else 1.0  # a fidelity's scale is 1
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
+
+
 def replay_against_oracle(kind, cfg, seed, episodes=4):
     """Step ScenarioEnv and the scalar oracle side by side on random actions
-    (random stops for qomdp); every observation, reward and done must match bit for bit."""
+    (random stops for qomdp); every observation and reward must match (see
+    :func:`assert_matches_oracle`), and every outcome and done exactly."""
     stream = RngStream(seed)
     env = ScenarioEnv(kind, cfg, stream)
     actions = np.random.default_rng(seed)
@@ -54,15 +76,18 @@ def replay_against_oracle(kind, cfg, seed, episodes=4):
             kind, noise, measurement, cfg.initial_state, cfg.target_index, cfg.horizon,
             stream.substream("episode", episode).generator(),
         )
-        assert env.reset().tobytes() == oracle.observation().tobytes()
+        assert_matches_oracle(kind, env.reset(), oracle.observation())
         done = False
         while not done:
             beta = float(actions.uniform(-1.0, 1.0))
             stop = kind == "qomdp" and bool(actions.random() < 0.15)
+            loop = env._loop  # the env lets go of it when the episode ends
             obs, reward, done = env.step(ControlAction(beta=beta, stop=stop))
             want_obs, want_reward, want_done = oracle.step(beta, stop)
-            assert obs.tobytes() == want_obs.tobytes()
-            assert (reward, done) == (want_reward, want_done)
+            assert loop.outcome == oracle.outcome
+            assert_matches_oracle(kind, obs, want_obs)
+            assert_matches_oracle(kind, reward, want_reward)
+            assert done == want_done
             steps += 1
             stops += stop
     return steps, stops
