@@ -14,12 +14,14 @@ the outcome samplers take one uniform draw per state.  Every operator of the
 loop is real, so the states are real symmetric ``float64`` arrays from the
 basis-state start on; a complex initial state runs the same code in complex.
 
-:class:`ClosedLoop` is the one stepper of the closed loop: training drives it
-on one state (:mod:`qfclab.rl.envs`), and :func:`run_episodes` validates a
-policy by driving all episodes of a batch in one stack.  Every episode draws
-from its own generator, one uniform per step, so an episode with identical
-(config, policy, seed, stream) is bit-identical whatever batch or thread
-runs it.
+:class:`ClosedLoop` is the one stepper of the closed loop.  Training
+(:mod:`qfclab.rl.envs`) drives it on a stack of a rollout window's episodes,
+which may start at different steps, or on one state for the episodes whose
+length is not known ahead (a stop ends them).  :func:`run_episodes`
+validates a policy by driving all episodes of a batch in one stack.  Every
+episode draws from its own generator, one uniform per step, so an episode
+with identical (config, policy, seed, stream) is bit-identical whatever
+batch or thread runs it.
 """
 
 from __future__ import annotations
@@ -254,6 +256,34 @@ class ClosedLoop:
         self.rho, self.outcome, self.beta = self.rho[rows], self.outcome[rows], self.beta[rows]
         self.seen = self.seen[rows] if self.kind == "mlp" else self.rho
         self._draws = self._draws[:, rows]
+
+    @classmethod
+    def stack(cls, loops: Sequence["ClosedLoop"]) -> "ClosedLoop":
+        """One-state loops of one kind and config as one stack, each row at its own step.
+
+        Row i holds loop i's state, and loop i's remaining uniforms shifted to
+        the front: stack step j is step ``loops[i].t + j`` of loop i.  The
+        rows run out of uniforms at different stack steps, so each must leave
+        (:meth:`keep`) before then; :meth:`take_row` hands its state back.
+        """
+        first = loops[0]
+        draws = np.full((len(loops), first.cfg.horizon), np.nan)
+        for row, loop in zip(draws, loops):
+            rest = loop._draws[loop.t:]
+            row[:rest.size] = rest
+        stacked = cls(first.kind, first.cfg, draws)
+        stacked.rho = np.stack([loop.rho for loop in loops])
+        stacked.seen = (np.stack([loop.seen for loop in loops]) if first.kind == "mlp"
+                        else stacked.rho)
+        stacked.outcome = np.array([loop.outcome for loop in loops])
+        stacked.beta = np.array([loop.beta for loop in loops], dtype=float)
+        return stacked
+
+    def take_row(self, stack: "ClosedLoop", row: int) -> None:
+        """Take row ``row`` of ``stack``, stacked from this one-state loop, as this loop's state."""
+        self.rho, self.seen = stack.rho[row], stack.seen[row]
+        self.outcome, self.beta = stack.outcome[row], stack.beta[row]
+        self.t += stack.t
 
 
 def run_episodes(

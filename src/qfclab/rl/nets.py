@@ -140,17 +140,18 @@ class MlpActorCritic:
         _mlp_backward(self.params, "pi", len(self.hidden), pi_acts, dheads, grads)
         _mlp_backward(self.params, "vf", len(self.hidden), vf_acts, dvalues[:, None], grads)
 
-    # -- single-sample paths (rollout); the policy ones also take a batch (n, obs_dim) --
+    # -- rollout paths: one observation (obs_dim,) or a stack (n, obs_dim); each
+    # row runs as its own (1, obs_dim) product, because a flat (n, obs_dim)
+    # product rounds differently from the single-row one --
 
     def policy_head(self, obs: np.ndarray) -> np.ndarray:
-        # each row runs as its own (1, obs_dim) product: a flat (n, obs_dim)
-        # product rounds differently from the single-row one
         out, _ = _mlp_forward(self.params, "pi", len(self.hidden), obs[..., None, :])
         return out[..., 0, :]
 
-    def value(self, obs: np.ndarray) -> float:
-        out, _ = _mlp_forward(self.params, "vf", len(self.hidden), obs[None, :])
-        return float(out[0, 0])
+    def value(self, obs: np.ndarray) -> float | np.ndarray:
+        """The value of one observation as a float, of a stack (n, obs_dim) as (n,)."""
+        out, _ = _mlp_forward(self.params, "vf", len(self.hidden), obs[..., None, :])
+        return float(out[0, 0]) if obs.ndim == 1 else out[:, 0, 0]
 
     def initial_state(self):
         return None

@@ -60,11 +60,58 @@ def collect_rollout(
 
     Each segment records the recurrent state it starts from (``None`` for the
     feed-forward net); states are fresh arrays at every step, never mutated.
+    A feed-forward net without a stop head on an mbs or dbs environment steps
+    the whole window as one stack (:func:`_collect_stacked`); every other
+    pairing steps one transition at a time (:func:`_collect_stepwise`), which
+    fills the same buffer from the same draws.
     """
-    with_stop = net.n_action_outputs == 2
     buffer = RolloutBuffer(capacity=cfg.n_steps, obs_dim=net.obs_dim)
+    stacked = (net.kind == "mlp" and net.n_action_outputs == 1
+               and isinstance(runner.env, ScenarioEnv) and runner.env.kind != "qomdp")
+    (_collect_stacked if stacked else _collect_stepwise)(runner, net, sample_gen, buffer)
+    return buffer
+
+
+def _collect_stacked(runner: _EnvRunner, net: MlpActorCritic,
+                     sample_gen: np.random.Generator, buffer: RolloutBuffer) -> None:
+    """The window's episodes as one stack, each step written at its window position.
+
+    Row e at stack step k takes the action normal of its position from one
+    ``standard_normal(n_steps)`` draw, which equals the stepwise loop's
+    scalar draws, and every row runs its own one-row products.
+    """
+    normals = sample_gen.standard_normal(buffer.capacity)
+    log_std = net.log_std
+    std = np.exp(log_std)
+
+    def act(positions, obs):
+        mean = net.policy_head(obs)[:, 0]
+        pre = mean + std * normals[positions]
+        buffer.observations[positions] = obs
+        buffer.pre_squash[positions] = pre
+        buffer.log_probs[positions] = dist.squashed_log_prob(pre, mean, log_std)
+        buffer.values[positions] = net.value(obs)
+        return np.tanh(pre)
+
+    rewards, dones, bounds = runner.env.step_window(buffer.capacity, act)
+    buffer.rewards[:], buffer.dones[:], buffer.size = rewards, dones, buffer.capacity
+    for start, end in bounds:
+        buffer.segments.append(Segment(start, end))
+        for reward in rewards[start:end]:  # summed in step order, as the stepwise loop does
+            runner.episode_reward += float(reward)
+        if dones[end - 1]:
+            runner.finished_rewards.append(runner.episode_reward)
+            runner.episode_reward = 0.0
+    runner.obs = runner.env.observation()
+    buffer.bootstrap = net.value(runner.obs)
+
+
+def _collect_stepwise(runner: _EnvRunner, net, sample_gen: np.random.Generator,
+                      buffer: RolloutBuffer) -> None:
+    """One transition at a time: the path of episodes whose length is not known ahead."""
+    with_stop = net.n_action_outputs == 2
     seg_start, seg_state = 0, runner.state
-    for _ in range(cfg.n_steps):
+    for _ in range(buffer.capacity):
         heads, value, new_state = net.step(runner.obs, runner.state)
         action, log_prob, pre, stop = sample_action(heads, net.log_std, sample_gen, with_stop)
         next_obs, reward, done = runner.env.step(action)
@@ -82,7 +129,6 @@ def collect_rollout(
     if seg_start < buffer.size:
         buffer.segments.append(Segment(seg_start, buffer.size, seg_state))
     buffer.bootstrap = net.step(runner.obs, runner.state)[1]
-    return buffer
 
 
 def _segment_minibatches(segments, batch_size, shuffle_gen):

@@ -216,6 +216,24 @@ class TestPackedMatchesPadded:
                 assert_rel_close(grads[name], ref_grads[name], 1e-12, name)
 
 
+class TestRolloutStack:
+    """The rollout paths on a stack (n, obs_dim) equal the one-observation paths bit for bit."""
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_stacked_values_and_heads_equal_the_row_values(self, order):
+        net = MlpActorCritic(obs_dim=9, gen=np.random.default_rng(8))
+        # a wide orthogonal init comes out Fortran-ordered; a copy may not be
+        net.params["vf.w0"] = np.array(net.params["vf.w0"], order=order)
+        assert net.params["vf.w0"].flags[f"{order}_CONTIGUOUS"]
+        obs = np.random.default_rng(9).standard_normal((13, 9))
+        values = net.value(obs)
+        assert values.shape == (13,)
+        assert values.tobytes() == np.array([net.value(row) for row in obs]).tobytes()
+        assert isinstance(net.value(obs[0]), float)
+        heads = net.policy_head(obs)
+        assert heads.tobytes() == np.array([net.policy_head(row) for row in obs]).tobytes()
+
+
 class TestOrthogonalInit:
     def test_columns_orthonormal(self):
         gen = np.random.default_rng(3)

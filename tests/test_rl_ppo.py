@@ -2,17 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qfclab.controllers import ControlAction
 from qfclab.dynamics import EnvConfig
 from qfclab.rl import distributions as dist
 from qfclab.rl import nets
-from qfclab.rl.buffer import compute_gae
+from qfclab.rl.buffer import RolloutBuffer, compute_gae
 from qfclab.rl.config import PpoConfig
 from qfclab.rl.envs import ScenarioEnv
 from qfclab.rl.nets import Adam, MlpActorCritic, RecurrentActorCritic, zero_grads_like
 from qfclab.rl.ppo import (
     TrainingDiverged,
+    _collect_stepwise,
     _EnvRunner,
     _policy_grad_coeff,
     _update_minibatch,
@@ -311,6 +314,63 @@ class TestPackedWork:
         assert trunk_rows == [sum(lengths), sum(lengths)]  # policy and value trunks
         (cache,) = caches
         assert sum(cache.alive) == cache.gates.shape[1] == sum(lengths)  # LSTM row-steps
+
+
+BUFFER_ARRAYS = ("observations", "pre_squash", "stops", "log_probs", "rewards", "values",
+                 "dones")
+
+
+class TestStackedRollout:
+    """An mbs or dbs window stepped as one stack against the stepwise loop, its oracle."""
+
+    @given(seed=st.integers(0, 2**64 - 1), n=st.integers(0, 600))
+    def test_one_normal_array_equals_the_scalar_draws(self, seed, n):
+        # the stacked window draws its action normals at once; the stepwise
+        # loop draws them one per step
+        whole, single = RngStream(seed).generator(), RngStream(seed).generator()
+        draws = whole.standard_normal(n)
+        assert draws.tobytes() == np.array([single.standard_normal() for _ in range(n)]).tobytes()
+        assert whole.bit_generator.state == single.bit_generator.state
+
+    @pytest.mark.parametrize("horizon", [1, 20])
+    @pytest.mark.parametrize("n_steps", [1, 7, 20, 33, 512])
+    @pytest.mark.parametrize("noise", ["depolarizing", "amplitude_damping", "random_permutation"])
+    @pytest.mark.parametrize("kind", ["mbs", "dbs"])
+    def test_three_windows_match_the_stepwise_loop(self, kind, noise, n_steps, horizon):
+        # 7 steps cut a 20-step episode, 20 end on one, 33 carry 13 steps over
+        env_cfg = EnvConfig(noise_kind=noise, alpha=0.4, epsilon=0.1, horizon=horizon)
+        cfg = PpoConfig(n_steps=n_steps, batch_size=n_steps, total_timesteps=n_steps)
+        net = MlpActorCritic(obs_dim=9, gen=RngStream(60).substream(kind).generator())
+        stacked, stepwise = (
+            _EnvRunner(ScenarioEnv(kind, env_cfg, RngStream(61)), net) for _ in range(2)
+        )
+        stacked.env.step = None  # the stacked path never steps one transition
+        stacked_gen, stepwise_gen = (RngStream(62).generator() for _ in range(2))
+        for _ in range(3):
+            got = collect_rollout(stacked, net, cfg, stacked_gen)
+            want = RolloutBuffer(capacity=n_steps, obs_dim=9)
+            _collect_stepwise(stepwise, net, stepwise_gen, want)
+            assert got.size == want.size == n_steps
+            for name in BUFFER_ARRAYS:
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+            assert got.segments == want.segments
+            assert np.float64(got.bootstrap).tobytes() == np.float64(want.bootstrap).tobytes()
+            assert (np.array(stacked.finished_rewards).tobytes()
+                    == np.array(stepwise.finished_rewards).tobytes())
+            assert stacked.episode_reward == stepwise.episode_reward
+            assert stacked.env.episode_index == stepwise.env.episode_index
+            assert stacked.obs.tobytes() == stepwise.obs.tobytes()
+            assert stacked.env._loop.t == stepwise.env._loop.t
+            assert stacked.env._loop.rho.tobytes() == stepwise.env._loop.rho.tobytes()
+            assert stacked_gen.bit_generator.state == stepwise_gen.bit_generator.state
+        if n_steps >= horizon:
+            assert stacked.finished_rewards
+
+    def test_a_qomdp_window_is_refused(self):
+        env = ScenarioEnv("qomdp", EnvConfig(), RngStream(63))
+        env.reset()
+        with pytest.raises(ValueError, match="qomdp"):
+            env.step_window(8, lambda positions, obs: np.zeros(len(positions)))
 
 
 class TestSampleAction:

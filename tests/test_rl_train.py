@@ -1,10 +1,15 @@
 """End-to-end training smokes for the three scenarios (reduced budgets).
 
 The full-budget model-based run lives in the acceptance suite; these verify
-that each scenario's training loop actually learns on its own environment.
+that each scenario's training loop actually learns on its own environment,
+and that mbs and dbs training replays to pinned digests.
 """
 
+import hashlib
+import json
+
 import numpy as np
+import pytest
 
 from qfclab.dynamics import EnvConfig, run_episodes
 from qfclab.rl.ppo import default_ppo_config, train
@@ -15,6 +20,39 @@ def reward_trend(curve):
     rewards = [r["mean_episode_reward"] for r in curve if np.isfinite(r["mean_episode_reward"])]
     quarter = max(1, len(rewards) // 4)
     return float(np.mean(rewards[:quarter])), float(np.mean(rewards[-quarter:]))
+
+
+# SHA-256 of the parameters and curve after 1,024 steps (seed 100 + noise index,
+# alpha 0.6, epsilon 0.1, appendix hyperparameters), recorded with the stepwise
+# rollout loop on numpy 2.4.6 with OpenBLAS 0.3.31; another numpy or BLAS build
+# may round the products differently and would need its own record
+TRAINING_DIGESTS = {
+    ("mbs", "depolarizing"): "3b9fc2778914190cc987e076df4b96fc3daf1f74c1c8d487074ad1b7b102580b",
+    ("mbs", "amplitude_damping"): "189833e30bd1a08bec3a5f67c1b5b9bc4d9948d4c86e7dea9171d195ed1e5e7b",
+    ("mbs", "random_permutation"): "ca95b0eae81f61c340cf6c6f1b44e3610294dba7174147bb263539b9797bd269",
+    ("dbs", "depolarizing"): "e9b9591f90feb4ba42a405f4267bf7b08058699325bdd74f1dc5847e32ebb5c9",
+    ("dbs", "amplitude_damping"): "19115f0710ac0770d731987f023334e3c9ed3ef4dfcc91d6b41ed04bd3f147b5",
+    ("dbs", "random_permutation"): "35c7e46b7437742ecfbd2872150d32bb69fa775add5347c7fd4c49bc2eabcb2d",
+}
+NOISES = ("depolarizing", "amplitude_damping", "random_permutation")
+
+
+def training_digest(net, curve) -> str:
+    digest = hashlib.sha256()
+    for name in sorted(net.params):
+        digest.update(name.encode())
+        digest.update(np.ascontiguousarray(net.params[name]).tobytes())
+    digest.update(json.dumps(curve, sort_keys=True).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("noise", NOISES)
+@pytest.mark.parametrize("scenario", ["mbs", "dbs"])
+def test_training_streams_are_pinned(scenario, noise):
+    env_cfg = EnvConfig(noise_kind=noise, alpha=0.6, epsilon=0.1)
+    ppo_cfg = default_ppo_config(scenario, total_timesteps=1024)
+    net, curve = train(scenario, env_cfg, ppo_cfg, seed=100 + NOISES.index(noise))
+    assert training_digest(net, curve) == TRAINING_DIGESTS[scenario, noise]
 
 
 class TestMbsTraining:
