@@ -4,11 +4,11 @@ Three noise channels (depolarizing, amplitude damping, random permutation),
 an imprecision-parameterized family of generalized measurements plus its
 projective limit, and the ladder-operator control unitary exp(beta(a - a^dag)).
 Every noise constructor returns an explicit Kraus set, the channel's
-definition, CPTP-certifiable via its Choi matrix.  :func:`apply_channel`
-applies each family through its closed form instead, and the tests certify
-each closed form against its Kraus sum.  Every measurement is diagonal, so it
-is held as the diagonals of its operators and applies as a scaling.  Every
-operator applied is real, so a real state stays real; each application is
+definition, which the tests certify CPTP through its Choi matrix.
+:func:`apply_channel` applies each family through its closed form instead,
+and the tests certify each closed form against its Kraus sum.  Every
+measurement is diagonal, so it is held as the diagonals of its operators and
+applies as a scaling.  Every operator applied is real, so a real state stays real; each application is
 exact for complex Hermitian states too.  The applications take one 3x3 state
 or a stack ``(..., 3, 3)`` of them (with a matching array of betas or
 outcomes), and treat each state of a stack exactly as they treat it alone.
@@ -23,9 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import DEFAULT_TOL, DimensionError, every
-
-DIM = 3
+from .qcore import DimensionError, every
 
 #: lowering operator a: a|1> = |0>, a|2> = |1>
 LOWERING = np.array([[0, 1, 0], [0, 0, 1], [0, 0, 0]], dtype=float)
@@ -290,48 +288,4 @@ def condition_on_outcome(
             rows=rows,
         )
     return post / p[..., None, None]
-
-
-def choi_matrix(kraus_ops) -> np.ndarray:
-    """Unnormalized Choi matrix C = sum_ij |i><j| (x) E(|i><j|) of the Kraus map.
-
-    C is positive semidefinite iff the map is completely positive, and its
-    partial trace over the output factor equals I iff it is trace-preserving.
-    """
-    ops = np.asarray([np.asarray(k, dtype=complex) for k in kraus_ops])
-    d = ops.shape[1]
-    choi = np.einsum("kai,kbj->iajb", ops, ops.conj()).reshape(d * d, d * d)
-    return choi
-
-
-def kraus_completeness_defect(kraus_ops) -> float:
-    """Max-entry deviation of sum_k K_k^dag K_k from the identity."""
-    ops = [np.asarray(k, dtype=complex) for k in kraus_ops]
-    total = sum(k.conj().T @ k for k in ops)
-    return float(np.max(np.abs(total - np.eye(ops[0].shape[0]))))
-
-
-def is_cptp(kraus_ops, completeness_tol: float = DEFAULT_TOL, choi_tol: float = 1e-9) -> bool:
-    """Certify complete positivity and trace preservation of a Kraus set."""
-    if kraus_completeness_defect(kraus_ops) > completeness_tol:
-        return False
-    choi = choi_matrix(kraus_ops)
-    if float(np.linalg.eigvalsh(choi)[0]) < -choi_tol:
-        return False
-    d = int(np.sqrt(choi.shape[0]))
-    partial = np.trace(choi.reshape(d, d, d, d), axis1=1, axis2=3)
-    return float(np.max(np.abs(partial - np.eye(d)))) <= choi_tol
-
-
-def validate_measurement(m: MeasurementModel, tol: float = DEFAULT_TOL) -> None:
-    """Raise if the measurement violates completeness (or projectivity for terminal sets)."""
-    defect = kraus_completeness_defect(m.ops)
-    if defect > tol:
-        raise ParameterError(f"measurement completeness defect {defect:.3e} > {tol}")
-    if m.kind == "terminal_projective":
-        for l, op in enumerate(m.ops):
-            if float(np.max(np.abs(op @ op - op))) > tol or float(
-                np.max(np.abs(op - op.conj().T))
-            ) > tol:
-                raise ParameterError(f"terminal operator {l} is not an orthogonal projector")
 

@@ -17,7 +17,6 @@ from typing import TYPE_CHECKING, ClassVar, Union
 
 import numpy as np
 
-from .channels import control_unitary
 from .qcore import _as_square_matrix, every
 
 if TYPE_CHECKING:  # the rl package imports this module, so only type checkers look back
@@ -57,36 +56,10 @@ def basic_policy() -> BasicTable:
     """The analytic baseline: beta = 1 after outcomes 0 and 1, beta = 0 after outcome 2.
 
     The gains maximize the single-step transition probability into level 2
-    from levels 0 and 1; outcome 2 already flags the target, so no pulse.
+    from levels 0 and 1 (the tests re-derive them by grid search); outcome 2
+    already flags the target, so no pulse.
     """
     return BasicTable(beta_by_outcome=(1.0, 1.0, 0.0))
-
-
-def transfer_probability(beta: float, source_level: int, target_level: int = 2) -> float:
-    """|<target| U_beta |source>|^2 for the control unitary."""
-    u = control_unitary(beta)
-    return float(np.abs(u[target_level, source_level]) ** 2)
-
-
-def derive_basic_gains(grid_points: int = 201) -> tuple[float, float]:
-    """Grid-search argmax of the level-k -> level-2 transfer probability over beta in [-1, 1].
-
-    Doubles as an independent derivation of the table gains: both objectives
-    are increasing on [0, 1], so any grid containing the endpoint returns (1, 1).
-    """
-    if grid_points < 3:
-        raise ValueError(f"grid must have at least 3 points, got {grid_points}")
-    grid = np.linspace(-1.0, 1.0, grid_points)
-    gains = []
-    for source in (0, 1):
-        # the objective is even in beta, so +-1 tie; break toward the larger beta
-        best_beta, best_value = grid[0], -1.0
-        for b in grid:
-            value = transfer_probability(float(b), source)
-            if value >= best_value:
-                best_beta, best_value = float(b), value
-        gains.append(best_beta)
-    return gains[0], gains[1]
 
 
 def believed_outcome(rho0: np.ndarray) -> int:

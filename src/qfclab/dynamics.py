@@ -17,11 +17,13 @@ basis-state start on; a complex initial state runs the same code in complex.
 :class:`ClosedLoop` is the one stepper of the closed loop.  Training
 (:mod:`qfclab.rl.envs`) drives it on a stack of a rollout window's episodes,
 which may start at different steps, or on one state for the episodes whose
-length is not known ahead (a stop ends them).  :func:`run_episodes`
-validates a policy by driving all episodes of a batch in one stack.  Every
-episode draws from its own generator, one uniform per step, so an episode
-with identical (config, policy, seed, stream) is bit-identical whatever
-batch or thread runs it.
+length is not known ahead (a stop ends them).  What a network observes is
+a real vector: :func:`encode_state_observation` of a state, or
+:func:`encode_outcome_observation` of the last outcome and control.
+:func:`run_episodes` validates a policy by driving all episodes of a batch
+in one stack.  Every episode draws from its own generator, one uniform per
+step, so an episode with identical (config, policy, seed, stream) is
+bit-identical whatever batch or thread runs it.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ import numpy as np
 from . import channels as ch
 from .controllers import Policy, believed_outcome, policy_act
 from .qcore import basis_state, every, fidelity_pure_target, require_density
-from .rl.encoding import encode_outcome_observation, encode_state_observation
 from .rngstream import RngStream
 
 #: most episodes :func:`run_episodes` steps together; bounds the per-step
@@ -185,6 +186,38 @@ class EpisodeBatch:
     outcomes: np.ndarray  # (n, horizon)
     true_states: np.ndarray  # (n, horizon, 3, 3), in the initial state's dtype
     aux_states: np.ndarray | None
+
+
+# The upper-triangle entries read, in encoding order (the populations, then
+# (0, 1), (0, 2), (1, 2)), and the slots of their real and imaginary parts.
+# Index arrays, not tuples: numpy converts a tuple on every call.
+_ROWS, _COLS = np.array([0, 1, 2, 0, 0, 1]), np.array([0, 1, 2, 1, 2, 2])
+_REAL_SLOTS, _IMAG_SLOTS = np.array([0, 1, 2, 3, 5, 7]), np.array([4, 6, 8])
+
+
+def encode_state_observation(rho: np.ndarray) -> np.ndarray:
+    """Flatten a 3x3 Hermitian state into 9 reals (a stack (..., 3, 3) into (..., 9)).
+
+    Ordering: the three populations, then (Re, Im) of the upper off-diagonal
+    entries (0,1), (0,2), (1,2).  A real state encodes its imaginary parts as
+    exact +0.0, the same bytes as the state cast to complex.
+    """
+    rho = np.asarray(rho)
+    entries = rho[..., _ROWS, _COLS]
+    encoded = np.zeros(rho.shape[:-2] + (9,))
+    encoded[..., _REAL_SLOTS] = entries.real
+    if np.iscomplexobj(entries):
+        encoded[..., _IMAG_SLOTS] = entries[..., 3:].imag
+    return encoded
+
+
+def encode_outcome_observation(
+    last_outcome: int | np.ndarray, last_beta: float | np.ndarray
+) -> np.ndarray:
+    """The pair (last outcome, last control) as 2 floats (arrays (n,) into (n, 2))."""
+    return np.stack(
+        [np.asarray(last_outcome, dtype=float), np.asarray(last_beta, dtype=float)], axis=-1
+    )
 
 
 def _rows(policy_state, keep: np.ndarray):
@@ -356,19 +389,3 @@ def _run_batch(policy, cfg: EnvConfig, streams) -> EpisodeBatch:
     return EpisodeBatch(fidelity, stop_step, terminal_outcome, aborted, final_states,
                         betas, outcomes, true_states, aux_states)
 
-
-def estimate_average_state(
-    policy: Policy, cfg: EnvConfig, n: int, rng: RngStream
-) -> np.ndarray:
-    """Monte-Carlo mean of the final true state over n independent episodes.
-
-    The episodes run through :func:`run_episodes` and draw from the
-    substreams ("avg", i) of ``rng``.  For outcome-independent control
-    sequences this converges at O(1/sqrt(n)) to the deterministic
-    outcome-averaged (CPTP) iteration of the dynamics.
-    """
-    if n < 1:
-        raise ValueError(f"episode count must be >= 1, got {n}")
-    streams = [rng.substream("avg", i) for i in range(n)]
-    finals = np.concatenate([batch.final_states for batch in run_episodes(policy, cfg, streams)])
-    return finals.sum(axis=0) / n

@@ -81,11 +81,6 @@ class SweepConfig:
             )
 
 
-def table_defaults() -> SweepConfig:
-    """The full published grid (all noises, 11 alphas, 6 epsilons, 1000 episodes)."""
-    return SweepConfig()
-
-
 def desk_scale(cfg: SweepConfig | None = None) -> SweepConfig:
     """Shrink a config to the desk-scale preset grids and episode count."""
     base = cfg or SweepConfig()

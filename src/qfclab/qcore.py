@@ -60,10 +60,6 @@ def basis_state(k: int, dim: int = 3) -> np.ndarray:
     return rho
 
 
-def maximally_mixed(dim: int = 3) -> np.ndarray:
-    return np.eye(dim) / dim
-
-
 @dataclass(frozen=True)
 class ValidationReport:
     """Outcome of density-operator validation.

@@ -2,7 +2,8 @@
 
 Two architectures: a feed-forward actor-critic (separate tanh trunks for
 policy and value, linear heads, one state-independent log-std) and a
-recurrent one that inserts an LSTM cell in front of each trunk.  Gradients
+recurrent one that inserts an LSTM cell in front of each trunk (one cell
+function serves the rollout step and the packed sequences).  Gradients
 are exact and verified against central finite differences in the test suite,
 which is also why everything stays in double precision.  The recurrent net
 steps one observation at a time in rollouts and evaluation, and trains on
@@ -15,7 +16,7 @@ checkpoint format, and gradient checks can treat them uniformly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -172,19 +173,35 @@ def _init_lstm(prefix: str, in_dim: int, hidden: int, weight) -> dict[str, np.nd
     return {f"{prefix}.wx": wx, f"{prefix}.wh": wh, f"{prefix}.b": np.zeros(4 * hidden)}
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
+@lru_cache
+def _gate_scale(hidden: int) -> np.ndarray:
+    """Per-column scale s of the gate blocks i, f, g, o: s*tanh(s*x) + 1 - s is
+    sigmoid(x) = 0.5 + 0.5*tanh(0.5*x) on i, f, o and tanh(x) on g."""
+    scale = np.repeat([0.5, 0.5, 1.0, 0.5], hidden)
+    scale.flags.writeable = False
+    return scale
 
 
-def _lstm_step(params, prefix: str, hidden: int, x, h, c):
+def _lstm_cell(pre: np.ndarray, c: np.ndarray):
+    """The LSTM cell on its pre-activations pre (..., 4H) and cell state c (..., H).
+
+    Returns the gate activations i, f, g, o (..., 4H), c', tanh c' and h'.
+    """
+    hid = c.shape[-1]
+    scale = _gate_scale(hid)
+    gates = scale * np.tanh(scale * pre) + (1.0 - scale)
+    i, f = gates[..., :hid], gates[..., hid:2 * hid]
+    g, o = gates[..., 2 * hid:3 * hid], gates[..., 3 * hid:]
+    c_new = f * c + i * g
+    tanh_c = np.tanh(c_new)
+    return gates, c_new, tanh_c, o * tanh_c
+
+
+def _lstm_step(params, prefix: str, x, h, c):
     """One LSTM step; x (..., n, in), h/c (..., n, hidden). Returns h', c'."""
     pre = x @ params[f"{prefix}.wx"] + h @ params[f"{prefix}.wh"] + params[f"{prefix}.b"]
-    i = _sigmoid(pre[..., :hidden])
-    f = _sigmoid(pre[..., hidden:2 * hidden])
-    g = np.tanh(pre[..., 2 * hidden:3 * hidden])
-    o = _sigmoid(pre[..., 3 * hidden:])
-    c_new = f * c + i * g
-    return o * np.tanh(c_new), c_new
+    _, c_new, _, h_new = _lstm_cell(pre, c)
+    return h_new, c_new
 
 
 def _stacked_lstm(params, name: str) -> np.ndarray:
@@ -250,9 +267,7 @@ class RecurrentActorCritic:
         """One recurrent step; returns (head outputs (k,), value, next state)."""
         h_pi, c_pi, h_vf, c_vf = state
         heads, (h_pi2, c_pi2) = self.policy_step(obs, (h_pi, c_pi))
-        h_vf2, c_vf2 = _lstm_step(
-            self.params, "vf_lstm", self.lstm_hidden, obs[None, :], h_vf, c_vf
-        )
+        h_vf2, c_vf2 = _lstm_step(self.params, "vf_lstm", obs[None, :], h_vf, c_vf)
         value, _ = _mlp_forward(self.params, "vf", len(self.hidden), h_vf2)
         return heads, float(value[0, 0]), (h_pi2, c_pi2, h_vf2, c_vf2)
 
@@ -265,7 +280,7 @@ class RecurrentActorCritic:
         if state is None:
             zeros = np.zeros(obs.shape[:-1] + (1, self.lstm_hidden))
             state = (zeros, zeros)
-        h, c = _lstm_step(self.params, "pi_lstm", self.lstm_hidden, obs[..., None, :], *state)
+        h, c = _lstm_step(self.params, "pi_lstm", obs[..., None, :], *state)
         heads, _ = _mlp_forward(self.params, "pi", len(self.hidden), h)
         return heads[..., 0, :], (h, c)
 
@@ -298,19 +313,13 @@ class RecurrentActorCritic:
         h_prev, c_prev, tanh_c, h_rows = (np.empty((2, n, hid)) for _ in range(4))
         h = np.stack([init_state[0], init_state[2]])[:, order]
         c = np.stack([init_state[1], init_state[3]])[:, order]
-        # sigmoid(x) = 0.5 + 0.5*tanh(0.5*x) on the i, f, o blocks, tanh on g
-        scale = np.repeat([0.5, 0.5, 1.0, 0.5], hid)
         off = 0
         for k in alive:
             rows = slice(off, off + k)
             h, c = h[:, :k], c[:, :k]
             h_prev[:, rows], c_prev[:, rows] = h, c
             pre = xw[:, rows] + h @ wh + b[:, None, :]
-            gates[:, rows] = scale * np.tanh(scale * pre) + (1.0 - scale)
-            i, f, g, o = np.split(gates[:, rows], 4, axis=2)
-            c = f * c + i * g
-            tanh_c[:, rows] = np.tanh(c)
-            h = o * tanh_c[:, rows]
+            gates[:, rows], c, tanh_c[:, rows], h = _lstm_cell(pre, c)
             h_rows[:, perm[rows]] = h  # back in the row order of obs, for the trunks
             off += k
         heads, pi_acts = _mlp_forward(self.params, "pi", len(self.hidden), h_rows[0])

@@ -2,11 +2,16 @@
 
 Everything here deliberately avoids the library's own code paths: plain
 Taylor series, brute-force sums, linear solves, and explicit map iteration.
+The certifiers from ``choi_matrix`` on are the exception: they check its values.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from qfclab.channels import ParameterError, control_unitary
+from qfclab.dynamics import run_episodes
+from qfclab.qcore import DEFAULT_TOL
 
 CONTROL_GEN = np.array(
     [[0.0, 1.0, 0.0], [-1.0, 0.0, 1.0], [0.0, -1.0, 0.0]], dtype=complex
@@ -345,3 +350,108 @@ def padded_recurrent_pass(net, obs, lengths, init_state, dheads, dvalues):
     _padded_lstm_backward(params, "pi_lstm", pi_caches, unflat(dh_pi), grads)
     _padded_lstm_backward(params, "vf_lstm", vf_caches, unflat(dh_vf), grads)
     return heads[rows], values[rows, 0], grads
+
+
+def maximally_mixed(dim: int = 3) -> np.ndarray:
+    return np.eye(dim) / dim
+
+
+def decode_state_observation(vec: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`qfclab.dynamics.encode_state_observation`."""
+    if vec.shape != (9,):
+        raise ValueError(f"expected 9 entries, got shape {vec.shape}")
+    rho = np.zeros((3, 3), dtype=complex)
+    rho[0, 0], rho[1, 1], rho[2, 2] = vec[0], vec[1], vec[2]
+    rho[0, 1] = vec[3] + 1j * vec[4]
+    rho[0, 2] = vec[5] + 1j * vec[6]
+    rho[1, 2] = vec[7] + 1j * vec[8]
+    rho[1, 0] = rho[0, 1].conjugate()
+    rho[2, 0] = rho[0, 2].conjugate()
+    rho[2, 1] = rho[1, 2].conjugate()
+    return rho
+
+
+def choi_matrix(kraus_ops) -> np.ndarray:
+    """Unnormalized Choi matrix C = sum_ij |i><j| (x) E(|i><j|) of the Kraus map.
+
+    C is positive semidefinite iff the map is completely positive, and its
+    partial trace over the output factor equals I iff it is trace-preserving.
+    """
+    ops = np.asarray([np.asarray(k, dtype=complex) for k in kraus_ops])
+    d = ops.shape[1]
+    choi = np.einsum("kai,kbj->iajb", ops, ops.conj()).reshape(d * d, d * d)
+    return choi
+
+
+def kraus_completeness_defect(kraus_ops) -> float:
+    """Max-entry deviation of sum_k K_k^dag K_k from the identity."""
+    ops = [np.asarray(k, dtype=complex) for k in kraus_ops]
+    total = sum(k.conj().T @ k for k in ops)
+    return float(np.max(np.abs(total - np.eye(ops[0].shape[0]))))
+
+
+def is_cptp(kraus_ops, completeness_tol: float = DEFAULT_TOL, choi_tol: float = 1e-9) -> bool:
+    """Certify complete positivity and trace preservation of a Kraus set."""
+    if kraus_completeness_defect(kraus_ops) > completeness_tol:
+        return False
+    choi = choi_matrix(kraus_ops)
+    if float(np.linalg.eigvalsh(choi)[0]) < -choi_tol:
+        return False
+    d = int(np.sqrt(choi.shape[0]))
+    partial = np.trace(choi.reshape(d, d, d, d), axis1=1, axis2=3)
+    return float(np.max(np.abs(partial - np.eye(d)))) <= choi_tol
+
+
+def validate_measurement(m, tol: float = DEFAULT_TOL) -> None:
+    """Raise if the measurement violates completeness (or projectivity for terminal sets)."""
+    defect = kraus_completeness_defect(m.ops)
+    if defect > tol:
+        raise ParameterError(f"measurement completeness defect {defect:.3e} > {tol}")
+    if m.kind == "terminal_projective":
+        for l, op in enumerate(m.ops):
+            if float(np.max(np.abs(op @ op - op))) > tol or float(
+                np.max(np.abs(op - op.conj().T))
+            ) > tol:
+                raise ParameterError(f"terminal operator {l} is not an orthogonal projector")
+
+
+def transfer_probability(beta: float, source_level: int, target_level: int = 2) -> float:
+    """|<target| U_beta |source>|^2 for the library's control unitary."""
+    u = control_unitary(beta)
+    return float(np.abs(u[target_level, source_level]) ** 2)
+
+
+def derive_basic_gains(grid_points: int = 201) -> tuple[float, float]:
+    """Grid-search argmax of the level-k -> level-2 transfer probability over beta in [-1, 1].
+
+    Doubles as an independent derivation of the table gains: both objectives
+    are increasing on [0, 1], so any grid containing the endpoint returns (1, 1).
+    """
+    if grid_points < 3:
+        raise ValueError(f"grid must have at least 3 points, got {grid_points}")
+    grid = np.linspace(-1.0, 1.0, grid_points)
+    gains = []
+    for source in (0, 1):
+        # the objective is even in beta, so +-1 tie; break toward the larger beta
+        best_beta, best_value = grid[0], -1.0
+        for b in grid:
+            value = transfer_probability(float(b), source)
+            if value >= best_value:
+                best_beta, best_value = float(b), value
+        gains.append(best_beta)
+    return gains[0], gains[1]
+
+
+def estimate_average_state(policy, cfg, n: int, rng) -> np.ndarray:
+    """Monte-Carlo mean of the final true state over n independent episodes.
+
+    The episodes run through :func:`qfclab.dynamics.run_episodes` and draw
+    from the substreams ("avg", i) of ``rng``.  For outcome-independent
+    control sequences this converges at O(1/sqrt(n)) to the deterministic
+    outcome-averaged (CPTP) iteration of the dynamics.
+    """
+    if n < 1:
+        raise ValueError(f"episode count must be >= 1, got {n}")
+    streams = [rng.substream("avg", i) for i in range(n)]
+    finals = np.concatenate([batch.final_states for batch in run_episodes(policy, cfg, streams)])
+    return finals.sum(axis=0) / n

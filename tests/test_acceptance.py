@@ -10,15 +10,13 @@ import pytest
 
 from qfclab.channels import (
     CONTROL_GENERATOR,
-    choi_matrix,
     control_unitary,
     imprecise_measurement,
-    kraus_completeness_defect,
     make_channel,
     terminal_measurement,
 )
-from qfclab.controllers import basic_policy, derive_basic_gains, transfer_probability
-from qfclab.dynamics import EnvConfig, estimate_average_state, run_episodes
+from qfclab.controllers import basic_policy
+from qfclab.dynamics import EnvConfig, run_episodes
 from qfclab.harness.config import SweepConfig, TABLE_ALPHAS, TABLE_EPSILONS
 from qfclab.harness.evaluate import evaluate, sweep
 from qfclab.harness.report import parse_results_csv, render_results_csv
@@ -32,9 +30,14 @@ from qfclab.rngstream import RngStream
 
 from oracles import (
     basic_controller_chain,
+    choi_matrix,
+    derive_basic_gains,
+    estimate_average_state,
     expm_taylor,
     averaged_map_iteration,
     gae_brute_force,
+    kraus_completeness_defect,
+    transfer_probability,
 )
 
 CRITERION_RESULTS: list[tuple[int, str, str, str]] = []

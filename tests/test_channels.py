@@ -12,28 +12,29 @@ from qfclab.channels import (
     ParameterError,
     amplitude_damping,
     apply_channel,
-    choi_matrix,
     condition_on_outcome,
     control_unitary,
     depolarizing,
     imprecise_measurement,
-    is_cptp,
-    kraus_completeness_defect,
     make_channel,
     outcome_probabilities,
     random_permutation,
     terminal_measurement,
-    validate_measurement,
 )
-from qfclab.qcore import basis_state, maximally_mixed
+from qfclab.qcore import basis_state
 
 from oracles import (
+    choi_matrix,
     expm_taylor,
+    is_cptp,
+    kraus_completeness_defect,
     kraus_sum,
+    maximally_mixed,
     measurement_average,
     random_densities,
     random_density,
     random_diagonal_density,
+    validate_measurement,
 )
 
 TABLE_ALPHAS = [round(0.1 * k, 1) for k in range(11)]

@@ -7,15 +7,19 @@ from qfclab.controllers import (
     ControlAction,
     basic_policy,
     believed_outcome,
-    derive_basic_gains,
     policy_act,
-    transfer_probability,
 )
-from qfclab.dynamics import ClosedLoop, EnvConfig
-from qfclab.qcore import basis_state, maximally_mixed
-from qfclab.rl.encoding import encode_outcome_observation, encode_state_observation
+from qfclab.dynamics import (
+    ClosedLoop,
+    EnvConfig,
+    encode_outcome_observation,
+    encode_state_observation,
+)
+from qfclab.qcore import basis_state
 from qfclab.rl.nets import MlpActorCritic
 from qfclab.rngstream import RngStream
+
+from oracles import derive_basic_gains, maximally_mixed, transfer_probability
 
 
 class TestBasicPolicy:

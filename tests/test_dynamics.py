@@ -1,20 +1,24 @@
 """Unit tests for the true and filtering dynamics (the nominal law is alpha = 0) and episodes."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import qfclab
 from qfclab import dynamics
 from qfclab.channels import ParameterError, depolarizing, imprecise_measurement
 from qfclab.controllers import BasicTable, basic_policy
 from qfclab.dynamics import (
     EnvConfig,
     FilterDivergenceError,
-    estimate_average_state,
     filter_update,
     run_episodes,
     step_true,
 )
-from qfclab.qcore import basis_state, maximally_mixed
+from qfclab.qcore import basis_state
 from qfclab.rngstream import RngStream
 
 from oracles import (
@@ -22,6 +26,8 @@ from oracles import (
     averaged_map_iteration,
     basic_controller_chain,
     control_unitary_closed_form,
+    estimate_average_state,
+    maximally_mixed,
 )
 
 
@@ -271,3 +277,15 @@ class TestEstimateAverageState:
     def test_invalid_count_rejected(self):
         with pytest.raises(ValueError, match="episode count"):
             estimate_average_state(BasicTable((0.0, 0.0, 0.0)), make_cfg(), 0, RngStream(63))
+
+
+def test_dynamics_loads_no_rl_or_harness_module():
+    # the core layer must not reach up into the packages built on it
+    src = str(Path(qfclab.__file__).resolve().parent.parent)
+    probe = (
+        f"import sys; sys.path.insert(0, {src!r}); import qfclab.dynamics; "
+        "print(*(m for m in sys.modules if m.split('.')[:2] in "
+        "(['qfclab', 'rl'], ['qfclab', 'harness'])))"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert out.stdout.split() == []

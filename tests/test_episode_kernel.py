@@ -21,9 +21,8 @@ from qfclab.channels import (
     terminal_measurement,
 )
 from qfclab.controllers import BasicTable, basic_policy, believed_outcome
-from qfclab.dynamics import EnvConfig, run_episodes
+from qfclab.dynamics import EnvConfig, encode_state_observation, run_episodes
 from qfclab.qcore import fidelity_pure_target
-from qfclab.rl.encoding import encode_state_observation
 from qfclab.rl.nets import MlpActorCritic, RecurrentActorCritic
 from qfclab.rngstream import RngStream
 

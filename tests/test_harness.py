@@ -24,7 +24,6 @@ from qfclab.harness.config import (
     desk_scale,
     format_config,
     parse_config_file,
-    table_defaults,
 )
 from qfclab.harness.evaluate import (
     CellResult,
@@ -82,7 +81,7 @@ sweep_configs = st.builds(
 
 class TestSweepConfig:
     def test_table_defaults_match_published_grids(self):
-        cfg = table_defaults()
+        cfg = SweepConfig()
         assert len(cfg.alphas) == 11
         assert cfg.epsilons == (0.1, 0.15, 0.175, 0.2, 0.25, 0.3)
         assert cfg.episodes == 1000

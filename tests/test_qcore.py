@@ -11,12 +11,16 @@ from qfclab.qcore import (
     StateValidityError,
     basis_state,
     fidelity_pure_target,
-    maximally_mixed,
     require_density,
     validate_density,
 )
 
-from oracles import density_violations_by_eigenvalues, fidelity_by_spectral, random_density
+from oracles import (
+    density_violations_by_eigenvalues,
+    fidelity_by_spectral,
+    maximally_mixed,
+    random_density,
+)
 
 
 def state_with_spectrum(seed: int, eigenvalues, real: bool) -> np.ndarray:

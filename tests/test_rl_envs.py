@@ -6,13 +6,18 @@ import pytest
 from qfclab import dynamics
 from qfclab.channels import imprecise_measurement, make_channel
 from qfclab.controllers import ControlAction
-from qfclab.dynamics import EnvConfig, step_true
-from qfclab.qcore import basis_state, maximally_mixed
-from qfclab.rl.encoding import decode_state_observation, encode_state_observation
+from qfclab.dynamics import EnvConfig, encode_state_observation, step_true
+from qfclab.qcore import basis_state
 from qfclab.rl.envs import ScenarioEnv
 from qfclab.rngstream import RngStream
 
-from oracles import TrainingEpisodeReplay, random_densities, random_density
+from oracles import (
+    TrainingEpisodeReplay,
+    decode_state_observation,
+    maximally_mixed,
+    random_densities,
+    random_density,
+)
 
 
 def make_cfg(**kw):

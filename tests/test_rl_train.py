@@ -2,7 +2,7 @@
 
 The full-budget model-based run lives in the acceptance suite; these verify
 that each scenario's training loop actually learns on its own environment,
-and that mbs and dbs training replays to pinned digests.
+and that training replays to pinned digests.
 """
 
 import hashlib
@@ -25,7 +25,8 @@ def reward_trend(curve):
 # SHA-256 of the parameters and curve after 1,024 steps (seed 100 + noise index,
 # alpha 0.6, epsilon 0.1, appendix hyperparameters), recorded with the stepwise
 # rollout loop on numpy 2.4.6 with OpenBLAS 0.3.31; another numpy or BLAS build
-# may round the products differently and would need its own record
+# may round the products differently and would need its own record.  The qomdp
+# case pins the recurrent rollout step and the packed-sequence update.
 TRAINING_DIGESTS = {
     ("mbs", "depolarizing"): "3b9fc2778914190cc987e076df4b96fc3daf1f74c1c8d487074ad1b7b102580b",
     ("mbs", "amplitude_damping"): "189833e30bd1a08bec3a5f67c1b5b9bc4d9948d4c86e7dea9171d195ed1e5e7b",
@@ -33,6 +34,7 @@ TRAINING_DIGESTS = {
     ("dbs", "depolarizing"): "e9b9591f90feb4ba42a405f4267bf7b08058699325bdd74f1dc5847e32ebb5c9",
     ("dbs", "amplitude_damping"): "19115f0710ac0770d731987f023334e3c9ed3ef4dfcc91d6b41ed04bd3f147b5",
     ("dbs", "random_permutation"): "35c7e46b7437742ecfbd2872150d32bb69fa775add5347c7fd4c49bc2eabcb2d",
+    ("qomdp", "depolarizing"): "69365f38003fc592ab8d8ecf19120e83992d32be68bba01c8e7c727f05ef3236",
 }
 NOISES = ("depolarizing", "amplitude_damping", "random_permutation")
 
@@ -46,8 +48,7 @@ def training_digest(net, curve) -> str:
     return digest.hexdigest()
 
 
-@pytest.mark.parametrize("noise", NOISES)
-@pytest.mark.parametrize("scenario", ["mbs", "dbs"])
+@pytest.mark.parametrize("scenario,noise", list(TRAINING_DIGESTS))
 def test_training_streams_are_pinned(scenario, noise):
     env_cfg = EnvConfig(noise_kind=noise, alpha=0.6, epsilon=0.1)
     ppo_cfg = default_ppo_config(scenario, total_timesteps=1024)

@@ -10,9 +10,13 @@ import numpy as np
 import pytest
 
 from qfclab.controllers import policy_act
-from qfclab.dynamics import EnvConfig, run_episodes
+from qfclab.dynamics import (
+    EnvConfig,
+    encode_outcome_observation,
+    encode_state_observation,
+    run_episodes,
+)
 from qfclab.qcore import fidelity_pure_target
-from qfclab.rl.encoding import encode_outcome_observation, encode_state_observation
 from qfclab.rl.envs import ScenarioEnv
 from qfclab.rl.nets import MlpActorCritic, RecurrentActorCritic
 from qfclab.rngstream import RngStream
