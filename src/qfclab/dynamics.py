@@ -41,6 +41,8 @@ from .rngstream import RngStream
 #: most episodes :func:`run_episodes` steps together; bounds the per-step
 #: records, (n, horizon, 3, 3) states each
 BATCH_EPISODES = 1024
+#: the level the loop prepares, |2>; the basic controller's gains assume it
+TARGET_INDEX = 2
 
 
 class FilterDivergenceError(RuntimeError):
@@ -56,7 +58,7 @@ class FilterDivergenceError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class EnvConfig:
-    """Everything one episode needs: noise, measurement, start, target, and length.
+    """Everything one episode needs: noise, measurement, start, and length.
 
     The initial state is held as a read-only copy, so configs compare and
     hash by value.
@@ -66,7 +68,6 @@ class EnvConfig:
     alpha: float = 0.0
     epsilon: float = 0.1
     initial_state: np.ndarray = field(default_factory=lambda: basis_state(0))
-    target_index: int = 2
     horizon: int = 20
 
     def __post_init__(self):
@@ -75,14 +76,12 @@ class EnvConfig:
         object.__setattr__(self, "initial_state", state)
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
-        if not 0 <= self.target_index < 3:
-            raise ValueError(f"target index {self.target_index} out of range")
         noise_channel(self)  # an unknown noise kind or alpha fails here, even at alpha = 0
         measurement_model(self)  # and so does an epsilon outside [0, EPSILON_MAX]
 
     def _key(self) -> tuple:
         return (self.noise_kind, self.alpha, self.epsilon,
-                tuple(self.initial_state.ravel().tolist()), self.target_index, self.horizon)
+                tuple(self.initial_state.ravel().tolist()), self.horizon)
 
     def __eq__(self, other):
         if not isinstance(other, EnvConfig):
@@ -236,14 +235,16 @@ class ClosedLoop:
     observes: a ``"table"`` the last outcome (at first, the believed outcome
     of the initial state); an ``"lstm"`` the pair (last outcome, last
     control), after a forced beta = 0 first step; an ``"mlp"`` the filtered
-    state; ``"nominal"`` the true state itself, which model-based training
-    shows on the noise-free law, where it equals the filter.
+    state.  At alpha = 0 the filter step repeats the true step's operations
+    on the same state and outcome, so there the loop skips the filter and
+    shows the true state, the same bytes.
     """
 
     def __init__(self, kind: str, cfg: EnvConfig, draws: np.ndarray):
-        if kind not in ("table", "mlp", "lstm", "nominal"):
+        if kind not in ("table", "mlp", "lstm"):
             raise ValueError(f"unknown closed-loop kind {kind!r}")
         self.kind, self.cfg, self.t = kind, cfg, 0
+        self.filters = kind == "mlp" and cfg.alpha > 0.0
         self._draws = draws.T  # row t holds every state's uniform for step t
         rho, outcome = cfg.initial_state, believed_outcome(cfg.initial_state)
         if draws.ndim == 1:
@@ -275,7 +276,7 @@ class ClosedLoop:
         :class:`FilterDivergenceError` and leaves the loop as it was.
         """
         rho, outcome = step_true(self.rho, beta, self.cfg, self._draws[self.t])
-        seen = filter_update(self.seen, beta, outcome, self.cfg) if self.kind == "mlp" else rho
+        seen = filter_update(self.seen, beta, outcome, self.cfg) if self.filters else rho
         self.rho, self.seen, self.outcome, self.beta = rho, seen, outcome, beta
         self.t += 1
 
@@ -287,7 +288,7 @@ class ClosedLoop:
     def keep(self, rows: np.ndarray) -> None:
         """Keep only the stack rows the boolean mask ``rows`` selects."""
         self.rho, self.outcome, self.beta = self.rho[rows], self.outcome[rows], self.beta[rows]
-        self.seen = self.seen[rows] if self.kind == "mlp" else self.rho
+        self.seen = self.seen[rows] if self.filters else self.rho
         self._draws = self._draws[:, rows]
 
     @classmethod
@@ -306,8 +307,7 @@ class ClosedLoop:
             row[:rest.size] = rest
         stacked = cls(first.kind, first.cfg, draws)
         stacked.rho = np.stack([loop.rho for loop in loops])
-        stacked.seen = (np.stack([loop.seen for loop in loops]) if first.kind == "mlp"
-                        else stacked.rho)
+        stacked.seen = np.stack([loop.seen for loop in loops]) if stacked.filters else stacked.rho
         stacked.outcome = np.array([loop.outcome for loop in loops])
         stacked.beta = np.array([loop.beta for loop in loops], dtype=float)
         return stacked
@@ -337,7 +337,7 @@ def run_episodes(
 
 def _run_batch(policy, cfg: EnvConfig, streams) -> EpisodeBatch:
     """One :class:`EpisodeBatch` of :func:`run_episodes`, all episodes in lockstep."""
-    n, horizon, target = len(streams), cfg.horizon, cfg.target_index
+    n, horizon, target = len(streams), cfg.horizon, TARGET_INDEX
     draws = np.array([stream.generator().random(horizon) for stream in streams])
     loop = ClosedLoop(policy.kind, cfg, draws)
     final_states = loop.rho.copy()

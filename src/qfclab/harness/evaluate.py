@@ -173,6 +173,27 @@ def resolve_policy(scenario, noise, alpha, epsilon, cfg: SweepConfig) -> Policy 
     return str(path)
 
 
+def _label(cell: tuple) -> str:
+    scenario, noise, alpha, epsilon = cell
+    return f"({scenario}, {noise}, alpha={alpha!r}, epsilon={epsilon!r})"
+
+
+def _check_resumed(row: CellResult, cell: tuple, seed: int, cfg: SweepConfig) -> CellResult:
+    """``row`` if it can be this sweep's result for ``cell``; else :class:`ConfigError`.
+
+    The seed, the episode count and the curve length are checked; results.csv
+    does not record f_star.
+    """
+    curve = len(row.fidelity_curve)
+    for name, got, want in (("seed", row.seed, seed),
+                            ("episodes + aborted", row.episodes + row.aborted, cfg.episodes),
+                            ("curve points", curve, cfg.horizon + 1 if curve else 0)):
+        if got != want:
+            raise ConfigError(f"resumed cell {_label(cell)} has {name} {got}, but this sweep's "
+                              f"is {want}; move the results away to recompute them")
+    return row
+
+
 def _train_agent(args) -> tuple[str, int, float]:
     """Pool job: train one missing agent; returns (checkpoint name, timesteps, wall s)."""
     scenario, noise, alpha, epsilon, horizon, timesteps, seed, path = args
@@ -217,32 +238,43 @@ def sweep(cfg: SweepConfig, resume_results: dict[tuple, CellResult] | None = Non
 
     ``resume_results`` maps cell keys to already-completed results, which are
     returned as-is (cells are seed-keyed by identity, so recomputing any one
-    reproduces it exactly).
+    reproduces it exactly) if their seed, episode count and curve length are
+    this sweep's.
 
     The grid is planned first: before anything runs, a missing checkpoint
     with training on demand off raises :class:`MissingCheckpointError`, and
-    one on disk that records another seed or budget than training on demand
-    would use raises :class:`ConfigError`.  Then the missing agents train,
-    each checkpoint once (an mbs or qomdp agent serves every noise and alpha
-    of its epsilon), and the cells evaluate, in one pool of up to
-    QFC_THREADS worker processes; a phase with a single job runs inline.
+    :class:`ConfigError` refuses a stale resumed row, two cells of different
+    agents whose checkpoint names coincide, and a checkpoint on disk that
+    records another seed or budget than training on demand would use.  Then
+    the missing agents train, each checkpoint once (an mbs or qomdp agent
+    serves every noise and alpha of its epsilon), and the cells evaluate, in
+    one pool of up to QFC_THREADS worker processes; a phase with a single job
+    runs inline.
     """
     workers = worker_count()  # a bad QFC_THREADS fails before any training
     resume_results = resume_results or {}
     results: dict[tuple, CellResult] = {}
     agents: dict[str, tuple] = {}  # checkpoint to train on demand -> job of its first cell
+    owners: dict[str, tuple] = {}  # checkpoint name -> (its agent, the first cell it serves)
     cells = []
     for key in itertools.product(cfg.scenarios, cfg.noises, cfg.alphas, cfg.epsilons):
-        if key in resume_results:
-            results[key] = resume_results[key]
-            continue
         scenario, noise, alpha, epsilon = key
+        seed = cell_seed(cfg.master_seed, scenario, noise, alpha, epsilon)
+        if scenario != "basic":
+            agent = (scenario, epsilon) if scenario in NOISE_FREE_KINDS else key
+            name = checkpoint_name(*key)
+            owner, first = owners.setdefault(name, (agent, key))
+            if owner != agent:
+                raise ConfigError(f"cells {_label(first)} and {_label(key)} need different "
+                                  f"agents but share the checkpoint name {name}")
+        if key in resume_results:
+            results[key] = _check_resumed(resume_results[key], key, seed, cfg)
+            continue
         source = resolve_policy(scenario, noise, alpha, epsilon, cfg)
         if cfg.train_on_demand and isinstance(source, str) and source not in agents:
             train_seed = mix64(cfg.master_seed, hash_label(f"train|{Path(source).name}"))
             agents[source] = (scenario, noise, alpha, epsilon, cfg.horizon,
                               cfg.train_timesteps, train_seed, source)
-        seed = cell_seed(cfg.master_seed, scenario, noise, alpha, epsilon)
         cells.append(
             (scenario, noise, alpha, epsilon, source, cfg.episodes, cfg.horizon, cfg.f_star, seed)
         )

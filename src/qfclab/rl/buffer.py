@@ -13,7 +13,7 @@ class Segment:
 
     Segments break at episode boundaries (hidden state reset) and at rollout
     window boundaries (carried hidden state stored in ``init_state``).  The
-    recurrent update packs a minibatch's segments back to back, each starting
+    recurrent update packs the window's segments back to back, each starting
     from its ``init_state``, and steps only their rows: nothing is padded.
     """
 

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .nets import MlpActorCritic, RecurrentActorCritic, _unfilled, validate_params
+from .nets import MlpActorCritic, RecurrentActorCritic, validate_params
 
 # what a damaged archive raises as it is read, and a bad member as it is checked
 _READ_ERRORS = (zipfile.BadZipFile, zlib.error, NotImplementedError, RuntimeError,
@@ -76,8 +76,8 @@ def load_policy(path):
         kind = str(members["kind"])
         if kind not in ("mlp", "lstm"):
             raise CheckpointError(f"{path}: unknown network kind {kind!r}")
-        net = (_unfilled(MlpActorCritic, **shape) if kind == "mlp" else _unfilled(
-            RecurrentActorCritic, **shape, lstm_hidden=int(members["lstm_hidden"])))
+        net = (MlpActorCritic(**shape) if kind == "mlp" else RecurrentActorCritic(
+            **shape, lstm_hidden=int(members["lstm_hidden"])))
         expected = set(net.params) | set(_fields(net, "", {}))
         if set(members) != expected:
             raise CheckpointError(f"{path}: missing members {sorted(expected - set(members))}, "

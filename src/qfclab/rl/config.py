@@ -1,31 +1,33 @@
-"""Training hyperparameters, defaulting to the reference implementation's settings."""
+"""PPO settings: the reference implementation's one configuration, and what a run sets.
+
+Every learned controller trains with the appendix settings below; a run sets
+only its rollout length, learning rate and budget (:class:`PpoConfig`).  The
+optimizer's settings live with :class:`qfclab.rl.nets.Adam`, the network
+widths with the nets.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+GAMMA = 0.99
+GAE_LAMBDA = 0.95
+CLIP_RANGE = 0.2
+#: passes over each rollout window, one update over the whole window each
+N_EPOCHS = 10
+VALUE_COEFF = 0.5
+QOMDP_LEARNING_RATE = 3e-4
+
 
 @dataclass(frozen=True)
 class PpoConfig:
     n_steps: int = 512
-    batch_size: int = 512
     learning_rate: float = 1e-4
-    gamma: float = 0.99
-    gae_lambda: float = 0.95
-    clip_range: float = 0.2
-    n_epochs: int = 10
-    entropy_coeff: float = 0.0
-    value_coeff: float = 0.5
-    max_grad_norm: float = 0.5
     total_timesteps: int = 200_000
-    hidden: tuple[int, ...] = (64, 64, 64)
-    lstm_hidden: int = 64
-    log_std_init: float = 0.0
 
     def __post_init__(self):
-        for name in ("n_steps", "batch_size", "n_epochs"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.n_steps < 1:
+            raise ValueError(f"n_steps must be at least 1, got {self.n_steps}")
         if self.total_timesteps < 0:
             raise ValueError(f"total_timesteps must be non-negative, got {self.total_timesteps}")
         if 0 < self.total_timesteps < self.n_steps:
@@ -33,15 +35,5 @@ class PpoConfig:
                 f"total_timesteps {self.total_timesteps} is below one {self.n_steps}-step "
                 "rollout, so nothing would train"
             )
-        if self.batch_size > self.n_steps:
-            raise ValueError(
-                f"batch_size {self.batch_size} exceeds rollout size {self.n_steps}"
-            )
-        for name in ("learning_rate", "clip_range"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
-
-
-QOMDP_LEARNING_RATE = 3e-4
+        if self.learning_rate <= 0:
+            raise ValueError("learning_rate must be positive")

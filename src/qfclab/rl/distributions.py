@@ -63,11 +63,6 @@ def bernoulli_entropy(logit):
     return s * softplus(-logit) + (1.0 - s) * softplus(logit)
 
 
-def bernoulli_entropy_grad(logit):
-    s = sigmoid(logit)
-    return -logit * s * (1.0 - s)
-
-
 def gaussian_entropy(log_std):
     """Differential entropy of the pre-squash Gaussian (d entropy/d log_std = 1)."""
     return GAUSSIAN_ENTROPY_CONST + log_std

@@ -21,12 +21,12 @@ from __future__ import annotations
 import numpy as np
 
 from ..controllers import ControlAction
-from ..dynamics import ClosedLoop, EnvConfig
+from ..dynamics import TARGET_INDEX, ClosedLoop, EnvConfig
 from ..qcore import fidelity_pure_target
 from ..rngstream import RngStream
 
-#: the closed loop each scenario trains in, named by what its agent observes
-LOOP_KINDS = {"mbs": "nominal", "dbs": "mlp", "qomdp": "lstm"}
+#: the closed loop each scenario trains in: its agent's network kind
+LOOP_KINDS = {"mbs": "mlp", "dbs": "mlp", "qomdp": "lstm"}
 SCENARIO_KINDS = tuple(LOOP_KINDS)
 #: the kinds that train on the noise-free law (alpha = 0), one agent per epsilon
 NOISE_FREE_KINDS = ("mbs", "qomdp")
@@ -56,7 +56,7 @@ class ScenarioEnv:
 
     def _reward(self, loop: ClosedLoop) -> float | np.ndarray:
         """The mbs and dbs reward: the fidelity of what the agent sees."""
-        return fidelity_pure_target(loop.seen, self.cfg.target_index)
+        return fidelity_pure_target(loop.seen, TARGET_INDEX)
 
     def reset(self) -> np.ndarray:
         self._loop = self._next_episode()
@@ -71,10 +71,9 @@ class ScenarioEnv:
         loop = self._loop
         if loop is None:
             raise RuntimeError("step() called on a finished episode; reset() first")
-        target = self.cfg.target_index
         if self.kind == "qomdp" and action.stop:
             self._loop = None
-            return loop.observation(), 1.0 if loop.stop() == target else -1.0, True
+            return loop.observation(), 1.0 if loop.stop() == TARGET_INDEX else -1.0, True
         loop.step(action.beta)
         done = loop.t >= self.cfg.horizon
         self._loop = None if done else loop

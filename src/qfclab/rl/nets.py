@@ -15,14 +15,22 @@ checkpoint format, and gradient checks can treat them uniformly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
 
+#: the appendix trunks (tanh layers of each of the policy and value nets)
+#: and LSTM width; every net starts at log-std 0
+HIDDEN = (64, 64, 64)
+LSTM_HIDDEN = 64
 LOG_STD_MIN = -20.0
 LOG_STD_MAX = 2.0
+#: Adam's moment decays and denominator guard, and the global gradient-norm budget
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-5
+MAX_GRAD_NORM = 0.5
 
 
 def orthogonal(shape: tuple[int, int], gain: float, gen: np.random.Generator) -> np.ndarray:
@@ -34,19 +42,6 @@ def orthogonal(shape: tuple[int, int], gain: float, gen: np.random.Generator) ->
     if rows < cols:
         q = q.T
     return gain * q[:rows, :cols]
-
-
-def _unset_weights(shape, gain):
-    """The weight maker ``(shape, gain) -> array`` of a net whose parameters a loader
-    overwrites: no draw, no QR.  A fresh net's is ``partial(orthogonal, gen=...)``."""
-    return np.empty(shape)
-
-
-def _unfilled(cls, **shape):
-    """A ``cls`` net of these shapes with unset weights, for a checkpoint loader to fill."""
-    net = cls.__new__(cls)
-    net._build(_unset_weights, **shape)
-    return net
 
 
 def _init_mlp(prefix: str, in_dim: int, hidden: tuple[int, ...], out_dim: int,
@@ -108,20 +103,15 @@ class MlpActorCritic:
     kind = "mlp"
 
     def __init__(self, obs_dim: int, n_action_outputs: int = 1,
-                 hidden: tuple[int, ...] = (64, 64, 64),
-                 log_std_init: float = 0.0,
-                 gen: np.random.Generator | None = None):
-        self._build(partial(orthogonal, gen=gen or np.random.default_rng(0)),
-                    obs_dim, n_action_outputs, hidden, log_std_init)
-
-    def _build(self, weight, obs_dim, n_action_outputs, hidden, log_std_init=0.0):
+                 hidden: tuple[int, ...] = HIDDEN, gen: np.random.Generator | None = None):
+        weight = partial(orthogonal, gen=gen or np.random.default_rng(0))
         self.obs_dim = obs_dim
         self.n_action_outputs = n_action_outputs
         self.hidden = tuple(hidden)
         self.params: dict[str, np.ndarray] = {}
         self.params.update(_init_mlp("pi", obs_dim, self.hidden, n_action_outputs, 0.01, weight))
         self.params.update(_init_mlp("vf", obs_dim, self.hidden, 1, 1.0, weight))
-        self.params["log_std"] = np.array(float(log_std_init))
+        self.params["log_std"] = np.array(0.0)
 
     @property
     def log_std(self) -> float:
@@ -234,13 +224,9 @@ class RecurrentActorCritic:
     kind = "lstm"
 
     def __init__(self, obs_dim: int, n_action_outputs: int = 2,
-                 hidden: tuple[int, ...] = (64, 64, 64), lstm_hidden: int = 64,
-                 log_std_init: float = 0.0,
+                 hidden: tuple[int, ...] = HIDDEN, lstm_hidden: int = LSTM_HIDDEN,
                  gen: np.random.Generator | None = None):
-        self._build(partial(orthogonal, gen=gen or np.random.default_rng(0)),
-                    obs_dim, n_action_outputs, hidden, lstm_hidden, log_std_init)
-
-    def _build(self, weight, obs_dim, n_action_outputs, hidden, lstm_hidden, log_std_init=0.0):
+        weight = partial(orthogonal, gen=gen or np.random.default_rng(0))
         self.obs_dim = obs_dim
         self.n_action_outputs = n_action_outputs
         self.hidden = tuple(hidden)
@@ -250,7 +236,7 @@ class RecurrentActorCritic:
         self.params.update(_init_mlp("pi", lstm_hidden, self.hidden, n_action_outputs, 0.01, weight))
         self.params.update(_init_lstm("vf_lstm", obs_dim, lstm_hidden, weight))
         self.params.update(_init_mlp("vf", lstm_hidden, self.hidden, 1, 1.0, weight))
-        self.params["log_std"] = np.array(float(log_std_init))
+        self.params["log_std"] = np.array(0.0)
 
     @property
     def log_std(self) -> float:
@@ -365,36 +351,32 @@ class RecurrentActorCritic:
             grads[f"{prefix}.b"] += dpre[l].sum(axis=0)
 
 
-@dataclass
 class Adam:
     """Adam with global gradient-norm clipping (the cited implementation's defaults)."""
 
-    learning_rate: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-5
-    max_grad_norm: float = 0.5
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
-    t: int = 0
+    def __init__(self, learning_rate: float):
+        self.learning_rate = learning_rate
+        self.m: dict[str, np.ndarray] = {}
+        self.v: dict[str, np.ndarray] = {}
+        self.t = 0
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> float:
         """Clip to the norm budget and apply one update; returns the pre-clip norm."""
         total = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
         scale = 1.0
-        if self.max_grad_norm and total > self.max_grad_norm:
-            scale = self.max_grad_norm / (total + 1e-12)
+        if total > MAX_GRAD_NORM:
+            scale = MAX_GRAD_NORM / (total + 1e-12)
         self.t += 1
         for name, g in grads.items():
             g = g * scale
             if name not in self.m:
                 self.m[name] = np.zeros_like(g)
                 self.v[name] = np.zeros_like(g)
-            self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * g * g
-            m_hat = self.m[name] / (1 - self.beta1**self.t)
-            v_hat = self.v[name] / (1 - self.beta2**self.t)
-            params[name] -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+            self.m[name] = ADAM_BETA1 * self.m[name] + (1 - ADAM_BETA1) * g
+            self.v[name] = ADAM_BETA2 * self.v[name] + (1 - ADAM_BETA2) * g * g
+            m_hat = self.m[name] / (1 - ADAM_BETA1**self.t)
+            v_hat = self.v[name] / (1 - ADAM_BETA2**self.t)
+            params[name] -= self.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         if "log_std" in params:
             params["log_std"] = np.clip(params["log_std"], LOG_STD_MIN, LOG_STD_MAX)
         return total

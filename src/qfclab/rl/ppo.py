@@ -1,8 +1,9 @@
 """Clipped-surrogate policy optimization over the scenario environments.
 
-The update maximizes E[min(r*A, clip(r, 1 +- c)*A)] - c_v*value_mse
-+ c_e*entropy with advantages normalized per minibatch, exactly the reference
-formulation.  Collection, advantage estimation, and updates all run in
+The update maximizes E[min(r*A, clip(r, 1 +- c)*A)] - c_v*value_mse with
+advantages normalized per update, the reference formulation at its entropy
+coefficient of 0; each epoch is one update over the whole rollout window in a
+fresh random order.  Collection, advantage estimation, and updates all run in
 float64 with every random draw tied to a named substream, so a seed
 reproduces training bit for bit.
 """
@@ -18,7 +19,9 @@ from ..dynamics import EnvConfig
 from ..rngstream import RngStream
 from . import distributions as dist
 from .buffer import RolloutBuffer, Segment, compute_gae
-from .config import QOMDP_LEARNING_RATE, PpoConfig
+from .config import (
+    CLIP_RANGE, GAE_LAMBDA, GAMMA, N_EPOCHS, QOMDP_LEARNING_RATE, VALUE_COEFF, PpoConfig,
+)
 from .envs import ScenarioEnv
 from .nets import Adam, MlpActorCritic, RecurrentActorCritic, validate_params, zero_grads_like
 
@@ -131,21 +134,6 @@ def _collect_stepwise(runner: _EnvRunner, net, sample_gen: np.random.Generator,
     buffer.bootstrap = net.step(runner.obs, runner.state)[1]
 
 
-def _segment_minibatches(segments, batch_size, shuffle_gen):
-    """Group shuffled segments until each group covers at least batch_size steps."""
-    order = shuffle_gen.permutation(len(segments))
-    groups, current, count = [], [], 0
-    for idx in order:
-        current.append(segments[idx])
-        count += segments[idx].end - segments[idx].start
-        if count >= batch_size:
-            groups.append(current)
-            current, count = [], 0
-    if current:
-        groups.append(current)
-    return groups
-
-
 def _normalized(advantages: np.ndarray) -> np.ndarray:
     return (advantages - advantages.mean()) / max(float(advantages.std()), 1e-8)
 
@@ -158,8 +146,8 @@ def _policy_grad_coeff(ratio, adv_norm, clip_range, n):
     return -(adv_norm * ratio * active) / n, surr1, surr2
 
 
-def _update_minibatch(net, buffer, batch, cfg, adam) -> dict:
-    """One clipped-surrogate step on a minibatch: buffer rows (mlp) or a segment group (lstm)."""
+def _update_step(net, buffer, batch, adam) -> dict:
+    """One clipped-surrogate step over buffer rows (mlp) or segments (lstm), in that order."""
     recurrent = net.kind == "lstm"
     if recurrent:
         # each segment's rows are contiguous in the buffer: pack them back to back
@@ -189,7 +177,7 @@ def _update_minibatch(net, buffer, batch, cfg, adam) -> dict:
         lp_new = lp_new + dist.bernoulli_log_prob(stops, logit)
     log_ratio = lp_new - lp_old
     ratio = np.exp(log_ratio)
-    dlp, surr1, surr2 = _policy_grad_coeff(ratio, adv, cfg.clip_range, n)
+    dlp, surr1, surr2 = _policy_grad_coeff(ratio, adv, CLIP_RANGE, n)
     policy_loss = -float(np.minimum(surr1, surr2).mean())
     value_err = values - returns
     value_loss = float(np.mean(value_err**2))
@@ -197,7 +185,7 @@ def _update_minibatch(net, buffer, batch, cfg, adam) -> dict:
     if with_stop:
         entropy += float(np.mean(dist.bernoulli_entropy(logit)))
 
-    loss = policy_loss + cfg.value_coeff * value_loss - cfg.entropy_coeff * entropy
+    loss = policy_loss + VALUE_COEFF * value_loss
     if not np.isfinite(loss):
         raise TrainingDiverged(f"non-finite loss {loss}")
 
@@ -205,16 +193,14 @@ def _update_minibatch(net, buffer, batch, cfg, adam) -> dict:
     dheads = np.zeros_like(heads)
     dheads[:, 0] = dlp * dmean
     if with_stop:
-        dlogit = dlp * dist.bernoulli_log_prob_grad(stops, logit)
-        dlogit -= cfg.entropy_coeff * dist.bernoulli_entropy_grad(logit) / n
-        dheads[:, 1] = dlogit
-    dvalues = cfg.value_coeff * 2.0 * value_err / n
+        dheads[:, 1] = dlp * dist.bernoulli_log_prob_grad(stops, logit)
+    dvalues = VALUE_COEFF * 2.0 * value_err / n
     grads = zero_grads_like(net.params)
     if recurrent:
         net.sequence_backward(cache, dheads, dvalues, grads)
     else:
         net.backward(cache, dheads, dvalues, grads)
-    grads["log_std"] += np.sum(dlp * dlogstd_per) - cfg.entropy_coeff
+    grads["log_std"] += np.sum(dlp * dlogstd_per)
     grad_norm = adam.step(net.params, grads)
     return {
         "policy_loss": policy_loss,
@@ -222,50 +208,40 @@ def _update_minibatch(net, buffer, batch, cfg, adam) -> dict:
         "entropy": entropy,
         "grad_norm": grad_norm,
         "approx_kl": float(np.mean((ratio - 1.0) - log_ratio)),
-        "clip_fraction": float(np.mean(np.abs(ratio - 1.0) > cfg.clip_range)),
+        "clip_fraction": float(np.mean(np.abs(ratio - 1.0) > CLIP_RANGE)),
     }
 
 
-def ppo_update(net, buffer: RolloutBuffer, cfg: PpoConfig, adam: Adam,
-               shuffle_gen: np.random.Generator) -> dict:
-    """Run the configured epochs of minibatch updates over one full buffer.
+def ppo_update(net, buffer: RolloutBuffer, adam: Adam, shuffle_gen: np.random.Generator) -> dict:
+    """Run the epochs over one full buffer, each one update over the whole window.
 
-    Returns the mean over minibatches of the losses, the entropy and three
-    health signals: the pre-clip gradient norm, the approximate KL divergence
-    mean((r - 1) - log r) and the share of rows with |r - 1| > clip_range.
+    Each epoch draws one permutation, of the rows (mlp) or of the episode
+    segments (lstm), and updates once over the window in that order.  Returns
+    the mean over epochs of the losses, the entropy and three health signals:
+    the pre-clip gradient norm, the approximate KL divergence mean((r - 1) -
+    log r) and the share of rows with |r - 1| > the clip range.
     """
     if buffer.advantages is None:
         raise ValueError("advantages not computed; call compute_gae first")
     diags: list[dict] = []
-    for _ in range(cfg.n_epochs):
+    for _ in range(N_EPOCHS):
         if net.kind == "lstm":
-            batches = _segment_minibatches(buffer.segments, cfg.batch_size, shuffle_gen)
+            batch = [buffer.segments[i] for i in shuffle_gen.permutation(len(buffer.segments))]
         else:
-            order = shuffle_gen.permutation(buffer.size)
-            batches = [
-                order[start : start + cfg.batch_size]
-                for start in range(0, buffer.size, cfg.batch_size)
-            ]
-        for batch in batches:
-            diags.append(_update_minibatch(net, buffer, batch, cfg, adam))
+            batch = shuffle_gen.permutation(buffer.size)
+        diags.append(_update_step(net, buffer, batch, adam))
     validate_params(net.params)
     return {name: float(np.mean([d[name] for d in diags])) for name in diags[0]}
 
 
-def _make_net(scenario: str, cfg: PpoConfig, gen: np.random.Generator):
+def _make_net(scenario: str, gen: np.random.Generator):
     if scenario == "qomdp":
-        return RecurrentActorCritic(
-            obs_dim=2, n_action_outputs=2, hidden=cfg.hidden,
-            lstm_hidden=cfg.lstm_hidden, log_std_init=cfg.log_std_init, gen=gen,
-        )
-    return MlpActorCritic(
-        obs_dim=9, n_action_outputs=1, hidden=cfg.hidden,
-        log_std_init=cfg.log_std_init, gen=gen,
-    )
+        return RecurrentActorCritic(obs_dim=2, n_action_outputs=2, gen=gen)
+    return MlpActorCritic(obs_dim=9, n_action_outputs=1, gen=gen)
 
 
 def default_ppo_config(scenario: str, **overrides) -> PpoConfig:
-    """Appendix hyperparameters: 512-step updates, batch 512, lr 1e-4 (3e-4 recurrent)."""
+    """Appendix hyperparameters: 512-step rollouts, lr 1e-4 (3e-4 recurrent)."""
     base = dict(learning_rate=QOMDP_LEARNING_RATE if scenario == "qomdp" else 1e-4)
     base.update(overrides)
     return PpoConfig(**base)
@@ -289,10 +265,10 @@ def train(
     """
     root = RngStream(seed)
     if net is None:
-        net = _make_net(scenario, ppo_cfg, root.substream("init").generator())
+        net = _make_net(scenario, root.substream("init").generator())
     sample_gen = root.substream("actions").generator()
     shuffle_gen = root.substream("shuffle").generator()
-    adam = Adam(learning_rate=ppo_cfg.learning_rate, max_grad_norm=ppo_cfg.max_grad_norm)
+    adam = Adam(ppo_cfg.learning_rate)
 
     env_stream = root.substream("env", 0)
     if env_factory is None:
@@ -306,9 +282,9 @@ def train(
     best_reward = -np.inf
     for update in range(n_updates):
         buffer = collect_rollout(runner, net, ppo_cfg, sample_gen)
-        compute_gae(buffer, ppo_cfg.gamma, ppo_cfg.gae_lambda)
+        compute_gae(buffer, GAMMA, GAE_LAMBDA)
         try:
-            diag = ppo_update(net, buffer, ppo_cfg, adam, shuffle_gen)
+            diag = ppo_update(net, buffer, adam, shuffle_gen)
         except TrainingDiverged as exc:
             raise TrainingDiverged(
                 f"update {update} (timestep {update * ppo_cfg.n_steps}): {exc}"

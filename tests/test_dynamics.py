@@ -248,6 +248,33 @@ class TestFilteredEpisodes:
         assert not batch.aborted.any()
         assert np.max(np.abs(batch.aux_states - batch.true_states)) <= 1e-12
 
+    def test_alpha_zero_mlp_loop_skips_the_filter_and_matches_a_filtering_one(
+        self, monkeypatch
+    ):
+        # at alpha = 0 the filter step repeats the true step on the same state
+        # and outcome, so the loop shows the true state without running it
+        cfg = make_cfg(alpha=0.0, epsilon=0.1, horizon=12)
+        draws = RngStream(406).generator().random((5, cfg.horizon))
+        betas = np.sin(np.arange(5 * cfg.horizon)).reshape(cfg.horizon, 5)
+        skipping = dynamics.ClosedLoop("mlp", cfg, draws)
+        filtering = dynamics.ClosedLoop("mlp", cfg, draws)
+        filtering.filters = True
+        calls = []
+        filter_update = dynamics.filter_update
+
+        def counting_filter_update(*args):
+            calls.append(args)
+            return filter_update(*args)
+
+        monkeypatch.setattr(dynamics, "filter_update", counting_filter_update)
+        for beta in betas:
+            skipping.step(beta)
+            filtering.step(beta)
+            assert len(calls) == filtering.t  # every call is the filtering loop's
+            assert skipping.observation().tobytes() == filtering.observation().tobytes()
+            assert skipping.seen.tobytes() == filtering.seen.tobytes()
+            assert skipping.rho.tobytes() == filtering.rho.tobytes()
+
 
 class TestEstimateAverageState:
     def test_zero_control_keeps_basis_state(self):

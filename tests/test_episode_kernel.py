@@ -21,7 +21,7 @@ from qfclab.channels import (
     terminal_measurement,
 )
 from qfclab.controllers import BasicTable, basic_policy, believed_outcome
-from qfclab.dynamics import EnvConfig, encode_state_observation, run_episodes
+from qfclab.dynamics import TARGET_INDEX, EnvConfig, encode_state_observation, run_episodes
 from qfclab.qcore import fidelity_pure_target
 from qfclab.rl.nets import MlpActorCritic, RecurrentActorCritic
 from qfclab.rngstream import RngStream
@@ -62,7 +62,7 @@ def reference_episode(policy, cfg, stream):
     m = imprecise_measurement(cfg.epsilon)
     rho = cfg.initial_state
     aux = rho
-    curve = [fidelity_pure_target(rho, cfg.target_index)]
+    curve = [fidelity_pure_target(rho, TARGET_INDEX)]
     outcomes = []
     stop_step = terminal_outcome = None
     state = policy.initial_state() if hasattr(policy, "initial_state") else None
@@ -89,7 +89,7 @@ def reference_episode(policy, cfg, stream):
                 aux = condition_on_outcome(m, u @ aux @ u.conj().T, outcome)
             except ConditioningError:
                 return None, None, None, None, True
-        curve.append(fidelity_pure_target(rho, cfg.target_index))
+        curve.append(fidelity_pure_target(rho, TARGET_INDEX))
         outcomes.append(outcome)
         last_outcome, last_beta = outcome, beta
     curve += [curve[-1]] * (cfg.horizon + 1 - len(curve))

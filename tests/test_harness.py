@@ -39,6 +39,7 @@ from qfclab.harness.evaluate import (
 from qfclab.harness.report import (
     emit_report,
     parse_results_csv,
+    read_results_dir,
     render_curves_csv,
     render_results_csv,
     render_thresholds_csv,
@@ -403,9 +404,38 @@ class TestSweep:
     def test_resume_skips_completed_cells(self, tmp_path):
         cfg = self.small_cfg(tmp_path)
         results = sweep(cfg)
-        injected = {results[0].key(): make_cell(alpha=-1.0)}  # sentinel
-        resumed = sweep(cfg, resume_results={results[0].key(): injected[results[0].key()]})
+        sentinel = replace(results[0], alpha=-1.0)  # the row's seed, counts and curve
+        resumed = sweep(cfg, resume_results={results[0].key(): sentinel})
         assert any(c.alpha == -1.0 for c in resumed)
+
+    @pytest.mark.parametrize("field, change", [
+        ("seed", {"master_seed": 14}),
+        ("episodes", {"episodes": 21}),
+        ("curve points", {"horizon": 9}),
+    ])
+    def test_resume_refuses_rows_of_another_sweep(self, tmp_path, field, change):
+        cfg = self.small_cfg(tmp_path)
+        emit_report(sweep(cfg), {}, cfg.output_dir)
+        resume = {c.key(): c for c in read_results_dir(cfg.output_dir)}
+        with pytest.raises(ConfigError, match=rf"resumed cell \(basic, depolarizing, "
+                                              rf"alpha=0\.0, epsilon=0\.1\) has {field}"):
+            sweep(replace(cfg, **change), resume_results=resume)
+
+    @pytest.mark.parametrize("scenario, noise, alphas, epsilons, name", [
+        ("dbs", "depolarizing", (0.1234561, 0.1234562), (0.1,),
+         r"dbs_depolarizing_alpha0\.123456_eps0\.1\.ckpt"),
+        ("mbs", "depolarizing", (0.0,), (0.1, 0.1000001), r"mbs_eps0\.1\.ckpt"),
+    ], ids=["dbs-alphas", "mbs-epsilons"])
+    def test_cells_sharing_a_checkpoint_name_are_refused(
+        self, tmp_path, monkeypatch, scenario, noise, alphas, epsilons, name
+    ):
+        monkeypatch.setattr(evaluate_module, "train", None)  # planning fails before training
+        cfg = self.small_cfg(tmp_path, scenarios=(scenario,), noises=(noise,), alphas=alphas,
+                             epsilons=epsilons, train_on_demand=True, train_timesteps=512)
+        with pytest.raises(ConfigError, match=rf"cells \({scenario}, .*\) and "
+                                              rf"\({scenario}, .*\) .* {name}"):
+            sweep(cfg)
+        assert not (tmp_path / "ckpts").exists()
 
     def test_missing_checkpoint_is_actionable(self, tmp_path):
         cfg = self.small_cfg(tmp_path, scenarios=("mbs",), train_on_demand=False)

@@ -73,10 +73,6 @@ class TestBernoulliStop:
                     - dist.bernoulli_log_prob(flag, logit - h)
                 ) / (2 * h)
                 assert dist.bernoulli_log_prob_grad(flag, logit) == pytest.approx(fd, rel=1e-6)
-            fd_ent = (
-                dist.bernoulli_entropy(logit + h) - dist.bernoulli_entropy(logit - h)
-            ) / (2 * h)
-            assert dist.bernoulli_entropy_grad(logit) == pytest.approx(fd_ent, rel=1e-5)
 
     def test_entropy_peaks_at_even_odds(self):
         assert dist.bernoulli_entropy(0.0) == pytest.approx(np.log(2.0))

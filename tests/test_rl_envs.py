@@ -6,7 +6,7 @@ import pytest
 from qfclab import dynamics
 from qfclab.channels import imprecise_measurement, make_channel
 from qfclab.controllers import ControlAction
-from qfclab.dynamics import EnvConfig, encode_state_observation, step_true
+from qfclab.dynamics import TARGET_INDEX, EnvConfig, encode_state_observation, step_true
 from qfclab.qcore import basis_state
 from qfclab.rl.envs import ScenarioEnv
 from qfclab.rngstream import RngStream
@@ -78,7 +78,7 @@ def replay_against_oracle(kind, cfg, seed, episodes=4):
     steps = stops = 0
     for episode in range(episodes):
         oracle = TrainingEpisodeReplay(
-            kind, noise, measurement, cfg.initial_state, cfg.target_index, cfg.horizon,
+            kind, noise, measurement, cfg.initial_state, TARGET_INDEX, cfg.horizon,
             stream.substream("episode", episode).generator(),
         )
         assert_matches_oracle(kind, env.reset(), oracle.observation())

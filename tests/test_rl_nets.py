@@ -249,20 +249,20 @@ class TestOrthogonalInit:
 class TestAdam:
     def test_descends_a_quadratic(self):
         params = {"x": np.array([5.0, -3.0])}
-        adam = Adam(learning_rate=0.1, max_grad_norm=0.0)
+        adam = Adam(learning_rate=0.1)
         for _ in range(500):
             adam.step(params, {"x": 2.0 * params["x"]})
         np.testing.assert_allclose(params["x"], 0.0, atol=1e-3)
 
     def test_gradient_norm_clipping(self):
         params = {"x": np.zeros(4)}
-        adam = Adam(learning_rate=1.0, max_grad_norm=0.5)
+        adam = Adam(learning_rate=1.0)
         reported = adam.step(params, {"x": np.full(4, 10.0)})
         assert reported == pytest.approx(20.0)
 
     def test_log_std_clamped(self):
         params = {"log_std": np.array(1.99)}
-        adam = Adam(learning_rate=10.0, max_grad_norm=0.0)
+        adam = Adam(learning_rate=10.0)
         for _ in range(5):
             adam.step(params, {"log_std": np.array(-1.0)})
         assert float(params["log_std"]) <= 2.0

@@ -10,7 +10,7 @@ from qfclab.dynamics import EnvConfig
 from qfclab.rl import distributions as dist
 from qfclab.rl import nets
 from qfclab.rl.buffer import RolloutBuffer, compute_gae
-from qfclab.rl.config import PpoConfig
+from qfclab.rl.config import CLIP_RANGE, GAE_LAMBDA, GAMMA, VALUE_COEFF, PpoConfig
 from qfclab.rl.envs import ScenarioEnv
 from qfclab.rl.nets import Adam, MlpActorCritic, RecurrentActorCritic, zero_grads_like
 from qfclab.rl.ppo import (
@@ -18,7 +18,7 @@ from qfclab.rl.ppo import (
     _collect_stepwise,
     _EnvRunner,
     _policy_grad_coeff,
-    _update_minibatch,
+    _update_step,
     collect_rollout,
     ppo_update,
     sample_action,
@@ -72,19 +72,19 @@ def small_mlp(seed=0, obs_dim=1):
 
 
 def collect_one(net, env_stream_seed, n_steps=64, env_cls=BanditEnv):
-    cfg = PpoConfig(n_steps=n_steps, batch_size=n_steps, total_timesteps=n_steps)
+    cfg = PpoConfig(n_steps=n_steps, total_timesteps=n_steps)
     env = env_cls(RngStream(env_stream_seed).substream("env", 0))
     runner = _EnvRunner(env, net)
     gen = RngStream(env_stream_seed).substream("actions").generator()
     buffer = collect_rollout(runner, net, cfg, gen)
-    compute_gae(buffer, cfg.gamma, cfg.gae_lambda)
-    return buffer, cfg
+    compute_gae(buffer, GAMMA, GAE_LAMBDA)
+    return buffer
 
 
 class TestRatioIdentity:
     def test_ratios_are_one_right_after_collection(self):
         net = small_mlp()
-        buffer, _ = collect_one(net, 3)
+        buffer = collect_one(net, 3)
         heads, _, _ = net.forward(buffer.observations)
         lp_new = dist.squashed_log_prob(buffer.pre_squash, heads[:, 0], net.log_std)
         ratios = np.exp(lp_new - buffer.log_probs)
@@ -93,7 +93,7 @@ class TestRatioIdentity:
     def test_recurrent_ratios_are_one(self):
         net = RecurrentActorCritic(obs_dim=1, n_action_outputs=2, hidden=(8,),
                                    lstm_hidden=8, gen=RngStream(1).generator())
-        buffer, _ = collect_one(net, 4, env_cls=ParityEnv)
+        buffer = collect_one(net, 4, env_cls=ParityEnv)
         for seg in buffer.segments:
             obs = buffer.observations[seg.start:seg.end]
             heads, _, _ = net.sequence_forward(obs, (len(obs),), seg.init_state)
@@ -112,7 +112,7 @@ class TestSurrogateGradient:
         # the plain policy-gradient estimator grad mean(A * log pi); the oracle
         # here is a finite difference of that objective
         net = small_mlp(seed=5)
-        buffer, cfg = collect_one(net, 6)
+        buffer = collect_one(net, 6)
         adv = buffer.advantages
         adv_norm = (adv - adv.mean()) / max(float(adv.std()), 1e-8)
 
@@ -121,7 +121,7 @@ class TestSurrogateGradient:
         lp_new = dist.squashed_log_prob(buffer.pre_squash, mean, net.log_std)
         ratio = np.exp(lp_new - buffer.log_probs)
         n = buffer.size
-        dlp, _, _ = _policy_grad_coeff(ratio, adv_norm, cfg.clip_range, n)
+        dlp, _, _ = _policy_grad_coeff(ratio, adv_norm, CLIP_RANGE, n)
         dmean, dlogstd_per = dist.squashed_log_prob_grads(
             buffer.pre_squash, mean, net.log_std
         )
@@ -153,11 +153,11 @@ class TestSurrogateGradient:
 
     def test_zero_advantages_freeze_the_policy_trunk(self):
         net = small_mlp(seed=7)
-        buffer, cfg = collect_one(net, 8)
+        buffer = collect_one(net, 8)
         buffer.advantages = np.zeros(buffer.size)
         before = {k: v.copy() for k, v in net.params.items()}
         adam = Adam(learning_rate=0.05)
-        _update_minibatch(net, buffer, np.arange(buffer.size), cfg, adam)
+        _update_step(net, buffer, np.arange(buffer.size), adam)
         for name in net.params:
             if name.startswith("pi.") or name == "log_std":
                 np.testing.assert_array_equal(net.params[name], before[name])
@@ -184,8 +184,8 @@ class RecordingOptimizer:
         return 0.0
 
 
-def reference_update_loss(net, buffer, batch, cfg):
-    """policy_loss + c_v*value_loss - c_e*entropy, with the net stepped one row at a time.
+def reference_update_loss(net, buffer, batch):
+    """policy_loss + c_v*value_loss, with the net stepped one row at a time.
 
     ``batch`` is buffer rows for an MLP and a segment group for an LSTM; each
     segment replays from its recorded start state, so no padding is involved.
@@ -208,36 +208,34 @@ def reference_update_loss(net, buffer, batch, cfg):
     heads, values, rows = np.array(heads), np.array(values), np.array(rows)
     log_std = float(net.params["log_std"])
     lp = dist.squashed_log_prob(buffer.pre_squash[rows], heads[:, 0], log_std)
-    entropy = log_std + 0.5 * (1.0 + np.log(2.0 * np.pi))
     if net.n_action_outputs == 2:
         p_stop = 1.0 / (1.0 + np.exp(-heads[:, 1]))
         stops = buffer.stops[rows]
         lp = lp + stops * np.log(p_stop) + (1.0 - stops) * np.log(1.0 - p_stop)
-        entropy += np.mean(-p_stop * np.log(p_stop) - (1.0 - p_stop) * np.log(1.0 - p_stop))
     adv = buffer.advantages[rows]
     adv = (adv - adv.mean()) / max(float(adv.std()), 1e-8)
     ratio = np.exp(lp - buffer.log_probs[rows])
-    clipped = np.clip(ratio, 1.0 - cfg.clip_range, 1.0 + cfg.clip_range)
+    clipped = np.clip(ratio, 1.0 - CLIP_RANGE, 1.0 + CLIP_RANGE)
     policy_loss = -np.mean(np.minimum(ratio * adv, clipped * adv))
     value_loss = np.mean((values - buffer.returns[rows]) ** 2)
-    return float(policy_loss + cfg.value_coeff * value_loss - cfg.entropy_coeff * entropy)
+    return float(policy_loss + VALUE_COEFF * value_loss)
 
 
 class TestUpdateGradient:
-    """The gradients the real minibatch update hands its optimizer, at ratio one."""
+    """The gradients the real update step hands its optimizer, at ratio one."""
 
     @staticmethod
     def second_window(net, kind, seed):
         # the second rollout window of one runner: its first segment starts
         # from a carried recurrent state, not from zeros
-        cfg = PpoConfig(n_steps=32, batch_size=32, total_timesteps=64, entropy_coeff=0.05)
+        cfg = PpoConfig(n_steps=32, total_timesteps=64)
         env = ScenarioEnv(kind, EnvConfig(epsilon=0.1, horizon=6), RngStream(seed))
         runner = _EnvRunner(env, net)
         gen = RngStream(seed).substream("actions").generator()
         collect_rollout(runner, net, cfg, gen)
         buffer = collect_rollout(runner, net, cfg, gen)
-        compute_gae(buffer, cfg.gamma, cfg.gae_lambda)
-        return buffer, cfg
+        compute_gae(buffer, GAMMA, GAE_LAMBDA)
+        return buffer
 
     @pytest.mark.parametrize("case", ["mlp", "mlp_stop", "lstm_stop"])
     def test_matches_central_differences_of_the_loss(self, case):
@@ -251,7 +249,7 @@ class TestUpdateGradient:
                                  hidden=(4, 4), gen=gen)
             kind = "mbs"
         net.params["pi.wh"] *= 30.0  # heads away from zero: stops of both kinds
-        buffer, cfg = self.second_window(net, kind, 51)
+        buffer = self.second_window(net, kind, 51)
         if net.kind == "lstm":
             batch = buffer.segments
             assert np.any(batch[0].init_state[0] != 0.0)
@@ -262,7 +260,7 @@ class TestUpdateGradient:
 
         before = {name: v.copy() for name, v in net.params.items()}
         optimizer = RecordingOptimizer()
-        _update_minibatch(net, buffer, batch, cfg, optimizer)
+        _update_step(net, buffer, batch, optimizer)
         for name in net.params:
             np.testing.assert_array_equal(net.params[name], before[name])
 
@@ -274,9 +272,9 @@ class TestUpdateGradient:
                 idx = it.multi_index
                 orig = float(value[idx])
                 value[idx] = orig + step
-                up = reference_update_loss(net, buffer, batch, cfg)
+                up = reference_update_loss(net, buffer, batch)
                 value[idx] = orig - step
-                down = reference_update_loss(net, buffer, batch, cfg)
+                down = reference_update_loss(net, buffer, batch)
                 value[idx] = orig
                 fd = (up - down) / (2 * step)
                 grad = float(optimizer.grads[name][idx])
@@ -291,7 +289,7 @@ class TestPackedWork:
         # more rows than the segments hold
         net = RecurrentActorCritic(obs_dim=2, n_action_outputs=2, hidden=(4,), lstm_hidden=3,
                                    gen=RngStream(60).generator())
-        buffer, cfg = TestUpdateGradient.second_window(net, "qomdp", 61)
+        buffer = TestUpdateGradient.second_window(net, "qomdp", 61)
         lengths = [seg.end - seg.start for seg in buffer.segments]
         assert len(set(lengths)) > 1
 
@@ -310,7 +308,7 @@ class TestPackedWork:
 
         monkeypatch.setattr(nets, "_mlp_forward", counting_mlp_forward)
         monkeypatch.setattr(RecurrentActorCritic, "sequence_forward", recording_sequence_forward)
-        _update_minibatch(net, buffer, buffer.segments, cfg, RecordingOptimizer())
+        _update_step(net, buffer, buffer.segments, RecordingOptimizer())
         assert trunk_rows == [sum(lengths), sum(lengths)]  # policy and value trunks
         (cache,) = caches
         assert sum(cache.alive) == cache.gates.shape[1] == sum(lengths)  # LSTM row-steps
@@ -339,7 +337,7 @@ class TestStackedRollout:
     def test_three_windows_match_the_stepwise_loop(self, kind, noise, n_steps, horizon):
         # 7 steps cut a 20-step episode, 20 end on one, 33 carry 13 steps over
         env_cfg = EnvConfig(noise_kind=noise, alpha=0.4, epsilon=0.1, horizon=horizon)
-        cfg = PpoConfig(n_steps=n_steps, batch_size=n_steps, total_timesteps=n_steps)
+        cfg = PpoConfig(n_steps=n_steps, total_timesteps=n_steps)
         net = MlpActorCritic(obs_dim=9, gen=RngStream(60).substream(kind).generator())
         stacked, stepwise = (
             _EnvRunner(ScenarioEnv(kind, env_cfg, RngStream(61)), net) for _ in range(2)
@@ -396,7 +394,7 @@ class TestBanditConvergence:
     @pytest.mark.parametrize("seed", [11, 12, 13])
     def test_action_a_probability_reaches_095(self, seed):
         cfg = PpoConfig(
-            n_steps=256, batch_size=256, learning_rate=0.01, total_timesteps=5000 // 256 * 256,
+            n_steps=256, learning_rate=0.01, total_timesteps=5000 // 256 * 256,
         )
         net = small_mlp(seed=seed)
         net, curve = train(
@@ -417,16 +415,13 @@ class TestTrainMechanics:
     def test_zero_timesteps_returns_initial_policy(self):
         cfg = PpoConfig(total_timesteps=0)
         net, curve = train("mbs", EnvConfig(epsilon=0.1), cfg, seed=4)
-        reference = MlpActorCritic(
-            obs_dim=9, hidden=cfg.hidden,
-            gen=RngStream(4).substream("init").generator(),
-        )
+        reference = MlpActorCritic(obs_dim=9, gen=RngStream(4).substream("init").generator())
         assert curve == []
         for name in net.params:
             np.testing.assert_array_equal(net.params[name], reference.params[name])
 
     def test_identical_seeds_identical_checksums(self):
-        cfg = PpoConfig(n_steps=128, batch_size=128, total_timesteps=512)
+        cfg = PpoConfig(n_steps=128, total_timesteps=512)
         sums = []
         for _ in range(2):
             net, _ = train("mbs", EnvConfig(epsilon=0.1, horizon=8), cfg, seed=21)
@@ -436,7 +431,7 @@ class TestTrainMechanics:
         assert sums[0] == sums[1]
 
     def test_different_seeds_differ(self):
-        cfg = PpoConfig(n_steps=128, batch_size=128, total_timesteps=512)
+        cfg = PpoConfig(n_steps=128, total_timesteps=512)
         a, _ = train("mbs", EnvConfig(epsilon=0.1, horizon=8), cfg, seed=1)
         b, _ = train("mbs", EnvConfig(epsilon=0.1, horizon=8), cfg, seed=2)
         assert any(
@@ -445,24 +440,20 @@ class TestTrainMechanics:
 
     def test_nan_loss_aborts_with_diagnostic(self):
         net = small_mlp(seed=9)
-        buffer, cfg = collect_one(net, 10)
+        buffer = collect_one(net, 10)
         buffer.advantages[0] = np.nan
         with pytest.raises(TrainingDiverged, match="non-finite"):
-            ppo_update(net, buffer, cfg, Adam(learning_rate=0.01),
+            ppo_update(net, buffer, Adam(learning_rate=0.01),
                        RngStream(9).substream("shuffle").generator())
 
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ValueError, match="scenario"):
             train("sarsa", EnvConfig(), PpoConfig(total_timesteps=0), 0)
 
-    def test_batch_size_cannot_exceed_rollout(self):
-        with pytest.raises(ValueError, match="batch_size"):
-            PpoConfig(n_steps=256, batch_size=512)
-
     @pytest.mark.parametrize(
         "field, value",
-        [("total_timesteps", -5), ("n_steps", 0), ("batch_size", 0), ("n_epochs", 0),
-         ("total_timesteps", 1), ("total_timesteps", 511)],
+        [("total_timesteps", -5), ("n_steps", 0), ("total_timesteps", 1),
+         ("total_timesteps", 511)],
     )
     def test_out_of_range_counts_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -479,8 +470,7 @@ class TestRecurrentMemory:
         # observation is constant, so any fixed action wins half the time
         best_memoryless = 0.5
         cfg = PpoConfig(
-            n_steps=256, batch_size=256, learning_rate=0.01,
-            total_timesteps=20 * 256, gamma=1.0,
+            n_steps=256, learning_rate=0.01, total_timesteps=20 * 256,
         )
         net = RecurrentActorCritic(
             obs_dim=1, n_action_outputs=1, hidden=(16,), lstm_hidden=8,

@@ -11,6 +11,7 @@ import pytest
 
 from qfclab.controllers import policy_act
 from qfclab.dynamics import (
+    TARGET_INDEX,
     EnvConfig,
     encode_outcome_observation,
     encode_state_observation,
@@ -52,7 +53,7 @@ def test_mlp_training_sees_the_validation_filter(kind, alpha, noise):
             assert action.beta == batch.betas[k, t]
             obs, reward, done = env.step(action)
             assert obs.tobytes() == encode_state_observation(seen[k, t]).tobytes()
-            assert reward == fidelity_pure_target(seen[k, t], cfg.target_index)
+            assert reward == fidelity_pure_target(seen[k, t], TARGET_INDEX)
             assert done == (t + 1 == cfg.horizon)
 
 
@@ -73,7 +74,7 @@ def test_qomdp_training_sees_the_validation_outcomes_and_stops():
             obs, reward, done = env.step(action)
             if action.stop:
                 assert done and batch.stop_step[k] == t
-                assert reward == (1.0 if batch.terminal_outcome[k] == cfg.target_index else -1.0)
+                assert reward == (1.0 if batch.terminal_outcome[k] == TARGET_INDEX else -1.0)
                 stops += 1
                 break
             assert action.beta == batch.betas[k, t]
