@@ -27,7 +27,9 @@ from .evaluate import (
     threshold_alpha,
     train_checkpoint,
 )
-from .report import emit_report, read_results_dir, render_csv, render_results_csv
+from .report import (
+    check_manifest, emit_report, read_results_dir, render_csv, render_results_csv, sweep_manifest,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -122,10 +124,15 @@ def _cmd_sweep(args) -> int:
     if args.desk_scale:
         cfg = desk_scale(cfg)
     out_dir = Path(cfg.output_dir)
+    manifest = sweep_manifest(cfg)
     resume = (read_results_dir(out_dir) or []) if args.resume else []
+    if resume:
+        check_manifest(out_dir, manifest)
     results = sweep(cfg, resume_results={c.key(): c for c in resume})
     summary = threshold_alpha(results, cfg.f_star)
     written = emit_report(results, summary, out_dir)
+    (out_dir / "manifest.txt").write_text(manifest)
+    written.append(str(out_dir / "manifest.txt"))
     for path in written:
         print(f"wrote {path}")
     return EXIT_OK

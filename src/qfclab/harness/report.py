@@ -6,16 +6,24 @@ CSV is written by :func:`render_csv` from one column declaration, and the
 files read back (results.csv, curves.csv) by :func:`parse_csv` from the same
 one: results.csv's columns are the :class:`CellResult` fields bar the curve,
 in declaration order.  Floats print ``.17g`` so files round-trip losslessly
-and regenerate byte-identically from unchanged inputs.
+and regenerate byte-identically from unchanged inputs.  The command line's
+sweep also writes manifest.txt, what made the results (:func:`sweep_manifest`).
 """
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 import math
+import platform
 from dataclasses import replace
 from pathlib import Path
 from typing import get_type_hints
 
+import numpy as np
+
+from .. import __version__
+from .config import ConfigError, SweepConfig, format_config
 from .evaluate import CellResult
 
 #: results.csv columns: the CellResult fields bar the curve, which curves.csv holds
@@ -105,6 +113,34 @@ def read_results_dir(results_dir) -> list[CellResult] | None:
     curves_path = results_path.with_name("curves.csv")
     curves_text = curves_path.read_text() if curves_path.exists() else None
     return parse_results_csv(results_path.read_text(), curves_text)
+
+
+def sweep_manifest(cfg: SweepConfig) -> str:
+    """The config, then the qfclab, numpy and Python versions and the digest of
+    the package source: what a sweep's results depend on."""
+    package = Path(__file__).resolve().parent.parent
+    digest = hashlib.sha256()
+    for path in sorted(package.rglob("*.py")):
+        digest.update(path.relative_to(package).as_posix().encode() + b"\0")
+        digest.update(path.read_bytes() + b"\0")
+    versions = (("qfclab", __version__), ("numpy", np.__version__),
+                ("python", platform.python_version()), ("src_sha256", digest.hexdigest()))
+    return format_config(cfg) + "\n[provenance]\n" + "".join(f"{k} = {v}\n" for k, v in versions)
+
+
+def check_manifest(results_dir, manifest: str) -> None:
+    """Raise :class:`ConfigError` unless ``results_dir`` holds ``manifest`` as manifest.txt,
+    naming the first line that differs."""
+    path = Path(results_dir) / "manifest.txt"
+    if not path.exists():
+        raise ConfigError(f"{path} is missing, so the results beside it cannot be resumed; "
+                          f"move them away to recompute them")
+    lines = itertools.zip_longest(path.read_text().splitlines(), manifest.splitlines(),
+                                  fillvalue="<end of file>")
+    for lineno, (got, want) in enumerate(lines, start=1):
+        if got != want:
+            raise ConfigError(f"{path} line {lineno} reads {got!r}, but this sweep's is "
+                              f"{want!r}; move the results away to recompute them")
 
 
 # -- minimal SVG line charts --

@@ -85,7 +85,7 @@ def load_policy(path):
         for name, value in net.params.items():
             if members[name].dtype != np.float64 or members[name].shape != value.shape:
                 raise CheckpointError(f"{path}: {name!r} is not float64 of shape {value.shape}")
-            net.params[name] = members[name]
+            value[...] = members[name]
         validate_params(net.params)
         metadata = json.loads(str(members["meta"]))
         if not isinstance(metadata, dict) or not all(isinstance(v, str) for v in metadata.values()):

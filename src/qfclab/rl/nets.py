@@ -9,8 +9,11 @@ which is also why everything stays in double precision.  The recurrent net
 steps one observation at a time in rollouts and evaluation, and trains on
 packed sequences: episode segments back to back, with no padding.
 
-Parameters live in flat ``dict[str, ndarray]`` maps so the optimizer,
-checkpoint format, and gradient checks can treat them uniformly.
+Each net holds its parameters in one flat float64 vector; ``net.params`` is a
+:class:`FlatParams` dict of named views onto it, so the checkpoint format and
+the gradient checks see named arrays while gradients, Adam and the finiteness
+check work on one vector.  The training paths write their activations into
+buffers the net keeps, so a training forward's cache lasts until the next one.
 """
 
 from __future__ import annotations
@@ -57,40 +60,100 @@ def _init_mlp(prefix: str, in_dim: int, hidden: tuple[int, ...], out_dim: int,
     return params
 
 
-def _mlp_forward(params, prefix: str, n_hidden: int, x: np.ndarray):
-    """x: (n, in) -> (head output (n, out), activation cache)."""
+class FlatParams(dict):
+    """Named parameter arrays that are views tiling one flat float64 vector, ``flat``.
+
+    The views lie in ``flat`` in the dict's order.  Each keeps the memory order
+    of the array it was made from (``orthogonal`` returns wide weights
+    Fortran-ordered), because products and sums round by memory order.
+    """
+
+    def __init__(self, arrays: dict[str, np.ndarray], flat: np.ndarray | None = None):
+        """Views onto ``flat`` shaped and ordered like ``arrays``; without ``flat``,
+        onto a new vector that holds copies of their values."""
+        super().__init__()
+        self.flat = np.empty(sum(a.size for a in arrays.values())) if flat is None else flat
+        offset = 0
+        for name, a in arrays.items():
+            block = self.flat[offset:offset + a.size]
+            fortran = a.flags.f_contiguous and not a.flags.c_contiguous
+            self[name] = block.reshape(a.shape[::-1]).T if fortran else block.reshape(a.shape)
+            if flat is None:
+                self[name][...] = a
+            offset += a.size
+
+
+def _buffer(scratch: dict, key, shape: tuple) -> np.ndarray:
+    """``scratch``'s array for ``key``, allocated anew when missing or of another shape."""
+    buf = scratch.get(key)
+    if buf is None or buf.shape != shape:
+        buf = scratch[key] = np.empty(shape)
+    return buf
+
+
+def _mlp_forward(params, prefix: str, n_hidden: int, x: np.ndarray, scratch=None):
+    """x: (n, in) -> (head output (n, out), activation cache).
+
+    With ``scratch`` (a net's training buffers) the activations go into its
+    per-layer arrays, so the cache stays valid only until the next forward
+    pass through the same ``scratch``.
+    """
     acts = [x]
     h = x
     for i in range(n_hidden):
-        h = np.tanh(h @ params[f"{prefix}.w{i}"] + params[f"{prefix}.b{i}"])
+        w, b = params[f"{prefix}.w{i}"], params[f"{prefix}.b{i}"]
+        if scratch is None:
+            h = np.tanh(h @ w + b)
+        else:
+            z = _buffer(scratch, (prefix, i), h.shape[:-1] + w.shape[1:])
+            np.matmul(h, w, out=z)
+            z += b
+            h = np.tanh(z, out=z)
         acts.append(h)
     out = h @ params[f"{prefix}.wh"] + params[f"{prefix}.bh"]
     return out, acts
 
 
 def _mlp_backward(params, prefix: str, n_hidden: int, acts, dout: np.ndarray,
-                  grads: dict[str, np.ndarray]) -> np.ndarray:
-    """Accumulate parameter grads for dL/dout; returns dL/dx."""
-    h_last = acts[-1]
-    grads[f"{prefix}.wh"] += h_last.T @ dout
+                  grads: dict[str, np.ndarray], scratch: dict, need_dx: bool = True):
+    """Accumulate parameter grads for dL/dout; returns dL/dx, or None without ``need_dx``.
+
+    The per-layer dL/dh and dL/dz go through ``scratch``'s arrays, one of each
+    per layer width; the returned dL/dx is a new array.
+    """
+    wh = params[f"{prefix}.wh"]
+    grads[f"{prefix}.wh"] += acts[-1].T @ dout
     grads[f"{prefix}.bh"] += dout.sum(axis=0)
-    dh = dout @ params[f"{prefix}.wh"].T
+    dh = _buffer(scratch, ("dh", wh.shape[0]), (len(dout), wh.shape[0]))
+    if wh.shape[1] == 1:  # an outer product: one multiply per entry, as the matmul does
+        np.multiply(dout, wh[:, 0], out=dh)
+    else:
+        np.matmul(dout, wh.T, out=dh)
     for i in reversed(range(n_hidden)):
-        dz = dh * (1.0 - acts[i + 1] ** 2)
+        a = acts[i + 1]
+        dz = _buffer(scratch, ("dz", a.shape[1]), a.shape)
+        np.multiply(a, a, out=dz)  # dh * (1 - a**2), in place
+        np.subtract(1.0, dz, out=dz)
+        dz *= dh
         grads[f"{prefix}.w{i}"] += acts[i].T @ dz
         grads[f"{prefix}.b{i}"] += dz.sum(axis=0)
-        dh = dz @ params[f"{prefix}.w{i}"].T
-    return dh
+        w = params[f"{prefix}.w{i}"]
+        if i == 0:
+            return dz @ w.T if need_dx else None
+        dh = _buffer(scratch, ("dh", w.shape[0]), (len(dz), w.shape[0]))
+        np.matmul(dz, w.T, out=dh)
+    return dh.copy() if need_dx else None
 
 
-def zero_grads_like(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    return {k: np.zeros_like(v) for k, v in params.items()}
+def zero_grads_like(params: FlatParams) -> FlatParams:
+    """Zeroed gradients in the parameters' layout."""
+    return FlatParams(params, np.zeros_like(params.flat))
 
 
-def validate_params(params: dict[str, np.ndarray]) -> None:
-    for name, value in params.items():
-        if not np.all(np.isfinite(value)):
-            raise FloatingPointError(f"parameter {name} contains non-finite entries")
+def validate_params(params: FlatParams) -> None:
+    if not np.isfinite(params.flat).all():
+        name = next(name for name, value in params.items() if not np.isfinite(value).all())
+        raise FloatingPointError(f"parameter {name} contains non-finite entries")
     if "log_std" in params:
         ls = float(params["log_std"])
         if not LOG_STD_MIN <= ls <= LOG_STD_MAX:
@@ -108,10 +171,11 @@ class MlpActorCritic:
         self.obs_dim = obs_dim
         self.n_action_outputs = n_action_outputs
         self.hidden = tuple(hidden)
-        self.params: dict[str, np.ndarray] = {}
-        self.params.update(_init_mlp("pi", obs_dim, self.hidden, n_action_outputs, 0.01, weight))
-        self.params.update(_init_mlp("vf", obs_dim, self.hidden, 1, 1.0, weight))
-        self.params["log_std"] = np.array(0.0)
+        params = _init_mlp("pi", obs_dim, self.hidden, n_action_outputs, 0.01, weight)
+        params.update(_init_mlp("vf", obs_dim, self.hidden, 1, 1.0, weight))
+        params["log_std"] = np.array(0.0)
+        self.params = FlatParams(params)
+        self._scratch: dict = {}  # the training paths' buffers
 
     @property
     def log_std(self) -> float:
@@ -120,16 +184,23 @@ class MlpActorCritic:
     # -- batch paths (training) --
 
     def forward(self, obs: np.ndarray):
-        """obs (n, obs_dim) -> (action head (n, k), values (n,), cache)."""
-        heads, pi_acts = _mlp_forward(self.params, "pi", len(self.hidden), obs)
-        values, vf_acts = _mlp_forward(self.params, "vf", len(self.hidden), obs)
+        """obs (n, obs_dim) -> (action head (n, k), values (n,), cache).
+
+        The cache lives in the net's buffers: it is valid until the next
+        :meth:`forward` on this net.
+        """
+        heads, pi_acts = _mlp_forward(self.params, "pi", len(self.hidden), obs, self._scratch)
+        values, vf_acts = _mlp_forward(self.params, "vf", len(self.hidden), obs, self._scratch)
         return heads, values[:, 0], (pi_acts, vf_acts)
 
     def backward(self, cache, dheads: np.ndarray, dvalues: np.ndarray,
-                 grads: dict[str, np.ndarray]) -> None:
+                 grads: FlatParams) -> None:
         pi_acts, vf_acts = cache
-        _mlp_backward(self.params, "pi", len(self.hidden), pi_acts, dheads, grads)
-        _mlp_backward(self.params, "vf", len(self.hidden), vf_acts, dvalues[:, None], grads)
+        n_hidden, scratch = len(self.hidden), self._scratch
+        _mlp_backward(self.params, "pi", n_hidden, pi_acts, dheads, grads, scratch,
+                      need_dx=False)
+        _mlp_backward(self.params, "vf", n_hidden, vf_acts, dvalues[:, None], grads, scratch,
+                      need_dx=False)
 
     # -- rollout paths: one observation (obs_dim,) or a stack (n, obs_dim); each
     # row runs as its own (1, obs_dim) product, because a flat (n, obs_dim)
@@ -231,12 +302,13 @@ class RecurrentActorCritic:
         self.n_action_outputs = n_action_outputs
         self.hidden = tuple(hidden)
         self.lstm_hidden = lstm_hidden
-        self.params: dict[str, np.ndarray] = {}
-        self.params.update(_init_lstm("pi_lstm", obs_dim, lstm_hidden, weight))
-        self.params.update(_init_mlp("pi", lstm_hidden, self.hidden, n_action_outputs, 0.01, weight))
-        self.params.update(_init_lstm("vf_lstm", obs_dim, lstm_hidden, weight))
-        self.params.update(_init_mlp("vf", lstm_hidden, self.hidden, 1, 1.0, weight))
-        self.params["log_std"] = np.array(0.0)
+        params = _init_lstm("pi_lstm", obs_dim, lstm_hidden, weight)
+        params.update(_init_mlp("pi", lstm_hidden, self.hidden, n_action_outputs, 0.01, weight))
+        params.update(_init_lstm("vf_lstm", obs_dim, lstm_hidden, weight))
+        params.update(_init_mlp("vf", lstm_hidden, self.hidden, 1, 1.0, weight))
+        params["log_std"] = np.array(0.0)
+        self.params = FlatParams(params)
+        self._scratch: dict = {}  # the training paths' buffers
 
     @property
     def log_std(self) -> float:
@@ -283,7 +355,9 @@ class RecurrentActorCritic:
         The sequences step longest first, so the ones alive at step t are a
         prefix of that order and every step works on packed rows only.  Both
         LSTMs run as one stacked (2, k_t, H) product per step; the input
-        projection is computed once for all rows before the loop.
+        projection is computed once for all rows before the loop.  The trunks'
+        part of the cache lives in the net's buffers: it is valid until the next
+        :meth:`sequence_forward` on this net.
         """
         lengths = np.asarray(lengths)
         order = np.argsort(-lengths, kind="stable")
@@ -308,22 +382,23 @@ class RecurrentActorCritic:
             gates[:, rows], c, tanh_c[:, rows], h = _lstm_cell(pre, c)
             h_rows[:, perm[rows]] = h  # back in the row order of obs, for the trunks
             off += k
-        heads, pi_acts = _mlp_forward(self.params, "pi", len(self.hidden), h_rows[0])
-        values, vf_acts = _mlp_forward(self.params, "vf", len(self.hidden), h_rows[1])
+        n_hidden, scratch = len(self.hidden), self._scratch
+        heads, pi_acts = _mlp_forward(self.params, "pi", n_hidden, h_rows[0], scratch)
+        values, vf_acts = _mlp_forward(self.params, "vf", n_hidden, h_rows[1], scratch)
         cache = _PackedCache(perm, alive, x, gates, h_prev, c_prev, tanh_c, pi_acts, vf_acts)
         return heads, values[:, 0], cache
 
     def sequence_backward(self, cache, dheads: np.ndarray, dvalues: np.ndarray,
-                          grads: dict[str, np.ndarray]) -> None:
+                          grads: FlatParams) -> None:
         """dheads (n, k), dvalues (n,), in the row order of :meth:`sequence_forward`.
 
         Only the dh/dc recursion steps through time; the LSTM weight gradients
         are one product each over all packed rows.
         """
-        hid = self.lstm_hidden
-        dh_pi = _mlp_backward(self.params, "pi", len(self.hidden), cache.pi_acts, dheads, grads)
-        dh_vf = _mlp_backward(self.params, "vf", len(self.hidden), cache.vf_acts,
-                              dvalues[:, None], grads)
+        hid, n_hidden, scratch = self.lstm_hidden, len(self.hidden), self._scratch
+        dh_pi = _mlp_backward(self.params, "pi", n_hidden, cache.pi_acts, dheads, grads, scratch)
+        dh_vf = _mlp_backward(self.params, "vf", n_hidden, cache.vf_acts, dvalues[:, None], grads,
+                              scratch)
         dh_out = np.stack([dh_pi, dh_vf])[:, cache.perm]
         wh_t = _stacked_lstm(self.params, "wh").transpose(0, 2, 1)
         dpre = np.empty_like(cache.gates)
@@ -352,31 +427,43 @@ class RecurrentActorCritic:
 
 
 class Adam:
-    """Adam with global gradient-norm clipping (the cited implementation's defaults)."""
+    """Adam with global gradient-norm clipping (the cited implementation's defaults).
+
+    The moments are flat vectors in the parameters' layout; every step runs the
+    per-array update's operations, in its order, on whole vectors in place.
+    """
 
     def __init__(self, learning_rate: float):
         self.learning_rate = learning_rate
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
+        self.m: np.ndarray | None = None
+        self.v: np.ndarray | None = None
         self.t = 0
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> float:
+    def step(self, params: FlatParams, grads: FlatParams) -> float:
         """Clip to the norm budget and apply one update; returns the pre-clip norm."""
         total = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
         scale = 1.0
         if total > MAX_GRAD_NORM:
             scale = MAX_GRAD_NORM / (total + 1e-12)
         self.t += 1
-        for name, g in grads.items():
-            g = g * scale
-            if name not in self.m:
-                self.m[name] = np.zeros_like(g)
-                self.v[name] = np.zeros_like(g)
-            self.m[name] = ADAM_BETA1 * self.m[name] + (1 - ADAM_BETA1) * g
-            self.v[name] = ADAM_BETA2 * self.v[name] + (1 - ADAM_BETA2) * g * g
-            m_hat = self.m[name] / (1 - ADAM_BETA1**self.t)
-            v_hat = self.v[name] / (1 - ADAM_BETA2**self.t)
-            params[name] -= self.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        if self.m is None:
+            self.m, self.v = np.zeros_like(params.flat), np.zeros_like(params.flat)
+            self._g, self._tmp = np.empty_like(params.flat), np.empty_like(params.flat)
+        m, v, g, tmp = self.m, self.v, self._g, self._tmp
+        np.multiply(grads.flat, scale, out=g)
+        m *= ADAM_BETA1
+        m += np.multiply(g, 1 - ADAM_BETA1, out=tmp)
+        v *= ADAM_BETA2
+        np.multiply(g, 1 - ADAM_BETA2, out=tmp)
+        tmp *= g
+        v += tmp
+        np.divide(m, 1 - ADAM_BETA1**self.t, out=tmp)  # m_hat
+        tmp *= self.learning_rate
+        np.divide(v, 1 - ADAM_BETA2**self.t, out=g)  # v_hat
+        np.sqrt(g, out=g)
+        g += ADAM_EPS
+        tmp /= g
+        params.flat -= tmp
         if "log_std" in params:
-            params["log_std"] = np.clip(params["log_std"], LOG_STD_MIN, LOG_STD_MAX)
+            np.clip(params["log_std"], LOG_STD_MIN, LOG_STD_MAX, out=params["log_std"])
         return total

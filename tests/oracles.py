@@ -12,6 +12,9 @@ import numpy as np
 from qfclab.channels import ParameterError, control_unitary
 from qfclab.dynamics import run_episodes
 from qfclab.qcore import DEFAULT_TOL
+from qfclab.rl.nets import (
+    ADAM_BETA1, ADAM_BETA2, ADAM_EPS, LOG_STD_MAX, LOG_STD_MIN, MAX_GRAD_NORM,
+)
 
 CONTROL_GEN = np.array(
     [[0.0, 1.0, 0.0], [-1.0, 0.0, 1.0], [0.0, -1.0, 0.0]], dtype=complex
@@ -257,14 +260,17 @@ class TrainingEpisodeReplay:
         return self.observation(), min(max(self.seen[self.target, self.target].real, 0.0), 1.0), done
 
 
-def _padded_mlp(params, prefix, n_hidden, x):
+def mlp_forward(params, prefix, n_hidden, x):
+    """The tanh trunk and linear head on a dict of parameters, one new array per result."""
     acts = [x]
     for i in range(n_hidden):
         acts.append(np.tanh(acts[-1] @ params[f"{prefix}.w{i}"] + params[f"{prefix}.b{i}"]))
     return acts[-1] @ params[f"{prefix}.wh"] + params[f"{prefix}.bh"], acts
 
 
-def _padded_mlp_backward(params, prefix, n_hidden, acts, dout, grads):
+def mlp_backward(params, prefix, n_hidden, acts, dout, grads):
+    """Backprop of :func:`mlp_forward`: adds to ``grads`` and returns dL/dx, through
+    full matrix products and new arrays."""
     grads[f"{prefix}.wh"] += acts[-1].T @ dout
     grads[f"{prefix}.bh"] += dout.sum(axis=0)
     dh = dout @ params[f"{prefix}.wh"].T
@@ -274,6 +280,37 @@ def _padded_mlp_backward(params, prefix, n_hidden, acts, dout, grads):
         grads[f"{prefix}.b{i}"] += dz.sum(axis=0)
         dh = dz @ params[f"{prefix}.w{i}"].T
     return dh
+
+
+class DictAdam:
+    """Adam with global gradient-norm clipping, one parameter array at a time,
+    with moments kept per name in dicts."""
+
+    def __init__(self, learning_rate: float):
+        self.learning_rate = learning_rate
+        self.m: dict[str, np.ndarray] = {}
+        self.v: dict[str, np.ndarray] = {}
+        self.t = 0
+
+    def step(self, params, grads) -> float:
+        total = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
+        scale = 1.0
+        if total > MAX_GRAD_NORM:
+            scale = MAX_GRAD_NORM / (total + 1e-12)
+        self.t += 1
+        for name, g in grads.items():
+            g = g * scale
+            if name not in self.m:
+                self.m[name] = np.zeros_like(g)
+                self.v[name] = np.zeros_like(g)
+            self.m[name] = ADAM_BETA1 * self.m[name] + (1 - ADAM_BETA1) * g
+            self.v[name] = ADAM_BETA2 * self.v[name] + (1 - ADAM_BETA2) * g * g
+            m_hat = self.m[name] / (1 - ADAM_BETA1**self.t)
+            v_hat = self.v[name] / (1 - ADAM_BETA2**self.t)
+            params[name] -= self.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        if "log_std" in params:
+            params["log_std"] = np.clip(params["log_std"], LOG_STD_MIN, LOG_STD_MAX)
+        return total
 
 
 def _padded_lstm(params, prefix, hidden, x_seq, h, c):
@@ -335,8 +372,8 @@ def padded_recurrent_pass(net, obs, lengths, init_state, dheads, dvalues):
     pi_hs, pi_caches = _padded_lstm(params, "pi_lstm", hid, x_seq, h_pi, c_pi)
     vf_hs, vf_caches = _padded_lstm(params, "vf_lstm", hid, x_seq, h_vf, c_vf)
     flat = lambda a: a.transpose(1, 0, 2).reshape(n_seq * t_max, -1)  # noqa: E731
-    heads, pi_acts = _padded_mlp(params, "pi", n_hidden, flat(pi_hs))
-    values, vf_acts = _padded_mlp(params, "vf", n_hidden, flat(vf_hs))
+    heads, pi_acts = mlp_forward(params, "pi", n_hidden, flat(pi_hs))
+    values, vf_acts = mlp_forward(params, "vf", n_hidden, flat(vf_hs))
     rows = mask.reshape(-1)
 
     grads = {name: np.zeros_like(v) for name, v in params.items()}
@@ -345,8 +382,8 @@ def padded_recurrent_pass(net, obs, lengths, init_state, dheads, dvalues):
     dvalues_grid = np.zeros((n_seq * t_max, 1))
     dvalues_grid[rows, 0] = dvalues
     unflat = lambda a: a.reshape(n_seq, t_max, hid).transpose(1, 0, 2)  # noqa: E731
-    dh_pi = _padded_mlp_backward(params, "pi", n_hidden, pi_acts, dheads_grid, grads)
-    dh_vf = _padded_mlp_backward(params, "vf", n_hidden, vf_acts, dvalues_grid, grads)
+    dh_pi = mlp_backward(params, "pi", n_hidden, pi_acts, dheads_grid, grads)
+    dh_vf = mlp_backward(params, "vf", n_hidden, vf_acts, dvalues_grid, grads)
     _padded_lstm_backward(params, "pi_lstm", pi_caches, unflat(dh_pi), grads)
     _padded_lstm_backward(params, "vf_lstm", vf_caches, unflat(dh_vf), grads)
     return heads[rows], values[rows, 0], grads

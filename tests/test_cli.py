@@ -53,6 +53,34 @@ class TestEvalCommand:
         assert out.splitlines()[0].startswith("scenario,noise,alpha")
         assert out.splitlines()[1].startswith("basic,depolarizing,")
 
+    def test_resume_refuses_results_of_another_training_budget(self, tmp_path, capsys):
+        # every row resumes, so no checkpoint is loaded: only the manifest can
+        # tell that the agents behind the rows had another budget
+        cfg = write_sweep_config(tmp_path, tmp_path / "out", tmp_path / "ck")
+        text = cfg.read_text().replace("scenarios = basic", "scenarios = mbs")
+        cfg.write_text(text.replace("[output]", "train_on_demand = true\n"
+                                    "train_timesteps = 512\n[output]"))
+        assert main(["sweep", "--config", str(cfg)]) == EXIT_OK
+        manifest = (tmp_path / "out" / "manifest.txt").read_text()
+        assert "train_timesteps = 512\n" in manifest and "src_sha256 = " in manifest
+        results = (tmp_path / "out" / "results.csv").read_bytes()
+        assert main(["sweep", "--config", str(cfg), "--resume"]) == EXIT_OK
+        assert (tmp_path / "out" / "results.csv").read_bytes() == results
+        capsys.readouterr()
+
+        cfg.write_text(cfg.read_text().replace("train_timesteps = 512", "train_timesteps = 1024"))
+        assert main(["sweep", "--config", str(cfg), "--resume"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "reads 'train_timesteps = 512', but this sweep's is 'train_timesteps = 1024'" in err
+        assert (tmp_path / "out" / "results.csv").read_bytes() == results
+
+    def test_resume_refuses_results_without_a_manifest(self, tmp_path, capsys):
+        cfg = write_sweep_config(tmp_path, tmp_path / "out", tmp_path / "ck")
+        assert main(["sweep", "--config", str(cfg)]) == EXIT_OK
+        (tmp_path / "out" / "manifest.txt").unlink()
+        assert main(["sweep", "--config", str(cfg), "--resume"]) == EXIT_CONFIG
+        assert "manifest.txt is missing" in capsys.readouterr().err
+
     def test_missing_checkpoint_exit_code(self, tmp_path, capsys):
         code = main(["eval", "--policy", str(tmp_path / "nope.ckpt"), "--episodes", "1"])
         assert code == EXIT_MISSING_CHECKPOINT
@@ -180,6 +208,34 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(cfg), "--resume"]) == EXIT_OK
         assert (tmp_path / "out" / "results.csv").read_bytes() == results
         assert (tmp_path / "out" / "curves.csv").read_bytes() == curves
+
+    def test_resume_refuses_results_of_another_training_budget(self, tmp_path, capsys):
+        # every row resumes, so no checkpoint is loaded: only the manifest can
+        # tell that the agents behind the rows had another budget
+        cfg = write_sweep_config(tmp_path, tmp_path / "out", tmp_path / "ck")
+        text = cfg.read_text().replace("scenarios = basic", "scenarios = mbs")
+        cfg.write_text(text.replace("[output]", "train_on_demand = true\n"
+                                    "train_timesteps = 512\n[output]"))
+        assert main(["sweep", "--config", str(cfg)]) == EXIT_OK
+        manifest = (tmp_path / "out" / "manifest.txt").read_text()
+        assert "train_timesteps = 512\n" in manifest and "src_sha256 = " in manifest
+        results = (tmp_path / "out" / "results.csv").read_bytes()
+        assert main(["sweep", "--config", str(cfg), "--resume"]) == EXIT_OK
+        assert (tmp_path / "out" / "results.csv").read_bytes() == results
+        capsys.readouterr()
+
+        cfg.write_text(cfg.read_text().replace("train_timesteps = 512", "train_timesteps = 1024"))
+        assert main(["sweep", "--config", str(cfg), "--resume"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "reads 'train_timesteps = 512', but this sweep's is 'train_timesteps = 1024'" in err
+        assert (tmp_path / "out" / "results.csv").read_bytes() == results
+
+    def test_resume_refuses_results_without_a_manifest(self, tmp_path, capsys):
+        cfg = write_sweep_config(tmp_path, tmp_path / "out", tmp_path / "ck")
+        assert main(["sweep", "--config", str(cfg)]) == EXIT_OK
+        (tmp_path / "out" / "manifest.txt").unlink()
+        assert main(["sweep", "--config", str(cfg), "--resume"]) == EXIT_CONFIG
+        assert "manifest.txt is missing" in capsys.readouterr().err
 
     def test_missing_checkpoint_exit_code(self, tmp_path, capsys):
         cfg = write_sweep_config(tmp_path, tmp_path / "out", tmp_path / "ck")

@@ -19,6 +19,8 @@ from qfclab.rl.checkpoint import CheckpointError, load_policy, save_policy
 from qfclab.rl.nets import LOG_STD_MAX, LOG_STD_MIN, MlpActorCritic, RecurrentActorCritic
 from qfclab.rngstream import RngStream
 
+from test_rl_nets import assert_flat_layout
+
 FIELDS = ["hidden", "kind", "meta", "n_action_outputs", "obs_dim", "scenario"]
 FIELDS_IN_ORDER = ["kind", "scenario", "obs_dim", "n_action_outputs", "hidden", "meta"]
 
@@ -47,7 +49,7 @@ def assert_same_policy(loaded, net):
 class TestCheckpointRoundTrip:
     def test_mlp_round_trip(self, tmp_path):
         net = MlpActorCritic(obs_dim=9, gen=RngStream(3).generator())
-        net.params["log_std"] = np.array(-0.7)
+        net.params["log_std"][...] = -0.7
         path = tmp_path / "mbs.ckpt"
         save_policy(path, net, "mbs", {"epsilon": 0.1, "alpha": 0.0})
         loaded, meta = load_policy(path)
@@ -56,6 +58,7 @@ class TestCheckpointRoundTrip:
         assert loaded.n_action_outputs == 1
         for name in net.params:
             np.testing.assert_array_equal(loaded.params[name], net.params[name])
+        assert_flat_layout(loaded)
 
     def test_lstm_round_trip(self, tmp_path):
         net = RecurrentActorCritic(obs_dim=2, gen=RngStream(4).generator())
@@ -67,6 +70,7 @@ class TestCheckpointRoundTrip:
         assert loaded.n_action_outputs == 2
         for name in net.params:
             np.testing.assert_array_equal(loaded.params[name], net.params[name])
+        assert_flat_layout(loaded)
 
     @pytest.mark.parametrize("kind", ["mlp", "lstm"])
     def test_members_are_the_parameters_and_fields(self, tmp_path, kind):
@@ -253,8 +257,8 @@ def policies(draw):
            else RecurrentActorCritic(**sizes, lstm_hidden=draw(st.integers(1, 3))))
     for name, value in net.params.items():
         if name != "log_std":
-            net.params[name] = draw(hnp.arrays(np.float64, value.shape, elements=finite))
-    net.params["log_std"] = np.array(draw(st.floats(LOG_STD_MIN, LOG_STD_MAX)))
+            value[...] = draw(hnp.arrays(np.float64, value.shape, elements=finite))
+    net.params["log_std"][...] = draw(st.floats(LOG_STD_MIN, LOG_STD_MAX))
     return net
 
 

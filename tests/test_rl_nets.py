@@ -6,15 +6,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qfclab.dynamics import EnvConfig
 from qfclab.rl import distributions as dist
 from qfclab.rl.nets import (
     Adam,
+    FlatParams,
     MlpActorCritic,
     RecurrentActorCritic,
     orthogonal,
     validate_params,
     zero_grads_like,
 )
+from qfclab.rl.ppo import default_ppo_config, train
 
 from oracles import padded_recurrent_pass
 
@@ -222,7 +225,9 @@ class TestRolloutStack:
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_stacked_values_and_heads_equal_the_row_values(self, order):
         net = MlpActorCritic(obs_dim=9, gen=np.random.default_rng(8))
-        # a wide orthogonal init comes out Fortran-ordered; a copy may not be
+        # a wide orthogonal init comes out Fortran-ordered; a copy may not be.  The
+        # rebound array leaves the flat vector, which these rollout paths never
+        # read: they read the parameters through the dict
         net.params["vf.w0"] = np.array(net.params["vf.w0"], order=order)
         assert net.params["vf.w0"].flags[f"{order}_CONTIGUOUS"]
         obs = np.random.default_rng(9).standard_normal((13, 9))
@@ -248,22 +253,67 @@ class TestOrthogonalInit:
 
 class TestAdam:
     def test_descends_a_quadratic(self):
-        params = {"x": np.array([5.0, -3.0])}
+        params = FlatParams({"x": np.array([5.0, -3.0])})
         adam = Adam(learning_rate=0.1)
         for _ in range(500):
-            adam.step(params, {"x": 2.0 * params["x"]})
+            adam.step(params, FlatParams({"x": 2.0 * params["x"]}))
         np.testing.assert_allclose(params["x"], 0.0, atol=1e-3)
 
     def test_gradient_norm_clipping(self):
-        params = {"x": np.zeros(4)}
+        params = FlatParams({"x": np.zeros(4)})
         adam = Adam(learning_rate=1.0)
-        reported = adam.step(params, {"x": np.full(4, 10.0)})
+        reported = adam.step(params, FlatParams({"x": np.full(4, 10.0)}))
         assert reported == pytest.approx(20.0)
 
     def test_log_std_clamped(self):
-        params = {"log_std": np.array(1.99)}
+        params = FlatParams({"log_std": np.array(1.99)})
         adam = Adam(learning_rate=10.0)
         for _ in range(5):
-            adam.step(params, {"log_std": np.array(-1.0)})
+            adam.step(params, FlatParams({"log_std": np.array(-1.0)}))
         assert float(params["log_std"]) <= 2.0
         validate_params(params)
+
+
+#: the first-layer weights; orthogonal makes them Fortran-ordered when wide
+FIRST_LAYERS = ("pi.w0", "vf.w0", "pi_lstm.wx", "vf_lstm.wx")
+
+
+def assert_flat_layout(net):
+    """Every parameter is a view into ``net.params.flat``, the views tile it
+    exactly once in dict order, and wide first-layer weights are Fortran-ordered."""
+    flat = net.params.flat
+    offset = 0
+    for name, value in net.params.items():
+        assert np.shares_memory(value, flat), name
+        assert value.flags.c_contiguous or value.flags.f_contiguous, name
+        start = value.__array_interface__["data"][0] - flat.__array_interface__["data"][0]
+        assert start == offset * flat.itemsize, name
+        offset += value.size
+    assert offset == flat.size
+    wide = [name for name in FIRST_LAYERS
+            if name in net.params and net.params[name].shape[0] < net.params[name].shape[1]]
+    assert len(wide) == 2
+    for name in wide:
+        assert net.params[name].flags.f_contiguous, name
+        assert not net.params[name].flags.c_contiguous, name
+
+
+class TestFlatLayout:
+    @pytest.mark.parametrize("net", [MlpActorCritic(obs_dim=9), RecurrentActorCritic(obs_dim=2)],
+                             ids=["mlp", "lstm"])
+    def test_after_construction(self, net):
+        assert_flat_layout(net)
+
+    @pytest.mark.parametrize("scenario", ["dbs", "qomdp"])
+    def test_after_two_ppo_updates(self, scenario):
+        env_cfg = EnvConfig(noise_kind="depolarizing", alpha=0.3, epsilon=0.1)
+        net, curve = train(scenario, env_cfg, default_ppo_config(scenario, total_timesteps=1024),
+                           seed=4)
+        assert len(curve) == 2
+        assert_flat_layout(net)
+
+    def test_validate_names_the_non_finite_parameter(self):
+        net = MlpActorCritic(obs_dim=3, hidden=(2,))
+        net.params["vf.b0"][1] = np.nan
+        with pytest.raises(FloatingPointError, match="parameter vf.b0 contains"):
+            validate_params(net.params)

@@ -297,9 +297,9 @@ class TestPackedWork:
         mlp_forward = nets._mlp_forward
         sequence_forward = RecurrentActorCritic.sequence_forward
 
-        def counting_mlp_forward(params, prefix, n_hidden, x):
+        def counting_mlp_forward(params, prefix, n_hidden, x, *scratch):
             trunk_rows.append(len(x))
-            return mlp_forward(params, prefix, n_hidden, x)
+            return mlp_forward(params, prefix, n_hidden, x, *scratch)
 
         def recording_sequence_forward(self, *args):
             out = sequence_forward(self, *args)

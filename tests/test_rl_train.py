@@ -12,8 +12,11 @@ import numpy as np
 import pytest
 
 from qfclab.dynamics import EnvConfig, run_episodes
+from qfclab.rl import nets, ppo
 from qfclab.rl.ppo import default_ppo_config, train
 from qfclab.rngstream import RngStream
+
+from oracles import DictAdam, mlp_backward, mlp_forward
 
 
 def reward_trend(curve):
@@ -54,6 +57,26 @@ def test_training_streams_are_pinned(scenario, noise):
     ppo_cfg = default_ppo_config(scenario, total_timesteps=1024)
     net, curve = train(scenario, env_cfg, ppo_cfg, seed=100 + NOISES.index(noise))
     assert training_digest(net, curve) == TRAINING_DIGESTS[scenario, noise]
+
+
+@pytest.mark.parametrize("scenario,noise", list(TRAINING_DIGESTS))
+def test_training_equals_the_dict_oracle(scenario, noise, monkeypatch):
+    # the flat parameters, reused buffers and in-place Adam against dict-based
+    # trunks and a per-array Adam, over 3 updates; unlike the digests, this
+    # holds on any numpy or BLAS build
+    env_cfg = EnvConfig(noise_kind=noise, alpha=0.6, epsilon=0.1)
+    ppo_cfg = default_ppo_config(scenario, total_timesteps=3 * 512)
+    seed = 100 + NOISES.index(noise)
+    net, curve = train(scenario, env_cfg, ppo_cfg, seed)
+    # the oracle trunks take no buffers and always return dL/dx
+    monkeypatch.setattr(nets, "_mlp_forward", lambda *args, **_: mlp_forward(*args[:4]))
+    monkeypatch.setattr(nets, "_mlp_backward", lambda *args, **_: mlp_backward(*args[:6]))
+    monkeypatch.setattr(ppo, "Adam", DictAdam)
+    oracle, oracle_curve = train(scenario, env_cfg, ppo_cfg, seed)
+    assert len(curve) == 3
+    assert json.dumps(curve) == json.dumps(oracle_curve)
+    for name, value in oracle.params.items():
+        assert net.params[name].tobytes() == value.tobytes(), name
 
 
 class TestMbsTraining:
