@@ -12,8 +12,12 @@ packed sequences: episode segments back to back, with no padding.
 Each net holds its parameters in one flat float64 vector; ``net.params`` is a
 :class:`FlatParams` dict of named views onto it, so the checkpoint format and
 the gradient checks see named arrays while gradients, Adam and the finiteness
-check work on one vector.  The training paths write their activations into
-buffers the net keeps, so a training forward's cache lasts until the next one.
+check work on one vector.  The recurrent net lays each policy array next to
+its value twin, so both LSTMs and both hidden trunks run as one stacked
+(2, ...) product: per packed step in training, per observation in rollouts.
+The training paths write their activations and backward intermediates into
+buffers the net keeps: a training forward's cache lasts until the next
+training forward on that net, and a backward overwrites the buffers it uses.
 """
 
 from __future__ import annotations
@@ -60,27 +64,73 @@ def _init_mlp(prefix: str, in_dim: int, hidden: tuple[int, ...], out_dim: int,
     return params
 
 
+def _fortran(a: np.ndarray) -> bool:
+    return a.flags.f_contiguous and not a.flags.c_contiguous
+
+
 class FlatParams(dict):
     """Named parameter arrays that are views tiling one flat float64 vector, ``flat``.
 
-    The views lie in ``flat`` in the dict's order.  Each keeps the memory order
-    of the array it was made from (``orthogonal`` returns wide weights
-    Fortran-ordered), because products and sums round by memory order.
+    The views lie in ``flat`` in the order of ``layout``, the dict's order unless
+    given.  A layout entry may pair two names of one shape and memory order: they
+    then lie side by side, and ``stacks[first name]`` is the (2, ...) view of both.
+    Each view keeps the memory order of the array it was made from (``orthogonal``
+    returns wide weights Fortran-ordered), because products and sums round by
+    memory order.  The views stay bound: rebinding a name raises ``TypeError``
+    (assign into the view instead), and a copy or an unpickled instance rebuilds
+    them on its own ``flat``.
     """
 
-    def __init__(self, arrays: dict[str, np.ndarray], flat: np.ndarray | None = None):
+    def __init__(self, arrays: dict[str, np.ndarray], flat: np.ndarray | None = None,
+                 layout=None):
         """Views onto ``flat`` shaped and ordered like ``arrays``; without ``flat``,
         onto a new vector that holds copies of their values."""
         super().__init__()
+        self.layout = tuple(arrays if layout is None else layout)
         self.flat = np.empty(sum(a.size for a in arrays.values())) if flat is None else flat
-        offset = 0
+        self.stacks: dict[str, np.ndarray] = {}
+        entries = [entry if isinstance(entry, tuple) else (entry,) for entry in self.layout]
+        if sorted(name for names in entries for name in names) != sorted(arrays):
+            raise ValueError("the layout must place every parameter exactly once")
+        views, offset = {}, 0
+        for names in entries:
+            a = arrays[names[0]]
+            if any(arrays[name].shape != a.shape or _fortran(arrays[name]) != _fortran(a)
+                   for name in names):
+                raise ValueError(f"paired parameters {names} differ in shape or memory order")
+            block = self.flat[offset:offset + len(names) * a.size]
+            if _fortran(a):
+                stack = block.reshape(len(names), *a.shape[::-1]).transpose(
+                    0, *range(a.ndim, 0, -1))
+            else:
+                stack = block.reshape(len(names), *a.shape)
+            views.update((name, stack[j, ...]) for j, name in enumerate(names))
+            if len(names) > 1:
+                self.stacks[names[0]] = stack
+            offset += block.size
         for name, a in arrays.items():
-            block = self.flat[offset:offset + a.size]
-            fortran = a.flags.f_contiguous and not a.flags.c_contiguous
-            self[name] = block.reshape(a.shape[::-1]).T if fortran else block.reshape(a.shape)
+            dict.__setitem__(self, name, views[name])
             if flat is None:
-                self[name][...] = a
-            offset += a.size
+                views[name][...] = a
+
+    def __setitem__(self, name, value):
+        if dict.get(self, name) is not value:  # augmented assignment stores the view back
+            raise TypeError(f"parameter {name!r} is a view onto the flat vector: assign into "
+                            f"it (params[{name!r}][...] = value) instead of rebinding it")
+
+    def update(self, *args, **kwargs):
+        raise TypeError("parameters are views onto the flat vector: assign into them")
+
+    def __reduce__(self):
+        spec = {name: (value.shape, _fortran(value)) for name, value in self.items()}
+        return _restore_flat_params, (self.flat, self.layout, spec)
+
+
+def _restore_flat_params(flat: np.ndarray, layout, spec) -> FlatParams:
+    """A copied or unpickled :class:`FlatParams`: its views rebuilt on ``flat``."""
+    shapes = {name: np.empty(shape, order="F" if fortran else "C")
+              for name, (shape, fortran) in spec.items()}
+    return FlatParams(shapes, flat, layout)
 
 
 def _buffer(scratch: dict, key, shape: tuple) -> np.ndarray:
@@ -147,7 +197,7 @@ def _mlp_backward(params, prefix: str, n_hidden: int, acts, dout: np.ndarray,
 
 def zero_grads_like(params: FlatParams) -> FlatParams:
     """Zeroed gradients in the parameters' layout."""
-    return FlatParams(params, np.zeros_like(params.flat))
+    return FlatParams(params, np.zeros_like(params.flat), params.layout)
 
 
 def validate_params(params: FlatParams) -> None:
@@ -235,39 +285,41 @@ def _init_lstm(prefix: str, in_dim: int, hidden: int, weight) -> dict[str, np.nd
 
 
 @lru_cache
-def _gate_scale(hidden: int) -> np.ndarray:
-    """Per-column scale s of the gate blocks i, f, g, o: s*tanh(s*x) + 1 - s is
-    sigmoid(x) = 0.5 + 0.5*tanh(0.5*x) on i, f, o and tanh(x) on g."""
+def _gate_scale(hidden: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column scale s of the gate blocks i, f, g, o, and 1 - s: s*tanh(s*x) + 1 - s
+    is sigmoid(x) = 0.5 + 0.5*tanh(0.5*x) on i, f, o and tanh(x) on g."""
     scale = np.repeat([0.5, 0.5, 1.0, 0.5], hidden)
-    scale.flags.writeable = False
-    return scale
+    shift = 1.0 - scale
+    scale.flags.writeable = shift.flags.writeable = False
+    return scale, shift
 
 
-def _lstm_cell(pre: np.ndarray, c: np.ndarray):
+def _lstm_cell(pre: np.ndarray, c: np.ndarray, c_new=None, tanh_c=None, h_new=None):
     """The LSTM cell on its pre-activations pre (..., 4H) and cell state c (..., H).
 
-    Returns the gate activations i, f, g, o (..., 4H), c', tanh c' and h'.
+    ``pre`` becomes the gate activations i, f, g, o in place.  Returns c', tanh c'
+    and h', written into the given arrays (new ones where none is given).
     """
     hid = c.shape[-1]
-    scale = _gate_scale(hid)
-    gates = scale * np.tanh(scale * pre) + (1.0 - scale)
-    i, f = gates[..., :hid], gates[..., hid:2 * hid]
-    g, o = gates[..., 2 * hid:3 * hid], gates[..., 3 * hid:]
-    c_new = f * c + i * g
-    tanh_c = np.tanh(c_new)
-    return gates, c_new, tanh_c, o * tanh_c
+    scale, shift = _gate_scale(hid)
+    pre *= scale
+    np.tanh(pre, out=pre)
+    pre *= scale
+    pre += shift
+    i, f = pre[..., :hid], pre[..., hid:2 * hid]
+    g, o = pre[..., 2 * hid:3 * hid], pre[..., 3 * hid:]
+    c_new = np.multiply(f, c, out=c_new)
+    tanh_c = np.multiply(i, g, out=tanh_c)
+    c_new += tanh_c
+    np.tanh(c_new, out=tanh_c)
+    return c_new, tanh_c, np.multiply(o, tanh_c, out=h_new)
 
 
 def _lstm_step(params, prefix: str, x, h, c):
     """One LSTM step; x (..., n, in), h/c (..., n, hidden). Returns h', c'."""
     pre = x @ params[f"{prefix}.wx"] + h @ params[f"{prefix}.wh"] + params[f"{prefix}.b"]
-    _, c_new, _, h_new = _lstm_cell(pre, c)
+    c_new, _, h_new = _lstm_cell(pre, c)
     return h_new, c_new
-
-
-def _stacked_lstm(params, name: str) -> np.ndarray:
-    """The policy and value LSTMs' ``name`` arrays, stacked on a leading axis of 2."""
-    return np.stack([params[f"pi_lstm.{name}"], params[f"vf_lstm.{name}"]])
 
 
 class _PackedCache(NamedTuple):
@@ -290,7 +342,13 @@ class _PackedCache(NamedTuple):
 
 
 class RecurrentActorCritic:
-    """Actor-critic with one LSTM cell per trunk feeding the tanh extractor."""
+    """Actor-critic with one LSTM cell per trunk feeding the tanh extractor.
+
+    Each policy array except the head lies next to its value twin in the flat
+    vector (``params.stacks``), so both LSTMs and both hidden trunks run as one
+    stacked (2, ...) product; the recurrent state is the stacked pair (h, c),
+    each (2, n, H), policy row first.
+    """
 
     kind = "lstm"
 
@@ -307,7 +365,12 @@ class RecurrentActorCritic:
         params.update(_init_lstm("vf_lstm", obs_dim, lstm_hidden, weight))
         params.update(_init_mlp("vf", lstm_hidden, self.hidden, 1, 1.0, weight))
         params["log_std"] = np.array(0.0)
-        self.params = FlatParams(params)
+        # (weight, bias) names of each hidden layer; the value twin of pi.* is vf.*
+        self._layers = [(f"pi.w{i}", f"pi.b{i}") for i in range(len(self.hidden))]
+        twins = ["pi_lstm.wx", "pi_lstm.wh", "pi_lstm.b", *(n for l in self._layers for n in l)]
+        layout = [(name, "vf" + name[2:]) for name in twins]
+        self.params = FlatParams(params, layout=layout + ["pi.wh", "pi.bh", "vf.wh", "vf.bh",
+                                                          "log_std"])
         self._scratch: dict = {}  # the training paths' buffers
 
     @property
@@ -316,18 +379,28 @@ class RecurrentActorCritic:
 
     def initial_state(self):
         """Zeroed (h, c) for both trunks, reset at every episode boundary."""
-        z = np.zeros((1, self.lstm_hidden))
-        return (z, z, z, z)  # h_pi, c_pi, h_vf, c_vf
+        z = np.zeros((2, 1, self.lstm_hidden))
+        return (z, z)
 
     # -- single-sample paths (rollout); the policy one also takes a batch (n, obs_dim) --
 
     def step(self, obs: np.ndarray, state):
-        """One recurrent step; returns (head outputs (k,), value, next state)."""
-        h_pi, c_pi, h_vf, c_vf = state
-        heads, (h_pi2, c_pi2) = self.policy_step(obs, (h_pi, c_pi))
-        h_vf2, c_vf2 = _lstm_step(self.params, "vf_lstm", obs[None, :], h_vf, c_vf)
-        value, _ = _mlp_forward(self.params, "vf", len(self.hidden), h_vf2)
-        return heads, float(value[0, 0]), (h_pi2, c_pi2, h_vf2, c_vf2)
+        """One recurrent step of both trunks as one stack.
+
+        ``state`` is the stacked pair (h, c), each (2, 1, H).  Returns (head outputs
+        (k,), value, next state); the next state is new arrays, ``state`` is only read.
+        """
+        params, stacks = self.params, self.params.stacks
+        h, c = state
+        pre = (obs[None, :] @ stacks["pi_lstm.wx"] + h @ stacks["pi_lstm.wh"]
+               + stacks["pi_lstm.b"][:, None, :])
+        c, _, h = _lstm_cell(pre, c)
+        z = h
+        for w, b in self._layers:
+            z = np.tanh(z @ stacks[w] + stacks[b][:, None, :])
+        heads = z[0] @ params["pi.wh"] + params["pi.bh"]
+        value = z[1] @ params["vf.wh"] + params["vf.bh"]
+        return heads[0], float(value[0, 0]), (h, c)
 
     def policy_step(self, obs: np.ndarray, state):
         """Policy trunk alone: (head outputs (..., k), next (h_pi, c_pi)).
@@ -348,16 +421,16 @@ class RecurrentActorCritic:
         """Packed sequences -> heads (n, k), values (n,), cache.
 
         ``obs`` (n, obs_dim) holds the sequences' rows back to back, ``lengths``
-        their lengths (summing to n), and ``init_state`` the (h_pi, c_pi, h_vf,
-        c_vf) tuple at each sequence's start, each (n_seq, lstm_hidden).  Heads
-        and values come back in the row order of ``obs``.
+        their lengths (summing to n), and ``init_state`` the stacked pair (h, c)
+        at each sequence's start, each (2, n_seq, lstm_hidden).  Heads and values
+        come back in the row order of ``obs``.
 
         The sequences step longest first, so the ones alive at step t are a
         prefix of that order and every step works on packed rows only.  Both
-        LSTMs run as one stacked (2, k_t, H) product per step; the input
-        projection is computed once for all rows before the loop.  The trunks'
-        part of the cache lives in the net's buffers: it is valid until the next
-        :meth:`sequence_forward` on this net.
+        LSTMs run as one stacked (2, k_t, H) product per step, written straight
+        into the gate rows; the input projection is computed once for all rows
+        before the loop.  The activations live in the net's buffers: the cache
+        is valid until the next :meth:`sequence_forward` on this net.
         """
         lengths = np.asarray(lengths)
         order = np.argsort(-lengths, kind="stable")
@@ -366,23 +439,27 @@ class RecurrentActorCritic:
         # packed row of (step t, j-th longest sequence) -> its row in obs
         perm = np.concatenate([starts[order[:k]] + t for t, k in enumerate(alive)])
         x = obs[perm]
-        wx, wh, b = (_stacked_lstm(self.params, name) for name in ("wx", "wh", "b"))
-        xw = x @ wx  # (2, n, 4H)
-        n, hid = len(perm), self.lstm_hidden
-        gates = np.empty((2, n, 4 * hid))
-        h_prev, c_prev, tanh_c, h_rows = (np.empty((2, n, hid)) for _ in range(4))
-        h = np.stack([init_state[0], init_state[2]])[:, order]
-        c = np.stack([init_state[1], init_state[3]])[:, order]
+        stacks, scratch = self.params.stacks, self._scratch
+        n, hid, width = len(perm), self.lstm_hidden, alive[0]
+        xw = np.matmul(x, stacks["pi_lstm.wx"], out=_buffer(scratch, "xw", (2, n, 4 * hid)))
+        gates = _buffer(scratch, "gates", (2, n, 4 * hid))
+        h_prev, c_prev, tanh_c, h_rows = (
+            _buffer(scratch, key, (2, n, hid)) for key in ("h_prev", "c_prev", "tanh_c", "h_rows"))
+        h, c = (_buffer(scratch, key, (2, width, hid)) for key in ("h", "c"))
+        np.take(init_state[0], order, axis=1, out=h)
+        np.take(init_state[1], order, axis=1, out=c)
+        wh, b = stacks["pi_lstm.wh"], stacks["pi_lstm.b"][:, None, :]
         off = 0
         for k in alive:
             rows = slice(off, off + k)
-            h, c = h[:, :k], c[:, :k]
-            h_prev[:, rows], c_prev[:, rows] = h, c
-            pre = xw[:, rows] + h @ wh + b[:, None, :]
-            gates[:, rows], c, tanh_c[:, rows], h = _lstm_cell(pre, c)
-            h_rows[:, perm[rows]] = h  # back in the row order of obs, for the trunks
+            h_prev[:, rows], c_prev[:, rows] = h[:, :k], c[:, :k]
+            pre = np.matmul(h_prev[:, rows], wh, out=gates[:, rows])
+            pre += xw[:, rows]
+            pre += b
+            _lstm_cell(pre, c_prev[:, rows], c[:, :k], tanh_c[:, rows], h[:, :k])
+            h_rows[:, perm[rows]] = h[:, :k]  # back in the row order of obs, for the trunks
             off += k
-        n_hidden, scratch = len(self.hidden), self._scratch
+        n_hidden = len(self.hidden)
         heads, pi_acts = _mlp_forward(self.params, "pi", n_hidden, h_rows[0], scratch)
         values, vf_acts = _mlp_forward(self.params, "vf", n_hidden, h_rows[1], scratch)
         cache = _PackedCache(perm, alive, x, gates, h_prev, c_prev, tanh_c, pi_acts, vf_acts)
@@ -393,33 +470,54 @@ class RecurrentActorCritic:
         """dheads (n, k), dvalues (n,), in the row order of :meth:`sequence_forward`.
 
         Only the dh/dc recursion steps through time; the LSTM weight gradients
-        are one product each over all packed rows.
+        are one product each over all packed rows.  The intermediates go through
+        the net's buffers; dL/d(pre-activations) reuses the input projection's,
+        which only the forward pass reads.
         """
         hid, n_hidden, scratch = self.lstm_hidden, len(self.hidden), self._scratch
-        dh_pi = _mlp_backward(self.params, "pi", n_hidden, cache.pi_acts, dheads, grads, scratch)
-        dh_vf = _mlp_backward(self.params, "vf", n_hidden, cache.vf_acts, dvalues[:, None], grads,
-                              scratch)
-        dh_out = np.stack([dh_pi, dh_vf])[:, cache.perm]
-        wh_t = _stacked_lstm(self.params, "wh").transpose(0, 2, 1)
-        dpre = np.empty_like(cache.gates)
-        dh_next = dc_next = np.zeros((2, 0, hid))
-        end = len(cache.perm)
+        n, width = len(cache.perm), cache.alive[0]
+        dh_out = _buffer(scratch, "dh_out", (2, n, hid))
+        trunks = (("pi", cache.pi_acts, dheads), ("vf", cache.vf_acts, dvalues[:, None]))
+        for l, (prefix, acts, dout) in enumerate(trunks):
+            dh_rows = _mlp_backward(self.params, prefix, n_hidden, acts, dout, grads, scratch)
+            np.take(dh_rows, cache.perm, axis=0, out=dh_out[l])  # into packed row order
+        wh_t = self.params.stacks["pi_lstm.wh"].transpose(0, 2, 1)
+        dpre = _buffer(scratch, "xw", cache.gates.shape)
+        dc, tmp, tmp2, dh_next, dc_next = (_buffer(scratch, key, (2, width, hid))
+                                           for key in ("dc", "tmp", "tmp2", "dh_next", "dc_next"))
+        live, end = 0, n  # rows still alive one step later
         for k in reversed(cache.alive):
             rows = slice(end - k, end)
-            live = dh_next.shape[1]  # rows still alive one step later
-            i, f, g, o = np.split(cache.gates[:, rows], 4, axis=2)
-            tanh_c = cache.tanh_c[:, rows]
+            gates = cache.gates[:, rows]
+            i, f = gates[..., :hid], gates[..., hid:2 * hid]
+            g, o = gates[..., 2 * hid:3 * hid], gates[..., 3 * hid:]
+            tanh_c, t, d = cache.tanh_c[:, rows], tmp[:, :k], dc[:, :k]
             dh = dh_out[:, rows]
-            dh[:, :live] += dh_next
-            dc = dh * o * (1.0 - tanh_c**2)
-            dc[:, :live] += dc_next
-            dpre[:, rows, :hid] = dc * g * i * (1.0 - i)
-            dpre[:, rows, hid:2 * hid] = dc * cache.c_prev[:, rows] * f * (1.0 - f)
-            dpre[:, rows, 2 * hid:3 * hid] = dc * i * (1.0 - g**2)
-            dpre[:, rows, 3 * hid:] = dh * tanh_c * o * (1.0 - o)
-            dh_next = dpre[:, rows] @ wh_t
-            dc_next = dc * f
-            end -= k
+            dh[:, :live] += dh_next[:, :live]
+            np.multiply(dh, o, out=d)  # dc = dh * o * (1 - tanh_c**2)
+            np.multiply(tanh_c, tanh_c, out=t)
+            np.subtract(1.0, t, out=t)
+            d *= t
+            d[:, :live] += dc_next[:, :live]
+            dp = dpre[:, rows]
+            di, df = dp[..., :hid], dp[..., hid:2 * hid]
+            dg, do = dp[..., 2 * hid:3 * hid], dp[..., 3 * hid:]
+            u = tmp2[:, :k]
+            np.multiply(d, g, out=u)  # dc * g * i * (1 - i)
+            u *= i
+            np.multiply(u, np.subtract(1.0, i, out=t), out=di)
+            np.multiply(d, cache.c_prev[:, rows], out=u)  # dc * c_prev * f * (1 - f)
+            u *= f
+            np.multiply(u, np.subtract(1.0, f, out=t), out=df)
+            np.multiply(d, i, out=u)  # dc * i * (1 - g**2)
+            np.multiply(g, g, out=t)
+            np.multiply(u, np.subtract(1.0, t, out=t), out=dg)
+            np.multiply(dh, tanh_c, out=u)  # dh * tanh_c * o * (1 - o)
+            u *= o
+            np.multiply(u, np.subtract(1.0, o, out=t), out=do)
+            np.matmul(dp, wh_t, out=dh_next[:, :k])
+            np.multiply(d, f, out=dc_next[:, :k])
+            live, end = k, end - k
         for l, prefix in enumerate(("pi_lstm", "vf_lstm")):
             grads[f"{prefix}.wx"] += cache.x.T @ dpre[l]
             grads[f"{prefix}.wh"] += cache.h_prev[l].T @ dpre[l]

@@ -11,6 +11,7 @@ reproduces training bit for bit.
 from __future__ import annotations
 
 import logging
+import time
 
 import numpy as np
 
@@ -146,17 +147,32 @@ def _policy_grad_coeff(ratio, adv_norm, clip_range, n):
     return -(adv_norm * ratio * active) / n, surr1, surr2
 
 
+class _PackedSegments:
+    """A window's segments packed once per rollout: each one's buffer rows, its
+    length, and its start state (h, c) stacked, each (2, n_segments, H)."""
+
+    def __init__(self, segments):
+        self.rows = [np.arange(seg.start, seg.end) for seg in segments]
+        self.lengths = np.array([seg.end - seg.start for seg in segments])
+        self.h, self.c = (np.concatenate([seg.init_state[j] for seg in segments], axis=1)
+                          for j in range(2))
+
+    def take(self, order):
+        """(buffer rows, lengths, start state) of the segments in ``order``, back to back."""
+        idx = np.concatenate([self.rows[i] for i in order])
+        return idx, self.lengths[order], (self.h[:, order], self.c[:, order])
+
+
 def _update_step(net, buffer, batch, adam) -> dict:
-    """One clipped-surrogate step over buffer rows (mlp) or segments (lstm), in that order."""
+    """One clipped-surrogate step over buffer rows (mlp) or segments (lstm), in that order.
+
+    The segments come as a list, or already packed by :meth:`_PackedSegments.take`.
+    """
     recurrent = net.kind == "lstm"
     if recurrent:
-        # each segment's rows are contiguous in the buffer: pack them back to back
-        idx = np.concatenate([np.arange(seg.start, seg.end) for seg in batch])
-        lengths = [seg.end - seg.start for seg in batch]
-        # (h_pi, c_pi, h_vf, c_vf), each (n_seq, lstm_hidden)
-        init_state = tuple(
-            np.concatenate(parts) for parts in zip(*(seg.init_state for seg in batch))
-        )
+        if isinstance(batch, list):
+            batch = _PackedSegments(batch).take(np.arange(len(batch)))
+        idx, lengths, init_state = batch
         heads, values, cache = net.sequence_forward(buffer.observations[idx], lengths, init_state)
     else:
         idx = batch
@@ -224,9 +240,11 @@ def ppo_update(net, buffer: RolloutBuffer, adam: Adam, shuffle_gen: np.random.Ge
     if buffer.advantages is None:
         raise ValueError("advantages not computed; call compute_gae first")
     diags: list[dict] = []
+    if net.kind == "lstm":
+        packed = _PackedSegments(buffer.segments)
     for _ in range(N_EPOCHS):
         if net.kind == "lstm":
-            batch = [buffer.segments[i] for i in shuffle_gen.permutation(len(buffer.segments))]
+            batch = packed.take(shuffle_gen.permutation(len(buffer.segments)))
         else:
             batch = shuffle_gen.permutation(buffer.size)
         diags.append(_update_step(net, buffer, batch, adam))
@@ -261,7 +279,8 @@ def train(
     replaces the scenario environment, optionally with a matching ``net``;
     that is how the toy-task tests drive the same loop.  Its objects need the
     ScenarioEnv surface: ``reset() -> obs`` and ``step(action) -> (obs, reward,
-    done)``, with observations of the net's ``obs_dim`` entries.
+    done)``, with observations of the net's ``obs_dim`` entries.  Each update
+    logs its rollout and update seconds at DEBUG level.
     """
     root = RngStream(seed)
     if net is None:
@@ -281,14 +300,20 @@ def train(
     n_updates = ppo_cfg.total_timesteps // ppo_cfg.n_steps
     best_reward = -np.inf
     for update in range(n_updates):
+        started = time.perf_counter()
         buffer = collect_rollout(runner, net, ppo_cfg, sample_gen)
         compute_gae(buffer, GAMMA, GAE_LAMBDA)
+        collected = time.perf_counter()
         try:
             diag = ppo_update(net, buffer, adam, shuffle_gen)
         except TrainingDiverged as exc:
             raise TrainingDiverged(
                 f"update {update} (timestep {update * ppo_cfg.n_steps}): {exc}"
             ) from exc
+        updated = time.perf_counter()
+        log.debug("update %d: rollout %.3f s, update %.3f s, %.0f timesteps/s", update,
+                  collected - started, updated - collected,
+                  ppo_cfg.n_steps / (updated - started))
         finished = runner.finished_rewards
         mean_reward = float(np.mean(finished)) if finished else np.nan
         finished.clear()

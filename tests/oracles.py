@@ -309,8 +309,116 @@ class DictAdam:
             v_hat = self.v[name] / (1 - ADAM_BETA2**self.t)
             params[name] -= self.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         if "log_std" in params:
-            params["log_std"] = np.clip(params["log_std"], LOG_STD_MIN, LOG_STD_MAX)
+            params["log_std"][...] = np.clip(params["log_std"], LOG_STD_MIN, LOG_STD_MAX)
         return total
+
+
+def lstm_cell(pre, c):
+    """The LSTM cell on pre-activations pre (..., 4H) and cell state c (..., H), its
+    sigmoids written as 0.5 + 0.5*tanh(0.5*x), one new array per result.
+
+    Returns the gate activations i, f, g, o (..., 4H), c', tanh c' and h'.
+    """
+    hid = c.shape[-1]
+    scale = np.repeat([0.5, 0.5, 1.0, 0.5], hid)
+    gates = scale * np.tanh(scale * pre) + (1.0 - scale)
+    i, f = gates[..., :hid], gates[..., hid:2 * hid]
+    g, o = gates[..., 2 * hid:3 * hid], gates[..., 3 * hid:]
+    c_new = f * c + i * g
+    tanh_c = np.tanh(c_new)
+    return gates, c_new, tanh_c, o * tanh_c
+
+
+def _lstm_step(params, prefix, x, h, c):
+    pre = x @ params[f"{prefix}.wx"] + h @ params[f"{prefix}.wh"] + params[f"{prefix}.b"]
+    _, c_new, _, h_new = lstm_cell(pre, c)
+    return h_new, c_new
+
+
+def two_cell_step(net, obs, state):
+    """The recurrent rollout step as two separate LSTM cells and two one-row trunks.
+
+    ``state`` is the stacked pair (h, c), each (2, 1, H), policy row first; returns
+    (head outputs (k,), value, next state) like ``RecurrentActorCritic.step``.
+    """
+    params, n_hidden = net.params, len(net.hidden)
+    (h_pi, h_vf), (c_pi, c_vf) = state
+    h_pi, c_pi = _lstm_step(params, "pi_lstm", obs[None, :], h_pi, c_pi)
+    h_vf, c_vf = _lstm_step(params, "vf_lstm", obs[None, :], h_vf, c_vf)
+    heads, _ = mlp_forward(params, "pi", n_hidden, h_pi)
+    value, _ = mlp_forward(params, "vf", n_hidden, h_vf)
+    return heads[0], float(value[0, 0]), (np.stack([h_pi, h_vf]), np.stack([c_pi, c_vf]))
+
+
+def _stacked(params, name):
+    return np.stack([params[f"pi_lstm.{name}"], params[f"vf_lstm.{name}"]])
+
+
+def packed_sequence_forward(net, obs, lengths, init_state):
+    """``RecurrentActorCritic.sequence_forward`` with one new array per result and the
+    two LSTMs' weights stacked by copy; ``init_state`` is the stacked pair (h, c),
+    each (2, n_seq, H).  Returns heads, values and a cache for
+    :func:`packed_sequence_backward`.
+    """
+    params, hid, n_hidden = net.params, net.lstm_hidden, len(net.hidden)
+    lengths = np.asarray(lengths)
+    order = np.argsort(-lengths, kind="stable")
+    alive = (lengths[:, None] > np.arange(lengths.max())).sum(axis=0)
+    starts = np.cumsum(lengths) - lengths
+    perm = np.concatenate([starts[order[:k]] + t for t, k in enumerate(alive)])
+    x = obs[perm]
+    wx, wh, b = (_stacked(params, name) for name in ("wx", "wh", "b"))
+    xw = x @ wx
+    n = len(perm)
+    gates = np.empty((2, n, 4 * hid))
+    h_prev, c_prev, tanh_c, h_rows = (np.empty((2, n, hid)) for _ in range(4))
+    h, c = init_state[0][:, order], init_state[1][:, order]
+    off = 0
+    for k in alive:
+        rows = slice(off, off + k)
+        h, c = h[:, :k], c[:, :k]
+        h_prev[:, rows], c_prev[:, rows] = h, c
+        pre = xw[:, rows] + h @ wh + b[:, None, :]
+        gates[:, rows], c, tanh_c[:, rows], h = lstm_cell(pre, c)
+        h_rows[:, perm[rows]] = h
+        off += k
+    heads, pi_acts = mlp_forward(params, "pi", n_hidden, h_rows[0])
+    values, vf_acts = mlp_forward(params, "vf", n_hidden, h_rows[1])
+    return heads, values[:, 0], (perm, alive, x, gates, h_prev, c_prev, tanh_c, pi_acts, vf_acts)
+
+
+def packed_sequence_backward(net, cache, dheads, dvalues, grads):
+    """Backprop of :func:`packed_sequence_forward`, adding to ``grads``: the dh/dc
+    recursion per packed step, one new array per result."""
+    params, hid, n_hidden = net.params, net.lstm_hidden, len(net.hidden)
+    perm, alive, x, gates, h_prev, c_prev, tanh_c_rows, pi_acts, vf_acts = cache
+    dh_pi = mlp_backward(params, "pi", n_hidden, pi_acts, dheads, grads)
+    dh_vf = mlp_backward(params, "vf", n_hidden, vf_acts, dvalues[:, None], grads)
+    dh_out = np.stack([dh_pi, dh_vf])[:, perm]
+    wh_t = _stacked(params, "wh").transpose(0, 2, 1)
+    dpre = np.empty_like(gates)
+    dh_next = dc_next = np.zeros((2, 0, hid))
+    end = len(perm)
+    for k in reversed(alive):
+        rows = slice(end - k, end)
+        live = dh_next.shape[1]
+        i, f, g, o = np.split(gates[:, rows], 4, axis=2)
+        tanh_c = tanh_c_rows[:, rows]
+        dh = dh_out[:, rows]
+        dh[:, :live] += dh_next
+        dc = dh * o * (1.0 - tanh_c**2)
+        dc[:, :live] += dc_next
+        dpre[:, rows, :hid] = dc * g * i * (1.0 - i)
+        dpre[:, rows, hid:2 * hid] = dc * c_prev[:, rows] * f * (1.0 - f)
+        dpre[:, rows, 2 * hid:3 * hid] = dc * i * (1.0 - g**2)
+        dpre[:, rows, 3 * hid:] = dh * tanh_c * o * (1.0 - o)
+        dh_next = dpre[:, rows] @ wh_t
+        dc_next = dc * f
+        end -= k
+    for l, prefix in enumerate(("pi_lstm", "vf_lstm")):
+        grads[f"{prefix}.wx"] += x.T @ dpre[l]
+        grads[f"{prefix}.wh"] += h_prev[l].T @ dpre[l]
+        grads[f"{prefix}.b"] += dpre[l].sum(axis=0)
 
 
 def _padded_lstm(params, prefix, hidden, x_seq, h, c):
@@ -354,7 +462,8 @@ def padded_recurrent_pass(net, obs, lengths, init_state, dheads, dvalues):
 
     ``obs`` holds the sequences' rows back to back, as the packed training
     path takes them.  Every sequence runs all ``T = max(lengths)`` steps from
-    its start state, the trunks run on every grid row, and the gradients of
+    its start state (``init_state``, the stacked pair (h, c), each (2, n_seq, H)),
+    the trunks run on every grid row, and the gradients of
     the padded rows are zero.  Returns heads (n, k), values (n,) and the
     parameter gradients for the upstream ``dheads`` (n, k) and ``dvalues`` (n,).
     """
@@ -368,7 +477,7 @@ def padded_recurrent_pass(net, obs, lengths, init_state, dheads, dvalues):
         mask[s, :length] = True
         start += length
     x_seq = obs_seq.transpose(1, 0, 2)
-    h_pi, c_pi, h_vf, c_vf = init_state
+    (h_pi, h_vf), (c_pi, c_vf) = init_state
     pi_hs, pi_caches = _padded_lstm(params, "pi_lstm", hid, x_seq, h_pi, c_pi)
     vf_hs, vf_caches = _padded_lstm(params, "vf_lstm", hid, x_seq, h_vf, c_vf)
     flat = lambda a: a.transpose(1, 0, 2).reshape(n_seq * t_max, -1)  # noqa: E731

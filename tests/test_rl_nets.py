@@ -1,6 +1,9 @@
 """Gradient verification for the hand-written networks against central finite differences,
 and of the packed recurrent training path against the zero-padded one."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -19,7 +22,12 @@ from qfclab.rl.nets import (
 )
 from qfclab.rl.ppo import default_ppo_config, train
 
-from oracles import padded_recurrent_pass
+from oracles import (
+    packed_sequence_backward,
+    packed_sequence_forward,
+    padded_recurrent_pass,
+    two_cell_step,
+)
 
 FD_STEP = 1e-5
 REL_TOL = 1e-4
@@ -127,7 +135,7 @@ class TestRecurrentGradients:
         self.stops = (gen.random(n) < 0.5).astype(float)
         self.coeff = gen.standard_normal(n)
         self.returns = gen.standard_normal(n)
-        self.init = tuple(np.zeros((2, 4)) for _ in range(4))
+        self.init = (np.zeros((2, 2, 4)), np.zeros((2, 2, 4)))
 
     def joint_logp(self):
         heads, _, _ = self.net.sequence_forward(self.obs, self.lengths, self.init)
@@ -174,7 +182,7 @@ class TestRecurrentGradients:
         for t in range(3):
             heads_step, value_step, state = self.net.step(self.obs[t], state)
             heads_seq, values_seq, _ = self.net.sequence_forward(
-                self.obs[: t + 1], (t + 1,), tuple(np.zeros((1, 4)) for _ in range(4))
+                self.obs[: t + 1], (t + 1,), (np.zeros((2, 1, 4)), np.zeros((2, 1, 4)))
             )
             np.testing.assert_allclose(heads_step, heads_seq[t], atol=1e-12)
             assert value_step == pytest.approx(values_seq[t], abs=1e-12)
@@ -202,7 +210,8 @@ class TestPackedMatchesPadded:
                                    lstm_hidden=5, gen=gen)
         n, n_seq = sum(lengths), len(lengths)
         obs = gen.standard_normal((n, 2))
-        init_state = tuple(gen.uniform(-1.0, 1.0, (n_seq, 5)) for _ in range(4))
+        h_pi, c_pi, h_vf, c_vf = (gen.uniform(-1.0, 1.0, (n_seq, 5)) for _ in range(4))
+        init_state = (np.stack([h_pi, h_vf]), np.stack([c_pi, c_vf]))
         dheads = gen.standard_normal((n, 2))
         dvalues = gen.standard_normal(n)
 
@@ -219,16 +228,73 @@ class TestPackedMatchesPadded:
                 assert_rel_close(grads[name], ref_grads[name], 1e-12, name)
 
 
+class TestRecurrentMatchesTheAllocatingOracle:
+    """The in-place packed passes and the stacked step against the allocating code
+    they replaced (``tests/oracles.py``), byte for byte."""
+
+    @settings(max_examples=40)
+    @given(
+        first=st.lists(st.integers(1, 12), min_size=1, max_size=20),
+        lengths=st.lists(st.integers(1, 20), min_size=1, max_size=30),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(first=[3], lengths=[1, 1, 1, 1, 1], seed=0)  # every sequence one step long
+    @example(first=[1, 1], lengths=[6, 2, 2, 1], seed=1)  # tail steps with one live row
+    @example(first=[20, 20, 20], lengths=[2], seed=2)  # a smaller batch after a larger one
+    def test_forward_and_backward(self, first, lengths, seed):
+        gen = np.random.default_rng(seed)
+        net = RecurrentActorCritic(obs_dim=2, n_action_outputs=2, hidden=(8, 8),
+                                   lstm_hidden=5, gen=gen)
+
+        def batch(lengths):  # rows, nonzero start states and upstream gradients
+            n, n_seq = sum(lengths), len(lengths)
+            state = tuple(gen.uniform(-1.0, 1.0, (2, n_seq, 5)) for _ in range(2))
+            return gen.standard_normal((n, 2)), state, gen.standard_normal((n, 2)), \
+                gen.standard_normal(n)
+
+        # a first forward and backward, of another size, leave the net's buffers used
+        obs, state, dheads, dvalues = batch(first)
+        _, _, cache = net.sequence_forward(obs, first, state)
+        net.sequence_backward(cache, dheads, dvalues, zero_grads_like(net.params))
+
+        obs, state, dheads, dvalues = batch(lengths)
+        state_bytes = [a.tobytes() for a in state]
+        heads, values, cache = net.sequence_forward(obs, lengths, state)
+        grads = zero_grads_like(net.params)
+        net.sequence_backward(cache, dheads, dvalues, grads)
+        ref_heads, ref_values, ref_cache = packed_sequence_forward(net, obs, lengths, state)
+        ref_grads = zero_grads_like(net.params)
+        packed_sequence_backward(net, ref_cache, dheads, dvalues, ref_grads)
+        assert heads.tobytes() == ref_heads.tobytes()
+        assert values.tobytes() == ref_values.tobytes()
+        for name in net.params:
+            assert grads[name].tobytes() == ref_grads[name].tobytes(), name
+        assert [a.tobytes() for a in state] == state_bytes
+
+    @pytest.mark.parametrize("shape", [dict(), dict(hidden=(8, 8), lstm_hidden=5)],
+                             ids=["appendix", "wide-trunk"])
+    def test_300_chained_steps(self, shape):
+        net = RecurrentActorCritic(obs_dim=2, gen=np.random.default_rng(11), **shape)
+        state = ref_state = net.initial_state()
+        for obs in np.random.default_rng(12).standard_normal((300, 2)):
+            heads, value, state = net.step(obs, state)
+            ref_heads, ref_value, ref_state = two_cell_step(net, obs, ref_state)
+            assert heads.tobytes() == ref_heads.tobytes()
+            assert np.float64(value).tobytes() == np.float64(ref_value).tobytes()
+            assert [a.tobytes() for a in state] == [a.tobytes() for a in ref_state]
+
+
 class TestRolloutStack:
     """The rollout paths on a stack (n, obs_dim) equal the one-observation paths bit for bit."""
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_stacked_values_and_heads_equal_the_row_values(self, order):
         net = MlpActorCritic(obs_dim=9, gen=np.random.default_rng(8))
-        # a wide orthogonal init comes out Fortran-ordered; a copy may not be.  The
-        # rebound array leaves the flat vector, which these rollout paths never
-        # read: they read the parameters through the dict
-        net.params["vf.w0"] = np.array(net.params["vf.w0"], order=order)
+        # a wide orthogonal init comes out Fortran-ordered; a copy may not be, and
+        # new parameters built from it keep the copy's order
+        arrays = dict(net.params)
+        arrays["vf.w0"] = np.array(net.params["vf.w0"], order=order)
+        net.params = FlatParams(arrays)
         assert net.params["vf.w0"].flags[f"{order}_CONTIGUOUS"]
         obs = np.random.default_rng(9).standard_normal((13, 9))
         values = net.value(obs)
@@ -280,16 +346,27 @@ FIRST_LAYERS = ("pi.w0", "vf.w0", "pi_lstm.wx", "vf_lstm.wx")
 
 def assert_flat_layout(net):
     """Every parameter is a view into ``net.params.flat``, the views tile it
-    exactly once in dict order, and wide first-layer weights are Fortran-ordered."""
-    flat = net.params.flat
+    exactly once in the order of its layout (a pair side by side, with its
+    stack a view of both), and wide first-layer weights are Fortran-ordered."""
+    params = net.params
+    flat = params.flat
+    entries = [entry if isinstance(entry, tuple) else (entry,) for entry in params.layout]
+    assert sorted(name for names in entries for name in names) == sorted(params)
     offset = 0
-    for name, value in net.params.items():
-        assert np.shares_memory(value, flat), name
-        assert value.flags.c_contiguous or value.flags.f_contiguous, name
-        start = value.__array_interface__["data"][0] - flat.__array_interface__["data"][0]
-        assert start == offset * flat.itemsize, name
-        offset += value.size
+    for names in entries:
+        for j, name in enumerate(names):
+            value = params[name]
+            assert np.shares_memory(value, flat), name
+            assert value.flags.c_contiguous or value.flags.f_contiguous, name
+            start = value.__array_interface__["data"][0] - flat.__array_interface__["data"][0]
+            assert start == offset * flat.itemsize, name
+            offset += value.size
+            if len(names) > 1:
+                assert params.stacks[names[0]][j].__array_interface__ == value.__array_interface__
     assert offset == flat.size
+    if net.kind == "lstm":  # every policy array but the head steps with its value twin
+        assert sorted(params.stacks) == sorted(
+            name for name in params if name.startswith("pi") and name not in ("pi.wh", "pi.bh"))
     wide = [name for name in FIRST_LAYERS
             if name in net.params and net.params[name].shape[0] < net.params[name].shape[1]]
     assert len(wide) == 2
@@ -311,6 +388,36 @@ class TestFlatLayout:
                            seed=4)
         assert len(curve) == 2
         assert_flat_layout(net)
+
+    @pytest.mark.parametrize("net", [MlpActorCritic(obs_dim=9), RecurrentActorCritic(obs_dim=2)],
+                             ids=["mlp", "lstm"])
+    def test_rebinding_a_parameter_is_refused(self, net):
+        before = net.params["vf.w0"]
+        with pytest.raises(TypeError, match="assign into it"):
+            net.params["vf.w0"] = np.zeros_like(before)
+        with pytest.raises(TypeError):
+            net.params["extra"] = np.zeros(3)
+        with pytest.raises(TypeError):
+            net.params.update({"vf.w0": np.zeros_like(before)})
+        net.params["vf.w0"] *= 2.0  # in place: the same view is stored back
+        assert net.params["vf.w0"] is before
+        assert_flat_layout(net)
+
+    @pytest.mark.parametrize("copy_of", [copy.deepcopy, lambda net: pickle.loads(pickle.dumps(net))],
+                             ids=["deepcopy", "pickle"])
+    @pytest.mark.parametrize("net", [MlpActorCritic(obs_dim=9), RecurrentActorCritic(obs_dim=2)],
+                             ids=["mlp", "lstm"])
+    def test_a_copy_has_its_own_flat_vector(self, net, copy_of):
+        twin = copy_of(net)
+        assert twin.params.layout == net.params.layout
+        assert_flat_layout(twin)
+        assert not np.shares_memory(twin.params.flat, net.params.flat)
+        for name, value in net.params.items():
+            assert twin.params[name].strides == value.strides, name
+            assert twin.params[name].tobytes() == value.tobytes(), name
+        twin.params.flat[...] = 0.0
+        assert all(not value.any() for value in twin.params.values())
+        assert net.params["pi.w0"].any()
 
     def test_validate_names_the_non_finite_parameter(self):
         net = MlpActorCritic(obs_dim=3, hidden=(2,))

@@ -1,5 +1,8 @@
 """PPO machinery: ratio identity, surrogate and update gradients, toy convergence."""
 
+import logging
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -10,7 +13,9 @@ from qfclab.dynamics import EnvConfig
 from qfclab.rl import distributions as dist
 from qfclab.rl import nets
 from qfclab.rl.buffer import RolloutBuffer, compute_gae
-from qfclab.rl.config import CLIP_RANGE, GAE_LAMBDA, GAMMA, VALUE_COEFF, PpoConfig
+from qfclab.rl.config import (
+    CLIP_RANGE, GAE_LAMBDA, GAMMA, QOMDP_LEARNING_RATE, VALUE_COEFF, PpoConfig,
+)
 from qfclab.rl.envs import ScenarioEnv
 from qfclab.rl.nets import Adam, MlpActorCritic, RecurrentActorCritic, zero_grads_like
 from qfclab.rl.ppo import (
@@ -314,6 +319,45 @@ class TestPackedWork:
         assert sum(cache.alive) == cache.gates.shape[1] == sum(lengths)  # LSTM row-steps
 
 
+class TestRecurrentStateIsOnlyRead:
+    def test_rollouts_and_updates_leave_every_state_array_as_issued(self, monkeypatch):
+        # the packed update writes into reused buffers: a start state taken in
+        # as one of them would change under the segment that holds it
+        net = RecurrentActorCritic(obs_dim=2, n_action_outputs=2,
+                                   gen=RngStream(70).substream("init").generator())
+        issued = []  # every state array handed out, with its bytes at that moment
+        initial_state, step = net.initial_state, net.step
+
+        def recording_initial_state():
+            state = initial_state()
+            issued.extend((a, a.tobytes()) for a in state)
+            return state
+
+        def recording_step(obs, state):
+            heads, value, new_state = step(obs, state)
+            issued.extend((a, a.tobytes()) for a in new_state)
+            return heads, value, new_state
+
+        monkeypatch.setattr(net, "initial_state", recording_initial_state)
+        monkeypatch.setattr(net, "step", recording_step)
+        cfg = PpoConfig(n_steps=128, total_timesteps=256)
+        runner = _EnvRunner(ScenarioEnv("qomdp", EnvConfig(epsilon=0.1), RngStream(71)), net)
+        sample_gen = RngStream(72).substream("actions").generator()
+        shuffle_gen = RngStream(72).substream("shuffle").generator()
+        adam = Adam(QOMDP_LEARNING_RATE)
+        segments = []
+        for _ in range(2):  # the second window starts from a carried state
+            buffer = collect_rollout(runner, net, cfg, sample_gen)
+            compute_gae(buffer, GAMMA, GAE_LAMBDA)
+            held = [(a, a.tobytes()) for seg in buffer.segments for a in seg.init_state]
+            ppo_update(net, buffer, adam, shuffle_gen)
+            assert all(a.tobytes() == before for a, before in held)
+            segments += buffer.segments
+        assert np.any(segments[-len(buffer.segments)].init_state[0] != 0.0)
+        assert len(issued) > 2 * 256
+        assert all(a.tobytes() == before for a, before in issued)
+
+
 BUFFER_ARRAYS = ("observations", "pre_squash", "stops", "log_probs", "rewards", "values",
                  "dones")
 
@@ -445,6 +489,17 @@ class TestTrainMechanics:
         with pytest.raises(TrainingDiverged, match="non-finite"):
             ppo_update(net, buffer, Adam(learning_rate=0.01),
                        RngStream(9).substream("shuffle").generator())
+
+    def test_each_update_logs_its_time_split(self, caplog):
+        cfg = PpoConfig(n_steps=128, total_timesteps=384)
+        with caplog.at_level(logging.DEBUG, logger="qfclab.rl.ppo"):
+            train("mbs", EnvConfig(epsilon=0.1, horizon=8), cfg, seed=3)
+        lines = [r.getMessage() for r in caplog.records
+                 if r.name == "qfclab.rl.ppo" and r.levelno == logging.DEBUG]
+        assert len(lines) == 3
+        for update, line in enumerate(lines):
+            assert re.fullmatch(rf"update {update}: rollout \d+\.\d{{3}} s, "
+                                rf"update \d+\.\d{{3}} s, \d+ timesteps/s", line), line
 
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ValueError, match="scenario"):

@@ -16,7 +16,14 @@ from qfclab.rl import nets, ppo
 from qfclab.rl.ppo import default_ppo_config, train
 from qfclab.rngstream import RngStream
 
-from oracles import DictAdam, mlp_backward, mlp_forward
+from oracles import (
+    DictAdam,
+    mlp_backward,
+    mlp_forward,
+    packed_sequence_backward,
+    packed_sequence_forward,
+    two_cell_step,
+)
 
 
 def reward_trend(curve):
@@ -73,6 +80,23 @@ def test_training_equals_the_dict_oracle(scenario, noise, monkeypatch):
     monkeypatch.setattr(nets, "_mlp_backward", lambda *args, **_: mlp_backward(*args[:6]))
     monkeypatch.setattr(ppo, "Adam", DictAdam)
     oracle, oracle_curve = train(scenario, env_cfg, ppo_cfg, seed)
+    assert len(curve) == 3
+    assert json.dumps(curve) == json.dumps(oracle_curve)
+    for name, value in oracle.params.items():
+        assert net.params[name].tobytes() == value.tobytes(), name
+
+
+def test_recurrent_training_equals_the_allocating_oracle(monkeypatch):
+    # the stacked rollout step and the in-place packed LSTM against the two-cell
+    # step and the allocating packed passes, over 3 updates; unlike the digest,
+    # this holds on any numpy or BLAS build
+    env_cfg = EnvConfig(noise_kind="depolarizing", alpha=0.6, epsilon=0.1)
+    ppo_cfg = default_ppo_config("qomdp", total_timesteps=3 * 512)
+    net, curve = train("qomdp", env_cfg, ppo_cfg, seed=100)
+    monkeypatch.setattr(nets.RecurrentActorCritic, "step", two_cell_step)
+    monkeypatch.setattr(nets.RecurrentActorCritic, "sequence_forward", packed_sequence_forward)
+    monkeypatch.setattr(nets.RecurrentActorCritic, "sequence_backward", packed_sequence_backward)
+    oracle, oracle_curve = train("qomdp", env_cfg, ppo_cfg, seed=100)
     assert len(curve) == 3
     assert json.dumps(curve) == json.dumps(oracle_curve)
     for name, value in oracle.params.items():
