@@ -320,22 +320,22 @@ class TestPackedWork:
 
 
 class TestRecurrentStateIsOnlyRead:
-    def test_rollouts_and_updates_leave_every_state_array_as_issued(self, monkeypatch):
+    def test_rollouts_and_updates_leave_every_state_array_as_handed_out(self, monkeypatch):
         # the packed update writes into reused buffers: a start state taken in
         # as one of them would change under the segment that holds it
         net = RecurrentActorCritic(obs_dim=2, n_action_outputs=2,
                                    gen=RngStream(70).substream("init").generator())
-        issued = []  # every state array handed out, with its bytes at that moment
+        handed_out = []  # every state array handed out, with its bytes at that moment
         initial_state, step = net.initial_state, net.step
 
         def recording_initial_state():
             state = initial_state()
-            issued.extend((a, a.tobytes()) for a in state)
+            handed_out.extend((a, a.tobytes()) for a in state)
             return state
 
         def recording_step(obs, state):
             heads, value, new_state = step(obs, state)
-            issued.extend((a, a.tobytes()) for a in new_state)
+            handed_out.extend((a, a.tobytes()) for a in new_state)
             return heads, value, new_state
 
         monkeypatch.setattr(net, "initial_state", recording_initial_state)
@@ -354,8 +354,8 @@ class TestRecurrentStateIsOnlyRead:
             assert all(a.tobytes() == before for a, before in held)
             segments += buffer.segments
         assert np.any(segments[-len(buffer.segments)].init_state[0] != 0.0)
-        assert len(issued) > 2 * 256
-        assert all(a.tobytes() == before for a, before in issued)
+        assert len(handed_out) > 2 * 256
+        assert all(a.tobytes() == before for a, before in handed_out)
 
 
 BUFFER_ARRAYS = ("observations", "pre_squash", "stops", "log_probs", "rewards", "values",
