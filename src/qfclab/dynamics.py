@@ -214,9 +214,10 @@ def encode_outcome_observation(
     last_outcome: int | np.ndarray, last_beta: float | np.ndarray
 ) -> np.ndarray:
     """The pair (last outcome, last control) as 2 floats (arrays (n,) into (n, 2))."""
-    return np.stack(
-        [np.asarray(last_outcome, dtype=float), np.asarray(last_beta, dtype=float)], axis=-1
-    )
+    obs = np.empty(np.shape(last_outcome) + (2,))
+    obs[..., 0] = last_outcome
+    obs[..., 1] = last_beta
+    return obs
 
 
 def _rows(policy_state, keep: np.ndarray):

@@ -13,7 +13,7 @@ import logging
 import sys
 from pathlib import Path
 
-from ..channels import ConditioningError
+from ..channels import ConditioningError, ParameterError
 from ..controllers import basic_policy
 from ..dynamics import EnvConfig
 from ..qcore import DimensionError, StateValidityError
@@ -36,7 +36,8 @@ EXIT_CONFIG = 1
 EXIT_MISSING_CHECKPOINT = 2
 EXIT_RUNTIME = 3
 
-NUMERICAL_ERRORS = (StateValidityError, ConditioningError, DimensionError)
+# ValueError subclasses, yet failures of a running job once its configuration is built
+RUNTIME_ERRORS = (StateValidityError, ConditioningError, DimensionError, ParameterError)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -88,12 +89,18 @@ TRAIN_CURVE_COLUMNS = (
 )
 
 
+def _env_config(args) -> EnvConfig:
+    """The command's cell; a parameter outside its range is a configuration error."""
+    try:
+        return EnvConfig(noise_kind=args.noise, alpha=args.alpha, epsilon=args.epsilon,
+                         horizon=args.horizon)
+    except ParameterError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _cmd_train(args) -> int:
-    env_cfg = EnvConfig(
-        noise_kind=args.noise, alpha=args.alpha, epsilon=args.epsilon, horizon=args.horizon
-    )
     out = Path(args.out)
-    curve = train_checkpoint(args.scenario, env_cfg, args.timesteps, args.seed, out)
+    curve = train_checkpoint(args.scenario, _env_config(args), args.timesteps, args.seed, out)
     curve_path = out.with_suffix(out.suffix + ".curve.csv")
     rows = ([row[name] for name in TRAIN_CURVE_COLUMNS] for row in curve)
     curve_path.write_text(render_csv(TRAIN_CURVE_COLUMNS, rows))
@@ -110,10 +117,7 @@ def _cmd_eval(args) -> int:
             raise MissingCheckpointError(f"checkpoint {args.policy} not found")
         policy, meta = load_policy(args.policy)
         scenario = meta["scenario"]
-    env_cfg = EnvConfig(
-        noise_kind=args.noise, alpha=args.alpha, epsilon=args.epsilon, horizon=args.horizon
-    )
-    cell = evaluate(policy, env_cfg, args.episodes, args.seed,
+    cell = evaluate(policy, _env_config(args), args.episodes, args.seed,
                     scenario=scenario, f_star=args.f_star)
     print(render_results_csv([cell]), end="")
     return EXIT_OK
@@ -169,7 +173,7 @@ def main(argv=None) -> int:
     except MissingCheckpointError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING_CHECKPOINT
-    except NUMERICAL_ERRORS as exc:  # ValueError subclasses, yet failures of a running job
+    except RUNTIME_ERRORS as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except (ConfigError, ValueError) as exc:

@@ -2,8 +2,8 @@
 
 The update maximizes E[min(r*A, clip(r, 1 +- c)*A)] - c_v*value_mse with
 advantages normalized per update, the reference formulation at its entropy
-coefficient of 0; each epoch is one update over the whole rollout window in a
-fresh random order.  Collection, advantage estimation, and updates all run in
+coefficient of 0; each epoch is one update over the whole rollout window in
+buffer order.  Collection, advantage estimation, and updates all run in
 float64 with every random draw tied to a named substream, so a seed
 reproduces training bit for bit.
 """
@@ -147,48 +147,35 @@ def _policy_grad_coeff(ratio, adv_norm, clip_range, n):
     return -(adv_norm * ratio * active) / n, surr1, surr2
 
 
-class _PackedSegments:
-    """A window's segments packed once per rollout: each one's buffer rows, its
-    length, and its start state (h, c) stacked, each (2, n_segments, H)."""
-
-    def __init__(self, segments):
-        self.rows = [np.arange(seg.start, seg.end) for seg in segments]
-        self.lengths = np.array([seg.end - seg.start for seg in segments])
-        self.h, self.c = (np.concatenate([seg.init_state[j] for seg in segments], axis=1)
+def _segment_starts(segments):
+    """What the packed LSTM passes take besides the rows: each segment's length
+    and the segments' start states (h, c) stacked, each (2, n_segments, H)."""
+    lengths = np.array([seg.end - seg.start for seg in segments])
+    return lengths, tuple(np.concatenate([seg.init_state[j] for seg in segments], axis=1)
                           for j in range(2))
 
-    def take(self, order):
-        """(buffer rows, lengths, start state) of the segments in ``order``, back to back."""
-        idx = np.concatenate([self.rows[i] for i in order])
-        return idx, self.lengths[order], (self.h[:, order], self.c[:, order])
 
+def _update_step(net, buffer, adam, starts=None) -> dict:
+    """One clipped-surrogate step over the whole window, in buffer order.
 
-def _update_step(net, buffer, batch, adam) -> dict:
-    """One clipped-surrogate step over buffer rows (mlp) or segments (lstm), in that order.
-
-    The segments come as a list, or already packed by :meth:`_PackedSegments.take`.
+    ``starts`` is :func:`_segment_starts` of the buffer's segments for the LSTM,
+    ``None`` for the MLP.
     """
     recurrent = net.kind == "lstm"
     if recurrent:
-        if isinstance(batch, list):
-            batch = _PackedSegments(batch).take(np.arange(len(batch)))
-        idx, lengths, init_state = batch
-        heads, values, cache = net.sequence_forward(buffer.observations[idx], lengths, init_state)
+        heads, values, cache = net.sequence_forward(buffer.observations, *starts)
     else:
-        idx = batch
-        heads, values, cache = net.forward(buffer.observations[idx])
-    pre = buffer.pre_squash[idx]
-    lp_old = buffer.log_probs[idx]
-    adv = _normalized(buffer.advantages[idx])
-    returns = buffer.returns[idx]
-    n = len(idx)
+        heads, values, cache = net.forward(buffer.observations)
+    pre, lp_old, returns = buffer.pre_squash, buffer.log_probs, buffer.returns
+    adv = _normalized(buffer.advantages)
+    n = buffer.size
 
     mean = heads[:, 0]
     log_std = net.log_std
     lp_new = dist.squashed_log_prob(pre, mean, log_std)
     with_stop = net.n_action_outputs == 2
     if with_stop:
-        stops = buffer.stops[idx]
+        stops = buffer.stops
         logit = heads[:, 1]
         lp_new = lp_new + dist.bernoulli_log_prob(stops, logit)
     log_ratio = lp_new - lp_old
@@ -228,26 +215,18 @@ def _update_step(net, buffer, batch, adam) -> dict:
     }
 
 
-def ppo_update(net, buffer: RolloutBuffer, adam: Adam, shuffle_gen: np.random.Generator) -> dict:
-    """Run the epochs over one full buffer, each one update over the whole window.
+def ppo_update(net, buffer: RolloutBuffer, adam: Adam) -> dict:
+    """Run the epochs over one full buffer, each one update over the whole window
+    in buffer order.
 
-    Each epoch draws one permutation, of the rows (mlp) or of the episode
-    segments (lstm), and updates once over the window in that order.  Returns
-    the mean over epochs of the losses, the entropy and three health signals:
-    the pre-clip gradient norm, the approximate KL divergence mean((r - 1) -
-    log r) and the share of rows with |r - 1| > the clip range.
+    Returns the mean over epochs of the losses, the entropy and three health
+    signals: the pre-clip gradient norm, the approximate KL divergence
+    mean((r - 1) - log r) and the share of rows with |r - 1| > the clip range.
     """
     if buffer.advantages is None:
         raise ValueError("advantages not computed; call compute_gae first")
-    diags: list[dict] = []
-    if net.kind == "lstm":
-        packed = _PackedSegments(buffer.segments)
-    for _ in range(N_EPOCHS):
-        if net.kind == "lstm":
-            batch = packed.take(shuffle_gen.permutation(len(buffer.segments)))
-        else:
-            batch = shuffle_gen.permutation(buffer.size)
-        diags.append(_update_step(net, buffer, batch, adam))
+    starts = _segment_starts(buffer.segments) if net.kind == "lstm" else None
+    diags = [_update_step(net, buffer, adam, starts) for _ in range(N_EPOCHS)]
     validate_params(net.params)
     return {name: float(np.mean([d[name] for d in diags])) for name in diags[0]}
 
@@ -286,7 +265,6 @@ def train(
     if net is None:
         net = _make_net(scenario, root.substream("init").generator())
     sample_gen = root.substream("actions").generator()
-    shuffle_gen = root.substream("shuffle").generator()
     adam = Adam(ppo_cfg.learning_rate)
 
     env_stream = root.substream("env", 0)
@@ -305,7 +283,7 @@ def train(
         compute_gae(buffer, GAMMA, GAE_LAMBDA)
         collected = time.perf_counter()
         try:
-            diag = ppo_update(net, buffer, adam, shuffle_gen)
+            diag = ppo_update(net, buffer, adam)
         except TrainingDiverged as exc:
             raise TrainingDiverged(
                 f"update {update} (timestep {update * ppo_cfg.n_steps}): {exc}"

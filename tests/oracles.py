@@ -3,17 +3,23 @@
 Everything here deliberately avoids the library's own code paths: plain
 Taylor series, brute-force sums, linear solves, and explicit map iteration.
 The certifiers from ``choi_matrix`` on are the exception: they check its values.
+So is ``shuffled_ppo_update``, which only reorders the window the library's
+update step takes.
 """
 
 from __future__ import annotations
+
+import copy
 
 import numpy as np
 
 from qfclab.channels import ParameterError, control_unitary
 from qfclab.dynamics import run_episodes
 from qfclab.qcore import DEFAULT_TOL
+from qfclab.rl import ppo
+from qfclab.rl.config import N_EPOCHS
 from qfclab.rl.nets import (
-    ADAM_BETA1, ADAM_BETA2, ADAM_EPS, LOG_STD_MAX, LOG_STD_MIN, MAX_GRAD_NORM,
+    ADAM_BETA1, ADAM_BETA2, ADAM_EPS, LOG_STD_MAX, LOG_STD_MIN, MAX_GRAD_NORM, validate_params,
 )
 
 CONTROL_GEN = np.array(
@@ -311,6 +317,44 @@ class DictAdam:
         if "log_std" in params:
             params["log_std"][...] = np.clip(params["log_std"], LOG_STD_MIN, LOG_STD_MAX)
         return total
+
+
+def shuffled_ppo_update(shuffle_gen: np.random.Generator):
+    """``ppo_update(net, buffer, adam)`` with each epoch over the window in a fresh
+    random order: one permutation per epoch from ``shuffle_gen``, of the rows (mlp)
+    or of the episode segments (lstm), then one ``_update_step`` over a copy of the
+    buffer whose rows and segments are in that order.
+
+    With ``RngStream(seed).substream("shuffle").generator()`` patched in, ``train``
+    replays the training of the code that drew these permutations.
+    """
+
+    def update(net, buffer, adam):
+        if buffer.advantages is None:
+            raise ValueError("advantages not computed; call compute_gae first")
+        segments = buffer.segments
+        if net.kind == "lstm":
+            h, c = (np.concatenate([seg.init_state[j] for seg in segments], axis=1)
+                    for j in range(2))
+        diags = []
+        for _ in range(N_EPOCHS):
+            window = copy.copy(buffer)
+            if net.kind == "lstm":
+                order = shuffle_gen.permutation(len(segments))
+                rows = np.concatenate([np.arange(segments[i].start, segments[i].end)
+                                       for i in order])
+                lengths = np.array([segments[i].end - segments[i].start for i in order])
+                starts = (lengths, (h[:, order], c[:, order]))
+            else:
+                rows, starts = shuffle_gen.permutation(buffer.size), None
+            for name in ("observations", "pre_squash", "stops", "log_probs", "advantages",
+                         "returns"):
+                setattr(window, name, getattr(buffer, name)[rows])
+            diags.append(ppo._update_step(net, window, adam, starts))
+        validate_params(net.params)
+        return {name: float(np.mean([d[name] for d in diags])) for name in diags[0]}
+
+    return update
 
 
 def lstm_cell(pre, c):

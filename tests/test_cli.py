@@ -1,11 +1,13 @@
 """Command-line interface: subcommands, exit codes, file outputs."""
 
+import argparse
+import re
 import zipfile
 from pathlib import Path
 
 import pytest
 
-from qfclab.channels import ConditioningError
+from qfclab.channels import ConditioningError, control_unitary
 from qfclab.harness import cli
 from qfclab.harness.cli import (
     EXIT_CONFIG,
@@ -109,6 +111,20 @@ class TestEvalCommand:
         assert code == EXIT_RUNTIME
         assert error.__name__ in capsys.readouterr().err
 
+    def test_parameter_error_mid_run_is_a_runtime_error(self, monkeypatch, capsys):
+        # the cell was built; a control out of range is a failure of the running job
+        monkeypatch.setattr(cli, "evaluate", lambda *args, **kwargs: control_unitary(1.5))
+        code = main(["eval", "--policy", "basic", "--episodes", "1"])
+        assert code == EXIT_RUNTIME
+        assert "ParameterError" in capsys.readouterr().err
+
+    def test_unknown_noise_is_config_error(self, capsys):
+        code = main(["eval", "--policy", "basic", "--noise", "bogus", "--episodes", "1"])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert "bogus" in captured.err
+        assert captured.out == ""
+
     def test_checkpoint_missing_header_field_is_config_error(self, tmp_path, capsys):
         ckpt = tmp_path / "p.ckpt"
         save_policy(ckpt, MlpActorCritic(obs_dim=9), "mbs", {})
@@ -170,6 +186,16 @@ class TestTrainEvalRoundTrip:
         ])
         assert code == EXIT_CONFIG
         assert "total_timesteps" in capsys.readouterr().err
+        assert not ckpt.exists()
+
+    def test_epsilon_out_of_range_is_config_error(self, tmp_path, capsys):
+        ckpt = tmp_path / "mbs.ckpt"
+        code = main([
+            "train", "--scenario", "mbs", "--epsilon", "0.5", "--timesteps", "0",
+            "--out", str(ckpt),
+        ])
+        assert code == EXIT_CONFIG
+        assert "epsilon" in capsys.readouterr().err
         assert not ckpt.exists()
 
     def test_budget_below_one_rollout_is_config_error(self, tmp_path, capsys):
@@ -335,3 +361,22 @@ class TestReportCommand:
         assert main([
             "report", "--results", str(tmp_path / "void"), "--out", str(tmp_path / "rep"),
         ]) == EXIT_CONFIG
+
+
+def test_readme_synopsis_lists_every_option():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    synopses = {}  # subcommand -> its synopsis lines, continuation lines included
+    for line in block.strip().splitlines():
+        if line.startswith("qfclab "):
+            command = line.split()[1]
+        synopses[command] = synopses.get(command, "") + line
+    (subcommands,) = [action for action in cli._build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction)]
+    assert set(synopses) == set(subcommands.choices)
+    for command, parser in subcommands.choices.items():
+        for action in parser._actions:
+            for option in action.option_strings:
+                if option not in ("-h", "--help"):
+                    assert re.search(rf"{re.escape(option)}(?![\w-])", synopses[command]), (
+                        command, option)

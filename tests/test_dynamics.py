@@ -14,6 +14,7 @@ from qfclab.controllers import BasicTable, basic_policy
 from qfclab.dynamics import (
     EnvConfig,
     FilterDivergenceError,
+    encode_outcome_observation,
     filter_update,
     run_episodes,
     step_true,
@@ -274,6 +275,25 @@ class TestFilteredEpisodes:
             assert skipping.observation().tobytes() == filtering.observation().tobytes()
             assert skipping.seen.tobytes() == filtering.seen.tobytes()
             assert skipping.rho.tobytes() == filtering.rho.tobytes()
+
+
+@pytest.mark.parametrize("outcome, beta", [
+    (2, 0.25),
+    (0, -0.0),
+    (1.0, 1),
+    (np.int64(1), np.float64(-0.75)),
+    (np.int32(0), np.float32(0.1)),
+    (np.array([0, 2, 1]), np.array([0.5, -1.0, 0.0])),
+    (np.array([1.0]), np.array([np.float32(0.3)])),
+    (np.zeros(0, dtype=int), np.zeros(0)),
+], ids=["ints-floats", "negative-zero", "float-int", "numpy-scalars", "narrow-scalars",
+        "arrays", "narrow-array", "empty-arrays"])
+def test_outcome_observation_bytes_equal_the_stacked_pair(outcome, beta):
+    want = np.stack([np.asarray(outcome, dtype=float), np.asarray(beta, dtype=float)], axis=-1)
+    got = encode_outcome_observation(outcome, beta)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
 
 
 class TestEstimateAverageState:

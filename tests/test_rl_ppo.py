@@ -23,6 +23,7 @@ from qfclab.rl.ppo import (
     _collect_stepwise,
     _EnvRunner,
     _policy_grad_coeff,
+    _segment_starts,
     _update_step,
     collect_rollout,
     ppo_update,
@@ -162,7 +163,7 @@ class TestSurrogateGradient:
         buffer.advantages = np.zeros(buffer.size)
         before = {k: v.copy() for k, v in net.params.items()}
         adam = Adam(learning_rate=0.05)
-        _update_step(net, buffer, np.arange(buffer.size), adam)
+        _update_step(net, buffer, adam)
         for name in net.params:
             if name.startswith("pi.") or name == "log_std":
                 np.testing.assert_array_equal(net.params[name], before[name])
@@ -256,16 +257,16 @@ class TestUpdateGradient:
         net.params["pi.wh"] *= 30.0  # heads away from zero: stops of both kinds
         buffer = self.second_window(net, kind, 51)
         if net.kind == "lstm":
-            batch = buffer.segments
+            batch, starts = buffer.segments, _segment_starts(buffer.segments)
             assert np.any(batch[0].init_state[0] != 0.0)
         else:
-            batch = np.random.default_rng(52).permutation(buffer.size)[:24]
+            batch, starts = np.arange(buffer.size), None
         if net.n_action_outputs == 2:
             assert 0.0 < buffer.stops.mean() < 1.0
 
         before = {name: v.copy() for name, v in net.params.items()}
         optimizer = RecordingOptimizer()
-        _update_step(net, buffer, batch, optimizer)
+        _update_step(net, buffer, optimizer, starts)
         for name in net.params:
             np.testing.assert_array_equal(net.params[name], before[name])
 
@@ -313,7 +314,7 @@ class TestPackedWork:
 
         monkeypatch.setattr(nets, "_mlp_forward", counting_mlp_forward)
         monkeypatch.setattr(RecurrentActorCritic, "sequence_forward", recording_sequence_forward)
-        _update_step(net, buffer, buffer.segments, RecordingOptimizer())
+        _update_step(net, buffer, RecordingOptimizer(), _segment_starts(buffer.segments))
         assert trunk_rows == [sum(lengths), sum(lengths)]  # policy and value trunks
         (cache,) = caches
         assert sum(cache.alive) == cache.gates.shape[1] == sum(lengths)  # LSTM row-steps
@@ -343,14 +344,13 @@ class TestRecurrentStateIsOnlyRead:
         cfg = PpoConfig(n_steps=128, total_timesteps=256)
         runner = _EnvRunner(ScenarioEnv("qomdp", EnvConfig(epsilon=0.1), RngStream(71)), net)
         sample_gen = RngStream(72).substream("actions").generator()
-        shuffle_gen = RngStream(72).substream("shuffle").generator()
         adam = Adam(QOMDP_LEARNING_RATE)
         segments = []
         for _ in range(2):  # the second window starts from a carried state
             buffer = collect_rollout(runner, net, cfg, sample_gen)
             compute_gae(buffer, GAMMA, GAE_LAMBDA)
             held = [(a, a.tobytes()) for seg in buffer.segments for a in seg.init_state]
-            ppo_update(net, buffer, adam, shuffle_gen)
+            ppo_update(net, buffer, adam)
             assert all(a.tobytes() == before for a, before in held)
             segments += buffer.segments
         assert np.any(segments[-len(buffer.segments)].init_state[0] != 0.0)
@@ -487,8 +487,7 @@ class TestTrainMechanics:
         buffer = collect_one(net, 10)
         buffer.advantages[0] = np.nan
         with pytest.raises(TrainingDiverged, match="non-finite"):
-            ppo_update(net, buffer, Adam(learning_rate=0.01),
-                       RngStream(9).substream("shuffle").generator())
+            ppo_update(net, buffer, Adam(learning_rate=0.01))
 
     def test_each_update_logs_its_time_split(self, caplog):
         cfg = PpoConfig(n_steps=128, total_timesteps=384)

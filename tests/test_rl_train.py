@@ -22,6 +22,7 @@ from oracles import (
     mlp_forward,
     packed_sequence_backward,
     packed_sequence_forward,
+    shuffled_ppo_update,
     two_cell_step,
 )
 
@@ -33,11 +34,26 @@ def reward_trend(curve):
 
 
 # SHA-256 of the parameters and curve after 1,024 steps (seed 100 + noise index,
-# alpha 0.6, epsilon 0.1, appendix hyperparameters), recorded with the stepwise
-# rollout loop on numpy 2.4.6 with OpenBLAS 0.3.31; another numpy or BLAS build
-# may round the products differently and would need its own record.  The qomdp
-# case pins the recurrent rollout step and the packed-sequence update.
+# alpha 0.6, epsilon 0.1, appendix hyperparameters), each epoch over the window in
+# buffer order, recorded with the commit that made it so, on numpy 2.4.6 with
+# OpenBLAS 0.3.31;
+# another numpy or BLAS build may round the products differently and would need
+# its own record: ``PYTHONPATH=src python tests/test_rl_train.py`` prints this
+# table for the code and build at hand.  The qomdp case pins the recurrent
+# rollout step and the packed-sequence update.
 TRAINING_DIGESTS = {
+    ("mbs", "depolarizing"): "177f5369963894e7ba448293a885a2efac2c78314d71414290c3e416e922935b",
+    ("mbs", "amplitude_damping"): "c91ae93f9f59cd2f4b211105c0d42c2735de13969c8b6dfc2030480c7fc5fd6f",
+    ("mbs", "random_permutation"): "4361c08a08c9e096824fdb70b0ab6b7dab2a4ebde3b1ed441bfe363016964bdb",
+    ("dbs", "depolarizing"): "bef7ab2cff4edbf1e1dce4ed14f15d86e9f5b7778d0d96ac650abac77f1b0b05",
+    ("dbs", "amplitude_damping"): "09977931d4ab052d3b2fcf35cbccb164a0e94fe492a1289dc7d3314b34333ff5",
+    ("dbs", "random_permutation"): "f733b0b6bc758a8341167bc1233a5d05eef28b3c66f2af56d68be8b66c32c7ef",
+    ("qomdp", "depolarizing"): "8d64bd077633f02e34beb68bc33448d871f83a2e83cbb413292fd04063493e1a",
+}
+# The same runs with each epoch over the window in a fresh random order, drawn
+# from the seed's "shuffle" substream (oracles.shuffled_ppo_update): the digests
+# training pinned up to 0de86f8, on the same build.
+SHUFFLED_DIGESTS = {
     ("mbs", "depolarizing"): "3b9fc2778914190cc987e076df4b96fc3daf1f74c1c8d487074ad1b7b102580b",
     ("mbs", "amplitude_damping"): "189833e30bd1a08bec3a5f67c1b5b9bc4d9948d4c86e7dea9171d195ed1e5e7b",
     ("mbs", "random_permutation"): "ca95b0eae81f61c340cf6c6f1b44e3610294dba7174147bb263539b9797bd269",
@@ -58,12 +74,44 @@ def training_digest(net, curve) -> str:
     return digest.hexdigest()
 
 
+def pinned_run(scenario, noise, timesteps=1024):
+    """Train one digest-table case: (net, curve)."""
+    env_cfg = EnvConfig(noise_kind=noise, alpha=0.6, epsilon=0.1)
+    ppo_cfg = default_ppo_config(scenario, total_timesteps=timesteps)
+    return train(scenario, env_cfg, ppo_cfg, seed=100 + NOISES.index(noise))
+
+
+def patch_shuffled_update(monkeypatch, noise):
+    seed = 100 + NOISES.index(noise)
+    gen = RngStream(seed).substream("shuffle").generator()
+    monkeypatch.setattr(ppo, "ppo_update", shuffled_ppo_update(gen))
+
+
 @pytest.mark.parametrize("scenario,noise", list(TRAINING_DIGESTS))
 def test_training_streams_are_pinned(scenario, noise):
-    env_cfg = EnvConfig(noise_kind=noise, alpha=0.6, epsilon=0.1)
-    ppo_cfg = default_ppo_config(scenario, total_timesteps=1024)
-    net, curve = train(scenario, env_cfg, ppo_cfg, seed=100 + NOISES.index(noise))
-    assert training_digest(net, curve) == TRAINING_DIGESTS[scenario, noise]
+    assert training_digest(*pinned_run(scenario, noise)) == TRAINING_DIGESTS[scenario, noise]
+
+
+@pytest.mark.parametrize("scenario,noise", list(SHUFFLED_DIGESTS))
+def test_shuffled_oracle_replays_the_shuffled_digests(scenario, noise, monkeypatch):
+    patch_shuffled_update(monkeypatch, noise)
+    assert training_digest(*pinned_run(scenario, noise)) == SHUFFLED_DIGESTS[scenario, noise]
+
+
+@pytest.mark.parametrize("scenario,noise", list(TRAINING_DIGESTS))
+def test_buffer_order_training_is_near_the_shuffled_oracle(scenario, noise, monkeypatch):
+    # the epoch order changes only the order of the sums inside each update
+    net, curve = pinned_run(scenario, noise, timesteps=10 * 512)
+    patch_shuffled_update(monkeypatch, noise)
+    oracle, oracle_curve = pinned_run(scenario, noise, timesteps=10 * 512)
+    for name, value in oracle.params.items():
+        deviation = np.max(np.abs(net.params[name] - value)) / np.max(np.abs(value))
+        assert deviation <= 1e-11, name
+    assert len(curve) == len(oracle_curve) == 10
+    for row, oracle_row in zip(curve, oracle_curve):
+        assert row.keys() == oracle_row.keys()
+        for key, value in oracle_row.items():
+            np.testing.assert_allclose(row[key], value, rtol=1e-10, atol=0, err_msg=key)
 
 
 @pytest.mark.parametrize("scenario,noise", list(TRAINING_DIGESTS))
@@ -147,3 +195,14 @@ class TestQomdpTraining:
         assert on_target / 200 >= 0.80
         # the batch records where the stop happened and what the terminal read
         assert stopped > 0
+
+
+if __name__ == "__main__":
+    # print TRAINING_DIGESTS for the code and the numpy/BLAS build at hand
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    print(f"# numpy {np.__version__}, {blas['name']} {blas['version']}")
+    print("TRAINING_DIGESTS = {")
+    for scenario, noise in TRAINING_DIGESTS:
+        digest = training_digest(*pinned_run(scenario, noise))
+        print(f'    ("{scenario}", "{noise}"): "{digest}",')
+    print("}")
