@@ -35,12 +35,11 @@ def reward_trend(curve):
 
 # SHA-256 of the parameters and curve after 1,024 steps (seed 100 + noise index,
 # alpha 0.6, epsilon 0.1, appendix hyperparameters), each epoch over the window in
-# buffer order, recorded with the commit that made it so, on numpy 2.4.6 with
-# OpenBLAS 0.3.31;
-# another numpy or BLAS build may round the products differently and would need
-# its own record: ``PYTHONPATH=src python tests/test_rl_train.py`` prints this
-# table for the code and build at hand.  The qomdp case pins the recurrent
-# rollout step and the packed-sequence update.
+# buffer order, recorded at 2adfee0 on numpy 2.4.6 with OpenBLAS 0.3.31; another
+# numpy or BLAS build may round the products differently and would need its own
+# record: ``PYTHONPATH=src python tests/test_rl_train.py`` prints this table for
+# the code and build at hand.  The qomdp case pins the recurrent rollout step and
+# the packed-sequence update.
 TRAINING_DIGESTS = {
     ("mbs", "depolarizing"): "177f5369963894e7ba448293a885a2efac2c78314d71414290c3e416e922935b",
     ("mbs", "amplitude_damping"): "c91ae93f9f59cd2f4b211105c0d42c2735de13969c8b6dfc2030480c7fc5fd6f",
