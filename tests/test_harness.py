@@ -47,6 +47,7 @@ from qfclab.harness.report import (
 from qfclab.qcore import basis_state
 from qfclab.rl.checkpoint import load_policy, save_policy
 from qfclab.rl.envs import training_config
+from qfclab.rl.nets import MlpActorCritic, RecurrentActorCritic
 from qfclab.rl.ppo import TrainingDiverged, default_ppo_config, train
 
 from oracles import basic_controller_chain
@@ -258,6 +259,59 @@ class TestEvaluate:
         cfg = EnvConfig(noise_kind="depolarizing", alpha=0.2, epsilon=0.1, horizon=15)
         cell = evaluate(basic_policy(), cfg, 10, seed=10)
         assert len(cell.fidelity_curve) == 16
+
+
+def _untrained(kind, seed, scale=1.0):
+    """A seeded untrained net with its control head ``pi.wh`` scaled."""
+    gen = np.random.default_rng(seed)
+    net = (MlpActorCritic(obs_dim=9, gen=gen) if kind == "mlp"
+           else RecurrentActorCritic(obs_dim=2, n_action_outputs=2, gen=gen))
+    net.params["pi.wh"] *= scale
+    return net
+
+
+NOISES = ("depolarizing", "amplitude_damping", "random_permutation")
+# (scenario label, policy factory, EnvConfig fields, episodes) of each pinned
+# evaluation case: the untrained MLP skips the filter at alpha 0 and runs it at
+# 0.3; the LSTM's scaled head stops 52 of its 300 episodes; the zeroed MLP head
+# pins beta at 0, so at epsilon 0 the filter diverges in 201 of 300 episodes;
+# 1,100 episodes span two batches of BATCH_EPISODES.
+EVALUATION_CASES = {
+    "basic": [("basic", basic_policy, {"noise_kind": noise, "alpha": 0.3}, 300)
+              for noise in NOISES],
+    "mlp": [("dbs", lambda: _untrained("mlp", 4), {"alpha": alpha}, 300)
+            for alpha in (0.0, 0.3)],
+    "lstm-stops": [("qomdp", lambda: _untrained("lstm", 2, 30.0),
+                    {"noise_kind": "amplitude_damping", "alpha": 0.3}, 300)],
+    "mlp-aborts": [("dbs", lambda: _untrained("mlp", 4, 0.0),
+                    {"alpha": 0.3, "epsilon": 0.0, "horizon": 5}, 300)],
+    "two-batches": [("basic", basic_policy,
+                     {"noise_kind": "random_permutation", "alpha": 0.5, "epsilon": 0.2}, 1100)],
+}
+# SHA-256 of render_results_csv + render_curves_csv of each case's cells,
+# recorded at b1ec8ea on numpy 2.4.6 with OpenBLAS 0.3.31; another numpy or BLAS
+# build may round the network products differently and would need its own
+# record: ``PYTHONPATH=src python tests/test_harness.py`` prints this table for
+# the code and build at hand.
+EVALUATION_DIGESTS = {
+    "basic": "924917958d1a266413bd098f457feedb7e480ff6c4eb2fa8c82205d150e0c932",
+    "mlp": "2b01485f59ad17eb7dcdd75d599677ea6eeaddcfc45b1f429b75e67920d1ed21",
+    "lstm-stops": "04f1d91d0f2770fcd701064c30ca7d5e984318262c539d8a31ca4e2ce9e52b0d",
+    "mlp-aborts": "c41189dc4b210fb123a4b835930218d3b05d113c6efff256c56ee912b7e9fb15",
+    "two-batches": "2a55332b50462229b074344a8951a77df5e2c01fac9476a8e368bfc82f58f08d",
+}
+
+
+def evaluation_digest(case: str) -> str:
+    cells = [evaluate(make(), EnvConfig(**fields), n, seed=31 + i, scenario=scenario)
+             for i, (scenario, make, fields, n) in enumerate(EVALUATION_CASES[case])]
+    text = render_results_csv(cells) + render_curves_csv(cells)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case", list(EVALUATION_CASES))
+def test_evaluation_is_pinned(case):
+    assert evaluation_digest(case) == EVALUATION_DIGESTS[case]
 
 
 def make_cell(scenario="basic", noise="depolarizing", alpha=0.0, epsilon=0.1,
@@ -595,3 +649,13 @@ class TestTrainOnDemand:
                            match=r"\(mbs, depolarizing, alpha=0, epsilon=0.1\).*mbs_eps0.1.ckpt"):
             sweep(cfg)
         assert not (tmp_path / "ckpts").exists()
+
+
+if __name__ == "__main__":
+    # print EVALUATION_DIGESTS for the code and the numpy/BLAS build at hand
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    print(f"# numpy {np.__version__}, {blas['name']} {blas['version']}")
+    print("EVALUATION_DIGESTS = {")
+    for case in EVALUATION_CASES:
+        print(f'    "{case}": "{evaluation_digest(case)}",')
+    print("}")
