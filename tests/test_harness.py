@@ -44,7 +44,6 @@ from qfclab.harness.report import (
     render_results_csv,
     render_thresholds_csv,
 )
-from qfclab.qcore import basis_state
 from qfclab.rl.checkpoint import load_policy, save_policy
 from qfclab.rl.envs import training_config
 from qfclab.rl.nets import MlpActorCritic, RecurrentActorCritic
@@ -231,15 +230,6 @@ class TestEvaluate:
         cell = evaluate(zero, cfg, 20, seed=8)
         assert cell.unreached_count == 20
         assert np.isnan(cell.mean_steps_to_threshold)
-
-    def test_target_start_crosses_at_step_zero(self):
-        cfg = EnvConfig(
-            noise_kind="depolarizing", alpha=0.0, epsilon=0.1, horizon=10,
-            initial_state=basis_state(2),
-        )
-        cell = evaluate(basic_policy(), cfg, 20, seed=9)
-        assert cell.mean_steps_to_threshold == 0.0
-        assert cell.unreached_count == 0
 
     @pytest.mark.parametrize("scenario, timesteps", [("mbs", 512), ("qomdp", 0)])
     def test_checkpoint_evaluates_like_the_net_it_holds(self, tmp_path, scenario, timesteps):

@@ -78,7 +78,7 @@ def replay_against_oracle(kind, cfg, seed, episodes=4):
     steps = stops = 0
     for episode in range(episodes):
         oracle = TrainingEpisodeReplay(
-            kind, noise, measurement, cfg.initial_state, TARGET_INDEX, cfg.horizon,
+            kind, noise, measurement, dynamics.INITIAL_STATE, TARGET_INDEX, cfg.horizon,
             stream.substream("episode", episode).generator(),
         )
         assert_matches_oracle(kind, env.reset(), oracle.observation())
@@ -173,7 +173,7 @@ class TestDbsTrainEnv:
         env = ScenarioEnv("dbs", cfg, RngStream(13))
         env.reset()
         draws = RngStream(13).substream("episode", 0).generator()
-        rho = cfg.initial_state
+        rho = dynamics.INITIAL_STATE
         done = False
         while not done:
             obs, reward, done = env.step(ControlAction(beta=0.7))
@@ -220,12 +220,13 @@ class TestQomdpTrainEnv:
         assert rewards[-1] == -1.0
 
     def test_stop_on_target_earns_plus_one(self):
-        # drive deterministically: from |0>, outcome 2 given epsilon=0.1 is
-        # reachable; instead start at the target to make the check exact
-        env = ScenarioEnv(
-            "qomdp", make_cfg(initial_state=basis_state(2)), RngStream(18)
-        )
-        env.reset()
+        # at epsilon = 0 an outcome of 2 leaves exactly |2>: pulse until it reads
+        env = ScenarioEnv("qomdp", make_cfg(epsilon=0.0, horizon=20), RngStream(18))
+        obs = env.reset()
+        while obs[0] != TARGET_INDEX:
+            obs, _, done = env.step(ControlAction(beta=1.0))
+            assert not done
+        assert np.array_equal(env._loop.rho, basis_state(2))
         _, reward, done = env.step(ControlAction(beta=0.0, stop=True))
         # the target level measures as the target: +1 whatever the draw
         assert done and reward == 1.0
@@ -233,9 +234,7 @@ class TestQomdpTrainEnv:
             env.step(ControlAction(beta=0.0))
 
     def test_stop_off_target_earns_minus_one(self):
-        env = ScenarioEnv(
-            "qomdp", make_cfg(initial_state=basis_state(0)), RngStream(19)
-        )
+        env = ScenarioEnv("qomdp", make_cfg(), RngStream(19))
         env.reset()
         _, reward, done = env.step(ControlAction(beta=0.0, stop=True))
         # level 0 never measures as the target: -1 whatever the draw
@@ -249,7 +248,7 @@ class TestQomdpTrainEnv:
         # the outcome half is the second step's outcome, replayed from the episode's draws
         cfg = env.cfg
         draws = RngStream(20).substream("episode", 0).generator()
-        rho, _ = step_true(cfg.initial_state, 0.0, cfg, draws.random())
+        rho, _ = step_true(dynamics.INITIAL_STATE, 0.0, cfg, draws.random())
         _, outcome = step_true(rho, 0.625, cfg, draws.random())
         assert obs[0] == float(outcome)
 
