@@ -19,7 +19,7 @@ from ..dynamics import EnvConfig
 from ..qcore import DimensionError, StateValidityError
 from ..rl.checkpoint import load_policy
 from ..rl.envs import SCENARIO_KINDS
-from .config import ConfigError, desk_scale, parse_config_file
+from .config import ConfigError, check_f_star, desk_scale, parse_config_file
 from .evaluate import (
     MissingCheckpointError,
     evaluate,
@@ -118,7 +118,7 @@ def _cmd_eval(args) -> int:
         policy, meta = load_policy(args.policy)
         scenario = meta["scenario"]
     cell = evaluate(policy, _env_config(args), args.episodes, args.seed,
-                    scenario=scenario, f_star=args.f_star)
+                    scenario=scenario, f_star=check_f_star(args.f_star))
     print(render_results_csv([cell]), end="")
     return EXIT_OK
 
@@ -146,7 +146,7 @@ def _cmd_report(args) -> int:
     results = read_results_dir(args.results)
     if results is None:
         raise ConfigError(f"no results.csv under {args.results}")
-    summary = threshold_alpha(results, args.f_star)
+    summary = threshold_alpha(results, check_f_star(args.f_star))
     written = emit_report(results, summary, args.out)
     for path in written:
         print(f"wrote {path}")

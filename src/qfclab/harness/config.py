@@ -38,6 +38,13 @@ class ConfigError(ValueError):
     """Bad config file or out-of-domain sweep parameters."""
 
 
+def check_f_star(f_star: float) -> float:
+    """``f_star`` if it lies in (0, 1], every command's range; else :class:`ConfigError`."""
+    if not 0.0 < f_star <= 1.0:
+        raise ConfigError(f"f_star must lie in (0, 1], got {f_star!r}")
+    return f_star
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     scenarios: tuple[str, ...] = ("basic",)
@@ -72,8 +79,7 @@ class SweepConfig:
             raise ConfigError("episodes must be >= 1")
         if self.horizon < 1:
             raise ConfigError("horizon must be >= 1")
-        if not 0.0 < self.f_star <= 1.0:
-            raise ConfigError("f_star must lie in (0, 1]")
+        check_f_star(self.f_star)
         if self.train_timesteps < PpoConfig.n_steps:
             raise ConfigError(
                 f"train_timesteps must cover one {PpoConfig.n_steps}-step rollout, "

@@ -173,13 +173,13 @@ def _label(cell: tuple) -> str:
 def _check_resumed(row: CellResult, cell: tuple, seed: int, cfg: SweepConfig) -> CellResult:
     """``row`` if it can be this sweep's result for ``cell``; else :class:`ConfigError`.
 
-    The seed, the episode count and the curve length are checked; results.csv
-    does not record f_star.
+    The seed, the episode count and the curve length are checked: only a row
+    whose episodes all aborted has no curve.  results.csv does not record f_star.
     """
-    curve = len(row.fidelity_curve)
     for name, got, want in (("seed", row.seed, seed),
                             ("episodes + aborted", row.episodes + row.aborted, cfg.episodes),
-                            ("curve points", curve, cfg.horizon + 1 if curve else 0)):
+                            ("curve points", len(row.fidelity_curve),
+                             cfg.horizon + 1 if row.episodes else 0)):
         if got != want:
             raise ConfigError(f"resumed cell {_label(cell)} has {name} {got}, but this sweep's "
                               f"is {want}; move the results away to recompute them")

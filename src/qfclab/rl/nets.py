@@ -13,8 +13,8 @@ Each net holds its parameters in one flat float64 vector; ``net.params`` is a
 :class:`FlatParams` dict of named views onto it, so the checkpoint format and
 the gradient checks see named arrays while gradients, Adam and the finiteness
 check work on one vector.  The recurrent net lays each policy array next to
-its value twin, so both LSTMs and both hidden trunks run as one stacked
-(2, ...) product: per packed step in training, per observation in rollouts.
+its value twin: both LSTMs run as one stacked (2, ...) product, per packed step
+in training and per observation in rollouts; both trunks do so in rollouts only.
 The training paths write their activations and backward intermediates into
 buffers the net keeps: a training forward's cache lasts until the next
 training forward on that net, and a backward overwrites the buffers it uses.
@@ -345,9 +345,9 @@ class RecurrentActorCritic:
     """Actor-critic with one LSTM cell per trunk feeding the tanh extractor.
 
     Each policy array except the head lies next to its value twin in the flat
-    vector (``params.stacks``), so both LSTMs and both hidden trunks run as one
-    stacked (2, ...) product; the recurrent state is the stacked pair (h, c),
-    each (2, n, H), policy row first.
+    vector (``params.stacks``): both LSTMs run as one stacked (2, ...) product,
+    and both hidden trunks too in :meth:`step` only.  The recurrent state is the
+    stacked pair (h, c), each (2, n, H), policy row first.
     """
 
     kind = "lstm"

@@ -263,6 +263,15 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(cfg), "--resume"]) == EXIT_CONFIG
         assert "manifest.txt is missing" in capsys.readouterr().err
 
+    def test_resume_refuses_rows_whose_curves_are_missing(self, tmp_path, capsys):
+        cfg = write_sweep_config(tmp_path, tmp_path / "out", tmp_path / "ck")
+        assert main(["sweep", "--config", str(cfg)]) == EXIT_OK
+        (tmp_path / "out" / "curves.csv").unlink()
+        capsys.readouterr()
+        assert main(["sweep", "--config", str(cfg), "--resume"]) == EXIT_CONFIG
+        assert "has curve points 0, but this sweep's is 7" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "curves.csv").exists()
+
     def test_missing_checkpoint_exit_code(self, tmp_path, capsys):
         cfg = write_sweep_config(tmp_path, tmp_path / "out", tmp_path / "ck")
         text = cfg.read_text().replace("scenarios = basic", "scenarios = qomdp")
@@ -361,6 +370,24 @@ class TestReportCommand:
         assert main([
             "report", "--results", str(tmp_path / "void"), "--out", str(tmp_path / "rep"),
         ]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("command", ["eval", "report"])
+@pytest.mark.parametrize("f_star", ["0", "1.5", "-1", "nan"])
+def test_f_star_outside_the_sweep_range_is_config_error(tmp_path, capsys, command, f_star):
+    # the range a sweep config accepts, (0, 1], holds for eval and report too
+    if command == "eval":
+        argv = ["eval", "--policy", "basic", "--episodes", "5"]
+    else:
+        cfg = write_sweep_config(tmp_path, tmp_path / "out", tmp_path / "ck")
+        assert main(["sweep", "--config", str(cfg)]) == EXIT_OK
+        argv = ["report", "--results", str(tmp_path / "out"), "--out", str(tmp_path / "rep")]
+    capsys.readouterr()
+    assert main(argv + ["--f-star", f_star]) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"f_star must lie in (0, 1], got {float(f_star)!r}" in err
+    assert not (tmp_path / "rep").exists()
 
 
 def test_readme_synopsis_lists_every_option():

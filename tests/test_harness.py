@@ -452,6 +452,12 @@ class TestSweep:
         resumed = sweep(cfg, resume_results={results[0].key(): sentinel})
         assert any(c.alpha == -1.0 for c in resumed)
 
+    def test_resume_reuses_an_all_aborted_row_without_a_curve(self, tmp_path):
+        cfg = self.small_cfg(tmp_path)
+        first = sweep(cfg)[0]
+        all_aborted = replace(first, episodes=0, aborted=cfg.episodes, fidelity_curve=())
+        assert sweep(cfg, resume_results={first.key(): all_aborted})[0] is all_aborted
+
     @pytest.mark.parametrize("field, change", [
         ("seed", {"master_seed": 14}),
         ("episodes", {"episodes": 21}),
