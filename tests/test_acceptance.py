@@ -19,7 +19,7 @@ from qfclab.controllers import basic_policy
 from qfclab.dynamics import INITIAL_STATE, EnvConfig, filter_update, run_episodes
 from qfclab.harness.config import SweepConfig, TABLE_ALPHAS, TABLE_EPSILONS
 from qfclab.harness.evaluate import evaluate, sweep
-from qfclab.harness.report import parse_results_csv, render_results_csv
+from qfclab.harness.report import parse_results_csv, render_curves_csv, render_results_csv
 from qfclab.qcore import basis_state
 from qfclab.rl import distributions as dist
 from qfclab.rl.buffer import RolloutBuffer, compute_gae
@@ -289,12 +289,13 @@ def test_criterion_10_harness_determinism(tmp_path):
         checkpoint_dir=str(tmp_path / "ck"),
         output_dir=str(tmp_path / "out"),
     )
-    first = render_results_csv(sweep(cfg))
+    results = sweep(cfg)
+    first = render_results_csv(results)
     second = render_results_csv(sweep(cfg))
     rerun_ok = first == second
 
-    # recompute one deleted cell through the resume path
-    cells = parse_results_csv(first)
+    # recompute one deleted cell through the resume path; a resumed row needs its curve
+    cells = parse_results_csv(first, render_curves_csv(results))
     resume = {c.key(): c for c in cells[:-1]}
     resumed = render_results_csv(sweep(cfg, resume_results=resume))
     check(
