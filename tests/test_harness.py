@@ -2,9 +2,11 @@
 
 import hashlib
 import importlib
+import itertools
 import logging
 import multiprocessing
 import os
+import tempfile
 from dataclasses import astuple, replace
 from pathlib import Path
 
@@ -29,6 +31,7 @@ from qfclab.harness.evaluate import (
     CellResult,
     MissingCheckpointError,
     cell_seed,
+    checkpoint_name,
     evaluate,
     resolve_policy,
     sweep,
@@ -302,6 +305,52 @@ def evaluation_digest(case: str) -> str:
 @pytest.mark.parametrize("case", list(EVALUATION_CASES))
 def test_evaluation_is_pinned(case):
     assert evaluation_digest(case) == EVALUATION_DIGESTS[case]
+
+
+# Each pinned sweep: its SweepConfig fields and the untrained agents saved for
+# it (scenario, net kind, net seed, control-head scale) before it runs.  basic
+# spans the three noises at alpha 0 and 0.3 and epsilon 0 and 0.1; mbs and
+# qomdp share their noise-free agents across noises and alphas, the MLP
+# filtering at 0.3 only and the LSTM's scaled head stopping; dbs's zeroed head
+# pins beta at 0, so at epsilon 0 its filter diverges and aborts are counted;
+# the last evaluates 1,200 episodes of one agent, more than BATCH_EPISODES.
+SWEEP_CASES = {
+    "basic": ({"scenarios": ("basic",), "noises": NOISES, "alphas": (0.0, 0.3),
+               "epsilons": (0.0, 0.1)}, ()),
+    "mbs-qomdp": ({"scenarios": ("mbs", "qomdp"), "noises": NOISES, "alphas": (0.0, 0.3),
+                   "epsilons": (0.1,)}, (("mbs", "mlp", 4, 1.0), ("qomdp", "lstm", 5, 30.0))),
+    "dbs-aborts": ({"scenarios": ("dbs",), "noises": ("depolarizing",), "alphas": (0.0, 0.3),
+                    "epsilons": (0.0,)}, (("dbs", "mlp", 4, 0.0),)),
+    "over-1024": ({"scenarios": ("basic",), "noises": ("random_permutation",),
+                   "alphas": (0.0, 0.2, 0.5), "epsilons": (0.2,), "episodes": 400}, ()),
+}
+# SHA-256 of results.csv + curves.csv of each sweep, recorded at e8888f7 on the
+# build EVALUATION_DIGESTS names
+SWEEP_DIGESTS = {
+    "basic": "319a61272375eb54e8b97569be05bc8242c7562b149b766e088056b7a1366902",
+    "mbs-qomdp": "5aafc3670351e00e9f6f048201526a2c9bde8332f892d42dbfbd46ed38b272c8",
+    "dbs-aborts": "e46d189ca4ddc740cfe5b92ff0152962021f815800e0ba3726a4238bceb91f03",
+    "over-1024": "6e2027ecfcac45e4b8e363f51cb8ac734e46e5f038c37e55ec864a678fc588a6",
+}
+
+
+def sweep_digest(case: str, directory: Path) -> str:
+    fields, agents = SWEEP_CASES[case]
+    cfg = SweepConfig(**{"episodes": 150, "horizon": 10, "master_seed": 41,
+                         "checkpoint_dir": str(directory), **fields})
+    for scenario, kind, seed, scale in agents:
+        for noise, alpha, epsilon in itertools.product(cfg.noises, cfg.alphas, cfg.epsilons):
+            path = directory / checkpoint_name(scenario, noise, alpha, epsilon)
+            if not path.exists():
+                save_policy(path, _untrained(kind, seed, scale), scenario, {})
+    results = sweep(cfg)
+    text = render_results_csv(results) + render_curves_csv(results)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case", list(SWEEP_CASES))
+def test_sweep_is_pinned(case, tmp_path):
+    assert sweep_digest(case, tmp_path) == SWEEP_DIGESTS[case]
 
 
 def make_cell(scenario="basic", noise="depolarizing", alpha=0.0, epsilon=0.1,
@@ -648,10 +697,15 @@ class TestTrainOnDemand:
 
 
 if __name__ == "__main__":
-    # print EVALUATION_DIGESTS for the code and the numpy/BLAS build at hand
+    # print EVALUATION_DIGESTS and SWEEP_DIGESTS for the code and the numpy/BLAS build at hand
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     print(f"# numpy {np.__version__}, {blas['name']} {blas['version']}")
     print("EVALUATION_DIGESTS = {")
     for case in EVALUATION_CASES:
         print(f'    "{case}": "{evaluation_digest(case)}",')
+    print("}")
+    print("SWEEP_DIGESTS = {")
+    for case in SWEEP_CASES:
+        with tempfile.TemporaryDirectory() as directory:
+            print(f'    "{case}": "{sweep_digest(case, Path(directory))}",')
     print("}")
