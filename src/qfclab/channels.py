@@ -224,29 +224,37 @@ def _trace(rho: np.ndarray):
     return rho[..., 0, 0] + rho[..., 1, 1] + rho[..., 2, 2]
 
 
-def apply_channel(ch: QuantumChannel, rho: np.ndarray) -> np.ndarray:
+def apply_channel(
+    ch: QuantumChannel, rho: np.ndarray, alpha: np.ndarray | None = None
+) -> np.ndarray:
     """Apply the Kraus map rho -> sum_k K_k rho K_k^dag through its family's closed form.
 
     depolarizing: (1 - a) rho + a tr(rho) I/3.  random permutation:
     (1 - 2a/3) rho + (a/3)(C rho C^T + C^2 rho C^2T), as index permutations.
     amplitude damping: rho scaled entrywise by d d^T, d = (1, 1, sqrt(1 - a)),
-    plus (a/2) rho_22 on each of the entries (0, 0) and (1, 1).
+    plus (a/2) rho_22 on each of the entries (0, 0) and (1, 1).  ``alpha``,
+    one per state of a stack, replaces ``ch.alpha``: each state then takes
+    the same float operations as alone under its own channel of ``ch.kind``.
     """
     if rho.shape[-2:] != (ch.dim, ch.dim):
         raise DimensionError(f"state shape {rho.shape} != channel dim {ch.dim}")
-    a = ch.alpha
+    # a scales each state's scalars, a_m its matrix
+    a = a_m = ch.alpha
+    if alpha is not None:
+        a, a_m = alpha, alpha[..., None, None]
     if ch.kind == "depolarizing":
-        out = (1.0 - a) * rho
+        out = (1.0 - a_m) * rho
         mixed = (a / 3.0) * _trace(rho)
         for i in range(3):
             out[..., i, i] += mixed
         return out
     if ch.kind == "random_permutation":
-        return (1.0 - 2.0 * a / 3.0) * rho + (a / 3.0) * (
+        return (1.0 - 2.0 * a_m / 3.0) * rho + (a_m / 3.0) * (
             rho[..., _CYCLED[0], _CYCLED[1]] + rho[..., _CYCLED_TWICE[0], _CYCLED_TWICE[1]])
     if ch.kind == "amplitude_damping":
-        d = np.array([1.0, 1.0, np.sqrt(1.0 - a)])
-        out = rho * (d[:, None] * d)
+        d = np.ones(np.shape(a) + (3,))
+        d[..., 2] = np.sqrt(1.0 - a)
+        out = rho * (d[..., :, None] * d[..., None, :])
         relaxed = (a / 2.0) * rho[..., 2, 2]
         out[..., 0, 0] += relaxed
         out[..., 1, 1] += relaxed

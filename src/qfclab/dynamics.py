@@ -21,10 +21,12 @@ length is not known ahead (a stop ends them).  What a network observes is
 a real vector: :func:`encode_state_observation` of a state, or
 :func:`encode_outcome_observation` of the last outcome and control.
 :func:`run_episodes` validates a policy by driving all episodes of a batch
-in one stack, and returns each episode's true-state fidelity curve and whether
-its filter diverged.  Every episode draws from its own generator, one uniform per
-step, so an episode with identical (config, policy, seed, stream) is
-bit-identical whatever batch or thread runs it.
+in one stack, each at its own alpha if asked, and returns each episode's
+true-state fidelity curve and whether its filter diverged.  Every episode
+draws from its own stream (seed, id), one uniform per step, all of a batch's
+drawn at once by :func:`qfclab.rngstream.uniforms`, so an episode with
+identical (config, alpha, policy, seed, id) is bit-identical whatever batch
+or thread runs it.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import numpy as np
 from . import channels as ch
 from .controllers import Policy, believed_outcome, policy_act
 from .qcore import basis_state, every, fidelity_pure_target, require_density
-from .rngstream import RngStream
+from .rngstream import uniforms
 
 #: most episodes :func:`run_episodes` steps together; bounds the stack of
 #: states and the policy's per-row activations
@@ -118,13 +120,20 @@ def _sample_outcome(probs: np.ndarray, u: float | np.ndarray):
 
 
 def step_true(
-    rho: np.ndarray, beta: float | np.ndarray, cfg: EnvConfig, u: float | np.ndarray
+    rho: np.ndarray, beta: float | np.ndarray, cfg: EnvConfig, u: float | np.ndarray,
+    alpha: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int | np.ndarray]:
     """One step of the noisy closed loop; returns the conditioned state and the outcome.
 
-    ``u`` is the step's uniform draw in [0, 1), one per state of a stack.
+    ``u`` is the step's uniform draw in [0, 1), one per state of a stack, and
+    ``alpha``, one per state of a stack, replaces ``cfg.alpha``.
     """
-    if cfg.alpha > 0.0:  # at alpha = 0 every noise family is the identity
+    if alpha is not None:
+        noisy = alpha > 0.0  # a state at alpha 0 skips the map, as at a scalar alpha 0
+        if noisy.any():
+            noised = ch.apply_channel(noise_channel(cfg), rho, alpha)
+            rho = noised if noisy.all() else np.where(noisy[:, None, None], noised, rho)
+    elif cfg.alpha > 0.0:  # at alpha = 0 every noise family is the identity
         rho = ch.apply_channel(noise_channel(cfg), rho)
     post_control = _controlled(rho, beta)
     m = measurement_model(cfg)
@@ -216,14 +225,19 @@ class ClosedLoop:
     control), after a forced beta = 0 first step; an ``"mlp"`` the filtered
     state.  At alpha = 0 the filter step repeats the true step's operations
     on the same state and outcome, so there the loop skips the filter and
-    shows the true state, the same bytes.
+    shows the true state, the same bytes.  ``alpha``, one per row of a stack,
+    replaces ``cfg.alpha`` (rows at alpha 0 skip the noise map); an
+    ``"mlp"`` stack then filters every row if any alpha is positive, which at
+    alpha 0 gives the true state's bytes.
     """
 
-    def __init__(self, kind: str, cfg: EnvConfig, draws: np.ndarray):
+    def __init__(self, kind: str, cfg: EnvConfig, draws: np.ndarray,
+                 alpha: np.ndarray | None = None):
         if kind not in ("table", "mlp", "lstm"):
             raise ValueError(f"unknown closed-loop kind {kind!r}")
-        self.kind, self.cfg, self.t = kind, cfg, 0
-        self.filters = kind == "mlp" and cfg.alpha > 0.0
+        self.kind, self.cfg, self.t, self.alpha = kind, cfg, 0, alpha
+        noisy = cfg.alpha > 0.0 if alpha is None else bool((alpha > 0.0).any())
+        self.filters = kind == "mlp" and noisy
         self._draws = draws.T  # row t holds every state's uniform for step t
         rho, outcome = INITIAL_STATE, _INITIAL_OUTCOME
         if draws.ndim == 1:
@@ -254,7 +268,7 @@ class ClosedLoop:
         A filter that assigns a real outcome zero probability raises
         :class:`FilterDivergenceError` and leaves the loop as it was.
         """
-        rho, outcome = step_true(self.rho, beta, self.cfg, self._draws[self.t])
+        rho, outcome = step_true(self.rho, beta, self.cfg, self._draws[self.t], self.alpha)
         seen = filter_update(self.seen, beta, outcome, self.cfg) if self.filters else rho
         self.rho, self.seen, self.outcome, self.beta = rho, seen, outcome, beta
         self.t += 1
@@ -269,6 +283,8 @@ class ClosedLoop:
         self.rho, self.outcome, self.beta = self.rho[rows], self.outcome[rows], self.beta[rows]
         self.seen = self.seen[rows] if self.filters else self.rho
         self._draws = self._draws[:, rows]
+        if self.alpha is not None:
+            self.alpha = self.alpha[rows]
 
     @classmethod
     def stack(cls, loops: Sequence["ClosedLoop"]) -> "ClosedLoop":
@@ -299,25 +315,35 @@ class ClosedLoop:
 
 
 def run_episodes(
-    policy: Policy, cfg: EnvConfig, streams: Sequence[RngStream]
+    policy: Policy, cfg: EnvConfig, seeds, ids, alphas=None
 ) -> Iterator[EpisodeBatch]:
-    """Validate a policy on one episode of the true noisy dynamics per stream.
+    """Validate a policy on one episode of the true noisy dynamics per stream (seed, id).
 
-    Yields one :class:`EpisodeBatch` per run of at most ``BATCH_EPISODES``
-    consecutive streams, in stream order, each stepped as one
-    :class:`ClosedLoop` of the policy's kind.  Fidelity is always that of the
-    TRUE state, and every true state is checked to be a density operator.  A
-    stop action ends its episode; no output reports its terminal measurement.
+    ``seeds``, ``ids`` and ``alphas`` broadcast to one entry per episode, and
+    ``alphas`` (by default ``cfg.alpha``) replaces ``cfg.alpha`` episode by
+    episode.
+    Episode i draws the uniforms of ``RngStream(seeds[i], ids[i])``.  Yields
+    one :class:`EpisodeBatch` per run of at most ``BATCH_EPISODES``
+    consecutive episodes, in order, each stepped as one :class:`ClosedLoop`
+    of the policy's kind.  Fidelity is always that of the TRUE state, and
+    every true state is checked to be a density operator.  A stop action ends
+    its episode; no output reports its terminal measurement.
     """
-    for start in range(0, len(streams), BATCH_EPISODES):
-        yield _run_batch(policy, cfg, streams[start:start + BATCH_EPISODES])
+    seeds, ids = np.broadcast_arrays(np.atleast_1d(np.asarray(seeds, dtype=np.uint64)),
+                                     np.asarray(ids, dtype=np.uint64))
+    alphas = np.broadcast_to(np.asarray(cfg.alpha if alphas is None else alphas, float),
+                             seeds.shape)
+    if not every((alphas >= 0.0) & (alphas <= 1.0)):
+        raise ch.ParameterError(f"alpha must lie in [0, 1], got {alphas.min()}..{alphas.max()}")
+    for start in range(0, len(seeds), BATCH_EPISODES):
+        rows = slice(start, start + BATCH_EPISODES)
+        yield _run_batch(policy, cfg, seeds[rows], ids[rows], alphas[rows])
 
 
-def _run_batch(policy, cfg: EnvConfig, streams) -> EpisodeBatch:
+def _run_batch(policy, cfg: EnvConfig, seeds, ids, alphas) -> EpisodeBatch:
     """One :class:`EpisodeBatch` of :func:`run_episodes`, all episodes in lockstep."""
-    n, horizon, target = len(streams), cfg.horizon, TARGET_INDEX
-    draws = np.array([stream.generator().random(horizon) for stream in streams])
-    loop = ClosedLoop(policy.kind, cfg, draws)
+    n, horizon, target = len(seeds), cfg.horizon, TARGET_INDEX
+    loop = ClosedLoop(policy.kind, cfg, uniforms(seeds, ids, horizon), alphas)
     fidelity = np.full((n, horizon + 1), np.nan)
     fidelity[:, 0] = fidelity_pure_target(loop.rho, target)
     aborted = np.zeros(n, dtype=bool)

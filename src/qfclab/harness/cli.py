@@ -28,7 +28,8 @@ from .evaluate import (
     train_checkpoint,
 )
 from .report import (
-    check_manifest, emit_report, read_results_dir, render_csv, render_results_csv, sweep_manifest,
+    check_curves, check_manifest, emit_report, read_results_dir, render_csv, render_results_csv,
+    sweep_manifest,
 )
 
 EXIT_OK = 0
@@ -146,7 +147,7 @@ def _cmd_report(args) -> int:
     results = read_results_dir(args.results)
     if results is None:
         raise ConfigError(f"no results.csv under {args.results}")
-    summary = threshold_alpha(results, check_f_star(args.f_star))
+    summary = threshold_alpha(check_curves(results), check_f_star(args.f_star))
     written = emit_report(results, summary, args.out)
     for path in written:
         print(f"wrote {path}")

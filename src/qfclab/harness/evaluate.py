@@ -1,12 +1,14 @@
-"""Grid evaluation: per-cell episode batches, thresholds, and the sweep driver.
+"""Grid evaluation: cell statistics, thresholds, and the sweep driver.
 
 Every cell's randomness is keyed by (master seed, scenario, noise, alpha,
 epsilon) through a documented splitmix64 mix, so cells are order-independent:
 any single deleted cell recomputes bit-identically.  Every agent trained on
 demand is seeded from the master seed and its checkpoint name.  The sweep
-trains the missing agents, then evaluates the cells, both in one pool of
-worker processes capped by the QFC_THREADS environment variable; neither the
-worker count nor the schedule can change a checkpoint or a result.
+trains the missing agents, then evaluates each agent on each (noise,
+epsilon) as one job: the episodes of all its alphas step as one stack, and
+each cell is aggregated from its own episodes.  Both phases run in one pool
+of worker processes capped by the QFC_THREADS environment variable; neither
+the worker count nor the schedule can change a checkpoint or a result.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 
 from ..controllers import Policy, basic_policy
 from ..dynamics import EnvConfig, run_episodes
-from ..rngstream import RngStream, hash_label, mix64
+from ..rngstream import hash_label, mix64
 from ..rl.checkpoint import load_policy, save_policy
 from ..rl.envs import NOISE_FREE_KINDS, training_config
 from ..rl.ppo import default_ppo_config, train
@@ -58,6 +60,11 @@ class CellResult:
     def key(self) -> tuple:
         return (self.scenario, self.noise, self.alpha, self.epsilon)
 
+    def curve_points(self, horizon: int) -> int:
+        """The points of this cell's curve at ``horizon``: one per step and the
+        start, or none when every episode aborted."""
+        return horizon + 1 if self.episodes else 0
+
 
 def cell_seed(master_seed: int, scenario: str, noise: str, alpha: float, epsilon: float) -> int:
     """Documented mix: splitmix64 over the master seed and the cell label hash."""
@@ -81,12 +88,43 @@ def evaluate(
     surfaced in ``unreached_count``.  Filter-divergence aborts are counted,
     never silently folded into the statistics.
     """
+    return evaluate_alphas(policy, env_cfg, n, [(env_cfg.alpha, seed)], scenario, f_star)[0]
+
+
+def evaluate_alphas(
+    policy: Policy,
+    env_cfg: EnvConfig,
+    n: int,
+    cells: list[tuple[float, int]],
+    scenario: str = "basic",
+    f_star: float = 0.9,
+) -> list[CellResult]:
+    """:func:`evaluate` of each (alpha, seed) of ``cells`` at ``env_cfg``'s other fields.
+
+    The n episodes of every cell step together, cell after cell, in stacks of
+    at most ``BATCH_EPISODES`` (which may span cells), each episode at its
+    cell's alpha.  Each cell is aggregated from its own rows, so its result
+    is that of the cell evaluated alone, byte for byte.
+    """
     if n < 1:
         raise ValueError(f"episode count must be >= 1, got {n}")
-    streams = [RngStream(seed, i) for i in range(n)]
-    batches = list(run_episodes(policy, env_cfg, streams))
-    aborted = sum(int(batch.aborted.sum()) for batch in batches)
-    curves = np.concatenate([batch.fidelity[~batch.aborted] for batch in batches])
+    alphas = np.repeat([alpha for alpha, _ in cells], n)
+    seeds = np.repeat(np.array([seed % 2**64 for _, seed in cells], dtype=np.uint64), n)
+    ids = np.tile(np.arange(n, dtype=np.uint64), len(cells))
+    batches = list(run_episodes(policy, env_cfg, seeds, ids, alphas))
+    fidelity = np.concatenate([batch.fidelity for batch in batches])
+    aborted = np.concatenate([batch.aborted for batch in batches])
+    rows = [slice(i * n, (i + 1) * n) for i in range(len(cells))]
+    return [
+        _cell_result((scenario, env_cfg.noise_kind, alpha, env_cfg.epsilon), seed, f_star,
+                     fidelity[row], aborted[row])
+        for (alpha, seed), row in zip(cells, rows)
+    ]
+
+
+def _cell_result(key: tuple, seed: int, f_star: float, fidelity, aborted) -> CellResult:
+    """The cell ``key``'s statistics from the fidelity curves and abort flags of its episodes."""
+    curves = fidelity[~aborted]
     terminal = curves[:, -1]
     reached = curves >= f_star
     hit = reached.any(axis=1)
@@ -100,13 +138,10 @@ def evaluate(
     # float sum ignores the batch size
     curve = tuple((curves.sum(axis=0) / completed).tolist()) if completed else ()
     return CellResult(
-        scenario=scenario,
-        noise=env_cfg.noise_kind,
-        alpha=env_cfg.alpha,
-        epsilon=env_cfg.epsilon,
+        *key,
         seed=seed,
         episodes=completed,
-        aborted=aborted,
+        aborted=int(aborted.sum()),
         mean_fidelity=mean_fid,
         std_fidelity=std_fid,
         mean_steps_to_threshold=mean_steps,
@@ -165,7 +200,7 @@ def resolve_policy(scenario, noise, alpha, epsilon, cfg: SweepConfig) -> Policy 
     return str(path)
 
 
-def _label(cell: tuple) -> str:
+def cell_label(cell: tuple) -> str:
     scenario, noise, alpha, epsilon = cell
     return f"({scenario}, {noise}, alpha={alpha!r}, epsilon={epsilon!r})"
 
@@ -179,9 +214,9 @@ def _check_resumed(row: CellResult, cell: tuple, seed: int, cfg: SweepConfig) ->
     for name, got, want in (("seed", row.seed, seed),
                             ("episodes + aborted", row.episodes + row.aborted, cfg.episodes),
                             ("curve points", len(row.fidelity_curve),
-                             cfg.horizon + 1 if row.episodes else 0)):
+                             row.curve_points(cfg.horizon))):
         if got != want:
-            raise ConfigError(f"resumed cell {_label(cell)} has {name} {got}, but this sweep's "
+            raise ConfigError(f"resumed cell {cell_label(cell)} has {name} {got}, but this sweep's "
                               f"is {want}; move the results away to recompute them")
     return row
 
@@ -195,11 +230,15 @@ def _train_agent(args) -> tuple[str, int, float]:
     return Path(path).name, curve[-1]["timesteps"], time.perf_counter() - start
 
 
-def _evaluate_cell(args) -> CellResult:
-    scenario, noise, alpha, epsilon, policy_source, episodes, horizon, f_star, seed = args
+def _evaluate_job(args) -> tuple[list[CellResult], float]:
+    """Pool job: one agent on one (noise, epsilon) at each (alpha, seed) of its
+    cells; returns the cells' results and the wall seconds."""
+    scenario, noise, epsilon, cells, policy_source, episodes, horizon, f_star = args
+    start = time.perf_counter()
     policy = load_policy(policy_source)[0] if isinstance(policy_source, str) else policy_source
-    env_cfg = EnvConfig(noise_kind=noise, alpha=alpha, epsilon=epsilon, horizon=horizon)
-    return evaluate(policy, env_cfg, episodes, seed, scenario=scenario, f_star=f_star)
+    env_cfg = EnvConfig(noise_kind=noise, alpha=cells[0][0], epsilon=epsilon, horizon=horizon)
+    results = evaluate_alphas(policy, env_cfg, episodes, cells, scenario, f_star)
+    return results, time.perf_counter() - start
 
 
 def worker_count() -> int:
@@ -239,16 +278,16 @@ def sweep(cfg: SweepConfig, resume_results: dict[tuple, CellResult] | None = Non
     agents whose checkpoint names coincide, and a checkpoint on disk that
     records another seed or budget than training on demand would use.  Then
     the missing agents train, each checkpoint once (an mbs or qomdp agent
-    serves every noise and alpha of its epsilon), and the cells evaluate, in
-    one pool of up to QFC_THREADS worker processes; a phase with a single job
-    runs inline.
+    serves every noise and alpha of its epsilon), and the cells evaluate, one
+    job per agent, noise and epsilon, in one pool of up to QFC_THREADS worker
+    processes; a phase with a single job runs inline.
     """
     workers = worker_count()  # a bad QFC_THREADS fails before any training
     resume_results = resume_results or {}
     results: dict[tuple, CellResult] = {}
     agents: dict[str, tuple] = {}  # checkpoint to train on demand -> job of its first cell
     owners: dict[str, tuple] = {}  # checkpoint name -> (its agent, the first cell it serves)
-    cells = []
+    jobs: dict[tuple, list] = {}  # (scenario, noise, epsilon, policy) -> its cells' (alpha, seed)
     for key in itertools.product(cfg.scenarios, cfg.noises, cfg.alphas, cfg.epsilons):
         scenario, noise, alpha, epsilon = key
         seed = cell_seed(cfg.master_seed, scenario, noise, alpha, epsilon)
@@ -257,7 +296,7 @@ def sweep(cfg: SweepConfig, resume_results: dict[tuple, CellResult] | None = Non
             name = checkpoint_name(*key)
             owner, first = owners.setdefault(name, (agent, key))
             if owner != agent:
-                raise ConfigError(f"cells {_label(first)} and {_label(key)} need different "
+                raise ConfigError(f"cells {cell_label(first)} and {cell_label(key)} need different "
                                   f"agents but share the checkpoint name {name}")
         if key in resume_results:
             results[key] = _check_resumed(resume_results[key], key, seed, cfg)
@@ -267,9 +306,7 @@ def sweep(cfg: SweepConfig, resume_results: dict[tuple, CellResult] | None = Non
             train_seed = mix64(cfg.master_seed, hash_label(f"train|{Path(source).name}"))
             agents[source] = (scenario, noise, alpha, epsilon, cfg.horizon,
                               cfg.train_timesteps, train_seed, source)
-        cells.append(
-            (scenario, noise, alpha, epsilon, source, cfg.episodes, cfg.horizon, cfg.f_star, seed)
-        )
+        jobs.setdefault((scenario, noise, epsilon, source), []).append((alpha, seed))
     for path in [path for path in agents if Path(path).exists()]:
         train_seed = agents.pop(path)[6]
         meta = load_policy(path)[1]
@@ -279,13 +316,18 @@ def sweep(cfg: SweepConfig, resume_results: dict[tuple, CellResult] | None = Non
                     f"checkpoint {path} records meta {name} {meta.get(name)!r}, but this "
                     f"sweep trains it with {name} {value}; move it away to retrain it"
                 )
-    size = min(workers, max(len(agents), len(cells)))
+    evaluations = [(scenario, noise, epsilon, cells, source, cfg.episodes, cfg.horizon, cfg.f_star)
+                   for (scenario, noise, epsilon, source), cells in jobs.items()]
+    size = min(workers, max(len(agents), len(evaluations)))
     with ProcessPoolExecutor(max_workers=size) if size > 1 else nullcontext() as pool:
         for name, timesteps, wall in _run_jobs(pool, _train_agent, list(agents.values())):
             log.info("trained %s: %d timesteps in %.2f s (%.0f timesteps/s)",
                      name, timesteps, wall, timesteps / wall)
-        for cell in _run_jobs(pool, _evaluate_cell, cells):
-            results[cell.key()] = cell
+        for job, (cells, wall) in zip(evaluations, _run_jobs(pool, _evaluate_job, evaluations)):
+            episodes = len(cells) * cfg.episodes
+            log.info("evaluated %s on %s at epsilon %g: %d alphas, %d episodes in %.2f s "
+                     "(%.0f episodes/s)", *job[:3], len(cells), episodes, wall, episodes / wall)
+            results.update((cell.key(), cell) for cell in cells)
     return [results[k] for k in sorted(results)]
 
 

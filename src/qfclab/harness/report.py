@@ -24,7 +24,7 @@ import numpy as np
 
 from .. import __version__
 from .config import ConfigError, SweepConfig, format_config
-from .evaluate import CellResult
+from .evaluate import CellResult, cell_label
 
 #: results.csv columns: the CellResult fields bar the curve, which curves.csv holds
 RESULT_COLUMNS = {
@@ -113,6 +113,21 @@ def read_results_dir(results_dir) -> list[CellResult] | None:
     curves_path = results_path.with_name("curves.csv")
     curves_text = curves_path.read_text() if curves_path.exists() else None
     return parse_results_csv(results_path.read_text(), curves_text)
+
+
+def check_curves(cells: list[CellResult]) -> list[CellResult]:
+    """``cells`` if each curve has the points of the longest (a horizon of at
+    least one step), or none when every episode of its cell aborted; else
+    :class:`ConfigError` naming the first other cell."""
+    horizon = max([1] + [len(cell.fidelity_curve) - 1 for cell in cells])
+    for cell in cells:
+        points, want = len(cell.fidelity_curve), cell.curve_points(horizon)
+        if points != want:
+            needs = want if points else "a curve"
+            raise ConfigError(f"cell {cell_label(cell.key())} has {cell.episodes} completed "
+                              f"episodes and {points} curve points, but needs {needs}; "
+                              f"is curves.csv missing or cut short?")
+    return cells
 
 
 def sweep_manifest(cfg: SweepConfig) -> str:

@@ -254,7 +254,7 @@ def test_criterion_07_ppo_machinery():
 
 def terminal_fidelities(policy, cfg, seed, n=200):
     """Terminal true fidelity of the episodes RngStream(seed, i), i < n."""
-    (batch,) = run_episodes(policy, cfg, [RngStream(seed, i) for i in range(n)])
+    (batch,) = run_episodes(policy, cfg, seed, range(n))
     assert not batch.aborted.any()
     return batch.fidelity[:, -1]
 

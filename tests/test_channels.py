@@ -121,6 +121,25 @@ class TestRandomPermutation:
                 )
 
 
+# entries of a stack of states: signed zeros, and floats small enough that no
+# product overflows
+_entries = st.one_of(st.sampled_from([-0.0, 0.0]), st.floats(-1.0, 1.0))
+_rows = st.tuples(st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+                  st.lists(_entries, min_size=9, max_size=9))
+
+
+class TestPerStateAlpha:
+    @pytest.mark.parametrize("kind", sorted(CHANNEL_KINDS))
+    @given(rows=st.lists(_rows, min_size=1, max_size=6))
+    def test_each_state_takes_its_own_alpha_as_alone(self, kind, rows):
+        alpha = np.array([a for a, _ in rows])
+        rho = np.array([entries for _, entries in rows]).reshape(-1, 3, 3)
+        stacked = apply_channel(make_channel(kind, 0.5), rho, alpha)
+        for i, a in enumerate(alpha):
+            alone = apply_channel(make_channel(kind, a), rho[i])
+            assert stacked[i].tobytes() == alone.tobytes()
+
+
 class TestCptpCertification:
     @pytest.mark.parametrize("kind", ["depolarizing", "amplitude_damping", "random_permutation"])
     def test_all_channels_on_table_grid(self, kind):

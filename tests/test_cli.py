@@ -3,6 +3,7 @@
 import argparse
 import re
 import zipfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,7 @@ from qfclab.harness.cli import (
     EXIT_RUNTIME,
     main,
 )
-from qfclab.harness.report import parse_csv
+from qfclab.harness.report import emit_report, parse_csv, read_results_dir
 from qfclab.qcore import DimensionError, StateValidityError
 from qfclab.rl.checkpoint import load_policy, save_policy
 from qfclab.rl.nets import MlpActorCritic
@@ -365,6 +366,42 @@ class TestReportCommand:
         assert (tmp_path / "rep" / "results.csv").read_bytes() == (
             tmp_path / "out" / "results.csv"
         ).read_bytes()
+
+    @pytest.mark.parametrize("damage, message", [
+        ("delete", "alpha=0.0, epsilon=0.1) has 10 completed episodes and 0 curve points, "
+                   "but needs a curve"),
+        ("cut", "alpha=1.0, epsilon=0.1) has 10 completed episodes and 6 curve points, "
+                "but needs 7"),
+    ])
+    def test_report_refuses_cells_whose_curves_are_missing_or_cut(
+        self, tmp_path, capsys, damage, message
+    ):
+        cfg = write_sweep_config(tmp_path, tmp_path / "out", tmp_path / "ck")
+        assert main(["sweep", "--config", str(cfg)]) == EXIT_OK
+        curves = tmp_path / "out" / "curves.csv"
+        if damage == "delete":
+            curves.unlink()
+        else:  # the last cell loses its last point
+            curves.write_text("".join(curves.read_text().splitlines(keepends=True)[:-1]))
+        capsys.readouterr()
+        assert main([
+            "report", "--results", str(tmp_path / "out"), "--out", str(tmp_path / "rep"),
+        ]) == EXIT_CONFIG
+        assert f"cell (basic, depolarizing, {message}" in capsys.readouterr().err
+        assert not (tmp_path / "rep").exists()
+
+    def test_report_loads_a_cell_whose_episodes_all_aborted_without_a_curve(
+        self, tmp_path, capsys
+    ):
+        cfg = write_sweep_config(tmp_path, tmp_path / "out", tmp_path / "ck")
+        assert main(["sweep", "--config", str(cfg)]) == EXIT_OK
+        out = tmp_path / "out"
+        cells = read_results_dir(out)
+        cells[0] = replace(cells[0], episodes=0, aborted=10, fidelity_curve=())
+        emit_report(cells, {}, out)
+        assert main(["report", "--results", str(out), "--out", str(tmp_path / "rep")]) == EXIT_OK
+        for name in ("results.csv", "curves.csv"):
+            assert (tmp_path / "rep" / name).read_bytes() == (out / name).read_bytes()
 
     def test_missing_results_dir_is_config_error(self, tmp_path, capsys):
         assert main([

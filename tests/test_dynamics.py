@@ -177,7 +177,7 @@ class TestFilterUpdate:
 
 def run_batch(policy, cfg, seed, n=1):
     """The episodes of RngStream(seed, i), i < n, as one batch."""
-    (batch,) = run_episodes(policy, cfg, [RngStream(seed, i) for i in range(n)])
+    (batch,) = run_episodes(policy, cfg, seed, range(n))
     return batch
 
 
@@ -204,8 +204,8 @@ class TestRunEpisode:
 
     def test_reproducibility_is_bit_identical(self):
         cfg = make_cfg(alpha=0.4, epsilon=0.2, noise_kind="random_permutation")
-        (a,) = run_episodes(basic_policy(), cfg, [RngStream(55, 7)])
-        (b,) = run_episodes(basic_policy(), cfg, [RngStream(55, 7)])
+        (a,) = run_episodes(basic_policy(), cfg, 55, [7])
+        (b,) = run_episodes(basic_policy(), cfg, 55, [7])
         assert a.fidelity.tobytes() == b.fidelity.tobytes()
         assert np.array_equal(a.aborted, b.aborted)
 

@@ -55,15 +55,34 @@ def test_each_batched_episode_equals_it_run_alone_and_the_reference_loop(kind, c
         noise_kind=case["noise"], alpha=case["alpha"], epsilon=case["epsilon"],
         horizon=case["horizon"],
     )
-    streams = [RngStream(case["seed"], i) for i in range(case["n"])]
-    (batch,) = run_episodes(policy, cfg, streams)
-    for i, stream in enumerate(streams):
-        (alone,) = run_episodes(policy, cfg, [stream])
+    (batch,) = run_episodes(policy, cfg, case["seed"], range(case["n"]))
+    for i in range(case["n"]):
+        (alone,) = run_episodes(policy, cfg, case["seed"], [i])
         assert np.array_equal(batch.fidelity[i], alone.fidelity[0], equal_nan=True)
         assert batch.aborted[i] == alone.aborted[0]
 
-        reference = reference_episode(policy, cfg, stream)
+        reference = reference_episode(policy, cfg, RngStream(case["seed"], i))
         assert batch.aborted[i] == reference.aborted
         if reference.aborted:
             continue
         assert batch.fidelity[i].tobytes() == reference.fidelity.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["basic", "mlp", "lstm"])
+@settings(max_examples=60)
+@given(case=episodes,
+       alphas=st.lists(st.one_of(st.sampled_from([0.0, 0.3]), st.floats(0.0, 1.0)),
+                       min_size=1, max_size=12))
+def test_each_episode_of_a_mixed_alpha_batch_equals_it_run_alone_at_its_alpha(kind, case, alphas):
+    # an mlp batch with any alpha > 0 filters its alpha-0 rows too
+    policy = _random_policy(kind, case["policy_seed"], case["scale"])
+    cfg = EnvConfig(
+        noise_kind=case["noise"], alpha=case["alpha"], epsilon=case["epsilon"],
+        horizon=case["horizon"],
+    )
+    (batch,) = run_episodes(policy, cfg, case["seed"], range(len(alphas)), alphas)
+    for i, alpha in enumerate(alphas):
+        (alone,) = run_episodes(policy, cfg.with_alpha(alpha), case["seed"], [i])
+        assert batch.aborted[i] == alone.aborted[0]
+        if not alone.aborted[0]:
+            assert batch.fidelity[i].tobytes() == alone.fidelity[0].tobytes()

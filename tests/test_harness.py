@@ -51,6 +51,7 @@ from qfclab.rl.checkpoint import load_policy, save_policy
 from qfclab.rl.envs import training_config
 from qfclab.rl.nets import MlpActorCritic, RecurrentActorCritic
 from qfclab.rl.ppo import TrainingDiverged, default_ppo_config, train
+from qfclab.rngstream import RngStream
 
 from oracles import basic_controller_chain
 
@@ -568,6 +569,28 @@ class TestSweep:
     def test_unset_thread_count_runs_inline(self, monkeypatch):
         monkeypatch.delenv("QFC_THREADS", raising=False)
         assert worker_count() == 1
+
+    def test_each_evaluation_job_logs_what_it_evaluated(self, tmp_path, caplog):
+        caplog.set_level(logging.INFO, logger="qfclab.harness.evaluate")
+        cfg = self.small_cfg(tmp_path, noises=("depolarizing", "random_permutation"),
+                             alphas=(0.0, 0.4, 0.8))
+        first = sweep(cfg)[0]  # (basic, depolarizing, 0.0, 0.1)
+        caplog.clear()
+        sweep(cfg, resume_results={first.key(): first})
+        lines = [record.getMessage() for record in caplog.records]
+        assert len(lines) == 2
+        assert lines[0].startswith("evaluated basic on depolarizing at epsilon 0.1: "
+                                   "2 alphas, 40 episodes in ")
+        assert lines[1].startswith("evaluated basic on random_permutation at epsilon 0.1: "
+                                   "3 alphas, 60 episodes in ")
+        assert all(line.endswith(" episodes/s)") for line in lines)
+
+    def test_evaluation_builds_no_generator_per_episode(self, tmp_path, monkeypatch):
+        def refuse(stream):
+            raise AssertionError(f"generator() of {stream}")
+
+        monkeypatch.setattr(RngStream, "generator", refuse)
+        assert len(sweep(self.small_cfg(tmp_path))) == 2
 
     def test_parallel_workers_reproduce_serial_results(self, tmp_path, monkeypatch):
         cfg = self.small_cfg(tmp_path, alphas=(0.0, 0.4, 0.8))
