@@ -109,16 +109,16 @@ def evaluate_alphas(
     if n < 1:
         raise ValueError(f"episode count must be >= 1, got {n}")
     alphas = np.repeat([alpha for alpha, _ in cells], n)
+    # a seed outside [0, 2^64) draws as RngStream takes it, mod 2^64
     seeds = np.repeat(np.array([seed % 2**64 for _, seed in cells], dtype=np.uint64), n)
     ids = np.tile(np.arange(n, dtype=np.uint64), len(cells))
     batches = list(run_episodes(policy, env_cfg, seeds, ids, alphas))
-    fidelity = np.concatenate([batch.fidelity for batch in batches])
-    aborted = np.concatenate([batch.aborted for batch in batches])
-    rows = [slice(i * n, (i + 1) * n) for i in range(len(cells))]
+    fidelity = np.concatenate([batch.fidelity for batch in batches]).reshape(len(cells), n, -1)
+    aborted = np.concatenate([batch.aborted for batch in batches]).reshape(len(cells), n)
     return [
         _cell_result((scenario, env_cfg.noise_kind, alpha, env_cfg.epsilon), seed, f_star,
-                     fidelity[row], aborted[row])
-        for (alpha, seed), row in zip(cells, rows)
+                     cell_fidelity, cell_aborted)
+        for (alpha, seed), cell_fidelity, cell_aborted in zip(cells, fidelity, aborted)
     ]
 
 
@@ -323,10 +323,12 @@ def sweep(cfg: SweepConfig, resume_results: dict[tuple, CellResult] | None = Non
         for name, timesteps, wall in _run_jobs(pool, _train_agent, list(agents.values())):
             log.info("trained %s: %d timesteps in %.2f s (%.0f timesteps/s)",
                      name, timesteps, wall, timesteps / wall)
-        for job, (cells, wall) in zip(evaluations, _run_jobs(pool, _evaluate_job, evaluations)):
+        done = _run_jobs(pool, _evaluate_job, evaluations)
+        for (scenario, noise, epsilon, *_), (cells, wall) in zip(evaluations, done):
             episodes = len(cells) * cfg.episodes
             log.info("evaluated %s on %s at epsilon %g: %d alphas, %d episodes in %.2f s "
-                     "(%.0f episodes/s)", *job[:3], len(cells), episodes, wall, episodes / wall)
+                     "(%.0f episodes/s)", scenario, noise, epsilon, len(cells), episodes, wall,
+                     episodes / wall)
             results.update((cell.key(), cell) for cell in cells)
     return [results[k] for k in sorted(results)]
 
