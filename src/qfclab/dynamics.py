@@ -321,9 +321,8 @@ def run_episodes(
 
     ``seeds``, ``ids`` and ``alphas`` broadcast to one entry per episode, and
     ``alphas`` (by default ``cfg.alpha``) replaces ``cfg.alpha`` episode by
-    episode.
-    Episode i draws the uniforms of ``RngStream(seeds[i], ids[i])``.  Yields
-    one :class:`EpisodeBatch` per run of at most ``BATCH_EPISODES``
+    episode.  Episode i draws the uniforms of ``RngStream(seeds[i], ids[i])``.
+    Yields one :class:`EpisodeBatch` per run of at most ``BATCH_EPISODES``
     consecutive episodes, in order, each stepped as one :class:`ClosedLoop`
     of the policy's kind.  Fidelity is always that of the TRUE state, and
     every true state is checked to be a density operator.  A stop action ends

@@ -147,7 +147,8 @@ def _cmd_report(args) -> int:
     results = read_results_dir(args.results)
     if results is None:
         raise ConfigError(f"no results.csv under {args.results}")
-    summary = threshold_alpha(check_curves(results), check_f_star(args.f_star))
+    check_curves(results)
+    summary = threshold_alpha(results, check_f_star(args.f_star))
     written = emit_report(results, summary, args.out)
     for path in written:
         print(f"wrote {path}")

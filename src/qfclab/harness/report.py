@@ -115,10 +115,10 @@ def read_results_dir(results_dir) -> list[CellResult] | None:
     return parse_results_csv(results_path.read_text(), curves_text)
 
 
-def check_curves(cells: list[CellResult]) -> list[CellResult]:
-    """``cells`` if each curve has the points of the longest (a horizon of at
-    least one step), or none when every episode of its cell aborted; else
-    :class:`ConfigError` naming the first other cell."""
+def check_curves(cells: list[CellResult]) -> None:
+    """Raise :class:`ConfigError` naming the first cell whose curve has other
+    than the points of the longest (a horizon of at least one step), or any
+    when every episode of the cell aborted."""
     horizon = max([1] + [len(cell.fidelity_curve) - 1 for cell in cells])
     for cell in cells:
         points, want = len(cell.fidelity_curve), cell.curve_points(horizon)
@@ -127,7 +127,6 @@ def check_curves(cells: list[CellResult]) -> list[CellResult]:
             raise ConfigError(f"cell {cell_label(cell.key())} has {cell.episodes} completed "
                               f"episodes and {points} curve points, but needs {needs}; "
                               f"is curves.csv missing or cut short?")
-    return cells
 
 
 def sweep_manifest(cfg: SweepConfig) -> str:
