@@ -593,7 +593,9 @@ class TestSweep:
         assert len(sweep(self.small_cfg(tmp_path))) == 2
 
     def test_parallel_workers_reproduce_serial_results(self, tmp_path, monkeypatch):
-        cfg = self.small_cfg(tmp_path, alphas=(0.0, 0.4, 0.8))
+        # one evaluation job per noise and epsilon: four jobs for the pool
+        cfg = self.small_cfg(tmp_path, noises=("depolarizing", "random_permutation"),
+                             alphas=(0.0, 0.4, 0.8), epsilons=(0.1, 0.2))
         serial = sweep(cfg)
         monkeypatch.setenv("QFC_THREADS", "3")
         parallel = sweep(cfg)
