@@ -6,7 +6,8 @@ sampled generalized measurement with conditioning:
     rho(t+1) = M_l  U_beta  N_alpha(rho(t)) U_beta^dag  M_l^dag / p(l)
 
 At alpha = 0 every noise family is the identity and the map is skipped, so
-the noise-free (nominal) law is :func:`step_true` at alpha = 0.  The
+the noise-free (nominal) law is :func:`step_true` at alpha = 0.  Likewise
+U_0 = I exactly, so a state at beta = 0 skips the control.  The
 filtering law drops the noise map but conditions on the real system's
 outcomes (control first, then conditioning, matching the true dynamics'
 operator ordering).  Each step law takes one state or a stack of states, and
@@ -107,16 +108,29 @@ def measurement_model(cfg: EnvConfig) -> ch.MeasurementModel:
 
 
 def _controlled(rho: np.ndarray, beta: float | np.ndarray) -> np.ndarray:
-    u = ch.control_unitary(beta)  # real orthogonal
+    """U_beta rho U_beta^T; a state at beta 0 stays as it is, since U_0 = I exactly."""
+    if not isinstance(beta, np.ndarray) or not beta.ndim:
+        if beta == 0.0:
+            return rho
+        u = ch.control_unitary(beta)  # real orthogonal
+        return u @ rho @ u.T
+    moved = beta != 0.0
+    if not moved.all():
+        if not moved.any():
+            return rho
+        out = rho.copy()
+        out[moved] = _controlled(rho[moved], beta[moved])
+        return out
+    u = ch.control_unitary(beta)
     return u @ rho @ u.swapaxes(-1, -2)
 
 
 def _sample_outcome(probs: np.ndarray, u: float | np.ndarray):
-    """Inverse-CDF draw: the first outcome whose cumulative probability exceeds u."""
-    if not every(probs.max(axis=-1) >= ch.ZERO_PROBABILITY_THRESHOLD):
+    """Inverse-CDF draw over three outcomes: the first whose cumulative probability exceeds u."""
+    p0, p1, p2 = probs[..., 0], probs[..., 1], probs[..., 2]
+    if not every(np.maximum(np.maximum(p0, p1), p2) >= ch.ZERO_PROBABILITY_THRESHOLD):
         raise RuntimeError("degenerate outcome distribution")
-    cumulative = probs[..., :-1].cumsum(axis=-1)
-    return np.add.reduce(cumulative <= np.asarray(u)[..., None], axis=-1)
+    return np.add(p0 <= u, p0 + p1 <= u, dtype=int)  # the cumulative sums p0 and p0 + p1
 
 
 def step_true(

@@ -8,7 +8,10 @@ and complex Hermitian input is taken as it is.  The operations keep their
 input's dtype (integer input becomes ``float64``).  A density operator is any
 square array passing :func:`validate_density`.  Both operations also take a
 stack of states with leading batch axes, ``(..., d, d)``, and treat each
-state exactly as they treat it alone.
+state exactly as they treat it alone.  Validation of 3x3 states reads their
+entries first: a stack whose every state clears a closed-form test by a
+rounding margin is accepted without a factorization; any other stack takes
+the Cholesky check, which gives every refusal and its report.
 
 All operations are pure functions on immutable values and thread-safe.
 """
@@ -81,7 +84,55 @@ def validate_density(m: np.ndarray, tol: float = DEFAULT_TOL) -> ValidationRepor
     return _validate(_as_square_matrix(m, "state"), tol)
 
 
+#: the rounding margin of the closed-form check, relative to a state's largest
+#: diagonal entry: about 450 unit roundoffs u
+_ROUNDING_MARGIN = 1e-13
+
+
+def _clearly_density(m: np.ndarray, tol: float) -> bool:
+    """Whether :func:`_validate` passes every 3x3 state of ``m`` for certain, read from its entries.
+
+    Hermiticity is checked on the deviations ``_validate`` takes the maximum
+    of.  Trace and positivity must clear a margin delta, 1e-13 of the state's
+    largest diagonal entry M of herm_part + tol*I: the trace may differ from
+    ``np.trace``'s by its summation order, a few u*M.  Positivity: every LDL^T
+    pivot of herm_part + (tol - delta)*I must exceed delta.  Positive pivots
+    certify that matrix positive definite up to the rounding of the 3x3
+    factorization, about 24u*M (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2002, ch. 10).  So herm_part + tol*I keeps an eigenvalue
+    margin near 400u*M, far above what LAPACK's Cholesky needs to succeed
+    (12u*M, Demmel's bound, Higham Thm 10.7) or eigvalsh to place the
+    smallest eigenvalue above -tol.  Pivots above delta rather than 0 keep the
+    divisions clear of underflow.  False says nothing of the states.
+    """
+    is_complex = np.iscomplexobj(m)
+    a, b, c = m[..., 0, 0], m[..., 1, 1], m[..., 2, 2]
+    upper = m[..., 0, 1], m[..., 0, 2], m[..., 1, 2]
+    lower = m[..., 1, 0], m[..., 2, 0], m[..., 2, 1]
+    if is_complex:
+        lower = tuple(np.conj(v) for v in lower)
+    square = (lambda v: v.real * v.real + v.imag * v.imag) if is_complex else (lambda v: v * v)
+    with np.errstate(all="ignore"):  # a state that overflows here is not cleared
+        deviations = [np.abs(up - lo) for up, lo in zip(upper, lower)]  # entries of |m - m^dag|
+        if is_complex:
+            deviations += [2.0 * np.abs(v.imag) for v in (a, b, c)]
+        trace_dev = np.abs((a + b + c) - 1.0)
+        a, b, c = a.real, b.real, c.real  # the diagonal of herm_part
+        x, y, z = (0.5 * (up + lo) for up, lo in zip(upper, lower))
+        delta = _ROUNDING_MARGIN * (np.maximum(np.maximum(a, b), c) + tol)
+        shift = tol - delta
+        d1 = a + shift
+        d2 = (b + shift) - square(x) / d1
+        d3 = ((c + shift) - square(y) / d1) - square(z - y * np.conj(x) / d1) / d2
+        clear = (trace_dev <= tol - delta) & (d1 > delta) & (d2 > delta) & (d3 > delta)
+    for deviation in deviations:
+        clear &= deviation <= tol
+    return every(clear)
+
+
 def _validate(m: np.ndarray, tol: float) -> ValidationReport:
+    if m.shape[-2:] == (3, 3) and m.size and _clearly_density(m, tol):
+        return ValidationReport(ok=True)
     m_dag = m.swapaxes(-1, -2).conj() if np.iscomplexobj(m) else m.swapaxes(-1, -2)
     violations: dict[str, float] = {}
 

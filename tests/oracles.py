@@ -6,7 +6,9 @@ The certifiers from ``choi_matrix`` on are the exception: they check its values.
 So are ``shuffled_ppo_update``, which only reorders the window the library's
 update step takes, ``reference_episode``, the scalar episode loop built from the
 library's channel operations, and ``drive_closed_loop``, which steps the
-library's closed loop without the validation kernel around it.
+library's closed loop without the validation kernel around it, and
+``validate_by_cholesky`` and ``sample_outcome_by_cumsum``, the library's own
+former validation and sampler, which its cheaper forms must reproduce.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from qfclab.channels import (
 )
 from qfclab.controllers import BasicTable, believed_outcome, policy_act
 from qfclab.dynamics import INITIAL_STATE, TARGET_INDEX, ClosedLoop, encode_state_observation
-from qfclab.qcore import DEFAULT_TOL, fidelity_pure_target
+from qfclab.qcore import DEFAULT_TOL, ValidationReport, fidelity_pure_target
 from qfclab.rl import ppo
 from qfclab.rl.config import N_EPOCHS
 from qfclab.rl.nets import (
@@ -127,6 +129,40 @@ def density_violations_by_eigenvalues(m: np.ndarray, tol: float) -> dict[str, fl
     if min_eig < -tol:
         violations["positive_semidefinite"] = -min_eig
     return violations
+
+
+def validate_by_cholesky(m: np.ndarray, tol: float) -> ValidationReport:
+    """The density-operator check as the library made it on every state before its
+    closed-form acceptance: a Cholesky factor of herm_part + tol*I decides
+    positivity, and only a refused stack pays for the eigenvalues."""
+    m = np.asarray(m)
+    m_dag = m.swapaxes(-1, -2).conj() if np.iscomplexobj(m) else m.swapaxes(-1, -2)
+    violations: dict[str, float] = {}
+
+    herm_dev = float(np.max(np.abs(m - m_dag)))
+    if herm_dev > tol:
+        violations["hermitian"] = herm_dev
+
+    trace_dev = float(np.max(np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0)))
+    if trace_dev > tol:
+        violations["unit_trace"] = trace_dev
+
+    herm_part = 0.5 * (m + m_dag)
+    try:
+        np.linalg.cholesky(herm_part + tol * np.eye(m.shape[-1]))
+    except np.linalg.LinAlgError:
+        min_eig = float(np.min(np.linalg.eigvalsh(herm_part)[..., 0]))
+        if min_eig < -tol:
+            violations["positive_semidefinite"] = -min_eig
+
+    return ValidationReport(ok=not violations, violations=violations)
+
+
+def sample_outcome_by_cumsum(probs: np.ndarray, u):
+    """The library's former inverse-CDF draw: how many cumulative probabilities
+    (the last left out) are at or below u."""
+    cumulative = probs[..., :-1].cumsum(axis=-1)
+    return np.add.reduce(cumulative <= np.asarray(u)[..., None], axis=-1)
 
 
 def random_diagonal_density(gen: np.random.Generator, dim: int = 3) -> np.ndarray:

@@ -230,10 +230,14 @@ class TestTerminalMeasurement:
 
 
 class TestControlUnitary:
-    def test_beta_zero_is_identity(self):
-        np.testing.assert_allclose(
-            control_unitary(0.0), np.eye(3), atol=1e-15
-        )
+    @pytest.mark.parametrize("beta", [0.0, -0.0, np.zeros(4), np.array([0.0, -0.0])])
+    def test_beta_zero_is_exactly_the_identity(self, beta):
+        # the loop skips the control at beta 0 on this: U_0 = I, +0.0 entries included
+        u = control_unitary(beta)
+        assert u.shape == np.shape(beta) + (3, 3)
+        identity = np.broadcast_to(np.eye(3), u.shape)
+        assert u.tobytes() == identity.tobytes()
+        assert not np.signbit(u).any()
 
     def test_beta_one_entries_match_taylor_oracle(self):
         u = control_unitary(1.0)

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import qfclab
 from qfclab import dynamics
@@ -31,6 +33,7 @@ from oracles import (
     estimate_average_state,
     maximally_mixed,
     reference_episode,
+    sample_outcome_by_cumsum,
 )
 
 
@@ -173,6 +176,31 @@ class TestFilterUpdate:
             rho, outcome = step_true(rho, float(beta), cfg, gen.random())
             rho_hat = filter_update(rho_hat, float(beta), outcome, cfg)
             assert np.max(np.abs(rho - rho_hat)) <= 1e-12
+
+
+weights = st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), min_size=3, max_size=3).filter(any)
+
+
+@st.composite
+def outcome_draws(draw):
+    """Outcome probabilities (zeros included) and a uniform, often exactly on a cumulative sum."""
+    probs = np.array(draw(weights))
+    probs /= probs.sum()
+    cumulative = probs[:-1].cumsum()
+    u = draw(st.one_of(st.sampled_from([cumulative[0], cumulative[1], 0.0]),
+                       st.floats(0.0, 1.0, exclude_max=True)))
+    return probs, u
+
+
+@given(draws=st.lists(outcome_draws(), min_size=1, max_size=8))
+def test_three_outcome_sampler_equals_the_cumulative_sum_form(draws):
+    probs, u = (np.array(column) for column in zip(*draws))
+    for p, v in zip(probs, u):  # one state, and a python float draw
+        got, want = dynamics._sample_outcome(p, float(v)), sample_outcome_by_cumsum(p, float(v))
+        assert type(got) is type(want) and got == want
+    got, want = dynamics._sample_outcome(probs, u), sample_outcome_by_cumsum(probs, u)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
 
 
 def run_batch(policy, cfg, seed, n=1):

@@ -12,11 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfclab.controllers import BasicTable, basic_policy
-from qfclab.dynamics import EnvConfig, run_episodes
+from qfclab.dynamics import EnvConfig, filter_update, run_episodes, step_true
 from qfclab.rl.nets import MlpActorCritic, RecurrentActorCritic
 from qfclab.rngstream import RngStream
 
-from oracles import reference_episode
+from oracles import random_densities, reference_episode
 
 
 def _random_policy(kind, seed, scale):
@@ -86,3 +86,23 @@ def test_each_episode_of_a_mixed_alpha_batch_equals_it_run_alone_at_its_alpha(ki
         assert batch.aborted[i] == alone.aborted[0]
         if not alone.aborted[0]:
             assert batch.fidelity[i].tobytes() == alone.fidelity[0].tobytes()
+
+
+@settings(max_examples=60)
+@given(case=episodes,
+       rows=st.lists(st.tuples(st.one_of(st.sampled_from([0.0, -0.0, 0.5]), st.floats(-1.0, 1.0)),
+                               st.one_of(st.sampled_from([0.0, 0.3]), st.floats(0.0, 1.0)),
+                               st.floats(0.0, 1.0, exclude_max=True)),
+                     min_size=1, max_size=12))
+def test_each_state_of_a_mixed_beta_stack_steps_as_it_does_alone(case, rows):
+    # a row at beta 0 skips the control (U_0 = I) while the others rotate
+    cfg = EnvConfig(noise_kind=case["noise"], alpha=case["alpha"], epsilon=case["epsilon"])
+    betas, alphas, draws = (np.array(column) for column in zip(*rows))
+    states = random_densities(case["seed"], len(rows), real=True)
+    stepped, outcomes = step_true(states, betas, cfg, draws, alphas)
+    filtered = filter_update(states, betas, outcomes, cfg)
+    for i, (beta, alpha, u) in enumerate(rows):
+        alone, outcome = step_true(states[i], beta, cfg.with_alpha(alpha), u)
+        assert outcome == outcomes[i]
+        assert stepped[i].tobytes() == alone.tobytes()
+        assert filtered[i].tobytes() == filter_update(states[i], beta, outcome, cfg).tobytes()

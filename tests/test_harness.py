@@ -6,6 +6,8 @@ import itertools
 import logging
 import multiprocessing
 import os
+import subprocess
+import sys
 import tempfile
 from dataclasses import astuple, replace
 from pathlib import Path
@@ -15,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import PACKAGE
 from qfclab.controllers import BasicTable, basic_policy
 from qfclab.dynamics import EnvConfig
 from qfclab.harness.config import (
@@ -591,6 +594,18 @@ class TestSweep:
 
         monkeypatch.setattr(RngStream, "generator", refuse)
         assert len(sweep(self.small_cfg(tmp_path))) == 2
+
+    @pytest.mark.parametrize("openblas, expected", [(None, "1 1 1"), ("3", "3 1 1")])
+    def test_import_gives_each_worker_one_blas_thread_unless_set(self, openblas, expected):
+        # workers are the parallelism; BLAS threads in each would oversubscribe the cores
+        env = {"PYTHONPATH": str(PACKAGE.parent)}  # no BLAS variable set
+        if openblas is not None:
+            env["OPENBLAS_NUM_THREADS"] = openblas
+        probe = ("import os, qfclab; print(*(os.environ[v] for v in "
+                 "('OPENBLAS_NUM_THREADS', 'OMP_NUM_THREADS', 'MKL_NUM_THREADS')))")
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                             check=True, env=env)
+        assert out.stdout.strip() == expected
 
     def test_parallel_workers_reproduce_serial_results(self, tmp_path, monkeypatch):
         # one evaluation job per noise and epsilon: four jobs for the pool

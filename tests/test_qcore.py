@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qfclab import qcore
+from qfclab.controllers import basic_policy
+from qfclab.dynamics import EnvConfig, run_episodes
 from qfclab.qcore import (
     DEFAULT_TOL,
     DimensionError,
@@ -20,6 +23,7 @@ from oracles import (
     fidelity_by_spectral,
     maximally_mixed,
     random_density,
+    validate_by_cholesky,
 )
 
 
@@ -70,9 +74,10 @@ class TestValidateDensity:
 
 
 class TestPositivityCheck:
-    """A Cholesky factor of rho + tol*I decides positivity; the eigenvalues
-    report the deviation of a state it refuses.  The verdict and the report
-    are those of the eigenvalue check, except within roundoff of tol itself."""
+    """A closed form accepts clear 3x3 states; for any other stack a Cholesky
+    factor of rho + tol*I decides positivity, and the eigenvalues report the
+    deviation of a stack it refuses.  The verdict and the report are those of
+    the eigenvalue check, except within roundoff of tol itself."""
 
     @pytest.mark.parametrize("tol", [DEFAULT_TOL, 1e-9])
     @given(seed=st.integers(0, 2**32 - 1), real=st.booleans(), stacked=st.booleans(),
@@ -117,6 +122,69 @@ class TestPositivityCheck:
 
     def test_integer_input_becomes_float64(self):
         assert require_density(np.diag([1, 0, 0])).dtype == np.float64
+
+
+@st.composite
+def near_boundary_state(draw, tol: float, real: bool) -> np.ndarray:
+    """A 3x3 state on or near the edge of validity at tolerance ``tol``."""
+    kind = draw(st.sampled_from(["pure", "rank-2", "edge", "full"]))
+    weight = draw(st.floats(0.0, 1.0))
+    if kind == "pure":
+        spectrum = [0.0, 0.0, 1.0]
+    elif kind == "rank-2":
+        spectrum = [0.0, weight, 1.0 - weight]
+    elif kind == "edge":  # the smallest eigenvalue at +-(1 +- 1e-6) tol, or nearer
+        offset = draw(st.sampled_from([1e-6, 1e-7, 1e-8]))
+        low = draw(st.sampled_from([-1.0, 1.0])) * (1 + draw(st.sampled_from([-1, 1])) * offset) * tol
+        spectrum = [low, weight, 1.0 - weight - low]
+    else:
+        spectrum = [weight / 3, (1.0 - weight) / 2, (1.0 + weight / 3) / 2]
+    basis = draw(st.sampled_from(["random", "computational"]))
+    if basis == "random":
+        m = state_with_spectrum(draw(st.integers(0, 2**32 - 1)), spectrum, real)
+    else:  # the smallest eigenvalue on any level, so that any pivot may be the negative one
+        m = np.diag(np.roll(spectrum, draw(st.integers(0, 2)))).astype(float if real else complex)
+    defect = draw(st.sampled_from([None, "unit_trace", "hermitian"]))
+    off = draw(st.sampled_from([-1.0, 1.0])) * draw(st.sampled_from([0.5, 1 - 1e-6, 1 + 1e-6, 2.0]))
+    if defect == "unit_trace":
+        m = m * (1.0 + off * tol)
+    elif defect == "hermitian":
+        m[0, 1] += off * tol
+        m[1, 0] -= off * tol
+    return m * draw(st.one_of(st.just(1.0), st.floats(1e-3, 1e3)))
+
+
+class TestClosedFormAcceptance:
+    """The closed form only accepts, and only states the Cholesky check accepts;
+    every verdict and report is the Cholesky check's."""
+
+    @pytest.mark.parametrize("tol", [DEFAULT_TOL, 1e-9])
+    @settings(max_examples=300)
+    @given(data=st.data(), real=st.booleans(), size=st.sampled_from([None, 1, 2, 5]))
+    def test_verdict_and_report_are_the_cholesky_checks(self, tol, data, real, size):
+        states = [data.draw(near_boundary_state(tol, real)) for _ in range(size or 1)]
+        m = states[0] if size is None else np.stack(states)
+        oracle = validate_by_cholesky(m, tol)
+        assert validate_density(m, tol) == oracle
+        if qcore._clearly_density(m, tol):
+            assert oracle.ok
+        for state in states:
+            if qcore._clearly_density(state, tol):
+                assert validate_by_cholesky(state, tol).ok
+
+    @pytest.mark.parametrize("noise", ["depolarizing", "amplitude_damping", "random_permutation"])
+    @pytest.mark.parametrize("epsilon", [0.0, 0.1])
+    def test_every_true_state_of_an_evaluation_is_accepted_in_closed_form(
+            self, monkeypatch, noise, epsilon):
+        # what makes the closed form worth its code: the loop never needs the factorization
+        verdicts = []
+        clearly_density = qcore._clearly_density
+        monkeypatch.setattr(qcore, "_clearly_density",
+                            lambda m, tol: verdicts.append(clearly_density(m, tol)) or verdicts[-1])
+        cfg = EnvConfig(noise_kind=noise, alpha=0.3, epsilon=epsilon)
+        for _ in run_episodes(basic_policy(), cfg, 5, range(300), np.tile([0.0, 0.3, 1.0], 100)):
+            pass
+        assert len(verdicts) == cfg.horizon and all(verdicts)
 
 
 class TestFidelity:
