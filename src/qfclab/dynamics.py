@@ -109,19 +109,17 @@ def measurement_model(cfg: EnvConfig) -> ch.MeasurementModel:
 
 def _controlled(rho: np.ndarray, beta: float | np.ndarray) -> np.ndarray:
     """U_beta rho U_beta^T; a state at beta 0 stays as it is, since U_0 = I exactly."""
-    if not isinstance(beta, np.ndarray) or not beta.ndim:
-        if beta == 0.0:
-            return rho
-        u = ch.control_unitary(beta)  # real orthogonal
-        return u @ rho @ u.T
-    moved = beta != 0.0
-    if not moved.all():
-        if not moved.any():
-            return rho
-        out = rho.copy()
-        out[moved] = _controlled(rho[moved], beta[moved])
-        return out
-    u = ch.control_unitary(beta)
+    if isinstance(beta, np.ndarray) and beta.ndim:
+        moved = beta != 0.0
+        if not moved.all():
+            if not moved.any():
+                return rho
+            out = rho.copy()
+            out[moved] = _controlled(rho[moved], beta[moved])
+            return out
+    elif beta == 0.0:
+        return rho
+    u = ch.control_unitary(beta)  # real orthogonal
     return u @ rho @ u.swapaxes(-1, -2)
 
 

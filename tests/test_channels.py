@@ -230,14 +230,13 @@ class TestTerminalMeasurement:
 
 
 class TestControlUnitary:
-    @pytest.mark.parametrize("beta", [0.0, -0.0, np.zeros(4), np.array([0.0, -0.0])])
-    def test_beta_zero_is_exactly_the_identity(self, beta):
-        # the loop skips the control at beta 0 on this: U_0 = I, +0.0 entries included
-        u = control_unitary(beta)
-        assert u.shape == np.shape(beta) + (3, 3)
-        identity = np.broadcast_to(np.eye(3), u.shape)
-        assert u.tobytes() == identity.tobytes()
-        assert not np.signbit(u).any()
+    def test_beta_zero_is_identity(self):
+        # exactly, +0.0 entries included: the loop skips the control at beta 0 on this
+        for beta in (0.0, -0.0, np.zeros(4), np.array([0.0, -0.0])):
+            u = control_unitary(beta)
+            assert u.shape == np.shape(beta) + (3, 3)
+            assert u.tobytes() == np.broadcast_to(np.eye(3), u.shape).tobytes()
+            assert not np.signbit(u).any()
 
     def test_beta_one_entries_match_taylor_oracle(self):
         u = control_unitary(1.0)

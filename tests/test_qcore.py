@@ -179,8 +179,12 @@ class TestClosedFormAcceptance:
         # what makes the closed form worth its code: the loop never needs the factorization
         verdicts = []
         clearly_density = qcore._clearly_density
-        monkeypatch.setattr(qcore, "_clearly_density",
-                            lambda m, tol: verdicts.append(clearly_density(m, tol)) or verdicts[-1])
+
+        def recording(m, tol):
+            verdicts.append(clearly_density(m, tol))
+            return verdicts[-1]
+
+        monkeypatch.setattr(qcore, "_clearly_density", recording)
         cfg = EnvConfig(noise_kind=noise, alpha=0.3, epsilon=epsilon)
         for _ in run_episodes(basic_policy(), cfg, 5, range(300), np.tile([0.0, 0.3, 1.0], 100)):
             pass
