@@ -225,23 +225,22 @@ def _trace(rho: np.ndarray):
 
 
 def apply_channel(
-    ch: QuantumChannel, rho: np.ndarray, alpha: np.ndarray | None = None
+    ch: QuantumChannel, rho: np.ndarray, alpha: float | np.ndarray | None = None
 ) -> np.ndarray:
     """Apply the Kraus map rho -> sum_k K_k rho K_k^dag through its family's closed form.
 
     depolarizing: (1 - a) rho + a tr(rho) I/3.  random permutation:
     (1 - 2a/3) rho + (a/3)(C rho C^T + C^2 rho C^2T), as index permutations.
     amplitude damping: rho scaled entrywise by d d^T, d = (1, 1, sqrt(1 - a)),
-    plus (a/2) rho_22 on each of the entries (0, 0) and (1, 1).  ``alpha``,
-    one per state of a stack, replaces ``ch.alpha``: each state then takes
-    the same float operations as alone under its own channel of ``ch.kind``.
+    plus (a/2) rho_22 on each of the entries (0, 0) and (1, 1).  ``alpha``, a
+    float or one per state, replaces ``ch.alpha``: each state then takes the
+    same float operations as alone under its own channel of ``ch.kind``.
     """
     if rho.shape[-2:] != (ch.dim, ch.dim):
         raise DimensionError(f"state shape {rho.shape} != channel dim {ch.dim}")
     # a scales each state's scalars, a_m its matrix
-    a = a_m = ch.alpha
-    if alpha is not None:
-        a, a_m = alpha, alpha[..., None, None]
+    a = ch.alpha if alpha is None else alpha
+    a_m = np.asarray(a)[..., None, None]
     if ch.kind == "depolarizing":
         out = (1.0 - a_m) * rho
         mixed = (a / 3.0) * _trace(rho)

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, ClassVar, Union
 
 import numpy as np
 
-from .qcore import _as_square_matrix, every
+from .qcore import every
 
 if TYPE_CHECKING:  # the rl package imports this module, so only type checkers look back
     from .rl.nets import MlpActorCritic, RecurrentActorCritic
@@ -60,12 +60,6 @@ def basic_policy() -> BasicTable:
     already flags the target, so no pulse.
     """
     return BasicTable(beta_by_outcome=(1.0, 1.0, 0.0))
-
-
-def believed_outcome(rho0: np.ndarray) -> int:
-    """Surrogate outcome for the first step: the most populated level of the known initial state."""
-    rho0 = _as_square_matrix(rho0, "rho0")
-    return int(np.argmax(np.diag(rho0).real))
 
 
 def policy_act(

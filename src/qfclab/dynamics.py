@@ -11,9 +11,9 @@ U_0 = I exactly, so a state at beta = 0 skips the control.  The
 filtering law drops the noise map but conditions on the real system's
 outcomes (control first, then conditioning, matching the true dynamics'
 operator ordering).  Each step law takes one state or a stack of states, and
-the outcome samplers take one uniform draw per state.  Every episode starts in
-|0>, and every operator of the loop is real, so the states are real symmetric
-``float64`` arrays throughout.
+the outcome samplers take one uniform draw per state, and the true law one
+alpha per state.  Every episode starts in |0>, and every operator of the loop
+is real, so the states are real symmetric ``float64`` arrays throughout.
 
 :class:`ClosedLoop` is the one stepper of the closed loop.  Training
 (:mod:`qfclab.rl.envs`) drives it on a stack of a rollout window's episodes,
@@ -21,24 +21,24 @@ which may start at different steps, or on one state for the episodes whose
 length is not known ahead (a stop ends them).  What a network observes is
 a real vector: :func:`encode_state_observation` of a state, or
 :func:`encode_outcome_observation` of the last outcome and control.
-:func:`run_episodes` validates a policy by driving all episodes of a batch
-in one stack, each at its own alpha if asked, and returns each episode's
-true-state fidelity curve and whether its filter diverged.  Every episode
-draws from its own stream (seed, id), one uniform per step, all of a batch's
-drawn at once by :func:`qfclab.rngstream.uniforms`, so an episode with
-identical (config, alpha, policy, seed, id) is bit-identical whatever batch
+:func:`run_episodes` validates a policy by driving its episodes in stacks,
+each episode at its own alpha if asked, and returns the arrays of every
+episode's true-state fidelity curve and whether its filter diverged.  Every
+episode draws from its own stream (seed, id), one uniform per step, all of a
+stack's drawn at once by :func:`qfclab.rngstream.uniforms`, so an episode with
+identical (config, alpha, policy, seed, id) is bit-identical whatever stack
 or thread runs it.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import channels as ch
-from .controllers import Policy, believed_outcome, policy_act
+from .controllers import Policy, policy_act
 from .qcore import basis_state, every, fidelity_pure_target, require_density
 from .rngstream import uniforms
 
@@ -50,7 +50,7 @@ TARGET_INDEX = 2
 #: the state every episode starts in, |0> (read-only)
 INITIAL_STATE = basis_state(0)
 INITIAL_STATE.flags.writeable = False
-_INITIAL_OUTCOME = believed_outcome(INITIAL_STATE)
+_INITIAL_OUTCOME = 0  # a table policy's first observation: |0> is certainly at level 0
 
 
 class FilterDivergenceError(RuntimeError):
@@ -133,20 +133,22 @@ def _sample_outcome(probs: np.ndarray, u: float | np.ndarray):
 
 def step_true(
     rho: np.ndarray, beta: float | np.ndarray, cfg: EnvConfig, u: float | np.ndarray,
-    alpha: np.ndarray | None = None,
+    alpha: float | np.ndarray,
 ) -> tuple[np.ndarray, int | np.ndarray]:
     """One step of the noisy closed loop; returns the conditioned state and the outcome.
 
-    ``u`` is the step's uniform draw in [0, 1), one per state of a stack, and
-    ``alpha``, one per state of a stack, replaces ``cfg.alpha``.
+    ``u`` is the step's uniform draw in [0, 1) and ``alpha`` its noise
+    strength, each one per state of a stack (a float ``alpha`` holds for
+    every state); ``cfg.alpha`` is not read.  A state at alpha 0 skips the
+    map, since every noise family is then the identity.
     """
-    if alpha is not None:
-        noisy = alpha > 0.0  # a state at alpha 0 skips the map, as at a scalar alpha 0
-        if noisy.any():
-            noised = ch.apply_channel(noise_channel(cfg), rho, alpha)
-            rho = noised if noisy.all() else np.where(noisy[:, None, None], noised, rho)
-    elif cfg.alpha > 0.0:  # at alpha = 0 every noise family is the identity
-        rho = ch.apply_channel(noise_channel(cfg), rho)
+    noisy = alpha > 0.0
+    if not isinstance(noisy, np.ndarray):
+        if noisy:
+            rho = ch.apply_channel(noise_channel(cfg), rho, alpha)
+    elif noisy.any():
+        noised = ch.apply_channel(noise_channel(cfg), rho, alpha)
+        rho = noised if noisy.all() else np.where(noisy[:, None, None], noised, rho)
     post_control = _controlled(rho, beta)
     m = measurement_model(cfg)
     outcome = _sample_outcome(ch.outcome_probabilities(m, post_control), u)
@@ -170,20 +172,6 @@ def filter_update(
         raise FilterDivergenceError(
             f"filter assigns zero probability to a real outcome: {exc}", rows=exc.rows
         ) from exc
-
-
-@dataclass(frozen=True)
-class EpisodeBatch:
-    """What :func:`run_episodes` returns of consecutive episodes, one row each.
-
-    ``fidelity[:, t]`` is the true-state fidelity after step t; column 0 is
-    the start in |0>, so it reads 0.  After a stop the curve holds its last
-    value.  An aborted episode (filter divergence) is frozen where it
-    diverged, and the rest of its row means nothing.
-    """
-
-    fidelity: np.ndarray  # (n, horizon + 1)
-    aborted: np.ndarray  # (n,) bool
 
 
 # The upper-triangle entries read, in encoding order (the populations, then
@@ -233,23 +221,20 @@ class ClosedLoop:
     and control ``beta`` then carry that leading axis.  Every episode starts
     in |0>.  Step t, or a stop decided at step t, takes uniform t.  The kind
     fixes what the policy observes: a ``"table"`` the last outcome (at first,
-    the believed outcome of |0>); an ``"lstm"`` the pair (last outcome, last
+    0, the level of |0>); an ``"lstm"`` the pair (last outcome, last
     control), after a forced beta = 0 first step; an ``"mlp"`` the filtered
-    state.  At alpha = 0 the filter step repeats the true step's operations
-    on the same state and outcome, so there the loop skips the filter and
-    shows the true state, the same bytes.  ``alpha``, one per row of a stack,
-    replaces ``cfg.alpha`` (rows at alpha 0 skip the noise map); an
-    ``"mlp"`` stack then filters every row if any alpha is positive, which at
-    alpha 0 gives the true state's bytes.
+    state.  ``alpha`` (by default ``cfg.alpha``) is each row's noise
+    strength, and rows at alpha 0 skip the noise map.  At alpha 0 the filter
+    step repeats the true step's operations on the same state and outcome,
+    so a loop with no row above alpha 0 skips the filter and shows the true
+    state, the same bytes; an ``"mlp"`` loop with any row above filters all.
     """
 
     def __init__(self, kind: str, cfg: EnvConfig, draws: np.ndarray,
-                 alpha: np.ndarray | None = None):
+                 alpha: float | np.ndarray | None = None):
         if kind not in ("table", "mlp", "lstm"):
             raise ValueError(f"unknown closed-loop kind {kind!r}")
-        self.kind, self.cfg, self.t, self.alpha = kind, cfg, 0, alpha
-        noisy = cfg.alpha > 0.0 if alpha is None else bool((alpha > 0.0).any())
-        self.filters = kind == "mlp" and noisy
+        self.kind, self.cfg, self.t = kind, cfg, 0
         self._draws = draws.T  # row t holds every state's uniform for step t
         rho, outcome = INITIAL_STATE, _INITIAL_OUTCOME
         if draws.ndim == 1:
@@ -257,6 +242,9 @@ class ClosedLoop:
         else:
             self.rho = np.repeat(rho[None], len(draws), axis=0)
             self.outcome, self.beta = np.full(len(draws), outcome), np.zeros(len(draws))
+        self.alpha = np.broadcast_to(cfg.alpha if alpha is None else alpha, draws.shape[:-1])
+        self.noisy = bool(np.any(self.alpha > 0.0))  # any row; once per stack, not per step
+        self.filters = kind == "mlp" and self.noisy
         self.seen = self.rho
 
     def observation(self):
@@ -280,7 +268,8 @@ class ClosedLoop:
         A filter that assigns a real outcome zero probability raises
         :class:`FilterDivergenceError` and leaves the loop as it was.
         """
-        rho, outcome = step_true(self.rho, beta, self.cfg, self._draws[self.t], self.alpha)
+        rho, outcome = step_true(self.rho, beta, self.cfg, self._draws[self.t],
+                                 self.alpha if self.noisy else 0.0)
         seen = filter_update(self.seen, beta, outcome, self.cfg) if self.filters else rho
         self.rho, self.seen, self.outcome, self.beta = rho, seen, outcome, beta
         self.t += 1
@@ -294,9 +283,8 @@ class ClosedLoop:
         """Keep only the stack rows the boolean mask ``rows`` selects."""
         self.rho, self.outcome, self.beta = self.rho[rows], self.outcome[rows], self.beta[rows]
         self.seen = self.seen[rows] if self.filters else self.rho
-        self._draws = self._draws[:, rows]
-        if self.alpha is not None:
-            self.alpha = self.alpha[rows]
+        self._draws, self.alpha = self._draws[:, rows], self.alpha[rows]
+        self.noisy = bool(np.any(self.alpha > 0.0))
 
     @classmethod
     def stack(cls, loops: Sequence["ClosedLoop"]) -> "ClosedLoop":
@@ -312,7 +300,7 @@ class ClosedLoop:
         for row, loop in zip(draws, loops):
             rest = loop._draws[loop.t:]
             row[:rest.size] = rest
-        stacked = cls(first.kind, first.cfg, draws)
+        stacked = cls(first.kind, first.cfg, draws, np.array([loop.alpha for loop in loops]))
         stacked.rho = np.stack([loop.rho for loop in loops])
         stacked.seen = np.stack([loop.seen for loop in loops]) if stacked.filters else stacked.rho
         stacked.outcome = np.array([loop.outcome for loop in loops])
@@ -328,17 +316,19 @@ class ClosedLoop:
 
 def run_episodes(
     policy: Policy, cfg: EnvConfig, seeds, ids, alphas=None
-) -> Iterator[EpisodeBatch]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Validate a policy on one episode of the true noisy dynamics per stream (seed, id).
 
-    ``seeds``, ``ids`` and ``alphas`` broadcast to one entry per episode, and
-    ``alphas`` (by default ``cfg.alpha``) replaces ``cfg.alpha`` episode by
-    episode.  Episode i draws the uniforms of ``RngStream(seeds[i], ids[i])``.
-    Yields one :class:`EpisodeBatch` per run of at most ``BATCH_EPISODES``
-    consecutive episodes, in order, each stepped as one :class:`ClosedLoop`
-    of the policy's kind.  Fidelity is always that of the TRUE state, and
-    every true state is checked to be a density operator.  A stop action ends
-    its episode; no output reports its terminal measurement.
+    ``seeds``, ``ids`` and ``alphas`` (by default ``cfg.alpha``) broadcast to
+    one entry per episode: episode i draws the uniforms of
+    ``RngStream(seeds[i], ids[i])`` at noise strength ``alphas[i]``.  Runs of
+    at most ``BATCH_EPISODES`` consecutive episodes step as one
+    :class:`ClosedLoop`.  Returns ``(fidelity, aborted)``, a row per episode
+    in order.  ``fidelity[i, t]`` is the true-state fidelity after step t:
+    column 0, the start in |0>, reads 0, and after a stop the curve holds its
+    last value.  ``aborted[i]`` flags a filter divergence, and the rest of
+    that row means nothing.  Every true state is checked to be a density
+    operator; no output reports a stop's terminal measurement.
     """
     seeds, ids = np.broadcast_arrays(np.atleast_1d(np.asarray(seeds, dtype=np.uint64)),
                                      np.asarray(ids, dtype=np.uint64))
@@ -346,20 +336,22 @@ def run_episodes(
                              seeds.shape)
     if not every((alphas >= 0.0) & (alphas <= 1.0)):
         raise ch.ParameterError(f"alpha must lie in [0, 1], got {alphas.min()}..{alphas.max()}")
+    fidelity = np.full((len(seeds), cfg.horizon + 1), np.nan)
+    aborted = np.zeros(len(seeds), dtype=bool)
     for start in range(0, len(seeds), BATCH_EPISODES):
         rows = slice(start, start + BATCH_EPISODES)
-        yield _run_batch(policy, cfg, seeds[rows], ids[rows], alphas[rows])
+        _run_batch(policy, cfg, seeds[rows], ids[rows], alphas[rows], fidelity[rows],
+                   aborted[rows])
+    return fidelity, aborted
 
 
-def _run_batch(policy, cfg: EnvConfig, seeds, ids, alphas) -> EpisodeBatch:
-    """One :class:`EpisodeBatch` of :func:`run_episodes`, all episodes in lockstep."""
-    n, horizon, target = len(seeds), cfg.horizon, TARGET_INDEX
+def _run_batch(policy, cfg: EnvConfig, seeds, ids, alphas, fidelity, aborted) -> None:
+    """Step one stack of :func:`run_episodes`, filling its rows of ``fidelity`` and ``aborted``."""
+    horizon, target = cfg.horizon, TARGET_INDEX
     loop = ClosedLoop(policy.kind, cfg, uniforms(seeds, ids, horizon), alphas)
-    fidelity = np.full((n, horizon + 1), np.nan)
     fidelity[:, 0] = fidelity_pure_target(loop.rho, target)
-    aborted = np.zeros(n, dtype=bool)
 
-    live = np.arange(n)  # the episodes the loop still steps, in its row order
+    live = np.arange(len(seeds))  # the episodes the loop still steps, in its row order
     policy_state = None
     while loop.t < horizon and live.size:
         if not loop.forced_step():
@@ -388,4 +380,3 @@ def _run_batch(policy, cfg: EnvConfig, seeds, ids, alphas) -> EpisodeBatch:
         # every true state must still be a physical density operator
         require_density(loop.rho, tol=1e-9, name=f"true state at step {t}")
         fidelity[live, t] = fidelity_pure_target(loop.rho, target)
-    return EpisodeBatch(fidelity, aborted)

@@ -118,9 +118,9 @@ def _cmd_eval(args) -> int:
             raise MissingCheckpointError(f"checkpoint {args.policy} not found")
         policy, meta = load_policy(args.policy)
         scenario = meta["scenario"]
-    cell = evaluate(policy, _env_config(args), args.episodes, args.seed,
-                    scenario=scenario, f_star=check_f_star(args.f_star))
-    print(render_results_csv([cell]), end="")
+    cells = evaluate(policy, _env_config(args), args.episodes, [(args.alpha, args.seed)],
+                     scenario=scenario, f_star=check_f_star(args.f_star))
+    print(render_results_csv(cells), end="")
     return EXIT_OK
 
 

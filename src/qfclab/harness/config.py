@@ -136,7 +136,11 @@ def parse_config_file(path) -> SweepConfig:
     kw: dict = {}
     seen: dict[tuple[str, str], int] = {}
     section = None
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:  # missing, a directory, unreadable
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}") from exc
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -3,11 +3,12 @@
 Every cell's randomness is keyed by (master seed, scenario, noise, alpha,
 epsilon) through a documented splitmix64 mix, so cells are order-independent:
 any single deleted cell recomputes bit-identically.  Every agent trained on
-demand is seeded from the master seed and its checkpoint name.  The sweep
-trains the missing agents, then evaluates each agent on each (noise,
-epsilon) as one job: the episodes of all its alphas step as one stack, and
-each cell is aggregated from its own episodes.  Both phases run in one pool
-of worker processes capped by the QFC_THREADS environment variable; neither
+demand is seeded from the master seed and its checkpoint name.
+:func:`evaluate` takes (alpha, seed) cells and returns one result per cell,
+each aggregated from its own episodes of one shared stack.  The sweep trains
+the missing agents, then evaluates each agent on each (noise, epsilon) as
+one :func:`evaluate` job over its alphas.  Both phases run in one pool of
+worker processes capped by the QFC_THREADS environment variable; neither
 the worker count nor the schedule can change a checkpoint or a result.
 """
 
@@ -76,35 +77,21 @@ def evaluate(
     policy: Policy,
     env_cfg: EnvConfig,
     n: int,
-    seed: int,
-    scenario: str = "basic",
-    f_star: float = 0.9,
-) -> CellResult:
-    """Run n seeded validation episodes of the true noisy dynamics and aggregate.
-
-    Episode i draws from ``RngStream(seed, i)``.  Steps-to-threshold
-    statistics count the first step whose running true fidelity reaches
-    ``f_star``; episodes that never reach it are excluded from the mean and
-    surfaced in ``unreached_count``.  Filter-divergence aborts are counted,
-    never silently folded into the statistics.
-    """
-    return evaluate_alphas(policy, env_cfg, n, [(env_cfg.alpha, seed)], scenario, f_star)[0]
-
-
-def evaluate_alphas(
-    policy: Policy,
-    env_cfg: EnvConfig,
-    n: int,
     cells: list[tuple[float, int]],
     scenario: str = "basic",
     f_star: float = 0.9,
 ) -> list[CellResult]:
-    """:func:`evaluate` of each (alpha, seed) of ``cells`` at ``env_cfg``'s other fields.
+    """Run n seeded validation episodes of the true noisy dynamics per cell; aggregate each.
 
-    The n episodes of every cell step together, cell after cell, in stacks of
-    at most ``BATCH_EPISODES`` (which may span cells), each episode at its
-    cell's alpha.  Each cell is aggregated from its own rows, so its result
-    is that of the cell evaluated alone, byte for byte.
+    Each (alpha, seed) of ``cells`` is a cell whose episode i draws from
+    ``RngStream(seed, i)`` at that alpha; ``env_cfg`` gives the rest, and its
+    alpha is not read.  All cells' episodes step together in stacks of at
+    most ``BATCH_EPISODES``, yet each cell's result is that of the cell
+    evaluated alone, byte for byte.  Steps-to-threshold statistics count the
+    first step whose running true fidelity reaches ``f_star``; episodes that
+    never reach it are excluded from the mean and surfaced in
+    ``unreached_count``.  Filter-divergence aborts are counted, never
+    silently folded into the statistics.
     """
     if n < 1:
         raise ValueError(f"episode count must be >= 1, got {n}")
@@ -112,9 +99,8 @@ def evaluate_alphas(
     # a seed outside [0, 2^64) draws as RngStream takes it, mod 2^64
     seeds = np.repeat(np.array([seed % 2**64 for _, seed in cells], dtype=np.uint64), n)
     ids = np.tile(np.arange(n, dtype=np.uint64), len(cells))
-    batches = list(run_episodes(policy, env_cfg, seeds, ids, alphas))
-    fidelity = np.concatenate([batch.fidelity for batch in batches]).reshape(len(cells), n, -1)
-    aborted = np.concatenate([batch.aborted for batch in batches]).reshape(len(cells), n)
+    fidelity, aborted = run_episodes(policy, env_cfg, seeds, ids, alphas)
+    fidelity, aborted = fidelity.reshape(len(cells), n, -1), aborted.reshape(len(cells), n)
     return [
         _cell_result((scenario, env_cfg.noise_kind, alpha, env_cfg.epsilon), seed, f_star,
                      cell_fidelity, cell_aborted)
@@ -236,8 +222,8 @@ def _evaluate_job(args) -> tuple[list[CellResult], float]:
     scenario, noise, epsilon, cells, policy_source, episodes, horizon, f_star = args
     start = time.perf_counter()
     policy = load_policy(policy_source)[0] if isinstance(policy_source, str) else policy_source
-    env_cfg = EnvConfig(noise_kind=noise, alpha=cells[0][0], epsilon=epsilon, horizon=horizon)
-    results = evaluate_alphas(policy, env_cfg, episodes, cells, scenario, f_star)
+    env_cfg = EnvConfig(noise_kind=noise, epsilon=epsilon, horizon=horizon)
+    results = evaluate(policy, env_cfg, episodes, cells, scenario, f_star)
     return results, time.perf_counter() - start
 
 

@@ -20,9 +20,9 @@ import numpy as np
 
 from .nets import MlpActorCritic, RecurrentActorCritic, validate_params
 
-# what a damaged archive raises as it is read, and a bad member as it is checked
+# what a damaged archive or a path that is no file raises as read, and a bad member as checked
 _READ_ERRORS = (zipfile.BadZipFile, zlib.error, NotImplementedError, RuntimeError,
-                EOFError, ValueError, TypeError, FloatingPointError)
+                EOFError, OSError, ValueError, TypeError, FloatingPointError)
 
 
 class CheckpointError(ValueError):
@@ -60,8 +60,9 @@ def save_policy(path, net, scenario: str, metadata: dict | None = None) -> None:
 def load_policy(path):
     """Read a checkpoint; returns (net, metadata dict of str).
 
-    Any file that is not a whole, intact checkpoint of this format, or whose
-    parameters are non-finite, raises :class:`CheckpointError`.
+    Any path that is not a whole, intact checkpoint file of this format (a
+    directory, say), or whose parameters are non-finite, raises
+    :class:`CheckpointError`; a missing path raises :class:`FileNotFoundError`.
     """
     try:
         with zipfile.ZipFile(path) as archive:
@@ -92,7 +93,7 @@ def load_policy(path):
             raise CheckpointError(f"{path}: meta is not a JSON object of strings")
     except KeyError as exc:
         raise CheckpointError(f"{path}: lacks the {exc} member") from exc
-    except CheckpointError:
+    except (CheckpointError, FileNotFoundError):  # a missing path is no damaged checkpoint
         raise
     except _READ_ERRORS as exc:
         raise CheckpointError(f"{path}: {type(exc).__name__}: {exc}") from exc

@@ -29,7 +29,7 @@ from qfclab.channels import (
     outcome_probabilities,
     terminal_measurement,
 )
-from qfclab.controllers import BasicTable, believed_outcome, policy_act
+from qfclab.controllers import BasicTable, policy_act
 from qfclab.dynamics import INITIAL_STATE, TARGET_INDEX, ClosedLoop, encode_state_observation
 from qfclab.qcore import DEFAULT_TOL, ValidationReport, fidelity_pure_target
 from qfclab.rl import ppo
@@ -375,7 +375,8 @@ def reference_episode(policy, cfg, stream) -> ReferenceEpisode:
     true_states, seen_states, betas, outcomes = [], [], [], []
     stop_step = terminal_outcome = None
     state = policy.initial_state() if hasattr(policy, "initial_state") else None
-    last_outcome, last_beta = believed_outcome(rho), 0.0
+    # a table's first observation stands in for an outcome: the most populated level
+    last_outcome, last_beta = int(np.argmax(np.diag(rho).real)), 0.0
     t = 0
     while t < cfg.horizon:
         if forced_reset and t == 0:

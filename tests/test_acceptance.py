@@ -119,7 +119,7 @@ def test_criterion_04_noiseless_closed_loop_oracle():
     increments = np.diff(absorbed)
     conditional_mean = float(np.sum(np.arange(1, 21) * increments) / p20)
     cfg = EnvConfig(noise_kind="depolarizing", alpha=0.0, epsilon=0.0, horizon=20)
-    cell = evaluate(basic_policy(), cfg, 1000, seed=20240, scenario="basic", f_star=0.9)
+    (cell,) = evaluate(basic_policy(), cfg, 1000, [(0.0, 20240)], scenario="basic", f_star=0.9)
     n = cell.episodes
     freq = (n - cell.unreached_count) / n
     freq_ok = abs(freq - p20) <= 3 * np.sqrt(p20 * (1 - p20) / n)
@@ -254,9 +254,9 @@ def test_criterion_07_ppo_machinery():
 
 def terminal_fidelities(policy, cfg, seed, n=200):
     """Terminal true fidelity of the episodes RngStream(seed, i), i < n."""
-    (batch,) = run_episodes(policy, cfg, seed, range(n))
-    assert not batch.aborted.any()
-    return batch.fidelity[:, -1]
+    fidelity, aborted = run_episodes(policy, cfg, seed, range(n))
+    assert not aborted.any()
+    return fidelity[:, -1]
 
 
 def test_criterion_08_mbs_end_to_end(mbs_agent):

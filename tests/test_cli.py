@@ -9,6 +9,8 @@ from pathlib import Path
 import pytest
 
 from qfclab.channels import ConditioningError, control_unitary
+from qfclab.controllers import basic_policy
+from qfclab.dynamics import EnvConfig
 from qfclab.harness import cli
 from qfclab.harness.cli import (
     EXIT_CONFIG,
@@ -17,7 +19,8 @@ from qfclab.harness.cli import (
     EXIT_RUNTIME,
     main,
 )
-from qfclab.harness.report import emit_report, parse_csv, read_results_dir
+from qfclab.harness.evaluate import evaluate
+from qfclab.harness.report import emit_report, parse_csv, read_results_dir, render_results_csv
 from qfclab.qcore import DimensionError, StateValidityError
 from qfclab.rl.checkpoint import load_policy, save_policy
 from qfclab.rl.nets import MlpActorCritic
@@ -56,6 +59,17 @@ class TestEvalCommand:
         assert out.splitlines()[0].startswith("scenario,noise,alpha")
         assert out.splitlines()[1].startswith("basic,depolarizing,")
 
+    def test_prints_the_row_evaluate_returns_for_its_cell(self, capsys):
+        code = main([
+            "eval", "--policy", "basic", "--noise", "amplitude_damping", "--alpha", "0.3",
+            "--epsilon", "0.2", "--episodes", "30", "--seed", "9", "--horizon", "7",
+            "--f-star", "0.8",
+        ])
+        cfg = EnvConfig(noise_kind="amplitude_damping", alpha=0.3, epsilon=0.2, horizon=7)
+        cells = evaluate(basic_policy(), cfg, 30, [(0.3, 9)], f_star=0.8)
+        assert code == EXIT_OK
+        assert capsys.readouterr().out == render_results_csv(cells)
+
     def test_resume_refuses_results_of_another_training_budget(self, tmp_path, capsys):
         # every row resumes, so no checkpoint is loaded: only the manifest can
         # tell that the agents behind the rows had another budget
@@ -87,6 +101,11 @@ class TestEvalCommand:
     def test_missing_checkpoint_exit_code(self, tmp_path, capsys):
         code = main(["eval", "--policy", str(tmp_path / "nope.ckpt"), "--episodes", "1"])
         assert code == EXIT_MISSING_CHECKPOINT
+
+    def test_directory_as_checkpoint_is_config_error(self, tmp_path, capsys):
+        code = main(["eval", "--policy", str(tmp_path), "--episodes", "1"])
+        assert code == EXIT_CONFIG
+        assert str(tmp_path) in capsys.readouterr().err
 
     def test_bad_parameter_exit_code(self, capsys):
         code = main([
@@ -283,6 +302,12 @@ class TestSweepCommand:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("[sweep]\nscenarios = q_learning\n")
         assert main(["sweep", "--config", str(cfg)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("missing", [True, False])
+    def test_unreadable_config_is_config_error(self, tmp_path, capsys, missing):
+        path = tmp_path / "missing.cfg" if missing else tmp_path  # or a directory
+        assert main(["sweep", "--config", str(path)]) == EXIT_CONFIG
+        assert f"cannot read config file {path}" in capsys.readouterr().err
 
     def test_negative_training_budget_is_config_error(self, tmp_path, capsys):
         cfg = write_sweep_config(tmp_path, tmp_path / "out", tmp_path / "ck")

@@ -6,7 +6,6 @@ import pytest
 from qfclab.controllers import (
     ControlAction,
     basic_policy,
-    believed_outcome,
     policy_act,
 )
 from qfclab.dynamics import (
@@ -15,7 +14,6 @@ from qfclab.dynamics import (
     encode_outcome_observation,
     encode_state_observation,
 )
-from qfclab.qcore import basis_state
 from qfclab.rl.nets import MlpActorCritic
 from qfclab.rngstream import RngStream
 
@@ -96,12 +94,3 @@ class TestNetworkPolicies:
         net = MlpActorCritic(obs_dim=9, gen=np.random.default_rng(3))
         with pytest.raises(ValueError):  # the outcome pair is no 9-entry state
             policy_act(net, encode_outcome_observation(0, 0.0))
-
-
-class TestBelievedOutcome:
-    def test_basis_states(self):
-        for k in range(3):
-            assert believed_outcome(basis_state(k)) == k
-
-    def test_dominant_level_of_mixture(self):
-        assert believed_outcome(np.diag([0.2, 0.7, 0.1]).astype(complex)) == 1

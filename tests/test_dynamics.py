@@ -76,7 +76,7 @@ class TestStepTrue:
         cfg = make_cfg()
         gen = RngStream(1).generator()
         for _ in range(10):
-            rho, outcome = step_true(basis_state(2), 0.0, cfg, gen.random())
+            rho, outcome = step_true(basis_state(2), 0.0, cfg, gen.random(), cfg.alpha)
             assert outcome == 2
             np.testing.assert_allclose(rho, basis_state(2), atol=1e-12)
 
@@ -88,7 +88,7 @@ class TestStepTrue:
         n = 100_000
         counts = np.zeros(3)
         for _ in range(n):
-            _, outcome = step_true(basis_state(0), 1.0, cfg, gen.random())
+            _, outcome = step_true(basis_state(0), 1.0, cfg, gen.random(), cfg.alpha)
             counts[outcome] += 1
         freqs = counts / n
         sigma = np.sqrt(expected * (1 - expected) / n)
@@ -100,7 +100,7 @@ class TestStepTrue:
         n = 30_000
         counts = np.zeros(3)
         for _ in range(n):
-            _, outcome = step_true(basis_state(2), 0.0, cfg, gen.random())
+            _, outcome = step_true(basis_state(2), 0.0, cfg, gen.random(), cfg.alpha)
             counts[outcome] += 1
         sigma = np.sqrt((1 / 3) * (2 / 3) / n)
         assert np.all(np.abs(counts / n - 1 / 3) <= 3 * sigma)
@@ -120,7 +120,7 @@ class TestStepNominal:
         monkeypatch.setattr(dynamics.ch, "apply_channel", None)
         draws = RngStream(4).generator()
         for beta in np.sin(np.arange(30)):
-            rho, outcome = step_true(rho, float(beta), cfg, draws.random())
+            rho, outcome = step_true(rho, float(beta), cfg, draws.random(), cfg.alpha)
             nominal.step(float(beta))
             assert outcome == nominal.outcome
             scale = np.abs(nominal.rho).max()
@@ -132,7 +132,7 @@ class TestStepNominal:
         n = 50_000
         hits = 0
         for _ in range(n):
-            _, outcome = step_true(basis_state(1), 1.0, cfg, gen.random())
+            _, outcome = step_true(basis_state(1), 1.0, cfg, gen.random(), cfg.alpha)
             hits += outcome == 2
         p = np.abs(control_unitary_closed_form(1.0)[2, 1]) ** 2
         assert hits / n == pytest.approx(p, abs=3 * np.sqrt(p * (1 - p) / n))
@@ -144,7 +144,7 @@ class TestStepNominal:
         n = 50_000
         hits = 0
         for _ in range(n):
-            _, outcome = step_true(basis_state(2), 0.0, cfg, gen.random())
+            _, outcome = step_true(basis_state(2), 0.0, cfg, gen.random(), cfg.alpha)
             hits += outcome == 2
         expected = 1 - 2 * 0.25
         assert hits / n == pytest.approx(expected, abs=3 * np.sqrt(expected * 0.5 / n))
@@ -173,7 +173,7 @@ class TestFilterUpdate:
         rho = rho_hat = dynamics.INITIAL_STATE
         betas = np.sin(np.arange(50))  # arbitrary in-range control sequence
         for beta in betas:
-            rho, outcome = step_true(rho, float(beta), cfg, gen.random())
+            rho, outcome = step_true(rho, float(beta), cfg, gen.random(), cfg.alpha)
             rho_hat = filter_update(rho_hat, float(beta), outcome, cfg)
             assert np.max(np.abs(rho - rho_hat)) <= 1e-12
 
@@ -203,10 +203,10 @@ def test_three_outcome_sampler_equals_the_cumulative_sum_form(draws):
     assert np.array_equal(got, want)
 
 
-def run_batch(policy, cfg, seed, n=1):
-    """The episodes of RngStream(seed, i), i < n, as one batch."""
-    (batch,) = run_episodes(policy, cfg, seed, range(n))
-    return batch
+def terminal_fidelity(policy, cfg, seed, n=1):
+    """The terminal true fidelity of the episodes RngStream(seed, i), i < n."""
+    fidelity, _ = run_episodes(policy, cfg, seed, range(n))
+    return fidelity[:, -1]
 
 
 class TestRunEpisode:
@@ -214,7 +214,7 @@ class TestRunEpisode:
         expected_steps, absorbed = basic_controller_chain(20)
         cfg = make_cfg()
         n = 1000
-        terminal = run_batch(basic_policy(), cfg, 100, n).fidelity[:, -1]
+        terminal = terminal_fidelity(basic_policy(), cfg, 100, n)
         hits = sum(f == pytest.approx(1.0, abs=1e-9) for f in terminal)
         p20 = absorbed[-1]
         assert hits / n >= 0.99
@@ -223,19 +223,19 @@ class TestRunEpisode:
     def test_zero_policy_goes_nowhere(self):
         cfg = make_cfg()
         zero = BasicTable(beta_by_outcome=(0.0, 0.0, 0.0))
-        assert np.all(run_batch(zero, cfg, 101, 20).fidelity[:, -1] == 0.0)
+        assert np.all(terminal_fidelity(zero, cfg, 101, 20) == 0.0)
 
     def test_full_depolarization_pins_mean_fidelity_at_one_third(self):
         cfg = make_cfg(alpha=1.0, epsilon=0.1)
-        fids = run_batch(basic_policy(), cfg, 102, 1000).fidelity[:, -1]
+        fids = terminal_fidelity(basic_policy(), cfg, 102, 1000)
         assert np.mean(fids) == pytest.approx(1 / 3, abs=0.02)
 
     def test_reproducibility_is_bit_identical(self):
         cfg = make_cfg(alpha=0.4, epsilon=0.2, noise_kind="random_permutation")
-        (a,) = run_episodes(basic_policy(), cfg, 55, [7])
-        (b,) = run_episodes(basic_policy(), cfg, 55, [7])
-        assert a.fidelity.tobytes() == b.fidelity.tobytes()
-        assert np.array_equal(a.aborted, b.aborted)
+        a_fidelity, a_aborted = run_episodes(basic_policy(), cfg, 55, [7])
+        b_fidelity, b_aborted = run_episodes(basic_policy(), cfg, 55, [7])
+        assert a_fidelity.tobytes() == b_fidelity.tobytes()
+        assert np.array_equal(a_aborted, b_aborted)
 
     def test_only_an_mlp_policy_observes_a_filtered_state(self):
         # and only under noise: at alpha = 0 the filter would repeat the true step

@@ -1,7 +1,7 @@
 """Batch invariance of the episode kernel, against a one-state-at-a-time reference.
 
 The fidelity curve and abort flag of every episode of a :func:`run_episodes`
-batch must equal, bit for bit, those of the same episode run alone, and those
+stack must equal, bit for bit, those of the same episode run alone, and those
 of :func:`oracles.reference_episode` (the scalar loop the kernel replaced,
 with its linear-scan sampler and scalar policy step).
 """
@@ -55,17 +55,17 @@ def test_each_batched_episode_equals_it_run_alone_and_the_reference_loop(kind, c
         noise_kind=case["noise"], alpha=case["alpha"], epsilon=case["epsilon"],
         horizon=case["horizon"],
     )
-    (batch,) = run_episodes(policy, cfg, case["seed"], range(case["n"]))
+    fidelity, aborted = run_episodes(policy, cfg, case["seed"], range(case["n"]))
     for i in range(case["n"]):
-        (alone,) = run_episodes(policy, cfg, case["seed"], [i])
-        assert np.array_equal(batch.fidelity[i], alone.fidelity[0], equal_nan=True)
-        assert batch.aborted[i] == alone.aborted[0]
+        alone_fidelity, alone_aborted = run_episodes(policy, cfg, case["seed"], [i])
+        assert np.array_equal(fidelity[i], alone_fidelity[0], equal_nan=True)
+        assert aborted[i] == alone_aborted[0]
 
         reference = reference_episode(policy, cfg, RngStream(case["seed"], i))
-        assert batch.aborted[i] == reference.aborted
+        assert aborted[i] == reference.aborted
         if reference.aborted:
             continue
-        assert batch.fidelity[i].tobytes() == reference.fidelity.tobytes()
+        assert fidelity[i].tobytes() == reference.fidelity.tobytes()
 
 
 @pytest.mark.parametrize("kind", ["basic", "mlp", "lstm"])
@@ -80,12 +80,13 @@ def test_each_episode_of_a_mixed_alpha_batch_equals_it_run_alone_at_its_alpha(ki
         noise_kind=case["noise"], alpha=case["alpha"], epsilon=case["epsilon"],
         horizon=case["horizon"],
     )
-    (batch,) = run_episodes(policy, cfg, case["seed"], range(len(alphas)), alphas)
+    fidelity, aborted = run_episodes(policy, cfg, case["seed"], range(len(alphas)), alphas)
     for i, alpha in enumerate(alphas):
-        (alone,) = run_episodes(policy, cfg.with_alpha(alpha), case["seed"], [i])
-        assert batch.aborted[i] == alone.aborted[0]
-        if not alone.aborted[0]:
-            assert batch.fidelity[i].tobytes() == alone.fidelity[0].tobytes()
+        alone_fidelity, alone_aborted = run_episodes(
+            policy, cfg.with_alpha(alpha), case["seed"], [i])
+        assert aborted[i] == alone_aborted[0]
+        if not alone_aborted[0]:
+            assert fidelity[i].tobytes() == alone_fidelity[0].tobytes()
 
 
 @settings(max_examples=60)
@@ -102,7 +103,7 @@ def test_each_state_of_a_mixed_beta_stack_steps_as_it_does_alone(case, rows):
     stepped, outcomes = step_true(states, betas, cfg, draws, alphas)
     filtered = filter_update(states, betas, outcomes, cfg)
     for i, (beta, alpha, u) in enumerate(rows):
-        alone, outcome = step_true(states[i], beta, cfg.with_alpha(alpha), u)
+        alone, outcome = step_true(states[i], beta, cfg, u, alpha)
         assert outcome == outcomes[i]
         assert stepped[i].tobytes() == alone.tobytes()
         assert filtered[i].tobytes() == filter_update(states[i], beta, outcome, cfg).tobytes()

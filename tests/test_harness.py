@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from conftest import PACKAGE
 from qfclab.controllers import BasicTable, basic_policy
-from qfclab.dynamics import EnvConfig
+from qfclab.dynamics import BATCH_EPISODES, EnvConfig
 from qfclab.harness.config import (
     KEYS,
     VALID_NOISES,
@@ -209,32 +209,32 @@ class TestCellSeed:
 class TestEvaluate:
     def test_noiseless_basic_controller_beats_099(self):
         cfg = EnvConfig(noise_kind="depolarizing", alpha=0.0, epsilon=0.0, horizon=20)
-        cell = evaluate(basic_policy(), cfg, 1000, seed=5)
+        (cell,) = evaluate(basic_policy(), cfg, 1000, [(cfg.alpha, 5)])
         assert cell.mean_fidelity >= 0.99
         assert cell.aborted == 0
 
     def test_steps_to_threshold_matches_chain_oracle(self):
         expected_steps, _ = basic_controller_chain(20)
         cfg = EnvConfig(noise_kind="depolarizing", alpha=0.0, epsilon=0.0, horizon=20)
-        cell = evaluate(basic_policy(), cfg, 1000, seed=6)
+        (cell,) = evaluate(basic_policy(), cfg, 1000, [(cfg.alpha, 6)])
         se = cell.std_steps_to_threshold / np.sqrt(cell.episodes - cell.unreached_count)
         assert cell.mean_steps_to_threshold == pytest.approx(expected_steps, abs=3 * se)
 
     def test_fully_depolarized_mean_is_one_third(self):
         cfg = EnvConfig(noise_kind="depolarizing", alpha=1.0, epsilon=0.1, horizon=10)
-        cell = evaluate(basic_policy(), cfg, 1000, seed=7)
+        (cell,) = evaluate(basic_policy(), cfg, 1000, [(cfg.alpha, 7)])
         assert cell.mean_fidelity == pytest.approx(1 / 3, abs=0.02)
 
     def test_seeded_reproducibility(self):
         cfg = EnvConfig(noise_kind="random_permutation", alpha=0.4, epsilon=0.2, horizon=10)
-        a = evaluate(basic_policy(), cfg, 1, seed=11)
-        b = evaluate(basic_policy(), cfg, 1, seed=11)
+        a = evaluate(basic_policy(), cfg, 1, [(cfg.alpha, 11)])
+        b = evaluate(basic_policy(), cfg, 1, [(cfg.alpha, 11)])
         assert a == b
 
     def test_zero_policy_never_reaches_threshold(self):
         cfg = EnvConfig(noise_kind="depolarizing", alpha=0.0, epsilon=0.1, horizon=10)
         zero = BasicTable(beta_by_outcome=(0.0, 0.0, 0.0))
-        cell = evaluate(zero, cfg, 20, seed=8)
+        (cell,) = evaluate(zero, cfg, 20, [(cfg.alpha, 8)])
         assert cell.unreached_count == 20
         assert np.isnan(cell.mean_steps_to_threshold)
 
@@ -247,14 +247,14 @@ class TestEvaluate:
                        default_ppo_config(scenario, total_timesteps=timesteps), 5)
         save_policy(tmp_path / "agent.ckpt", net, scenario, {})
         loaded = load_policy(tmp_path / "agent.ckpt")[0]
-        direct, from_file = (evaluate(policy, cfg, 50, seed=12, scenario=scenario)
-                             for policy in (net, loaded))
+        (direct,), (from_file,) = (evaluate(policy, cfg, 50, [(cfg.alpha, 12)], scenario=scenario)
+                                   for policy in (net, loaded))
         # NaN-valued fields defeat dataclass equality; assert_equal takes NaN as equal
         np.testing.assert_equal(astuple(from_file), astuple(direct))
 
     def test_curve_has_horizon_plus_one_points(self):
         cfg = EnvConfig(noise_kind="depolarizing", alpha=0.2, epsilon=0.1, horizon=15)
-        cell = evaluate(basic_policy(), cfg, 10, seed=10)
+        (cell,) = evaluate(basic_policy(), cfg, 10, [(cfg.alpha, 10)])
         assert len(cell.fidelity_curve) == 16
 
 
@@ -300,8 +300,10 @@ EVALUATION_DIGESTS = {
 
 
 def evaluation_digest(case: str) -> str:
-    cells = [evaluate(make(), EnvConfig(**fields), n, seed=31 + i, scenario=scenario)
-             for i, (scenario, make, fields, n) in enumerate(EVALUATION_CASES[case])]
+    cells = []
+    for i, (scenario, make, fields, n) in enumerate(EVALUATION_CASES[case]):
+        cfg = EnvConfig(**fields)
+        cells += evaluate(make(), cfg, n, [(cfg.alpha, 31 + i)], scenario=scenario)
     text = render_results_csv(cells) + render_curves_csv(cells)
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -309,6 +311,23 @@ def evaluation_digest(case: str) -> str:
 @pytest.mark.parametrize("case", list(EVALUATION_CASES))
 def test_evaluation_is_pinned(case):
     assert evaluation_digest(case) == EVALUATION_DIGESTS[case]
+
+
+@pytest.mark.parametrize("scenario, make", [("basic", basic_policy),
+                                            ("dbs", lambda: _untrained("mlp", 4))])
+def test_each_of_several_cells_evaluates_as_it_does_alone(scenario, make):
+    # 3 x 400 episodes span two stacks of BATCH_EPISODES (1,024), and the third
+    # cell straddles their boundary; the shared config's alpha is never read
+    policy, n = make(), 400
+    cells = [(0.3, 41), (0.0, 42), (0.6, 43)]
+    assert 2 * n < BATCH_EPISODES < len(cells) * n
+    fields = {"noise_kind": "random_permutation", "epsilon": 0.1, "horizon": 8}
+    together = evaluate(policy, EnvConfig(alpha=1.0, **fields), n, cells, scenario)
+    assert [cell.alpha for cell in together] == [alpha for alpha, _ in cells]
+    for cell, (alpha, seed) in zip(together, cells):
+        alone = evaluate(policy, EnvConfig(alpha=alpha, **fields), n, [(alpha, seed)], scenario)
+        assert (render_results_csv([cell]) + render_curves_csv([cell])
+                == render_results_csv(alone) + render_curves_csv(alone))
 
 
 # Each pinned sweep: its SweepConfig fields and the untrained agents saved for
@@ -487,16 +506,15 @@ class TestSweep:
 
     def test_single_cell_sweep_equals_direct_evaluate(self, tmp_path):
         cfg = self.small_cfg(tmp_path, alphas=(0.3,))
-        [cell] = sweep(cfg)
         direct = evaluate(
             basic_policy(),
             EnvConfig(noise_kind="depolarizing", alpha=0.3, epsilon=0.1, horizon=8),
             cfg.episodes,
-            cell_seed(13, "basic", "depolarizing", 0.3, 0.1),
+            [(0.3, cell_seed(13, "basic", "depolarizing", 0.3, 0.1))],
             scenario="basic",
             f_star=cfg.f_star,
         )
-        assert cell == direct
+        assert sweep(cfg) == direct
 
     def test_resume_skips_completed_cells(self, tmp_path):
         cfg = self.small_cfg(tmp_path)

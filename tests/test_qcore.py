@@ -186,8 +186,7 @@ class TestClosedFormAcceptance:
 
         monkeypatch.setattr(qcore, "_clearly_density", recording)
         cfg = EnvConfig(noise_kind=noise, alpha=0.3, epsilon=epsilon)
-        for _ in run_episodes(basic_policy(), cfg, 5, range(300), np.tile([0.0, 0.3, 1.0], 100)):
-            pass
+        run_episodes(basic_policy(), cfg, 5, range(300), np.tile([0.0, 0.3, 1.0], 100))
         assert len(verdicts) == cfg.horizon and all(verdicts)
 
 

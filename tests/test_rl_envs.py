@@ -177,7 +177,7 @@ class TestDbsTrainEnv:
         done = False
         while not done:
             obs, reward, done = env.step(ControlAction(beta=0.7))
-            rho, _ = step_true(rho, 0.7, cfg, draws.random())
+            rho, _ = step_true(rho, 0.7, cfg, draws.random(), cfg.alpha)
             np.testing.assert_allclose(decode_state_observation(obs), rho, atol=1e-12)
             assert reward == pytest.approx(rho[2, 2].real, abs=1e-12)
 
@@ -248,8 +248,8 @@ class TestQomdpTrainEnv:
         # the outcome half is the second step's outcome, replayed from the episode's draws
         cfg = env.cfg
         draws = RngStream(20).substream("episode", 0).generator()
-        rho, _ = step_true(dynamics.INITIAL_STATE, 0.0, cfg, draws.random())
-        _, outcome = step_true(rho, 0.625, cfg, draws.random())
+        rho, _ = step_true(dynamics.INITIAL_STATE, 0.0, cfg, draws.random(), cfg.alpha)
+        _, outcome = step_true(rho, 0.625, cfg, draws.random(), cfg.alpha)
         assert obs[0] == float(outcome)
 
 
