@@ -223,15 +223,15 @@ class ClosedLoop:
     fixes what the policy observes: a ``"table"`` the last outcome (at first,
     0, the level of |0>); an ``"lstm"`` the pair (last outcome, last
     control), after a forced beta = 0 first step; an ``"mlp"`` the filtered
-    state.  ``alpha`` (by default ``cfg.alpha``) is each row's noise
-    strength, and rows at alpha 0 skip the noise map.  At alpha 0 the filter
-    step repeats the true step's operations on the same state and outcome,
-    so a loop with no row above alpha 0 skips the filter and shows the true
-    state, the same bytes; an ``"mlp"`` loop with any row above filters all.
+    state.  ``alpha`` is each row's noise strength (a float holds for all;
+    ``cfg.alpha`` is not read), and rows at alpha 0 skip the noise map.  At
+    alpha 0 the filter step repeats the true step's operations on the same
+    state and outcome, so a loop with no row above alpha 0 skips the filter and
+    shows the true state, the same bytes; an ``"mlp"`` loop with any row above
+    filters all.
     """
 
-    def __init__(self, kind: str, cfg: EnvConfig, draws: np.ndarray,
-                 alpha: float | np.ndarray | None = None):
+    def __init__(self, kind: str, cfg: EnvConfig, draws: np.ndarray, alpha: float | np.ndarray):
         if kind not in ("table", "mlp", "lstm"):
             raise ValueError(f"unknown closed-loop kind {kind!r}")
         self.kind, self.cfg, self.t = kind, cfg, 0
@@ -242,7 +242,7 @@ class ClosedLoop:
         else:
             self.rho = np.repeat(rho[None], len(draws), axis=0)
             self.outcome, self.beta = np.full(len(draws), outcome), np.zeros(len(draws))
-        self.alpha = np.broadcast_to(cfg.alpha if alpha is None else alpha, draws.shape[:-1])
+        self.alpha = np.broadcast_to(alpha, draws.shape[:-1])
         self.noisy = bool(np.any(self.alpha > 0.0))  # any row; once per stack, not per step
         self.filters = kind == "mlp" and self.noisy
         self.seen = self.rho
@@ -315,12 +315,12 @@ class ClosedLoop:
 
 
 def run_episodes(
-    policy: Policy, cfg: EnvConfig, seeds, ids, alphas=None
+    policy: Policy, cfg: EnvConfig, seeds, ids, alphas
 ) -> tuple[np.ndarray, np.ndarray]:
     """Validate a policy on one episode of the true noisy dynamics per stream (seed, id).
 
-    ``seeds``, ``ids`` and ``alphas`` (by default ``cfg.alpha``) broadcast to
-    one entry per episode: episode i draws the uniforms of
+    ``seeds``, ``ids`` and ``alphas`` broadcast to one entry per episode
+    (``cfg.alpha`` is not read): episode i draws the uniforms of
     ``RngStream(seeds[i], ids[i])`` at noise strength ``alphas[i]``.  Runs of
     at most ``BATCH_EPISODES`` consecutive episodes step as one
     :class:`ClosedLoop`.  Returns ``(fidelity, aborted)``, a row per episode
@@ -332,8 +332,7 @@ def run_episodes(
     """
     seeds, ids = np.broadcast_arrays(np.atleast_1d(np.asarray(seeds, dtype=np.uint64)),
                                      np.asarray(ids, dtype=np.uint64))
-    alphas = np.broadcast_to(np.asarray(cfg.alpha if alphas is None else alphas, float),
-                             seeds.shape)
+    alphas = np.broadcast_to(np.asarray(alphas, float), seeds.shape)
     if not every((alphas >= 0.0) & (alphas <= 1.0)):
         raise ch.ParameterError(f"alpha must lie in [0, 1], got {alphas.min()}..{alphas.max()}")
     fidelity = np.full((len(seeds), cfg.horizon + 1), np.nan)

@@ -19,7 +19,7 @@ from ..dynamics import EnvConfig
 from ..qcore import DimensionError, StateValidityError
 from ..rl.checkpoint import load_policy
 from ..rl.envs import SCENARIO_KINDS
-from .config import ConfigError, check_f_star, desk_scale, parse_config_file
+from .config import ConfigError, check_directory, check_f_star, desk_scale, parse_config_file
 from .evaluate import (
     MissingCheckpointError,
     evaluate,
@@ -128,7 +128,7 @@ def _cmd_sweep(args) -> int:
     cfg = parse_config_file(args.config)
     if args.desk_scale:
         cfg = desk_scale(cfg)
-    out_dir = Path(cfg.output_dir)
+    out_dir = check_directory(cfg.output_dir, "output directory")
     manifest = sweep_manifest(cfg)
     resume = (read_results_dir(out_dir) or []) if args.resume else []
     if resume:

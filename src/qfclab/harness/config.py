@@ -45,6 +45,16 @@ def check_f_star(f_star: float) -> float:
     return f_star
 
 
+def check_directory(path, what: str) -> Path:
+    """``path`` if it is, or could be made, a directory (none is made); else :class:`ConfigError`."""
+    path = Path(path)
+    existing = next((p for p in (path, *path.parents) if p.exists()), path)
+    if not existing.is_dir():
+        raise ConfigError(f"{what} {path} is not a directory" if existing == path else
+                          f"{what} {path} lies under {existing}, which is not a directory")
+    return path
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     scenarios: tuple[str, ...] = ("basic",)
@@ -75,6 +85,10 @@ class SweepConfig:
             raise ConfigError("alpha grid must be non-empty within [0, 1]")
         if not self.epsilons or not all(0.0 <= e <= EPSILON_MAX for e in self.epsilons):
             raise ConfigError(f"epsilon grid must be non-empty within [0, {EPSILON_MAX}]")
+        for key in ("scenarios", "noises", "alphas", "epsilons"):
+            values = getattr(self, key)
+            if repeated := [v for i, v in enumerate(values) if v in values[:i]]:
+                raise ConfigError(f"{key} lists {repeated[0]!r} more than once")
         if self.episodes < 1:
             raise ConfigError("episodes must be >= 1")
         if self.horizon < 1:

@@ -31,7 +31,7 @@ from ..rngstream import hash_label, mix64
 from ..rl.checkpoint import load_policy, save_policy
 from ..rl.envs import NOISE_FREE_KINDS, training_config
 from ..rl.ppo import default_ppo_config, train
-from .config import ConfigError, SweepConfig
+from .config import ConfigError, SweepConfig, check_directory
 
 log = logging.getLogger(__name__)
 
@@ -155,11 +155,15 @@ def train_checkpoint(
 
     The checkpoint records the noise, alpha, epsilon, seed and timesteps it was
     trained with (alpha 0 for the noise-free kinds); returns the training curve rows.
+    A directory ``path``, or one under a file, raises :class:`ConfigError` before training.
     """
     env_cfg = training_config(scenario, env_cfg)
     ppo_cfg = default_ppo_config(scenario, total_timesteps=timesteps)
-    net, curve = train(scenario, env_cfg, ppo_cfg, seed)
     path = Path(path)
+    if path.is_dir():
+        raise ConfigError(f"checkpoint path {path} is a directory")
+    check_directory(path.parent, "checkpoint directory")  # made only once training succeeds
+    net, curve = train(scenario, env_cfg, ppo_cfg, seed)
     path.parent.mkdir(parents=True, exist_ok=True)
     save_policy(
         path, net, scenario,
@@ -261,12 +265,12 @@ def sweep(cfg: SweepConfig, resume_results: dict[tuple, CellResult] | None = Non
     The grid is planned first: before anything runs, a missing checkpoint
     with training on demand off raises :class:`MissingCheckpointError`, and
     :class:`ConfigError` refuses a stale resumed row, two cells of different
-    agents whose checkpoint names coincide, and a checkpoint on disk that
-    records another seed or budget than training on demand would use.  Then
-    the missing agents train, each checkpoint once (an mbs or qomdp agent
-    serves every noise and alpha of its epsilon), and the cells evaluate, one
-    job per agent, noise and epsilon, in one pool of up to QFC_THREADS worker
-    processes; a phase with a single job runs inline.
+    agents whose checkpoint names coincide, a checkpoint that records another
+    seed or budget than training on demand would use, and a checkpoint
+    directory that is a file.  Then the missing agents train, each checkpoint
+    once (an mbs or qomdp agent serves every noise and alpha of its epsilon),
+    and the cells evaluate, one job per agent, noise and epsilon, in one pool
+    of up to QFC_THREADS worker processes; a phase with a single job runs inline.
     """
     workers = worker_count()  # a bad QFC_THREADS fails before any training
     resume_results = resume_results or {}
@@ -302,6 +306,8 @@ def sweep(cfg: SweepConfig, resume_results: dict[tuple, CellResult] | None = Non
                     f"checkpoint {path} records meta {name} {meta.get(name)!r}, but this "
                     f"sweep trains it with {name} {value}; move it away to retrain it"
                 )
+    if agents:
+        check_directory(cfg.checkpoint_dir, "checkpoint directory")
     evaluations = [(scenario, noise, epsilon, cells, source, cfg.episodes, cfg.horizon, cfg.f_star)
                    for (scenario, noise, epsilon, source), cells in jobs.items()]
     size = min(workers, max(len(agents), len(evaluations)))

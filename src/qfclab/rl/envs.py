@@ -52,7 +52,8 @@ class ScenarioEnv:
     def _next_episode(self) -> ClosedLoop:
         self.episode_index += 1
         gen = self.stream.substream("episode", self.episode_index).generator()
-        return ClosedLoop(LOOP_KINDS[self.kind], self.cfg, gen.random(self.cfg.horizon))
+        return ClosedLoop(LOOP_KINDS[self.kind], self.cfg, gen.random(self.cfg.horizon),
+                          self.cfg.alpha)
 
     def _reward(self, loop: ClosedLoop) -> float | np.ndarray:
         """The mbs and dbs reward: the fidelity of what the agent sees."""

@@ -15,9 +15,10 @@ the gradient checks see named arrays while gradients, Adam and the finiteness
 check work on one vector.  The recurrent net lays each policy array next to
 its value twin: both LSTMs run as one stacked (2, ...) product, per packed step
 in training and per observation in rollouts; both trunks do so in rollouts only.
-The training paths write their activations and backward intermediates into
-buffers the net keeps: a training forward's cache lasts until the next
-training forward on that net, and a backward overwrites the buffers it uses.
+The training forwards and the trunk backwards work in buffers the net keeps:
+a training forward's cache stays valid until the next training forward on
+that net, and nothing a backward returns points into a buffer.  The LSTM's
+backward recursion makes new arrays at each packed step.
 """
 
 from __future__ import annotations
@@ -469,55 +470,33 @@ class RecurrentActorCritic:
                           grads: FlatParams) -> None:
         """dheads (n, k), dvalues (n,), in the row order of :meth:`sequence_forward`.
 
-        Only the dh/dc recursion steps through time; the LSTM weight gradients
-        are one product each over all packed rows.  The intermediates go through
-        the net's buffers; dL/d(pre-activations) reuses the input projection's,
-        which only the forward pass reads.
+        Only the dh/dc recursion steps through time, making new arrays at each
+        packed step; the LSTM weight gradients are one product each over all
+        packed rows.  Only the two trunk backwards work in the net's buffers.
         """
         hid, n_hidden, scratch = self.lstm_hidden, len(self.hidden), self._scratch
-        n, width = len(cache.perm), cache.alive[0]
-        dh_out = _buffer(scratch, "dh_out", (2, n, hid))
         trunks = (("pi", cache.pi_acts, dheads), ("vf", cache.vf_acts, dvalues[:, None]))
-        for l, (prefix, acts, dout) in enumerate(trunks):
-            dh_rows = _mlp_backward(self.params, prefix, n_hidden, acts, dout, grads, scratch)
-            np.take(dh_rows, cache.perm, axis=0, out=dh_out[l])  # into packed row order
+        dh_out = np.stack([_mlp_backward(self.params, prefix, n_hidden, acts, dout, grads, scratch)
+                           for prefix, acts, dout in trunks])[:, cache.perm]
         wh_t = self.params.stacks["pi_lstm.wh"].transpose(0, 2, 1)
-        dpre = _buffer(scratch, "xw", cache.gates.shape)
-        dc, tmp, tmp2, dh_next, dc_next = (_buffer(scratch, key, (2, width, hid))
-                                           for key in ("dc", "tmp", "tmp2", "dh_next", "dc_next"))
-        live, end = 0, n  # rows still alive one step later
-        for k in reversed(cache.alive):
+        dpre = np.empty_like(cache.gates)
+        dh_next = dc_next = np.zeros((2, 0, hid))  # of the rows still alive one step later
+        for k, end in zip(cache.alive[::-1], np.cumsum(cache.alive)[::-1]):
             rows = slice(end - k, end)
-            gates = cache.gates[:, rows]
-            i, f = gates[..., :hid], gates[..., hid:2 * hid]
-            g, o = gates[..., 2 * hid:3 * hid], gates[..., 3 * hid:]
-            tanh_c, t, d = cache.tanh_c[:, rows], tmp[:, :k], dc[:, :k]
+            live = dh_next.shape[1]
+            i, f, g, o = np.split(cache.gates[:, rows], 4, axis=2)
+            tanh_c = cache.tanh_c[:, rows]
             dh = dh_out[:, rows]
-            dh[:, :live] += dh_next[:, :live]
-            np.multiply(dh, o, out=d)  # dc = dh * o * (1 - tanh_c**2)
-            np.multiply(tanh_c, tanh_c, out=t)
-            np.subtract(1.0, t, out=t)
-            d *= t
-            d[:, :live] += dc_next[:, :live]
+            dh[:, :live] += dh_next
+            dc = dh * o * (1.0 - tanh_c**2)
+            dc[:, :live] += dc_next
             dp = dpre[:, rows]
-            di, df = dp[..., :hid], dp[..., hid:2 * hid]
-            dg, do = dp[..., 2 * hid:3 * hid], dp[..., 3 * hid:]
-            u = tmp2[:, :k]
-            np.multiply(d, g, out=u)  # dc * g * i * (1 - i)
-            u *= i
-            np.multiply(u, np.subtract(1.0, i, out=t), out=di)
-            np.multiply(d, cache.c_prev[:, rows], out=u)  # dc * c_prev * f * (1 - f)
-            u *= f
-            np.multiply(u, np.subtract(1.0, f, out=t), out=df)
-            np.multiply(d, i, out=u)  # dc * i * (1 - g**2)
-            np.multiply(g, g, out=t)
-            np.multiply(u, np.subtract(1.0, t, out=t), out=dg)
-            np.multiply(dh, tanh_c, out=u)  # dh * tanh_c * o * (1 - o)
-            u *= o
-            np.multiply(u, np.subtract(1.0, o, out=t), out=do)
-            np.matmul(dp, wh_t, out=dh_next[:, :k])
-            np.multiply(d, f, out=dc_next[:, :k])
-            live, end = k, end - k
+            dp[..., :hid] = dc * g * i * (1.0 - i)
+            dp[..., hid:2 * hid] = dc * cache.c_prev[:, rows] * f * (1.0 - f)
+            dp[..., 2 * hid:3 * hid] = dc * i * (1.0 - g**2)
+            dp[..., 3 * hid:] = dh * tanh_c * o * (1.0 - o)
+            dh_next = dp @ wh_t
+            dc_next = dc * f
         for l, prefix in enumerate(("pi_lstm", "vf_lstm")):
             grads[f"{prefix}.wx"] += cache.x.T @ dpre[l]
             grads[f"{prefix}.wh"] += cache.h_prev[l].T @ dpre[l]

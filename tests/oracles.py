@@ -422,7 +422,7 @@ def drive_closed_loop(policy, cfg, streams):
     must never stop and the filter never diverge.
     """
     draws = np.array([stream.generator().random(cfg.horizon) for stream in streams])
-    loop = ClosedLoop(policy.kind, cfg, draws)
+    loop = ClosedLoop(policy.kind, cfg, draws, cfg.alpha)
     state = None
     while loop.t < cfg.horizon:
         if not loop.forced_step():

@@ -254,7 +254,7 @@ def test_criterion_07_ppo_machinery():
 
 def terminal_fidelities(policy, cfg, seed, n=200):
     """Terminal true fidelity of the episodes RngStream(seed, i), i < n."""
-    fidelity, aborted = run_episodes(policy, cfg, seed, range(n))
+    fidelity, aborted = run_episodes(policy, cfg, seed, range(n), cfg.alpha)
     assert not aborted.any()
     return fidelity[:, -1]
 

@@ -12,6 +12,7 @@ from qfclab.channels import ConditioningError, control_unitary
 from qfclab.controllers import basic_policy
 from qfclab.dynamics import EnvConfig
 from qfclab.harness import cli
+from qfclab.harness import evaluate as evaluate_module
 from qfclab.harness.cli import (
     EXIT_CONFIG,
     EXIT_MISSING_CHECKPOINT,
@@ -46,6 +47,15 @@ def write_sweep_config(path: Path, out_dir: Path, ckpt_dir: Path, **extra) -> Pa
     cfg = path / "sweep.cfg"
     cfg.write_text("\n".join(lines) + "\n")
     return cfg
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """Make any training or evaluation fail the test (exit 3 instead of 1)."""
+    def fail(*args, **kwargs):
+        raise AssertionError("the command trained or evaluated before refusing")
+    monkeypatch.setattr(evaluate_module, "train", fail)
+    monkeypatch.setattr(evaluate_module, "evaluate", fail)
 
 
 class TestEvalCommand:
@@ -198,6 +208,22 @@ class TestTrainEvalRoundTrip:
             "update_index,timesteps,mean_episode_reward,policy_loss,value_loss,entropy,"
             "grad_norm,approx_kl,clip_fraction\n"
         )
+
+    @pytest.mark.parametrize("under_a_file", [False, True])
+    def test_unwritable_out_is_config_error_before_training(
+        self, tmp_path, capsys, no_work, under_a_file
+    ):
+        out = tmp_path / "taken"
+        if under_a_file:
+            out.write_text("")
+            out = out / "mbs.ckpt"
+            message = f"checkpoint directory {out.parent} is not a directory"
+        else:
+            out.mkdir()
+            message = f"checkpoint path {out} is a directory"
+        code = main(["train", "--scenario", "mbs", "--timesteps", "512", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert message in capsys.readouterr().err
 
     def test_negative_timesteps_is_config_error(self, tmp_path, capsys):
         ckpt = tmp_path / "mbs.ckpt"
@@ -372,6 +398,37 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(cfg)]) == EXIT_CONFIG
         assert "mbs_eps0.1.ckpt: BadZipFile: Bad CRC-32" in capsys.readouterr().err
         assert sorted(p.name for p in (tmp_path / "ck").iterdir()) == ["mbs_eps0.1.ckpt"]
+
+    def test_output_file_as_directory_is_config_error_before_evaluating(
+        self, tmp_path, capsys, no_work
+    ):
+        out = tmp_path / "out"
+        out.write_text("")
+        cfg = write_sweep_config(tmp_path, out, tmp_path / "ck")
+        assert main(["sweep", "--config", str(cfg)]) == EXIT_CONFIG
+        assert f"output directory {out} is not a directory" in capsys.readouterr().err
+
+    def test_checkpoint_file_as_directory_is_config_error_before_training(
+        self, tmp_path, capsys, no_work
+    ):
+        ckpt_dir = tmp_path / "ck"
+        ckpt_dir.write_text("")
+        cfg = write_sweep_config(tmp_path, tmp_path / "out", ckpt_dir)
+        text = cfg.read_text().replace("scenarios = basic", "scenarios = basic, mbs").replace(
+            "[output]", "train_on_demand = true\ntrain_timesteps = 512\n[output]"
+        )
+        cfg.write_text(text)
+        assert main(["sweep", "--config", str(cfg)]) == EXIT_CONFIG
+        assert f"checkpoint directory {ckpt_dir} is not a directory" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_repeated_grid_value_is_config_error_before_evaluating(
+        self, tmp_path, capsys, no_work
+    ):
+        cfg = write_sweep_config(tmp_path, tmp_path / "out", tmp_path / "ck")
+        cfg.write_text(cfg.read_text().replace("alphas = 0, 1", "alphas = 0.2, 0.2"))
+        assert main(["sweep", "--config", str(cfg)]) == EXIT_CONFIG
+        assert "alphas lists 0.2 more than once" in capsys.readouterr().err
 
     def test_desk_scale_flag_shrinks_grid(self, tmp_path, capsys):
         cfg = write_sweep_config(tmp_path, tmp_path / "out", tmp_path / "ck")

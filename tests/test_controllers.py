@@ -39,7 +39,8 @@ class TestBasicPolicy:
         p = basic_policy()
         cfg = EnvConfig(epsilon=0.3, horizon=4)
         for seed, last_beta in enumerate((-1.0, 0.0, 0.5)):
-            loop = ClosedLoop("table", cfg, RngStream(seed).generator().random(cfg.horizon))
+            loop = ClosedLoop("table", cfg, RngStream(seed).generator().random(cfg.horizon),
+                              cfg.alpha)
             assert loop.observation() == 0  # the believed outcome of |0> before any step
             loop.step(last_beta)
             assert loop.observation() == loop.outcome
@@ -83,7 +84,7 @@ class TestNetworkPolicies:
         cfg = EnvConfig()
         actions = []
         for outcome, beta in ((0, 0.0), (2, -1.0)):
-            loop = ClosedLoop("mlp", cfg, np.zeros(cfg.horizon))
+            loop = ClosedLoop("mlp", cfg, np.zeros(cfg.horizon), cfg.alpha)
             loop.seen, loop.outcome, loop.beta = maximally_mixed(), outcome, beta
             obs = loop.observation()
             assert obs.tobytes() == encode_state_observation(maximally_mixed()).tobytes()

@@ -205,7 +205,7 @@ def test_three_outcome_sampler_equals_the_cumulative_sum_form(draws):
 
 def terminal_fidelity(policy, cfg, seed, n=1):
     """The terminal true fidelity of the episodes RngStream(seed, i), i < n."""
-    fidelity, _ = run_episodes(policy, cfg, seed, range(n))
+    fidelity, _ = run_episodes(policy, cfg, seed, range(n), cfg.alpha)
     return fidelity[:, -1]
 
 
@@ -232,8 +232,8 @@ class TestRunEpisode:
 
     def test_reproducibility_is_bit_identical(self):
         cfg = make_cfg(alpha=0.4, epsilon=0.2, noise_kind="random_permutation")
-        a_fidelity, a_aborted = run_episodes(basic_policy(), cfg, 55, [7])
-        b_fidelity, b_aborted = run_episodes(basic_policy(), cfg, 55, [7])
+        a_fidelity, a_aborted = run_episodes(basic_policy(), cfg, 55, [7], cfg.alpha)
+        b_fidelity, b_aborted = run_episodes(basic_policy(), cfg, 55, [7], cfg.alpha)
         assert a_fidelity.tobytes() == b_fidelity.tobytes()
         assert np.array_equal(a_aborted, b_aborted)
 
@@ -243,7 +243,7 @@ class TestRunEpisode:
         for alpha in (0.0, 0.3):
             cfg = make_cfg(alpha=alpha, epsilon=0.1, horizon=4)
             for kind in ("table", "lstm", "mlp"):
-                filters = dynamics.ClosedLoop(kind, cfg, draws).filters
+                filters = dynamics.ClosedLoop(kind, cfg, draws, alpha).filters
                 assert filters == (kind == "mlp" and alpha > 0)
 
 
@@ -269,8 +269,8 @@ class TestFilteredEpisodes:
         cfg = make_cfg(alpha=0.0, epsilon=0.1, horizon=12)
         draws = RngStream(406).generator().random((5, cfg.horizon))
         betas = np.sin(np.arange(5 * cfg.horizon)).reshape(cfg.horizon, 5)
-        skipping = dynamics.ClosedLoop("mlp", cfg, draws)
-        filtering = dynamics.ClosedLoop("mlp", cfg, draws)
+        skipping = dynamics.ClosedLoop("mlp", cfg, draws, cfg.alpha)
+        filtering = dynamics.ClosedLoop("mlp", cfg, draws, cfg.alpha)
         filtering.filters = True
         calls = []
         filter_update = dynamics.filter_update

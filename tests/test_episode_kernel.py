@@ -55,9 +55,9 @@ def test_each_batched_episode_equals_it_run_alone_and_the_reference_loop(kind, c
         noise_kind=case["noise"], alpha=case["alpha"], epsilon=case["epsilon"],
         horizon=case["horizon"],
     )
-    fidelity, aborted = run_episodes(policy, cfg, case["seed"], range(case["n"]))
+    fidelity, aborted = run_episodes(policy, cfg, case["seed"], range(case["n"]), cfg.alpha)
     for i in range(case["n"]):
-        alone_fidelity, alone_aborted = run_episodes(policy, cfg, case["seed"], [i])
+        alone_fidelity, alone_aborted = run_episodes(policy, cfg, case["seed"], [i], cfg.alpha)
         assert np.array_equal(fidelity[i], alone_fidelity[0], equal_nan=True)
         assert aborted[i] == alone_aborted[0]
 
@@ -83,7 +83,7 @@ def test_each_episode_of_a_mixed_alpha_batch_equals_it_run_alone_at_its_alpha(ki
     fidelity, aborted = run_episodes(policy, cfg, case["seed"], range(len(alphas)), alphas)
     for i, alpha in enumerate(alphas):
         alone_fidelity, alone_aborted = run_episodes(
-            policy, cfg.with_alpha(alpha), case["seed"], [i])
+            policy, cfg, case["seed"], [i], alpha)
         assert aborted[i] == alone_aborted[0]
         if not alone_aborted[0]:
             assert fidelity[i].tobytes() == alone_fidelity[0].tobytes()

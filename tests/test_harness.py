@@ -72,10 +72,11 @@ config_text = st.text(
 
 sweep_configs = st.builds(
     SweepConfig,
-    scenarios=st.lists(st.sampled_from(VALID_SCENARIOS), min_size=1, max_size=4).map(tuple),
-    noises=st.lists(st.sampled_from(VALID_NOISES), min_size=1, max_size=3).map(tuple),
-    alphas=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5).map(tuple),
-    epsilons=st.lists(st.floats(0.0, 0.3), min_size=1, max_size=5).map(tuple),
+    scenarios=st.lists(st.sampled_from(VALID_SCENARIOS), min_size=1, max_size=4,
+                       unique=True).map(tuple),
+    noises=st.lists(st.sampled_from(VALID_NOISES), min_size=1, max_size=3, unique=True).map(tuple),
+    alphas=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5, unique=True).map(tuple),
+    epsilons=st.lists(st.floats(0.0, 0.3), min_size=1, max_size=5, unique=True).map(tuple),
     episodes=st.integers(1, 10**9),
     horizon=st.integers(1, 10**4),
     master_seed=st.integers(-(2**63), 2**64),
@@ -119,6 +120,14 @@ class TestSweepConfig:
     def test_empty_scenarios_rejected(self):
         with pytest.raises(ConfigError, match="scenario"):
             SweepConfig(scenarios=())
+
+    @pytest.mark.parametrize("key, values", [
+        ("scenarios", ("basic", "mbs", "basic")), ("noises", ("depolarizing",) * 2),
+        ("alphas", (0.2, 0.0, 0.2)), ("epsilons", (0.1, 0.1)),
+    ])
+    def test_repeated_grid_value_rejected(self, key, values):
+        with pytest.raises(ConfigError, match=f"{key} lists {values[0]!r} more than once"):
+            SweepConfig(**{key: values})
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "c.cfg"

@@ -177,7 +177,7 @@ class TestDbsTraining:
         cfg = default_ppo_config("dbs", total_timesteps=10 * 512)
         env_cfg = EnvConfig(noise_kind="random_permutation", alpha=0.3, epsilon=0.1)
         net, _ = train("dbs", env_cfg, cfg, seed=6)
-        fidelity, aborted = run_episodes(net, env_cfg, 1, [0])
+        fidelity, aborted = run_episodes(net, env_cfg, 1, [0], env_cfg.alpha)
         assert not aborted[0]
         assert np.isfinite(fidelity[0]).all()
 
