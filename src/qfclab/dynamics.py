@@ -5,15 +5,18 @@ sampled generalized measurement with conditioning:
 
     rho(t+1) = M_l  U_beta  N_alpha(rho(t)) U_beta^dag  M_l^dag / p(l)
 
-At alpha = 0 every noise family is the identity and the map is skipped, so
-the noise-free (nominal) law is :func:`step_true` at alpha = 0.  Likewise
-U_0 = I exactly, so a state at beta = 0 skips the control.  The
-filtering law drops the noise map but conditions on the real system's
-outcomes (control first, then conditioning, matching the true dynamics'
-operator ordering).  Each step law takes one state or a stack of states, and
-the outcome samplers take one uniform draw per state, and the true law one
-alpha per state.  Every episode starts in |0>, and every operator of the loop
-is real, so the states are real symmetric ``float64`` arrays throughout.
+N_alpha is the noise family an :class:`EnvConfig` names by its kind, one of
+:data:`qfclab.channels.NOISE_KINDS`, applied in closed form by
+:func:`qfclab.channels.apply_channel`.  At alpha = 0 every noise family is
+the identity and the map is skipped, so the noise-free (nominal) law is
+:func:`step_true` at alpha = 0.  Likewise U_0 = I exactly, so a state at
+beta = 0 skips the control.  The filtering law drops the noise map but
+conditions on the real system's outcomes (control first, then conditioning,
+matching the true dynamics' operator ordering).  Each step law takes one
+state or a stack of states, and the outcome samplers take one uniform draw
+per state, and the true law one alpha per state.  Every episode starts in
+|0>, and every operator of the loop is real, so the states are real
+symmetric ``float64`` arrays throughout.
 
 :class:`ClosedLoop` is the one stepper of the closed loop.  Training
 (:mod:`qfclab.rl.envs`) drives it on a stack of a rollout window's episodes,
@@ -80,25 +83,17 @@ class EnvConfig:
     def __post_init__(self):
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
-        noise_channel(self)  # an unknown noise kind or alpha fails here, even at alpha = 0
+        ch.check_noise(self.noise_kind, self.alpha)  # an unknown kind fails even at alpha = 0
         measurement_model(self)  # and so does an epsilon outside [0, EPSILON_MAX]
 
     def with_alpha(self, alpha: float) -> "EnvConfig":
         return replace(self, alpha=alpha)
 
 
-_channel_cache: dict[tuple[str, float], ch.QuantumChannel] = {}
 _measurement_cache: dict[float, ch.MeasurementModel] = {}
 
 #: the projective measurement that ends a stopped episode
 TERMINAL_MEASUREMENT = ch.terminal_measurement()
-
-
-def noise_channel(cfg: EnvConfig) -> ch.QuantumChannel:
-    key = (cfg.noise_kind, cfg.alpha)
-    if key not in _channel_cache:
-        _channel_cache[key] = ch.make_channel(cfg.noise_kind, cfg.alpha)
-    return _channel_cache[key]
 
 
 def measurement_model(cfg: EnvConfig) -> ch.MeasurementModel:
@@ -145,9 +140,9 @@ def step_true(
     noisy = alpha > 0.0
     if not isinstance(noisy, np.ndarray):
         if noisy:
-            rho = ch.apply_channel(noise_channel(cfg), rho, alpha)
+            rho = ch.apply_channel(cfg.noise_kind, rho, alpha)
     elif noisy.any():
-        noised = ch.apply_channel(noise_channel(cfg), rho, alpha)
+        noised = ch.apply_channel(cfg.noise_kind, rho, alpha)
         rho = noised if noisy.all() else np.where(noisy[:, None, None], noised, rho)
     post_control = _controlled(rho, beta)
     m = measurement_model(cfg)
@@ -175,25 +170,22 @@ def filter_update(
 
 
 # The upper-triangle entries read, in encoding order (the populations, then
-# (0, 1), (0, 2), (1, 2)), and the slots of their real and imaginary parts.
+# (0, 1), (0, 2), (1, 2)), and their slots of the encoding.
 # Index arrays, not tuples: numpy converts a tuple on every call.
 _ROWS, _COLS = np.array([0, 1, 2, 0, 0, 1]), np.array([0, 1, 2, 1, 2, 2])
-_REAL_SLOTS, _IMAG_SLOTS = np.array([0, 1, 2, 3, 5, 7]), np.array([4, 6, 8])
+_SLOTS = np.array([0, 1, 2, 3, 5, 7])
 
 
 def encode_state_observation(rho: np.ndarray) -> np.ndarray:
-    """Flatten a 3x3 Hermitian state into 9 reals (a stack (..., 3, 3) into (..., 9)).
+    """Flatten a real symmetric 3x3 state into 9 floats (a stack (..., 3, 3) into (..., 9)).
 
     Ordering: the three populations, then (Re, Im) of the upper off-diagonal
-    entries (0,1), (0,2), (1,2).  A real state encodes its imaginary parts as
-    exact +0.0, the same bytes as the state cast to complex.
+    entries (0,1), (0,2), (1,2); the imaginary slots read exact +0.0, so
+    networks and checkpoints keep the 9-wide input of a complex layout.
     """
     rho = np.asarray(rho)
-    entries = rho[..., _ROWS, _COLS]
     encoded = np.zeros(rho.shape[:-2] + (9,))
-    encoded[..., _REAL_SLOTS] = entries.real
-    if np.iscomplexobj(entries):
-        encoded[..., _IMAG_SLOTS] = entries[..., 3:].imag
+    encoded[..., _SLOTS] = rho[..., _ROWS, _COLS]
     return encoded
 
 

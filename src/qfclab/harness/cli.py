@@ -101,8 +101,10 @@ def _env_config(args) -> EnvConfig:
 
 def _cmd_train(args) -> int:
     out = Path(args.out)
-    curve = train_checkpoint(args.scenario, _env_config(args), args.timesteps, args.seed, out)
     curve_path = out.with_suffix(out.suffix + ".curve.csv")
+    if curve_path.is_dir():
+        raise ConfigError(f"curve path {curve_path} is a directory")
+    curve = train_checkpoint(args.scenario, _env_config(args), args.timesteps, args.seed, out)
     rows = ([row[name] for name in TRAIN_CURVE_COLUMNS] for row in curve)
     curve_path.write_text(render_csv(TRAIN_CURVE_COLUMNS, rows))
     print(f"wrote {out} and {curve_path}")

@@ -17,12 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from ..channels import CHANNEL_KINDS, EPSILON_MAX
+from ..channels import EPSILON_MAX, NOISE_KINDS
 from ..rl.config import PpoConfig
 from ..rl.envs import SCENARIO_KINDS
 
 VALID_SCENARIOS = ("basic",) + SCENARIO_KINDS
-VALID_NOISES = tuple(CHANNEL_KINDS)
 
 #: published test grids: alpha 0..1 step 0.1, six epsilon values
 TABLE_ALPHAS = tuple(round(0.1 * k, 10) for k in range(11))
@@ -58,7 +57,7 @@ def check_directory(path, what: str) -> Path:
 @dataclass(frozen=True)
 class SweepConfig:
     scenarios: tuple[str, ...] = ("basic",)
-    noises: tuple[str, ...] = VALID_NOISES
+    noises: tuple[str, ...] = NOISE_KINDS
     alphas: tuple[float, ...] = TABLE_ALPHAS
     epsilons: tuple[float, ...] = TABLE_EPSILONS
     episodes: int = 1000
@@ -79,8 +78,8 @@ class SweepConfig:
         if not self.noises:
             raise ConfigError("noise list is empty")
         for n in self.noises:
-            if n not in VALID_NOISES:
-                raise ConfigError(f"unknown noise {n!r}; choose from {VALID_NOISES}")
+            if n not in NOISE_KINDS:
+                raise ConfigError(f"unknown noise {n!r}; choose from {NOISE_KINDS}")
         if not self.alphas or not all(0.0 <= a <= 1.0 for a in self.alphas):
             raise ConfigError("alpha grid must be non-empty within [0, 1]")
         if not self.epsilons or not all(0.0 <= e <= EPSILON_MAX for e in self.epsilons):

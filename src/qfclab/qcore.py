@@ -1,17 +1,17 @@
-"""Dense-matrix kernel for 3-level (and general small) quantum states.
+"""Dense-matrix kernel for qutrit (3-level) states.
 
 Everything downstream builds on the handful of operations here: density
 operator validation and fidelity against a basis-state target (every target
 here is a basis state).  Matrices are plain ``numpy`` arrays; every operator
-of the feedback loop is real, so its states are real symmetric ``float64``,
-and complex Hermitian input is taken as it is.  The operations keep their
-input's dtype (integer input becomes ``float64``).  A density operator is any
-square array passing :func:`validate_density`.  Both operations also take a
-stack of states with leading batch axes, ``(..., d, d)``, and treat each
-state exactly as they treat it alone.  Validation of 3x3 states reads their
-entries first: a stack whose every state clears a closed-form test by a
-rounding margin is accepted without a factorization; any other stack takes
-the Cholesky check, which gives every refusal and its report.
+of the feedback loop is real, so its states are real symmetric ``float64``.
+The operations take one real 3x3 state or a stack of them with leading batch
+axes, ``(..., 3, 3)``, and treat each state exactly as they treat it alone;
+they keep their input's float dtype (integer input becomes ``float64``), and
+refuse a complex dtype or any other shape.  A density operator is any such
+array passing :func:`validate_density`.  Validation reads a stack's entries
+first: a stack whose every state clears a closed-form test by a rounding
+margin is accepted without a factorization; any other stack takes the
+Cholesky check, which gives every refusal and its report.
 
 All operations are pure functions on immutable values and thread-safe.
 """
@@ -26,7 +26,7 @@ DEFAULT_TOL = 1e-10
 
 
 class DimensionError(ValueError):
-    """Input matrix has the wrong shape for the requested operation."""
+    """Input is not a real 3x3 matrix or stack ``(..., 3, 3)``, or an index is out of range."""
 
 
 class StateValidityError(ValueError):
@@ -43,22 +43,24 @@ def every(mask: np.ndarray) -> bool:
 
 
 def _as_square_matrix(m: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """``m`` as a real or complex array of square matrices, in its own dtype."""
+    """``m`` as a real array of 3x3 matrices, in its own float dtype."""
     m = np.asarray(m)
-    if m.dtype.kind not in "fc":
+    if m.dtype.kind == "c":
+        raise DimensionError(f"{name} must be real, got dtype {m.dtype}")
+    if m.dtype.kind != "f":
         m = m.astype(float)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise DimensionError(f"{name} must be square, got shape {m.shape}")
+    if m.shape[-2:] != (3, 3):
+        raise DimensionError(f"{name} must be a square 3x3 matrix or stack, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise StateValidityError(f"{name} contains non-finite entries")
     return m
 
 
-def basis_state(k: int, dim: int = 3) -> np.ndarray:
-    """Pure basis-state projector |k><k| as a dim x dim density matrix."""
-    if not 0 <= k < dim:
-        raise DimensionError(f"basis index {k} out of range for dim {dim}")
-    rho = np.zeros((dim, dim))
+def basis_state(k: int) -> np.ndarray:
+    """Pure basis-state projector |k><k| as a 3x3 density matrix."""
+    if not 0 <= k < 3:
+        raise DimensionError(f"basis index {k} out of range for dim 3")
+    rho = np.zeros((3, 3))
     rho[k, k] = 1.0
     return rho
 
@@ -79,7 +81,7 @@ def validate_density(m: np.ndarray, tol: float = DEFAULT_TOL) -> ValidationRepor
 
     Returns a report listing every violated invariant together with the
     measured deviation (for a stack of states, the worst deviation over the
-    stack); raises only for non-square input.
+    stack); raises only for input that is not a real ``(..., 3, 3)`` array.
     """
     return _validate(_as_square_matrix(m, "state"), tol)
 
@@ -105,25 +107,19 @@ def _clearly_density(m: np.ndarray, tol: float) -> bool:
     smallest eigenvalue above -tol.  Pivots above delta rather than 0 keep the
     divisions clear of underflow.  False says nothing of the states.
     """
-    is_complex = np.iscomplexobj(m)
     a, b, c = m[..., 0, 0], m[..., 1, 1], m[..., 2, 2]
     upper = m[..., 0, 1], m[..., 0, 2], m[..., 1, 2]
     lower = m[..., 1, 0], m[..., 2, 0], m[..., 2, 1]
-    if is_complex:
-        lower = tuple(np.conj(v) for v in lower)
-    square = (lambda v: v.real * v.real + v.imag * v.imag) if is_complex else (lambda v: v * v)
     with np.errstate(all="ignore"):  # a state that overflows here is not cleared
-        deviations = [np.abs(up - lo) for up, lo in zip(upper, lower)]  # entries of |m - m^dag|
-        if is_complex:
-            deviations += [2.0 * np.abs(v.imag) for v in (a, b, c)]
+        deviations = [np.abs(up - lo) for up, lo in zip(upper, lower)]  # entries of |m - m^T|
         trace_dev = np.abs((a + b + c) - 1.0)
-        a, b, c = a.real, b.real, c.real  # the diagonal of herm_part
-        x, y, z = (0.5 * (up + lo) for up, lo in zip(upper, lower))
+        x, y, z = (0.5 * (up + lo) for up, lo in zip(upper, lower))  # herm_part off the diagonal
         delta = _ROUNDING_MARGIN * (np.maximum(np.maximum(a, b), c) + tol)
         shift = tol - delta
         d1 = a + shift
-        d2 = (b + shift) - square(x) / d1
-        d3 = ((c + shift) - square(y) / d1) - square(z - y * np.conj(x) / d1) / d2
+        d2 = (b + shift) - x * x / d1
+        w = z - y * x / d1
+        d3 = ((c + shift) - y * y / d1) - w * w / d2
         clear = (trace_dev <= tol - delta) & (d1 > delta) & (d2 > delta) & (d3 > delta)
     for deviation in deviations:
         clear &= deviation <= tol
@@ -131,9 +127,9 @@ def _clearly_density(m: np.ndarray, tol: float) -> bool:
 
 
 def _validate(m: np.ndarray, tol: float) -> ValidationReport:
-    if m.shape[-2:] == (3, 3) and m.size and _clearly_density(m, tol):
+    if m.size and _clearly_density(m, tol):
         return ValidationReport(ok=True)
-    m_dag = m.swapaxes(-1, -2).conj() if np.iscomplexobj(m) else m.swapaxes(-1, -2)
+    m_dag = m.swapaxes(-1, -2)
     violations: dict[str, float] = {}
 
     herm_dev = float(np.max(np.abs(m - m_dag)))
@@ -150,7 +146,7 @@ def _validate(m: np.ndarray, tol: float) -> ValidationReport:
     # only a stack it refuses pays for the eigenvalues that give the deviation.
     herm_part = 0.5 * (m + m_dag)
     try:
-        np.linalg.cholesky(herm_part + tol * np.eye(m.shape[-1]))
+        np.linalg.cholesky(herm_part + tol * np.eye(3))
     except np.linalg.LinAlgError:
         min_eig = float(np.min(np.linalg.eigvalsh(herm_part)[..., 0]))
         if min_eig < -tol:
@@ -173,11 +169,9 @@ def fidelity_pure_target(rho: np.ndarray, basis_index: int) -> float | np.ndarra
     """Fidelity against the pure basis state |k><k|: the diagonal entry rho[k, k],
     clipped to [0, 1]; an array of fidelities for a stack of states."""
     rho = _as_square_matrix(rho, "rho")
-    if not 0 <= basis_index < rho.shape[-1]:
-        raise DimensionError(
-            f"basis index {basis_index} out of range for dim {rho.shape[-1]}"
-        )
-    value = rho[..., basis_index, basis_index].real
+    if not 0 <= basis_index < 3:
+        raise DimensionError(f"basis index {basis_index} out of range for dim 3")
+    value = rho[..., basis_index, basis_index]
     if value.ndim:
         return np.clip(value, 0.0, 1.0)
     return min(max(float(value), 0.0), 1.0)

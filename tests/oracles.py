@@ -1,4 +1,5 @@
-"""Independent reference computations used to freeze expected test values.
+"""Independent reference computations used to freeze expected test values,
+and the Kraus sets that define the noise channels.
 
 Everything here deliberately avoids the library's own code paths: plain
 Taylor series, brute-force sums, linear solves, and explicit map iteration.
@@ -9,11 +10,18 @@ library's channel operations, and ``drive_closed_loop``, which steps the
 library's closed loop without the validation kernel around it, and
 ``validate_by_cholesky`` and ``sample_outcome_by_cumsum``, the library's own
 former validation and sampler, which its cheaper forms must reproduce.
+
+The three noise families are defined here by their Kraus sets
+(:func:`make_channel`), as in Nielsen and Chuang, ch. 8: the tests certify
+each set CPTP through its Choi matrix once, and check the library's closed
+forms (:func:`qfclab.channels.apply_channel`, which names a family by its
+kind) against its Kraus sum.  The library itself carries no Kraus set.
 """
 
 from __future__ import annotations
 
 import copy
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -25,7 +33,6 @@ from qfclab.channels import (
     condition_on_outcome,
     control_unitary,
     imprecise_measurement,
-    make_channel,
     outcome_probabilities,
     terminal_measurement,
 )
@@ -41,6 +48,109 @@ from qfclab.rl.nets import (
 CONTROL_GEN = np.array(
     [[0.0, 1.0, 0.0], [-1.0, 0.0, 1.0], [0.0, -1.0, 0.0]], dtype=complex
 )
+
+#: cyclic permutation |0> -> |1> -> |2> -> |0>
+CYCLE = np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]], dtype=float)
+
+
+def _check_alpha(alpha: float) -> float:
+    alpha = float(alpha)
+    if not 0.0 <= alpha <= 1.0:
+        raise ParameterError(f"alpha must lie in [0, 1], got {alpha}")
+    return alpha
+
+
+@dataclass(frozen=True)
+class QuantumChannel:
+    """A CPTP map: the Kraus operators that define it, and the family ``kind``
+    and ``alpha`` that :func:`apply_channel` applies in closed form."""
+
+    kraus_ops: tuple[np.ndarray, ...]
+    kind: str
+    alpha: float
+
+    @property
+    def dim(self) -> int:
+        return self.kraus_ops[0].shape[0]
+
+
+def depolarizing(alpha: float) -> QuantumChannel:
+    """Isotropic noise: rho -> alpha*I/3 + (1 - alpha)*rho.
+
+    Stored as an explicit Kraus set built from the nine Weyl (shift/clock)
+    operators: identity with weight 1 - 8*alpha/9 and the eight non-trivial
+    X^j Z^k with weight alpha/9 each.
+    """
+    alpha = _check_alpha(alpha)
+    omega = np.exp(2j * np.pi / 3.0)
+    clock = np.diag([1.0, omega, omega**2])
+    shift = CYCLE
+    ops = []
+    for j in range(3):
+        for k in range(3):
+            w = np.linalg.matrix_power(shift, j) @ np.linalg.matrix_power(clock, k)
+            if j == 0 and k == 0:
+                ops.append(np.sqrt(1.0 - 8.0 * alpha / 9.0) * w)
+            else:
+                ops.append(np.sqrt(alpha / 9.0) * w)
+    return QuantumChannel(kraus_ops=tuple(ops), kind="depolarizing", alpha=alpha)
+
+
+def amplitude_damping(alpha: float) -> QuantumChannel:
+    """Energy relaxation with rates tied to one parameter: gamma1 = 0, gamma2 = gamma3 = alpha/2.
+
+    Kraus set {N_0, N_01, N_12, N_03}: N_0 damps the diagonal, N_01 routes
+    1 -> 0 (inactive here since gamma1 = 0), N_12 routes 2 -> 1, and N_03
+    routes 2 -> 0.
+    """
+    alpha = _check_alpha(alpha)
+    gamma1 = 0.0
+    gamma2 = alpha / 2.0
+    gamma3 = alpha / 2.0
+    n0 = np.diag([1.0, np.sqrt(1.0 - gamma1), np.sqrt(1.0 - gamma2 - gamma3)])
+    n01 = np.zeros((3, 3))
+    n01[0, 1] = np.sqrt(gamma1)
+    n12 = np.zeros((3, 3))
+    n12[1, 2] = np.sqrt(gamma2)
+    n03 = np.zeros((3, 3))
+    n03[0, 2] = np.sqrt(gamma3)
+    return QuantumChannel(
+        kraus_ops=(n0, n01, n12, n03), kind="amplitude_damping", alpha=alpha
+    )
+
+
+def random_permutation(alpha: float) -> QuantumChannel:
+    """Random cycling between basis states: identity, cycle and cycle^2 mixed by alpha."""
+    alpha = _check_alpha(alpha)
+    ops = (
+        np.sqrt(1.0 - 2.0 * alpha / 3.0) * np.eye(3),
+        np.sqrt(alpha / 3.0) * CYCLE,
+        np.sqrt(alpha / 3.0) * (CYCLE @ CYCLE),
+    )
+    return QuantumChannel(kraus_ops=ops, kind="random_permutation", alpha=alpha)
+
+
+CHANNEL_KINDS = {
+    "depolarizing": depolarizing,
+    "amplitude_damping": amplitude_damping,
+    "random_permutation": random_permutation,
+}
+
+
+def measurement_ops(m) -> tuple[np.ndarray, ...]:
+    """The Kraus operators M_l = diag(m_l) of a measurement as full matrices."""
+    return tuple(np.diag(d) for d in m.diagonals)
+
+
+def make_channel(kind: str, alpha: float) -> QuantumChannel:
+    """Construct a noise channel by its config-file name."""
+    try:
+        ctor = CHANNEL_KINDS[kind]
+    except KeyError:
+        raise ParameterError(
+            f"unknown noise kind {kind!r}; choose from {sorted(CHANNEL_KINDS)}"
+        ) from None
+    return ctor(alpha)
 
 
 def expm_taylor(m: np.ndarray, terms: int = 50) -> np.ndarray:
@@ -89,23 +199,19 @@ def measurement_average(measurement_ops, rho: np.ndarray) -> np.ndarray:
     return out
 
 
-def random_density(gen: np.random.Generator, dim: int = 3) -> np.ndarray:
-    """Random full-rank density operator via a Ginibre matrix."""
-    g = gen.standard_normal((dim, dim)) + 1j * gen.standard_normal((dim, dim))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
+def random_density(gen: np.random.Generator) -> np.ndarray:
+    """Random full-rank real 3x3 density operator via a real Ginibre matrix."""
+    g = gen.standard_normal((3, 3))
+    rho = g @ g.T
+    return rho / np.trace(rho)
 
 
-def random_densities(seed: int, n: int | None, real: bool) -> np.ndarray:
-    """A random full-rank density operator (n None) or a stack of n, real
-    symmetric or complex Hermitian, via Ginibre matrices."""
-    gen = np.random.default_rng(seed)
-    shape = (3, 3) if n is None else (n, 3, 3)
-    g = gen.standard_normal(shape)
-    if not real:
-        g = g + 1j * gen.standard_normal(shape)
-    rho = g @ g.conj().swapaxes(-1, -2)
-    return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
+def random_densities(seed: int, n: int | None) -> np.ndarray:
+    """A random full-rank real density operator (n None) or a stack of n, via
+    real Ginibre matrices."""
+    g = np.random.default_rng(seed).standard_normal((3, 3) if n is None else (n, 3, 3))
+    rho = g @ g.swapaxes(-1, -2)
+    return rho / np.trace(rho, axis1=-2, axis2=-1)[..., None, None]
 
 
 def kraus_sum(kraus_ops, rho: np.ndarray) -> np.ndarray:
@@ -168,7 +274,7 @@ def sample_outcome_by_cumsum(probs: np.ndarray, u):
 def random_diagonal_density(gen: np.random.Generator, dim: int = 3) -> np.ndarray:
     p = gen.random(dim)
     p /= p.sum()
-    return np.diag(p).astype(complex)
+    return np.diag(p)
 
 
 def basic_controller_chain(horizon: int) -> tuple[float, np.ndarray]:
@@ -368,7 +474,6 @@ def reference_episode(policy, cfg, stream) -> ReferenceEpisode:
     filtered = policy.kind == "mlp"
     forced_reset = policy.kind == "lstm"
     gen = stream.generator()
-    channel = make_channel(cfg.noise_kind, cfg.alpha)
     m = imprecise_measurement(cfg.epsilon)
     rho = seen = INITIAL_STATE
     curve = [fidelity_pure_target(rho, TARGET_INDEX)]
@@ -391,7 +496,7 @@ def reference_episode(policy, cfg, stream) -> ReferenceEpisode:
             break
         t += 1
         u = control_unitary(beta)
-        post = u @ apply_channel(channel, rho) @ u.conj().T
+        post = u @ apply_channel(cfg.noise_kind, rho, cfg.alpha) @ u.conj().T
         outcome = _scan_outcome(outcome_probabilities(m, post), gen)
         rho = condition_on_outcome(m, post, outcome)
         if filtered:
@@ -760,11 +865,11 @@ def is_cptp(kraus_ops, completeness_tol: float = DEFAULT_TOL, choi_tol: float = 
 
 def validate_measurement(m, tol: float = DEFAULT_TOL) -> None:
     """Raise if the measurement violates completeness (or projectivity for terminal sets)."""
-    defect = kraus_completeness_defect(m.ops)
+    defect = kraus_completeness_defect(measurement_ops(m))
     if defect > tol:
         raise ParameterError(f"measurement completeness defect {defect:.3e} > {tol}")
     if m.kind == "terminal_projective":
-        for l, op in enumerate(m.ops):
+        for l, op in enumerate(measurement_ops(m)):
             if float(np.max(np.abs(op @ op - op))) > tol or float(
                 np.max(np.abs(op - op.conj().T))
             ) > tol:

@@ -12,7 +12,6 @@ from qfclab.channels import (
     CONTROL_GENERATOR,
     control_unitary,
     imprecise_measurement,
-    make_channel,
     terminal_measurement,
 )
 from qfclab.controllers import basic_policy
@@ -38,6 +37,8 @@ from oracles import (
     averaged_map_iteration,
     gae_brute_force,
     kraus_completeness_defect,
+    make_channel,
+    measurement_ops,
     transfer_probability,
 )
 
@@ -66,13 +67,10 @@ def test_criterion_01_cptp_certification():
             ch = make_channel(kind, alpha)
             worst_completeness = max(worst_completeness, kraus_completeness_defect(ch.kraus_ops))
             worst_choi = min(worst_choi, float(np.linalg.eigvalsh(choi_matrix(ch.kraus_ops))[0]))
-    for eps in TABLE_EPSILONS:
-        m = imprecise_measurement(eps)
-        worst_completeness = max(worst_completeness, kraus_completeness_defect(m.ops))
-        worst_choi = min(worst_choi, float(np.linalg.eigvalsh(choi_matrix(m.ops))[0]))
-    m = terminal_measurement()
-    worst_completeness = max(worst_completeness, kraus_completeness_defect(m.ops))
-    worst_choi = min(worst_choi, float(np.linalg.eigvalsh(choi_matrix(m.ops))[0]))
+    for m in [*map(imprecise_measurement, TABLE_EPSILONS), terminal_measurement()]:
+        ops = measurement_ops(m)
+        worst_completeness = max(worst_completeness, kraus_completeness_defect(ops))
+        worst_choi = min(worst_choi, float(np.linalg.eigvalsh(choi_matrix(ops))[0]))
     check(
         1, "CPTP certification",
         worst_completeness <= 1e-10 and worst_choi >= -1e-9,
@@ -158,7 +156,7 @@ def test_criterion_06_averaged_dynamics_consistency():
     oracle = averaged_map_iteration(
         basis_state(0), [1.0, 1.0],
         make_channel("depolarizing", 0.5).kraus_ops,
-        imprecise_measurement(0.1).ops,
+        measurement_ops(imprecise_measurement(0.1)),
     )
     worst = float(np.max(np.abs(mc_mean - oracle)))
     check(6, "averaged-dynamics consistency", worst <= 0.01, f"max entry dev {worst:.4f}")

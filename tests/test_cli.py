@@ -209,21 +209,27 @@ class TestTrainEvalRoundTrip:
             "grad_norm,approx_kl,clip_fraction\n"
         )
 
-    @pytest.mark.parametrize("under_a_file", [False, True])
+    @pytest.mark.parametrize("case", ["directory", "under_a_file", "curve_is_a_directory"])
     def test_unwritable_out_is_config_error_before_training(
-        self, tmp_path, capsys, no_work, under_a_file
+        self, tmp_path, capsys, no_work, case
     ):
         out = tmp_path / "taken"
-        if under_a_file:
+        if case == "under_a_file":
             out.write_text("")
             out = out / "mbs.ckpt"
             message = f"checkpoint directory {out.parent} is not a directory"
-        else:
+        elif case == "directory":
             out.mkdir()
             message = f"checkpoint path {out} is a directory"
+        else:
+            curve = tmp_path / "taken.curve.csv"
+            curve.mkdir()
+            message = f"curve path {curve} is a directory"
         code = main(["train", "--scenario", "mbs", "--timesteps", "512", "--out", str(out)])
         assert code == EXIT_CONFIG
         assert message in capsys.readouterr().err
+        if case == "curve_is_a_directory":
+            assert not out.exists()  # no checkpoint written
 
     def test_negative_timesteps_is_config_error(self, tmp_path, capsys):
         ckpt = tmp_path / "mbs.ckpt"
@@ -234,14 +240,18 @@ class TestTrainEvalRoundTrip:
         assert "total_timesteps" in capsys.readouterr().err
         assert not ckpt.exists()
 
-    def test_epsilon_out_of_range_is_config_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--epsilon", "0.5", "epsilon"), ("--alpha", "2", "alpha"),
+        ("--noise", "thermal", "unknown noise kind"),
+    ])
+    def test_cell_parameter_out_of_range_is_config_error(self, tmp_path, capsys, flag, value,
+                                                         message):
         ckpt = tmp_path / "mbs.ckpt"
         code = main([
-            "train", "--scenario", "mbs", "--epsilon", "0.5", "--timesteps", "0",
-            "--out", str(ckpt),
+            "train", "--scenario", "mbs", flag, value, "--timesteps", "0", "--out", str(ckpt),
         ])
         assert code == EXIT_CONFIG
-        assert "epsilon" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not ckpt.exists()
 
     def test_budget_below_one_rollout_is_config_error(self, tmp_path, capsys):

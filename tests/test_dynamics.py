@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import qfclab
 from qfclab import dynamics
-from qfclab.channels import ParameterError, depolarizing, imprecise_measurement
+from qfclab.channels import ParameterError, imprecise_measurement
 from qfclab.controllers import BasicTable, basic_policy
 from qfclab.dynamics import (
     EnvConfig,
@@ -32,6 +32,7 @@ from oracles import (
     control_unitary_closed_form,
     estimate_average_state,
     maximally_mixed,
+    measurement_ops,
     reference_episode,
     sample_outcome_by_cumsum,
 )
@@ -58,8 +59,9 @@ class TestEnvConfig:
         # alpha = 0 skips the noise map, so the config itself must check the kind
         with pytest.raises(ParameterError, match="unknown noise kind"):
             EnvConfig(noise_kind="dephasing", alpha=0.0)
-        with pytest.raises(ParameterError, match="alpha"):
-            EnvConfig(alpha=-0.1)
+        for alpha in (-0.1, 1.5, float("nan")):
+            with pytest.raises(ParameterError, match="alpha"):
+                EnvConfig(alpha=alpha)
         for epsilon in (0.5, -0.1):
             with pytest.raises(ParameterError, match="epsilon"):
                 EnvConfig(epsilon=epsilon)
@@ -115,7 +117,8 @@ class TestStepNominal:
         cfg = make_cfg(epsilon=0.1, horizon=30)
         rho = maximally_mixed()
         nominal = TrainingEpisodeReplay(
-            "mbs", (), imprecise_measurement(0.1).ops, rho, 2, 30, RngStream(4).generator(),
+            "mbs", (), measurement_ops(imprecise_measurement(0.1)), rho, 2, 30,
+            RngStream(4).generator(),
         )
         monkeypatch.setattr(dynamics.ch, "apply_channel", None)
         draws = RngStream(4).generator()
@@ -329,7 +332,7 @@ class TestEstimateAverageState:
             basis_state(0),
             [1.0, 1.0],
             [np.eye(3, dtype=complex)],
-            imprecise_measurement(0.1).ops,
+            measurement_ops(imprecise_measurement(0.1)),
         )
         assert np.max(np.abs(avg - oracle)) <= 4 / np.sqrt(n)
 

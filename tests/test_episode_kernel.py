@@ -99,7 +99,7 @@ def test_each_state_of_a_mixed_beta_stack_steps_as_it_does_alone(case, rows):
     # a row at beta 0 skips the control (U_0 = I) while the others rotate
     cfg = EnvConfig(noise_kind=case["noise"], alpha=case["alpha"], epsilon=case["epsilon"])
     betas, alphas, draws = (np.array(column) for column in zip(*rows))
-    states = random_densities(case["seed"], len(rows), real=True)
+    states = random_densities(case["seed"], len(rows))
     stepped, outcomes = step_true(states, betas, cfg, draws, alphas)
     filtered = filter_update(states, betas, outcomes, cfg)
     for i, (beta, alpha, u) in enumerate(rows):

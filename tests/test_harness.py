@@ -18,11 +18,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import PACKAGE
+from qfclab.channels import NOISE_KINDS
 from qfclab.controllers import BasicTable, basic_policy
 from qfclab.dynamics import BATCH_EPISODES, EnvConfig
 from qfclab.harness.config import (
     KEYS,
-    VALID_NOISES,
     VALID_SCENARIOS,
     ConfigError,
     SweepConfig,
@@ -74,7 +74,7 @@ sweep_configs = st.builds(
     SweepConfig,
     scenarios=st.lists(st.sampled_from(VALID_SCENARIOS), min_size=1, max_size=4,
                        unique=True).map(tuple),
-    noises=st.lists(st.sampled_from(VALID_NOISES), min_size=1, max_size=3, unique=True).map(tuple),
+    noises=st.lists(st.sampled_from(NOISE_KINDS), min_size=1, max_size=3, unique=True).map(tuple),
     alphas=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5, unique=True).map(tuple),
     epsilons=st.lists(st.floats(0.0, 0.3), min_size=1, max_size=5, unique=True).map(tuple),
     episodes=st.integers(1, 10**9),

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import PACKAGE
 from qfclab import qcore
 from qfclab.controllers import basic_policy
 from qfclab.dynamics import EnvConfig, run_episodes
@@ -27,14 +28,10 @@ from oracles import (
 )
 
 
-def state_with_spectrum(seed: int, eigenvalues, real: bool) -> np.ndarray:
-    """Q diag(eigenvalues) Q^dag for a random orthogonal or unitary Q."""
-    gen = np.random.default_rng(seed)
-    g = gen.standard_normal((3, 3))
-    if not real:
-        g = g + 1j * gen.standard_normal((3, 3))
-    q, _ = np.linalg.qr(g)
-    return (q * np.asarray(eigenvalues)) @ q.conj().T
+def state_with_spectrum(seed: int, eigenvalues) -> np.ndarray:
+    """Q diag(eigenvalues) Q^T for a random orthogonal Q."""
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((3, 3)))
+    return (q * np.asarray(eigenvalues)) @ q.T
 
 
 class TestValidateDensity:
@@ -46,26 +43,33 @@ class TestValidateDensity:
 
     def test_constructed_negative_population_fails_psd(self):
         # note diag(1, 1, -1) still has unit trace; positivity is what breaks
-        report = validate_density(np.diag([1.0, 1.0, -1.0]).astype(complex))
+        report = validate_density(np.diag([1.0, 1.0, -1.0]))
         assert not report.ok
         assert "positive_semidefinite" in report.violations
         assert report.violations["positive_semidefinite"] == pytest.approx(1.0)
 
     def test_wrong_trace_reported(self):
-        report = validate_density(np.eye(3, dtype=complex))
+        report = validate_density(np.eye(3))
         assert not report.ok
         assert report.violations == {"unit_trace": pytest.approx(2.0)}
 
     def test_non_hermitian_reported_with_deviation(self):
-        m = basis_state(0).astype(complex)
-        m[0, 1] = 0.5j
+        m = basis_state(0)
+        m[0, 1] = 0.5
         report = validate_density(m)
         assert "hermitian" in report.violations
         assert report.violations["hermitian"] == pytest.approx(0.5)
 
-    def test_non_square_raises(self):
+    @pytest.mark.parametrize("check", [require_density, validate_density,
+                                       lambda m: fidelity_pure_target(m, 0)])
+    def test_non_square_raises(self, check):
         with pytest.raises(DimensionError, match="square"):
-            validate_density(np.ones((2, 3), dtype=complex))
+            check(np.ones((2, 3)))
+        for shape in [(2, 2), (4, 4), (3,), (3, 3, 1)]:  # only real (..., 3, 3) stacks
+            with pytest.raises(DimensionError, match="3x3"):
+                check(np.zeros(shape))
+        with pytest.raises(DimensionError, match="must be real"):
+            check(basis_state(0).astype(complex))
 
     def test_random_valid_states_pass(self):
         gen = np.random.default_rng(11)
@@ -80,20 +84,20 @@ class TestPositivityCheck:
     the eigenvalue check, except within roundoff of tol itself."""
 
     @pytest.mark.parametrize("tol", [DEFAULT_TOL, 1e-9])
-    @given(seed=st.integers(0, 2**32 - 1), real=st.booleans(), stacked=st.booleans(),
+    @given(seed=st.integers(0, 2**32 - 1), stacked=st.booleans(),
            excess=st.floats(1.05, 1e3), weight=st.floats(0.0, 1.0),
            defect=st.sampled_from([None, "unit_trace", "hermitian"]))
-    def test_state_slightly_outside_tolerance_refused(self, tol, seed, real, stacked,
+    def test_state_slightly_outside_tolerance_refused(self, tol, seed, stacked,
                                                       excess, weight, defect):
         low = -excess * tol
-        m = state_with_spectrum(seed, [low, weight, 1.0 - weight - low], real)
+        m = state_with_spectrum(seed, [low, weight, 1.0 - weight - low])
         if defect == "unit_trace":
             m = m * (1.0 + 3 * tol)
         elif defect == "hermitian":  # an antisymmetric part leaves the spectrum checked alone
             m[0, 1] += 3 * tol
             m[1, 0] -= 3 * tol
         if stacked:
-            m = np.stack([basis_state(0).astype(m.dtype), m, maximally_mixed().astype(m.dtype)])
+            m = np.stack([basis_state(0), m, maximally_mixed()])
         expected = density_violations_by_eigenvalues(m, tol)
         assert "positive_semidefinite" in expected
         report = validate_density(m, tol)
@@ -104,20 +108,19 @@ class TestPositivityCheck:
             require_density(m, tol=tol)
 
     @pytest.mark.parametrize("tol", [DEFAULT_TOL, 1e-9])
-    @given(seed=st.integers(0, 2**32 - 1), real=st.booleans(), margin=st.floats(0.0, 0.95),
+    @given(seed=st.integers(0, 2**32 - 1), margin=st.floats(0.0, 0.95),
            weight=st.floats(0.0, 1.0))
-    def test_state_slightly_inside_tolerance_accepted(self, tol, seed, real, margin, weight):
+    def test_state_slightly_inside_tolerance_accepted(self, tol, seed, margin, weight):
         low = -margin * tol
-        m = state_with_spectrum(seed, [low, weight, 1.0 - weight - low], real)
+        m = state_with_spectrum(seed, [low, weight, 1.0 - weight - low])
         assert density_violations_by_eigenvalues(m, tol) == {}
         assert require_density(m, tol=tol) is m
 
-    @pytest.mark.parametrize("dtype", [float, complex])
-    def test_basis_states_accepted_in_their_dtype(self, dtype):
-        states = np.stack([basis_state(k) for k in range(3)]).astype(dtype)
+    def test_basis_states_accepted_in_their_dtype(self):
+        states = np.stack([basis_state(k) for k in range(3)])
         for m in (*states, states):
             out = require_density(m)
-            assert out.dtype == dtype
+            assert out.dtype == np.float64
             assert out.tobytes() == m.tobytes()
 
     def test_integer_input_becomes_float64(self):
@@ -125,7 +128,7 @@ class TestPositivityCheck:
 
 
 @st.composite
-def near_boundary_state(draw, tol: float, real: bool) -> np.ndarray:
+def near_boundary_state(draw, tol: float) -> np.ndarray:
     """A 3x3 state on or near the edge of validity at tolerance ``tol``."""
     kind = draw(st.sampled_from(["pure", "rank-2", "edge", "full"]))
     weight = draw(st.floats(0.0, 1.0))
@@ -141,9 +144,9 @@ def near_boundary_state(draw, tol: float, real: bool) -> np.ndarray:
         spectrum = [weight / 3, (1.0 - weight) / 2, (1.0 + weight / 3) / 2]
     basis = draw(st.sampled_from(["random", "computational"]))
     if basis == "random":
-        m = state_with_spectrum(draw(st.integers(0, 2**32 - 1)), spectrum, real)
+        m = state_with_spectrum(draw(st.integers(0, 2**32 - 1)), spectrum)
     else:  # the smallest eigenvalue on any level, so that any pivot may be the negative one
-        m = np.diag(np.roll(spectrum, draw(st.integers(0, 2)))).astype(float if real else complex)
+        m = np.diag(np.roll(spectrum, draw(st.integers(0, 2))))
     defect = draw(st.sampled_from([None, "unit_trace", "hermitian"]))
     off = draw(st.sampled_from([-1.0, 1.0])) * draw(st.sampled_from([0.5, 1 - 1e-6, 1 + 1e-6, 2.0]))
     if defect == "unit_trace":
@@ -160,9 +163,9 @@ class TestClosedFormAcceptance:
 
     @pytest.mark.parametrize("tol", [DEFAULT_TOL, 1e-9])
     @settings(max_examples=300)
-    @given(data=st.data(), real=st.booleans(), size=st.sampled_from([None, 1, 2, 5]))
-    def test_verdict_and_report_are_the_cholesky_checks(self, tol, data, real, size):
-        states = [data.draw(near_boundary_state(tol, real)) for _ in range(size or 1)]
+    @given(data=st.data(), size=st.sampled_from([None, 1, 2, 5]))
+    def test_verdict_and_report_are_the_cholesky_checks(self, tol, data, size):
+        states = [data.draw(near_boundary_state(tol)) for _ in range(size or 1)]
         m = states[0] if size is None else np.stack(states)
         oracle = validate_by_cholesky(m, tol)
         assert validate_density(m, tol) == oracle
@@ -233,3 +236,14 @@ class TestFidelityPureTarget:
     def test_index_out_of_range_raises(self):
         with pytest.raises(DimensionError, match="out of range"):
             fidelity_pure_target(maximally_mixed(), 3)
+
+
+def test_runtime_builds_no_kraus_set_or_complex_array():
+    # the Kraus sets that define the channels live in tests/oracles.py, and every
+    # state of the loop is real: nothing under src/ may bring either back
+    banned = ("kraus", ".conj(", "np.conj", "iscomplexobj", "1j", "dtype=complex")
+    hits = [f"{path.relative_to(PACKAGE)}:{number}: {token}"
+            for path in sorted(PACKAGE.rglob("*.py"))
+            for number, line in enumerate(path.read_text().splitlines(), 1)
+            for token in banned if token in line]
+    assert hits == []
