@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 configuration error, 2 missing checkpoint,
 3 runtime failure.  QFC_THREADS caps sweep worker parallelism.  Progress
 records of the qfclab loggers at INFO and above (one line per agent a sweep
-trains and per evaluation job it runs) go to stderr.
+trains and per evaluation job it runs, which names the checkpoint an RL job
+evaluated) go to stderr.
 """
 
 from __future__ import annotations

@@ -2,14 +2,17 @@
 
 Every cell's randomness is keyed by (master seed, scenario, noise, alpha,
 epsilon) through a documented splitmix64 mix, so cells are order-independent:
-any single deleted cell recomputes bit-identically.  Every agent trained on
-demand is seeded from the master seed and its checkpoint name.
+any single deleted cell recomputes bit-identically.  :func:`training_problem`
+alone decides which agent serves a cell (a dbs cell at alpha = 0 the mbs agent
+of its epsilon).  Every agent trained on demand is seeded from the master
+seed and its checkpoint name.
 :func:`evaluate` takes (alpha, seed) cells and returns one result per cell,
 each aggregated from its own episodes of one shared stack.  The sweep trains
-the missing agents, then evaluates each agent on each (noise, epsilon) as
-one :func:`evaluate` job over its alphas.  Both phases run in one pool of
-worker processes capped by the QFC_THREADS environment variable; neither
-the worker count nor the schedule can change a checkpoint or a result.
+the missing agents, then evaluates each agent on each (scenario, noise,
+epsilon) it serves as one :func:`evaluate` job over its alphas.  Both phases
+run in one pool of worker processes capped by the QFC_THREADS environment
+variable; neither the worker count nor the schedule can change a checkpoint
+or a result.
 """
 
 from __future__ import annotations
@@ -140,12 +143,23 @@ def _cell_result(key: tuple, seed: int, f_star: float, fidelity, aborted) -> Cel
 # -- checkpoint pairing per the training/validation matrix --
 
 
-def checkpoint_name(scenario: str, noise: str, alpha: float, epsilon: float) -> str:
-    """Model-based and measurement-only agents train noise-free (one per epsilon);
-    data-based agents train per (noise, alpha, epsilon)."""
+def training_problem(scenario: str, noise: str, alpha: float, epsilon: float) -> tuple:
+    """The problem an RL cell's agent trains on, led by the scenario it trains as:
+    one per epsilon for mbs and qomdp, and for dbs at alpha = 0, whose real data
+    are the nominal model; one per (noise, alpha, epsilon) for dbs otherwise."""
+    if scenario == "dbs" and alpha == 0.0:
+        return ("mbs", epsilon)
     if scenario in NOISE_FREE_KINDS:
-        return f"{scenario}_eps{epsilon:g}.ckpt"
-    return f"dbs_{noise}_alpha{alpha:g}_eps{epsilon:g}.ckpt"
+        return (scenario, epsilon)
+    return ("dbs", noise, alpha, epsilon)
+
+
+def checkpoint_name(scenario: str, noise: str, alpha: float, epsilon: float) -> str:
+    """The file of the agent that serves the cell: one per :func:`training_problem`."""
+    kind = training_problem(scenario, noise, alpha, epsilon)[0]
+    if kind == "dbs":
+        return f"dbs_{noise}_alpha{alpha:g}_eps{epsilon:g}.ckpt"
+    return f"{kind}_eps{epsilon:g}.ckpt"
 
 
 def train_checkpoint(
@@ -268,24 +282,25 @@ def sweep(cfg: SweepConfig, resume_results: dict[tuple, CellResult] | None = Non
     agents whose checkpoint names coincide, a checkpoint that records another
     seed or budget than training on demand would use, and a checkpoint
     directory that is a file.  Then the missing agents train, each checkpoint
-    once (an mbs or qomdp agent serves every noise and alpha of its epsilon),
-    and the cells evaluate, one job per agent, noise and epsilon, in one pool
-    of up to QFC_THREADS worker processes; a phase with a single job runs inline.
+    once as its :func:`training_problem`'s scenario (an mbs agent also serves
+    the dbs cells at alpha 0), and the cells evaluate, one job per scenario,
+    agent, noise and epsilon, in one pool of up to QFC_THREADS worker
+    processes; a phase with a single job runs inline.
     """
     workers = worker_count()  # a bad QFC_THREADS fails before any training
     resume_results = resume_results or {}
     results: dict[tuple, CellResult] = {}
     agents: dict[str, tuple] = {}  # checkpoint to train on demand -> job of its first cell
-    owners: dict[str, tuple] = {}  # checkpoint name -> (its agent, the first cell it serves)
+    owners: dict[str, tuple] = {}  # checkpoint name -> (its problem, the first cell it serves)
     jobs: dict[tuple, list] = {}  # (scenario, noise, epsilon, policy) -> its cells' (alpha, seed)
     for key in itertools.product(cfg.scenarios, cfg.noises, cfg.alphas, cfg.epsilons):
         scenario, noise, alpha, epsilon = key
         seed = cell_seed(cfg.master_seed, scenario, noise, alpha, epsilon)
         if scenario != "basic":
-            agent = (scenario, epsilon) if scenario in NOISE_FREE_KINDS else key
+            problem = training_problem(*key)
             name = checkpoint_name(*key)
-            owner, first = owners.setdefault(name, (agent, key))
-            if owner != agent:
+            owner, first = owners.setdefault(name, (problem, key))
+            if owner != problem:
                 raise ConfigError(f"cells {cell_label(first)} and {cell_label(key)} need different "
                                   f"agents but share the checkpoint name {name}")
         if key in resume_results:
@@ -294,7 +309,7 @@ def sweep(cfg: SweepConfig, resume_results: dict[tuple, CellResult] | None = Non
         source = resolve_policy(scenario, noise, alpha, epsilon, cfg)
         if cfg.train_on_demand and isinstance(source, str) and source not in agents:
             train_seed = mix64(cfg.master_seed, hash_label(f"train|{Path(source).name}"))
-            agents[source] = (scenario, noise, alpha, epsilon, cfg.horizon,
+            agents[source] = (problem[0], noise, alpha, epsilon, cfg.horizon,
                               cfg.train_timesteps, train_seed, source)
         jobs.setdefault((scenario, noise, epsilon, source), []).append((alpha, seed))
     for path in [path for path in agents if Path(path).exists()]:
@@ -316,11 +331,12 @@ def sweep(cfg: SweepConfig, resume_results: dict[tuple, CellResult] | None = Non
             log.info("trained %s: %d timesteps in %.2f s (%.0f timesteps/s)",
                      name, timesteps, wall, timesteps / wall)
         done = _run_jobs(pool, _evaluate_job, evaluations)
-        for (scenario, noise, epsilon, *_), (cells, wall) in zip(evaluations, done):
+        for (scenario, noise, epsilon, _, source, *_), (cells, wall) in zip(evaluations, done):
             episodes = len(cells) * cfg.episodes
+            agent = f" with {Path(source).name}" if isinstance(source, str) else ""
             log.info("evaluated %s on %s at epsilon %g: %d alphas, %d episodes in %.2f s "
-                     "(%.0f episodes/s)", scenario, noise, epsilon, len(cells), episodes, wall,
-                     episodes / wall)
+                     "(%.0f episodes/s)%s", scenario, noise, epsilon, len(cells), episodes, wall,
+                     episodes / wall, agent)
             results.update((cell.key(), cell) for cell in cells)
     return [results[k] for k in sorted(results)]
 

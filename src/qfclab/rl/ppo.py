@@ -34,7 +34,7 @@ class TrainingDiverged(RuntimeError):
 
 
 def sample_action(heads: np.ndarray, log_std: float, gen: np.random.Generator, with_stop: bool):
-    """Draw (action, joint log-prob, pre-squash sample, stop flag) from head outputs."""
+    """Draw (action, joint log-prob, pre-squash sample) from head outputs."""
     mean = float(heads[0])
     beta, pre = dist.sample_squashed(mean, log_std, gen)
     log_prob = float(dist.squashed_log_prob(pre, mean, log_std))
@@ -43,7 +43,7 @@ def sample_action(heads: np.ndarray, log_std: float, gen: np.random.Generator, w
         logit = float(heads[1])
         stop = bool(gen.random() < dist.sigmoid(logit))
         log_prob += float(dist.bernoulli_log_prob(1.0 if stop else 0.0, logit))
-    return ControlAction(beta=beta, stop=stop), log_prob, pre, stop
+    return ControlAction(beta=beta, stop=stop), log_prob, pre
 
 
 class _EnvRunner:
@@ -117,10 +117,10 @@ def _collect_stepwise(runner: _EnvRunner, net, sample_gen: np.random.Generator,
     seg_start, seg_state = 0, runner.state
     for _ in range(buffer.capacity):
         heads, value, new_state = net.step(runner.obs, runner.state)
-        action, log_prob, pre, stop = sample_action(heads, net.log_std, sample_gen, with_stop)
+        action, log_prob, pre = sample_action(heads, net.log_std, sample_gen, with_stop)
         next_obs, reward, done = runner.env.step(action)
         runner.episode_reward += reward
-        buffer.add(runner.obs, pre, 1.0 if stop else 0.0, log_prob, reward, value, done)
+        buffer.add(runner.obs, pre, 1.0 if action.stop else 0.0, log_prob, reward, value, done)
         if done:
             buffer.segments.append(Segment(seg_start, buffer.size, seg_state))
             runner.finished_rewards.append(runner.episode_reward)

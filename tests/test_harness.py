@@ -23,6 +23,8 @@ from qfclab.controllers import BasicTable, basic_policy
 from qfclab.dynamics import BATCH_EPISODES, EnvConfig
 from qfclab.harness.config import (
     KEYS,
+    TABLE_ALPHAS,
+    TABLE_EPSILONS,
     VALID_SCENARIOS,
     ConfigError,
     SweepConfig,
@@ -493,6 +495,17 @@ class TestEmitReport:
         assert (tmp_path / "thresholds.csv").read_text() == "scenario,noise,epsilon,threshold_alpha\n"
 
 
+def test_the_published_grid_plans_192_agents():
+    # one agent per training problem: 6 mbs, 6 qomdp, and 180 dbs, since a dbs
+    # cell at alpha 0 is served by the mbs agent of its epsilon
+    names = {checkpoint_name(*cell) for cell in itertools.product(
+        ("mbs", "dbs", "qomdp"), NOISE_KINDS, TABLE_ALPHAS, TABLE_EPSILONS)}
+    assert len(names) == 192
+    assert sum(name.startswith("dbs_") for name in names) == 180
+    assert "thus trains 192 agents: 6 mbs, 6 qomdp and 180 dbs" in " ".join(
+        README.read_text().split())
+
+
 class TestSweep:
     def small_cfg(self, tmp_path, **kw):
         defaults = dict(
@@ -567,9 +580,19 @@ class TestSweep:
             sweep(cfg)
         assert not (tmp_path / "ckpts").exists()
 
-    def test_missing_checkpoint_is_actionable(self, tmp_path):
-        cfg = self.small_cfg(tmp_path, scenarios=("mbs",), train_on_demand=False)
-        with pytest.raises(MissingCheckpointError, match="mbs_eps0.1.ckpt"):
+    def test_an_mbs_cell_and_a_dbs_cell_at_alpha_zero_share_their_agent(self, tmp_path):
+        cfg = self.small_cfg(tmp_path, scenarios=("mbs", "dbs"), alphas=(0.0,),
+                             train_on_demand=False)
+        (tmp_path / "ckpts").mkdir()
+        save_policy(tmp_path / "ckpts" / "mbs_eps0.1.ckpt", _untrained("mlp", 4), "mbs", {})
+        assert [cell.scenario for cell in sweep(cfg)] == ["dbs", "mbs"]
+
+    @pytest.mark.parametrize("scenario", ["mbs", "dbs"])
+    def test_missing_checkpoint_is_actionable(self, tmp_path, scenario):
+        # a dbs cell at alpha 0 needs the mbs agent of its epsilon
+        cfg = self.small_cfg(tmp_path, scenarios=(scenario,), train_on_demand=False)
+        with pytest.raises(MissingCheckpointError,
+                           match=rf"\({scenario}, depolarizing, alpha=0, .*mbs_eps0\.1\.ckpt"):
             sweep(cfg)
 
     def test_resolve_policy_trains_on_demand(self, tmp_path, monkeypatch):
@@ -586,6 +609,7 @@ class TestSweep:
         monkeypatch.setattr(evaluate_module, "train", None)
         assert render_results_csv(sweep(cfg)) == render_results_csv(first)
         assert resolve_policy("mbs", "depolarizing", 0.2, 0.1, cfg) == path
+        assert resolve_policy("dbs", "amplitude_damping", 0.0, 0.1, cfg) == path
 
     @pytest.mark.parametrize("raw", ["abc", "0", "-4"])
     def test_malformed_thread_count_fails_before_training(self, tmp_path, monkeypatch, raw):
@@ -690,16 +714,50 @@ class TestTrainOnDemand:
             self.count_saves(monkeypatch, saves)
             results = sweep(self.cfg(tmp_path, f"ckpts{threads}"))
             digests = _digests(tmp_path / f"ckpts{threads}")
-            # one mbs agent for the epsilon, shared by all four of its cells;
-            # one dbs agent per (noise, alpha)
-            assert len(digests) == 5
+            # one mbs agent for the epsilon, shared by its four mbs cells and by
+            # the two dbs cells at alpha 0, whose real data are the nominal
+            # model; one dbs agent per noise at alpha 0.5
+            assert len(digests) == 3
             assert sorted(saves.read_text().splitlines()) == sorted(digests)
             runs[threads] = (digests, render_results_csv(results), render_curves_csv(results))
         assert runs["2"] == runs["1"]
         trained = [r.getMessage() for r in caplog.records]
         trained = [m for m in trained if m.startswith("trained ")]
-        assert len(trained) == 10
+        assert len(trained) == 6
         assert all("512 timesteps in" in m and "timesteps/s" in m for m in trained)
+
+    def test_a_dbs_row_at_alpha_zero_evaluates_the_mbs_agent(self, tmp_path, caplog):
+        caplog.set_level(logging.INFO, logger="qfclab.harness.evaluate")
+        cfg = self.cfg(tmp_path, "ckpts")
+        results = {cell.key(): cell for cell in sweep(cfg)}
+        net, meta = load_policy(tmp_path / "ckpts" / "mbs_eps0.1.ckpt")
+        assert meta["scenario"] == "mbs"
+        for noise in cfg.noises:
+            seed = cell_seed(cfg.master_seed, "dbs", noise, 0.0, 0.1)
+            direct = evaluate(net, EnvConfig(noise_kind=noise, epsilon=0.1, horizon=cfg.horizon),
+                              cfg.episodes, [(0.0, seed)], "dbs", cfg.f_star)
+            row = [results[("dbs", noise, 0.0, 0.1)]]
+            assert (render_results_csv(row) + render_curves_csv(row)
+                    == render_results_csv(direct) + render_curves_csv(direct))
+        evaluated = [r.getMessage() for r in caplog.records
+                     if r.getMessage().startswith("evaluated dbs ")]
+        assert sorted(line.rsplit(" with ", 1)[1] for line in evaluated) == [
+            "dbs_amplitude_damping_alpha0.5_eps0.1.ckpt", "dbs_depolarizing_alpha0.5_eps0.1.ckpt",
+            "mbs_eps0.1.ckpt", "mbs_eps0.1.ckpt"]
+
+    def test_the_shared_agent_is_the_same_whichever_scenario_comes_first(self, tmp_path):
+        runs = []
+        for order in (("dbs", "mbs"), ("mbs", "dbs")):
+            label = "-".join(order)
+            results = sweep(self.cfg(tmp_path, label, scenarios=order))
+            runs.append((_digests(tmp_path / label), render_results_csv(results),
+                         render_curves_csv(results)))
+        assert runs[0] == runs[1]
+        # a dbs-only grid at alpha 0 trains the mbs agent, as mbs
+        sweep(self.cfg(tmp_path, "dbs-only", scenarios=("dbs",), alphas=(0.0,)))
+        assert _digests(tmp_path / "dbs-only") == {
+            "mbs_eps0.1.ckpt": runs[0][0]["mbs_eps0.1.ckpt"]}
+        assert load_policy(tmp_path / "dbs-only" / "mbs_eps0.1.ckpt")[1]["scenario"] == "mbs"
 
     def test_training_failure_in_a_worker_surfaces(self, tmp_path, monkeypatch):
         if multiprocessing.get_start_method() != "fork":

@@ -419,17 +419,17 @@ class TestSampleAction:
     def test_stop_sampling_rate(self):
         gen = np.random.default_rng(0)
         stops = [
-            sample_action(np.array([0.0, 0.0]), 0.0, gen, True)[3]
+            sample_action(np.array([0.0, 0.0]), 0.0, gen, True)[0].stop
             for _ in range(10_000)
         ]
         assert abs(np.mean(stops) - 0.5) <= 3 * 0.5 / 100
 
     def test_log_prob_is_joint(self):
-        action, lp, pre, stop = sample_action(
+        action, lp, pre = sample_action(
             np.array([0.2, 1.5]), -0.3, np.random.default_rng(1), True
         )
         expected = dist.squashed_log_prob(pre, 0.2, -0.3) + dist.bernoulli_log_prob(
-            1.0 if stop else 0.0, 1.5
+            1.0 if action.stop else 0.0, 1.5
         )
         assert lp == pytest.approx(float(expected), abs=1e-12)
 
