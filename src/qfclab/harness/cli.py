@@ -1,10 +1,12 @@
 """Command-line interface: train, eval, sweep, report.
 
-Exit codes: 0 success, 1 configuration error, 2 missing checkpoint,
-3 runtime failure.  QFC_THREADS caps sweep worker parallelism.  Progress
-records of the qfclab loggers at INFO and above (one line per agent a sweep
-trains and per evaluation job it runs, which names the checkpoint an RL job
-evaluated) go to stderr.
+Exit codes: 0 success, 1 configuration error (a malformed command line
+included), 2 missing checkpoint, 3 runtime failure.  QFC_THREADS caps sweep
+worker parallelism.  Progress records of the qfclab loggers at INFO and above
+(one line per agent a sweep trains and per evaluation job it runs, which
+names the checkpoint an RL job evaluated) go to stderr.  A killed sweep is
+finished by running it again: it reuses the checkpoints already written,
+trains only the missing ones and rewrites every output.
 """
 
 from __future__ import annotations
@@ -29,8 +31,7 @@ from .evaluate import (
     train_checkpoint,
 )
 from .report import (
-    check_curves, check_manifest, emit_report, read_results_dir, render_csv, render_results_csv,
-    sweep_manifest,
+    check_curves, emit_report, read_results_dir, render_csv, render_results_csv, sweep_manifest,
 )
 
 EXIT_OK = 0
@@ -42,8 +43,16 @@ EXIT_RUNTIME = 3
 RUNTIME_ERRORS = (StateValidityError, ConditioningError, DimensionError, ParameterError)
 
 
+class _Parser(argparse.ArgumentParser):
+    """A malformed command line is a configuration error (exit 1), not argparse's exit 2,
+    which names a missing checkpoint here; the subcommand parsers are of this class too."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qfclab",
         description="Measurement-based feedback state preparation: training, "
         "evaluation, robustness sweeps, and reports.",
@@ -75,8 +84,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--config", required=True, help="sweep config file")
     p_sweep.add_argument("--desk-scale", action="store_true",
                          help="shrink grids/episodes to the desk preset")
-    p_sweep.add_argument("--resume", action="store_true",
-                         help="skip cells already present in the output directory")
 
     p_report = sub.add_parser("report", help="render CSVs and charts from sweep results")
     p_report.add_argument("--results", required=True, help="directory with results.csv")
@@ -132,11 +139,8 @@ def _cmd_sweep(args) -> int:
     if args.desk_scale:
         cfg = desk_scale(cfg)
     out_dir = check_directory(cfg.output_dir, "output directory")
-    manifest = sweep_manifest(cfg)
-    resume = (read_results_dir(out_dir) or []) if args.resume else []
-    if resume:
-        check_manifest(out_dir, manifest)
-    results = sweep(cfg, resume_results={c.key(): c for c in resume})
+    manifest = sweep_manifest(cfg)  # the source as the sweep starts
+    results = sweep(cfg)
     summary = threshold_alpha(results, cfg.f_star)
     written = emit_report(results, summary, out_dir)
     (out_dir / "manifest.txt").write_text(manifest)
@@ -147,6 +151,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    check_directory(args.out, "output directory")
     results = read_results_dir(args.results)
     if results is None:
         raise ConfigError(f"no results.csv under {args.results}")
@@ -159,8 +164,6 @@ def _cmd_report(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     handlers = {
         "train": _cmd_train,
         "eval": _cmd_eval,
@@ -174,6 +177,7 @@ def main(argv=None) -> int:
     logger.addHandler(handler)
     logger.setLevel(logging.INFO)
     try:
+        args = _build_parser().parse_args(argv)
         return handlers[args.command](args)
     except MissingCheckpointError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -168,7 +168,8 @@ def train_checkpoint(
     """Train one agent at the appendix defaults and save it to ``path``.
 
     The checkpoint records the noise, alpha, epsilon, seed and timesteps it was
-    trained with (alpha 0 for the noise-free kinds); returns the training curve rows.
+    trained with (alpha 0 for the noise-free kinds, and noise ``none`` at alpha 0,
+    where no noise acts); returns the training curve rows.
     A directory ``path``, or one under a file, raises :class:`ConfigError` before training.
     """
     env_cfg = training_config(scenario, env_cfg)
@@ -181,8 +182,8 @@ def train_checkpoint(
     path.parent.mkdir(parents=True, exist_ok=True)
     save_policy(
         path, net, scenario,
-        {"noise": env_cfg.noise_kind, "alpha": env_cfg.alpha, "epsilon": env_cfg.epsilon,
-         "seed": seed, "timesteps": timesteps},
+        {"noise": env_cfg.noise_kind if env_cfg.alpha else "none", "alpha": env_cfg.alpha,
+         "epsilon": env_cfg.epsilon, "seed": seed, "timesteps": timesteps},
     )
     return curve
 
@@ -207,22 +208,6 @@ def resolve_policy(scenario, noise, alpha, epsilon, cfg: SweepConfig) -> Policy 
 def cell_label(cell: tuple) -> str:
     scenario, noise, alpha, epsilon = cell
     return f"({scenario}, {noise}, alpha={alpha!r}, epsilon={epsilon!r})"
-
-
-def _check_resumed(row: CellResult, cell: tuple, seed: int, cfg: SweepConfig) -> CellResult:
-    """``row`` if it can be this sweep's result for ``cell``; else :class:`ConfigError`.
-
-    The seed, the episode count and the curve length are checked: only a row
-    whose episodes all aborted has no curve.  results.csv does not record f_star.
-    """
-    for name, got, want in (("seed", row.seed, seed),
-                            ("episodes + aborted", row.episodes + row.aborted, cfg.episodes),
-                            ("curve points", len(row.fidelity_curve),
-                             row.curve_points(cfg.horizon))):
-        if got != want:
-            raise ConfigError(f"resumed cell {cell_label(cell)} has {name} {got}, but this sweep's "
-                              f"is {want}; move the results away to recompute them")
-    return row
 
 
 def _train_agent(args) -> tuple[str, int, float]:
@@ -268,28 +253,24 @@ def _run_jobs(pool: ProcessPoolExecutor | None, job, args: list):
     return pool.map(job, args)
 
 
-def sweep(cfg: SweepConfig, resume_results: dict[tuple, CellResult] | None = None):
+def sweep(cfg: SweepConfig):
     """Evaluate every (scenario, noise, alpha, epsilon) cell of the grid.
-
-    ``resume_results`` maps cell keys to already-completed results, which are
-    returned as-is (cells are seed-keyed by identity, so recomputing any one
-    reproduces it exactly) if their seed, episode count and curve length are
-    this sweep's.
 
     The grid is planned first: before anything runs, a missing checkpoint
     with training on demand off raises :class:`MissingCheckpointError`, and
-    :class:`ConfigError` refuses a stale resumed row, two cells of different
-    agents whose checkpoint names coincide, a checkpoint that records another
-    seed or budget than training on demand would use, and a checkpoint
-    directory that is a file.  Then the missing agents train, each checkpoint
-    once as its :func:`training_problem`'s scenario (an mbs agent also serves
-    the dbs cells at alpha 0), and the cells evaluate, one job per scenario,
-    agent, noise and epsilon, in one pool of up to QFC_THREADS worker
-    processes; a phase with a single job runs inline.
+    :class:`ConfigError` refuses two cells of different agents whose
+    checkpoint names coincide, a checkpoint that records another seed or
+    budget than training on demand would use, and a checkpoint directory
+    that is a file.  Then the missing agents train, each checkpoint once as
+    its :func:`training_problem`'s scenario (an mbs agent also serves the dbs
+    cells at alpha 0), and the cells evaluate, one job per scenario, agent,
+    noise and epsilon, in one pool of up to QFC_THREADS worker processes; a
+    phase with a single job runs inline.  A checkpoint on disk is reused, so
+    a killed sweep run again trains only the agents it had not saved and
+    returns the results of an uninterrupted run.
     """
     workers = worker_count()  # a bad QFC_THREADS fails before any training
-    resume_results = resume_results or {}
-    results: dict[tuple, CellResult] = {}
+    results: list[CellResult] = []
     agents: dict[str, tuple] = {}  # checkpoint to train on demand -> job of its first cell
     owners: dict[str, tuple] = {}  # checkpoint name -> (its problem, the first cell it serves)
     jobs: dict[tuple, list] = {}  # (scenario, noise, epsilon, policy) -> its cells' (alpha, seed)
@@ -303,9 +284,6 @@ def sweep(cfg: SweepConfig, resume_results: dict[tuple, CellResult] | None = Non
             if owner != problem:
                 raise ConfigError(f"cells {cell_label(first)} and {cell_label(key)} need different "
                                   f"agents but share the checkpoint name {name}")
-        if key in resume_results:
-            results[key] = _check_resumed(resume_results[key], key, seed, cfg)
-            continue
         source = resolve_policy(scenario, noise, alpha, epsilon, cfg)
         if cfg.train_on_demand and isinstance(source, str) and source not in agents:
             train_seed = mix64(cfg.master_seed, hash_label(f"train|{Path(source).name}"))
@@ -337,8 +315,8 @@ def sweep(cfg: SweepConfig, resume_results: dict[tuple, CellResult] | None = Non
             log.info("evaluated %s on %s at epsilon %g: %d alphas, %d episodes in %.2f s "
                      "(%.0f episodes/s)%s", scenario, noise, epsilon, len(cells), episodes, wall,
                      episodes / wall, agent)
-            results.update((cell.key(), cell) for cell in cells)
-    return [results[k] for k in sorted(results)]
+            results.extend(cells)
+    return sorted(results, key=CellResult.key)
 
 
 def threshold_alpha(results: list[CellResult], f_star: float) -> dict[tuple, float | None]:

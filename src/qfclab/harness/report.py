@@ -13,7 +13,6 @@ sweep also writes manifest.txt, what made the results (:func:`sweep_manifest`).
 from __future__ import annotations
 
 import hashlib
-import itertools
 import math
 import platform
 from dataclasses import replace
@@ -140,21 +139,6 @@ def sweep_manifest(cfg: SweepConfig) -> str:
     versions = (("qfclab", __version__), ("numpy", np.__version__),
                 ("python", platform.python_version()), ("src_sha256", digest.hexdigest()))
     return format_config(cfg) + "\n[provenance]\n" + "".join(f"{k} = {v}\n" for k, v in versions)
-
-
-def check_manifest(results_dir, manifest: str) -> None:
-    """Raise :class:`ConfigError` unless ``results_dir`` holds ``manifest`` as manifest.txt,
-    naming the first line that differs."""
-    path = Path(results_dir) / "manifest.txt"
-    if not path.exists():
-        raise ConfigError(f"{path} is missing, so the results beside it cannot be resumed; "
-                          f"move them away to recompute them")
-    lines = itertools.zip_longest(path.read_text().splitlines(), manifest.splitlines(),
-                                  fillvalue="<end of file>")
-    for lineno, (got, want) in enumerate(lines, start=1):
-        if got != want:
-            raise ConfigError(f"{path} line {lineno} reads {got!r}, but this sweep's is "
-                              f"{want!r}; move the results away to recompute them")
 
 
 # -- minimal SVG line charts --

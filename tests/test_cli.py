@@ -2,6 +2,7 @@
 
 import argparse
 import re
+import shutil
 import zipfile
 from dataclasses import replace
 from pathlib import Path
@@ -79,34 +80,6 @@ class TestEvalCommand:
         cells = evaluate(basic_policy(), cfg, 30, [(0.3, 9)], f_star=0.8)
         assert code == EXIT_OK
         assert capsys.readouterr().out == render_results_csv(cells)
-
-    def test_resume_refuses_results_of_another_training_budget(self, tmp_path, capsys):
-        # every row resumes, so no checkpoint is loaded: only the manifest can
-        # tell that the agents behind the rows had another budget
-        cfg = write_sweep_config(tmp_path, tmp_path / "out", tmp_path / "ck")
-        text = cfg.read_text().replace("scenarios = basic", "scenarios = mbs")
-        cfg.write_text(text.replace("[output]", "train_on_demand = true\n"
-                                    "train_timesteps = 512\n[output]"))
-        assert main(["sweep", "--config", str(cfg)]) == EXIT_OK
-        manifest = (tmp_path / "out" / "manifest.txt").read_text()
-        assert "train_timesteps = 512\n" in manifest and "src_sha256 = " in manifest
-        results = (tmp_path / "out" / "results.csv").read_bytes()
-        assert main(["sweep", "--config", str(cfg), "--resume"]) == EXIT_OK
-        assert (tmp_path / "out" / "results.csv").read_bytes() == results
-        capsys.readouterr()
-
-        cfg.write_text(cfg.read_text().replace("train_timesteps = 512", "train_timesteps = 1024"))
-        assert main(["sweep", "--config", str(cfg), "--resume"]) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert "reads 'train_timesteps = 512', but this sweep's is 'train_timesteps = 1024'" in err
-        assert (tmp_path / "out" / "results.csv").read_bytes() == results
-
-    def test_resume_refuses_results_without_a_manifest(self, tmp_path, capsys):
-        cfg = write_sweep_config(tmp_path, tmp_path / "out", tmp_path / "ck")
-        assert main(["sweep", "--config", str(cfg)]) == EXIT_OK
-        (tmp_path / "out" / "manifest.txt").unlink()
-        assert main(["sweep", "--config", str(cfg), "--resume"]) == EXIT_CONFIG
-        assert "manifest.txt is missing" in capsys.readouterr().err
 
     def test_missing_checkpoint_exit_code(self, tmp_path, capsys):
         code = main(["eval", "--policy", str(tmp_path / "nope.ckpt"), "--episodes", "1"])
@@ -274,7 +247,7 @@ class TestSweepCommand:
             assert (out_dir / name).exists(), name
         assert len((out_dir / "results.csv").read_text().splitlines()) == 3
 
-    def test_sweep_determinism_and_resume_reproduce_bytes(self, tmp_path):
+    def test_sweep_determinism_reproduces_bytes(self, tmp_path):
         cfg = write_sweep_config(tmp_path, tmp_path / "out", tmp_path / "ck")
         assert main(["sweep", "--config", str(cfg)]) == EXIT_OK
         results = (tmp_path / "out" / "results.csv").read_bytes()
@@ -283,50 +256,31 @@ class TestSweepCommand:
         # full rerun with the same master seed: byte-identical
         assert main(["sweep", "--config", str(cfg)]) == EXIT_OK
         assert (tmp_path / "out" / "results.csv").read_bytes() == results
-
-        # delete one cell row and resume: the row recomputes exactly
-        text = (tmp_path / "out" / "results.csv").read_text().splitlines()
-        (tmp_path / "out" / "results.csv").write_text("\n".join(text[:-1]) + "\n")
-        assert main(["sweep", "--config", str(cfg), "--resume"]) == EXIT_OK
-        assert (tmp_path / "out" / "results.csv").read_bytes() == results
         assert (tmp_path / "out" / "curves.csv").read_bytes() == curves
 
-    def test_resume_refuses_results_of_another_training_budget(self, tmp_path, capsys):
-        # every row resumes, so no checkpoint is loaded: only the manifest can
-        # tell that the agents behind the rows had another budget
+    def test_a_killed_sweep_is_finished_by_a_rerun(self, tmp_path, capfd):
         cfg = write_sweep_config(tmp_path, tmp_path / "out", tmp_path / "ck")
-        text = cfg.read_text().replace("scenarios = basic", "scenarios = mbs")
-        cfg.write_text(text.replace("[output]", "train_on_demand = true\n"
-                                    "train_timesteps = 512\n[output]"))
+        text = cfg.read_text().replace("scenarios = basic", "scenarios = mbs, dbs").replace(
+            "alphas = 0, 1", "alphas = 0, 0.5, 1").replace(
+            "[output]", "train_on_demand = true\ntrain_timesteps = 512\n[output]")
+        cfg.write_text(text)
         assert main(["sweep", "--config", str(cfg)]) == EXIT_OK
-        manifest = (tmp_path / "out" / "manifest.txt").read_text()
-        assert "train_timesteps = 512\n" in manifest and "src_sha256 = " in manifest
-        results = (tmp_path / "out" / "results.csv").read_bytes()
-        assert main(["sweep", "--config", str(cfg), "--resume"]) == EXIT_OK
-        assert (tmp_path / "out" / "results.csv").read_bytes() == results
-        capsys.readouterr()
+        outputs = {name: (tmp_path / "out" / name).read_bytes()
+                   for name in ("results.csv", "curves.csv")}
+        assert sorted(p.name for p in (tmp_path / "ck").iterdir()) == [
+            "dbs_depolarizing_alpha0.5_eps0.1.ckpt", "dbs_depolarizing_alpha1_eps0.1.ckpt",
+            "mbs_eps0.1.ckpt"]
+        capfd.readouterr()
 
-        cfg.write_text(cfg.read_text().replace("train_timesteps = 512", "train_timesteps = 1024"))
-        assert main(["sweep", "--config", str(cfg), "--resume"]) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert "reads 'train_timesteps = 512', but this sweep's is 'train_timesteps = 1024'" in err
-        assert (tmp_path / "out" / "results.csv").read_bytes() == results
-
-    def test_resume_refuses_results_without_a_manifest(self, tmp_path, capsys):
-        cfg = write_sweep_config(tmp_path, tmp_path / "out", tmp_path / "ck")
+        # killed while training its last agent, before any output was written
+        (tmp_path / "ck" / "dbs_depolarizing_alpha1_eps0.1.ckpt").unlink()
+        shutil.rmtree(tmp_path / "out")
         assert main(["sweep", "--config", str(cfg)]) == EXIT_OK
-        (tmp_path / "out" / "manifest.txt").unlink()
-        assert main(["sweep", "--config", str(cfg), "--resume"]) == EXIT_CONFIG
-        assert "manifest.txt is missing" in capsys.readouterr().err
-
-    def test_resume_refuses_rows_whose_curves_are_missing(self, tmp_path, capsys):
-        cfg = write_sweep_config(tmp_path, tmp_path / "out", tmp_path / "ck")
-        assert main(["sweep", "--config", str(cfg)]) == EXIT_OK
-        (tmp_path / "out" / "curves.csv").unlink()
-        capsys.readouterr()
-        assert main(["sweep", "--config", str(cfg), "--resume"]) == EXIT_CONFIG
-        assert "has curve points 0, but this sweep's is 7" in capsys.readouterr().err
-        assert not (tmp_path / "out" / "curves.csv").exists()
+        trained = [line for line in capfd.readouterr().err.splitlines() if ":trained " in line]
+        assert len(trained) == 1
+        assert "trained dbs_depolarizing_alpha1_eps0.1.ckpt: 512 timesteps" in trained[0]
+        for name, content in outputs.items():
+            assert (tmp_path / "out" / name).read_bytes() == content, name
 
     def test_missing_checkpoint_exit_code(self, tmp_path, capsys):
         cfg = write_sweep_config(tmp_path, tmp_path / "out", tmp_path / "ck")
@@ -500,6 +454,23 @@ class TestReportCommand:
             "report", "--results", str(tmp_path / "void"), "--out", str(tmp_path / "rep"),
         ]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("case", ["file", "under_a_file"])
+    def test_out_that_is_or_lies_under_a_file_is_config_error(self, tmp_path, capsys, case):
+        cfg = write_sweep_config(tmp_path, tmp_path / "out", tmp_path / "ck")
+        assert main(["sweep", "--config", str(cfg)]) == EXIT_OK
+        taken = tmp_path / "taken"
+        taken.write_text("kept")
+        out = taken if case == "file" else taken / "rep"
+        message = (f"output directory {out} is not a directory" if case == "file" else
+                   f"output directory {out} lies under {taken}, which is not a directory")
+        capsys.readouterr()
+        assert main(["report", "--results", str(tmp_path / "out"), "--out", str(out)]) == (
+            EXIT_CONFIG)
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+        assert taken.read_text() == "kept"
+
 
 @pytest.mark.parametrize("command", ["eval", "report"])
 @pytest.mark.parametrize("f_star", ["0", "1.5", "-1", "nan"])
@@ -517,6 +488,27 @@ def test_f_star_outside_the_sweep_range_is_config_error(tmp_path, capsys, comman
     assert out == ""
     assert f"f_star must lie in (0, 1], got {float(f_star)!r}" in err
     assert not (tmp_path / "rep").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--config", "f", "--resume"], "qfclab: unrecognized arguments: --resume"),
+    (["eval", "--policy", "basic", "--episodes", "abc"],
+     "qfclab eval: argument --episodes: invalid int value: 'abc'"),
+    (["sweep"], "qfclab sweep: the following arguments are required: --config"),
+], ids=["unknown-flag", "bad-int", "missing-required"])
+def test_malformed_command_line_is_config_error(capsys, no_work, argv, message):
+    # exit 2 is reserved for a missing checkpoint
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["sweep", "--help"])
+    assert exit_info.value.code == 0
+    assert "--config" in capsys.readouterr().out
 
 
 def test_readme_synopsis_lists_every_option():

@@ -47,7 +47,6 @@ from qfclab.harness.evaluate import (
 from qfclab.harness.report import (
     emit_report,
     parse_results_csv,
-    read_results_dir,
     render_curves_csv,
     render_results_csv,
     render_thresholds_csv,
@@ -538,32 +537,6 @@ class TestSweep:
         )
         assert sweep(cfg) == direct
 
-    def test_resume_skips_completed_cells(self, tmp_path):
-        cfg = self.small_cfg(tmp_path)
-        results = sweep(cfg)
-        sentinel = replace(results[0], alpha=-1.0)  # the row's seed, counts and curve
-        resumed = sweep(cfg, resume_results={results[0].key(): sentinel})
-        assert any(c.alpha == -1.0 for c in resumed)
-
-    def test_resume_reuses_an_all_aborted_row_without_a_curve(self, tmp_path):
-        cfg = self.small_cfg(tmp_path)
-        first = sweep(cfg)[0]
-        all_aborted = replace(first, episodes=0, aborted=cfg.episodes, fidelity_curve=())
-        assert sweep(cfg, resume_results={first.key(): all_aborted})[0] is all_aborted
-
-    @pytest.mark.parametrize("field, change", [
-        ("seed", {"master_seed": 14}),
-        ("episodes", {"episodes": 21}),
-        ("curve points", {"horizon": 9}),
-    ])
-    def test_resume_refuses_rows_of_another_sweep(self, tmp_path, field, change):
-        cfg = self.small_cfg(tmp_path)
-        emit_report(sweep(cfg), {}, cfg.output_dir)
-        resume = {c.key(): c for c in read_results_dir(cfg.output_dir)}
-        with pytest.raises(ConfigError, match=rf"resumed cell \(basic, depolarizing, "
-                                              rf"alpha=0\.0, epsilon=0\.1\) has {field}"):
-            sweep(replace(cfg, **change), resume_results=resume)
-
     @pytest.mark.parametrize("scenario, noise, alphas, epsilons, name", [
         ("dbs", "depolarizing", (0.1234561, 0.1234562), (0.1,),
          r"dbs_depolarizing_alpha0\.123456_eps0\.1\.ckpt"),
@@ -627,16 +600,13 @@ class TestSweep:
     def test_each_evaluation_job_logs_what_it_evaluated(self, tmp_path, caplog):
         caplog.set_level(logging.INFO, logger="qfclab.harness.evaluate")
         cfg = self.small_cfg(tmp_path, noises=("depolarizing", "random_permutation"),
-                             alphas=(0.0, 0.4, 0.8))
-        first = sweep(cfg)[0]  # (basic, depolarizing, 0.0, 0.1)
-        caplog.clear()
-        sweep(cfg, resume_results={first.key(): first})
+                             alphas=(0.0, 0.4, 0.8), epsilons=(0.1, 0.2))
+        sweep(cfg)
         lines = [record.getMessage() for record in caplog.records]
-        assert len(lines) == 2
-        assert lines[0].startswith("evaluated basic on depolarizing at epsilon 0.1: "
-                                   "2 alphas, 40 episodes in ")
-        assert lines[1].startswith("evaluated basic on random_permutation at epsilon 0.1: "
-                                   "3 alphas, 60 episodes in ")
+        assert [line.split(": ")[0] for line in lines] == [
+            f"evaluated basic on {noise} at epsilon {epsilon}"
+            for noise in cfg.noises for epsilon in cfg.epsilons]
+        assert all(": 3 alphas, 60 episodes in " in line for line in lines)
         assert all(line.endswith(" episodes/s)") for line in lines)
 
     def test_evaluation_builds_no_generator_per_episode(self, tmp_path, monkeypatch):
@@ -779,17 +749,18 @@ class TestTrainOnDemand:
                        noises=("amplitude_damping", "depolarizing"), alphas=(0.4, 0.6))
         sweep(cfg)
         _, meta = load_policy(tmp_path / "ckpts" / "mbs_eps0.1.ckpt")
-        assert (meta["noise"], meta["alpha"]) == ("amplitude_damping", "0.0")
+        assert (meta["noise"], meta["alpha"]) == ("none", "0.0")
 
     @pytest.mark.parametrize("scenario", ["mbs", "qomdp"])
     def test_noise_free_checkpoint_ignores_the_cell_alpha(self, tmp_path, scenario):
         blobs = []
-        for alpha in (0.0, 0.7):
-            env_cfg = EnvConfig(noise_kind="depolarizing", alpha=alpha, epsilon=0.1, horizon=6)
-            path = tmp_path / f"{alpha}.ckpt"
+        for noise, alpha in (("depolarizing", 0.0), ("depolarizing", 0.7),
+                             ("random_permutation", 0.7)):
+            env_cfg = EnvConfig(noise_kind=noise, alpha=alpha, epsilon=0.1, horizon=6)
+            path = tmp_path / f"{noise}{alpha}.ckpt"
             train_checkpoint(scenario, env_cfg, 512, 5, path)
             blobs.append(path.read_bytes())
-        assert blobs[0] == blobs[1]
+        assert blobs[0] == blobs[1] == blobs[2]
 
     @pytest.mark.parametrize("field, change", [
         ("timesteps", {"train_timesteps": 1024}),
