@@ -258,6 +258,23 @@ class TestSweepCommand:
         assert (tmp_path / "out" / "results.csv").read_bytes() == results
         assert (tmp_path / "out" / "curves.csv").read_bytes() == curves
 
+    def test_every_sweep_writes_its_manifest(self, tmp_path, capsys):
+        cfg = write_sweep_config(tmp_path, tmp_path / "out", tmp_path / "ck")
+        manifest = tmp_path / "out" / "manifest.txt"
+        assert main(["sweep", "--config", str(cfg)]) == EXIT_OK
+        assert f"wrote {manifest}" in capsys.readouterr().out
+        text = manifest.read_text()
+        config, provenance = text.split("\n[provenance]\n")
+        assert "master_seed = 3" in config
+        assert re.search(r"^src_sha256 = [0-9a-f]{64}$", provenance, re.MULTILINE)
+
+        # a re-run writes it again, unchanged; another config writes its own
+        assert main(["sweep", "--config", str(cfg)]) == EXIT_OK
+        assert manifest.read_text() == text
+        cfg.write_text(cfg.read_text().replace("master_seed = 3", "master_seed = 4"))
+        assert main(["sweep", "--config", str(cfg)]) == EXIT_OK
+        assert manifest.read_text() == text.replace("master_seed = 3", "master_seed = 4")
+
     def test_a_killed_sweep_is_finished_by_a_rerun(self, tmp_path, capfd):
         cfg = write_sweep_config(tmp_path, tmp_path / "out", tmp_path / "ck")
         text = cfg.read_text().replace("scenarios = basic", "scenarios = mbs, dbs").replace(
@@ -495,7 +512,10 @@ def test_f_star_outside_the_sweep_range_is_config_error(tmp_path, capsys, comman
     (["eval", "--policy", "basic", "--episodes", "abc"],
      "qfclab eval: argument --episodes: invalid int value: 'abc'"),
     (["sweep"], "qfclab sweep: the following arguments are required: --config"),
-], ids=["unknown-flag", "bad-int", "missing-required"])
+    ([], "qfclab: the following arguments are required: command"),
+    (["eval", "--policy", "basic", "--alpha", "x"],
+     "qfclab eval: argument --alpha: invalid float value: 'x'"),
+], ids=["unknown-flag", "bad-int", "missing-required", "no-command", "bad-float"])
 def test_malformed_command_line_is_config_error(capsys, no_work, argv, message):
     # exit 2 is reserved for a missing checkpoint
     assert main(argv) == EXIT_CONFIG

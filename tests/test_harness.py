@@ -776,6 +776,20 @@ class TestTrainOnDemand:
             sweep(rerun)
         assert _digests(tmp_path / "ckpts") == trained  # nothing trained, nothing rewritten
 
+    def test_a_rerun_reuses_every_finished_agent(self, tmp_path, monkeypatch):
+        cfg = self.cfg(tmp_path, "ckpts", scenarios=("dbs",))
+        first = sweep(cfg)
+        trained = _digests(tmp_path / "ckpts")
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a re-run trained an agent whose checkpoint was finished")
+
+        monkeypatch.setattr(evaluate_module, "train", fail)
+        rerun = sweep(cfg)
+        assert _digests(tmp_path / "ckpts") == trained
+        assert (render_results_csv(rerun) + render_curves_csv(rerun)
+                == render_results_csv(first) + render_curves_csv(first))
+
     def test_hand_trained_checkpoint_is_used_without_training_on_demand(self, tmp_path):
         cfg = self.cfg(tmp_path, "ckpts", scenarios=("mbs",), noises=("depolarizing",),
                        train_on_demand=False)
