@@ -3,10 +3,12 @@
 Exit codes: 0 success, 1 configuration error (a malformed command line
 included), 2 missing checkpoint, 3 runtime failure.  QFC_THREADS caps sweep
 worker parallelism.  Progress records of the qfclab loggers at INFO and above
-(one line per agent a sweep trains and per evaluation job it runs, which
-names the checkpoint an RL job evaluated) go to stderr.  A killed sweep is
-finished by running it again: it reuses the checkpoints already written,
-trains only the missing ones and rewrites every output.
+(per sweep job, a line if it trained its agent, then one per (scenario,
+noise, epsilon) it evaluated, naming the checkpoint) go to stderr.  A killed
+sweep is finished by running it again: it reuses the checkpoints already
+written, trains only the missing ones and rewrites every output.  Report
+re-renders a sweep's results at the f_star and horizon of its manifest.txt,
+which it copies.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from ..dynamics import EnvConfig
 from ..qcore import DimensionError, StateValidityError
 from ..rl.checkpoint import load_policy
 from ..rl.envs import SCENARIO_KINDS
-from .config import ConfigError, check_directory, check_f_star, desk_scale, parse_config_file
+from .config import (ConfigError, check_directory, check_f_star, desk_scale, parse_config,
+                     parse_config_file)
 from .evaluate import (
     MissingCheckpointError,
     evaluate,
@@ -88,7 +91,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_report = sub.add_parser("report", help="render CSVs and charts from sweep results")
     p_report.add_argument("--results", required=True, help="directory with results.csv")
     p_report.add_argument("--out", required=True, help="output directory")
-    p_report.add_argument("--f-star", type=float, default=0.9)
     return parser
 
 
@@ -140,9 +142,12 @@ def _cmd_sweep(args) -> int:
         cfg = desk_scale(cfg)
     out_dir = check_directory(cfg.output_dir, "output directory")
     manifest = sweep_manifest(cfg)  # the source as the sweep starts
-    results = sweep(cfg)
-    summary = threshold_alpha(results, cfg.f_star)
-    written = emit_report(results, summary, out_dir)
+    return _write_report(sweep(cfg), cfg, manifest, out_dir)
+
+
+def _write_report(results, cfg, manifest: str, out_dir: Path) -> int:
+    """Write the report of ``results`` at ``cfg.f_star``, then the manifest, to ``out_dir``."""
+    written = emit_report(results, threshold_alpha(results, cfg.f_star), out_dir)
     (out_dir / "manifest.txt").write_text(manifest)
     written.append(str(out_dir / "manifest.txt"))
     for path in written:
@@ -151,16 +156,17 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    check_directory(args.out, "output directory")
+    out_dir = check_directory(args.out, "output directory")
     results = read_results_dir(args.results)
     if results is None:
         raise ConfigError(f"no results.csv under {args.results}")
-    check_curves(results)
-    summary = threshold_alpha(results, check_f_star(args.f_star))
-    written = emit_report(results, summary, args.out)
-    for path in written:
-        print(f"wrote {path}")
-    return EXIT_OK
+    manifest_path = Path(args.results) / "manifest.txt"
+    if not manifest_path.is_file():  # it holds the sweep's f_star and horizon
+        raise ConfigError(f"no manifest.txt under {args.results}")
+    manifest = manifest_path.read_text()
+    cfg = parse_config(manifest.partition("\n[provenance]\n")[0])
+    check_curves(results, cfg.horizon)
+    return _write_report(results, cfg, manifest, out_dir)
 
 
 def main(argv=None) -> int:

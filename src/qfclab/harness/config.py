@@ -7,7 +7,7 @@ Sections: ``[sweep]`` (grids and evaluation protocol), ``[checkpoints]``
 (where trained agents live, whether to train on demand), ``[output]``.
 A key may appear once per file.  One table, :data:`KEYS`, maps each
 (section, key) to its :class:`SweepConfig` field, parser and formatter, and
-drives both :func:`parse_config_file` and :func:`format_config`.  Text values
+drives both :func:`parse_config` and :func:`format_config`.  Text values
 cannot hold ``#`` or a newline, list items cannot hold ``,``, and leading or
 trailing whitespace is stripped.
 """
@@ -145,14 +145,18 @@ SECTIONS = tuple(dict.fromkeys(section for section, _ in KEYS))
 
 
 def parse_config_file(path) -> SweepConfig:
-    """Load a sweep config, starting from the full-grid defaults."""
+    """Load a sweep config file with :func:`parse_config`."""
+    try:
+        return parse_config(Path(path).read_text())
+    except OSError as exc:  # missing, a directory, unreadable
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}") from exc
+
+
+def parse_config(text: str) -> SweepConfig:
+    """Parse a sweep config, starting from the full-grid defaults."""
     kw: dict = {}
     seen: dict[tuple[str, str], int] = {}
     section = None
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:  # missing, a directory, unreadable
-        raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -183,7 +187,7 @@ def parse_config_file(path) -> SweepConfig:
 
 
 def format_config(cfg: SweepConfig) -> str:
-    """Serialize a config in the same grammar; :func:`parse_config_file` reads
+    """Serialize a config in the same grammar; :func:`parse_config` reads
     it back equal (text values within the grammar's limits)."""
     lines = []
     for section in SECTIONS:

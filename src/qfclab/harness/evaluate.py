@@ -7,12 +7,12 @@ alone decides which agent serves a cell (a dbs cell at alpha = 0 the mbs agent
 of its epsilon).  Every agent trained on demand is seeded from the master
 seed and its checkpoint name.
 :func:`evaluate` takes (alpha, seed) cells and returns one result per cell,
-each aggregated from its own episodes of one shared stack.  The sweep trains
-the missing agents, then evaluates each agent on each (scenario, noise,
-epsilon) it serves as one :func:`evaluate` job over its alphas.  Both phases
-run in one pool of worker processes capped by the QFC_THREADS environment
-variable; neither the worker count nor the schedule can change a checkpoint
-or a result.
+each aggregated from its own episodes of one shared stack.  The sweep runs
+one job per agent: it trains the agent if its checkpoint is missing, then
+evaluates it on each (scenario, noise, epsilon) it serves as one
+:func:`evaluate` call over its alphas.  The jobs run in one pool of worker
+processes capped by the QFC_THREADS environment variable; neither the worker
+count nor the schedule can change a checkpoint or a result.
 """
 
 from __future__ import annotations
@@ -188,46 +188,30 @@ def train_checkpoint(
     return curve
 
 
-def resolve_policy(scenario, noise, alpha, epsilon, cfg: SweepConfig) -> Policy | str:
-    """Return the basic policy, or the checkpoint path for an RL scenario.
-
-    Raises :class:`MissingCheckpointError` when the checkpoint is absent and
-    training on demand is off; :func:`sweep` trains absent ones otherwise.
-    """
-    if scenario == "basic":
-        return basic_policy()
-    path = Path(cfg.checkpoint_dir) / checkpoint_name(scenario, noise, alpha, epsilon)
-    if not cfg.train_on_demand and not path.exists():
-        raise MissingCheckpointError(
-            f"cell ({scenario}, {noise}, alpha={alpha:g}, epsilon={epsilon:g}) "
-            f"needs checkpoint {path}; enable train_on_demand or train it first"
-        )
-    return str(path)
-
-
 def cell_label(cell: tuple) -> str:
     scenario, noise, alpha, epsilon = cell
     return f"({scenario}, {noise}, alpha={alpha!r}, epsilon={epsilon!r})"
 
 
-def _train_agent(args) -> tuple[str, int, float]:
-    """Pool job: train one missing agent; returns (checkpoint name, timesteps, wall s)."""
-    scenario, noise, alpha, epsilon, horizon, timesteps, seed, path = args
-    start = time.perf_counter()
-    env_cfg = EnvConfig(noise_kind=noise, alpha=alpha, epsilon=epsilon, horizon=horizon)
-    curve = train_checkpoint(scenario, env_cfg, timesteps, seed, path)
-    return Path(path).name, curve[-1]["timesteps"], time.perf_counter() - start
-
-
-def _evaluate_job(args) -> tuple[list[CellResult], float]:
-    """Pool job: one agent on one (noise, epsilon) at each (alpha, seed) of its
-    cells; returns the cells' results and the wall seconds."""
-    scenario, noise, epsilon, cells, policy_source, episodes, horizon, f_star = args
-    start = time.perf_counter()
-    policy = load_policy(policy_source)[0] if isinstance(policy_source, str) else policy_source
-    env_cfg = EnvConfig(noise_kind=noise, epsilon=epsilon, horizon=horizon)
-    results = evaluate(policy, env_cfg, episodes, cells, scenario, f_star)
-    return results, time.perf_counter() - start
+def _agent_job(args) -> tuple:
+    """Pool job: train the agent at ``path`` when ``training`` is given, then
+    evaluate it (the basic policy when ``path`` is None) on each (scenario,
+    noise, epsilon) group at the (alpha, seed) of its cells.  Returns the
+    training's (timesteps, wall s) or None, and each group's results and wall s."""
+    path, training, groups, episodes, horizon, f_star = args
+    trained = None
+    if training is not None:
+        start = time.perf_counter()
+        curve = train_checkpoint(*training, path)
+        trained = curve[-1]["timesteps"], time.perf_counter() - start
+    policy = basic_policy() if path is None else load_policy(path)[0]  # the bytes on disk
+    evaluated = []
+    for scenario, noise, epsilon, cells in groups:
+        start = time.perf_counter()
+        env_cfg = EnvConfig(noise_kind=noise, epsilon=epsilon, horizon=horizon)
+        results = evaluate(policy, env_cfg, episodes, cells, scenario, f_star)
+        evaluated.append((results, time.perf_counter() - start))
+    return trained, evaluated
 
 
 def worker_count() -> int:
@@ -245,14 +229,6 @@ def worker_count() -> int:
     return workers
 
 
-def _run_jobs(pool: ProcessPoolExecutor | None, job, args: list):
-    """Run one phase in the pool, or inline when there is no pool or one job;
-    yields the results in job order as they complete."""
-    if pool is None or len(args) < 2:
-        return map(job, args)
-    return pool.map(job, args)
-
-
 def sweep(cfg: SweepConfig):
     """Evaluate every (scenario, noise, alpha, epsilon) cell of the grid.
 
@@ -261,61 +237,69 @@ def sweep(cfg: SweepConfig):
     :class:`ConfigError` refuses two cells of different agents whose
     checkpoint names coincide, a checkpoint that records another seed or
     budget than training on demand would use, and a checkpoint directory
-    that is a file.  Then the missing agents train, each checkpoint once as
-    its :func:`training_problem`'s scenario (an mbs agent also serves the dbs
-    cells at alpha 0), and the cells evaluate, one job per scenario, agent,
-    noise and epsilon, in one pool of up to QFC_THREADS worker processes; a
-    phase with a single job runs inline.  A checkpoint on disk is reused, so
-    a killed sweep run again trains only the agents it had not saved and
-    returns the results of an uninterrupted run.
+    that is a file.  Then each agent is one job, which trains it if its
+    checkpoint is missing, as its :func:`training_problem`'s scenario, and
+    evaluates the saved checkpoint on every (scenario, noise, epsilon) it
+    serves (an mbs agent's include the dbs cells at alpha 0); basic is one
+    job per noise and epsilon.  The jobs run in one pool of up to QFC_THREADS
+    worker processes, inline when there is one.  A checkpoint on disk is
+    reused, so a killed sweep run again trains only the agents it had not
+    saved and returns the results of an uninterrupted run.
     """
     workers = worker_count()  # a bad QFC_THREADS fails before any training
-    results: list[CellResult] = []
-    agents: dict[str, tuple] = {}  # checkpoint to train on demand -> job of its first cell
-    owners: dict[str, tuple] = {}  # checkpoint name -> (its problem, the first cell it serves)
-    jobs: dict[tuple, list] = {}  # (scenario, noise, epsilon, policy) -> its cells' (alpha, seed)
+    plans: dict = {}  # checkpoint name, or (noise, epsilon) of basic -> (first cell, its groups)
     for key in itertools.product(cfg.scenarios, cfg.noises, cfg.alphas, cfg.epsilons):
         scenario, noise, alpha, epsilon = key
-        seed = cell_seed(cfg.master_seed, scenario, noise, alpha, epsilon)
+        name = (noise, epsilon) if scenario == "basic" else checkpoint_name(*key)
+        first, groups = plans.setdefault(name, (key, {}))
         if scenario != "basic":
-            problem = training_problem(*key)
-            name = checkpoint_name(*key)
-            owner, first = owners.setdefault(name, (problem, key))
-            if owner != problem:
+            if training_problem(*first) != training_problem(*key):
                 raise ConfigError(f"cells {cell_label(first)} and {cell_label(key)} need different "
                                   f"agents but share the checkpoint name {name}")
-        source = resolve_policy(scenario, noise, alpha, epsilon, cfg)
-        if cfg.train_on_demand and isinstance(source, str) and source not in agents:
-            train_seed = mix64(cfg.master_seed, hash_label(f"train|{Path(source).name}"))
-            agents[source] = (problem[0], noise, alpha, epsilon, cfg.horizon,
-                              cfg.train_timesteps, train_seed, source)
-        jobs.setdefault((scenario, noise, epsilon, source), []).append((alpha, seed))
-    for path in [path for path in agents if Path(path).exists()]:
-        train_seed = agents.pop(path)[6]
-        meta = load_policy(path)[1]
-        for name, value in (("seed", train_seed), ("timesteps", cfg.train_timesteps)):
-            if meta.get(name) != str(value):
-                raise ConfigError(
-                    f"checkpoint {path} records meta {name} {meta.get(name)!r}, but this "
-                    f"sweep trains it with {name} {value}; move it away to retrain it"
-                )
-    if agents:
+            path = Path(cfg.checkpoint_dir) / name
+            if not cfg.train_on_demand and not path.exists():
+                raise MissingCheckpointError(f"cell ({scenario}, {noise}, alpha={alpha:g}, "
+                                             f"epsilon={epsilon:g}) needs checkpoint {path}; "
+                                             f"enable train_on_demand or train it first")
+        seed = cell_seed(cfg.master_seed, scenario, noise, alpha, epsilon)
+        groups.setdefault((scenario, noise, epsilon), []).append((alpha, seed))
+    jobs = []
+    for name, (first, groups) in plans.items():
+        path = None if first[0] == "basic" else Path(cfg.checkpoint_dir) / name
+        training = None
+        if path is not None and cfg.train_on_demand:
+            train_seed = mix64(cfg.master_seed, hash_label(f"train|{name}"))
+            if not path.exists():
+                env_cfg = EnvConfig(noise_kind=first[1], alpha=first[2], epsilon=first[3],
+                                    horizon=cfg.horizon)
+                training = (training_problem(*first)[0], env_cfg, cfg.train_timesteps, train_seed)
+            else:
+                meta = load_policy(path)[1]
+                for field, value in (("seed", train_seed), ("timesteps", cfg.train_timesteps)):
+                    if meta.get(field) != str(value):
+                        raise ConfigError(f"checkpoint {path} records meta {field} "
+                                          f"{meta.get(field)!r}, but this sweep trains it with "
+                                          f"{field} {value}; move it away to retrain it")
+        jobs.append((path, training, [(*group, cells) for group, cells in groups.items()],
+                     cfg.episodes, cfg.horizon, cfg.f_star))
+    if any(training for _, training, *_ in jobs):
         check_directory(cfg.checkpoint_dir, "checkpoint directory")
-    evaluations = [(scenario, noise, epsilon, cells, source, cfg.episodes, cfg.horizon, cfg.f_star)
-                   for (scenario, noise, epsilon, source), cells in jobs.items()]
-    size = min(workers, max(len(agents), len(evaluations)))
+    results: list[CellResult] = []
+    size = min(workers, len(jobs))
     with ProcessPoolExecutor(max_workers=size) if size > 1 else nullcontext() as pool:
-        for name, timesteps, wall in _run_jobs(pool, _train_agent, list(agents.values())):
-            log.info("trained %s: %d timesteps in %.2f s (%.0f timesteps/s)",
-                     name, timesteps, wall, timesteps / wall)
-        done = _run_jobs(pool, _evaluate_job, evaluations)
-        for (scenario, noise, epsilon, _, source, *_), (cells, wall) in zip(evaluations, done):
-            episodes = len(cells) * cfg.episodes
-            agent = f" with {Path(source).name}" if isinstance(source, str) else ""
-            log.info("evaluated %s on %s at epsilon %g: %d alphas, %d episodes in %.2f s "
-                     "(%.0f episodes/s)%s", scenario, noise, epsilon, len(cells), episodes, wall,
-                     episodes / wall, agent)
-            results.extend(cells)
+        done = pool.map(_agent_job, jobs) if pool else map(_agent_job, jobs)
+        for (path, _, groups, *_), (trained, evaluated) in zip(jobs, done):
+            if trained:
+                timesteps, wall = trained
+                log.info("trained %s: %d timesteps in %.2f s (%.0f timesteps/s)",
+                         path.name, timesteps, wall, timesteps / wall)
+            for (scenario, noise, epsilon, cells), (cell_results, wall) in zip(groups, evaluated):
+                episodes = len(cells) * cfg.episodes
+                agent = f" with {path.name}" if path else ""
+                log.info("evaluated %s on %s at epsilon %g: %d alphas, %d episodes in %.2f s "
+                         "(%.0f episodes/s)%s", scenario, noise, epsilon, len(cells), episodes,
+                         wall, episodes / wall, agent)
+                results.extend(cell_results)
     return sorted(results, key=CellResult.key)
 
 

@@ -7,7 +7,8 @@ files read back (results.csv, curves.csv) by :func:`parse_csv` from the same
 one: results.csv's columns are the :class:`CellResult` fields bar the curve,
 in declaration order.  Floats print ``.17g`` so files round-trip losslessly
 and regenerate byte-identically from unchanged inputs.  The command line's
-sweep also writes manifest.txt, what made the results (:func:`sweep_manifest`).
+sweep also writes manifest.txt, what made the results (:func:`sweep_manifest`),
+and its report re-renders them at the manifest's f_star and horizon.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from typing import get_type_hints
 import numpy as np
 
 from .. import __version__
+from ..channels import NOISE_KINDS
 from .config import ConfigError, SweepConfig, format_config
 from .evaluate import CellResult, cell_label
 
@@ -114,11 +116,9 @@ def read_results_dir(results_dir) -> list[CellResult] | None:
     return parse_results_csv(results_path.read_text(), curves_text)
 
 
-def check_curves(cells: list[CellResult]) -> None:
+def check_curves(cells: list[CellResult], horizon: int) -> None:
     """Raise :class:`ConfigError` naming the first cell whose curve has other
-    than the points of the longest (a horizon of at least one step), or any
-    when every episode of the cell aborted."""
-    horizon = max([1] + [len(cell.fidelity_curve) - 1 for cell in cells])
+    than ``horizon + 1`` points, or any when every episode of the cell aborted."""
     for cell in cells:
         points, want = len(cell.fidelity_curve), cell.curve_points(horizon)
         if points != want:
@@ -248,7 +248,8 @@ def _series_for(results: list[CellResult], noise: str, metric: str) -> list[dict
 
 
 def emit_report(results: list[CellResult], summary: dict[tuple, float | None], out_dir) -> list[str]:
-    """Write the three CSVs plus one SVG per (noise, metric); returns written paths."""
+    """Write the three CSVs plus one SVG per (noise, metric), and remove the SVGs
+    of every other noise; returns written paths."""
     if not results:
         raise ValueError("no results to report")
     out = Path(out_dir)
@@ -262,6 +263,9 @@ def emit_report(results: list[CellResult], summary: dict[tuple, float | None], o
         (out / name).write_text(text)
         written.append(str(out / name))
     noises = sorted({c.noise for c in results})
+    for stale in set(NOISE_KINDS) - set(noises):  # the charts of an earlier sweep here
+        for metric in ("fidelity", "steps"):
+            (out / f"{stale}_{metric}.svg").unlink(missing_ok=True)
     horizons = [len(c.fidelity_curve) - 1 for c in results if c.fidelity_curve]
     max_steps = float(max(horizons)) if horizons else 20.0
     for noise in noises:

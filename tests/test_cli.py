@@ -299,6 +299,18 @@ class TestSweepCommand:
         for name, content in outputs.items():
             assert (tmp_path / "out" / name).read_bytes() == content, name
 
+    def test_an_output_directory_holds_only_its_own_sweeps_charts(self, tmp_path, capsys):
+        cfg = write_sweep_config(tmp_path, tmp_path / "out", tmp_path / "ck")
+        text = cfg.read_text()
+        cfg.write_text(text.replace("noises = depolarizing",
+                                    "noises = depolarizing, amplitude_damping"))
+        assert main(["sweep", "--config", str(cfg)]) == EXIT_OK
+        assert len(list((tmp_path / "out").glob("*.svg"))) == 4
+        cfg.write_text(text)
+        assert main(["sweep", "--config", str(cfg)]) == EXIT_OK
+        assert sorted(p.name for p in (tmp_path / "out").glob("*.svg")) == [
+            "depolarizing_fidelity.svg", "depolarizing_steps.svg"]
+
     def test_missing_checkpoint_exit_code(self, tmp_path, capsys):
         cfg = write_sweep_config(tmp_path, tmp_path / "out", tmp_path / "ck")
         text = cfg.read_text().replace("scenarios = basic", "scenarios = qomdp")
@@ -466,6 +478,47 @@ class TestReportCommand:
         for name in ("results.csv", "curves.csv"):
             assert (tmp_path / "rep" / name).read_bytes() == (out / name).read_bytes()
 
+    def test_report_thresholds_at_the_sweeps_f_star_and_copies_its_manifest(
+        self, tmp_path, capsys
+    ):
+        cfg = write_sweep_config(tmp_path, tmp_path / "out", tmp_path / "ck")
+        cfg.write_text(cfg.read_text().replace("master_seed = 3", "master_seed = 3\nf_star = 0.5"))
+        assert main(["sweep", "--config", str(cfg)]) == EXIT_OK
+        thresholds = (tmp_path / "out" / "thresholds.csv").read_text()
+        assert thresholds.splitlines()[1] == "basic,depolarizing,0.10000000000000001,0"
+        assert main([
+            "report", "--results", str(tmp_path / "out"), "--out", str(tmp_path / "rep"),
+        ]) == EXIT_OK
+        for name in ("thresholds.csv", "manifest.txt"):
+            assert (tmp_path / "rep" / name).read_bytes() == (
+                tmp_path / "out" / name).read_bytes(), name
+
+    def test_report_refuses_curves_cut_short_uniformly(self, tmp_path, capsys):
+        cfg = write_sweep_config(tmp_path, tmp_path / "out", tmp_path / "ck")
+        assert main(["sweep", "--config", str(cfg)]) == EXIT_OK
+        curves = tmp_path / "out" / "curves.csv"
+        # every cell loses its t = 6 point, so the longest curve is cut as well
+        curves.write_text("".join(line for line in curves.read_text().splitlines(keepends=True)
+                                  if line.split(",")[4] != "6"))
+        capsys.readouterr()
+        assert main([
+            "report", "--results", str(tmp_path / "out"), "--out", str(tmp_path / "rep"),
+        ]) == EXIT_CONFIG
+        assert ("alpha=0.0, epsilon=0.1) has 10 completed episodes and 6 curve points, "
+                "but needs 7") in capsys.readouterr().err
+        assert not (tmp_path / "rep").exists()
+
+    def test_results_without_a_manifest_are_config_error(self, tmp_path, capsys):
+        cfg = write_sweep_config(tmp_path, tmp_path / "out", tmp_path / "ck")
+        assert main(["sweep", "--config", str(cfg)]) == EXIT_OK
+        (tmp_path / "out" / "manifest.txt").unlink()
+        capsys.readouterr()
+        assert main([
+            "report", "--results", str(tmp_path / "out"), "--out", str(tmp_path / "rep"),
+        ]) == EXIT_CONFIG
+        assert f"no manifest.txt under {tmp_path / 'out'}" in capsys.readouterr().err
+        assert not (tmp_path / "rep").exists()
+
     def test_missing_results_dir_is_config_error(self, tmp_path, capsys):
         assert main([
             "report", "--results", str(tmp_path / "void"), "--out", str(tmp_path / "rep"),
@@ -489,22 +542,14 @@ class TestReportCommand:
         assert taken.read_text() == "kept"
 
 
-@pytest.mark.parametrize("command", ["eval", "report"])
 @pytest.mark.parametrize("f_star", ["0", "1.5", "-1", "nan"])
-def test_f_star_outside_the_sweep_range_is_config_error(tmp_path, capsys, command, f_star):
-    # the range a sweep config accepts, (0, 1], holds for eval and report too
-    if command == "eval":
-        argv = ["eval", "--policy", "basic", "--episodes", "5"]
-    else:
-        cfg = write_sweep_config(tmp_path, tmp_path / "out", tmp_path / "ck")
-        assert main(["sweep", "--config", str(cfg)]) == EXIT_OK
-        argv = ["report", "--results", str(tmp_path / "out"), "--out", str(tmp_path / "rep")]
-    capsys.readouterr()
+def test_f_star_outside_the_sweep_range_is_config_error(capsys, f_star):
+    # the range a sweep config accepts, (0, 1], holds for eval too
+    argv = ["eval", "--policy", "basic", "--episodes", "5"]
     assert main(argv + ["--f-star", f_star]) == EXIT_CONFIG
     out, err = capsys.readouterr()
     assert out == ""
     assert f"f_star must lie in (0, 1], got {float(f_star)!r}" in err
-    assert not (tmp_path / "rep").exists()
 
 
 @pytest.mark.parametrize("argv, message", [

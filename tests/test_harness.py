@@ -38,7 +38,6 @@ from qfclab.harness.evaluate import (
     cell_seed,
     checkpoint_name,
     evaluate,
-    resolve_policy,
     sweep,
     threshold_alpha,
     train_checkpoint,
@@ -505,6 +504,33 @@ def test_the_published_grid_plans_192_agents():
         README.read_text().split())
 
 
+def test_the_published_grid_runs_one_job_per_agent(tmp_path, monkeypatch):
+    # 192 agent jobs plus one basic job per (noise, epsilon), all in one phase
+    jobs = []
+
+    def plan_only(args):
+        jobs.append(args)
+        path, training, groups, *_ = args
+        return None, [([], 1.0) for _ in groups]
+
+    monkeypatch.setattr(evaluate_module, "_agent_job", plan_only)
+    monkeypatch.delenv("QFC_THREADS", raising=False)
+    cfg = SweepConfig(scenarios=VALID_SCENARIOS, checkpoint_dir=str(tmp_path / "ckpts"),
+                      train_on_demand=True)
+    assert sweep(cfg) == []
+    assert len(jobs) == 210
+    names = [path.name for path, *_ in jobs if path is not None]
+    assert len(names) == len(set(names)) == 192
+    assert set(names) == {checkpoint_name(*cell) for cell in itertools.product(
+        ("mbs", "dbs", "qomdp"), NOISE_KINDS, TABLE_ALPHAS, TABLE_EPSILONS)}
+    assert all((path is None) == (training is None) for path, training, *_ in jobs)
+    cells = [(scenario, noise, alpha, epsilon) for _, _, groups, *_ in jobs
+             for scenario, noise, epsilon, alphas in groups for alpha, _ in alphas]
+    assert sorted(cells) == sorted(itertools.product(
+        VALID_SCENARIOS, NOISE_KINDS, TABLE_ALPHAS, TABLE_EPSILONS))
+    assert not (tmp_path / "ckpts").exists()
+
+
 class TestSweep:
     def small_cfg(self, tmp_path, **kw):
         defaults = dict(
@@ -568,21 +594,26 @@ class TestSweep:
                            match=rf"\({scenario}, depolarizing, alpha=0, .*mbs_eps0\.1\.ckpt"):
             sweep(cfg)
 
-    def test_resolve_policy_trains_on_demand(self, tmp_path, monkeypatch):
+    def test_a_missing_agent_trains_once_then_is_reused(self, tmp_path, monkeypatch, caplog):
         """A missing checkpoint is trained once by the sweep, then reused."""
+        caplog.set_level(logging.INFO, logger="qfclab.harness.evaluate")
         cfg = self.small_cfg(
             tmp_path, scenarios=("mbs",), train_on_demand=True, train_timesteps=512,
         )
-        path = resolve_policy("mbs", "depolarizing", 0.0, 0.1, cfg)
-        assert path.endswith("mbs_eps0.1.ckpt")
-        assert not Path(path).exists()  # resolving never trains
+        path = tmp_path / "ckpts" / checkpoint_name("mbs", "depolarizing", 0.0, 0.1)
+        assert path.name == "mbs_eps0.1.ckpt"
+        assert not path.exists()
         first = sweep(cfg)
         assert sorted(p.name for p in (tmp_path / "ckpts").iterdir()) == ["mbs_eps0.1.ckpt"]
         # the second sweep reuses the trained file
         monkeypatch.setattr(evaluate_module, "train", None)
         assert render_results_csv(sweep(cfg)) == render_results_csv(first)
-        assert resolve_policy("mbs", "depolarizing", 0.2, 0.1, cfg) == path
-        assert resolve_policy("dbs", "amplitude_damping", 0.0, 0.1, cfg) == path
+        assert checkpoint_name("mbs", "depolarizing", 0.2, 0.1) == path.name
+        assert checkpoint_name("dbs", "amplitude_damping", 0.0, 0.1) == path.name
+        # and so does a dbs cell at alpha 0 on another noise
+        caplog.clear()
+        sweep(replace(cfg, scenarios=("dbs",), noises=("amplitude_damping",), alphas=(0.0,)))
+        assert [r.getMessage().rsplit(" with ", 1)[1] for r in caplog.records] == [path.name]
 
     @pytest.mark.parametrize("raw", ["abc", "0", "-4"])
     def test_malformed_thread_count_fails_before_training(self, tmp_path, monkeypatch, raw):
@@ -695,6 +726,28 @@ class TestTrainOnDemand:
         trained = [m for m in trained if m.startswith("trained ")]
         assert len(trained) == 6
         assert all("512 timesteps in" in m and "timesteps/s" in m for m in trained)
+
+    def test_each_agent_logs_its_training_then_its_evaluations(
+        self, tmp_path, monkeypatch, caplog
+    ):
+        cfg = self.cfg(tmp_path, "ckpts")
+        sweep(replace(cfg, scenarios=("dbs",), noises=("depolarizing",), alphas=(0.5,)))
+        caplog.set_level(logging.INFO, logger="qfclab.harness.evaluate")
+        caplog.clear()
+        monkeypatch.setenv("QFC_THREADS", "2")
+        sweep(cfg)
+        lines = [r.getMessage() for r in caplog.records]
+        agents = [line.split(":")[0].split()[1] if line.startswith("trained ")
+                  else line.rsplit(" with ", 1)[1] for line in lines]
+        assert [agent for agent, line in zip(agents, lines) if line.startswith("trained ")] == [
+            "mbs_eps0.1.ckpt", "dbs_amplitude_damping_alpha0.5_eps0.1.ckpt"]
+        # one block per agent, led by its training line unless it was reused
+        blocks = [agent for i, agent in enumerate(agents) if i == 0 or agents[i - 1] != agent]
+        assert blocks == ["mbs_eps0.1.ckpt", "dbs_depolarizing_alpha0.5_eps0.1.ckpt",
+                          "dbs_amplitude_damping_alpha0.5_eps0.1.ckpt"]
+        for name in blocks:
+            first = lines[agents.index(name)]
+            assert first.startswith(f"trained {name}: ") == ("depolarizing" not in name)
 
     def test_a_dbs_row_at_alpha_zero_evaluates_the_mbs_agent(self, tmp_path, caplog):
         caplog.set_level(logging.INFO, logger="qfclab.harness.evaluate")
