@@ -164,7 +164,10 @@ def _cmd_report(args) -> int:
     if not manifest_path.is_file():  # it holds the sweep's f_star and horizon
         raise ConfigError(f"no manifest.txt under {args.results}")
     manifest = manifest_path.read_text()
-    cfg = parse_config(manifest.partition("\n[provenance]\n")[0])
+    try:
+        cfg = parse_config(manifest.partition("\n[provenance]\n")[0])
+    except ConfigError as exc:
+        raise ConfigError(f"manifest {manifest_path}: {exc}") from None
     check_curves(results, cfg.horizon)
     return _write_report(results, cfg, manifest, out_dir)
 

@@ -162,6 +162,15 @@ def checkpoint_name(scenario: str, noise: str, alpha: float, epsilon: float) -> 
     return f"{kind}_eps{epsilon:g}.ckpt"
 
 
+def check_trainable(scenario: str, env_cfg: EnvConfig) -> None:
+    """Refuse, with :class:`ConfigError`, a dbs agent at alpha > 0 and epsilon 0:
+    its filter can give a real outcome zero probability, and training cannot abort."""
+    if scenario == "dbs" and env_cfg.alpha > 0.0 and env_cfg.epsilon == 0.0:
+        cell = cell_label((scenario, env_cfg.noise_kind, env_cfg.alpha, env_cfg.epsilon))
+        raise ConfigError(f"cell {cell}: a dbs agent cannot train at epsilon 0, where its "
+                          f"filter can rule out a real outcome")
+
+
 def train_checkpoint(
     scenario: str, env_cfg: EnvConfig, timesteps: int, seed: int, path
 ) -> list[dict]:
@@ -169,9 +178,11 @@ def train_checkpoint(
 
     The checkpoint records the noise, alpha, epsilon, seed and timesteps it was
     trained with (alpha 0 for the noise-free kinds, and noise ``none`` at alpha 0,
-    where no noise acts); returns the training curve rows.
-    A directory ``path``, or one under a file, raises :class:`ConfigError` before training.
+    where no noise acts); returns the training curve rows.  A cell
+    :func:`check_trainable` refuses, or a directory ``path`` or one under a
+    file, raises :class:`ConfigError` before training.
     """
+    check_trainable(scenario, env_cfg)
     env_cfg = training_config(scenario, env_cfg)
     ppo_cfg = default_ppo_config(scenario, total_timesteps=timesteps)
     path = Path(path)
@@ -236,8 +247,9 @@ def sweep(cfg: SweepConfig):
     with training on demand off raises :class:`MissingCheckpointError`, and
     :class:`ConfigError` refuses two cells of different agents whose
     checkpoint names coincide, a checkpoint that records another seed or
-    budget than training on demand would use, and a checkpoint directory
-    that is a file.  Then each agent is one job, which trains it if its
+    budget than training on demand would use, a missing dbs agent at alpha > 0
+    and epsilon 0 (:func:`check_trainable`), and a checkpoint directory that
+    is a file.  Then each agent is one job, which trains it if its
     checkpoint is missing, as its :func:`training_problem`'s scenario, and
     evaluates the saved checkpoint on every (scenario, noise, epsilon) it
     serves (an mbs agent's include the dbs cells at alpha 0); basic is one
@@ -273,6 +285,7 @@ def sweep(cfg: SweepConfig):
                 env_cfg = EnvConfig(noise_kind=first[1], alpha=first[2], epsilon=first[3],
                                     horizon=cfg.horizon)
                 training = (training_problem(*first)[0], env_cfg, cfg.train_timesteps, train_seed)
+                check_trainable(training[0], env_cfg)
             else:
                 meta = load_policy(path)[1]
                 for field, value in (("seed", train_seed), ("timesteps", cfg.train_timesteps)):

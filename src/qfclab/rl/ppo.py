@@ -3,9 +3,11 @@
 The update maximizes E[min(r*A, clip(r, 1 +- c)*A)] - c_v*value_mse with
 advantages normalized per update, the reference formulation at its entropy
 coefficient of 0; each epoch is one update over the whole rollout window in
-buffer order.  Collection, advantage estimation, and updates all run in
-float64 with every random draw tied to a named substream, so a seed
-reproduces training bit for bit.
+buffer order.  Collection hands the update each window as one frozen
+:class:`RolloutBuffer`, its advantages computed as collection ends.
+Collection, advantage estimation, and updates all run in float64 with every
+random draw tied to a named substream, so a seed reproduces training bit for
+bit.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from ..controllers import ControlAction
 from ..dynamics import EnvConfig
 from ..rngstream import RngStream
 from . import distributions as dist
-from .buffer import RolloutBuffer, Segment, compute_gae
+from .buffer import RolloutBuffer, compute_gae
 from .config import (
     CLIP_RANGE, GAE_LAMBDA, GAMMA, N_EPOCHS, QOMDP_LEARNING_RATE, VALUE_COEFF, PpoConfig,
 )
@@ -60,79 +62,97 @@ class _EnvRunner:
 def collect_rollout(
     runner: _EnvRunner, net, cfg: PpoConfig, sample_gen: np.random.Generator
 ) -> RolloutBuffer:
-    """Fill one buffer of cfg.n_steps transitions, cut into per-episode segments.
+    """One window of cfg.n_steps transitions as a complete record, advantages included.
 
-    Each segment records the recurrent state it starts from (``None`` for the
-    feed-forward net); states are fresh arrays at every step, never mutated.
     A feed-forward net without a stop head on an mbs or dbs environment steps
     the whole window as one stack (:func:`_collect_stacked`); every other
     pairing steps one transition at a time (:func:`_collect_stepwise`), which
-    fills the same buffer from the same draws.
+    records the same window from the same draws.
     """
-    buffer = RolloutBuffer(capacity=cfg.n_steps, obs_dim=net.obs_dim)
     stacked = (net.kind == "mlp" and net.n_action_outputs == 1
                and isinstance(runner.env, ScenarioEnv) and runner.env.kind != "qomdp")
-    (_collect_stacked if stacked else _collect_stepwise)(runner, net, sample_gen, buffer)
-    return buffer
+    return (_collect_stacked if stacked else _collect_stepwise)(runner, net, sample_gen,
+                                                                cfg.n_steps)
+
+
+def _record(bootstrap: float, lengths, init_state=None, **steps) -> RolloutBuffer:
+    """The window of the per-step arrays ``steps``, with its advantages and returns."""
+    advantages, returns = compute_gae(steps["rewards"], steps["values"], steps["dones"],
+                                      bootstrap, GAMMA, GAE_LAMBDA)
+    return RolloutBuffer(**steps, advantages=advantages, returns=returns,
+                         lengths=np.asarray(lengths), init_state=init_state)
 
 
 def _collect_stacked(runner: _EnvRunner, net: MlpActorCritic,
-                     sample_gen: np.random.Generator, buffer: RolloutBuffer) -> None:
+                     sample_gen: np.random.Generator, n_steps: int) -> RolloutBuffer:
     """The window's episodes as one stack, each step written at its window position.
 
     Row e at stack step k takes the action normal of its position from one
     ``standard_normal(n_steps)`` draw, which equals the stepwise loop's
     scalar draws, and every row runs its own one-row products.
     """
-    normals = sample_gen.standard_normal(buffer.capacity)
+    normals = sample_gen.standard_normal(n_steps)
     log_std = net.log_std
     std = np.exp(log_std)
+    observations = np.zeros((n_steps, net.obs_dim))
+    pre_squash, log_probs, values = np.zeros((3, n_steps))
 
     def act(positions, obs):
         mean = net.policy_head(obs)[:, 0]
         pre = mean + std * normals[positions]
-        buffer.observations[positions] = obs
-        buffer.pre_squash[positions] = pre
-        buffer.log_probs[positions] = dist.squashed_log_prob(pre, mean, log_std)
-        buffer.values[positions] = net.value(obs)
+        observations[positions] = obs
+        pre_squash[positions] = pre
+        log_probs[positions] = dist.squashed_log_prob(pre, mean, log_std)
+        values[positions] = net.value(obs)
         return np.tanh(pre)
 
-    rewards, dones, bounds = runner.env.step_window(buffer.capacity, act)
-    buffer.rewards[:], buffer.dones[:], buffer.size = rewards, dones, buffer.capacity
+    rewards, dones, bounds = runner.env.step_window(n_steps, act)
     for start, end in bounds:
-        buffer.segments.append(Segment(start, end))
         for reward in rewards[start:end]:  # summed in step order, as the stepwise loop does
             runner.episode_reward += float(reward)
         if dones[end - 1]:
             runner.finished_rewards.append(runner.episode_reward)
             runner.episode_reward = 0.0
     runner.obs = runner.env.observation()
-    buffer.bootstrap = net.value(runner.obs)
+    return _record(net.value(runner.obs), [end - start for start, end in bounds],
+                   observations=observations, pre_squash=pre_squash, stops=np.zeros(n_steps),
+                   log_probs=log_probs, rewards=rewards, values=values, dones=dones)
 
 
 def _collect_stepwise(runner: _EnvRunner, net, sample_gen: np.random.Generator,
-                      buffer: RolloutBuffer) -> None:
-    """One transition at a time: the path of episodes whose length is not known ahead."""
+                      n_steps: int) -> RolloutBuffer:
+    """One transition at a time: the path of episodes whose length is not known ahead.
+
+    States are fresh arrays at every step, never mutated, so each segment's
+    start state is stacked as it was handed out.
+    """
     with_stop = net.n_action_outputs == 2
-    seg_start, seg_state = 0, runner.state
-    for _ in range(buffer.capacity):
+    observations = np.zeros((n_steps, net.obs_dim))
+    pre_squash, stops, log_probs, rewards, values, dones = np.zeros((6, n_steps))
+    starts, states = [0], [runner.state]
+    for t in range(n_steps):
         heads, value, new_state = net.step(runner.obs, runner.state)
         action, log_prob, pre = sample_action(heads, net.log_std, sample_gen, with_stop)
         next_obs, reward, done = runner.env.step(action)
         runner.episode_reward += reward
-        buffer.add(runner.obs, pre, 1.0 if action.stop else 0.0, log_prob, reward, value, done)
+        observations[t], pre_squash[t], stops[t] = runner.obs, pre, action.stop
+        log_probs[t], rewards[t], values[t], dones[t] = log_prob, reward, value, done
         if done:
-            buffer.segments.append(Segment(seg_start, buffer.size, seg_state))
             runner.finished_rewards.append(runner.episode_reward)
             runner.episode_reward = 0.0
             runner.obs = runner.env.reset()
             runner.state = net.initial_state()
-            seg_start, seg_state = buffer.size, runner.state
+            if t + 1 < n_steps:
+                starts.append(t + 1)
+                states.append(runner.state)
         else:
             runner.obs, runner.state = next_obs, new_state
-    if seg_start < buffer.size:
-        buffer.segments.append(Segment(seg_start, buffer.size, seg_state))
-    buffer.bootstrap = net.step(runner.obs, runner.state)[1]
+    init_state = None
+    if net.kind == "lstm":
+        init_state = tuple(np.concatenate([s[j] for s in states], axis=1) for j in range(2))
+    return _record(net.step(runner.obs, runner.state)[1], np.diff(starts + [n_steps]),
+                   init_state, observations=observations, pre_squash=pre_squash, stops=stops,
+                   log_probs=log_probs, rewards=rewards, values=values, dones=dones)
 
 
 def _normalized(advantages: np.ndarray) -> np.ndarray:
@@ -147,23 +167,12 @@ def _policy_grad_coeff(ratio, adv_norm, clip_range, n):
     return -(adv_norm * ratio * active) / n, surr1, surr2
 
 
-def _segment_starts(segments):
-    """What the packed LSTM passes take besides the rows: each segment's length
-    and the segments' start states (h, c) stacked, each (2, n_segments, H)."""
-    lengths = np.array([seg.end - seg.start for seg in segments])
-    return lengths, tuple(np.concatenate([seg.init_state[j] for seg in segments], axis=1)
-                          for j in range(2))
-
-
-def _update_step(net, buffer, adam, starts=None) -> dict:
-    """One clipped-surrogate step over the whole window, in buffer order.
-
-    ``starts`` is :func:`_segment_starts` of the buffer's segments for the LSTM,
-    ``None`` for the MLP.
-    """
+def _update_step(net, buffer: RolloutBuffer, adam) -> dict:
+    """One clipped-surrogate step over the whole window, in buffer order."""
     recurrent = net.kind == "lstm"
     if recurrent:
-        heads, values, cache = net.sequence_forward(buffer.observations, *starts)
+        heads, values, cache = net.sequence_forward(buffer.observations, buffer.lengths,
+                                                    buffer.init_state)
     else:
         heads, values, cache = net.forward(buffer.observations)
     pre, lp_old, returns = buffer.pre_squash, buffer.log_probs, buffer.returns
@@ -216,17 +225,14 @@ def _update_step(net, buffer, adam, starts=None) -> dict:
 
 
 def ppo_update(net, buffer: RolloutBuffer, adam: Adam) -> dict:
-    """Run the epochs over one full buffer, each one update over the whole window
-    in buffer order.
+    """Run the epochs over one window, each one update over the whole window in
+    buffer order.
 
     Returns the mean over epochs of the losses, the entropy and three health
     signals: the pre-clip gradient norm, the approximate KL divergence
     mean((r - 1) - log r) and the share of rows with |r - 1| > the clip range.
     """
-    if buffer.advantages is None:
-        raise ValueError("advantages not computed; call compute_gae first")
-    starts = _segment_starts(buffer.segments) if net.kind == "lstm" else None
-    diags = [_update_step(net, buffer, adam, starts) for _ in range(N_EPOCHS)]
+    diags = [_update_step(net, buffer, adam) for _ in range(N_EPOCHS)]
     validate_params(net.params)
     return {name: float(np.mean([d[name] for d in diags])) for name in diags[0]}
 
@@ -280,7 +286,6 @@ def train(
     for update in range(n_updates):
         started = time.perf_counter()
         buffer = collect_rollout(runner, net, ppo_cfg, sample_gen)
-        compute_gae(buffer, GAMMA, GAE_LAMBDA)
         collected = time.perf_counter()
         try:
             diag = ppo_update(net, buffer, adam)

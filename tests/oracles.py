@@ -20,8 +20,7 @@ kind) against its Kraus sum.  The library itself carries no Kraus set.
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -594,34 +593,29 @@ def shuffled_ppo_update(shuffle_gen: np.random.Generator):
     """``ppo_update(net, buffer, adam)`` with each epoch over the window in a fresh
     random order: one permutation per epoch from ``shuffle_gen``, of the rows (mlp)
     or of the episode segments (lstm), then one ``_update_step`` over a copy of the
-    buffer whose rows and segments are in that order.
+    window record whose rows and segments are in that order.
 
     With ``RngStream(seed).substream("shuffle").generator()`` patched in, ``train``
     replays the training of the code that drew these permutations.
     """
 
     def update(net, buffer, adam):
-        if buffer.advantages is None:
-            raise ValueError("advantages not computed; call compute_gae first")
-        segments = buffer.segments
-        if net.kind == "lstm":
-            h, c = (np.concatenate([seg.init_state[j] for seg in segments], axis=1)
-                    for j in range(2))
+        ends = np.cumsum(buffer.lengths)
         diags = []
         for _ in range(N_EPOCHS):
-            window = copy.copy(buffer)
             if net.kind == "lstm":
-                order = shuffle_gen.permutation(len(segments))
-                rows = np.concatenate([np.arange(segments[i].start, segments[i].end)
+                order = shuffle_gen.permutation(len(buffer.lengths))
+                rows = np.concatenate([np.arange(ends[i] - buffer.lengths[i], ends[i])
                                        for i in order])
-                lengths = np.array([segments[i].end - segments[i].start for i in order])
-                starts = (lengths, (h[:, order], c[:, order]))
+                segments = dict(lengths=buffer.lengths[order],
+                                init_state=tuple(part[:, order] for part in buffer.init_state))
             else:
-                rows, starts = shuffle_gen.permutation(buffer.size), None
-            for name in ("observations", "pre_squash", "stops", "log_probs", "advantages",
-                         "returns"):
-                setattr(window, name, getattr(buffer, name)[rows])
-            diags.append(ppo._update_step(net, window, adam, starts))
+                rows, segments = shuffle_gen.permutation(buffer.size), {}
+            window = replace(buffer, **segments, **{
+                name: getattr(buffer, name)[rows]
+                for name in ("observations", "pre_squash", "stops", "log_probs", "advantages",
+                             "returns")})
+            diags.append(ppo._update_step(net, window, adam))
         validate_params(net.params)
         return {name: float(np.mean([d[name] for d in diags])) for name in diags[0]}
 

@@ -23,7 +23,7 @@ from qfclab.harness.evaluate import evaluate, sweep
 from qfclab.harness.report import render_results_csv
 from qfclab.qcore import basis_state
 from qfclab.rl import distributions as dist
-from qfclab.rl.buffer import RolloutBuffer, compute_gae
+from qfclab.rl.buffer import compute_gae
 from qfclab.rl.config import PpoConfig
 from qfclab.rl.nets import MlpActorCritic, zero_grads_like
 from qfclab.rl.ppo import sample_action, train
@@ -205,11 +205,7 @@ def test_criterion_07_ppo_machinery():
         values = gen.standard_normal(10)
         dones = (gen.random(10) < 0.3).astype(float)
         bootstrap = float(gen.standard_normal())
-        buf = RolloutBuffer(capacity=10, obs_dim=1)
-        for r, v, d in zip(rewards, values, dones):
-            buf.add(np.zeros(1), 0.0, 0.0, 0.0, r, v, d)
-        buf.bootstrap = bootstrap
-        adv, _ = compute_gae(buf, 0.99, 0.95)
+        adv, _ = compute_gae(rewards, values, dones, bootstrap, 0.99, 0.95)
         oracle = gae_brute_force(rewards, values, bootstrap, dones, 0.99, 0.95)
         gae_ok = gae_ok and bool(np.max(np.abs(adv - oracle)) <= 1e-10)
 

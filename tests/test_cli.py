@@ -236,6 +236,17 @@ class TestTrainEvalRoundTrip:
         assert "total_timesteps" in capsys.readouterr().err
         assert not ckpt.exists()
 
+    def test_dbs_at_epsilon_zero_is_config_error_before_training(self, tmp_path, capsys,
+                                                                 no_work):
+        # its filter can give a real outcome probability zero, which training cannot survive
+        ckpt = tmp_path / "dbs.ckpt"
+        code = main(["train", "--scenario", "dbs", "--alpha", "0.9", "--epsilon", "0",
+                     "--timesteps", "512", "--out", str(ckpt)])
+        assert code == EXIT_CONFIG
+        assert ("cell (dbs, depolarizing, alpha=0.9, epsilon=0.0): a dbs agent cannot train "
+                "at epsilon 0") in capsys.readouterr().err
+        assert not ckpt.exists()
+
 
 class TestSweepCommand:
     def test_sweep_writes_report_files(self, tmp_path, capsys):
@@ -415,6 +426,20 @@ class TestSweepCommand:
         assert f"checkpoint directory {ckpt_dir} is not a directory" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_dbs_agent_at_epsilon_zero_is_config_error_before_any_job(
+        self, tmp_path, capsys, no_work
+    ):
+        # the mbs agent serving the dbs cell at alpha 0 trains at epsilon 0 unrefused
+        cfg = write_sweep_config(tmp_path, tmp_path / "out", tmp_path / "ck")
+        text = cfg.read_text().replace("scenarios = basic", "scenarios = basic, dbs").replace(
+            "epsilons = 0.1", "epsilons = 0.1, 0.0").replace(
+            "[output]", "train_on_demand = true\ntrain_timesteps = 512\n[output]")
+        cfg.write_text(text)
+        assert main(["sweep", "--config", str(cfg)]) == EXIT_CONFIG
+        assert "cell (dbs, depolarizing, alpha=1.0, epsilon=0.0)" in capsys.readouterr().err
+        assert not (tmp_path / "ck").exists()
+        assert not (tmp_path / "out").exists()
+
     def test_repeated_grid_value_is_config_error_before_evaluating(
         self, tmp_path, capsys, no_work
     ):
@@ -517,6 +542,19 @@ class TestReportCommand:
             "report", "--results", str(tmp_path / "out"), "--out", str(tmp_path / "rep"),
         ]) == EXIT_CONFIG
         assert f"no manifest.txt under {tmp_path / 'out'}" in capsys.readouterr().err
+        assert not (tmp_path / "rep").exists()
+
+    def test_a_manifest_that_does_not_parse_is_named(self, tmp_path, capsys):
+        cfg = write_sweep_config(tmp_path, tmp_path / "out", tmp_path / "ck")
+        assert main(["sweep", "--config", str(cfg)]) == EXIT_OK
+        manifest = tmp_path / "out" / "manifest.txt"
+        manifest.write_text(manifest.read_text().replace("episodes = 10", "episodes = many"))
+        capsys.readouterr()
+        assert main([
+            "report", "--results", str(tmp_path / "out"), "--out", str(tmp_path / "rep"),
+        ]) == EXIT_CONFIG
+        assert (f"manifest {manifest}: line 6: bad value for 'episodes': 'many'"
+                in capsys.readouterr().err)
         assert not (tmp_path / "rep").exists()
 
     def test_missing_results_dir_is_config_error(self, tmp_path, capsys):

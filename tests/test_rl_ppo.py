@@ -2,6 +2,7 @@
 
 import logging
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from qfclab.controllers import ControlAction
 from qfclab.dynamics import EnvConfig
 from qfclab.rl import distributions as dist
 from qfclab.rl import nets
-from qfclab.rl.buffer import RolloutBuffer, compute_gae
+from qfclab.rl.buffer import compute_gae
 from qfclab.rl.config import (
     CLIP_RANGE, GAE_LAMBDA, GAMMA, QOMDP_LEARNING_RATE, VALUE_COEFF, PpoConfig,
 )
@@ -23,7 +24,6 @@ from qfclab.rl.ppo import (
     _collect_stepwise,
     _EnvRunner,
     _policy_grad_coeff,
-    _segment_starts,
     _update_step,
     collect_rollout,
     ppo_update,
@@ -82,9 +82,15 @@ def collect_one(net, env_stream_seed, n_steps=64, env_cls=BanditEnv):
     env = env_cls(RngStream(env_stream_seed).substream("env", 0))
     runner = _EnvRunner(env, net)
     gen = RngStream(env_stream_seed).substream("actions").generator()
-    buffer = collect_rollout(runner, net, cfg, gen)
-    compute_gae(buffer, GAMMA, GAE_LAMBDA)
-    return buffer
+    return collect_rollout(runner, net, cfg, gen)
+
+
+def segments(buffer):
+    """The (start, end, start state) of each of the window's segments; the state is
+    the segment's column of ``init_state``, as one recurrent step takes it."""
+    ends = np.cumsum(buffer.lengths)
+    return [(end - length, end, tuple(part[:, i:i + 1] for part in buffer.init_state))
+            for i, (end, length) in enumerate(zip(ends, buffer.lengths))]
 
 
 class TestRatioIdentity:
@@ -100,15 +106,15 @@ class TestRatioIdentity:
         net = RecurrentActorCritic(obs_dim=1, n_action_outputs=2, hidden=(8,),
                                    lstm_hidden=8, gen=RngStream(1).generator())
         buffer = collect_one(net, 4, env_cls=ParityEnv)
-        for seg in buffer.segments:
-            obs = buffer.observations[seg.start:seg.end]
-            heads, _, _ = net.sequence_forward(obs, (len(obs),), seg.init_state)
-            pre = buffer.pre_squash[seg.start:seg.end]
-            stops = buffer.stops[seg.start:seg.end]
+        for start, end, state in segments(buffer):
+            obs = buffer.observations[start:end]
+            heads, _, _ = net.sequence_forward(obs, (len(obs),), state)
+            pre = buffer.pre_squash[start:end]
+            stops = buffer.stops[start:end]
             lp = dist.squashed_log_prob(pre, heads[:, 0], net.log_std)
             lp = lp + dist.bernoulli_log_prob(stops, heads[:, 1])
             np.testing.assert_allclose(
-                np.exp(lp - buffer.log_probs[seg.start:seg.end]), 1.0, atol=1e-12
+                np.exp(lp - buffer.log_probs[start:end]), 1.0, atol=1e-12
             )
 
 
@@ -160,7 +166,7 @@ class TestSurrogateGradient:
     def test_zero_advantages_freeze_the_policy_trunk(self):
         net = small_mlp(seed=7)
         buffer = collect_one(net, 8)
-        buffer.advantages = np.zeros(buffer.size)
+        buffer = replace(buffer, advantages=np.zeros(buffer.size))
         before = {k: v.copy() for k, v in net.params.items()}
         adam = Adam(learning_rate=0.05)
         _update_step(net, buffer, adam)
@@ -193,14 +199,13 @@ class RecordingOptimizer:
 def reference_update_loss(net, buffer, batch):
     """policy_loss + c_v*value_loss, with the net stepped one row at a time.
 
-    ``batch`` is buffer rows for an MLP and a segment group for an LSTM; each
+    ``batch`` is buffer rows for an MLP and :func:`segments` for an LSTM; each
     segment replays from its recorded start state, so no padding is involved.
     """
     heads, values, rows = [], [], []
     if net.kind == "lstm":
-        for seg in batch:
-            state = seg.init_state
-            for t in range(seg.start, seg.end):
+        for start, end, state in batch:
+            for t in range(start, end):
                 h, v, state = net.step(buffer.observations[t], state)
                 heads.append(h)
                 values.append(v)
@@ -239,9 +244,7 @@ class TestUpdateGradient:
         runner = _EnvRunner(env, net)
         gen = RngStream(seed).substream("actions").generator()
         collect_rollout(runner, net, cfg, gen)
-        buffer = collect_rollout(runner, net, cfg, gen)
-        compute_gae(buffer, GAMMA, GAE_LAMBDA)
-        return buffer
+        return collect_rollout(runner, net, cfg, gen)
 
     @pytest.mark.parametrize("case", ["mlp", "mlp_stop", "lstm_stop"])
     def test_matches_central_differences_of_the_loss(self, case):
@@ -257,16 +260,16 @@ class TestUpdateGradient:
         net.params["pi.wh"] *= 30.0  # heads away from zero: stops of both kinds
         buffer = self.second_window(net, kind, 51)
         if net.kind == "lstm":
-            batch, starts = buffer.segments, _segment_starts(buffer.segments)
-            assert np.any(batch[0].init_state[0] != 0.0)
+            batch = segments(buffer)
+            assert np.any(buffer.init_state[0][:, 0] != 0.0)
         else:
-            batch, starts = np.arange(buffer.size), None
+            batch = np.arange(buffer.size)
         if net.n_action_outputs == 2:
             assert 0.0 < buffer.stops.mean() < 1.0
 
         before = {name: v.copy() for name, v in net.params.items()}
         optimizer = RecordingOptimizer()
-        _update_step(net, buffer, optimizer, starts)
+        _update_step(net, buffer, optimizer)
         for name in net.params:
             np.testing.assert_array_equal(net.params[name], before[name])
 
@@ -296,7 +299,7 @@ class TestPackedWork:
         net = RecurrentActorCritic(obs_dim=2, n_action_outputs=2, hidden=(4,), lstm_hidden=3,
                                    gen=RngStream(60).generator())
         buffer = TestUpdateGradient.second_window(net, "qomdp", 61)
-        lengths = [seg.end - seg.start for seg in buffer.segments]
+        lengths = buffer.lengths
         assert len(set(lengths)) > 1
 
         trunk_rows, caches = [], []
@@ -314,7 +317,7 @@ class TestPackedWork:
 
         monkeypatch.setattr(nets, "_mlp_forward", counting_mlp_forward)
         monkeypatch.setattr(RecurrentActorCritic, "sequence_forward", recording_sequence_forward)
-        _update_step(net, buffer, RecordingOptimizer(), _segment_starts(buffer.segments))
+        _update_step(net, buffer, RecordingOptimizer())
         assert trunk_rows == [sum(lengths), sum(lengths)]  # policy and value trunks
         (cache,) = caches
         assert sum(cache.alive) == cache.gates.shape[1] == sum(lengths)  # LSTM row-steps
@@ -345,21 +348,42 @@ class TestRecurrentStateIsOnlyRead:
         runner = _EnvRunner(ScenarioEnv("qomdp", EnvConfig(epsilon=0.1), RngStream(71)), net)
         sample_gen = RngStream(72).substream("actions").generator()
         adam = Adam(QOMDP_LEARNING_RATE)
-        segments = []
         for _ in range(2):  # the second window starts from a carried state
             buffer = collect_rollout(runner, net, cfg, sample_gen)
-            compute_gae(buffer, GAMMA, GAE_LAMBDA)
-            held = [(a, a.tobytes()) for seg in buffer.segments for a in seg.init_state]
+            held = [(a, a.tobytes()) for a in buffer.init_state]
             ppo_update(net, buffer, adam)
             assert all(a.tobytes() == before for a, before in held)
-            segments += buffer.segments
-        assert np.any(segments[-len(buffer.segments)].init_state[0] != 0.0)
+        assert np.any(buffer.init_state[0][:, 0] != 0.0)
         assert len(handed_out) > 2 * 256
         assert all(a.tobytes() == before for a, before in handed_out)
 
 
+class TestWindowRecord:
+    def test_a_carried_over_qomdp_window_is_complete(self):
+        # the second window of one runner continues the first one's last episode
+        net = RecurrentActorCritic(obs_dim=2, n_action_outputs=2, hidden=(4,), lstm_hidden=3,
+                                   gen=RngStream(82).generator())
+        cfg = PpoConfig(n_steps=32, total_timesteps=64)
+        runner = _EnvRunner(ScenarioEnv("qomdp", EnvConfig(epsilon=0.1, horizon=6),
+                                        RngStream(83)), net)
+        gen = RngStream(83).substream("actions").generator()
+        collect_rollout(runner, net, cfg, gen)
+        carried = runner.state
+        buffer = collect_rollout(runner, net, cfg, gen)
+        assert np.any(carried[0] != 0.0)
+        assert buffer.lengths.sum() == buffer.size == cfg.n_steps
+        assert all(part.shape == (2, len(buffer.lengths), 3) for part in buffer.init_state)
+        for part, carried_part in zip(buffer.init_state, carried):
+            assert part[:, :1].tobytes() == carried_part.tobytes()
+        bootstrap = net.step(runner.obs, runner.state)[1]
+        advantages, returns = compute_gae(buffer.rewards, buffer.values, buffer.dones,
+                                          bootstrap, GAMMA, GAE_LAMBDA)
+        assert buffer.advantages.tobytes() == advantages.tobytes()
+        assert buffer.returns.tobytes() == returns.tobytes()
+
+
 BUFFER_ARRAYS = ("observations", "pre_squash", "stops", "log_probs", "rewards", "values",
-                 "dones")
+                 "dones", "advantages", "returns", "lengths")
 
 
 class TestStackedRollout:
@@ -390,13 +414,11 @@ class TestStackedRollout:
         stacked_gen, stepwise_gen = (RngStream(62).generator() for _ in range(2))
         for _ in range(3):
             got = collect_rollout(stacked, net, cfg, stacked_gen)
-            want = RolloutBuffer(capacity=n_steps, obs_dim=9)
-            _collect_stepwise(stepwise, net, stepwise_gen, want)
+            want = _collect_stepwise(stepwise, net, stepwise_gen, n_steps)
             assert got.size == want.size == n_steps
             for name in BUFFER_ARRAYS:
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
-            assert got.segments == want.segments
-            assert np.float64(got.bootstrap).tobytes() == np.float64(want.bootstrap).tobytes()
+            assert got.init_state is want.init_state is None
             assert (np.array(stacked.finished_rewards).tobytes()
                     == np.array(stepwise.finished_rewards).tobytes())
             assert stacked.episode_reward == stepwise.episode_reward
@@ -485,7 +507,9 @@ class TestTrainMechanics:
     def test_nan_loss_aborts_with_diagnostic(self):
         net = small_mlp(seed=9)
         buffer = collect_one(net, 10)
-        buffer.advantages[0] = np.nan
+        advantages = buffer.advantages.copy()
+        advantages[0] = np.nan
+        buffer = replace(buffer, advantages=advantages)
         with pytest.raises(TrainingDiverged, match="non-finite"):
             ppo_update(net, buffer, Adam(learning_rate=0.01))
 
