@@ -23,7 +23,7 @@ from ..controllers import basic_policy
 from ..dynamics import EnvConfig
 from ..qcore import DimensionError, StateValidityError
 from ..rl.checkpoint import load_policy
-from ..rl.envs import SCENARIO_KINDS
+from ..rl.envs import TRAINED_KINDS
 from .config import (ConfigError, check_directory, check_f_star, desk_scale, parse_config,
                      parse_config_file)
 from .evaluate import (
@@ -63,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_train = sub.add_parser("train", help="train one agent and write a checkpoint")
-    p_train.add_argument("--scenario", required=True, choices=SCENARIO_KINDS)
+    p_train.add_argument("--scenario", required=True, choices=TRAINED_KINDS)
     p_train.add_argument("--noise", default="depolarizing")
     p_train.add_argument("--alpha", type=float, default=0.0)
     p_train.add_argument("--epsilon", type=float, default=0.1)
@@ -123,8 +123,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     if args.policy == "basic":
-        policy = basic_policy()
-        scenario = "basic"
+        policy, scenario = basic_policy(), args.policy
     else:
         if not Path(args.policy).exists():
             raise MissingCheckpointError(f"checkpoint {args.policy} not found")

@@ -19,9 +19,7 @@ from pathlib import Path
 
 from ..channels import EPSILON_MAX, NOISE_KINDS
 from ..rl.config import PpoConfig
-from ..rl.envs import SCENARIO_KINDS
-
-VALID_SCENARIOS = ("basic",) + SCENARIO_KINDS
+from ..rl.envs import LOOP_KINDS
 
 #: published test grids: alpha 0..1 step 0.1, six epsilon values
 TABLE_ALPHAS = tuple(round(0.1 * k, 10) for k in range(11))
@@ -73,8 +71,8 @@ class SweepConfig:
         if not self.scenarios:
             raise ConfigError("scenario list is empty")
         for s in self.scenarios:
-            if s not in VALID_SCENARIOS:
-                raise ConfigError(f"unknown scenario {s!r}; choose from {VALID_SCENARIOS}")
+            if s not in LOOP_KINDS:
+                raise ConfigError(f"unknown scenario {s!r}; choose from {tuple(LOOP_KINDS)}")
         if not self.noises:
             raise ConfigError("noise list is empty")
         for n in self.noises:

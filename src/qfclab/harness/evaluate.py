@@ -2,17 +2,17 @@
 
 Every cell's randomness is keyed by (master seed, scenario, noise, alpha,
 epsilon) through a documented splitmix64 mix, so cells are order-independent:
-any single deleted cell recomputes bit-identically.  :func:`training_problem`
-alone decides which agent serves a cell (a dbs cell at alpha = 0 the mbs agent
-of its epsilon).  Every agent trained on demand is seeded from the master
-seed and its checkpoint name.
-:func:`evaluate` takes (alpha, seed) cells and returns one result per cell,
-each aggregated from its own episodes of one shared stack.  The sweep runs
-one job per agent: it trains the agent if its checkpoint is missing, then
-evaluates it on each (scenario, noise, epsilon) it serves as one
-:func:`evaluate` call over its alphas.  The jobs run in one pool of worker
-processes capped by the QFC_THREADS environment variable; neither the worker
-count nor the schedule can change a checkpoint or a result.
+any single deleted cell recomputes bit-identically.  Scenarios are those of
+the :mod:`qfclab.rl.envs` table, and :func:`training_problem` alone decides
+which agent serves a cell (a dbs cell at alpha = 0 the mbs agent of its
+epsilon).  Every agent trained on demand is seeded from the master seed and
+its checkpoint name.  :func:`evaluate` takes (alpha, seed) cells and returns
+one result per cell, each aggregated from its own episodes of one shared
+stack.  The sweep runs one job per agent, which trains it if its checkpoint
+is missing, then evaluates it on each (scenario, noise, epsilon) it serves as
+one :func:`evaluate` call over its alphas.  The jobs run in one pool of
+worker processes capped by the QFC_THREADS environment variable; neither the
+worker count nor the schedule can change a checkpoint or a result.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from ..controllers import Policy, basic_policy
 from ..dynamics import EnvConfig, run_episodes
 from ..rngstream import hash_label, mix64
 from ..rl.checkpoint import load_policy, save_policy
-from ..rl.envs import NOISE_FREE_KINDS, training_config
+from ..rl.envs import LOOP_KINDS, NOISE_FREE_KINDS, TRAINED_KINDS, training_config
 from ..rl.ppo import default_ppo_config, train
 from .config import ConfigError, SweepConfig, check_directory
 
@@ -144,31 +144,35 @@ def _cell_result(key: tuple, seed: int, f_star: float, fidelity, aborted) -> Cel
 
 
 def training_problem(scenario: str, noise: str, alpha: float, epsilon: float) -> tuple:
-    """The problem an RL cell's agent trains on, led by the scenario it trains as:
-    one per epsilon for mbs and qomdp, and for dbs at alpha = 0, whose real data
-    are the nominal model; one per (noise, alpha, epsilon) for dbs otherwise."""
+    """The problem that decides a cell's agent, led by the scenario it trains as:
+    one per epsilon for the noise-free kinds, and for dbs at alpha = 0, whose real
+    data are the nominal model; one per (noise, alpha, epsilon) for dbs otherwise.
+    A fixed controller's cells share one per (noise, epsilon)."""
     if scenario == "dbs" and alpha == 0.0:
         return ("mbs", epsilon)
     if scenario in NOISE_FREE_KINDS:
         return (scenario, epsilon)
-    return ("dbs", noise, alpha, epsilon)
+    if scenario in TRAINED_KINDS:
+        return (scenario, noise, alpha, epsilon)
+    return (scenario, noise, epsilon)
 
 
 def checkpoint_name(scenario: str, noise: str, alpha: float, epsilon: float) -> str:
     """The file of the agent that serves the cell: one per :func:`training_problem`."""
     kind = training_problem(scenario, noise, alpha, epsilon)[0]
-    if kind == "dbs":
-        return f"dbs_{noise}_alpha{alpha:g}_eps{epsilon:g}.ckpt"
-    return f"{kind}_eps{epsilon:g}.ckpt"
+    if kind in NOISE_FREE_KINDS:
+        return f"{kind}_eps{epsilon:g}.ckpt"
+    return f"{kind}_{noise}_alpha{alpha:g}_eps{epsilon:g}.ckpt"
 
 
 def check_trainable(scenario: str, env_cfg: EnvConfig) -> None:
-    """Refuse, with :class:`ConfigError`, a dbs agent at alpha > 0 and epsilon 0:
-    its filter can give a real outcome zero probability, and training cannot abort."""
-    if scenario == "dbs" and env_cfg.alpha > 0.0 and env_cfg.epsilon == 0.0:
+    """Refuse, with :class:`ConfigError`, an agent that filters the noise it trains
+    under (an MLP agent at alpha > 0) at epsilon 0, where training cannot abort."""
+    if (LOOP_KINDS.get(scenario) == "mlp" and training_config(scenario, env_cfg).alpha > 0.0
+            and env_cfg.epsilon == 0.0):
         cell = cell_label((scenario, env_cfg.noise_kind, env_cfg.alpha, env_cfg.epsilon))
-        raise ConfigError(f"cell {cell}: a dbs agent cannot train at epsilon 0, where its "
-                          f"filter can rule out a real outcome")
+        raise ConfigError(f"cell {cell}: a {scenario} agent cannot train at epsilon 0, where "
+                          f"its filter can rule out a real outcome")
 
 
 def train_checkpoint(
@@ -249,44 +253,42 @@ def sweep(cfg: SweepConfig):
     checkpoint names coincide, a checkpoint that records another seed or
     budget than training on demand would use, a missing dbs agent at alpha > 0
     and epsilon 0 (:func:`check_trainable`), and a checkpoint directory that
-    is a file.  Then each agent is one job, which trains it if its
-    checkpoint is missing, as its :func:`training_problem`'s scenario, and
+    is a file.  Then each :func:`training_problem` is one job, which trains
+    its agent if the checkpoint is missing, as the problem's scenario, and
     evaluates the saved checkpoint on every (scenario, noise, epsilon) it
-    serves (an mbs agent's include the dbs cells at alpha 0); basic is one
-    job per noise and epsilon.  The jobs run in one pool of up to QFC_THREADS
-    worker processes, inline when there is one.  A checkpoint on disk is
+    serves (an mbs agent's include the dbs cells at alpha 0); basic, which
+    trains nothing, is one job per noise and epsilon.  The jobs run in one
+    pool of up to QFC_THREADS worker processes, inline when there is one.  A checkpoint on disk is
     reused, so a killed sweep run again trains only the agents it had not
     saved and returns the results of an uninterrupted run.
     """
     workers = worker_count()  # a bad QFC_THREADS fails before any training
-    plans: dict = {}  # checkpoint name, or (noise, epsilon) of basic -> (first cell, its groups)
+    plans: dict = {}  # training_problem -> (first cell, its groups)
     for key in itertools.product(cfg.scenarios, cfg.noises, cfg.alphas, cfg.epsilons):
         scenario, noise, alpha, epsilon = key
-        name = (noise, epsilon) if scenario == "basic" else checkpoint_name(*key)
-        first, groups = plans.setdefault(name, (key, {}))
-        if scenario != "basic":
-            if training_problem(*first) != training_problem(*key):
-                raise ConfigError(f"cells {cell_label(first)} and {cell_label(key)} need different "
-                                  f"agents but share the checkpoint name {name}")
-            path = Path(cfg.checkpoint_dir) / name
-            if not cfg.train_on_demand and not path.exists():
-                raise MissingCheckpointError(f"cell ({scenario}, {noise}, alpha={alpha:g}, "
-                                             f"epsilon={epsilon:g}) needs checkpoint {path}; "
-                                             f"enable train_on_demand or train it first")
+        first, groups = plans.setdefault(training_problem(*key), (key, {}))
         seed = cell_seed(cfg.master_seed, scenario, noise, alpha, epsilon)
         groups.setdefault((scenario, noise, epsilon), []).append((alpha, seed))
-    jobs = []
-    for name, (first, groups) in plans.items():
-        path = None if first[0] == "basic" else Path(cfg.checkpoint_dir) / name
-        training = None
-        if path is not None and cfg.train_on_demand:
+    jobs, names = [], {}  # names: checkpoint name -> the first cell of its agent
+    for (kind, *_), (first, groups) in plans.items():
+        path = training = None
+        if kind in TRAINED_KINDS:
+            name = checkpoint_name(*first)
+            if names.setdefault(name, first) != first:
+                raise ConfigError(f"cells {cell_label(names[name])} and {cell_label(first)} need "
+                                  f"different agents but share the checkpoint name {name}")
+            path = Path(cfg.checkpoint_dir) / name
             train_seed = mix64(cfg.master_seed, hash_label(f"train|{name}"))
             if not path.exists():
+                if not cfg.train_on_demand:
+                    raise MissingCheckpointError(
+                        f"cell ({first[0]}, {first[1]}, alpha={first[2]:g}, epsilon={first[3]:g}) "
+                        f"needs checkpoint {path}; enable train_on_demand or train it first")
                 env_cfg = EnvConfig(noise_kind=first[1], alpha=first[2], epsilon=first[3],
                                     horizon=cfg.horizon)
-                training = (training_problem(*first)[0], env_cfg, cfg.train_timesteps, train_seed)
-                check_trainable(training[0], env_cfg)
-            else:
+                check_trainable(kind, env_cfg)
+                training = (kind, env_cfg, cfg.train_timesteps, train_seed)
+            elif cfg.train_on_demand:
                 meta = load_policy(path)[1]
                 for field, value in (("seed", train_seed), ("timesteps", cfg.train_timesteps)):
                     if meta.get(field) != str(value):

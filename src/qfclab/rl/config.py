@@ -16,7 +16,7 @@ CLIP_RANGE = 0.2
 #: passes over each rollout window, one update over the whole window each
 N_EPOCHS = 10
 VALUE_COEFF = 0.5
-QOMDP_LEARNING_RATE = 3e-4
+RECURRENT_LEARNING_RATE = 3e-4
 
 
 @dataclass(frozen=True)

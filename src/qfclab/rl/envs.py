@@ -1,19 +1,18 @@
-"""Training environments for the three learning scenarios.
+"""The scenario table, and the training environments of the learned scenarios.
 
-Every scenario drives :class:`qfclab.dynamics.ClosedLoop`, the stepper
-validation drives, so both take the same step and the loop decides what the
-agent observes.  Model-based training (mbs) runs the noise-free model
-(alpha = 0) and shows the agent its state; data-based training (dbs) runs the
-configured noise and shows the filtered state; measurement-only training
-(qomdp) runs at alpha = 0, shows the last outcome and control, adds a stop
-action, and scores +-1 through the terminal projective measurement (-1 on
-timeout).  An mbs or dbs episode always runs ``horizon`` steps, so
-:meth:`ScenarioEnv.step_window` steps all episodes of a rollout window as one
-stack; a qomdp episode, whose length its stop draw decides, steps one state
-at a time.  Only what training alone decides lives here: the per-episode
-substreams, the reward and the end of an episode.  Each episode pre-draws its
-``horizon`` uniforms from its own substream, so a fixed (config, seed)
-replays exactly.
+:data:`LOOP_KINDS` and :data:`NOISE_FREE_KINDS` say what sets the scenarios
+apart, for every module.  A learned scenario's environment drives
+:class:`qfclab.dynamics.ClosedLoop`, the stepper validation drives, and the
+loop decides what the agent observes.  Model-based training (mbs) runs the
+noise-free model (alpha = 0) and shows the agent its state; data-based
+training (dbs) runs the configured noise and shows the filtered state;
+measurement-only training (qomdp) runs at alpha = 0, shows the last outcome
+and control, adds a stop action, and scores +-1 through the terminal
+projective measurement (-1 on timeout).  An mbs or dbs episode always runs
+``horizon`` steps, so :meth:`ScenarioEnv.step_window` steps a rollout
+window's episodes as one stack; a qomdp episode, whose length its stop draw
+decides, steps one state at a time.  Each episode pre-draws its ``horizon``
+uniforms from its own substream, so a fixed (config, seed) replays exactly.
 """
 
 from __future__ import annotations
@@ -25,11 +24,12 @@ from ..dynamics import TARGET_INDEX, ClosedLoop, EnvConfig
 from ..qcore import fidelity_pure_target
 from ..rngstream import RngStream
 
-#: the closed loop each scenario trains in: its agent's network kind
-LOOP_KINDS = {"mbs": "mlp", "dbs": "mlp", "qomdp": "lstm"}
-SCENARIO_KINDS = tuple(LOOP_KINDS)
+#: every scenario, in order, and the closed loop its policy drives (basic's is a fixed table)
+LOOP_KINDS = {"basic": "table", "mbs": "mlp", "dbs": "mlp", "qomdp": "lstm"}
 #: the kinds that train on the noise-free law (alpha = 0), one agent per epsilon
 NOISE_FREE_KINDS = ("mbs", "qomdp")
+#: the scenarios that train an agent, by PPO
+TRAINED_KINDS = tuple(kind for kind, loop in LOOP_KINDS.items() if loop != "table")
 
 
 def training_config(kind: str, cfg: EnvConfig) -> EnvConfig:
@@ -41,9 +41,10 @@ class ScenarioEnv:
     """One scenario's episodes: ``reset() -> obs``, ``step(action) -> (obs, reward, done)``."""
 
     def __init__(self, kind: str, cfg: EnvConfig, stream: RngStream):
-        if kind not in SCENARIO_KINDS:
-            raise ValueError(f"unknown scenario kind {kind!r}")
-        self.kind = kind
+        if kind not in TRAINED_KINDS:
+            raise ValueError(f"scenario {kind!r} is a fixed controller, with no agent to train"
+                             if kind in LOOP_KINDS else f"unknown scenario kind {kind!r}")
+        self.kind, self.loop_kind = kind, LOOP_KINDS[kind]
         self.cfg = training_config(kind, cfg)
         self.stream = stream
         self.episode_index = -1
@@ -52,7 +53,7 @@ class ScenarioEnv:
     def _next_episode(self) -> ClosedLoop:
         self.episode_index += 1
         gen = self.stream.substream("episode", self.episode_index).generator()
-        return ClosedLoop(LOOP_KINDS[self.kind], self.cfg, gen.random(self.cfg.horizon),
+        return ClosedLoop(self.loop_kind, self.cfg, gen.random(self.cfg.horizon),
                           self.cfg.alpha)
 
     def _reward(self, loop: ClosedLoop) -> float | np.ndarray:

@@ -23,9 +23,9 @@ from ..rngstream import RngStream
 from . import distributions as dist
 from .buffer import RolloutBuffer, compute_gae
 from .config import (
-    CLIP_RANGE, GAE_LAMBDA, GAMMA, N_EPOCHS, QOMDP_LEARNING_RATE, VALUE_COEFF, PpoConfig,
+    CLIP_RANGE, GAE_LAMBDA, GAMMA, N_EPOCHS, RECURRENT_LEARNING_RATE, VALUE_COEFF, PpoConfig,
 )
-from .envs import ScenarioEnv
+from .envs import LOOP_KINDS, ScenarioEnv
 from .nets import Adam, MlpActorCritic, RecurrentActorCritic, validate_params, zero_grads_like
 
 log = logging.getLogger(__name__)
@@ -64,13 +64,13 @@ def collect_rollout(
 ) -> RolloutBuffer:
     """One window of cfg.n_steps transitions as a complete record, advantages included.
 
-    A feed-forward net without a stop head on an mbs or dbs environment steps
-    the whole window as one stack (:func:`_collect_stacked`); every other
-    pairing steps one transition at a time (:func:`_collect_stepwise`), which
-    records the same window from the same draws.
+    A feed-forward net without a stop head on an MLP scenario's environment
+    steps the whole window as one stack (:func:`_collect_stacked`); every
+    other pairing steps one transition at a time (:func:`_collect_stepwise`),
+    which records the same window from the same draws.
     """
     stacked = (net.kind == "mlp" and net.n_action_outputs == 1
-               and isinstance(runner.env, ScenarioEnv) and runner.env.kind != "qomdp")
+               and isinstance(runner.env, ScenarioEnv) and runner.env.loop_kind == "mlp")
     return (_collect_stacked if stacked else _collect_stepwise)(runner, net, sample_gen,
                                                                 cfg.n_steps)
 
@@ -238,16 +238,16 @@ def ppo_update(net, buffer: RolloutBuffer, adam: Adam) -> dict:
 
 
 def _make_net(scenario: str, gen: np.random.Generator):
-    if scenario == "qomdp":
+    if LOOP_KINDS[scenario] == "lstm":
         return RecurrentActorCritic(obs_dim=2, n_action_outputs=2, gen=gen)
     return MlpActorCritic(obs_dim=9, n_action_outputs=1, gen=gen)
 
 
 def default_ppo_config(scenario: str, **overrides) -> PpoConfig:
     """Appendix hyperparameters: 512-step rollouts, lr 1e-4 (3e-4 recurrent)."""
-    base = dict(learning_rate=QOMDP_LEARNING_RATE if scenario == "qomdp" else 1e-4)
-    base.update(overrides)
-    return PpoConfig(**base)
+    recurrent = LOOP_KINDS.get(scenario) == "lstm"
+    return PpoConfig(**{"learning_rate": RECURRENT_LEARNING_RATE if recurrent else 1e-4,
+                        **overrides})
 
 
 def train(
@@ -260,24 +260,23 @@ def train(
 ):
     """Train one agent; returns (net, training curve rows).
 
-    ``scenario`` is one of mbs/dbs/qomdp.  A custom ``env_factory(stream)``
-    replaces the scenario environment, optionally with a matching ``net``;
-    that is how the toy-task tests drive the same loop.  Its objects need the
-    ScenarioEnv surface: ``reset() -> obs`` and ``step(action) -> (obs, reward,
-    done)``, with observations of the net's ``obs_dim`` entries.  Each update
-    logs its rollout and update seconds at DEBUG level.
+    ``scenario`` is one of :data:`~qfclab.rl.envs.TRAINED_KINDS`.  A custom
+    ``env_factory(stream)`` replaces the scenario environment, optionally
+    with a matching ``net``, as the toy-task tests do.  Its objects need the
+    ScenarioEnv surface: ``reset() -> obs`` and ``step(action) -> (obs,
+    reward, done)``, with observations of the net's ``obs_dim`` entries.
+    Each update logs its rollout and update seconds at DEBUG level.
     """
     root = RngStream(seed)
+    env_stream = root.substream("env", 0)
+    if env_factory is None:  # refuses a scenario with no agent before a net is built
+        env = ScenarioEnv(scenario, env_cfg, env_stream)
+    else:
+        env = env_factory(env_stream)
     if net is None:
         net = _make_net(scenario, root.substream("init").generator())
     sample_gen = root.substream("actions").generator()
     adam = Adam(ppo_cfg.learning_rate)
-
-    env_stream = root.substream("env", 0)
-    if env_factory is None:
-        env = ScenarioEnv(scenario, env_cfg, env_stream)
-    else:
-        env = env_factory(env_stream)
     runner = _EnvRunner(env, net)
 
     curve: list[dict] = []

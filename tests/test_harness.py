@@ -1,11 +1,13 @@
 """Harness: config grammar, evaluation statistics, thresholds, report files."""
 
+import argparse
 import hashlib
 import importlib
 import itertools
 import logging
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -21,11 +23,11 @@ from conftest import PACKAGE
 from qfclab.channels import NOISE_KINDS
 from qfclab.controllers import BasicTable, basic_policy
 from qfclab.dynamics import BATCH_EPISODES, EnvConfig
+from qfclab.harness import cli
 from qfclab.harness.config import (
     KEYS,
     TABLE_ALPHAS,
     TABLE_EPSILONS,
-    VALID_SCENARIOS,
     ConfigError,
     SweepConfig,
     desk_scale,
@@ -51,7 +53,7 @@ from qfclab.harness.report import (
     render_thresholds_csv,
 )
 from qfclab.rl.checkpoint import load_policy, save_policy
-from qfclab.rl.envs import training_config
+from qfclab.rl.envs import LOOP_KINDS, TRAINED_KINDS, training_config
 from qfclab.rl.nets import MlpActorCritic, RecurrentActorCritic
 from qfclab.rl.ppo import TrainingDiverged, default_ppo_config, train
 from qfclab.rngstream import RngStream
@@ -60,6 +62,8 @@ from oracles import basic_controller_chain
 
 # the module, which the package's ``evaluate`` function shadows as an attribute
 evaluate_module = importlib.import_module("qfclab.harness.evaluate")
+
+SCENARIOS = tuple(LOOP_KINDS)  # every scenario, in the table's order
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -72,7 +76,7 @@ config_text = st.text(
 
 sweep_configs = st.builds(
     SweepConfig,
-    scenarios=st.lists(st.sampled_from(VALID_SCENARIOS), min_size=1, max_size=4,
+    scenarios=st.lists(st.sampled_from(SCENARIOS), min_size=1, max_size=4,
                        unique=True).map(tuple),
     noises=st.lists(st.sampled_from(NOISE_KINDS), min_size=1, max_size=3, unique=True).map(tuple),
     alphas=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5, unique=True).map(tuple),
@@ -515,7 +519,7 @@ def test_the_published_grid_runs_one_job_per_agent(tmp_path, monkeypatch):
 
     monkeypatch.setattr(evaluate_module, "_agent_job", plan_only)
     monkeypatch.delenv("QFC_THREADS", raising=False)
-    cfg = SweepConfig(scenarios=VALID_SCENARIOS, checkpoint_dir=str(tmp_path / "ckpts"),
+    cfg = SweepConfig(scenarios=SCENARIOS, checkpoint_dir=str(tmp_path / "ckpts"),
                       train_on_demand=True)
     assert sweep(cfg) == []
     assert len(jobs) == 210
@@ -527,8 +531,38 @@ def test_the_published_grid_runs_one_job_per_agent(tmp_path, monkeypatch):
     cells = [(scenario, noise, alpha, epsilon) for _, _, groups, *_ in jobs
              for scenario, noise, epsilon, alphas in groups for alpha, _ in alphas]
     assert sorted(cells) == sorted(itertools.product(
-        VALID_SCENARIOS, NOISE_KINDS, TABLE_ALPHAS, TABLE_EPSILONS))
+        SCENARIOS, NOISE_KINDS, TABLE_ALPHAS, TABLE_EPSILONS))
     assert not (tmp_path / "ckpts").exists()
+
+
+def test_config_cli_and_sweep_take_their_scenarios_from_the_table(tmp_path, monkeypatch):
+    for scenario in SCENARIOS:
+        assert SweepConfig(scenarios=(scenario,)).scenarios == (scenario,)
+    with pytest.raises(ConfigError, match=re.escape(f"choose from {SCENARIOS}")):
+        SweepConfig(scenarios=("sarsa",))
+    (subcommands,) = [action for action in cli._build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction)]
+    (option,) = [action for action in subcommands.choices["train"]._actions
+                 if "--scenario" in action.option_strings]
+    assert tuple(option.choices) == TRAINED_KINDS
+    readme = " ".join(README.read_text().split())
+    assert f"qfclab train --scenario {{{'|'.join(TRAINED_KINDS)}}} " in readme
+    assert f"# subset of {', '.join(SCENARIOS)} " in readme
+
+    # a sweep gives a checkpoint to exactly the cells of the scenarios that train
+    jobs = []
+
+    def plan_only(args):
+        jobs.append(args)
+        return None, [([], 1.0) for _ in args[2]]
+
+    monkeypatch.setattr(evaluate_module, "_agent_job", plan_only)
+    monkeypatch.delenv("QFC_THREADS", raising=False)
+    sweep(SweepConfig(scenarios=SCENARIOS, noises=("depolarizing",), alphas=(0.0, 0.5),
+                      epsilons=(0.1,), checkpoint_dir=str(tmp_path), train_on_demand=True))
+    served = {(scenario, path is not None) for path, _, groups, *_ in jobs
+              for scenario, *_ in groups}
+    assert served == {(scenario, scenario in TRAINED_KINDS) for scenario in SCENARIOS}
 
 
 class TestSweep:

@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from qfclab.harness.cli import EXIT_CONFIG, main
-from qfclab.harness.config import VALID_SCENARIOS
 from qfclab.rl import checkpoint
 from qfclab.rl.checkpoint import CheckpointError, load_policy, save_policy
+from qfclab.rl.envs import LOOP_KINDS
 from qfclab.rl.nets import LOG_STD_MAX, LOG_STD_MIN, MlpActorCritic, RecurrentActorCritic
 from qfclab.rngstream import RngStream
 
@@ -264,7 +264,7 @@ def policies(draw):
 
 class TestRoundTripProperty:
     @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(net=policies(), scenario=st.sampled_from(VALID_SCENARIOS),
+    @given(net=policies(), scenario=st.sampled_from(tuple(LOOP_KINDS)),
            meta=st.dictionaries(st.text().filter(lambda k: k != "scenario"), st.text()))
     def test_round_trip_is_exact(self, tmp_path, net, scenario, meta):
         # a new name per example: renaming over a file can wait for the disk

@@ -1,14 +1,17 @@
-"""Scenario-environment semantics: observations, rewards, noise wiring."""
+"""The scenario table, and scenario-environment semantics: observations, rewards, noise wiring."""
+
+import ast
 
 import numpy as np
 import pytest
 
+from conftest import PACKAGE
 from qfclab import dynamics
 from qfclab.channels import imprecise_measurement
 from qfclab.controllers import ControlAction
 from qfclab.dynamics import TARGET_INDEX, EnvConfig, encode_state_observation, step_true
 from qfclab.qcore import basis_state
-from qfclab.rl.envs import ScenarioEnv
+from qfclab.rl.envs import LOOP_KINDS, TRAINED_KINDS, ScenarioEnv
 from qfclab.rngstream import RngStream
 
 from oracles import (
@@ -258,3 +261,43 @@ class TestValidationEnv:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="scenario kind"):
             ScenarioEnv("q_learning", make_cfg(), RngStream(22))
+
+    def test_fixed_controller_has_no_environment(self):
+        (fixed,) = set(LOOP_KINDS) - set(TRAINED_KINDS)
+        with pytest.raises(ValueError, match=f"scenario '{fixed}' is a fixed controller, "
+                                             "with no agent to train"):
+            ScenarioEnv(fixed, make_cfg(), RngStream(23))
+
+
+# the sites outside rl/envs.py that may name a scenario, as (module, enclosing
+# definition, name): the rule that an mbs agent serves a dbs cell at alpha 0,
+# basic as the default scenario of a sweep and of an evaluation, and `eval
+# --policy basic`; every other module reads the scenarios from the table
+SCENARIO_NAME_SITES = [
+    ("harness/cli.py", "_cmd_eval", "basic"),
+    ("harness/config.py", "SweepConfig", "basic"),
+    ("harness/evaluate.py", "evaluate", "basic"),
+    ("harness/evaluate.py", "training_problem", "dbs"),
+    ("harness/evaluate.py", "training_problem", "mbs"),
+]
+
+
+def test_scenario_names_stay_in_the_table():
+    assert len(SCENARIO_NAME_SITES) <= 6
+    names = {"basic", "mbs", "dbs", "qomdp"}
+    assert set(LOOP_KINDS) == names
+    sites = []
+
+    def visit(node, module, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = node.name
+        if isinstance(node, ast.Constant) and node.value in names:
+            sites.append((module, scope, node.value))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, scope)
+
+    for path in sorted(PACKAGE.rglob("*.py")):
+        module = path.relative_to(PACKAGE).as_posix()
+        if module != "rl/envs.py":
+            visit(ast.parse(path.read_text()), module, None)
+    assert sorted(sites) == SCENARIO_NAME_SITES

@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 from qfclab.controllers import ControlAction
 from qfclab.dynamics import EnvConfig
 from qfclab.rl import distributions as dist
-from qfclab.rl import nets
+from qfclab.rl import nets, ppo
 from qfclab.rl.buffer import compute_gae
 from qfclab.rl.config import (
-    CLIP_RANGE, GAE_LAMBDA, GAMMA, QOMDP_LEARNING_RATE, VALUE_COEFF, PpoConfig,
+    CLIP_RANGE, GAE_LAMBDA, GAMMA, RECURRENT_LEARNING_RATE, VALUE_COEFF, PpoConfig,
 )
 from qfclab.rl.envs import ScenarioEnv
 from qfclab.rl.nets import Adam, MlpActorCritic, RecurrentActorCritic, zero_grads_like
@@ -347,7 +347,7 @@ class TestRecurrentStateIsOnlyRead:
         cfg = PpoConfig(n_steps=128, total_timesteps=256)
         runner = _EnvRunner(ScenarioEnv("qomdp", EnvConfig(epsilon=0.1), RngStream(71)), net)
         sample_gen = RngStream(72).substream("actions").generator()
-        adam = Adam(QOMDP_LEARNING_RATE)
+        adam = Adam(RECURRENT_LEARNING_RATE)
         for _ in range(2):  # the second window starts from a carried state
             buffer = collect_rollout(runner, net, cfg, sample_gen)
             held = [(a, a.tobytes()) for a in buffer.init_state]
@@ -527,6 +527,19 @@ class TestTrainMechanics:
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ValueError, match="scenario"):
             train("sarsa", EnvConfig(), PpoConfig(total_timesteps=0), 0)
+
+    @pytest.mark.parametrize("scenario, message", [
+        ("basic", "scenario 'basic' is a fixed controller, with no agent to train"),
+        ("sarsa", "unknown scenario kind 'sarsa'"),
+    ])
+    def test_scenario_without_agent_refused_before_a_net_is_built(self, monkeypatch, scenario,
+                                                                   message):
+        def fail(*args):
+            raise AssertionError("a net was built")
+
+        monkeypatch.setattr(ppo, "_make_net", fail)
+        with pytest.raises(ValueError, match=message):
+            train(scenario, EnvConfig(), PpoConfig(total_timesteps=0), 0)
 
     @pytest.mark.parametrize(
         "field, value",
