@@ -7,19 +7,18 @@ family of generalized measurements plus its projective limit; and the
 ladder-operator control unitary exp(beta(a - a^dag)).  Each channel is defined
 by its Kraus set, which the tests hold (``tests/oracles.py``), certify CPTP
 through its Choi matrix, and check each closed form against.  Every
-measurement is diagonal, so it is held as the diagonals of its operators and
-applies as a scaling.  Every operator applied is real, and so is every state:
+measurement is diagonal, so it is held as the read-only ``(3, 3)`` array of
+its operators' diagonals, row l the diagonal of M_l, and applies as a
+scaling.  Every operator applied is real, and so is every state:
 the applications take one real 3x3 state or a stack ``(..., 3, 3)`` of them
 (with a matching array of alphas, betas or outcomes), and treat each state of
 a stack exactly as they treat it alone.
 
-Constructors and applications are pure; values are immutable after
-construction and safe to share across threads.
+Constructors and applications are pure; the measurement arrays are read-only
+and safe to share across threads.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,18 +61,6 @@ class ConditioningError(ValueError):
 ZERO_PROBABILITY_THRESHOLD = 1e-12
 
 
-@dataclass(frozen=True)
-class MeasurementModel:
-    """Outcome-indexed diagonal Kraus set M_l = diag(m_l) with sum_l M_l^dag M_l = I.
-
-    ``diagonals[l]`` is m_l, real and non-negative.
-    """
-
-    diagonals: np.ndarray  # (3 outcomes, 3 levels)
-    epsilon: float
-    kind: str  # "imprecise" or "terminal_projective"
-
-
 def _unknown_kind(kind) -> ParameterError:
     return ParameterError(f"unknown noise kind {kind!r}; choose from {list(NOISE_KINDS)}")
 
@@ -90,25 +77,30 @@ def check_noise(kind: str, alpha: float) -> None:
 EPSILON_MAX = 0.3
 
 
-def imprecise_measurement(epsilon: float) -> MeasurementModel:
+def imprecise_measurement(epsilon: float) -> np.ndarray:
     """Imprecise basis measurement: outcome k flags basis state k with probability 1 - 2*epsilon.
 
-    The three operators are diagonal with sqrt(1 - 2*epsilon) at the flagged
-    level and sqrt(epsilon) elsewhere, so every basis state is invariant
-    under conditioning on any outcome.  epsilon is capped at 0.3.
+    Returns the diagonals ``m[l] = m_l`` of its outcome-indexed Kraus set
+    M_l = diag(m_l), real and non-negative with sum_l M_l^dag M_l = I:
+    sqrt(1 - 2*epsilon) at the flagged level and sqrt(epsilon) elsewhere, so
+    every basis state is invariant under conditioning on any outcome.
+    epsilon is capped at 0.3.
     """
     epsilon = float(epsilon)
     if not 0.0 <= epsilon <= EPSILON_MAX:
         raise ParameterError(f"epsilon must lie in [0, {EPSILON_MAX}], got {epsilon}")
     hi = np.sqrt(1.0 - 2.0 * epsilon)
     lo = np.sqrt(epsilon)
-    diagonals = np.where(np.eye(3, dtype=bool), hi, lo)
-    return MeasurementModel(diagonals=diagonals, epsilon=epsilon, kind="imprecise")
+    m = np.where(np.eye(3, dtype=bool), hi, lo)
+    m.flags.writeable = False
+    return m
 
 
-def terminal_measurement() -> MeasurementModel:
+def terminal_measurement() -> np.ndarray:
     """Projective measurement in the computational basis (the epsilon = 0 limit)."""
-    return MeasurementModel(diagonals=np.eye(3), epsilon=0.0, kind="terminal_projective")
+    m = np.eye(3)
+    m.flags.writeable = False
+    return m
 
 
 def control_unitary(beta: float | np.ndarray) -> np.ndarray:
@@ -116,7 +108,8 @@ def control_unitary(beta: float | np.ndarray) -> np.ndarray:
 
     Uses the closed form exp(beta*A) = I + (sin(s)/sqrt(2))*A + ((1-cos(s))/2)*A^2
     with s = sqrt(2)*beta, exact because A^3 = -2A.  An array of betas gives
-    the stack of their unitaries.
+    the stack of their unitaries.  A beta outside [-1, 1] raises
+    :class:`ParameterError`: the closed loop's one range check of a control.
     """
     beta = np.asarray(beta, dtype=float)
     in_range = np.abs(beta) <= 1.0
@@ -170,12 +163,12 @@ def apply_channel(kind: str, rho: np.ndarray, alpha: float | np.ndarray) -> np.n
     raise _unknown_kind(kind)
 
 
-def outcome_probabilities(m: MeasurementModel, rho: np.ndarray) -> np.ndarray:
-    """Born probabilities p(l) = tr(M_l^dag M_l rho) = sum_i m_l[i]^2 rho_ii,
-    renormalized against roundoff."""
+def outcome_probabilities(m: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Born probabilities p(l) = tr(M_l^dag M_l rho) = sum_i m[l, i]^2 rho_ii of the
+    measurement whose diagonals are ``m``, renormalized against roundoff."""
     if rho.shape[-2:] != (3, 3):
         raise DimensionError(f"state shape {rho.shape} is not (..., 3, 3)")
-    probs = rho.diagonal(axis1=-2, axis2=-1) @ (m.diagonals**2).T
+    probs = rho.diagonal(axis1=-2, axis2=-1) @ (m**2).T
     probs = np.maximum(probs, 0.0)
     total = probs.sum(axis=-1, keepdims=True)
     if not every(np.isfinite(total) & (total > 0.0)):
@@ -183,15 +176,14 @@ def outcome_probabilities(m: MeasurementModel, rho: np.ndarray) -> np.ndarray:
     return probs / total
 
 
-def condition_on_outcome(
-    m: MeasurementModel, rho: np.ndarray, outcome: int | np.ndarray
-) -> np.ndarray:
+def condition_on_outcome(m: np.ndarray, rho: np.ndarray, outcome: int | np.ndarray) -> np.ndarray:
     """Post-measurement state M_l rho M_l^dag / p(l) = (m_l m_l^T) o rho / p(l)
-    for the given outcome (one outcome per state of a stack)."""
+    for the given outcome (one outcome per state of a stack) of the
+    measurement whose diagonals are ``m``."""
     outcome = np.asarray(outcome)
     if not every((outcome >= 0) & (outcome < 3)):
         raise DimensionError(f"outcome {outcome} out of range")
-    diagonal = m.diagonals[outcome]
+    diagonal = m[outcome]
     post = diagonal[..., :, None] * rho * diagonal[..., None, :]
     p = _trace(post)
     vanishing = p <= ZERO_PROBABILITY_THRESHOLD

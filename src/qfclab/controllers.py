@@ -1,13 +1,15 @@
-"""Controller policies: the common action interface and the analytic baseline.
+"""Controller policies: the one action interface and the analytic baseline.
 
-A policy maps what it observes to a control action.  Its kind (``"table"``
-for the analytic outcome table, where a constant table is an open-loop
-control, ``"mlp"`` or ``"lstm"`` for the two actor-critic networks of the rl
-package, which are policies themselves) fixes what that is, and
-:class:`qfclab.dynamics.ClosedLoop` encodes it.  :func:`policy_act` is the
-one dispatch point.  Observations and actions may carry a leading batch
+A policy maps what it observes to a control: an amplitude beta in [-1, 1]
+and a stop flag that ends the episode.  Its kind (``"table"`` for the
+analytic outcome table, where a constant table is an open-loop control,
+``"mlp"`` or ``"lstm"`` for the two actor-critic networks of the rl package,
+which are policies themselves) fixes what it observes, and
+:class:`qfclab.dynamics.ClosedLoop` encodes that.  :func:`policy_act` is the
+one dispatch point.  Observations and controls may carry a leading batch
 axis, one row per episode, and each row is acted on exactly as it would be
-alone.
+alone.  The loop refuses a beta outside [-1, 1] as it applies it
+(:func:`qfclab.channels.control_unitary`).
 """
 
 from __future__ import annotations
@@ -21,19 +23,6 @@ from .qcore import every
 
 if TYPE_CHECKING:  # the rl package imports this module, so only type checkers look back
     from .rl.nets import MlpActorCritic, RecurrentActorCritic
-
-
-@dataclass(frozen=True)
-class ControlAction:
-    """Control pulse amplitude in [-1, 1] plus the episode-ending stop flag
-    (arrays of them for a batch; a scalar flag holds for every row)."""
-
-    beta: float | np.ndarray
-    stop: bool | np.ndarray = False
-
-    def __post_init__(self):
-        if not every(np.abs(self.beta) <= 1.0):
-            raise ValueError(f"beta must lie in [-1, 1], got {self.beta}")
 
 
 @dataclass(frozen=True)
@@ -62,13 +51,12 @@ def basic_policy() -> BasicTable:
     return BasicTable(beta_by_outcome=(1.0, 1.0, 0.0))
 
 
-def policy_act(
-    policy: Policy, observation: int | np.ndarray, state=None
-) -> tuple[ControlAction, object]:
+def policy_act(policy: Policy, observation: int | np.ndarray, state=None) -> tuple:
     """Evaluate a policy deterministically on one episode's observation or a batch of them.
 
     ``observation`` is what :meth:`qfclab.dynamics.ClosedLoop.observation`
-    encodes for the policy's kind.  Returns the action together with the
+    encodes for the policy's kind.  Returns ``(beta, stop, state)``: the
+    control, the stop flag (a scalar ``False`` holds for every row) and the
     policy's recurrent state (None for stateless policies; ``state=None``
     starts a fresh one).  Networks act on the mean of their control head and
     stop when the stop logit is positive.
@@ -77,9 +65,9 @@ def policy_act(
         outcome = np.asarray(observation)
         if not every((outcome >= 0) & (outcome < 3)):
             raise ValueError(f"outcome {observation} out of range")
-        return ControlAction(beta=np.asarray(policy.beta_by_outcome)[outcome]), None
+        return np.asarray(policy.beta_by_outcome)[outcome], False, None
     if getattr(policy, "kind", None) not in ("mlp", "lstm"):
         raise TypeError(f"unknown policy type {type(policy).__name__}")
     heads, state = policy.policy_step(observation, state)
     stop = heads[..., 1] > 0.0 if policy.n_action_outputs == 2 else False
-    return ControlAction(beta=np.tanh(heads[..., 0]), stop=stop), state
+    return np.tanh(heads[..., 0]), stop, state

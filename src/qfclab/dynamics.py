@@ -36,7 +36,8 @@ or thread runs it.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -84,22 +85,13 @@ class EnvConfig:
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
         ch.check_noise(self.noise_kind, self.alpha)  # an unknown kind fails even at alpha = 0
-        measurement_model(self)  # and so does an epsilon outside [0, EPSILON_MAX]
-
-    def with_alpha(self, alpha: float) -> "EnvConfig":
-        return replace(self, alpha=alpha)
+        measurement(self.epsilon)  # and so does an epsilon outside [0, EPSILON_MAX]
 
 
-_measurement_cache: dict[float, ch.MeasurementModel] = {}
-
+#: the loop's imprecise measurement at an epsilon, made once per epsilon (read-only)
+measurement = cache(ch.imprecise_measurement)
 #: the projective measurement that ends a stopped episode
 TERMINAL_MEASUREMENT = ch.terminal_measurement()
-
-
-def measurement_model(cfg: EnvConfig) -> ch.MeasurementModel:
-    if cfg.epsilon not in _measurement_cache:
-        _measurement_cache[cfg.epsilon] = ch.imprecise_measurement(cfg.epsilon)
-    return _measurement_cache[cfg.epsilon]
 
 
 def _controlled(rho: np.ndarray, beta: float | np.ndarray) -> np.ndarray:
@@ -145,7 +137,7 @@ def step_true(
         noised = ch.apply_channel(cfg.noise_kind, rho, alpha)
         rho = noised if noisy.all() else np.where(noisy[:, None, None], noised, rho)
     post_control = _controlled(rho, beta)
-    m = measurement_model(cfg)
+    m = measurement(cfg.epsilon)
     outcome = _sample_outcome(ch.outcome_probabilities(m, post_control), u)
     return ch.condition_on_outcome(m, post_control, outcome), outcome
 
@@ -160,7 +152,7 @@ def filter_update(
     episode rather than renormalizing a broken estimate.
     """
     post_control = _controlled(rho_hat, beta)
-    m = measurement_model(cfg)
+    m = measurement(cfg.epsilon)
     try:
         return ch.condition_on_outcome(m, post_control, outcome)
     except ch.ConditioningError as exc:
@@ -346,9 +338,8 @@ def _run_batch(policy, cfg: EnvConfig, seeds, ids, alphas, fidelity, aborted) ->
     policy_state = None
     while loop.t < horizon and live.size:
         if not loop.forced_step():
-            action, policy_state = policy_act(policy, loop.observation(), policy_state)
-            beta = np.broadcast_to(action.beta, live.shape)
-            stop = np.broadcast_to(action.stop, live.shape)
+            beta, stop, policy_state = policy_act(policy, loop.observation(), policy_state)
+            beta, stop = np.broadcast_to(beta, live.shape), np.broadcast_to(stop, live.shape)
             if stop.any():
                 ended = live[stop]
                 fidelity[ended, loop.t + 1:] = fidelity[ended, loop.t, None]

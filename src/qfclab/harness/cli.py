@@ -28,14 +28,13 @@ from .config import (ConfigError, check_directory, check_f_star, desk_scale, par
                      parse_config_file)
 from .evaluate import (
     MissingCheckpointError,
+    curve_path,
     evaluate,
     sweep,
     threshold_alpha,
     train_checkpoint,
 )
-from .report import (
-    check_curves, emit_report, read_results_dir, render_csv, render_results_csv, sweep_manifest,
-)
+from .report import check_curves, emit_report, read_results_dir, render_results_csv, sweep_manifest
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -94,12 +93,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-TRAIN_CURVE_COLUMNS = (
-    "update_index", "timesteps", "mean_episode_reward", "policy_loss", "value_loss", "entropy",
-    "grad_norm", "approx_kl", "clip_fraction",
-)
-
-
 def _env_config(args) -> EnvConfig:
     """The command's cell; a parameter outside its range is a configuration error."""
     try:
@@ -110,14 +103,8 @@ def _env_config(args) -> EnvConfig:
 
 
 def _cmd_train(args) -> int:
-    out = Path(args.out)
-    curve_path = out.with_suffix(out.suffix + ".curve.csv")
-    if curve_path.is_dir():
-        raise ConfigError(f"curve path {curve_path} is a directory")
-    curve = train_checkpoint(args.scenario, _env_config(args), args.timesteps, args.seed, out)
-    rows = ([row[name] for name in TRAIN_CURVE_COLUMNS] for row in curve)
-    curve_path.write_text(render_csv(TRAIN_CURVE_COLUMNS, rows))
-    print(f"wrote {out} and {curve_path}")
+    train_checkpoint(args.scenario, _env_config(args), args.timesteps, args.seed, args.out)
+    print(f"wrote {Path(args.out)} and {curve_path(args.out)}")
     return EXIT_OK
 
 

@@ -9,7 +9,9 @@ A key may appear once per file.  One table, :data:`KEYS`, maps each
 (section, key) to its :class:`SweepConfig` field, parser and formatter, and
 drives both :func:`parse_config` and :func:`format_config`.  Text values
 cannot hold ``#`` or a newline, list items cannot hold ``,``, and leading or
-trailing whitespace is stripped.
+trailing whitespace is stripped.  The CSV grammar of every result and
+training-curve file, :func:`render_csv` and :func:`parse_csv`, lives here
+too, where the result report and the trainer both reach it.
 """
 
 from __future__ import annotations
@@ -196,3 +198,35 @@ def format_config(cfg: SweepConfig) -> str:
             if sec == section
         ]
     return "\n".join(lines) + "\n"
+
+
+def _field(value) -> str:
+    if value is None:
+        return ""
+    return format(value, ".17g") if isinstance(value, float) else str(value)
+
+
+def render_csv(columns, rows) -> str:
+    """A header line of column names, then one line per row.
+
+    Floats print ``.17g`` (exact round trip, ``nan``/``inf`` included), ints
+    and strings as they are, and ``None`` as an empty field.
+    """
+    lines = [",".join(columns)]
+    lines.extend(",".join(_field(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def parse_csv(text: str, columns: dict[str, type]) -> list[tuple]:
+    """Inverse of :func:`render_csv` for non-empty fields of the given types."""
+    lines = text.strip().splitlines()
+    header = ",".join(columns)
+    if not lines or lines[0] != header:
+        raise ValueError(f"CSV header mismatch: expected {header!r}")
+    rows = []
+    for line in lines[1:]:
+        parts = line.split(",")
+        if len(parts) != len(columns):
+            raise ValueError(f"expected {len(columns)} columns, got {len(parts)}: {line!r}")
+        rows.append(tuple(kind(part) for kind, part in zip(columns.values(), parts)))
+    return rows

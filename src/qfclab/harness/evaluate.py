@@ -34,7 +34,7 @@ from ..rngstream import hash_label, mix64
 from ..rl.checkpoint import load_policy, save_policy
 from ..rl.envs import LOOP_KINDS, NOISE_FREE_KINDS, TRAINED_KINDS, training_config
 from ..rl.ppo import default_ppo_config, train
-from .config import ConfigError, SweepConfig, check_directory
+from .config import ConfigError, SweepConfig, check_directory, render_csv
 
 log = logging.getLogger(__name__)
 
@@ -63,11 +63,6 @@ class CellResult:
 
     def key(self) -> tuple:
         return (self.scenario, self.noise, self.alpha, self.epsilon)
-
-    def curve_points(self, horizon: int) -> int:
-        """The points of this cell's curve at ``horizon``: one per step and the
-        start, or none when every episode aborted."""
-        return horizon + 1 if self.episodes else 0
 
 
 def cell_seed(master_seed: int, scenario: str, noise: str, alpha: float, epsilon: float) -> int:
@@ -175,26 +170,44 @@ def check_trainable(scenario: str, env_cfg: EnvConfig) -> None:
                           f"its filter can rule out a real outcome")
 
 
+#: the columns of a checkpoint's training curve, ``<checkpoint>.curve.csv``
+TRAIN_CURVE_COLUMNS = (
+    "update_index", "timesteps", "mean_episode_reward", "policy_loss", "value_loss", "entropy",
+    "grad_norm", "approx_kl", "clip_fraction",
+)
+
+
+def curve_path(path) -> Path:
+    """Where the training curve of the checkpoint at ``path`` goes."""
+    return Path(f"{Path(path)}.curve.csv")
+
+
 def train_checkpoint(
     scenario: str, env_cfg: EnvConfig, timesteps: int, seed: int, path
 ) -> list[dict]:
-    """Train one agent at the appendix defaults and save it to ``path``.
+    """Train one agent at the appendix defaults; write its training curve to
+    :func:`curve_path`, then save it to ``path``.
 
     The checkpoint records the noise, alpha, epsilon, seed and timesteps it was
     trained with (alpha 0 for the noise-free kinds, and noise ``none`` at alpha 0,
     where no noise acts); returns the training curve rows.  A cell
-    :func:`check_trainable` refuses, or a directory ``path`` or one under a
-    file, raises :class:`ConfigError` before training.
+    :func:`check_trainable` refuses, a directory ``path`` or curve path, or
+    one under a file, raises :class:`ConfigError` before training.  The curve
+    is written before the checkpoint's atomic rename, so a checkpoint on disk
+    always has its curve.
     """
     check_trainable(scenario, env_cfg)
     env_cfg = training_config(scenario, env_cfg)
     ppo_cfg = default_ppo_config(scenario, total_timesteps=timesteps)
-    path = Path(path)
-    if path.is_dir():
-        raise ConfigError(f"checkpoint path {path} is a directory")
+    path, curve_out = Path(path), curve_path(path)
+    for what, target in (("checkpoint path", path), ("curve path", curve_out)):
+        if target.is_dir():
+            raise ConfigError(f"{what} {target} is a directory")
     check_directory(path.parent, "checkpoint directory")  # made only once training succeeds
     net, curve = train(scenario, env_cfg, ppo_cfg, seed)
     path.parent.mkdir(parents=True, exist_ok=True)
+    curve_out.write_text(render_csv(TRAIN_CURVE_COLUMNS,
+                                    ([row[name] for name in TRAIN_CURVE_COLUMNS] for row in curve)))
     save_policy(
         path, net, scenario,
         {"noise": env_cfg.noise_kind if env_cfg.alpha else "none", "alpha": env_cfg.alpha,

@@ -2,11 +2,12 @@
 
 results.csv is the normative output (every figure is derivable from it plus
 curves.csv); the SVGs are best-effort line charts with +-1 std bands.  Every
-CSV is written by :func:`render_csv` from one column declaration, and the
-files read back (results.csv, curves.csv) by :func:`parse_csv` from the same
-one: results.csv's columns are the :class:`CellResult` fields bar the curve,
-in declaration order.  Floats print ``.17g`` so files round-trip losslessly
-and regenerate byte-identically from unchanged inputs.  The command line's
+CSV is written by :func:`~qfclab.harness.config.render_csv` from one column
+declaration, and the files read back (results.csv, curves.csv) by
+:func:`~qfclab.harness.config.parse_csv` from the same one: results.csv's
+columns are the :class:`CellResult` fields bar the curve, in declaration
+order.  Floats print ``.17g`` so files round-trip losslessly and regenerate
+byte-identically from unchanged inputs.  The command line's
 sweep also writes manifest.txt, what made the results (:func:`sweep_manifest`),
 and its report re-renders them at the manifest's f_star and horizon.
 """
@@ -24,7 +25,7 @@ import numpy as np
 
 from .. import __version__
 from ..channels import NOISE_KINDS
-from .config import ConfigError, SweepConfig, format_config
+from .config import ConfigError, SweepConfig, format_config, parse_csv, render_csv
 from .evaluate import CellResult, cell_label
 
 #: results.csv columns: the CellResult fields bar the curve, which curves.csv holds
@@ -36,38 +37,6 @@ CURVE_COLUMNS = {
     "t": int, "mean_fidelity": float,
 }
 THRESHOLD_COLUMNS = ("scenario", "noise", "epsilon", "threshold_alpha")
-
-
-def _field(value) -> str:
-    if value is None:
-        return ""
-    return format(value, ".17g") if isinstance(value, float) else str(value)
-
-
-def render_csv(columns, rows) -> str:
-    """A header line of column names, then one line per row.
-
-    Floats print ``.17g`` (exact round trip, ``nan``/``inf`` included), ints
-    and strings as they are, and ``None`` as an empty field.
-    """
-    lines = [",".join(columns)]
-    lines.extend(",".join(_field(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
-
-
-def parse_csv(text: str, columns: dict[str, type]) -> list[tuple]:
-    """Inverse of :func:`render_csv` for non-empty fields of the given types."""
-    lines = text.strip().splitlines()
-    header = ",".join(columns)
-    if not lines or lines[0] != header:
-        raise ValueError(f"CSV header mismatch: expected {header!r}")
-    rows = []
-    for line in lines[1:]:
-        parts = line.split(",")
-        if len(parts) != len(columns):
-            raise ValueError(f"expected {len(columns)} columns, got {len(parts)}: {line!r}")
-        rows.append(tuple(kind(part) for kind, part in zip(columns.values(), parts)))
-    return rows
 
 
 def _sorted_cells(results: list[CellResult]) -> list[CellResult]:
@@ -120,7 +89,8 @@ def check_curves(cells: list[CellResult], horizon: int) -> None:
     """Raise :class:`ConfigError` naming the first cell whose curve has other
     than ``horizon + 1`` points, or any when every episode of the cell aborted."""
     for cell in cells:
-        points, want = len(cell.fidelity_curve), cell.curve_points(horizon)
+        # one point per step and the start, or none when every episode aborted
+        points, want = len(cell.fidelity_curve), horizon + 1 if cell.episodes else 0
         if points != want:
             needs = want if points else "a curve"
             raise ConfigError(f"cell {cell_label(cell.key())} has {cell.episodes} completed "

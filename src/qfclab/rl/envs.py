@@ -8,7 +8,8 @@ noise-free model (alpha = 0) and shows the agent its state; data-based
 training (dbs) runs the configured noise and shows the filtered state;
 measurement-only training (qomdp) runs at alpha = 0, shows the last outcome
 and control, adds a stop action, and scores +-1 through the terminal
-projective measurement (-1 on timeout).  An mbs or dbs episode always runs
+projective measurement (-1 on timeout).  A step takes the control as plain
+values ``(beta, stop)``; only qomdp reads the stop.  An mbs or dbs episode always runs
 ``horizon`` steps, so :meth:`ScenarioEnv.step_window` steps a rollout
 window's episodes as one stack; a qomdp episode, whose length its stop draw
 decides, steps one state at a time.  Each episode pre-draws its ``horizon``
@@ -17,9 +18,10 @@ uniforms from its own substream, so a fixed (config, seed) replays exactly.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
-from ..controllers import ControlAction
 from ..dynamics import TARGET_INDEX, ClosedLoop, EnvConfig
 from ..qcore import fidelity_pure_target
 from ..rngstream import RngStream
@@ -34,11 +36,11 @@ TRAINED_KINDS = tuple(kind for kind, loop in LOOP_KINDS.items() if loop != "tabl
 
 def training_config(kind: str, cfg: EnvConfig) -> EnvConfig:
     """The config a scenario trains on: ``cfg``, at alpha = 0 for the noise-free kinds."""
-    return cfg.with_alpha(0.0) if kind in NOISE_FREE_KINDS else cfg
+    return replace(cfg, alpha=0.0) if kind in NOISE_FREE_KINDS else cfg
 
 
 class ScenarioEnv:
-    """One scenario's episodes: ``reset() -> obs``, ``step(action) -> (obs, reward, done)``."""
+    """One scenario's episodes: ``reset() -> obs``, ``step(beta, stop) -> (obs, reward, done)``."""
 
     def __init__(self, kind: str, cfg: EnvConfig, stream: RngStream):
         if kind not in TRAINED_KINDS:
@@ -69,14 +71,15 @@ class ScenarioEnv:
         """What the agent sees of the current episode."""
         return self._loop.observation()
 
-    def step(self, action: ControlAction) -> tuple[np.ndarray, float, bool]:
+    def step(self, beta: float, stop: bool) -> tuple[np.ndarray, float, bool]:
+        """Apply control ``beta``, or end a qomdp episode when ``stop`` (other kinds ignore it)."""
         loop = self._loop
         if loop is None:
             raise RuntimeError("step() called on a finished episode; reset() first")
-        if self.kind == "qomdp" and action.stop:
+        if self.kind == "qomdp" and stop:
             self._loop = None
             return loop.observation(), 1.0 if loop.stop() == TARGET_INDEX else -1.0, True
-        loop.step(action.beta)
+        loop.step(beta)
         done = loop.t >= self.cfg.horizon
         self._loop = None if done else loop
         if self.kind == "qomdp":

@@ -3,11 +3,13 @@
 The update maximizes E[min(r*A, clip(r, 1 +- c)*A)] - c_v*value_mse with
 advantages normalized per update, the reference formulation at its entropy
 coefficient of 0; each epoch is one update over the whole rollout window in
-buffer order.  Collection hands the update each window as one frozen
-:class:`RolloutBuffer`, its advantages computed as collection ends.
-Collection, advantage estimation, and updates all run in float64 with every
-random draw tied to a named substream, so a seed reproduces training bit for
-bit.
+buffer order.  A sampled control is plain values, a beta and a stop flag.
+Collection hands the update each window as one frozen :class:`RolloutBuffer`,
+its advantages computed as collection ends, and keeps no other record:
+:func:`train` tallies episode rewards from the window's rewards and done
+flags.  Collection, advantage estimation, and updates all run in float64
+with every random draw tied to a named substream, so a seed reproduces
+training bit for bit.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import time
 
 import numpy as np
 
-from ..controllers import ControlAction
 from ..dynamics import EnvConfig
 from ..rngstream import RngStream
 from . import distributions as dist
@@ -36,7 +37,7 @@ class TrainingDiverged(RuntimeError):
 
 
 def sample_action(heads: np.ndarray, log_std: float, gen: np.random.Generator, with_stop: bool):
-    """Draw (action, joint log-prob, pre-squash sample) from head outputs."""
+    """Draw (beta, stop, joint log-prob, pre-squash sample) from head outputs."""
     mean = float(heads[0])
     beta, pre = dist.sample_squashed(mean, log_std, gen)
     log_prob = float(dist.squashed_log_prob(pre, mean, log_std))
@@ -45,7 +46,7 @@ def sample_action(heads: np.ndarray, log_std: float, gen: np.random.Generator, w
         logit = float(heads[1])
         stop = bool(gen.random() < dist.sigmoid(logit))
         log_prob += float(dist.bernoulli_log_prob(1.0 if stop else 0.0, logit))
-    return ControlAction(beta=beta, stop=stop), log_prob, pre
+    return beta, stop, log_prob, pre
 
 
 class _EnvRunner:
@@ -55,8 +56,6 @@ class _EnvRunner:
         self.env = env
         self.obs = env.reset()
         self.state = net.initial_state()
-        self.episode_reward = 0.0
-        self.finished_rewards: list[float] = []
 
 
 def collect_rollout(
@@ -107,12 +106,6 @@ def _collect_stacked(runner: _EnvRunner, net: MlpActorCritic,
         return np.tanh(pre)
 
     rewards, dones, bounds = runner.env.step_window(n_steps, act)
-    for start, end in bounds:
-        for reward in rewards[start:end]:  # summed in step order, as the stepwise loop does
-            runner.episode_reward += float(reward)
-        if dones[end - 1]:
-            runner.finished_rewards.append(runner.episode_reward)
-            runner.episode_reward = 0.0
     runner.obs = runner.env.observation()
     return _record(net.value(runner.obs), [end - start for start, end in bounds],
                    observations=observations, pre_squash=pre_squash, stops=np.zeros(n_steps),
@@ -132,14 +125,11 @@ def _collect_stepwise(runner: _EnvRunner, net, sample_gen: np.random.Generator,
     starts, states = [0], [runner.state]
     for t in range(n_steps):
         heads, value, new_state = net.step(runner.obs, runner.state)
-        action, log_prob, pre = sample_action(heads, net.log_std, sample_gen, with_stop)
-        next_obs, reward, done = runner.env.step(action)
-        runner.episode_reward += reward
-        observations[t], pre_squash[t], stops[t] = runner.obs, pre, action.stop
+        beta, stop, log_prob, pre = sample_action(heads, net.log_std, sample_gen, with_stop)
+        next_obs, reward, done = runner.env.step(beta, stop)
+        observations[t], pre_squash[t], stops[t] = runner.obs, pre, stop
         log_probs[t], rewards[t], values[t], dones[t] = log_prob, reward, value, done
         if done:
-            runner.finished_rewards.append(runner.episode_reward)
-            runner.episode_reward = 0.0
             runner.obs = runner.env.reset()
             runner.state = net.initial_state()
             if t + 1 < n_steps:
@@ -263,8 +253,10 @@ def train(
     ``scenario`` is one of :data:`~qfclab.rl.envs.TRAINED_KINDS`.  A custom
     ``env_factory(stream)`` replaces the scenario environment, optionally
     with a matching ``net``, as the toy-task tests do.  Its objects need the
-    ScenarioEnv surface: ``reset() -> obs`` and ``step(action) -> (obs,
-    reward, done)``, with observations of the net's ``obs_dim`` entries.
+    ScenarioEnv surface: ``reset() -> obs`` and ``step(beta, stop) -> (obs,
+    reward, done)``, with observations of the net's ``obs_dim`` entries.  A
+    curve row's mean episode reward is that of the episodes whose last step
+    fell in its window, each reward summed in step order across windows.
     Each update logs its rollout and update seconds at DEBUG level.
     """
     root = RngStream(seed)
@@ -281,7 +273,7 @@ def train(
 
     curve: list[dict] = []
     n_updates = ppo_cfg.total_timesteps // ppo_cfg.n_steps
-    best_reward = -np.inf
+    best_reward, episode_reward = -np.inf, 0.0
     for update in range(n_updates):
         started = time.perf_counter()
         buffer = collect_rollout(runner, net, ppo_cfg, sample_gen)
@@ -296,9 +288,13 @@ def train(
         log.debug("update %d: rollout %.3f s, update %.3f s, %.0f timesteps/s", update,
                   collected - started, updated - collected,
                   ppo_cfg.n_steps / (updated - started))
-        finished = runner.finished_rewards
+        finished = []
+        for reward, done in zip(buffer.rewards, buffer.dones):
+            episode_reward += float(reward)
+            if done:
+                finished.append(episode_reward)
+                episode_reward = 0.0
         mean_reward = float(np.mean(finished)) if finished else np.nan
-        finished.clear()
         if np.isfinite(mean_reward):
             best_reward = max(best_reward, mean_reward)
             if mean_reward < best_reward - 0.5 * abs(best_reward):

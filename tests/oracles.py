@@ -137,8 +137,8 @@ CHANNEL_KINDS = {
 
 
 def measurement_ops(m) -> tuple[np.ndarray, ...]:
-    """The Kraus operators M_l = diag(m_l) of a measurement as full matrices."""
-    return tuple(np.diag(d) for d in m.diagonals)
+    """The Kraus operators M_l = diag(m[l]) of a measurement's diagonals as full matrices."""
+    return tuple(np.diag(d) for d in m)
 
 
 def make_channel(kind: str, alpha: float) -> QuantumChannel:
@@ -316,6 +316,28 @@ def averaged_map_iteration(
         u = control_unitary_closed_form(beta)
         rho = measurement_average(measurement_ops, u @ noisy @ u.conj().T)
     return rho
+
+
+def table_average(betas, kind: str, alpha: float, epsilon: float, horizon: int) -> np.ndarray:
+    """Exact mean fidelity to |2> of a table policy's true state after steps 0..horizon.
+
+    ``sigma[l]`` is the state joint with "the last outcome was l", unnormalized.
+    It iterates sigma_l'(t+1) = sum_l M_l' U_beta(l) N_alpha(sigma_l(t)) U_beta(l)^T M_l'
+    from sigma_0(0) = |0><0| (a table first observes outcome 0), through the Kraus
+    set of :func:`make_channel` and the full measurement matrices, and returns
+    sum_l sigma_l(t)[2, 2] for each t.
+    """
+    noise = make_channel(kind, alpha).kraus_ops
+    ops = measurement_ops(imprecise_measurement(epsilon))
+    unitaries = [control_unitary_closed_form(beta) for beta in betas]
+    sigma = [np.zeros((3, 3), dtype=complex) for _ in range(3)]
+    sigma[0][0, 0] = 1.0
+    curve = [sum(s[2, 2] for s in sigma).real]
+    for _ in range(horizon):
+        moved = sum(u @ kraus_sum(noise, s) @ u.conj().T for u, s in zip(unitaries, sigma))
+        sigma = [m @ moved @ m.conj().T for m in ops]
+        curve.append(sum(s[2, 2] for s in sigma).real)
+    return np.array(curve)
 
 
 def gae_brute_force(rewards, values, bootstrap, dones, gamma: float, lam: float) -> np.ndarray:
@@ -530,9 +552,9 @@ def drive_closed_loop(policy, cfg, streams):
     state = None
     while loop.t < cfg.horizon:
         if not loop.forced_step():
-            action, state = policy_act(policy, loop.observation(), state)
-            assert not np.any(action.stop), "drive_closed_loop takes no stops"
-            loop.step(action.beta)
+            beta, stop, state = policy_act(policy, loop.observation(), state)
+            assert not np.any(stop), "drive_closed_loop takes no stops"
+            loop.step(beta)
         yield loop
 
 
@@ -858,11 +880,15 @@ def is_cptp(kraus_ops, completeness_tol: float = DEFAULT_TOL, choi_tol: float = 
 
 
 def validate_measurement(m, tol: float = DEFAULT_TOL) -> None:
-    """Raise if the measurement violates completeness (or projectivity for terminal sets)."""
+    """Raise if the measurement's diagonals are not a read-only (3, 3) array of
+    non-negative entries, or violate completeness, or, for a set that flags
+    each level with certainty (the projective limit), projectivity."""
+    if m.shape != (3, 3) or m.flags.writeable or np.any(m < 0.0):
+        raise ParameterError("a measurement is a read-only (3, 3) array of non-negative diagonals")
     defect = kraus_completeness_defect(measurement_ops(m))
     if defect > tol:
         raise ParameterError(f"measurement completeness defect {defect:.3e} > {tol}")
-    if m.kind == "terminal_projective":
+    if not np.any(m[~np.eye(3, dtype=bool)]):
         for l, op in enumerate(measurement_ops(m)):
             if float(np.max(np.abs(op @ op - op))) > tol or float(
                 np.max(np.abs(op - op.conj().T))

@@ -236,7 +236,7 @@ def test_criterion_07_ppo_machinery():
         gen = np.random.default_rng(99)
         heads = net3.step(np.ones(1), None)[0]
         rate = np.mean([
-            sample_action(heads, net3.log_std, gen, False)[0].beta > 0
+            sample_action(heads, net3.log_std, gen, False)[0] > 0
             for _ in range(2000)
         ])
         details.append(f"{rate:.3f}")

@@ -21,7 +21,7 @@ from qfclab.harness.cli import (
     EXIT_RUNTIME,
     main,
 )
-from qfclab.harness.evaluate import evaluate
+from qfclab.harness.evaluate import TRAIN_CURVE_COLUMNS, evaluate
 from qfclab.harness.report import emit_report, parse_csv, read_results_dir, render_results_csv
 from qfclab.qcore import DimensionError, StateValidityError
 from qfclab.rl.checkpoint import load_policy, save_policy
@@ -153,10 +153,10 @@ class TestTrainEvalRoundTrip:
         assert ckpt.exists()
         curve = Path(str(ckpt) + ".curve.csv")
         assert curve.exists()
-        rows = parse_csv(curve.read_text(), dict.fromkeys(cli.TRAIN_CURVE_COLUMNS, float))
+        rows = parse_csv(curve.read_text(), dict.fromkeys(TRAIN_CURVE_COLUMNS, float))
         assert len(rows) == 2
         for row in rows:
-            health = dict(zip(cli.TRAIN_CURVE_COLUMNS, row))
+            health = dict(zip(TRAIN_CURVE_COLUMNS, row))
             assert health["grad_norm"] > 0.0
             assert health["approx_kl"] >= 0.0
             assert 0.0 <= health["clip_fraction"] <= 1.0
@@ -295,13 +295,16 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(cfg)]) == EXIT_OK
         outputs = {name: (tmp_path / "out" / name).read_bytes()
                    for name in ("results.csv", "curves.csv")}
-        assert sorted(p.name for p in (tmp_path / "ck").iterdir()) == [
-            "dbs_depolarizing_alpha0.5_eps0.1.ckpt", "dbs_depolarizing_alpha1_eps0.1.ckpt",
-            "mbs_eps0.1.ckpt"]
+        agents = ["dbs_depolarizing_alpha0.5_eps0.1.ckpt", "dbs_depolarizing_alpha1_eps0.1.ckpt",
+                  "mbs_eps0.1.ckpt"]
+        assert sorted(p.name for p in (tmp_path / "ck").iterdir()) == sorted(
+            [*agents, *(f"{name}.curve.csv" for name in agents)])
+        last_curve = (tmp_path / "ck" / f"{agents[1]}.curve.csv").read_bytes()
         capfd.readouterr()
 
         # killed while training its last agent, before any output was written
-        (tmp_path / "ck" / "dbs_depolarizing_alpha1_eps0.1.ckpt").unlink()
+        (tmp_path / "ck" / agents[1]).unlink()
+        (tmp_path / "ck" / f"{agents[1]}.curve.csv").unlink()
         shutil.rmtree(tmp_path / "out")
         assert main(["sweep", "--config", str(cfg)]) == EXIT_OK
         trained = [line for line in capfd.readouterr().err.splitlines() if ":trained " in line]
@@ -309,6 +312,7 @@ class TestSweepCommand:
         assert "trained dbs_depolarizing_alpha1_eps0.1.ckpt: 512 timesteps" in trained[0]
         for name, content in outputs.items():
             assert (tmp_path / "out" / name).read_bytes() == content, name
+        assert (tmp_path / "ck" / f"{agents[1]}.curve.csv").read_bytes() == last_curve
 
     def test_an_output_directory_holds_only_its_own_sweeps_charts(self, tmp_path, capsys):
         cfg = write_sweep_config(tmp_path, tmp_path / "out", tmp_path / "ck")
@@ -401,7 +405,8 @@ class TestSweepCommand:
         cfg.write_text(text.replace("epsilons = 0.1", "epsilons = 0.1, 0.2"))
         assert main(["sweep", "--config", str(cfg)]) == EXIT_CONFIG
         assert "mbs_eps0.1.ckpt: BadZipFile: Bad CRC-32" in capsys.readouterr().err
-        assert sorted(p.name for p in (tmp_path / "ck").iterdir()) == ["mbs_eps0.1.ckpt"]
+        assert sorted(p.name for p in (tmp_path / "ck").iterdir()) == [
+            "mbs_eps0.1.ckpt", "mbs_eps0.1.ckpt.curve.csv"]
 
     def test_output_file_as_directory_is_config_error_before_evaluating(
         self, tmp_path, capsys, no_work

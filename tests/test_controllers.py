@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from qfclab.channels import ParameterError
 from qfclab.controllers import (
-    ControlAction,
+    BasicTable,
     basic_policy,
     policy_act,
 )
@@ -14,6 +15,7 @@ from qfclab.dynamics import (
     encode_outcome_observation,
     encode_state_observation,
 )
+from qfclab.rl.envs import ScenarioEnv
 from qfclab.rl.nets import MlpActorCritic
 from qfclab.rngstream import RngStream
 
@@ -22,17 +24,17 @@ from oracles import derive_basic_gains, maximally_mixed, transfer_probability
 
 class TestBasicPolicy:
     def test_outcome_two_holds_still(self):
-        action, _ = policy_act(basic_policy(), 2)
-        assert action.beta == 0.0
-        assert action.stop is False
+        beta, stop, _ = policy_act(basic_policy(), 2)
+        assert beta == 0.0
+        assert stop is False
 
     def test_outcome_zero_drives_full_pulse(self):
-        action, _ = policy_act(basic_policy(), 0)
-        assert action.beta == 1.0
+        beta, _, _ = policy_act(basic_policy(), 0)
+        assert beta == 1.0
 
     def test_outcome_one_drives_full_pulse(self):
-        action, _ = policy_act(basic_policy(), 1)
-        assert action.beta == 1.0
+        beta, _, _ = policy_act(basic_policy(), 1)
+        assert beta == 1.0
 
     def test_memoryless_in_history(self):
         # a table observes the most recent outcome alone, whatever control preceded it
@@ -44,8 +46,8 @@ class TestBasicPolicy:
             assert loop.observation() == 0  # the believed outcome of |0> before any step
             loop.step(last_beta)
             assert loop.observation() == loop.outcome
-            action, _ = policy_act(p, loop.observation())
-            assert action.beta == p.beta_by_outcome[loop.outcome]
+            beta, _, _ = policy_act(p, loop.observation())
+            assert beta == p.beta_by_outcome[loop.outcome]
 
 
 class TestDeriveBasicGains:
@@ -69,13 +71,24 @@ class TestDeriveBasicGains:
             derive_basic_gains(2)
 
 
-class TestControlAction:
-    def test_out_of_range_beta_rejected(self):
-        with pytest.raises(ValueError, match="beta"):
-            ControlAction(beta=1.0001)
+class TestControlRange:
+    """A control is plain (beta, stop); the loop refuses a beta outside [-1, 1] as it applies it."""
 
-    def test_stop_defaults_false(self):
-        assert ControlAction(beta=0.3).stop is False
+    def test_an_environment_step_refuses_it(self):
+        env = ScenarioEnv("dbs", EnvConfig(alpha=0.3), RngStream(5))
+        env.reset()
+        with pytest.raises(ParameterError, match="beta"):
+            env.step(1.0001, False)
+
+    def test_a_stack_row_refuses_it(self):
+        cfg = EnvConfig(horizon=4)
+        loop = ClosedLoop("table", cfg, RngStream(6).generator().random((3, cfg.horizon)), 0.0)
+        with pytest.raises(ParameterError, match="beta"):
+            loop.step(np.array([0.5, 1.0001, -1.0]))
+
+    def test_a_table_refuses_it(self):
+        with pytest.raises(ValueError, match="outside"):
+            BasicTable(beta_by_outcome=(1.0, 1.0001, 0.0))
 
 
 class TestNetworkPolicies:
@@ -89,7 +102,7 @@ class TestNetworkPolicies:
             obs = loop.observation()
             assert obs.tobytes() == encode_state_observation(maximally_mixed()).tobytes()
             actions.append(policy_act(net, obs)[0])
-        assert actions[0].beta == actions[1].beta
+        assert actions[0] == actions[1]
 
     def test_mlp_without_filtered_state_rejected(self):
         net = MlpActorCritic(obs_dim=9, gen=np.random.default_rng(3))

@@ -2,7 +2,7 @@
 
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -49,10 +49,10 @@ class TestEnvConfig:
         a, b = EnvConfig(), EnvConfig()
         assert a == b
         assert hash(a) == hash(b)
-        assert len({a, b, a.with_alpha(0.0)}) == 1
+        assert len({a, b, replace(a, alpha=0.0)}) == 1
 
     def test_differing_scalar_field_compares_unequal(self):
-        assert EnvConfig() != EnvConfig().with_alpha(0.2)
+        assert EnvConfig() != replace(EnvConfig(), alpha=0.2)
         assert EnvConfig() != EnvConfig(horizon=5)
 
     def test_unknown_noise_kind_rejected_even_at_alpha_zero(self):

@@ -8,6 +8,7 @@ import logging
 import multiprocessing
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -56,9 +57,9 @@ from qfclab.rl.checkpoint import load_policy, save_policy
 from qfclab.rl.envs import LOOP_KINDS, TRAINED_KINDS, training_config
 from qfclab.rl.nets import MlpActorCritic, RecurrentActorCritic
 from qfclab.rl.ppo import TrainingDiverged, default_ppo_config, train
-from qfclab.rngstream import RngStream
+from qfclab.rngstream import RngStream, hash_label, mix64
 
-from oracles import basic_controller_chain
+from oracles import basic_controller_chain, table_average
 
 # the module, which the package's ``evaluate`` function shadows as an attribute
 evaluate_module = importlib.import_module("qfclab.harness.evaluate")
@@ -264,6 +265,22 @@ class TestEvaluate:
                                    for policy in (net, loaded))
         # NaN-valued fields defeat dataclass equality; assert_equal takes NaN as equal
         np.testing.assert_equal(astuple(from_file), astuple(direct))
+
+    @pytest.mark.parametrize("noise", NOISE_KINDS)
+    def test_basic_cells_match_the_exact_average(self, noise):
+        # 2,000 episodes per cell against the exact outcome-averaged dynamics: the
+        # terminal mean within 4 standard errors, and each curve point within 4
+        # times sqrt(mu (1 - mu) / n), an upper bound on the SD of a mean of values in [0, 1]
+        n, horizon, policy = 2000, 20, basic_policy()
+        for alpha, epsilon in itertools.product((0.0, 0.3, 0.6), (0.1, 0.3)):
+            cfg = EnvConfig(noise_kind=noise, epsilon=epsilon, horizon=horizon)
+            seed = cell_seed(0, "basic", noise, alpha, epsilon)
+            (cell,) = evaluate(policy, cfg, n, [(alpha, seed)])
+            exact = table_average(policy.beta_by_outcome, noise, alpha, epsilon, horizon)
+            assert cell.episodes == n
+            assert abs(cell.mean_fidelity - exact[-1]) <= 4 * cell.std_fidelity / np.sqrt(n)
+            bound = 4 * np.sqrt(exact * (1 - exact) / n) + 1e-12
+            assert np.all(np.abs(np.array(cell.fidelity_curve) - exact) <= bound), (alpha, epsilon)
 
     def test_curve_has_horizon_plus_one_points(self):
         cfg = EnvConfig(noise_kind="depolarizing", alpha=0.2, epsilon=0.1, horizon=15)
@@ -638,7 +655,8 @@ class TestSweep:
         assert path.name == "mbs_eps0.1.ckpt"
         assert not path.exists()
         first = sweep(cfg)
-        assert sorted(p.name for p in (tmp_path / "ckpts").iterdir()) == ["mbs_eps0.1.ckpt"]
+        assert sorted(p.name for p in (tmp_path / "ckpts").iterdir()) == [
+            "mbs_eps0.1.ckpt", "mbs_eps0.1.ckpt.curve.csv"]
         # the second sweep reuses the trained file
         monkeypatch.setattr(evaluate_module, "train", None)
         assert render_results_csv(sweep(cfg)) == render_results_csv(first)
@@ -751,9 +769,11 @@ class TestTrainOnDemand:
             digests = _digests(tmp_path / f"ckpts{threads}")
             # one mbs agent for the epsilon, shared by its four mbs cells and by
             # the two dbs cells at alpha 0, whose real data are the nominal
-            # model; one dbs agent per noise at alpha 0.5
-            assert len(digests) == 3
-            assert sorted(saves.read_text().splitlines()) == sorted(digests)
+            # model; one dbs agent per noise at alpha 0.5; each beside its curve
+            agents = sorted(name for name in digests if name.endswith(".ckpt"))
+            assert len(agents) == 3
+            assert set(digests) == {*agents, *(f"{name}.curve.csv" for name in agents)}
+            assert sorted(saves.read_text().splitlines()) == agents
             runs[threads] = (digests, render_results_csv(results), render_curves_csv(results))
         assert runs["2"] == runs["1"]
         trained = [r.getMessage() for r in caplog.records]
@@ -813,7 +833,7 @@ class TestTrainOnDemand:
         # a dbs-only grid at alpha 0 trains the mbs agent, as mbs
         sweep(self.cfg(tmp_path, "dbs-only", scenarios=("dbs",), alphas=(0.0,)))
         assert _digests(tmp_path / "dbs-only") == {
-            "mbs_eps0.1.ckpt": runs[0][0]["mbs_eps0.1.ckpt"]}
+            name: runs[0][0][name] for name in ("mbs_eps0.1.ckpt", "mbs_eps0.1.ckpt.curve.csv")}
         assert load_policy(tmp_path / "dbs-only" / "mbs_eps0.1.ckpt")[1]["scenario"] == "mbs"
 
     def test_training_failure_in_a_worker_surfaces(self, tmp_path, monkeypatch):
@@ -876,6 +896,36 @@ class TestTrainOnDemand:
         assert _digests(tmp_path / "ckpts") == trained
         assert (render_results_csv(rerun) + render_curves_csv(rerun)
                 == render_results_csv(first) + render_curves_csv(first))
+
+    def test_each_trained_agent_keeps_the_curve_its_training_command_writes(
+        self, tmp_path, monkeypatch
+    ):
+        cfg = desk_scale(self.cfg(tmp_path, "ckpts", noises=("depolarizing",)))
+        sweep(cfg)
+        written = _digests(tmp_path / "ckpts")
+        agents = sorted(name for name in written if name.endswith(".ckpt"))
+        # mbs per epsilon, dbs per epsilon and alpha > 0
+        assert len(agents) == len(cfg.epsilons) * len(cfg.alphas)
+        assert set(written) == {*agents, *(f"{name}.curve.csv" for name in agents)}
+        for name in agents:
+            meta = load_policy(tmp_path / "ckpts" / name)[1]
+            seed = mix64(cfg.master_seed, hash_label(f"train|{name}"))
+            assert meta["seed"] == str(seed)
+            out = tmp_path / "cli" / name
+            assert cli.main(["train", "--scenario", meta["scenario"], "--alpha", meta["alpha"],
+                             "--epsilon", meta["epsilon"], "--seed", str(seed),
+                             "--timesteps", str(cfg.train_timesteps),
+                             "--horizon", str(cfg.horizon), "--out", str(out)]) == cli.EXIT_OK
+            assert _digests(out.parent) == {name: written[name],
+                                            f"{name}.curve.csv": written[f"{name}.curve.csv"]}
+            shutil.rmtree(out.parent)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a re-run trained an agent whose checkpoint was finished")
+
+        monkeypatch.setattr(evaluate_module, "train", fail)
+        sweep(cfg)
+        assert _digests(tmp_path / "ckpts") == written
 
     def test_hand_trained_checkpoint_is_used_without_training_on_demand(self, tmp_path):
         cfg = self.cfg(tmp_path, "ckpts", scenarios=("mbs",), noises=("depolarizing",),

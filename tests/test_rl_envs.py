@@ -8,7 +8,6 @@ import pytest
 from conftest import PACKAGE
 from qfclab import dynamics
 from qfclab.channels import imprecise_measurement
-from qfclab.controllers import ControlAction
 from qfclab.dynamics import TARGET_INDEX, EnvConfig, encode_state_observation, step_true
 from qfclab.qcore import basis_state
 from qfclab.rl.envs import LOOP_KINDS, TRAINED_KINDS, ScenarioEnv
@@ -91,7 +90,7 @@ def replay_against_oracle(kind, cfg, seed, episodes=4):
             beta = float(actions.uniform(-1.0, 1.0))
             stop = kind == "qomdp" and bool(actions.random() < 0.15)
             loop = env._loop  # the env lets go of it when the episode ends
-            obs, reward, done = env.step(ControlAction(beta=beta, stop=stop))
+            obs, reward, done = env.step(beta, stop)
             want_obs, want_reward, want_done = oracle.step(beta, stop)
             assert loop.outcome == oracle.outcome
             assert_matches_oracle(kind, obs, want_obs)
@@ -133,7 +132,7 @@ def test_noiseless_training_kinds_never_apply_a_channel(monkeypatch, kind):
     env.reset()
     done = False
     while not done:
-        _, _, done = env.step(ControlAction(beta=0.4))
+        _, _, done = env.step(0.4, False)
 
 
 class TestMbsTrainEnv:
@@ -146,7 +145,7 @@ class TestMbsTrainEnv:
             history = [obs.copy()]
             done = False
             while not done:
-                obs, reward, done = env.step(ControlAction(beta=0.9))
+                obs, reward, done = env.step(0.9, False)
                 history.append(obs.copy())
             runs.append(np.concatenate(history))
         np.testing.assert_array_equal(runs[0], runs[1])
@@ -154,7 +153,7 @@ class TestMbsTrainEnv:
     def test_reward_is_observed_state_fidelity(self):
         env = ScenarioEnv("mbs", make_cfg(), RngStream(10))
         env.reset()
-        obs, reward, _ = env.step(ControlAction(beta=1.0))
+        obs, reward, _ = env.step(1.0, False)
         assert reward == pytest.approx(obs[2])
 
     def test_episode_length_is_horizon(self):
@@ -163,11 +162,11 @@ class TestMbsTrainEnv:
         steps = 0
         done = False
         while not done:
-            _, _, done = env.step(ControlAction(beta=0.1))
+            _, _, done = env.step(0.1, False)
             steps += 1
         assert steps == 7
         with pytest.raises(RuntimeError, match="reset"):
-            env.step(ControlAction(beta=0.0))
+            env.step(0.0, False)
 
 
 class TestDbsTrainEnv:
@@ -180,7 +179,7 @@ class TestDbsTrainEnv:
         rho = dynamics.INITIAL_STATE
         done = False
         while not done:
-            obs, reward, done = env.step(ControlAction(beta=0.7))
+            obs, reward, done = env.step(0.7, False)
             rho, _ = step_true(rho, 0.7, cfg, draws.random(), cfg.alpha)
             np.testing.assert_allclose(decode_state_observation(obs), rho, atol=1e-12)
             assert reward == pytest.approx(rho[2, 2].real, abs=1e-12)
@@ -193,8 +192,8 @@ class TestDbsTrainEnv:
         obs0, obs1 = noiseless.reset(), noisy.reset()
         fid0, fid1 = [], []
         for _ in range(10):
-            o0, r0, _ = noiseless.step(ControlAction(beta=1.0))
-            o1, r1, _ = noisy.step(ControlAction(beta=1.0))
+            o0, r0, _ = noiseless.step(1.0, False)
+            o1, r1, _ = noisy.step(1.0, False)
             fid0.append(r0)
             fid1.append(r1)
         assert fid0 != fid1
@@ -218,7 +217,7 @@ class TestQomdpTrainEnv:
         rewards = []
         done = False
         while not done:
-            _, r, done = env.step(ControlAction(beta=0.3, stop=False))
+            _, r, done = env.step(0.3, False)
             rewards.append(r)
         assert rewards[:-1] == [0.0] * (len(rewards) - 1)
         assert rewards[-1] == -1.0
@@ -228,26 +227,26 @@ class TestQomdpTrainEnv:
         env = ScenarioEnv("qomdp", make_cfg(epsilon=0.0, horizon=20), RngStream(18))
         obs = env.reset()
         while obs[0] != TARGET_INDEX:
-            obs, _, done = env.step(ControlAction(beta=1.0))
+            obs, _, done = env.step(1.0, False)
             assert not done
         assert np.array_equal(env._loop.rho, basis_state(2))
-        _, reward, done = env.step(ControlAction(beta=0.0, stop=True))
+        _, reward, done = env.step(0.0, True)
         # the target level measures as the target: +1 whatever the draw
         assert done and reward == 1.0
         with pytest.raises(RuntimeError, match="reset"):
-            env.step(ControlAction(beta=0.0))
+            env.step(0.0, False)
 
     def test_stop_off_target_earns_minus_one(self):
         env = ScenarioEnv("qomdp", make_cfg(), RngStream(19))
         env.reset()
-        _, reward, done = env.step(ControlAction(beta=0.0, stop=True))
+        _, reward, done = env.step(0.0, True)
         # level 0 never measures as the target: -1 whatever the draw
         assert done and reward == -1.0
 
     def test_observation_carries_last_action(self):
         env = ScenarioEnv("qomdp", make_cfg(), RngStream(20))
         env.reset()
-        obs, _, _ = env.step(ControlAction(beta=0.625, stop=False))
+        obs, _, _ = env.step(0.625, False)
         assert obs[1] == 0.625
         # the outcome half is the second step's outcome, replayed from the episode's draws
         cfg = env.cfg

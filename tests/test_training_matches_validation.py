@@ -52,9 +52,9 @@ def test_mlp_training_sees_the_validation_filter(kind, alpha, noise):
         obs = env.reset()
         assert obs.tobytes() == encode_state_observation(INITIAL_STATE).tobytes()
         for t in range(cfg.horizon):
-            action, _ = policy_act(net, obs)
-            assert action.beta == episode.betas[t]
-            obs, reward, done = env.step(action)
+            beta, stop, _ = policy_act(net, obs)
+            assert beta == episode.betas[t]
+            obs, reward, done = env.step(beta, stop)
             assert obs.tobytes() == encode_state_observation(seen[t]).tobytes()
             assert reward == fidelity_pure_target(seen[t], TARGET_INDEX)
             assert done == (t + 1 == cfg.horizon)
@@ -73,14 +73,14 @@ def test_qomdp_training_sees_the_validation_outcomes_and_stops():
         assert obs.tobytes() == encode_outcome_observation(episode.outcomes[0], 0.0).tobytes()
         t, state, done = 1, None, False
         while not done:
-            action, state = policy_act(net, obs, state)
-            obs, reward, done = env.step(action)
-            if action.stop:
+            beta, stop, state = policy_act(net, obs, state)
+            obs, reward, done = env.step(beta, stop)
+            if stop:
                 assert done and episode.stop_step == t
                 assert reward == (1.0 if episode.terminal_outcome == TARGET_INDEX else -1.0)
                 stops += 1
                 break
-            assert action.beta == episode.betas[t]
+            assert beta == episode.betas[t]
             want = encode_outcome_observation(episode.outcomes[t], episode.betas[t])
             assert obs.tobytes() == want.tobytes()
             t += 1
